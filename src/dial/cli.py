@@ -54,6 +54,7 @@ from .evaluate import EvalResult, PolicySpec, run_deployment
 from .rng import derive_seed
 from .stats import (
     CellKey,
+    StatsError,
     pearson,
     predicted_rho,
     quantile_normalize,
@@ -411,17 +412,18 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     boot_seed = derive_seed(config.seed, "stats-boot")
 
     rows = [report_row("all", spearman(sig, lab, ci=True, seed=boot_seed), pearson(sig, lab))]
-    temporal: Optional[Dict[str, Any]] = None
+    temporal: Dict[str, Any]
     try:
         early, late, delta = temporal_split_rho(dataset.records)
+    except StatsError as exc:  # e.g. single-step datasets have no late bucket
+        temporal = {"skipped": str(exc)}
+    else:
         median = float(np.median([r.step_index for r in labeled]))
         for tag, report in (("early", early), ("late", late)):
             bucket = [r for r in labeled if (r.step_index <= median) == (tag == "early")]
             pe = pearson([r.signal for r in bucket], [float(r.utility_label) for r in bucket])
             rows.append(report_row(tag, report, pe))
         temporal = {"early": early, "late": late, "delta": delta}
-    except Exception:
-        pass  # single-step datasets have no late bucket
 
     transforms = transform_suite(sig, lab)
     for row in transforms:
@@ -445,8 +447,8 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     }
     try:
         payload["simpson"] = simpson_decomposition(dataset.records)
-    except Exception:
-        payload["simpson"] = None
+    except StatsError as exc:  # e.g. records without the simulator's debug fields
+        payload["simpson"] = {"skipped": str(exc)}
 
     digest8 = config.short_digest()
     json_path = _fresh(os.path.join(config.output_dir, f"stats-{digest8}.json"))

@@ -302,13 +302,17 @@ def save_dataset_jsonl(dataset: LabeledDataset, path: str, env_meta: Optional[Di
 def load_dataset_jsonl(path: str) -> LabeledDataset:
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}
+    first_line = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             row = json.loads(line)
-            shared_meta = row["env_meta"]
+            if not first_line:
+                shared_meta, first_line = row["env_meta"], lineno
+            elif row["env_meta"] != shared_meta:
+                raise ValueError(f"{path}: line {lineno}: env_meta differs from line {first_line}")
             records.append(
                 StepRecord(
                     episode_id=row["episode_id"],

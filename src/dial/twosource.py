@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class TwoSourceParams:
 
     def p_i(self, step_index: int) -> float:
         """Unsuitable-state probability at a step: clamp(p_i0 + slope * t, 0, 1)."""
-        return float(np.clip(self.p_i0 + self.p_i_slope * step_index, 0.0, 1.0))
+        return float(min(max(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0))
 
     def p_i_star(self) -> float:
         """Mixture at which the aggregate signal-utility correlation crosses zero."""
@@ -98,8 +98,7 @@ def intervene_mixture(params: TwoSourceParams, mode: str, delta: float) -> TwoSo
     return replace(params, p_i0=new_p)
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """One pre-drawn decision step. Hidden fields (latent_type,
     true_utility, reward_noise) are never exposed through observations."""
 
@@ -122,49 +121,65 @@ def step_return(params: TwoSourceParams, state: SimState, triggered: bool) -> fl
     return reward
 
 
+def _draws(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw draws for `n` consecutive states: the one place that fixes the
+    draw order, so identical seeds give identical sequences.
+
+    Order: signal uniforms, type uniforms, latent-noise normals,
+    reward-noise normals, proxy-flip uniforms, num_options. Each pair of
+    like draws is one call of length 2n, which for PCG64 gives the same
+    values as two calls of length n. Returns (uniforms[2n], normals[2n],
+    flip uniforms[n], num_options[n]).
+    """
+    return (
+        rng.random(2 * n),
+        rng.standard_normal(2 * n),
+        rng.random(n),
+        rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, n),
+    )
+
+
 def _draw_states(
     params: TwoSourceParams,
     rng: np.random.Generator,
     start: int,
     count: int,
-) -> List[SimState]:
+) -> Tuple[SimState, ...]:
     """Draw `count` consecutive states starting at step index `start`.
 
-    Draw order is fixed (signal, type, latent noise, reward noise, proxy
-    flip, num_options) so identical seeds give identical sequences.
+    Rows are derived in plain Python floats: an episode holds at most
+    `horizon` rows, and on arrays that short each numpy call costs more
+    than the draws themselves. `sample_states` derives the same values
+    with numpy.
     """
     if count <= 0:
-        return []
-    steps = np.arange(start, start + count)
-    p_i = np.clip(params.p_i0 + params.p_i_slope * steps, 0.0, 1.0)
-    signals = rng.random(count)
-    is_type_i = rng.random(count) < p_i
-    latent_eps = rng.standard_normal(count) * params.noise_sd
-    reward_eps = rng.standard_normal(count) * params.noise_sd
-    flip = rng.random(count) < (1.0 - params.fidelity_q) / 2.0
-    num_options = rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, count)
-
-    slope = np.where(is_type_i, -params.alpha, params.beta)
-    utilities = slope * signals + latent_eps
-    is_type_d = ~is_type_i
-    proxies = np.where(flip, ~is_type_d, is_type_d).astype(int)
-
+        return ()
+    uniforms, normals, flips, num_options = _draws(rng, count)
+    u = uniforms.tolist()
+    z = normals.tolist()
+    sd = params.noise_sd
+    flip_p = (1.0 - params.fidelity_q) / 2.0
+    last = params.horizon - 1
     states = []
-    for i in range(count):
-        t = int(steps[i])
+    for i, (flip_u, options) in enumerate(zip(flips.tolist(), num_options.tolist())):
+        t = start + i
+        signal = u[i]
+        is_type_i = u[count + i] < params.p_i(t)
+        utility = (-params.alpha if is_type_i else params.beta) * signal + z[i] * sd
+        proxy = is_type_i if flip_u < flip_p else not is_type_i
         states.append(
             SimState(
-                step_index=t,
-                latent_type=TYPE_I if is_type_i[i] else TYPE_D,
-                signal=float(signals[i]),
-                type_proxy=int(proxies[i]),
-                num_options=int(num_options[i]),
-                true_utility=float(utilities[i]),
-                reward_noise=float(reward_eps[i]),
-                is_finish=t == params.horizon - 1,
+                t,
+                TYPE_I if is_type_i else TYPE_D,
+                signal,
+                int(proxy),
+                options,
+                utility,
+                z[count + i] * sd,
+                t == last,
             )
         )
-    return states
+    return tuple(states)
 
 
 class TwoSourceEpisode:
@@ -177,24 +192,13 @@ class TwoSourceEpisode:
     how paired rollout arms are decoupled.
     """
 
-    def __init__(
-        self,
-        params: TwoSourceParams,
-        seed: Optional[int] = None,
-        _states: Optional[List[SimState]] = None,
-        _cursor: int = 0,
-        _rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, params: TwoSourceParams, seed: Optional[int] = None):
+        rng = np.random.default_rng(seed)
         self.params = params
-        if _states is None:
-            rng = np.random.default_rng(seed)
-            self._states = _draw_states(params, rng, 0, params.horizon)
-            self._cursor = 0
-            self._rng = rng
-        else:
-            self._states = _states
-            self._cursor = _cursor
-            self._rng = _rng
+        self._rng: Optional[np.random.Generator] = rng
+        self._rows = _draw_states(params, rng, 0, params.horizon)
+        self._first = 0   # step index of _rows[0]
+        self._cursor = 0  # step index of the current state
 
     # -- episode protocol -------------------------------------------------
 
@@ -204,14 +208,15 @@ class TwoSourceEpisode:
     def _current(self) -> SimState:
         if self.done():
             raise EnvFault("episode is finished")
-        if self._cursor >= len(self._states):
+        i = self._cursor - self._first
+        rows = self._rows
+        if i >= len(rows):
             # Lazily extend a fork stepped past its pre-drawn lookahead.
             if self._rng is None:
                 raise EnvFault("fork exhausted its pre-drawn states")
-            self._states.extend(
-                _draw_states(self.params, self._rng, len(self._states), self._cursor - len(self._states) + 1)
-            )
-        return self._states[self._cursor]
+            more = _draw_states(self.params, self._rng, self._first + len(rows), i - len(rows) + 1)
+            rows = self._rows = rows + more
+        return rows[i]
 
     def observe(self) -> Dict[str, float]:
         return observe(self._current())
@@ -232,18 +237,21 @@ class TwoSourceEpisode:
     def fork(self, reseed: Optional[int] = None, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
         if self.done():
             raise EnvFault("cannot fork a finished episode")
-        self._current()  # materialize the snapshot step
+        snapshot = self._current()  # materialize the snapshot step
+        fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
+        fork.params = self.params
+        fork._cursor = self._cursor
         if reseed is None:
-            # Exact replay: share the immutable pre-drawn future.
-            return TwoSourceEpisode(
-                self.params, _states=list(self._states), _cursor=self._cursor, _rng=None
-            )
+            # Exact replay: share the immutable pre-drawn rows; never draws.
+            fork._rng, fork._rows, fork._first = None, self._rows, self._first
+            return fork
         remaining = self.params.horizon - self._cursor - 1
         ahead = remaining if lookahead is None else min(lookahead, remaining)
-        fork_rng = np.random.default_rng(reseed)
-        states = self._states[: self._cursor + 1]
-        states = states + _draw_states(self.params, fork_rng, self._cursor + 1, ahead)
-        return TwoSourceEpisode(self.params, _states=states, _cursor=self._cursor, _rng=fork_rng)
+        # Keep only the snapshot row; the future comes from the fork's stream.
+        fork._rng = np.random.default_rng(reseed)
+        fork._rows = (snapshot,) + _draw_states(self.params, fork._rng, self._cursor + 1, ahead)
+        fork._first = self._cursor
+        return fork
 
     def state_digest(self) -> str:
         s = self._current()
@@ -308,13 +316,13 @@ def sample_states(params: TwoSourceParams, n_states: int, seed: int) -> Dict[str
         raise ValueError("n_states must be positive")
     rng = np.random.default_rng(seed)
     steps = np.tile(np.arange(params.horizon), n_states // params.horizon + 1)[:n_states]
-    p_i = np.clip(params.p_i0 + params.p_i_slope * steps, 0.0, 1.0)
-    signals = rng.random(n_states)
-    is_type_i = rng.random(n_states) < p_i
-    latent_eps = rng.standard_normal(n_states) * params.noise_sd
-    reward_eps = rng.standard_normal(n_states) * params.noise_sd
-    flip = rng.random(n_states) < (1.0 - params.fidelity_q) / 2.0
-    num_options = rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, n_states)
+    p_i = np.array([params.p_i(t) for t in range(params.horizon)])[steps]
+    uniforms, normals, flips, num_options = _draws(rng, n_states)
+    signals = uniforms[:n_states]
+    is_type_i = uniforms[n_states:] < p_i
+    latent_eps = normals[:n_states] * params.noise_sd
+    reward_eps = normals[n_states:] * params.noise_sd
+    flip = flips < (1.0 - params.fidelity_q) / 2.0
     slope = np.where(is_type_i, -params.alpha, params.beta)
     is_type_d = ~is_type_i
     return {

@@ -8,6 +8,7 @@ hand-computed fixture, or checked against an independent oracle
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import time
@@ -348,6 +349,23 @@ def test_c11_statistics_oracles():
 # -- C12: end-to-end reproducibility --------------------------------------------------------------
 
 
+# sha256 of every C12 output file. A change that alters one on purpose
+# updates it here and says why.
+C12_GOLDEN_SHA256 = {
+    "dataset-52275013.jsonl": "a2e93809c51ccd69dc411189ce2f7090f48d725373d7b9546ff86bb9f610e488",
+    "eval-52275013.json": "f7ef9d49a96d81eada5ccff3076b2f610fe00aec56f196a4987118af2e3c1255",
+    "eval_summary-52275013.csv": "ea4128b7f2d10febd747d98367f3e6ff92b018fb8ef0df057cfafb700f7ff14c",
+    "model-52275013.json": "7408c3b9468e1b46e4e041dc4898c9593c35d7bebc426b8996f397126b4c0202",
+    "trigger_profile-52275013.csv": "510d31b2884c1b955d2cf1b4cd0abe78e3554a0f0a8dea3ef1ed75d66423a211",
+    "verify-52275013.json": "0a87f5982af1b70d7fa225c0559a963fb797907b358bc3f36cb62042e8a21e4a",
+    "verify_eq2_sweep-52275013.csv": "1c9d081f425b424aed2be93bd8d07433a502735fa5004e48a71304b6d9edcea6",
+    "verify_normalization-52275013.csv": "f02295e77402251a50334d0e25892c734264c2a1590f164ceeba76bb2cf39f44",
+    "verify_simpson-52275013.csv": "d1eda8035b71bd653e1a26663860bceab36b59d638672f2641d3feeb0e4796f2",
+    "verify_temporal-52275013.csv": "ef715a14bf5df5c4f5fe86c4aabf1028e156cb070e4b3c4672fcf16336541ec5",
+    "verify_transforms-52275013.csv": "9c07af8f7c4735d6ae15a2bab18b6787842e57c295923e081d66db210da571d8",
+}
+
+
 def test_c12_pipeline_reproducibility(tmp_path):
     config_payload = {
         "environment": {"p_i0": 0.5, "noise_sd": 0.1, "fidelity_q": 1.0, "horizon": 8},
@@ -377,4 +395,6 @@ def test_c12_pipeline_reproducibility(tmp_path):
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
-    _report("C12 reproducibility", f"{len(first)} output files byte-identical across two runs")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
+    assert digests == C12_GOLDEN_SHA256
+    _report("C12 reproducibility", f"{len(first)} output files byte-identical across two runs and to their golden sha256")

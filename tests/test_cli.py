@@ -116,6 +116,47 @@ def test_full_pipeline_produces_artifacts(tmp_path):
     assert "transform:u_negated" in groups
 
 
+def test_stats_records_why_temporal_split_was_skipped(tmp_path):
+    config = load_config(write_config(
+        tmp_path / "config.json", environment={"horizon": 1}, exploration={"eps": 1.0},
+    ))
+    outputs = cmd_stats(config, cmd_explore(config))
+    with open(outputs["json"]) as fh:
+        report = json.load(fh)
+    assert "needs >= 3 labeled records per bucket" in report["temporal"]["skipped"]
+    with open(outputs["cells"]) as fh:
+        groups = {r["group"] for r in csv.DictReader(fh)}
+    assert "all" in groups and not {"early", "late"} & groups
+
+
+def test_stats_records_why_simpson_was_skipped(tmp_path):
+    config = load_config(write_config(tmp_path / "config.json"))
+    dataset_path = cmd_explore(config)
+    stripped = tmp_path / "no_debug.jsonl"
+    with open(dataset_path) as fh, open(stripped, "w") as out:
+        for line in fh:
+            row = json.loads(line)
+            row.pop("latent_type_debug", None)
+            out.write(json.dumps(row) + "\n")
+    with open(cmd_stats(config, str(stripped))["json"]) as fh:
+        report = json.load(fh)
+    assert "no latent-type debug fields" in report["simpson"]["skipped"]
+    assert "early" in report["temporal"]
+
+
+@pytest.mark.parametrize("name", ["temporal_split_rho", "simpson_decomposition"])
+def test_stats_propagates_errors_that_are_not_stats_errors(tmp_path, monkeypatch, name):
+    config = load_config(write_config(tmp_path / "config.json"))
+    dataset_path = cmd_explore(config)
+
+    def broken(records):
+        raise RuntimeError("bug in the stats layer")
+
+    monkeypatch.setattr(f"dial.cli.{name}", broken)
+    with pytest.raises(RuntimeError, match="bug in the stats layer"):
+        cmd_stats(config, dataset_path)
+
+
 def test_explore_is_reproducible_across_runs(tmp_path):
     # The digest covers run content, not placement: two runs that differ
     # only in output directory give byte-identical datasets.

@@ -285,3 +285,18 @@ def test_loader_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         load_dataset_jsonl(str(path))
+
+
+def test_loader_rejects_mixed_env_meta(tmp_path):
+    env = TwoSourceEnv(TwoSourceParams())
+    ds = run_exploration(env, eps=0.5, n_episodes=2, seed=8)
+    lines = dataset_to_jsonl(ds, {"config_digest": "abc"}).splitlines()
+    import json
+
+    row = json.loads(lines[2])
+    row["env_meta"]["config_digest"] = "xyz"
+    lines[2] = json.dumps(row)
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3: env_meta differs from line 1"):
+        load_dataset_jsonl(str(path))

@@ -249,3 +249,54 @@ def test_base_only_success_rate_is_interior_with_noise():
             total += ep.step(False)
         successes += int(env.episode_success(total))
     assert 0.35 < successes / 400 < 0.65
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TwoSourceParams(),
+        TwoSourceParams(fidelity_q=0.4, noise_sd=0.3, horizon=7),
+        TwoSourceParams(alpha=2.5, beta=0.4, p_i0=0.9, p_i_slope=0.04, fidelity_q=0.0, noise_sd=0.0),
+        TwoSourceParams(p_i0=0.1, p_i_slope=0.3, fidelity_q=0.8, noise_sd=0.05, horizon=12),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
+    # Episodes derive their rows in Python floats, sample_states with
+    # numpy; from one seed both must give the same states exactly.
+    states = sample_states(params, params.horizon, seed)
+    ep = spawn_episode(params, seed)
+    for i in range(params.horizon):
+        obs, debug = ep.observe(), ep.debug_state()
+        assert obs["step_count"] == states["step_index"][i]
+        assert obs["signal"] == states["signal"][i]
+        assert obs["type_proxy"] == states["type_proxy"][i]
+        assert obs["num_options"] == states["num_options"][i]
+        assert obs["is_finish"] == states["is_finish"][i]
+        assert (debug["latent_type"] == "D") == states["is_type_d"][i]
+        assert debug["true_utility"] == states["true_utility"][i]
+        assert ep.step(False) == params.base_reward + states["reward_noise"][i]
+    assert ep.done()
+
+
+def test_fork_extended_past_lookahead_is_pinned():
+    # A fork stepped past its lookahead draws the rest from its own
+    # stream one state at a time; pin what it yields.
+    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=6)
+    ep = spawn_episode(params, 21)
+    ep.step(True)
+    ep.step(False)
+    fork = ep.fork(reseed=77, lookahead=1)
+    rows = []
+    triggered = True
+    while not fork.done():
+        obs = fork.observe()
+        reward = fork.step(triggered)
+        rows.append((obs["step_count"], obs["signal"], obs["type_proxy"], obs["num_options"], obs["is_finish"], reward))
+        triggered = not triggered
+    assert rows == [
+        (2.0, 0.7098011904084252, 1.0, 2.0, 0.0, 2.3644604219764203),
+        (3.0, 0.7859323085424931, 0.0, 3.0, 0.0, 0.5174365141407371),
+        (4.0, 0.8013006796423605, 0.0, 3.0, 0.0, -0.6420801428512211),
+        (5.0, 0.6039750393802742, 0.0, 3.0, 1.0, 0.4410082104917391),
+    ]
