@@ -445,9 +445,19 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
         "temporal": temporal,
         "transforms": transforms,
     }
+    debug = [
+        r for r in dataset.records
+        if r.latent_type_debug is not None and r.true_utility_debug is not None
+    ]
     try:
-        payload["simpson"] = simpson_decomposition(dataset.records)
-    except StatsError as exc:  # e.g. records without the simulator's debug fields
+        if not debug:
+            raise StatsError("records carry no latent-type debug fields (not simulator data?)")
+        payload["simpson"] = simpson_decomposition(
+            [r.signal for r in debug],
+            [r.latent_type_debug == "D" for r in debug],
+            [r.true_utility_debug for r in debug],
+        )
+    except StatsError as exc:
         payload["simpson"] = {"skipped": str(exc)}
 
     digest8 = config.short_digest()
@@ -492,8 +502,7 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     for i, p in enumerate((0.8, 0.2)):
         point = replace(params, p_i0=p, p_i_slope=0.0)
         states = sample_states(point, EQ2_SWEEP_N, derive_seed(verify_seed, "simpson", i))
-        records = _states_as_records(states)
-        rep = simpson_decomposition(records)
+        rep = simpson_decomposition(states["signal"], states["is_type_d"], states["true_utility"])
         simpson_rows.append(
             {
                 "p_i0": p,
@@ -569,26 +578,6 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
             writer.writerows(rows)
         paths[name] = path
     return paths
-
-
-def _states_as_records(states: Dict[str, np.ndarray]):
-    from .explore import StepRecord
-
-    records = []
-    for i in range(len(states["signal"])):
-        records.append(
-            StepRecord(
-                episode_id=0,
-                step_index=int(states["step_index"][i]),
-                obs={"signal": float(states["signal"][i])},
-                triggered=False,
-                utility_label=None,
-                signal=float(states["signal"][i]),
-                latent_type_debug="D" if states["is_type_d"][i] else "I",
-                true_utility_debug=float(states["true_utility"][i]),
-            )
-        )
-    return records
 
 
 def cmd_sweep(config: RunConfig, axis: str) -> str:

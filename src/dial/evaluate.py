@@ -13,11 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import EnvFault, Environment
+from .envs import EnvFault, Environment, Episode
 from .explore import (
     DEFAULT_K_CANDIDATES,
     DEFAULT_N_ROLLOUTS,
@@ -118,6 +118,62 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> Tup
     return max(0.0, center - half), min(1.0, center + half)
 
 
+class _Deployment:
+    """Success, cost and per-step trigger counts over a run of episodes,
+    and the EvalResult they make. Cost adds 1 per step plus the
+    environment's trigger cost on triggered steps, one step at a time."""
+
+    def __init__(self, env: Environment, kind: str) -> None:
+        self.env = env
+        self.kind = kind  # names the run in fault messages
+        self.tcu = env.trigger_cost_units()
+        self.episodes = 0
+        self.successes = 0
+        self.cost = 0.0
+        self.step_counts: Dict[int, int] = {}
+        self.step_triggers: Dict[int, int] = {}
+
+    def play(self, index: int, episode: Episode, decide: Callable[[int, Dict[str, Any]], Any]) -> None:
+        """Play one episode to its end, triggering where ``decide(t, obs)``
+        says; any fault while deciding or stepping becomes an EnvFault
+        naming the episode and step."""
+        episode_return = 0.0
+        t = 0
+        while not episode.done():
+            try:
+                obs = episode.observe()
+                triggered = bool(decide(t, obs))
+                episode_return += episode.step(triggered)
+            except EnvFault:
+                raise
+            except Exception as exc:
+                raise EnvFault(f"environment fault at {self.kind} episode {index}, step {t}: {exc}") from exc
+            self.cost += 1.0 + (self.tcu if triggered else 0.0)
+            self.step_counts[t] = self.step_counts.get(t, 0) + 1
+            self.step_triggers[t] = self.step_triggers.get(t, 0) + int(triggered)
+            t += 1
+        self.episodes += 1
+        self.successes += int(self.env.episode_success(episode_return))
+
+    def result(self, seed: int, policy: str) -> EvalResult:
+        profile = []
+        for t in sorted(self.step_counts):
+            hits, n = self.step_triggers[t], self.step_counts[t]
+            low, high = wilson_interval(hits, n)
+            profile.append(PerStepTrigger(t, hits / n, low, high, n))
+        steps = sum(self.step_counts.values())
+        return EvalResult(
+            sr=self.successes / self.episodes,
+            cost_x_base=self.cost / steps,  # base policy costs 1 unit per step
+            trigger_rate=sum(self.step_triggers.values()) / steps,
+            per_step_trigger=tuple(profile),
+            n_episodes=self.episodes,
+            seed=seed,
+            policy=policy,
+            env_id=getattr(self.env, "env_id", "unknown"),
+        )
+
+
 def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: int) -> EvalResult:
     """Evaluate one policy: success rate, cost relative to the
     never-trigger baseline under the same seed schedule, and the
@@ -125,52 +181,10 @@ def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: 
     if n_episodes < 1:
         raise EvalError("n_episodes must be >= 1")
     decide = policy.build()
-    tcu = env.trigger_cost_units()
-
-    successes = 0
-    total_cost = 0.0
-    total_steps = 0
-    total_triggers = 0
-    step_counts: Dict[int, int] = {}
-    step_triggers: Dict[int, int] = {}
-
+    run = _Deployment(env, "eval")
     for i in range(n_episodes):
-        episode = env.episode(derive_seed(seed, "eval-episode", i))
-        episode_return = 0.0
-        t = 0
-        while not episode.done():
-            try:
-                obs = episode.observe()
-                triggered = bool(decide(obs))
-                episode_return += episode.step(triggered)
-            except EnvFault:
-                raise
-            except Exception as exc:
-                raise EnvFault(f"environment fault at eval episode {i}, step {t}: {exc}") from exc
-            total_cost += 1.0 + (tcu if triggered else 0.0)
-            total_steps += 1
-            total_triggers += int(triggered)
-            step_counts[t] = step_counts.get(t, 0) + 1
-            step_triggers[t] = step_triggers.get(t, 0) + int(triggered)
-            t += 1
-        successes += int(env.episode_success(episode_return))
-
-    profile = []
-    for t in sorted(step_counts):
-        low, high = wilson_interval(step_triggers[t], step_counts[t])
-        profile.append(
-            PerStepTrigger(t, step_triggers[t] / step_counts[t], low, high, step_counts[t])
-        )
-    return EvalResult(
-        sr=successes / n_episodes,
-        cost_x_base=total_cost / total_steps,  # base policy costs 1 unit per step
-        trigger_rate=total_triggers / total_steps,
-        per_step_trigger=tuple(profile),
-        n_episodes=n_episodes,
-        seed=seed,
-        policy=policy.name(),
-        env_id=getattr(env, "env_id", "unknown"),
-    )
+        run.play(i, env.episode(derive_seed(seed, "eval-episode", i)), lambda t, obs: decide(obs))
+    return run.result(seed, policy.name())
 
 
 def pareto_dominates(a: EvalResult, b: EvalResult) -> bool:
@@ -179,14 +193,6 @@ def pareto_dominates(a: EvalResult, b: EvalResult) -> bool:
     return a.sr >= b.sr and a.cost_x_base <= b.cost_x_base and (
         a.sr > b.sr or a.cost_x_base < b.cost_x_base
     )
-
-
-def trigger_rate_by_step(result: EvalResult) -> Tuple[PerStepTrigger, ...]:
-    """Per-step trigger profile with binomial CIs; needs enough episodes
-    for the intervals to mean anything."""
-    if result.n_episodes < 30:
-        raise EvalError(f"per-step profile needs >= 30 episodes, got {result.n_episodes}")
-    return result.per_step_trigger
 
 
 # -- gate fitting against an environment -----------------------------------------
@@ -439,69 +445,30 @@ def online_adapt(
     rows_y: List[int] = []
     trace: List[EvalResult] = []
     refits: List[RefitEvent] = []
-    tcu = env.trigger_cost_units()
-
-    block_success = 0
-    block_cost = 0.0
-    block_steps = 0
-    block_triggers = 0
-    block_start = 0
-    block_step_counts: Dict[int, int] = {}
-    block_step_triggers: Dict[int, int] = {}
+    block = _Deployment(env, "online")
 
     for i in range(n_episodes):
         episode = env.episode(derive_seed(seed, "online-episode", i))
         override_rng = rng_for(seed, "online-override", i)
         eps_i = online_override_prob(i)
-        episode_return = 0.0
-        t = 0
-        while not episode.done():
-            obs = episode.observe()
-            if override_rng.random() < eps_i:
-                triggered = bool(override_rng.random() < 0.5)
-                if triggered:
-                    label = estimate_utility_paired(
-                        episode, k_candidates, n_rollouts, horizon_h,
-                        seed=derive_seed(seed, f"online-label:{i}", t),
-                    )
-                    rows_X.append(extract_features(specs, obs).values)
-                    rows_y.append(label)
-            else:
-                triggered = model.decide(obs)
-            episode_return += episode.step(triggered)
-            block_cost += 1.0 + (tcu if triggered else 0.0)
-            block_steps += 1
-            block_triggers += int(triggered)
-            block_step_counts[t] = block_step_counts.get(t, 0) + 1
-            block_step_triggers[t] = block_step_triggers.get(t, 0) + int(triggered)
-            t += 1
-        block_success += int(env.episode_success(episode_return))
 
+        def decide(t: int, obs: Dict[str, Any]) -> bool:
+            if override_rng.random() >= eps_i:
+                return model.decide(obs)
+            triggered = bool(override_rng.random() < 0.5)
+            if triggered:
+                label = estimate_utility_paired(
+                    episode, k_candidates, n_rollouts, horizon_h,
+                    seed=derive_seed(seed, f"online-label:{i}", t),
+                )
+                rows_X.append(extract_features(specs, obs).values)
+                rows_y.append(label)
+            return triggered
+
+        block.play(i, episode, decide)
         if (i + 1) % refit_every == 0 or i + 1 == n_episodes:
-            profile = tuple(
-                PerStepTrigger(
-                    s,
-                    block_step_triggers[s] / block_step_counts[s],
-                    *wilson_interval(block_step_triggers[s], block_step_counts[s]),
-                    block_step_counts[s],
-                )
-                for s in sorted(block_step_counts)
-            )
-            trace.append(
-                EvalResult(
-                    sr=block_success / (i + 1 - block_start),
-                    cost_x_base=block_cost / block_steps,
-                    trigger_rate=block_triggers / block_steps,
-                    per_step_trigger=profile,
-                    n_episodes=i + 1 - block_start,
-                    seed=seed,
-                    policy="online_dial",
-                    env_id=getattr(env, "env_id", "unknown"),
-                )
-            )
-            block_success, block_cost, block_steps, block_triggers = 0, 0.0, 0, 0
-            block_step_counts, block_step_triggers = {}, {}
-            block_start = i + 1
+            trace.append(block.result(seed, "online_dial"))
+            block = _Deployment(env, "online")
 
         if (i + 1) % refit_every == 0 and i + 1 < n_episodes:
             y = np.asarray(rows_y, dtype=float)

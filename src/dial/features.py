@@ -107,19 +107,6 @@ def extract_universal(obs: Dict[str, Any]) -> FeatureVector:
     return FeatureVector(UNIVERSAL_FEATURES, values)
 
 
-def derive_features(base: FeatureVector, max_steps: int) -> FeatureVector:
-    """Extend a universal vector with step_ratio, entropy_sq and
-    step_x_entropy."""
-    if max_steps < 1:
-        raise FeatureError(f"max_steps must be >= 1, got {max_steps}")
-    if base.names[: len(UNIVERSAL_FEATURES)] != UNIVERSAL_FEATURES:
-        raise FeatureError("derive_features expects a universal feature vector")
-    step = base.values[0]
-    entropy = base.values[1]
-    extra = np.array([step / max_steps, entropy**2, step * entropy])
-    return FeatureVector(base.names + DERIVED_FEATURES, np.concatenate([base.values, extra]))
-
-
 def universal_specs() -> List[FeatureSpec]:
     return [FeatureSpec(name, "universal", f"builtin:{name}") for name in UNIVERSAL_FEATURES]
 
@@ -328,7 +315,7 @@ class HttpProposalClient(ProposalProvider):
     # -- request -------------------------------------------------------
 
     def _request(self, prompt: str) -> str:
-        import requests
+        import urllib.request  # on first use: it pulls in http and ssl, which offline runs never need
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -338,10 +325,13 @@ class HttpProposalClient(ProposalProvider):
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
         }
+        request = urllib.request.Request(
+            self.url, data=json.dumps(body).encode("utf-8"), headers=headers, method="POST"
+        )
         try:
-            resp = requests.post(self.url, headers=headers, json=body, timeout=self.timeout)
-            resp.raise_for_status()
-            payload = resp.json()
+            # urlopen raises HTTPError on an error status
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                payload = json.loads(resp.read())
             return payload["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - network/shape faults all map to ProviderError
             raise ProviderError(f"proposal endpoint failed: {exc}") from exc

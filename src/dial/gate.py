@@ -11,17 +11,20 @@ sigmoid threshold. The loss is the summed binary cross-entropy plus a
     mi_topk      hard top-k selection by mutual information, then
                  an unregularized fit on the selected features
 
-l1 and elastic_net are solved by cyclic coordinate descent with
-soft-thresholding; l2 and none by full-gradient descent. Both stop when
-the largest parameter update falls below 1e-8 or after 10,000 sweeps.
-Fitting is single-threaded and deterministic; a fitted model is
-immutable and can be shared freely.
+Every penalty is solved by one proximal-Newton path: each outer
+iteration solves a weighted quadratic model of the loss by cyclic
+coordinate descent with soft-thresholding; l2 and none are the case
+without an l1 term. The solver stops when the largest parameter update
+falls below 1e-8, and logs a warning when it stops at its cap of 10,000
+outer iterations instead. Fitting is single-threaded and deterministic;
+a fitted model is immutable and can be shared freely.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -30,6 +33,8 @@ import numpy as np
 
 from .features import FeatureSpec, extract_features
 from .rng import rng_for
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_C_GRID = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
 DEFAULT_FOLDS = 5
@@ -224,9 +229,14 @@ def _fit_coordinate_descent(
     """Proximal-Newton outer loop with cyclic soft-thresholding
     coordinate descent on each quadratic subproblem, plus a halving line
     search that keeps the penalized objective monotone. Stops when the
-    largest parameter update falls below ``tol`` or after ``max_iter``
-    outer iterations. Warm starts only shorten the path (the problem is
-    convex with a unique optimum for lam1 > 0 or lam2 > 0).
+    largest parameter update falls below ``tol``, when no step improves
+    the objective, or after ``max_iter`` outer iterations, which is
+    logged. The problem is convex, so a warm start changes the path but
+    not the optimal objective value. The minimizer is unique for
+    lam2 > 0; with lam2 == 0 it need not be: duplicated columns (the
+    pool's step_count/step_ratio twin after standardization) can split
+    their weight in many ways, and separable data has no finite
+    minimizer at all.
     """
     n, d = X.shape
     w = np.zeros(d) if w_init is None else w_init.astype(float).copy()
@@ -237,6 +247,7 @@ def _fit_coordinate_descent(
         return lam1 * float(np.abs(wv).sum()) + 0.5 * lam2 * float(wv @ wv)
 
     obj = bce_sum(z, y) + penalty(w)
+    max_delta = math.nan
     for _ in range(max_iter):
         p = _sigmoid(z)
         p_safe = np.clip(p, _WEIGHT_FLOOR, 1.0 - _WEIGHT_FLOOR)
@@ -263,31 +274,12 @@ def _fit_coordinate_descent(
         z, obj = z_try, obj_try
         if max_delta < tol:
             break
-    return w, b
-
-
-def _fit_gradient_descent(
-    X: np.ndarray, y: np.ndarray, lam2: float,
-    tol: float, max_iter: int,
-) -> Tuple[np.ndarray, float]:
-    """Full-gradient descent with the Lipschitz step of the logistic loss."""
-    n, d = X.shape
-    design = np.hstack([X, np.ones((n, 1))])
-    lipschitz = np.linalg.norm(design, 2) ** 2 / 4.0 + lam2
-    step = 1.0 / lipschitz
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(max_iter):
-        p = _sigmoid(X @ w + b)
-        resid = p - y
-        grad_w = X.T @ resid + lam2 * w
-        grad_b = float(resid.sum())
-        new_w = w - step * grad_w
-        new_b = b - step * grad_b
-        max_delta = max(float(np.max(np.abs(new_w - w))) if d else 0.0, abs(new_b - b))
-        w, b = new_w, new_b
-        if max_delta < tol:
-            break
+    else:
+        logger.warning(
+            "solver stopped at its cap of %d outer iterations (lam1=%g, lam2=%g); "
+            "last update %.3g, tolerance %g",
+            max_iter, lam1, lam2, max_delta, tol,
+        )
     return w, b
 
 
@@ -303,8 +295,9 @@ def fit_sparse_logistic(
 ) -> Tuple[np.ndarray, float]:
     """Minimize summed BCE plus (1/C)*penalty over (weights, bias).
 
-    Inputs are expected standardized. Deterministic for fixed inputs;
-    ``warm_start`` only shortens the iteration (the problem is convex).
+    Inputs are expected standardized. Deterministic for fixed inputs,
+    ``warm_start`` included; every regularizer takes the same
+    proximal-Newton path (l2 and none have no l1 term).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -316,17 +309,16 @@ def fit_sparse_logistic(
         raise GateError(f"unknown regularizer {reg!r} for the solver")
     _check_two_classes(y)
     lam = 1.0 / c
+    lam1, lam2 = {
+        "l1": (lam, 0.0),
+        "l2": (0.0, lam),
+        "elastic_net": (_ELASTIC_MIX * lam, (1 - _ELASTIC_MIX) * lam),
+        "none": (0.0, 0.0),
+    }[reg]
     w0, b0 = (None, 0.0) if warm_start is None else warm_start
-    if reg == "l1":
-        return _fit_coordinate_descent(
-            X, y, lam1=lam, lam2=0.0, tol=tol, max_iter=max_iter, w_init=w0, b_init=b0
-        )
-    if reg == "elastic_net":
-        return _fit_coordinate_descent(
-            X, y, lam1=_ELASTIC_MIX * lam, lam2=(1 - _ELASTIC_MIX) * lam,
-            tol=tol, max_iter=max_iter, w_init=w0, b_init=b0,
-        )
-    return _fit_gradient_descent(X, y, lam2=lam if reg == "l2" else 0.0, tol=tol, max_iter=max_iter)
+    return _fit_coordinate_descent(
+        X, y, lam1=lam1, lam2=lam2, tol=tol, max_iter=max_iter, w_init=w0, b_init=b0
+    )
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -472,15 +464,11 @@ class GateModel:
         return float(_sigmoid(np.array([x @ self.weights + self.bias]))[0])
 
     def decide(self, obs: Dict[str, Any]) -> bool:
+        """Trigger iff sigmoid(w . phi_std(s) + b) exceeds tau (strictly)."""
         return self.score(obs) > self.tau
 
     def nnz(self) -> int:
         return int(np.count_nonzero(self.weights))
-
-
-def gate_decide(model: GateModel, obs: Dict[str, Any]) -> bool:
-    """Trigger iff sigmoid(w . phi_std(s) + b) exceeds tau (strictly)."""
-    return model.decide(obs)
 
 
 def reverse_direction(model: GateModel) -> GateModel:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from .rng import rng_for
 
@@ -82,7 +82,7 @@ def _t_approx_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * sps.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))  # Student t upper tail at |t|
 
 
 def _validate_xy(x: Sequence[float], y: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -294,27 +294,26 @@ class SimpsonReport:
     aggregate: CorrReport
 
 
-def simpson_decomposition(records: Iterable[Any]) -> SimpsonReport:
+def simpson_decomposition(
+    signal: Sequence[float], is_type_d: Sequence[bool], true_utility: Sequence[float]
+) -> SimpsonReport:
     """Within-type and aggregate signal-utility correlations over one
     sample. Needs the simulator's debug channel (latent type plus the
     continuous hidden utility); binary labels cannot expose the exact
     within-type monotonicity."""
-    rows = [
-        r
-        for r in records
-        if getattr(r, "latent_type_debug", None) is not None
-        and getattr(r, "true_utility_debug", None) is not None
-    ]
-    if not rows:
-        raise StatsError("records carry no latent-type debug fields (not simulator data?)")
-    group_i = [r for r in rows if r.latent_type_debug == "I"]
-    group_d = [r for r in rows if r.latent_type_debug == "D"]
-    if len(group_i) < 3 or len(group_d) < 3:
+    signal = np.asarray(signal, dtype=float)
+    is_d = np.asarray(is_type_d, dtype=bool)
+    utility = np.asarray(true_utility, dtype=float)
+    if signal.ndim != 1 or not signal.shape == is_d.shape == utility.shape:
+        raise StatsError(
+            f"signal, type and utility misaligned: {signal.shape}, {is_d.shape}, {utility.shape}"
+        )
+    if is_d.sum() < 3 or (~is_d).sum() < 3:
         raise StatsError("need >= 3 records of each latent type")
     return SimpsonReport(
-        within_i=spearman([r.signal for r in group_i], [r.true_utility_debug for r in group_i]),
-        within_d=spearman([r.signal for r in group_d], [r.true_utility_debug for r in group_d]),
-        aggregate=spearman([r.signal for r in rows], [r.true_utility_debug for r in rows]),
+        within_i=spearman(signal[~is_d], utility[~is_d]),
+        within_d=spearman(signal[is_d], utility[is_d]),
+        aggregate=spearman(signal, utility),
     )
 
 

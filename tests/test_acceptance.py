@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from dial.cli import cmd_eval, cmd_explore, cmd_fit, cmd_verify, load_config
+from dial.cli import cmd_eval, cmd_explore, cmd_fit, cmd_stats, cmd_verify, load_config
 from dial.evaluate import (
     PolicySpec,
     explore_and_fit,
@@ -24,7 +24,7 @@ from dial.evaluate import (
     run_deployment,
     wrong_direction_experiment,
 )
-from dial.explore import StepRecord, run_exploration
+from dial.explore import run_exploration
 from dial.features import MockProposalClient, build_matrix, build_pool
 from dial.gate import fit_sparse_logistic, objective
 from dial.rng import derive_seed
@@ -86,25 +86,17 @@ def test_c01_mixture_sign_recovery():
 def test_c02_simpson_decomposition():
     start = time.time()
 
-    def records_at(p_i0, seed):
+    def states_at(p_i0, seed):
         states = sample_states(
             TwoSourceParams(alpha=1.0, beta=1.0, p_i0=p_i0, noise_sd=0.3), 5000, seed
         )
-        return [
-            StepRecord(
-                0, int(states["step_index"][i]), {"signal": float(states["signal"][i])},
-                triggered=False, utility_label=None, signal=float(states["signal"][i]),
-                latent_type_debug="D" if states["is_type_d"][i] else "I",
-                true_utility_debug=float(states["true_utility"][i]),
-            )
-            for i in range(5000)
-        ]
+        return states["signal"], states["is_type_d"], states["true_utility"]
 
-    high = simpson_decomposition(records_at(0.8, derive_seed(102, "c2", 0)))
+    high = simpson_decomposition(*states_at(0.8, derive_seed(102, "c2", 0)))
     assert high.within_d.rho > 0.3
     assert high.within_i.rho < -0.3
     assert high.aggregate.rho < -0.1
-    low = simpson_decomposition(records_at(0.2, derive_seed(102, "c2", 1)))
+    low = simpson_decomposition(*states_at(0.2, derive_seed(102, "c2", 1)))
     assert low.within_d.rho > 0.3
     assert low.within_i.rho < -0.3
     assert low.aggregate.rho > 0.1
@@ -356,6 +348,8 @@ C12_GOLDEN_SHA256 = {
     "eval-52275013.json": "f7ef9d49a96d81eada5ccff3076b2f610fe00aec56f196a4987118af2e3c1255",
     "eval_summary-52275013.csv": "ea4128b7f2d10febd747d98367f3e6ff92b018fb8ef0df057cfafb700f7ff14c",
     "model-52275013.json": "7408c3b9468e1b46e4e041dc4898c9593c35d7bebc426b8996f397126b4c0202",
+    "stats-52275013.json": "c9c122cdecbbe4243797cb11cb12a2524dff68d5d9835b16320df02866deec6a",
+    "stats_cells-52275013.csv": "225c7eb6f5911c4082f4b940863d998122aa01ee9b1835738f1997339553bcb0",
     "trigger_profile-52275013.csv": "510d31b2884c1b955d2cf1b4cd0abe78e3554a0f0a8dea3ef1ed75d66423a211",
     "verify-52275013.json": "0a87f5982af1b70d7fa225c0559a963fb797907b358bc3f36cb62042e8a21e4a",
     "verify_eq2_sweep-52275013.csv": "1c9d081f425b424aed2be93bd8d07433a502735fa5004e48a71304b6d9edcea6",
@@ -382,6 +376,7 @@ def test_c12_pipeline_reproducibility(tmp_path):
         dataset = cmd_explore(config)
         model = cmd_fit(config, dataset)
         cmd_eval(config, model)
+        cmd_stats(config, dataset)
         cmd_verify(config)
         out = {}
         for path in sorted((tmp_path / "out").rglob("*")):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,7 +151,7 @@ def test_stats_propagates_errors_that_are_not_stats_errors(tmp_path, monkeypatch
     config = load_config(write_config(tmp_path / "config.json"))
     dataset_path = cmd_explore(config)
 
-    def broken(records):
+    def broken(*args):
         raise RuntimeError("bug in the stats layer")
 
     monkeypatch.setattr(f"dial.cli.{name}", broken)
@@ -246,3 +248,13 @@ def test_main_entry_point(tmp_path, capsys):
     dataset_path = capsys.readouterr().out.strip()
     assert os.path.exists(dataset_path)
     assert main(["fit", "--config", config_path, "--dataset", dataset_path, "--llm-mock"]) == 0
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_requests():
+    import dial
+
+    src = os.path.dirname(os.path.dirname(dial.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dial.cli; print([m for m in ('scipy.stats', 'requests') if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

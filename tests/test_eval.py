@@ -15,10 +15,10 @@ from dial.evaluate import (
     pareto_dominates,
     prop1_counterexample,
     run_deployment,
-    trigger_rate_by_step,
     wilson_interval,
     wrong_direction_experiment,
 )
+from dial.envs import EnvFault
 from dial.gate import GateModel, Standardizer, reverse_direction
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
@@ -137,15 +137,9 @@ def test_trigger_profile_bounds_policies():
     env = _env(horizon=6)
     always = run_deployment(env, PolicySpec("always_trigger"), 40, seed=1)
     base = run_deployment(env, PolicySpec("base_only"), 40, seed=1)
-    assert all(p.rate == 1.0 for p in trigger_rate_by_step(always))
-    assert all(p.rate == 0.0 for p in trigger_rate_by_step(base))
+    assert all(p.rate == 1.0 for p in always.per_step_trigger)
+    assert all(p.rate == 0.0 for p in base.per_step_trigger)
     assert [p.step_index for p in always.per_step_trigger] == list(range(6))
-
-
-def test_trigger_profile_needs_episodes():
-    result = run_deployment(_env(), PolicySpec("base_only"), 10, seed=0)
-    with pytest.raises(EvalError):
-        trigger_rate_by_step(result)
 
 
 def test_wilson_interval_sanity():
@@ -162,7 +156,7 @@ def test_profile_decays_when_late_steps_turn_unsuitable():
     env = TwoSourceEnv(params)
     model, _ = explore_and_fit(env, seed=8, n_explore=120)
     result = run_deployment(env, PolicySpec("dial", model=model), 500, seed=9)
-    profile = trigger_rate_by_step(result)
+    profile = result.per_step_trigger
     early = np.mean([p.rate for p in profile[:3]])
     late = np.mean([p.rate for p in profile[-3:]])
     assert late < early
@@ -284,3 +278,47 @@ def test_online_adapt_stationary_agreement():
         }
         agree += int(result.final_model.decide(obs) == initial.decide(obs))
     assert agree / 1500 >= 0.9
+
+
+# -- environment faults -----------------------------------------------------------------------
+
+
+class _FaultyEpisode:
+    """A two-source episode whose step ``fail_at`` raises."""
+
+    def __init__(self, inner, fail_at):
+        self.inner, self.fail_at, self.t = inner, fail_at, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def step(self, triggered):
+        if self.t == self.fail_at:
+            raise RuntimeError("simulator crashed")
+        self.t += 1
+        return self.inner.step(triggered)
+
+
+class _FaultyEnv:
+    """A two-source environment whose second episode fails at step 2."""
+
+    def __init__(self):
+        self.inner = _env(horizon=5)
+        self.episodes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def episode(self, seed):
+        self.episodes += 1
+        return _FaultyEpisode(self.inner.episode(seed), fail_at=2 if self.episodes == 2 else None)
+
+
+@pytest.mark.parametrize("kind", ["eval", "online"])
+def test_step_fault_names_episode_and_step(kind):
+    env = _FaultyEnv()
+    with pytest.raises(EnvFault, match=f"at {kind} episode 1, step 2: simulator crashed"):
+        if kind == "eval":
+            run_deployment(env, PolicySpec("always_trigger"), 3, seed=0)
+        else:
+            online_adapt(env, _signal_model(weight=1.0), n_episodes=3, seed=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import urllib.error
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dial.features import (
     ProviderError,
     UNIVERSAL_FEATURES,
     build_pool,
-    derive_features,
     derived_specs,
     evaluate_dsl,
     extract_features,
@@ -52,24 +52,26 @@ def test_universal_prefers_exact_names_over_aliases():
     assert vec.values[1] == 0.9
 
 
+def _pool_values(obs):
+    return extract_features(build_pool(10), obs)
+
+
 def test_derived_formulas():
-    base = extract_universal({"step_count": 5.0, "signal": 0.5})
-    vec = derive_features(base, max_steps=10)
-    assert vec.names[-3:] == ("step_ratio", "entropy_sq", "step_x_entropy")
-    assert vec.values[-3:].tolist() == [0.5, 0.25, 2.5]
+    vec = _pool_values({"step_count": 5.0, "signal": 0.5})
+    assert vec.names[5:] == ("step_ratio", "entropy_sq", "step_x_entropy")
+    assert vec.values[5:].tolist() == [0.5, 0.25, 2.5]
 
 
 def test_derived_zero_cases():
-    zero_sigma = derive_features(extract_universal({"step_count": 5.0, "signal": 0.0}), 10)
+    zero_sigma = _pool_values({"step_count": 5.0, "signal": 0.0})
     assert zero_sigma.values[-2:].tolist() == [0.0, 0.0]
-    zero_step = derive_features(extract_universal({"step_count": 0.0, "signal": 0.3}), 10)
+    zero_step = _pool_values({"step_count": 0.0, "signal": 0.3})
     assert zero_step.values[-3] == 0.0 and zero_step.values[-1] == 0.0
 
 
 def test_derived_rejects_zero_max_steps():
-    base = extract_universal(SIM_OBS)
     with pytest.raises(FeatureError):
-        derive_features(base, 0)
+        build_pool(0)
     with pytest.raises(FeatureError):
         derived_specs(0)
 
@@ -197,14 +199,19 @@ def test_proposal_rejects_unparseable_expression():
 
 
 class FakeResponse:
+    """What urlopen returns: a context manager whose body is a chat reply."""
+
     def __init__(self, content):
-        self._content = content
+        self._body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
-    def raise_for_status(self):
-        pass
+    def __enter__(self):
+        return self
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self):
+        return self._body
 
 
 GOOD_REPLY = json.dumps(
@@ -225,11 +232,11 @@ def _client(tmp_path, **kwargs):
 def test_http_client_parses_good_reply(tmp_path, monkeypatch):
     calls = []
 
-    def fake_post(url, headers=None, json=None, timeout=None):
-        calls.append(json)
+    def fake_urlopen(request, timeout=None):
+        calls.append(json.loads(request.data))
         return FakeResponse("Here you go:\n" + GOOD_REPLY)
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     proposal = propose_llm_features({"n_steps": 10}, _client(tmp_path))
     assert len(proposal.specs) == 5
     assert calls and calls[0]["model"] == "test-model"
@@ -238,11 +245,11 @@ def test_http_client_parses_good_reply(tmp_path, monkeypatch):
 def test_http_client_uses_cache(tmp_path, monkeypatch):
     calls = []
 
-    def fake_post(url, headers=None, json=None, timeout=None):
+    def fake_urlopen(request, timeout=None):
         calls.append(1)
         return FakeResponse(GOOD_REPLY)
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     client = _client(tmp_path)
     summary = {"n_steps": 10}
     propose_llm_features(summary, client)
@@ -254,22 +261,44 @@ def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
     calls = []
     four = json.dumps([{"name": f"h{i}", "expr": "signal"} for i in range(4)])
 
-    def fake_post(url, headers=None, json=None, timeout=None):
+    def fake_urlopen(request, timeout=None):
         calls.append(1)
         return FakeResponse(four)
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     with pytest.raises(ProviderError):
         _client(tmp_path).propose({"n": 1})
     assert len(calls) == 2
 
 
 def test_http_client_unreachable(tmp_path, monkeypatch):
-    def fake_post(url, headers=None, json=None, timeout=None):
+    def fake_urlopen(request, timeout=None):
         raise ConnectionError("no route to host")
 
-    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     with pytest.raises(ProviderError):
+        _client(tmp_path).propose({"n": 1})
+
+
+class _Malformed(FakeResponse):
+    def read(self):
+        return b"<html>not json"
+
+
+@pytest.mark.parametrize("fault", [
+    urllib.error.HTTPError("http://llm.invalid", 503, "Service Unavailable", {}, None),
+    TimeoutError("timed out"),
+    "malformed",
+])
+def test_http_client_maps_transport_faults(tmp_path, monkeypatch, fault):
+    def fake_urlopen(request, timeout=None):
+        assert request.get_method() == "POST" and timeout == 60.0
+        if fault == "malformed":
+            return _Malformed("")
+        raise fault
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    with pytest.raises(ProviderError, match="proposal endpoint failed"):
         _client(tmp_path).propose({"n": 1})
 
 

@@ -18,7 +18,6 @@ from dial.gate import (
     fit_gate,
     fit_sparse_logistic,
     fit_standardizer,
-    gate_decide,
     load_model_json,
     mean_logloss,
     mi_topk_select,
@@ -150,6 +149,30 @@ def test_l1_sparsity_path_monotone_in_c():
     assert nnz_small <= nnz_large
 
 
+@pytest.mark.parametrize("reg", ["l2", "none"])
+def test_l2_and_none_honour_warm_start(reg):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((80, 4))
+    y = (rng.random(80) < 1 / (1 + np.exp(-X @ np.array([1.0, -0.5, 0.0, 0.3])))).astype(float)
+    cold = fit_sparse_logistic(X, y, 1.0, reg)
+    far = fit_sparse_logistic(X, y, 1.0, reg, warm_start=(np.full(4, 2.0), -1.0))
+    assert objective(X, y, *far, 1.0, reg) == pytest.approx(objective(X, y, *cold, 1.0, reg), abs=1e-9)
+    resumed = fit_sparse_logistic(X, y, 1.0, reg, warm_start=cold, max_iter=1)
+    assert np.abs(resumed[0] - cold[0]).max() < 1e-9  # starts, and stays, at the optimum
+
+
+def test_solver_logs_only_a_stop_at_its_cap(caplog):
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])  # separable: "none" has no finite optimum, "l2" has one
+    with caplog.at_level("WARNING", logger="dial.gate"):
+        fit_sparse_logistic(X, y, 1.0, "l2", max_iter=20)
+        fit_sparse_logistic(X, y, 1.0, "none", max_iter=20)
+    messages = [r.getMessage() for r in caplog.records if r.name == "dial.gate"]
+    assert len(messages) == 1
+    assert "cap of 20 outer iterations" in messages[0]
+    assert "lam1=0, lam2=0" in messages[0] and "last update" in messages[0]
+
+
 # -- cross-validation ------------------------------------------------------------
 
 
@@ -274,18 +297,18 @@ def _toy_model(weights, bias=0.0, tau=0.5, reg="l1"):
 
 def test_gate_boundary_is_exclusive():
     model = _toy_model([0.0], bias=0.0, tau=0.5)
-    assert gate_decide(model, {"f0": 123.0}) is False  # sigmoid(0) == 0.5, not > 0.5
+    assert model.decide({"f0": 123.0}) is False  # sigmoid(0) == 0.5, not > 0.5
 
 
 def test_gate_saturated_margin_triggers():
     model = _toy_model([10.0], bias=0.0)
-    assert gate_decide(model, {"f0": 1.0}) is True
+    assert model.decide({"f0": 1.0}) is True
 
 
 def test_gate_sigmoid_arithmetic():
     model = _toy_model([1.0], bias=-0.2)
     assert model.score({"f0": 0.7}) == pytest.approx(1 / (1 + math.exp(-0.5)))
-    assert gate_decide(model, {"f0": 0.7}) is True
+    assert model.decide({"f0": 0.7}) is True
 
 
 def test_reverse_direction_example():

@@ -245,36 +245,30 @@ def test_predicted_rho_validation():
         predicted_rho(1, 1, 1.5)
 
 
-def _sim_records(p_i0, noise, n, seed):
+def _sim_states(p_i0, noise, n, seed):
     states = sample_states(TwoSourceParams(p_i0=p_i0, noise_sd=noise), n, seed)
-    return [
-        StepRecord(
-            0, int(states["step_index"][i]), {"signal": float(states["signal"][i])},
-            triggered=False, utility_label=None, signal=float(states["signal"][i]),
-            latent_type_debug="D" if states["is_type_d"][i] else "I",
-            true_utility_debug=float(states["true_utility"][i]),
-        )
-        for i in range(n)
-    ]
+    return states["signal"], states["is_type_d"], states["true_utility"]
 
 
 def test_simpson_noise_free_within_types_exact():
-    report = simpson_decomposition(_sim_records(0.5, 0.0, 400, seed=6))
+    report = simpson_decomposition(*_sim_states(0.5, 0.0, 400, seed=6))
     assert report.within_i.rho == pytest.approx(-1.0)
     assert report.within_d.rho == pytest.approx(1.0)
 
 
 def test_simpson_reversal_both_mixtures():
-    high = simpson_decomposition(_sim_records(0.8, 0.3, 5000, seed=7))
+    high = simpson_decomposition(*_sim_states(0.8, 0.3, 5000, seed=7))
     assert high.aggregate.rho < 0 < high.within_d.rho
-    low = simpson_decomposition(_sim_records(0.2, 0.3, 5000, seed=8))
+    low = simpson_decomposition(*_sim_states(0.2, 0.3, 5000, seed=8))
     assert low.aggregate.rho > 0 > low.within_i.rho
 
 
 def test_simpson_requires_debug_fields():
-    records = [_record(t, 0.1 * t, None) for t in range(10)]
-    with pytest.raises(StatsError):
-        simpson_decomposition(records)
+    signal = np.linspace(0.0, 1.0, 10)
+    with pytest.raises(StatsError, match="each latent type"):
+        simpson_decomposition(signal, np.zeros(10, dtype=bool), signal)  # no type-D states
+    with pytest.raises(StatsError, match="misaligned"):
+        simpson_decomposition(signal, np.arange(10) % 2 == 0, signal[:9])
 
 
 # -- AUC -------------------------------------------------------------------------------------
