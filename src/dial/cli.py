@@ -15,22 +15,17 @@ import argparse
 import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .explore import (
-    LabeledDataset,
-    dataset_summary,
-    load_dataset_jsonl,
-    run_exploration,
-    save_dataset_jsonl,
-)
+from .explore import LabeledDataset, dataset_summary, dataset_to_jsonl, load_dataset_jsonl, run_exploration
 from .features import (
     HttpProposalClient,
     MockProposalClient,
@@ -43,17 +38,22 @@ from .gate import (
     DEFAULT_FOLDS,
     DEFAULT_MI_BINS,
     DEFAULT_MI_K,
+    REGULARIZERS,
     GateModel,
     data_digest,
     fit_gate,
     load_model_json,
-    save_model_json,
+    model_to_dict,
     weight_diagnostic,
 )
 from .evaluate import EvalResult, PolicySpec, run_deployment
 from .rng import derive_seed
 from .stats import (
+    REPORT_COLUMNS,
     CellKey,
+    CorrReport,
+    MixturePrediction,
+    SimpsonReport,
     StatsError,
     pearson,
     predicted_rho,
@@ -61,10 +61,9 @@ from .stats import (
     report_row,
     simpson_decomposition,
     spearman,
+    temporal_split,
     temporal_split_rho,
     transform_suite,
-    write_report_csv,
-    write_report_json,
 )
 from .twosource import TwoSourceEnv, TwoSourceParams, sample_states
 
@@ -82,18 +81,6 @@ VERIFY_STATIONARY_P0 = 0.4
 
 class ConfigError(ValueError):
     pass
-
-
-_SECTION_KEYS = {
-    "environment": {
-        "type", "alpha", "beta", "p_i0", "p_i_slope", "noise_sd", "fidelity_q",
-        "horizon", "base_reward", "success_threshold", "trigger_cost_units",
-    },
-    "exploration": {"eps", "n_episodes", "k_candidates", "n_rollouts", "horizon_h"},
-    "gate": {"regularizer", "c_grid", "folds", "tau", "llm_features", "mi_k", "mi_bins"},
-    "eval": {"policies", "n_episodes", "trigger_cost_units"},
-}
-_TOP_KEYS = {"environment", "exploration", "gate", "eval", "seed", "output_dir"}
 
 
 @dataclass
@@ -146,6 +133,9 @@ _DEFAULT_CONFIG: Dict[str, Any] = {
     "seed": 0,
     "output_dir": "runs/out",
 }
+# The accepted keys are the defaults' keys plus the environment parameters.
+_SECTION_KEYS = {name: set(section) for name, section in _DEFAULT_CONFIG.items() if isinstance(section, dict)}
+_SECTION_KEYS["environment"] |= {f.name for f in fields(TwoSourceParams)}
 
 
 def _check_keys(section: str, payload: Dict[str, Any]) -> None:
@@ -162,7 +152,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
         user = json.load(fh)
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    unknown_top = sorted(set(user) - _TOP_KEYS)
+    unknown_top = sorted(set(user) - set(_DEFAULT_CONFIG))
     if unknown_top:
         raise ConfigError(f"{unknown_top[0]}: unknown key")
 
@@ -197,7 +187,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if int(expl["k_candidates"]) < 2:
         raise ConfigError("exploration.k_candidates: must be >= 2")
     gate_cfg = merged["gate"]
-    if gate_cfg["regularizer"] not in ("l1", "l2", "none", "elastic_net", "mi_topk"):
+    if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     if gate_cfg["tau"] != "cv" and not 0.0 < float(gate_cfg["tau"]) < 1.0:
         raise ConfigError("gate.tau: must be 'cv' or a probability in (0, 1)")
@@ -243,11 +233,63 @@ def _parse_policy(spec: Any, model: Optional[GateModel], allow_unfitted: bool = 
 # -- output discipline ---------------------------------------------------------
 
 
-def _fresh(path: str) -> str:
-    if os.path.exists(path):
-        raise FileExistsError(f"refusing to overwrite existing output {path}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
+def _write_once(path: str, text: str) -> None:
+    """Create ``path`` holding ``text``; raise FileExistsError if it exists.
+
+    The text goes to a temporary name in the same directory, which is
+    then hard-linked to ``path``: the file appears whole or not at all,
+    and an existing file is never replaced. The temporary name is removed
+    on every exit path. Files get a plain ``open``'s mode.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            raise FileExistsError(f"refusing to overwrite existing output {path}") from None
+    finally:
+        os.unlink(tmp)
+
+
+def save_dataset_jsonl(dataset: LabeledDataset, path: str, env_meta: Optional[Dict[str, Any]] = None) -> None:
+    _write_once(path, dataset_to_jsonl(dataset, env_meta))
+
+
+def save_model_json(model: GateModel, path: str) -> None:
+    _write_once(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1))
+
+
+def write_report_json(path: str, payload: Any) -> None:
+    _write_once(path, json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
+
+
+def _json_default(value: Any) -> Any:
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (CorrReport, SimpsonReport, MixturePrediction)):
+        return asdict(value)
+    raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+def write_report_csv(path: str, rows: Sequence[Dict[str, Any]], columns: Sequence[str]) -> None:
+    """One CSV row per dict, in ``columns`` order (the csv module's
+    default dialect, so lines end in CRLF)."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_once(path, buffer.getvalue())
+
+
+def _out(config: RunConfig, kind: str, ext: str) -> str:
+    return os.path.join(config.output_dir, f"{kind}-{config.short_digest()}.{ext}")
 
 
 def _file_digest(path: str) -> str:
@@ -290,7 +332,7 @@ def cmd_explore(config: RunConfig) -> str:
         n_rollouts=int(expl["n_rollouts"]),
         horizon_h=int(expl["horizon_h"]),
     )
-    path = _fresh(os.path.join(config.output_dir, f"dataset-{config.short_digest()}.jsonl"))
+    path = _out(config, "dataset", "jsonl")
     save_dataset_jsonl(dataset, path, env_meta=_provenance(config, input_digest=None))
     return path
 
@@ -335,9 +377,8 @@ def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> s
         },
     )
     # The saved model records its own signed-weight reading.
-    diagnostic = weight_diagnostic(model).classifications
-    model = replace(model, meta={**model.meta, "direction_diagnostic": diagnostic})
-    path = _fresh(os.path.join(config.output_dir, f"model-{config.short_digest()}.json"))
+    model = replace(model, meta={**model.meta, "direction_diagnostic": weight_diagnostic(model)})
+    path = _out(config, "model", "json")
     save_model_json(model, path)
     return path
 
@@ -362,8 +403,6 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
         policy = _parse_policy(raw_spec, model)
         results.append(run_deployment(env, policy, n_episodes, eval_seed))
 
-    digest8 = config.short_digest()
-    json_path = _fresh(os.path.join(config.output_dir, f"eval-{digest8}.json"))
     payload = {
         "provenance": _provenance(config, _file_digest(model_path)),
         "results": [
@@ -382,23 +421,23 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
             for r in results
         ],
     }
-    write_report_json(json_path, payload)
-
-    csv_path = _fresh(os.path.join(config.output_dir, f"eval_summary-{digest8}.csv"))
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "env", "SR", "cost_x_base", "trigger_rate"])
-        for r in results:
-            writer.writerow([r.policy, r.env_id, f"{r.sr:.6f}", f"{r.cost_x_base:.6f}", f"{r.trigger_rate:.6f}"])
-
-    profile_path = _fresh(os.path.join(config.output_dir, f"trigger_profile-{digest8}.csv"))
-    with open(profile_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "step", "trigger_rate", "ci_low", "ci_high", "n"])
-        for r in results:
-            for p in r.per_step_trigger:
-                writer.writerow([r.policy, p.step_index, f"{p.rate:.6f}", f"{p.ci_low:.6f}", f"{p.ci_high:.6f}", p.n])
-    return {"json": json_path, "summary": csv_path, "profile": profile_path}
+    paths = {"json": _out(config, "eval", "json"), "summary": _out(config, "eval_summary", "csv"),
+             "profile": _out(config, "trigger_profile", "csv")}
+    write_report_json(paths["json"], payload)
+    summary = [
+        {"policy": r.policy, "env": r.env_id, "SR": f"{r.sr:.6f}",
+         "cost_x_base": f"{r.cost_x_base:.6f}", "trigger_rate": f"{r.trigger_rate:.6f}"}
+        for r in results
+    ]
+    write_report_csv(paths["summary"], summary, ("policy", "env", "SR", "cost_x_base", "trigger_rate"))
+    profile = [
+        {"policy": r.policy, "step": p.step_index, "trigger_rate": f"{p.rate:.6f}",
+         "ci_low": f"{p.ci_low:.6f}", "ci_high": f"{p.ci_high:.6f}", "n": p.n}
+        for r in results
+        for p in r.per_step_trigger
+    ]
+    write_report_csv(paths["profile"], profile, ("policy", "step", "trigger_rate", "ci_low", "ci_high", "n"))
+    return paths
 
 
 def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
@@ -414,16 +453,16 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     rows = [report_row("all", spearman(sig, lab, ci=True, seed=boot_seed), pearson(sig, lab))]
     temporal: Dict[str, Any]
     try:
-        early, late, delta = temporal_split_rho(dataset.records)
+        buckets = temporal_split(dataset.records)
     except StatsError as exc:  # e.g. single-step datasets have no late bucket
         temporal = {"skipped": str(exc)}
     else:
-        median = float(np.median([r.step_index for r in labeled]))
-        for tag, report in (("early", early), ("late", late)):
-            bucket = [r for r in labeled if (r.step_index <= median) == (tag == "early")]
-            pe = pearson([r.signal for r in bucket], [float(r.utility_label) for r in bucket])
-            rows.append(report_row(tag, report, pe))
-        temporal = {"early": early, "late": late, "delta": delta}
+        temporal = {}
+        for tag, bucket in zip(("early", "late"), buckets):
+            xs, ys = [r.signal for r in bucket], [float(r.utility_label) for r in bucket]
+            temporal[tag] = spearman(xs, ys)
+            rows.append(report_row(tag, temporal[tag], pearson(xs, ys)))
+        temporal["delta"] = float(temporal["late"].rho - temporal["early"].rho)
 
     transforms = transform_suite(sig, lab)
     for row in transforms:
@@ -460,12 +499,10 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     except StatsError as exc:
         payload["simpson"] = {"skipped": str(exc)}
 
-    digest8 = config.short_digest()
-    json_path = _fresh(os.path.join(config.output_dir, f"stats-{digest8}.json"))
-    write_report_json(json_path, payload)
-    csv_path = _fresh(os.path.join(config.output_dir, f"stats_cells-{digest8}.csv"))
-    write_report_csv(csv_path, rows)
-    return {"json": json_path, "cells": csv_path}
+    paths = {"json": _out(config, "stats", "json"), "cells": _out(config, "stats_cells", "csv")}
+    write_report_json(paths["json"], payload)
+    write_report_csv(paths["cells"], rows, REPORT_COLUMNS)
+    return paths
 
 
 def cmd_verify(config: RunConfig) -> Dict[str, str]:
@@ -473,8 +510,6 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     within-type decomposition, temporal drift, monotone-transform and
     quantile-normalization invariance."""
     params = config.env_params
-    digest8 = config.short_digest()
-    out = config.output_dir
     verify_seed = derive_seed(config.seed, "verify")
 
     sweep_rows = []
@@ -562,7 +597,7 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
         "transforms": transform_rows,
         "normalization": norm_rows,
     }
-    paths = {"json": _fresh(os.path.join(out, f"verify-{digest8}.json"))}
+    paths = {"json": _out(config, "verify", "json")}
     write_report_json(paths["json"], bundle)
     for name, rows in (
         ("eq2_sweep", sweep_rows),
@@ -571,12 +606,8 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
         ("transforms", transform_rows),
         ("normalization", norm_rows),
     ):
-        path = _fresh(os.path.join(out, f"verify_{name}-{digest8}.csv"))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        paths[name] = path
+        paths[name] = _out(config, f"verify_{name}", "csv")
+        write_report_csv(paths[name], rows, list(rows[0]))
     return paths
 
 
@@ -603,12 +634,9 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
         except json.JSONDecodeError:
             parsed = value
         raw[section][key] = parsed
-        sub_dir = os.path.join(sweep_dir, f"{key}={value}")
-        sub_path = os.path.join(sub_dir, "config.json")
-        os.makedirs(sub_dir, exist_ok=True)
-        raw["output_dir"] = sub_dir
-        with open(sub_path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh, sort_keys=True, indent=1)
+        raw["output_dir"] = os.path.join(sweep_dir, f"{key}={value}")
+        sub_path = os.path.join(raw["output_dir"], "config.json")
+        write_report_json(sub_path, raw)
         sub_config = load_config(sub_path)
         dataset_path = cmd_explore(sub_config)
         model_path = cmd_fit(sub_config, dataset_path)
@@ -618,12 +646,9 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
                 row[f"{section}.{key}"] = value
                 summary_rows.append(row)
 
-    summary_path = _fresh(os.path.join(sweep_dir, "sweep_summary.csv"))
-    fieldnames = [f"{section}.{key}", "policy", "env", "SR", "cost_x_base", "trigger_rate"]
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(summary_rows)
+    summary_path = os.path.join(sweep_dir, "sweep_summary.csv")
+    columns = [f"{section}.{key}", "policy", "env", "SR", "cost_x_base", "trigger_rate"]
+    write_report_csv(summary_path, summary_rows, columns)
     return summary_path
 
 

@@ -294,11 +294,6 @@ def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]]
     return "\n".join(lines) + "\n"
 
 
-def save_dataset_jsonl(dataset: LabeledDataset, path: str, env_meta: Optional[Dict[str, Any]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dataset_to_jsonl(dataset, env_meta))
-
-
 def load_dataset_jsonl(path: str) -> LabeledDataset:
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}

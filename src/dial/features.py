@@ -67,11 +67,6 @@ class FeatureSpec:
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
 
-    def compiled(self) -> Optional[CompiledExpr]:
-        if self.extractor.startswith("builtin:"):
-            return None
-        return parse_expr(self.extractor)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -164,14 +159,6 @@ def _compiled_cached(expr: str) -> CompiledExpr:
     return hit
 
 
-def evaluate_dsl(spec: FeatureSpec, obs: Dict[str, Any]) -> float:
-    """Evaluate one DSL feature spec on an observation."""
-    if spec.extractor.startswith("builtin:"):
-        raise FeatureError("evaluate_dsl expects a DSL extractor, not a builtin")
-    value, _ = _compiled_cached(spec.extractor).evaluate(dict(obs))
-    return value
-
-
 def build_matrix(
     records: Iterable[Any], specs: Sequence[FeatureSpec]
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
@@ -210,7 +197,7 @@ class FeatureProposal:
         for spec in self.specs:
             if spec.source != "llm":
                 raise FeatureError(f"proposed feature {spec.name!r} must have source 'llm'")
-            spec.compiled()  # raises DslError if unparseable
+            parse_expr(spec.extractor)  # raises DslError if unparseable
 
 
 def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> FeatureProposal:
@@ -309,8 +296,16 @@ class HttpProposalClient(ProposalProvider):
             return
         cache = self._cache_load()
         cache[digest] = items
-        with open(self.cache_path, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, sort_keys=True, indent=1)
+        text = json.dumps(cache, sort_keys=True, indent=1)  # before the file is touched
+        tmp = f"{self.cache_path}.{os.urandom(6).hex()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, self.cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- request -------------------------------------------------------
 

@@ -27,7 +27,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class Standardizer:
             )
         keep = np.array([n not in self.dropped for n in self.feature_names])
         return (X[:, keep] - self.means[keep]) / self.sds[keep]
-
-    def apply_vector(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_matrix(np.asarray(v, dtype=float).reshape(1, -1))[0]
 
 
 def fit_standardizer(X: np.ndarray, names: Sequence[str]) -> Standardizer:
@@ -336,6 +333,27 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
+def _usable_folds(y: np.ndarray, folds: int, seed: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """(fold index, training mask) of each seeded stratified fold, skipping
+    folds whose held-out split is empty or whose training split is
+    single-class."""
+    fold_ids = _stratified_folds(y, folds, seed)
+    for f in range(folds):
+        train = fold_ids != f
+        if not train.all() and np.unique(y[train]).size >= 2:
+            yield f, train
+
+
+def _c_path(
+    X: np.ndarray, y: np.ndarray, grid: Sequence[float], reg: str
+) -> Iterator[Tuple[float, Tuple[np.ndarray, float]]]:
+    """Fits along the ascending C grid, each warm-started from the last."""
+    warm = None
+    for c in sorted(float(c) for c in grid):
+        warm = fit_sparse_logistic(X, y, c, reg, warm_start=warm)
+        yield c, warm
+
+
 def mean_logloss(z: np.ndarray, y: np.ndarray) -> float:
     return bce_sum(z, y) / len(y)
 
@@ -363,23 +381,16 @@ def cross_validate_c(
         raise GateError(f"not enough rows ({len(y)}) for {folds} folds")
     _check_two_classes(y)
 
-    fold_ids = _stratified_folds(y, folds, seed)
     grid_sorted = sorted(float(c) for c in grid)
     losses: Dict[float, List[float]] = {c: [] for c in grid_sorted}
-    skipped: List[int] = []
-    for f in range(folds):
-        train = fold_ids != f
-        test = ~train
-        if test.sum() == 0 or np.unique(y[train]).size < 2:
-            skipped.append(f)
-            continue
-        warm = None  # ascend the C path, warm-starting each fit
-        for c in grid_sorted:
-            w, b = fit_sparse_logistic(X[train], y[train], c, reg, warm_start=warm)
-            warm = (w, b)
-            losses[c].append(mean_logloss(X[test] @ w + b, y[test]))
-    if all(len(v) == 0 for v in losses.values()):
+    used = []
+    for f, train in _usable_folds(y, folds, seed):
+        used.append(f)
+        for c, (w, b) in _c_path(X[train], y[train], grid_sorted, reg):
+            losses[c].append(mean_logloss(X[~train] @ w + b, y[~train]))
+    if not used:
         raise GateError("every fold was skipped (single-class training splits)")
+    skipped = sorted(set(range(folds)) - set(used))
 
     report = [
         {"c": c, "mean_heldout_logloss": float(np.mean(losses[c])), "fold_losses": losses[c]}
@@ -460,7 +471,7 @@ class GateModel:
 
     def score(self, obs: Dict[str, Any]) -> float:
         phi = extract_features(self.feature_specs, obs)
-        x = self.standardizer.apply_vector(phi.values)
+        x = self.standardizer.apply_matrix(phi.values[None, :])[0]
         return float(_sigmoid(np.array([x @ self.weights + self.bias]))[0])
 
     def decide(self, obs: Dict[str, Any]) -> bool:
@@ -477,14 +488,9 @@ def reverse_direction(model: GateModel) -> GateModel:
     return replace(model, weights=-model.weights)
 
 
-@dataclass(frozen=True)
-class WeightDiagnostic:
-    """Per-feature direction classification from weight signs."""
-
-    classifications: Dict[str, str]  # type_d_proxy | type_i_proxy | uninformative
-
-
-def weight_diagnostic(model: GateModel) -> WeightDiagnostic:
+def weight_diagnostic(model: GateModel) -> Dict[str, str]:
+    """Per-feature direction from weight signs: type_d_proxy,
+    type_i_proxy or uninformative."""
     exact = model.regularizer in ("l1", "elastic_net")
     out: Dict[str, str] = {}
     for name, w in zip(model.feature_names, model.weights):
@@ -494,7 +500,7 @@ def weight_diagnostic(model: GateModel) -> WeightDiagnostic:
             out[name] = "type_d_proxy"
         else:
             out[name] = "type_i_proxy"
-    return WeightDiagnostic(out)
+    return out
 
 
 # -- orchestration ---------------------------------------------------------------
@@ -506,12 +512,8 @@ _TAU_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(9))  # 0.30 .. 0.70
 def _cv_tau(X: np.ndarray, y: np.ndarray, c: float, reg: str, folds: int, seed: int) -> float:
     """Sweep tau on held-out folds, maximizing trigger/label agreement;
     ties prefer the value nearest 0.5 (then the smaller one)."""
-    fold_ids = _stratified_folds(y, folds, seed)
     accuracy = {tau: [] for tau in _TAU_GRID}
-    for f in range(folds):
-        train = fold_ids != f
-        if np.unique(y[train]).size < 2 or (~train).sum() == 0:
-            continue
+    for _, train in _usable_folds(y, folds, seed):
         w, b = fit_sparse_logistic(X[train], y[train], c, reg)
         p = _sigmoid(X[~train] @ w + b)
         for tau in _TAU_GRID:
@@ -571,12 +573,8 @@ def fit_gate(
         weights, b = fit_sparse_logistic(Xs, y, c=1.0, reg="none")
     else:
         chosen_c, cv_report = cross_validate_c(Xs, y, c_grid, folds, seed, reg=regularizer)
-        warm = None  # final fit rides the same ascending path
-        for c in sorted(float(c) for c in c_grid):
-            if c > chosen_c:
-                break
-            warm = fit_sparse_logistic(Xs, y, c, reg=regularizer, warm_start=warm)
-        weights, b = warm if warm is not None else fit_sparse_logistic(Xs, y, chosen_c, reg=regularizer)
+        path = _c_path(Xs, y, [c for c in c_grid if float(c) <= chosen_c], regularizer)
+        _, (weights, b) = list(path)[-1]  # the final fit rides the CV path up to the chosen C
         tau_reg = regularizer
 
     if tau == "cv":
@@ -649,11 +647,6 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
         cv_report=tuple(payload.get("cv_report", [])),
         meta=dict(payload.get("meta", {})),
     )
-
-
-def save_model_json(model: GateModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
 
 
 def load_model_json(path: str) -> GateModel:

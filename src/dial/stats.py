@@ -9,10 +9,8 @@ the Hazen plotting position (rank - 0.5) / n with average ranks.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -248,9 +246,9 @@ def transform_suite(
 # -- temporal and mixture structure ---------------------------------------------------
 
 
-def temporal_split_rho(records: Iterable[Any]) -> Tuple[CorrReport, CorrReport, float]:
-    """Early/late signal-label correlation around the median step index
-    of the labeled records (early: step <= median)."""
+def temporal_split(records: Iterable[Any]) -> Tuple[List[Any], List[Any]]:
+    """Early and late labeled records around the median step index of
+    the labeled records (early: step <= median)."""
     labeled = [r for r in records if getattr(r, "utility_label", None) is not None]
     if not labeled:
         raise StatsError("no labeled records")
@@ -262,6 +260,13 @@ def temporal_split_rho(records: Iterable[Any]) -> Tuple[CorrReport, CorrReport, 
         raise StatsError(
             f"temporal split needs >= 3 labeled records per bucket, got {len(early)}/{len(late)}"
         )
+    return early, late
+
+
+def temporal_split_rho(records: Iterable[Any]) -> Tuple[CorrReport, CorrReport, float]:
+    """Early/late signal-label Spearman over ``temporal_split``, and the
+    late-minus-early difference."""
+    early, late = temporal_split(records)
     early_report = spearman([r.signal for r in early], [r.utility_label for r in early])
     late_report = spearman([r.signal for r in late], [r.utility_label for r in late])
     return early_report, late_report, float(late_report.rho - early_report.rho)
@@ -348,26 +353,3 @@ def report_row(group: str, sp: CorrReport, pe: CorrReport) -> Dict[str, Any]:
         "ci_low": sp.ci_low,
         "ci_high": sp.ci_high,
     }
-
-
-def write_report_csv(path: str, rows: Sequence[Dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k) for k in REPORT_COLUMNS})
-
-
-def write_report_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
-
-
-def _json_default(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (CorrReport, SimpsonReport, MixturePrediction)):
-        return asdict(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")

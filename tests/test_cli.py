@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import glob
+import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -20,6 +23,8 @@ from dial.cli import (
     cmd_verify,
     load_config,
     main,
+    write_report_csv,
+    write_report_json,
 )
 
 
@@ -146,7 +151,7 @@ def test_stats_records_why_simpson_was_skipped(tmp_path):
     assert "early" in report["temporal"]
 
 
-@pytest.mark.parametrize("name", ["temporal_split_rho", "simpson_decomposition"])
+@pytest.mark.parametrize("name", ["temporal_split", "simpson_decomposition"])
 def test_stats_propagates_errors_that_are_not_stats_errors(tmp_path, monkeypatch, name):
     config = load_config(write_config(tmp_path / "config.json"))
     dataset_path = cmd_explore(config)
@@ -171,9 +176,42 @@ def test_explore_is_reproducible_across_runs(tmp_path):
 
 def test_outputs_are_write_once(tmp_path):
     config = load_config(write_config(tmp_path / "config.json"))
-    cmd_explore(config)
+    path = cmd_explore(config)
+    before = open(path, "rb").read()
     with pytest.raises(FileExistsError):
         cmd_explore(config)
+    assert open(path, "rb").read() == before
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+
+# -- the artifact writers ----------------------------------------------------------
+
+
+def test_failed_write_leaves_no_file_and_does_not_block_the_rerun(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        write_report_json(str(path), {"a": 1.0, "z": object()})
+    assert os.listdir(tmp_path) == []
+    write_report_json(str(path), {"a": 1.0})
+    assert json.loads(path.read_text()) == {"a": 1.0}
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_writer_refuses_an_existing_file_and_leaves_it_unchanged(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_report_csv(str(path), [{"a": 1, "b": None}], ("a", "b"))
+    assert path.read_bytes() == b"a,b\r\n1,\r\n"
+    with pytest.raises(FileExistsError):
+        write_report_csv(str(path), [{"a": 2, "b": 3}], ("a", "b"))
+    assert path.read_bytes() == b"a,b\r\n1,\r\n"
+    assert os.listdir(tmp_path) == ["cells.csv"]
+
+
+def test_artifact_mode_matches_a_plain_open(tmp_path):
+    write_report_json(str(tmp_path / "report.json"), {"a": 1})
+    (tmp_path / "sibling.json").write_text("{}")
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes["report.json"] == modes["sibling.json"]
 
 
 def test_fit_refuses_digest_mismatch(tmp_path):
@@ -219,6 +257,13 @@ def test_verify_emits_eq2_sweep(tmp_path):
     assert all(row["abs_diff"] < 1e-15 for row in bundle["normalization"])
 
 
+SWEEP_GOLDEN_SHA256 = {
+    "sweep_summary.csv": "b8ff4bbcfad56eaaab2fb235f434537b9b0b03d0f4db6b1e0c1a4dae86a5bbab",
+    "p_i0=0.2/eval_summary-ddc1fa78.csv": "309e0bce7471507701517d4afdf04c7c7a8e42489c00f19e4f9d5b723d098fc3",
+    "p_i0=0.8/eval_summary-e9f2b230.csv": "48324af40740b2b2cd9a4359655d9fac7d42591e13dda9395517016800c3f083",
+}
+
+
 def test_sweep_axis(tmp_path):
     config_path = write_config(
         tmp_path / "config.json",
@@ -231,6 +276,14 @@ def test_sweep_axis(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["environment.p_i0"] for r in rows} == {"0.2", "0.8"}
     assert len(rows) == 8  # 2 values x 4 policies
+    # Sub-run config.json files embed their absolute output_dir, so only
+    # the summaries are pinned (constants computed before the writers moved).
+    sweep_dir = os.path.dirname(summary_path)
+    digests = {
+        os.path.relpath(p, sweep_dir): hashlib.sha256(open(p, "rb").read()).hexdigest()
+        for p in [summary_path] + sorted(glob.glob(os.path.join(sweep_dir, "*", "eval_summary-*.csv")))
+    }
+    assert digests == SWEEP_GOLDEN_SHA256
 
 
 def test_sweep_axis_validation(tmp_path):

@@ -14,8 +14,8 @@ from dial.explore import (
     estimate_utility_paired,
     load_dataset_jsonl,
     run_exploration,
-    save_dataset_jsonl,
 )
+from dial.cli import save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceParams
 
 

@@ -19,7 +19,6 @@ from dial.features import (
     UNIVERSAL_FEATURES,
     build_pool,
     derived_specs,
-    evaluate_dsl,
     extract_features,
     extract_universal,
     propose_llm_features,
@@ -87,35 +86,35 @@ def test_extraction_is_pure():
 
 
 def test_dsl_length_arithmetic():
-    spec = FeatureSpec("f", "llm", 'length("abcd") / 2')
-    assert evaluate_dsl(spec, {}) == 2.0
+    expr = parse_expr('length("abcd") / 2')
+    assert expr({}) == 2.0
 
 
 def test_dsl_keyword_count_empty_text():
-    spec = FeatureSpec("f", "llm", 'keyword_count(state_text, "click")')
-    assert evaluate_dsl(spec, {"state_text": ""}) == 0.0
-    assert evaluate_dsl(spec, {}) == 0.0
+    expr = parse_expr('keyword_count(state_text, "click")')
+    assert expr({"state_text": ""}) == 0.0
+    assert expr({}) == 0.0
 
 
 def test_dsl_keyword_count_case_insensitive():
-    spec = FeatureSpec("f", "llm", 'keyword_count(state_text, "Click")')
-    assert evaluate_dsl(spec, {"state_text": "click[a] CLICK[b]"}) == 2.0
+    expr = parse_expr('keyword_count(state_text, "Click")')
+    assert expr({"state_text": "click[a] CLICK[b]"}) == 2.0
 
 
 def test_dsl_regex_count():
-    spec = FeatureSpec("f", "llm", 'regex_count(state_text, "[0-9]+")')
-    assert evaluate_dsl(spec, {"state_text": "a1 b22 c"}) == 2.0
+    expr = parse_expr('regex_count(state_text, "[0-9]+")')
+    assert expr({"state_text": "a1 b22 c"}) == 2.0
 
 
 def test_dsl_clamp_endpoint():
-    spec = FeatureSpec("f", "llm", "clamp(5, 0, 1)")
-    assert evaluate_dsl(spec, {}) == 1.0
+    expr = parse_expr("clamp(5, 0, 1)")
+    assert expr({}) == 1.0
 
 
 def test_dsl_comparison_is_indicator():
-    spec = FeatureSpec("f", "llm", "signal > 0.5")
-    assert evaluate_dsl(spec, {"signal": 0.7}) == 1.0
-    assert evaluate_dsl(spec, {"signal": 0.5}) == 0.0
+    expr = parse_expr("signal > 0.5")
+    assert expr({"signal": 0.7}) == 1.0
+    assert expr({"signal": 0.5}) == 0.0
 
 
 def test_dsl_division_by_zero_flagged_as_zero():
@@ -257,6 +256,31 @@ def test_http_client_uses_cache(tmp_path, monkeypatch):
     assert len(calls) == 1  # second call answered from cache
 
 
+def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch):
+    calls = []
+    intact = json.JSONEncoder.iterencode
+
+    def broken_iterencode(self, o, _one_shot=False):
+        yield "{"
+        raise RuntimeError("serializer failed")
+
+    def fake_urlopen(request, timeout=None):
+        calls.append(1)
+        response = FakeResponse(GOOD_REPLY)
+        if len(calls) == 2:  # the second reply arrives, then storing it fails
+            monkeypatch.setattr(json.JSONEncoder, "iterencode", broken_iterencode)
+        return response
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    _client(tmp_path).propose({"n_steps": 10})
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        _client(tmp_path).propose({"n_steps": 11})
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", intact)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+    _client(tmp_path).propose({"n_steps": 10})
+    assert len(calls) == 2  # the first reply is still cached
+
+
 def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
     calls = []
     four = json.dumps([{"name": f"h{i}", "expr": "signal"} for i in range(4)])
@@ -309,8 +333,8 @@ def test_http_client_requires_endpoint(monkeypatch):
 
 
 def test_dsl_nested_calls():
-    spec = FeatureSpec("f", "llm", 'clamp(keyword_count(state_text, "go") + 0.5, 0, 2)')
-    assert evaluate_dsl(spec, {"state_text": "go go go"}) == 2.0
+    expr = parse_expr('clamp(keyword_count(state_text, "go") + 0.5, 0, 2)')
+    assert expr({"state_text": "go go go"}) == 2.0
 
 
 def test_default_exploration_constants():

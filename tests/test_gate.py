@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dial.cli import save_model_json
 from dial.features import build_pool, extract_features
 from dial.gate import (
     DEFAULT_C_GRID,
@@ -25,7 +26,6 @@ from dial.gate import (
     model_to_dict,
     objective,
     reverse_direction,
-    save_model_json,
     weight_diagnostic,
 )
 
@@ -340,7 +340,7 @@ def test_reversed_gate_complements_decisions_when_bias_zero():
 
 def test_weight_diagnostic_signs():
     model = _toy_model([0.5, -0.5, 0.0])
-    diag = weight_diagnostic(model).classifications
+    diag = weight_diagnostic(model)
     assert diag == {"f0": "type_d_proxy", "f1": "type_i_proxy", "f2": "uninformative"}
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from dial.cli import write_report_csv
 from dial.explore import StepRecord
 from dial.stats import (
+    REPORT_COLUMNS,
     CellKey,
     StatsError,
     auc,
@@ -23,7 +25,6 @@ from dial.stats import (
     spearman,
     temporal_split_rho,
     transform_suite,
-    write_report_csv,
 )
 from dial.twosource import TwoSourceParams, sample_states
 
@@ -325,7 +326,7 @@ def test_report_csv_columns(tmp_path):
     sp = spearman([1, 2, 3, 4], [1, 3, 2, 4])
     pe = pearson([1, 2, 3, 4], [1, 3, 2, 4])
     path = tmp_path / "cells.csv"
-    write_report_csv(str(path), [report_row("all", sp, pe)])
+    write_report_csv(str(path), [report_row("all", sp, pe)], REPORT_COLUMNS)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["group", "n", "spearman", "pearson", "p_value", "ci_low", "ci_high"]
