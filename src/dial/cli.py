@@ -611,9 +611,10 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     return paths
 
 
-def cmd_sweep(config: RunConfig, axis: str) -> str:
+def cmd_sweep(config: RunConfig, axis: str, force_mock: bool = False) -> str:
     """Run explore -> fit -> eval for each value on one config axis,
-    each run isolated in its own output directory."""
+    each run isolated in its own output directory. A run's config.json
+    leaves out ``output_dir``, so it reads the same wherever the sweep is."""
     try:
         key_path, values_text = axis.split("=", 1)
         section, key = key_path.split(".", 1)
@@ -634,12 +635,13 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
         except json.JSONDecodeError:
             parsed = value
         raw[section][key] = parsed
-        raw["output_dir"] = os.path.join(sweep_dir, f"{key}={value}")
-        sub_path = os.path.join(raw["output_dir"], "config.json")
+        del raw["output_dir"]
+        sub_dir = os.path.join(sweep_dir, f"{key}={value}")
+        sub_path = os.path.join(sub_dir, "config.json")
         write_report_json(sub_path, raw)
-        sub_config = load_config(sub_path)
+        sub_config = load_config(sub_path, out_override=sub_dir)
         dataset_path = cmd_explore(sub_config)
-        model_path = cmd_fit(sub_config, dataset_path)
+        model_path = cmd_fit(sub_config, dataset_path, force_mock)
         outputs = cmd_eval(sub_config, model_path)
         with open(outputs["summary"], "r", encoding="utf-8") as fh:
             for row in list(csv.DictReader(fh)):
@@ -664,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--llm-mock", action="store_true", help="force the mock proposal provider")
 
     p_explore = sub.add_parser("explore", help="collect the exploration dataset")
     common(p_explore)
@@ -672,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the gate from a dataset file")
     common(p_fit)
     p_fit.add_argument("--dataset", required=True)
+    p_fit.add_argument("--llm-mock", action="store_true", help="force the mock proposal provider")
 
     p_eval = sub.add_parser("eval", help="evaluate policies with a fitted model")
     common(p_eval)
@@ -687,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over one config axis")
     common(p_sweep)
     p_sweep.add_argument("--axis", required=True, help="section.key=v1,v2,...")
+    p_sweep.add_argument("--llm-mock", action="store_true", help="force the mock proposal provider in every run")
 
     return parser
 
@@ -708,7 +711,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, path in cmd_verify(config).items():
             print(f"{name}: {path}")
     elif args.command == "sweep":
-        print(cmd_sweep(config, args.axis))
+        print(cmd_sweep(config, args.axis, force_mock=args.llm_mock))
     return 0
 
 

@@ -3,60 +3,55 @@
 Proposed features are expressions over observation fields, never code.
 The language supports numeric field access, keyword/regex counting and
 length over text fields, threshold indicators (comparisons), and bounded
-arithmetic. Expressions are parsed through Python's ``ast`` with a strict
-node whitelist, so evaluation is deterministic and side-effect free.
+arithmetic. One recursive pass over the expression's Python ``ast``
+checks each node against a strict whitelist and compiles it to a
+closure, so evaluation is deterministic and side-effect free.
 
 Missing fields never produce errors: numeric access defaults to 0.0 and
-text access to the empty string. Division by zero evaluates to 0.0 and
-raises a flag on the evaluation record instead of failing.
+text access to the empty string. Division by zero evaluates to 0.0.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict
 
-_NUMERIC_FUNCS = {"min", "max", "clamp", "abs"}
-_TEXT_FUNCS = {"keyword_count", "regex_count", "length"}
+Namespace = Dict[str, Any]
+Fn = Callable[[Namespace], float]
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-_ALLOWED_CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq)
+# name -> (min args, max args or None, value from the argument values)
+_NUMERIC_FUNCS = {
+    "min": (2, None, min),
+    "max": (2, None, max),
+    "clamp": (3, 3, lambda v: min(max(v[0], v[1]), v[2])),
+    "abs": (1, 1, lambda v: abs(v[0])),
+}
+_TEXT_FUNCS = {"keyword_count": 2, "regex_count": 2, "length": 1}
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: lambda left, right: 0.0 if right == 0.0 else left / right}
+_CMPOPS = {ast.Gt: operator.gt, ast.GtE: operator.ge, ast.Lt: operator.lt,
+           ast.LtE: operator.le, ast.Eq: operator.eq, ast.NotEq: operator.ne}
 
 
 class DslError(ValueError):
     """Expression rejected by the parser or validator."""
 
 
-@dataclass
-class EvalFlags:
-    """Non-fatal conditions hit during one evaluation."""
-
-    division_by_zero: bool = False
-    missing_fields: Tuple[str, ...] = ()
-
-    def note_missing(self, name: str) -> None:
-        if name not in self.missing_fields:
-            self.missing_fields = self.missing_fields + (name,)
-
-
 @dataclass(frozen=True)
 class CompiledExpr:
     source: str
-    tree: ast.Expression = field(repr=False)
+    fn: Fn = field(repr=False, compare=False)
 
-    def evaluate(self, namespace: Dict[str, Any]) -> Tuple[float, EvalFlags]:
-        flags = EvalFlags()
-        value = _eval_node(self.tree.body, namespace, flags)
-        return float(value), flags
-
-    def __call__(self, namespace: Dict[str, Any]) -> float:
-        return self.evaluate(namespace)[0]
+    def __call__(self, namespace: Namespace) -> float:
+        return self.fn(namespace)
 
 
 def parse_expr(source: str) -> CompiledExpr:
-    """Parse and validate one expression; raises DslError on anything
+    """Parse and compile one expression; raises DslError on anything
     outside the whitelisted grammar."""
     if not isinstance(source, str) or not source.strip():
         raise DslError("empty expression")
@@ -64,37 +59,43 @@ def parse_expr(source: str) -> CompiledExpr:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
-    _validate(tree.body, source)
-    return CompiledExpr(source=source, tree=tree)
+    return CompiledExpr(source=source, fn=_compile(tree.body, source))
 
 
-def _validate(node: ast.AST, source: str) -> None:
+def _compile(node: ast.AST, source: str) -> Fn:
+    """Check one node (children left to right) and return its evaluator."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise DslError(f"{source!r}: literal {node.value!r} outside a text function")
-        return
+        value = float(node.value)
+        return lambda ns: value
     if isinstance(node, ast.Name):
-        return
+        name = node.id
+
+        def read(ns: Namespace) -> float:
+            value = ns.get(name)  # missing, text and other non-numbers read 0.0
+            return float(value) if isinstance(value, (int, float)) else 0.0
+
+        return read
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        _validate(node.operand, source)
-        return
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        _validate(node.left, source)
-        _validate(node.right, source)
-        return
+        operand = _compile(node.operand, source)
+        return operand if isinstance(node.op, ast.UAdd) else lambda ns: -operand(ns)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        binop = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, source), _compile(node.right, source)
+        return lambda ns: binop(left(ns), right(ns))
     if isinstance(node, ast.Compare):
-        if len(node.ops) != 1 or not isinstance(node.ops[0], _ALLOWED_CMPOPS):
+        if len(node.ops) != 1 or type(node.ops[0]) not in _CMPOPS:
             raise DslError(f"{source!r}: only single two-sided comparisons are allowed")
-        _validate(node.left, source)
-        _validate(node.comparators[0], source)
-        return
+        cmpop = _CMPOPS[type(node.ops[0])]
+        left, right = _compile(node.left, source), _compile(node.comparators[0], source)
+        return lambda ns: float(cmpop(left(ns), right(ns)))
     if isinstance(node, ast.Call):
-        _validate_call(node, source)
-        return
+        return _compile_call(node, source)
     raise DslError(f"{source!r}: node {type(node).__name__} is not part of the feature language")
 
 
-def _validate_call(node: ast.Call, source: str) -> None:
+def _compile_call(node: ast.Call, source: str) -> Fn:
     if not isinstance(node.func, ast.Name):
         raise DslError(f"{source!r}: only plain function calls are allowed")
     if node.keywords:
@@ -102,112 +103,45 @@ def _validate_call(node: ast.Call, source: str) -> None:
     name = node.func.id
     args = node.args
     if name in _NUMERIC_FUNCS:
-        expected = {"min": (2, None), "max": (2, None), "clamp": (3, 3), "abs": (1, 1)}[name]
-        lo, hi = expected
+        lo, hi, apply = _NUMERIC_FUNCS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
-        for a in args:
-            _validate(a, source)
-        return
+        fns = [_compile(a, source) for a in args]
+        return lambda ns: apply([f(ns) for f in fns])
     if name in _TEXT_FUNCS:
-        n_expected = {"keyword_count": 2, "regex_count": 2, "length": 1}[name]
+        n_expected = _TEXT_FUNCS[name]
         if len(args) != n_expected:
             raise DslError(f"{source!r}: {name} takes exactly {n_expected} arguments")
-        first = args[0]
-        if not (isinstance(first, ast.Name) or (isinstance(first, ast.Constant) and isinstance(first.value, str))):
-            raise DslError(f"{source!r}: {name} expects a field name or string literal")
-        if n_expected == 2:
-            pat = args[1]
-            if not (isinstance(pat, ast.Constant) and isinstance(pat.value, str)):
-                raise DslError(f"{source!r}: {name} pattern must be a string literal")
-            if name == "regex_count":
-                try:
-                    re.compile(pat.value)
-                except re.error as exc:
-                    raise DslError(f"{source!r}: bad regex {pat.value!r}: {exc}") from exc
-        return
+        text = _compile_text(args[0], name, source)
+        if name == "length":
+            return lambda ns: float(len(text(ns)))
+        pat = args[1]
+        if not (isinstance(pat, ast.Constant) and isinstance(pat.value, str)):
+            raise DslError(f"{source!r}: {name} pattern must be a string literal")
+        if name == "keyword_count":
+            keyword = pat.value.lower()
+            if not keyword:
+                return lambda ns: 0.0
+            return lambda ns: float(text(ns).lower().count(keyword))
+        try:
+            regex = re.compile(pat.value)
+        except re.error as exc:
+            raise DslError(f"{source!r}: bad regex {pat.value!r}: {exc}") from exc
+        return lambda ns: float(len(regex.findall(text(ns))))
     raise DslError(f"{source!r}: unknown function {name!r}")
 
 
-def _numeric(value: Any, name: str, flags: EvalFlags) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    flags.note_missing(name)
-    return 0.0
+def _compile_text(node: ast.AST, func: str, source: str) -> Callable[[Namespace], str]:
+    """A text function's first argument: a string literal or a field read as text."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+        return lambda ns: text
+    if not isinstance(node, ast.Name):
+        raise DslError(f"{source!r}: {func} expects a field name or string literal")
+    name = node.id
 
+    def read(ns: Namespace) -> str:
+        value = ns.get(name)
+        return "" if value is None else str(value)
 
-def _text_arg(node: ast.AST, namespace: Dict[str, Any], flags: EvalFlags) -> str:
-    if isinstance(node, ast.Constant):
-        return str(node.value)
-    assert isinstance(node, ast.Name)
-    value = namespace.get(node.id)
-    if value is None:
-        flags.note_missing(node.id)
-        return ""
-    return value if isinstance(value, str) else str(value)
-
-
-def _eval_node(node: ast.AST, ns: Dict[str, Any], flags: EvalFlags) -> float:
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        if node.id not in ns:
-            flags.note_missing(node.id)
-            return 0.0
-        return _numeric(ns[node.id], node.id, flags)
-    if isinstance(node, ast.UnaryOp):
-        v = _eval_node(node.operand, ns, flags)
-        return -v if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.BinOp):
-        left = _eval_node(node.left, ns, flags)
-        right = _eval_node(node.right, ns, flags)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if right == 0.0:
-            flags.division_by_zero = True
-            return 0.0
-        return left / right
-    if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, ns, flags)
-        right = _eval_node(node.comparators[0], ns, flags)
-        op = node.ops[0]
-        result = {
-            ast.Gt: left > right,
-            ast.GtE: left >= right,
-            ast.Lt: left < right,
-            ast.LtE: left <= right,
-            ast.Eq: left == right,
-            ast.NotEq: left != right,
-        }[type(op)]
-        return float(result)
-    if isinstance(node, ast.Call):
-        return _eval_call(node, ns, flags)
-    raise DslError(f"unexpected node {type(node).__name__} at evaluation")
-
-
-def _eval_call(node: ast.Call, ns: Dict[str, Any], flags: EvalFlags) -> float:
-    name = node.func.id  # type: ignore[union-attr]
-    if name == "min":
-        return min(_eval_node(a, ns, flags) for a in node.args)
-    if name == "max":
-        return max(_eval_node(a, ns, flags) for a in node.args)
-    if name == "abs":
-        return abs(_eval_node(node.args[0], ns, flags))
-    if name == "clamp":
-        x, lo, hi = (_eval_node(a, ns, flags) for a in node.args)
-        return min(max(x, lo), hi)
-    if name == "length":
-        return float(len(_text_arg(node.args[0], ns, flags)))
-    text = _text_arg(node.args[0], ns, flags)
-    pattern = node.args[1].value  # type: ignore[attr-defined]
-    if name == "keyword_count":
-        if not pattern:
-            return 0.0
-        return float(text.lower().count(pattern.lower()))
-    return float(len(re.findall(pattern, text)))
+    return read

@@ -128,7 +128,6 @@ def run_exploration(
     k_candidates: int = DEFAULT_K_CANDIDATES,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     horizon_h: int = DEFAULT_ROLLOUT_HORIZON,
-    env_meta: Optional[Dict[str, Any]] = None,
 ) -> LabeledDataset:
     """Collect the exploration dataset.
 
@@ -191,7 +190,6 @@ def run_exploration(
         k_candidates=k_candidates,
         n_rollouts=n_rollouts,
         rollout_horizon=horizon_h,
-        extra=dict(env_meta or {}),
     )
     return LabeledDataset(records=records, meta=meta)
 

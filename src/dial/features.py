@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,18 +54,22 @@ class ProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One named feature: a builtin extractor or a DSL expression."""
+    """One named feature: a builtin extractor or a DSL expression, which
+    is compiled once, here, so one outside the language raises DslError."""
 
     name: str
     source: str  # universal | derived | llm
     extractor: str  # "builtin:<universal name>" or a DSL expression
     default_value: float = 0.0
+    compiled: Optional[CompiledExpr] = field(init=False, compare=False, repr=False)  # None for builtins
 
     def __post_init__(self) -> None:
         if self.source not in ("universal", "derived", "llm"):
             raise FeatureError(f"unknown feature source {self.source!r}")
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
+        builtin = self.extractor.startswith("builtin:")
+        object.__setattr__(self, "compiled", None if builtin else parse_expr(self.extractor))
 
 
 @dataclass(frozen=True)
@@ -140,23 +144,11 @@ def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> Featu
     namespace.update(universal.as_dict())
     values = np.empty(len(specs))
     for i, spec in enumerate(specs):
-        if spec.extractor.startswith("builtin:"):
+        if spec.compiled is None:
             values[i] = namespace.get(spec.extractor[len("builtin:") :], spec.default_value)
         else:
-            compiled = _compiled_cached(spec.extractor)
-            values[i] = compiled(namespace)
+            values[i] = spec.compiled(namespace)
     return FeatureVector(tuple(s.name for s in specs), values)
-
-
-_COMPILE_CACHE: Dict[str, CompiledExpr] = {}
-
-
-def _compiled_cached(expr: str) -> CompiledExpr:
-    hit = _COMPILE_CACHE.get(expr)
-    if hit is None:
-        hit = parse_expr(expr)
-        _COMPILE_CACHE[expr] = hit
-    return hit
 
 
 def build_matrix(
@@ -197,7 +189,6 @@ class FeatureProposal:
         for spec in self.specs:
             if spec.source != "llm":
                 raise FeatureError(f"proposed feature {spec.name!r} must have source 'llm'")
-            parse_expr(spec.extractor)  # raises DslError if unparseable
 
 
 def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> FeatureProposal:

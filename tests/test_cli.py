@@ -263,6 +263,11 @@ SWEEP_GOLDEN_SHA256 = {
     "p_i0=0.8/eval_summary-e9f2b230.csv": "48324af40740b2b2cd9a4359655d9fac7d42591e13dda9395517016800c3f083",
 }
 
+SWEEP_CONFIG_SHA256 = {
+    "p_i0=0.2/config.json": "c97a83c7aa9635a40796650a45c8f962e2990fe148d51951c117b3ecae15fdf9",
+    "p_i0=0.8/config.json": "63b7bfd42e1ef6f314f6db6c13e675466fca95dad34136af407f7af75149931c",
+}
+
 
 def test_sweep_axis(tmp_path):
     config_path = write_config(
@@ -276,14 +281,27 @@ def test_sweep_axis(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["environment.p_i0"] for r in rows} == {"0.2", "0.8"}
     assert len(rows) == 8  # 2 values x 4 policies
-    # Sub-run config.json files embed their absolute output_dir, so only
-    # the summaries are pinned (constants computed before the writers moved).
     sweep_dir = os.path.dirname(summary_path)
     digests = {
         os.path.relpath(p, sweep_dir): hashlib.sha256(open(p, "rb").read()).hexdigest()
         for p in [summary_path] + sorted(glob.glob(os.path.join(sweep_dir, "*", "eval_summary-*.csv")))
     }
     assert digests == SWEEP_GOLDEN_SHA256
+    # A sub-run's config.json carries no output_dir, so it is pinned too,
+    # and the same sweep placed elsewhere writes the same bytes.
+    configs = {
+        os.path.relpath(p, sweep_dir): hashlib.sha256(open(p, "rb").read()).hexdigest()
+        for p in sorted(glob.glob(os.path.join(sweep_dir, "*", "config.json")))
+    }
+    assert configs == SWEEP_CONFIG_SHA256
+    elsewhere = load_config(config_path, out_override=str(tmp_path / "elsewhere"))
+    other_dir = os.path.dirname(cmd_sweep(elsewhere, "environment.p_i0=0.2,0.8"))
+    assert _tree_bytes(other_dir) == _tree_bytes(sweep_dir)
+
+
+def _tree_bytes(root):
+    paths = glob.glob(os.path.join(root, "**", "*"), recursive=True)
+    return {os.path.relpath(p, root): open(p, "rb").read() for p in paths if os.path.isfile(p)}
 
 
 def test_sweep_axis_validation(tmp_path):
@@ -301,6 +319,26 @@ def test_main_entry_point(tmp_path, capsys):
     dataset_path = capsys.readouterr().out.strip()
     assert os.path.exists(dataset_path)
     assert main(["fit", "--config", config_path, "--dataset", dataset_path, "--llm-mock"]) == 0
+
+
+def test_sweep_honours_llm_mock(tmp_path, monkeypatch):
+    # An "http" config with no endpoint fails unless --llm-mock reaches each run's fit.
+    monkeypatch.delenv("DIAL_LLM_URL", raising=False)
+    config_path = write_config(tmp_path / "config.json", gate={"llm_features": "http"},
+                               exploration={"eps": 0.5, "n_episodes": 6}, eval={"n_episodes": 10})
+    assert main(["sweep", "--config", config_path, "--axis", "environment.p_i0=0.2", "--llm-mock"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["explore"], ["eval", "--model", "m.json"], ["stats", "--dataset", "d.jsonl"], ["verify"]],
+    ids=["explore", "eval", "stats", "verify"],
+)
+def test_llm_mock_is_only_an_option_of_fit_and_sweep(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--config", "config.json", "--llm-mock"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --llm-mock" in capsys.readouterr().err
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_requests():

@@ -119,34 +119,94 @@ def test_dsl_comparison_is_indicator():
 
 def test_dsl_division_by_zero_flagged_as_zero():
     compiled = parse_expr("signal / step_count")
-    value, flags = compiled.evaluate({"signal": 1.0, "step_count": 0.0})
-    assert value == 0.0 and flags.division_by_zero
+    assert compiled({"signal": 1.0, "step_count": 0.0}) == 0.0
 
 
 def test_dsl_missing_field_defaults_to_zero():
     compiled = parse_expr("unknown_field + 1")
-    value, flags = compiled.evaluate({})
-    assert value == 1.0 and "unknown_field" in flags.missing_fields
+    assert compiled({}) == 1.0
+
+
+# One namespace for the whole table: numbers, text, a bool and a None.
+DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, "off": False, "none": None}
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "source, expected",
     [
-        "__import__('os')",
-        "obs.attr",
-        "x[0]",
-        "lambda: 1",
-        "f(1)",
-        "regex_count(t, '[')",
-        "'bare string'",
-        "1 < 2 < 3",
-        "keyword_count(t)",
-        "",
+        ("-x", 2.5),
+        ("+x", -2.5),
+        ("a + b", 7.0),
+        ("a - b", -1.0),
+        ("a * b", 12.0),
+        ("a / b", 0.75),
+        ("a / 0.0", 0.0),
+        ("a / -0.0", 0.0),
+        ("a > b", 0.0),
+        ("a >= 3", 1.0),
+        ("a < b", 1.0),
+        ("b <= 3", 0.0),
+        ("a == 3", 1.0),
+        ("a != 3", 0.0),
+        ("min(b, a, x)", -2.5),
+        ("max(x, b, a)", 4.0),
+        ("abs(x)", 2.5),
+        ("clamp(n, 0, 10)", 10.0),
+        ('length("abcd")', 4.0),
+        ("length(t)", 7.0),
+        ("length(n)", 4.0),  # str(12.5)
+        ("length(flag)", 4.0),  # str(True)
+        ("length(none)", 0.0),
+        ('keyword_count(t, "")', 0.0),
+        ('keyword_count(missing, "a")', 0.0),
+        ('keyword_count(t, "ABC")', 2.0),
+        ('keyword_count("abab", "b") - 1', 1.0),
+        ('regex_count(t, "[ab]+")', 2.0),
+        ("flag + off", 1.0),
+        ("t + 1", 1.0),  # a text field read as a number is 0.0
+        ("none * 2 + missing", 0.0),
     ],
 )
+def test_dsl_evaluation_table(source, expected):
+    value = parse_expr(source)(dict(DSL_NS))
+    assert type(value) is float and value == expected
+
+
+# Each rejected source with the end of its message; the mixed cases pin
+# which check fires first.
+DSL_REJECTED = {
+    "__import__('os')": "unknown function '__import__'",
+    "obs.attr": "node Attribute is not part of the feature language",
+    "x[0]": "node Subscript is not part of the feature language",
+    "lambda: 1": "node Lambda is not part of the feature language",
+    "f(1)": "unknown function 'f'",
+    "regex_count(t, '[')": "bad regex '[': unterminated character set at position 0",
+    "'bare string'": "literal 'bare string' outside a text function",
+    "1 < 2 < 3": "only single two-sided comparisons are allowed",
+    "keyword_count(t)": "keyword_count takes exactly 2 arguments",
+    "": "empty expression",
+    "not x": "node UnaryOp is not part of the feature language",
+    "x ** 2": "node BinOp is not part of the feature language",
+    "x % 2": "node BinOp is not part of the feature language",
+    "min(1)": "min takes 2+ arguments",
+    "abs(1, 2)": "abs takes 1 arguments",
+    "max(a=1)": "keyword arguments are not allowed",
+    'keyword_count(1, "a")': "keyword_count expects a field name or string literal",
+    "keyword_count(t, x)": "keyword_count pattern must be a string literal",
+    "a.b()": "only plain function calls are allowed",
+    "x[0] + (1 < 2 < 3)": "node Subscript is not part of the feature language",
+    "max(1, x[0], z=1)": "keyword arguments are not allowed",
+    "abs(1, x[0])": "abs takes 1 arguments",
+    "f(x[0])": "unknown function 'f'",
+    "1 in x": "only single two-sided comparisons are allowed",
+}
+
+
+@pytest.mark.parametrize("bad", list(DSL_REJECTED))
 def test_dsl_rejects_out_of_language_constructs(bad):
-    with pytest.raises(DslError):
+    with pytest.raises(DslError) as excinfo:
         parse_expr(bad)
+    assert str(excinfo.value).endswith(DSL_REJECTED[bad])
 
 
 def test_dsl_deterministic():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dial.cli import save_model_json
+from dial.dsl import DslError
 from dial.features import build_pool, extract_features
 from dial.gate import (
     DEFAULT_C_GRID,
@@ -388,6 +390,15 @@ def test_model_json_round_trip_bit_exact(tmp_path):
     for obs in obs_rows[:100]:
         assert loaded.decide(obs) == model.decide(obs)
         assert loaded.score(obs) == model.score(obs)
+
+
+def test_model_json_rejects_an_extractor_outside_the_language_at_load(tmp_path):
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    payload["feature_specs"][-1]["extractor"] = "__import__('os').getcwd()"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DslError, match="only plain function calls are allowed"):
+        load_model_json(str(path))
 
 
 def test_model_dict_round_trip():
