@@ -10,34 +10,21 @@ the never-trigger baseline.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import EnvFault, Environment, Episode
-from .explore import (
-    DEFAULT_K_CANDIDATES,
-    DEFAULT_N_ROLLOUTS,
-    DEFAULT_ROLLOUT_HORIZON,
-    LabeledDataset,
-    dataset_summary,
-    estimate_utility_paired,
-    run_exploration,
-)
-from .features import build_matrix, build_pool, extract_features, propose_llm_features
+from .envs import EnvFault, Environment
+from .explore import LabeledDataset, dataset_summary, run_exploration
+from .features import build_matrix, build_pool, propose_llm_features
 from .gate import GateModel, fit_gate, reverse_direction
-from .rng import derive_seed, rng_for
+from .rng import derive_seed
 from .stats import spearman
 from .twosource import TwoSourceEnv, TwoSourceParams
 
-logger = logging.getLogger(__name__)
-
-ONLINE_EPS0 = 0.1
-ONLINE_DECAY_EPISODES = 100
-ONLINE_REFIT_EVERY = 30
+WILSON_Z = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
 class EvalError(ValueError):
@@ -107,10 +94,11 @@ class EvalResult:
     env_id: str = ""
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> Tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     """95% binomial (Wilson score) interval."""
     if n == 0:
         return 0.0, 1.0
+    z = WILSON_Z
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -118,80 +106,56 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> Tup
     return max(0.0, center - half), min(1.0, center + half)
 
 
-class _Deployment:
-    """Success, cost and per-step trigger counts over a run of episodes,
-    and the EvalResult they make. Cost adds 1 per step plus the
-    environment's trigger cost on triggered steps, one step at a time."""
+def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: int) -> EvalResult:
+    """Evaluate one policy: success rate, cost relative to the
+    never-trigger baseline under the same seed schedule, and the
+    per-step trigger profile.
 
-    def __init__(self, env: Environment, kind: str) -> None:
-        self.env = env
-        self.kind = kind  # names the run in fault messages
-        self.tcu = env.trigger_cost_units()
-        self.episodes = 0
-        self.successes = 0
-        self.cost = 0.0
-        self.step_counts: Dict[int, int] = {}
-        self.step_triggers: Dict[int, int] = {}
-
-    def play(self, index: int, episode: Episode, decide: Callable[[int, Dict[str, Any]], Any]) -> None:
-        """Play one episode to its end, triggering where ``decide(t, obs)``
-        says; any fault while deciding or stepping becomes an EnvFault
-        naming the episode and step."""
+    Cost adds 1 per step plus the environment's trigger cost on
+    triggered steps, one step at a time. Any fault while deciding or
+    stepping becomes an EnvFault naming the episode and step.
+    """
+    if n_episodes < 1:
+        raise EvalError("n_episodes must be >= 1")
+    decide = policy.build()
+    tcu = env.trigger_cost_units()
+    successes = 0
+    cost = 0.0
+    step_counts: Dict[int, int] = {}
+    step_triggers: Dict[int, int] = {}
+    for i in range(n_episodes):
+        episode = env.episode(derive_seed(seed, "eval-episode", i))
         episode_return = 0.0
         t = 0
         while not episode.done():
             try:
-                obs = episode.observe()
-                triggered = bool(decide(t, obs))
+                triggered = bool(decide(episode.observe()))
                 episode_return += episode.step(triggered)
             except EnvFault:
                 raise
             except Exception as exc:
-                raise EnvFault(f"environment fault at {self.kind} episode {index}, step {t}: {exc}") from exc
-            self.cost += 1.0 + (self.tcu if triggered else 0.0)
-            self.step_counts[t] = self.step_counts.get(t, 0) + 1
-            self.step_triggers[t] = self.step_triggers.get(t, 0) + int(triggered)
+                raise EnvFault(f"environment fault at eval episode {i}, step {t}: {exc}") from exc
+            cost += 1.0 + (tcu if triggered else 0.0)
+            step_counts[t] = step_counts.get(t, 0) + 1
+            step_triggers[t] = step_triggers.get(t, 0) + int(triggered)
             t += 1
-        self.episodes += 1
-        self.successes += int(self.env.episode_success(episode_return))
+        successes += int(env.episode_success(episode_return))
 
-    def result(self, seed: int, policy: str) -> EvalResult:
-        profile = []
-        for t in sorted(self.step_counts):
-            hits, n = self.step_triggers[t], self.step_counts[t]
-            low, high = wilson_interval(hits, n)
-            profile.append(PerStepTrigger(t, hits / n, low, high, n))
-        steps = sum(self.step_counts.values())
-        return EvalResult(
-            sr=self.successes / self.episodes,
-            cost_x_base=self.cost / steps,  # base policy costs 1 unit per step
-            trigger_rate=sum(self.step_triggers.values()) / steps,
-            per_step_trigger=tuple(profile),
-            n_episodes=self.episodes,
-            seed=seed,
-            policy=policy,
-            env_id=getattr(self.env, "env_id", "unknown"),
-        )
-
-
-def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: int) -> EvalResult:
-    """Evaluate one policy: success rate, cost relative to the
-    never-trigger baseline under the same seed schedule, and the
-    per-step trigger profile."""
-    if n_episodes < 1:
-        raise EvalError("n_episodes must be >= 1")
-    decide = policy.build()
-    run = _Deployment(env, "eval")
-    for i in range(n_episodes):
-        run.play(i, env.episode(derive_seed(seed, "eval-episode", i)), lambda t, obs: decide(obs))
-    return run.result(seed, policy.name())
-
-
-def pareto_dominates(a: EvalResult, b: EvalResult) -> bool:
-    """True iff a is at least as good on both axes and strictly better
-    on one."""
-    return a.sr >= b.sr and a.cost_x_base <= b.cost_x_base and (
-        a.sr > b.sr or a.cost_x_base < b.cost_x_base
+    profile = []
+    for t in sorted(step_counts):
+        hits, n = step_triggers[t], step_counts[t]
+        low, high = wilson_interval(hits, n)
+        profile.append(PerStepTrigger(t, hits / n, low, high, n))
+    steps = sum(step_counts.values())
+    return EvalResult(
+        sr=successes / n_episodes,
+        cost_x_base=cost / steps,  # base policy costs 1 unit per step
+        trigger_rate=sum(step_triggers.values()) / steps,
+        per_step_trigger=tuple(profile),
+        n_episodes=n_episodes,
+        seed=seed,
+        policy=policy.name(),
+        env_id=getattr(env, "env_id", "unknown"),
     )
 
 
@@ -204,28 +168,17 @@ def explore_and_fit(
     *,
     eps: float = 0.5,
     n_explore: int = 50,
-    horizon: Optional[int] = None,
     proposal_client: Optional[Any] = None,
-    regularizer: str = "l1",
-    tau: Any = 0.5,
-    k_candidates: int = DEFAULT_K_CANDIDATES,
-    n_rollouts: int = DEFAULT_N_ROLLOUTS,
-    horizon_h: int = DEFAULT_ROLLOUT_HORIZON,
 ) -> Tuple[GateModel, LabeledDataset]:
     """Convenience pipeline: explore, summarize/propose (optional),
-    build the pool, fit the gate."""
-    dataset = run_exploration(
-        env, eps=eps, n_episodes=n_explore, seed=derive_seed(seed, "explore"),
-        k_candidates=k_candidates, n_rollouts=n_rollouts, horizon_h=horizon_h,
-    )
+    build the pool, fit the default l1 gate."""
+    dataset = run_exploration(env, eps=eps, n_episodes=n_explore, seed=derive_seed(seed, "explore"))
     llm_specs = None
     if proposal_client is not None:
         llm_specs = propose_llm_features(dataset_summary(dataset), proposal_client).specs
-    specs = build_pool(horizon or max(dataset.meta.horizon, 1), llm_specs)
+    specs = build_pool(max(dataset.meta.horizon, 1), llm_specs)
     X, y, _ = build_matrix(dataset.records, specs)
-    model = fit_gate(
-        X, y, specs, regularizer=regularizer, seed=derive_seed(seed, "fit"), tau=tau
-    )
+    model = fit_gate(X, y, specs, seed=derive_seed(seed, "fit"))
     return model, dataset
 
 
@@ -329,7 +282,6 @@ def prop1_counterexample(
     *,
     n_eval: int = 500,
     n_explore: int = 100,
-    signal_name: str = "signal",
 ) -> CounterexampleVerdict:
     """Exhaustively evaluate signal-only threshold gates on a mixture
     pair straddling the direction crossing, against the multi-feature
@@ -364,7 +316,7 @@ def prop1_counterexample(
     gates: List[GatePassRecord] = []
     for direction in (1, -1):
         for theta in grid:
-            spec = PolicySpec("fixed_threshold", signal=signal_name, direction=direction, threshold=float(theta))
+            spec = PolicySpec("fixed_threshold", signal="signal", direction=direction, threshold=float(theta))
             res_a = run_deployment(env_a, spec, n_eval, eval_seed_a)
             res_b = run_deployment(env_b, spec, n_eval, eval_seed_b)
             gates.append(
@@ -393,98 +345,3 @@ def prop1_counterexample(
         dial_sr=(dial_srs[0], dial_srs[1]),
         dial_passes_both=all(dial_pass),
     )
-
-
-# -- online adaptation ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RefitEvent:
-    episode: int
-    n_rows: int
-    refit: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class OnlineAdaptResult:
-    final_model: GateModel
-    trace: Tuple[EvalResult, ...]      # one result per refit block
-    refits: Tuple[RefitEvent, ...]
-
-
-def online_override_prob(episode_index: int, eps0: float = ONLINE_EPS0,
-                         decay_episodes: int = ONLINE_DECAY_EPISODES) -> float:
-    """Override probability: linear decay from eps0 to 0 over the first
-    ``decay_episodes`` episodes."""
-    return eps0 * max(0.0, 1.0 - episode_index / decay_episodes)
-
-
-def online_adapt(
-    env: Environment,
-    initial_model: GateModel,
-    n_episodes: int,
-    seed: int,
-    *,
-    refit_every: int = ONLINE_REFIT_EVERY,
-    k_candidates: int = DEFAULT_K_CANDIDATES,
-    n_rollouts: int = DEFAULT_N_ROLLOUTS,
-    horizon_h: int = DEFAULT_ROLLOUT_HORIZON,
-) -> OnlineAdaptResult:
-    """Deploy with decaying random overrides, refitting on their labels.
-
-    With probability eps(episode) a step ignores the gate and triggers on
-    a fair coin; overridden triggered steps get paired utility labels.
-    Every ``refit_every`` episodes the gate refits on all labels so far
-    with the initial model's solver configuration; a single-class
-    accumulation skips the refit with a logged warning.
-    """
-    model = initial_model
-    specs = initial_model.feature_specs
-    rows_X: List[np.ndarray] = []
-    rows_y: List[int] = []
-    trace: List[EvalResult] = []
-    refits: List[RefitEvent] = []
-    block = _Deployment(env, "online")
-
-    for i in range(n_episodes):
-        episode = env.episode(derive_seed(seed, "online-episode", i))
-        override_rng = rng_for(seed, "online-override", i)
-        eps_i = online_override_prob(i)
-
-        def decide(t: int, obs: Dict[str, Any]) -> bool:
-            if override_rng.random() >= eps_i:
-                return model.decide(obs)
-            triggered = bool(override_rng.random() < 0.5)
-            if triggered:
-                label = estimate_utility_paired(
-                    episode, k_candidates, n_rollouts, horizon_h,
-                    seed=derive_seed(seed, f"online-label:{i}", t),
-                )
-                rows_X.append(extract_features(specs, obs).values)
-                rows_y.append(label)
-            return triggered
-
-        block.play(i, episode, decide)
-        if (i + 1) % refit_every == 0 or i + 1 == n_episodes:
-            trace.append(block.result(seed, "online_dial"))
-            block = _Deployment(env, "online")
-
-        if (i + 1) % refit_every == 0 and i + 1 < n_episodes:
-            y = np.asarray(rows_y, dtype=float)
-            if len(np.unique(y)) < 2:
-                logger.warning(
-                    "online refit at episode %d skipped: single-class accumulated data (%d rows)",
-                    i + 1, len(rows_y),
-                )
-                refits.append(RefitEvent(i + 1, len(rows_y), False, "single-class accumulated data"))
-            else:
-                model = fit_gate(
-                    np.vstack(rows_X), y, specs,
-                    regularizer=model.regularizer,
-                    seed=derive_seed(seed, "online-refit", i + 1),
-                    tau=model.tau,
-                )
-                refits.append(RefitEvent(i + 1, len(rows_y), True, "refit"))
-
-    return OnlineAdaptResult(final_model=model, trace=tuple(trace), refits=tuple(refits))

@@ -281,14 +281,14 @@ def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]]
             "step_index": r.step_index,
             "triggered": r.triggered,
             "utility_label": r.utility_label,
-            "features": extract_universal(r.obs).as_dict(),
+            "features": extract_universal(r.obs),
             "signal": r.signal,
             "env_meta": shared_meta,
             "obs": {k: float(v) for k, v in r.obs.items()},
             "latent_type_debug": r.latent_type_debug,
             "true_utility_debug": r.true_utility_debug,
         }
-        lines.append(json.dumps(row, sort_keys=True))
+        lines.append(json.dumps(row, sort_keys=True, allow_nan=False))  # NaN is not JSON
     return "\n".join(lines) + "\n"
 
 

@@ -72,25 +72,6 @@ class FeatureSpec:
         object.__setattr__(self, "compiled", None if builtin else parse_expr(self.extractor))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Values aligned to a fixed feature-name ordering."""
-
-    names: Tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.names),):
-            raise FeatureError("feature vector misaligned with its names")
-        if not np.all(np.isfinite(values)):
-            raise FeatureError("feature vector contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
-
 def _resolve(obs: Dict[str, Any], universal_name: str) -> float:
     for key in _ALIASES[universal_name]:
         if key in obs:
@@ -100,10 +81,10 @@ def _resolve(obs: Dict[str, Any], universal_name: str) -> float:
     return 0.0
 
 
-def extract_universal(obs: Dict[str, Any]) -> FeatureVector:
-    """Universal feature vector; unexposed signals default to zero."""
-    values = np.array([_resolve(obs, name) for name in UNIVERSAL_FEATURES])
-    return FeatureVector(UNIVERSAL_FEATURES, values)
+def extract_universal(obs: Dict[str, Any]) -> Dict[str, float]:
+    """Universal feature values by name, in UNIVERSAL_FEATURES order;
+    unexposed signals default to zero."""
+    return {name: _resolve(obs, name) for name in UNIVERSAL_FEATURES}
 
 
 def universal_specs() -> List[FeatureSpec]:
@@ -132,23 +113,25 @@ def build_pool(max_steps: int, llm_specs: Optional[Sequence[FeatureSpec]] = None
     return pool
 
 
-def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> FeatureVector:
-    """Evaluate a full pool on one observation.
+def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> np.ndarray:
+    """Evaluate a full pool on one observation: one value per spec, in
+    spec order; a non-finite value raises FeatureError.
 
     DSL features see the raw observation fields plus the universal
     feature names, so proposals can reference either namespace. Pure:
     identical observations give identical vectors.
     """
-    universal = extract_universal(obs)
     namespace: Dict[str, Any] = dict(obs)
-    namespace.update(universal.as_dict())
+    namespace.update(extract_universal(obs))
     values = np.empty(len(specs))
     for i, spec in enumerate(specs):
         if spec.compiled is None:
             values[i] = namespace.get(spec.extractor[len("builtin:") :], spec.default_value)
         else:
             values[i] = spec.compiled(namespace)
-    return FeatureVector(tuple(s.name for s in specs), values)
+    if not np.all(np.isfinite(values)):
+        raise FeatureError("feature vector contains non-finite values")
+    return values
 
 
 def build_matrix(
@@ -159,7 +142,7 @@ def build_matrix(
     for record in records:
         if record.utility_label is None:
             continue
-        rows.append(extract_features(specs, record.obs).values)
+        rows.append(extract_features(specs, record.obs))
         labels.append(record.utility_label)
     names = tuple(s.name for s in specs)
     if not rows:
@@ -191,14 +174,16 @@ class FeatureProposal:
                 raise FeatureError(f"proposed feature {spec.name!r} must have source 'llm'")
 
 
+def _proposal(items: Sequence[Dict[str, Any]]) -> FeatureProposal:
+    return FeatureProposal(tuple(
+        FeatureSpec(name=str(item["name"]), source="llm", extractor=str(item["expr"]))
+        for item in items
+    ))
+
+
 def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> FeatureProposal:
     """Ask a provider for five task-specific features for this dataset."""
-    raw = client.propose(summary)
-    specs = tuple(
-        FeatureSpec(name=str(item["name"]), source="llm", extractor=str(item["expr"]))
-        for item in raw
-    )
-    return FeatureProposal(specs)
+    return _proposal(client.propose(summary))
 
 
 class ProposalProvider:
@@ -331,18 +316,14 @@ class HttpProposalClient(ProposalProvider):
             items = json.loads(content[start : end + 1])
         except json.JSONDecodeError as exc:
             raise ProviderError(f"reply is not valid JSON: {exc}") from exc
-        if not isinstance(items, list) or len(items) != N_LLM_FEATURES:
-            raise ProviderError(f"reply must contain exactly {N_LLM_FEATURES} features")
-        cleaned = []
-        for item in items:
-            if not isinstance(item, dict) or "name" not in item or "expr" not in item:
-                raise ProviderError("each proposed feature needs 'name' and 'expr'")
-            try:
-                parse_expr(str(item["expr"]))
-            except DslError as exc:
-                raise ProviderError(f"proposed expression rejected: {exc}") from exc
-            cleaned.append({"name": str(item["name"]), "expr": str(item["expr"])})
-        return cleaned
+        if not all(isinstance(item, dict) and "name" in item and "expr" in item for item in items):
+            raise ProviderError("each proposed feature needs 'name' and 'expr'")
+        try:
+            # the checks propose_llm_features makes, so an unusable reply is retried, never cached
+            proposal = _proposal(items)
+        except (FeatureError, DslError) as exc:
+            raise ProviderError(f"proposal rejected: {exc}") from exc
+        return [{"name": spec.name, "expr": spec.extractor} for spec in proposal.specs]
 
     def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
         digest = summary_digest(summary)

@@ -152,7 +152,7 @@ _WEIGHT_FLOOR = 1e-5  # curvature clamp for the working weights
 
 def _inner_weighted_cd(
     X: np.ndarray, response: np.ndarray, weights: np.ndarray,
-    u: np.ndarray, ub: float, lam1: float, lam2: float, tol: float,
+    u: np.ndarray, ub: float, lam1: float, lam2: float,
 ) -> Tuple[np.ndarray, float]:
     """Solve one weighted quadratic subproblem:
     min over (u, ub) of 0.5*sum(weights*(response - X u - ub)^2)
@@ -184,7 +184,7 @@ def _inner_weighted_cd(
                     u[j] = new_u
                     resid -= delta * x_j
                     max_delta = max(max_delta, abs(delta))
-            if max_delta < tol:
+            if max_delta < SOLVER_TOL:
                 return u, ub
         active = live if lam1 == 0.0 else np.flatnonzero(u != 0.0)
         signs = np.sign(u[active])
@@ -219,14 +219,13 @@ def _inner_weighted_cd(
 
 
 def _fit_coordinate_descent(
-    X: np.ndarray, y: np.ndarray, lam1: float, lam2: float,
-    tol: float, max_iter: int,
+    X: np.ndarray, y: np.ndarray, lam1: float, lam2: float, max_iter: int,
     w_init: Optional[np.ndarray] = None, b_init: float = 0.0,
 ) -> Tuple[np.ndarray, float]:
     """Proximal-Newton outer loop with cyclic soft-thresholding
     coordinate descent on each quadratic subproblem, plus a halving line
     search that keeps the penalized objective monotone. Stops when the
-    largest parameter update falls below ``tol``, when no step improves
+    largest parameter update falls below SOLVER_TOL, when no step improves
     the objective, or after ``max_iter`` outer iterations, which is
     logged. The problem is convex, so a warm start changes the path but
     not the optimal objective value. The minimizer is unique for
@@ -250,7 +249,7 @@ def _fit_coordinate_descent(
         p_safe = np.clip(p, _WEIGHT_FLOOR, 1.0 - _WEIGHT_FLOOR)
         weights = p_safe * (1.0 - p_safe)
         response = z + (y - p) / weights
-        u, ub = _inner_weighted_cd(X, response, weights, w.copy(), b, lam1, lam2, tol)
+        u, ub = _inner_weighted_cd(X, response, weights, w.copy(), b, lam1, lam2)
         dir_w = u - w
         dir_b = ub - b
         dir_z = X @ dir_w + dir_b
@@ -269,13 +268,13 @@ def _fit_coordinate_descent(
         max_delta = step * max(float(np.max(np.abs(dir_w))) if d else 0.0, abs(dir_b))
         w, b = w_try, b + step * dir_b
         z, obj = z_try, obj_try
-        if max_delta < tol:
+        if max_delta < SOLVER_TOL:
             break
     else:
         logger.warning(
             "solver stopped at its cap of %d outer iterations (lam1=%g, lam2=%g); "
             "last update %.3g, tolerance %g",
-            max_iter, lam1, lam2, max_delta, tol,
+            max_iter, lam1, lam2, max_delta, SOLVER_TOL,
         )
     return w, b
 
@@ -286,7 +285,6 @@ def fit_sparse_logistic(
     c: float,
     reg: str = "l1",
     *,
-    tol: float = SOLVER_TOL,
     max_iter: int = SOLVER_MAX_ITER,
     warm_start: Optional[Tuple[np.ndarray, float]] = None,
 ) -> Tuple[np.ndarray, float]:
@@ -314,7 +312,7 @@ def fit_sparse_logistic(
     }[reg]
     w0, b0 = (None, 0.0) if warm_start is None else warm_start
     return _fit_coordinate_descent(
-        X, y, lam1=lam1, lam2=lam2, tol=tol, max_iter=max_iter, w_init=w0, b_init=b0
+        X, y, lam1=lam1, lam2=lam2, max_iter=max_iter, w_init=w0, b_init=b0
     )
 
 
@@ -462,7 +460,14 @@ class GateModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
-        if len(self.weights) != len(self.standardizer.retained):
+        std = self.standardizer
+        if tuple(s.name for s in self.feature_specs) != std.feature_names:
+            raise GateError("feature specs misaligned with the standardizer's feature names")
+        if len(std.means) != len(std.feature_names) or len(std.sds) != len(std.feature_names):
+            raise GateError("standardizer means/sds misaligned with its feature names")
+        if not set(std.dropped) <= set(std.feature_names):
+            raise GateError("standardizer drops features it does not have")
+        if len(self.weights) != len(std.retained):
             raise GateError("weights misaligned with retained features")
 
     @property
@@ -471,7 +476,7 @@ class GateModel:
 
     def score(self, obs: Dict[str, Any]) -> float:
         phi = extract_features(self.feature_specs, obs)
-        x = self.standardizer.apply_matrix(phi.values[None, :])[0]
+        x = self.standardizer.apply_matrix(phi[None, :])[0]
         return float(_sigmoid(np.array([x @ self.weights + self.bias]))[0])
 
     def decide(self, obs: Dict[str, Any]) -> bool:

@@ -20,6 +20,7 @@ from .rng import rng_for
 
 BOOTSTRAP_DEFAULT_B = 1000
 LOG_TRANSFORM_EPS = 1e-6
+TRANSFORM_SCALE = 2.0  # the positive factor of transform_suite's rescaling rows
 REPORT_COLUMNS = ("group", "n", "spearman", "pearson", "p_value", "ci_low", "ci_high")
 
 
@@ -200,35 +201,25 @@ def quantile_normalize(
 # -- transform robustness ----------------------------------------------------------
 
 
-def transform_suite(
-    sigma: Sequence[float],
-    u: Sequence[float],
-    *,
-    t_scale: float = 2.0,
-    u_scale: float = 2.0,
-    log_eps: float = LOG_TRANSFORM_EPS,
-) -> List[Dict[str, Any]]:
+def transform_suite(sigma: Sequence[float], u: Sequence[float]) -> List[Dict[str, Any]]:
     """Correlations under monotone signal/utility transforms.
 
-    Rows: raw, sigma^0.5, sigma^2, log(sigma + eps), sigma / T, u * a
-    (a > 0), and u * -1. Spearman must match raw on all positive
-    monotone signal rows and flip sign under the negation row.
+    Rows: raw, sigma^0.5, sigma^2, log(sigma + LOG_TRANSFORM_EPS),
+    sigma / TRANSFORM_SCALE, u * TRANSFORM_SCALE, and u * -1. Spearman
+    must match raw on all positive monotone signal rows and flip sign
+    under the negation row.
     """
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(sigma < 0):
         raise StatsError("signal transforms need nonnegative values")
-    if log_eps <= 0 and np.any(sigma == 0):
-        raise StatsError("log transform needs a positive offset when signals hit zero")
-    if t_scale <= 0 or u_scale <= 0:
-        raise StatsError("scale factors must be positive")
     rows = [
         ("raw", sigma, u),
         ("sigma_pow_0.5", np.sqrt(sigma), u),
         ("sigma_pow_2", sigma**2, u),
-        ("sigma_log", np.log(sigma + log_eps), u),
-        ("sigma_div_t", sigma / t_scale, u),
-        ("u_scaled", sigma, u_scale * u),
+        ("sigma_log", np.log(sigma + LOG_TRANSFORM_EPS), u),
+        ("sigma_div_t", sigma / TRANSFORM_SCALE, u),
+        ("u_scaled", sigma, TRANSFORM_SCALE * u),
         ("u_negated", sigma, -u),
     ]
     out = []

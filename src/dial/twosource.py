@@ -26,7 +26,7 @@ Conventions (fixed for reproducibility):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -82,20 +82,6 @@ class TwoSourceParams:
     def p_i_star(self) -> float:
         """Mixture at which the aggregate signal-utility correlation crosses zero."""
         return self.beta / (self.alpha + self.beta)
-
-
-def intervene_mixture(params: TwoSourceParams, mode: str, delta: float) -> TwoSourceParams:
-    """Shift the base mixture: info_poor adds delta to p_i0 (more unsuitable
-    states), info_rich subtracts it. All other fields unchanged."""
-    if mode == "info_poor":
-        new_p = params.p_i0 + delta
-    elif mode == "info_rich":
-        new_p = params.p_i0 - delta
-    else:
-        raise ValueError(f"unknown intervention mode: {mode!r}")
-    if not 0.0 <= new_p <= 1.0:
-        raise InvalidParams(f"intervention pushes p_i0 to {new_p:.4f}, outside [0, 1]")
-    return replace(params, p_i0=new_p)
 
 
 class SimState(NamedTuple):

@@ -7,12 +7,8 @@ import pytest
 
 from dial.evaluate import (
     EvalError,
-    EvalResult,
     PolicySpec,
     explore_and_fit,
-    online_adapt,
-    online_override_prob,
-    pareto_dominates,
     prop1_counterexample,
     run_deployment,
     wilson_interval,
@@ -116,20 +112,6 @@ def test_deployment_validates_episode_count():
         run_deployment(_env(), PolicySpec("base_only"), 0, seed=0)
 
 
-# -- pareto --------------------------------------------------------------------------
-
-
-def test_pareto_dominates_examples():
-    def result(sr, cost):
-        return EvalResult(sr=sr, cost_x_base=cost, trigger_rate=0.5,
-                          per_step_trigger=(), n_episodes=100, seed=0)
-
-    assert pareto_dominates(result(0.9, 2.0), result(0.8, 3.0))
-    assert not pareto_dominates(result(0.9, 2.0), result(0.9, 2.0))  # needs a strict edge
-    assert not pareto_dominates(result(0.9, 3.0), result(0.8, 2.0))  # trade-off
-    assert pareto_dominates(result(0.9, 2.0), result(0.9, 2.5))
-
-
 # -- trigger profiles ------------------------------------------------------------------
 
 
@@ -226,60 +208,6 @@ def test_prop1_degenerate_grid_still_well_formed():
     assert isinstance(verdict.dial_passes_both, bool)
 
 
-# -- online adaptation ----------------------------------------------------------------------
-
-
-def test_override_probability_schedule():
-    assert online_override_prob(0) == pytest.approx(0.1)
-    assert online_override_prob(50) == pytest.approx(0.05)
-    assert online_override_prob(100) == 0.0
-    assert online_override_prob(250) == 0.0
-
-
-def test_online_adapt_refit_boundaries():
-    params = TwoSourceParams(p_i0=0.5, noise_sd=0.1, fidelity_q=1.0)
-    env = TwoSourceEnv(params)
-    initial, _ = explore_and_fit(env, seed=11, n_explore=60)
-    result = online_adapt(env, initial, n_episodes=100, seed=13)
-    assert [r.episode for r in result.refits] == [30, 60, 90]
-    assert all(r.refit for r in result.refits)  # balanced mixture: both classes seen
-    assert len(result.trace) == 4  # blocks ending at 30/60/90/100
-
-
-def test_online_adapt_skips_single_class_refits():
-    # Pure decision-type, noise-free: every override label is 1, so no
-    # refit has two classes to work with.
-    params = TwoSourceParams(p_i0=0.0, noise_sd=0.0, fidelity_q=1.0)
-    env = TwoSourceEnv(params)
-    initial = _signal_model(weight=1.0)
-    result = online_adapt(env, initial, n_episodes=60, seed=19)
-    assert [r.episode for r in result.refits] == [30]
-    assert not result.refits[0].refit
-    assert "single-class" in result.refits[0].reason
-    assert result.final_model is initial
-
-
-def test_online_adapt_stationary_agreement():
-    params = TwoSourceParams(p_i0=0.5, noise_sd=0.1, fidelity_q=1.0)
-    env = TwoSourceEnv(params)
-    initial, _ = explore_and_fit(env, seed=11, n_explore=100)
-    result = online_adapt(env, initial, n_episodes=120, seed=13)
-    from dial.twosource import sample_states
-
-    states = sample_states(params, 1500, seed=999)
-    agree = 0
-    for i in range(1500):
-        obs = {
-            "step_count": float(states["step_index"][i]),
-            "signal": float(states["signal"][i]),
-            "type_proxy": float(states["type_proxy"][i]),
-            "num_options": float(states["num_options"][i]),
-            "is_finish": float(states["is_finish"][i]),
-        }
-        agree += int(result.final_model.decide(obs) == initial.decide(obs))
-    assert agree / 1500 >= 0.9
-
-
 # -- environment faults -----------------------------------------------------------------------
 
 
@@ -314,11 +242,8 @@ class _FaultyEnv:
         return _FaultyEpisode(self.inner.episode(seed), fail_at=2 if self.episodes == 2 else None)
 
 
-@pytest.mark.parametrize("kind", ["eval", "online"])
+@pytest.mark.parametrize("kind", ["eval"])
 def test_step_fault_names_episode_and_step(kind):
     env = _FaultyEnv()
     with pytest.raises(EnvFault, match=f"at {kind} episode 1, step 2: simulator crashed"):
-        if kind == "eval":
-            run_deployment(env, PolicySpec("always_trigger"), 3, seed=0)
-        else:
-            online_adapt(env, _signal_model(weight=1.0), n_episodes=3, seed=0)
+        run_deployment(env, PolicySpec("always_trigger"), 3, seed=0)

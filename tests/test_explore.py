@@ -271,6 +271,14 @@ def test_jsonl_contract_fields_present(tmp_path):
     }
 
 
+@pytest.mark.parametrize("field", ["signal", "extra"])
+def test_jsonl_refuses_non_finite_observations(field):
+    ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=1.0, n_episodes=1, seed=6)
+    ds.records[0].obs[field] = float("nan")
+    with pytest.raises(ValueError):
+        dataset_to_jsonl(ds)
+
+
 def test_paired_estimate_deterministic_for_seed():
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.3))
     labels = []

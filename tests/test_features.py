@@ -32,23 +32,23 @@ SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4
 
 def test_universal_maps_simulator_observation():
     vec = extract_universal(SIM_OBS)
-    assert vec.names == UNIVERSAL_FEATURES
-    assert vec.values.tolist() == [3.0, 0.7, 0.0, 4.0, 0.0]
+    assert tuple(vec) == UNIVERSAL_FEATURES
+    assert list(vec.values()) == [3.0, 0.7, 0.0, 4.0, 0.0]
 
 
 def test_universal_defaults_to_zero_for_unexposed_signals():
     vec = extract_universal({"step_count": 2.0, "signal": 0.4})
-    assert vec.values.tolist() == [2.0, 0.4, 0.0, 0.0, 0.0]
+    assert list(vec.values()) == [2.0, 0.4, 0.0, 0.0, 0.0]
 
 
 def test_finish_flag_passes_through():
     vec = extract_universal({**SIM_OBS, "is_finish": 1.0})
-    assert vec.values[-1] == 1.0
+    assert vec["is_finish"] == 1.0
 
 
 def test_universal_prefers_exact_names_over_aliases():
     vec = extract_universal({"token_entropy": 0.9, "signal": 0.1})
-    assert vec.values[1] == 0.9
+    assert vec["token_entropy"] == 0.9
 
 
 def _pool_values(obs):
@@ -57,15 +57,15 @@ def _pool_values(obs):
 
 def test_derived_formulas():
     vec = _pool_values({"step_count": 5.0, "signal": 0.5})
-    assert vec.names[5:] == ("step_ratio", "entropy_sq", "step_x_entropy")
-    assert vec.values[5:].tolist() == [0.5, 0.25, 2.5]
+    assert tuple(s.name for s in build_pool(10))[5:] == ("step_ratio", "entropy_sq", "step_x_entropy")
+    assert vec[5:].tolist() == [0.5, 0.25, 2.5]
 
 
 def test_derived_zero_cases():
     zero_sigma = _pool_values({"step_count": 5.0, "signal": 0.0})
-    assert zero_sigma.values[-2:].tolist() == [0.0, 0.0]
+    assert zero_sigma[-2:].tolist() == [0.0, 0.0]
     zero_step = _pool_values({"step_count": 0.0, "signal": 0.3})
-    assert zero_step.values[-3] == 0.0 and zero_step.values[-1] == 0.0
+    assert zero_step[-3] == 0.0 and zero_step[-1] == 0.0
 
 
 def test_derived_rejects_zero_max_steps():
@@ -79,7 +79,7 @@ def test_extraction_is_pure():
     specs = build_pool(10)
     a = extract_features(specs, SIM_OBS)
     b = extract_features(specs, dict(SIM_OBS))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 # -- DSL ----------------------------------------------------------------------
@@ -353,6 +353,24 @@ def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
     with pytest.raises(ProviderError):
         _client(tmp_path).propose({"n": 1})
     assert len(calls) == 2
+
+
+def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tmp_path, monkeypatch):
+    calls = []
+    bad = json.dumps([{"name": "high entropy", "expr": "signal"}] + json.loads(GOOD_REPLY)[1:])
+
+    def fake_urlopen(request, timeout=None):
+        calls.append(1)
+        return FakeResponse(bad if len(calls) == 1 else GOOD_REPLY)
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    summary = {"n_steps": 10}
+    first = propose_llm_features(summary, _client(tmp_path))
+    assert len(calls) == 2  # the invalid reply was retried
+    cache = json.loads((tmp_path / "cache.json").read_text())
+    assert list(cache.values()) == [json.loads(GOOD_REPLY)]
+    assert propose_llm_features(summary, _client(tmp_path)) == first
+    assert len(calls) == 2  # the rerun is answered from the cache
 
 
 def test_http_client_unreachable(tmp_path, monkeypatch):

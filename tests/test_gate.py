@@ -365,7 +365,7 @@ def _fit_on_sim(rescale=1.0, seed=0, n=400):
             "is_finish": 0.0,
         }
         obs_rows.append(obs)
-        X[i] = extract_features(specs, obs).values
+        X[i] = extract_features(specs, obs)
         y[i] = float(obs["type_proxy"] == 1.0 and rng.random() < 0.9 or rng.random() < 0.1)
     return specs, obs_rows, X, y
 
@@ -432,16 +432,34 @@ def test_fit_gate_tau_modes():
 
 def test_gate_decide_dimension_mismatch():
     model = _toy_model([1.0, 1.0])
-    bad = GateModel(
-        feature_specs=model.feature_specs[:1],
-        standardizer=model.standardizer,
-        weights=model.weights,
-        bias=0.0,
-        tau=0.5,
-        regularizer="l1",
-    )
     with pytest.raises(GateError):
-        bad.decide({"f0": 1.0})
+        GateModel(
+            feature_specs=model.feature_specs[:1],
+            standardizer=model.standardizer,
+            weights=model.weights,
+            bias=0.0,
+            tau=0.5,
+            regularizer="l1",
+        ).decide({"f0": 1.0})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: m["feature_specs"].reverse(),
+        lambda m: m["standardizer"]["means"].pop(),
+        lambda m: m["standardizer"]["sds"].append(1.0),
+        lambda m: m["standardizer"]["dropped"].append("ghost"),
+    ],
+    ids=["specs_reordered", "means_short", "sds_long", "dropped_unknown"],
+)
+def test_model_json_rejects_a_misaligned_model_at_load(tmp_path, corrupt):
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    corrupt(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GateError, match="misaligned|does not have"):
+        load_model_json(str(path))
 
 
 def test_mi_default_k_is_three():

@@ -207,8 +207,6 @@ def test_transform_monotone_rows_rank_invariant():
 def test_transform_domain_validation():
     with pytest.raises(StatsError):
         transform_suite([-0.1, 0.2, 0.3], [1, 2, 3])
-    with pytest.raises(StatsError):
-        transform_suite([0.0, 0.2, 0.3], [1, 2, 3], log_eps=0.0)
 
 
 # -- temporal and mixture -----------------------------------------------------------------

@@ -12,7 +12,6 @@ from dial.twosource import (
     SimState,
     TwoSourceEnv,
     TwoSourceParams,
-    intervene_mixture,
     sample_states,
     spawn_episode,
     step_return,
@@ -135,20 +134,6 @@ def test_reward_noise_shared_between_arms():
     state = _state("D", signal=0.7, utility=0.9, reward_noise=0.31)
     diff = step_return(params, state, True) - step_return(params, state, False)
     assert diff == pytest.approx(0.9, abs=1e-12)
-
-
-def test_intervention_shifts():
-    params = TwoSourceParams(p_i0=0.5)
-    assert intervene_mixture(params, "info_poor", 0.3).p_i0 == pytest.approx(0.8)
-    assert intervene_mixture(params, "info_rich", 0.3).p_i0 == pytest.approx(0.2)
-    assert intervene_mixture(params, "info_poor", 0.3).alpha == params.alpha
-
-
-def test_intervention_range_violation():
-    with pytest.raises(InvalidParams):
-        intervene_mixture(TwoSourceParams(p_i0=0.9), "info_poor", 0.3)
-    with pytest.raises(ValueError):
-        intervene_mixture(TwoSourceParams(), "info_medium", 0.1)
 
 
 def test_pure_type_extremes_have_exact_rank_correlation():
