@@ -359,7 +359,7 @@ def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> s
             "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
         )
     llm_specs = _proposal_specs(config, dataset, force_mock)
-    specs = build_pool(max(dataset.meta.horizon, 1), llm_specs)
+    specs = build_pool(llm_specs)
     X, y, _ = build_matrix(dataset.records, specs)
     gate_cfg = config.gate
     model = fit_gate(

@@ -51,10 +51,9 @@ class Episode(Protocol):
         """Execute a specific candidate action and advance."""
         ...
 
-    def fork(self, reseed: Optional[int] = None, lookahead: Optional[int] = None) -> "Episode":
-        """Independent copy positioned at the same state. With ``reseed``
-        the copy continues on its own noise stream (rollout substream);
-        without it the copy replays the parent's future exactly."""
+    def fork(self, reseed: int, lookahead: Optional[int] = None) -> "Episode":
+        """Independent copy positioned at the same state that continues
+        on its own ``reseed`` noise stream (rollout substream)."""
         ...
 
     def state_digest(self) -> str:

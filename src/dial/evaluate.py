@@ -176,7 +176,7 @@ def explore_and_fit(
     llm_specs = None
     if proposal_client is not None:
         llm_specs = propose_llm_features(dataset_summary(dataset), proposal_client).specs
-    specs = build_pool(max(dataset.meta.horizon, 1), llm_specs)
+    specs = build_pool(llm_specs)
     X, y, _ = build_matrix(dataset.records, specs)
     model = fit_gate(X, y, specs, seed=derive_seed(seed, "fit"))
     return model, dataset

@@ -251,8 +251,6 @@ def dataset_summary(dataset: LabeledDataset) -> Dict[str, Any]:
 
 # -- persistence -------------------------------------------------------------
 
-_CONTRACT_FIELDS = ("episode_id", "step_index", "triggered", "utility_label", "features", "signal", "env_meta")
-
 
 def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]] = None) -> str:
     """Serialize one record per line.

@@ -2,7 +2,7 @@
 
 The pool an environment's gate is fit over is the union of a small
 universal set (computed identically everywhere, missing signals default
-to zero), three derived transforms of it, and optionally five
+to zero), two derived transforms of it, and optionally five
 task-specific features proposed by an external model from an exploration
 summary. Proposals are constrained to the feature expression language
 (see dsl); the sparse fit downstream is what disposes of bad proposals.
@@ -28,7 +28,7 @@ UNIVERSAL_FEATURES: Tuple[str, ...] = (
     "is_finish",
 )
 
-DERIVED_FEATURES: Tuple[str, ...] = ("step_ratio", "entropy_sq", "step_x_entropy")
+DERIVED_FEATURES: Tuple[str, ...] = ("entropy_sq", "step_x_entropy")
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -91,19 +91,16 @@ def universal_specs() -> List[FeatureSpec]:
     return [FeatureSpec(name, "universal", f"builtin:{name}") for name in UNIVERSAL_FEATURES]
 
 
-def derived_specs(max_steps: int) -> List[FeatureSpec]:
-    if max_steps < 1:
-        raise FeatureError(f"max_steps must be >= 1, got {max_steps}")
+def derived_specs() -> List[FeatureSpec]:
     return [
-        FeatureSpec("step_ratio", "derived", f"step_count / {float(max_steps)}"),
         FeatureSpec("entropy_sq", "derived", "token_entropy * token_entropy"),
         FeatureSpec("step_x_entropy", "derived", "step_count * token_entropy"),
     ]
 
 
-def build_pool(max_steps: int, llm_specs: Optional[Sequence[FeatureSpec]] = None) -> List[FeatureSpec]:
+def build_pool(llm_specs: Optional[Sequence[FeatureSpec]] = None) -> List[FeatureSpec]:
     """Assemble the candidate pool; universal features are never dropped."""
-    pool = universal_specs() + derived_specs(max_steps)
+    pool = universal_specs() + derived_specs()
     if llm_specs:
         pool = pool + list(llm_specs)
     names = [s.name for s in pool]

@@ -229,10 +229,8 @@ def _fit_coordinate_descent(
     the objective, or after ``max_iter`` outer iterations, which is
     logged. The problem is convex, so a warm start changes the path but
     not the optimal objective value. The minimizer is unique for
-    lam2 > 0; with lam2 == 0 it need not be: duplicated columns (the
-    pool's step_count/step_ratio twin after standardization) can split
-    their weight in many ways, and separable data has no finite
-    minimizer at all.
+    lam2 > 0; with lam2 == 0 it need not be, and separable data has no
+    finite minimizer at all.
     """
     n, d = X.shape
     w = np.zeros(d) if w_init is None else w_init.astype(float).copy()

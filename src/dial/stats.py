@@ -52,19 +52,18 @@ class CellKey:
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks, ties replaced by their average rank."""
+    """1-based ranks, ties replaced by their average rank: a group of
+    `count` equal values above `below` smaller ones ranks
+    below + (count + 1) / 2."""
     x = np.asarray(values, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts
+    return (below + (counts + 1) / 2.0)[group]
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise StatsError("input contains non-finite values")
 
 
 def _pearson_core(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -91,6 +90,7 @@ def _validate_xy(x: Sequence[float], y: Sequence[float]) -> Tuple[np.ndarray, np
         raise StatsError(f"length mismatch: {x.shape} vs {y.shape}")
     if len(x) < 3:
         raise StatsError(f"need at least 3 pairs, got {len(x)}")
+    _check_finite(x, y)
     return x, y
 
 
@@ -181,6 +181,7 @@ def quantile_normalize(
     if len(values) != len(keys):
         raise StatsError("values and keys misaligned")
     values = np.asarray(values, dtype=float)
+    _check_finite(values)
     if scheme == "S1_per_cell":
         pool_of = lambda k: (k.environment, k.backbone)  # noqa: E731
     elif scheme == "S2_per_backbone":
@@ -322,6 +323,7 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     scores = np.asarray(scores, dtype=float)
     if labels.shape != scores.shape:
         raise StatsError("labels and scores misaligned")
+    _check_finite(labels, scores)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

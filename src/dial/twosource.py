@@ -173,15 +173,15 @@ class TwoSourceEpisode:
 
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
-    identical state streams. Forks snapshot the current state; a fork
-    created with ``reseed`` continues on its own noise stream, which is
-    how paired rollout arms are decoupled.
+    identical state streams. A fork snapshots the current state and
+    continues on its own ``reseed`` noise stream, which is how paired
+    rollout arms are decoupled.
     """
 
     def __init__(self, params: TwoSourceParams, seed: Optional[int] = None):
         rng = np.random.default_rng(seed)
         self.params = params
-        self._rng: Optional[np.random.Generator] = rng
+        self._rng = rng
         self._rows = _draw_states(params, rng, 0, params.horizon)
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
@@ -198,8 +198,6 @@ class TwoSourceEpisode:
         rows = self._rows
         if i >= len(rows):
             # Lazily extend a fork stepped past its pre-drawn lookahead.
-            if self._rng is None:
-                raise EnvFault("fork exhausted its pre-drawn states")
             more = _draw_states(self.params, self._rng, self._first + len(rows), i - len(rows) + 1)
             rows = self._rows = rows + more
         return rows[i]
@@ -220,17 +218,13 @@ class TwoSourceEpisode:
     def apply_action(self, action: int) -> float:
         return self.step(triggered=action != 0)
 
-    def fork(self, reseed: Optional[int] = None, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
+    def fork(self, reseed: int, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
         if self.done():
             raise EnvFault("cannot fork a finished episode")
         snapshot = self._current()  # materialize the snapshot step
         fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
         fork.params = self.params
         fork._cursor = self._cursor
-        if reseed is None:
-            # Exact replay: share the immutable pre-drawn rows; never draws.
-            fork._rng, fork._rows, fork._first = None, self._rows, self._first
-            return fork
         remaining = self.params.horizon - self._cursor - 1
         ahead = remaining if lookahead is None else min(lookahead, remaining)
         # Keep only the snapshot row; the future comes from the fork's stream.

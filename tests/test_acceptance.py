@@ -25,7 +25,7 @@ from dial.evaluate import (
     wrong_direction_experiment,
 )
 from dial.explore import run_exploration
-from dial.features import MockProposalClient, build_matrix, build_pool
+from dial.features import MockProposalClient
 from dial.gate import fit_sparse_logistic, objective
 from dial.rng import derive_seed
 from dial.stats import (
@@ -345,9 +345,9 @@ def test_c11_statistics_oracles():
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
     "dataset-52275013.jsonl": "a2e93809c51ccd69dc411189ce2f7090f48d725373d7b9546ff86bb9f610e488",
-    "eval-52275013.json": "f7ef9d49a96d81eada5ccff3076b2f610fe00aec56f196a4987118af2e3c1255",
+    "eval-52275013.json": "fa67bd6a2f16a03931bfdad8b4bc04d54a63d7a443a22e803d66618f4a1c3cb1",
     "eval_summary-52275013.csv": "ea4128b7f2d10febd747d98367f3e6ff92b018fb8ef0df057cfafb700f7ff14c",
-    "model-52275013.json": "7408c3b9468e1b46e4e041dc4898c9593c35d7bebc426b8996f397126b4c0202",
+    "model-52275013.json": "62ea82a961e722a4fd2e058bf65fca8c27178a8808557b297cd4ab9ff4ad7e62",
     "stats-52275013.json": "c9c122cdecbbe4243797cb11cb12a2524dff68d5d9835b16320df02866deec6a",
     "stats_cells-52275013.csv": "225c7eb6f5911c4082f4b940863d998122aa01ee9b1835738f1997339553bcb0",
     "trigger_profile-52275013.csv": "510d31b2884c1b955d2cf1b4cd0abe78e3554a0f0a8dea3ef1ed75d66423a211",

@@ -15,7 +15,7 @@ from dial.evaluate import (
     wrong_direction_experiment,
 )
 from dial.envs import EnvFault
-from dial.gate import GateModel, Standardizer, reverse_direction
+from dial.gate import GateModel, Standardizer
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
 

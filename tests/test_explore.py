@@ -46,7 +46,7 @@ class ScriptedEpisode:
     def step(self, triggered):
         return self.apply_action(1 if triggered else 0)
 
-    def fork(self, reseed=None, lookahead=None):
+    def fork(self, reseed, lookahead=None):
         clone = ScriptedEpisode(self.values, self.horizon)
         clone.t = self.t
         return clone

@@ -18,7 +18,6 @@ from dial.features import (
     ProviderError,
     UNIVERSAL_FEATURES,
     build_pool,
-    derived_specs,
     extract_features,
     extract_universal,
     propose_llm_features,
@@ -52,31 +51,25 @@ def test_universal_prefers_exact_names_over_aliases():
 
 
 def _pool_values(obs):
-    return extract_features(build_pool(10), obs)
+    pool = build_pool()
+    return dict(zip((s.name for s in pool), extract_features(pool, obs).tolist()))
 
 
 def test_derived_formulas():
     vec = _pool_values({"step_count": 5.0, "signal": 0.5})
-    assert tuple(s.name for s in build_pool(10))[5:] == ("step_ratio", "entropy_sq", "step_x_entropy")
-    assert vec[5:].tolist() == [0.5, 0.25, 2.5]
+    assert tuple(s.name for s in build_pool())[5:] == ("entropy_sq", "step_x_entropy")
+    assert vec["entropy_sq"] == 0.25 and vec["step_x_entropy"] == 2.5
 
 
 def test_derived_zero_cases():
     zero_sigma = _pool_values({"step_count": 5.0, "signal": 0.0})
-    assert zero_sigma[-2:].tolist() == [0.0, 0.0]
+    assert zero_sigma["entropy_sq"] == 0.0 and zero_sigma["step_x_entropy"] == 0.0
     zero_step = _pool_values({"step_count": 0.0, "signal": 0.3})
-    assert zero_step[-3] == 0.0 and zero_step[-1] == 0.0
-
-
-def test_derived_rejects_zero_max_steps():
-    with pytest.raises(FeatureError):
-        build_pool(0)
-    with pytest.raises(FeatureError):
-        derived_specs(0)
+    assert zero_step["step_x_entropy"] == 0.0
 
 
 def test_extraction_is_pure():
-    specs = build_pool(10)
+    specs = build_pool()
     a = extract_features(specs, SIM_OBS)
     b = extract_features(specs, dict(SIM_OBS))
     assert np.array_equal(a, b)
@@ -220,19 +213,19 @@ def test_dsl_deterministic():
 
 def test_pool_merges_with_unique_names():
     proposal = propose_llm_features({"any": "summary"}, MockProposalClient())
-    pool = build_pool(10, proposal.specs)
-    assert len(pool) == len(UNIVERSAL_FEATURES) + 3 + 5
+    pool = build_pool(proposal.specs)
+    assert len(pool) == len(UNIVERSAL_FEATURES) + 2 + 5
     names = [s.name for s in pool]
     assert len(set(names)) == len(names)
     assert list(names[:5]) == list(UNIVERSAL_FEATURES)
 
 
 def test_pool_rejects_duplicate_names():
-    dupe = (FeatureSpec("step_ratio", "llm", "signal + 1"),) + tuple(
+    dupe = (FeatureSpec("entropy_sq", "llm", "signal + 1"),) + tuple(
         FeatureSpec(f"f{i}", "llm", "signal") for i in range(4)
     )
     with pytest.raises(FeatureError):
-        build_pool(10, dupe)
+        build_pool(dupe)
 
 
 def test_mock_provider_is_deterministic():

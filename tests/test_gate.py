@@ -351,7 +351,7 @@ def test_weight_diagnostic_signs():
 
 def _fit_on_sim(rescale=1.0, seed=0, n=400):
     rng = np.random.default_rng(seed)
-    specs = build_pool(10)
+    specs = build_pool()
     names = [s.name for s in specs]
     obs_rows = []
     X = np.empty((n, len(names)))

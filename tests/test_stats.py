@@ -37,6 +37,35 @@ def test_average_ranks_with_ties():
     assert average_ranks([7, 7, 7]).tolist() == [2.0, 2.0, 2.0]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_average_ranks_match_mean_sorted_position(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-0.0, 0.0, -1.5, 1.0, 2.25, 3.0], size=int(rng.integers(1, 30)))
+    positions = np.arange(1, len(x) + 1)
+    sorted_x = np.sort(x)
+    expected = [positions[sorted_x == v].mean() for v in x]
+    assert average_ranks(x).tolist() == expected
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spearman([0, NAN, 1, 2], [1, 2, 3, 4]),
+        lambda: pearson([0, NAN, 1, 2], [1, 2, 3, 4]),
+        lambda: spearman([0, 1, 2, 3], [1, 2, INF, 4]),
+        lambda: auc([0, 1, 0, 1], [0.1, NAN, 0.2, 0.3]),
+        lambda: quantile_normalize([0.1, NAN, 0.3], [CellKey("env", "cfg")] * 3),
+    ],
+    ids=["spearman_nan", "pearson_nan", "spearman_inf", "auc_nan", "quantile_nan"],
+)
+def test_non_finite_input_raises(call):
+    with pytest.raises(StatsError, match="non-finite"):
+        call()
+
+
 # -- spearman / pearson ----------------------------------------------------------
 
 

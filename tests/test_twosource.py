@@ -174,16 +174,6 @@ def test_episode_return_is_sum_of_step_returns_and_reproducible():
     assert totals[0] == totals[1]  # bit-identical
 
 
-def test_fork_without_reseed_replays_parent():
-    ep = spawn_episode(TwoSourceParams(noise_sd=0.3), seed=8)
-    ep.step(False)
-    fork = ep.fork()
-    assert fork.state_digest() == ep.state_digest()
-    while not fork.done():
-        assert fork.observe() == ep.observe()
-        assert fork.step(False) == ep.step(False)
-
-
 def test_fork_reseed_shares_snapshot_but_diverges_later():
     ep = spawn_episode(TwoSourceParams(noise_sd=0.3), seed=9)
     ep.step(False)
@@ -203,6 +193,19 @@ def test_fork_rollouts_do_not_mutate_parent():
     while not fork.done():
         fork.step(False)
     assert ep.state_digest() == before
+
+
+def test_fork_of_a_fork_steps_to_the_end():
+    ep = spawn_episode(TwoSourceParams(), seed=5)
+    ep.step(False)
+    fork = ep.fork(reseed=9, lookahead=1)
+    inner = fork.fork(reseed=3)
+    assert inner.state_digest() == fork.state_digest() == ep.state_digest()
+    steps = 0
+    while not inner.done():
+        inner.step(False)
+        steps += 1
+    assert steps == ep.params.horizon - 1
 
 
 def test_stepping_past_horizon_raises():
