@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -51,9 +51,6 @@ from .rng import derive_seed
 from .stats import (
     REPORT_COLUMNS,
     CellKey,
-    CorrReport,
-    MixturePrediction,
-    SimpsonReport,
     StatsError,
     pearson,
     predicted_rho,
@@ -182,8 +179,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
     expl = merged["exploration"]
     if not 0.0 <= float(expl["eps"]) <= 1.0:
         raise ConfigError(f"exploration.eps: must lie in [0, 1], got {expl['eps']}")
-    if int(expl["n_episodes"]) < 1:
-        raise ConfigError("exploration.n_episodes: must be >= 1")
+    for key in ("n_episodes", "n_rollouts", "horizon_h"):
+        if int(expl[key]) < 1:
+            raise ConfigError(f"exploration.{key}: must be >= 1")
     if int(expl["k_candidates"]) < 2:
         raise ConfigError("exploration.k_candidates: must be >= 2")
     gate_cfg = merged["gate"]
@@ -273,7 +271,7 @@ def _json_default(value: Any) -> Any:
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (CorrReport, SimpsonReport, MixturePrediction)):
+    if is_dataclass(value):
         return asdict(value)
     raise TypeError(f"not JSON serializable: {type(value)}")
 

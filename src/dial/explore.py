@@ -98,6 +98,8 @@ def estimate_utility_paired(
         raise ValueError("paired estimation needs the base action plus at least one alternative")
     if horizon_h < 1:
         raise ValueError("rollout horizon must be >= 1")
+    if n_rollouts < 1:
+        raise ValueError("paired estimation needs at least one rollout per candidate")
     if not callable(getattr(episode, "fork", None)):
         raise CapabilityError("environment does not support forking; paired estimation unavailable")
 

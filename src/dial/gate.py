@@ -523,7 +523,7 @@ def _cv_tau(X: np.ndarray, y: np.ndarray, c: float, reg: str, folds: int, seed: 
             accuracy[tau].append(float(((p > tau) == (y[~train] == 1.0)).mean()))
     usable = {t: np.mean(v) for t, v in accuracy.items() if v}
     if not usable:
-        return DEFAULT_TAU
+        raise GateError("every fold was skipped (single-class training splits); tau cannot be cross-validated")
     best_acc = max(usable.values())
     candidates = sorted([t for t, a in usable.items() if a == best_acc], key=lambda t: (abs(t - 0.5), t))
     return float(candidates[0])

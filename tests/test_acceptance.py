@@ -348,8 +348,8 @@ C12_GOLDEN_SHA256 = {
     "eval-52275013.json": "fa67bd6a2f16a03931bfdad8b4bc04d54a63d7a443a22e803d66618f4a1c3cb1",
     "eval_summary-52275013.csv": "ea4128b7f2d10febd747d98367f3e6ff92b018fb8ef0df057cfafb700f7ff14c",
     "model-52275013.json": "62ea82a961e722a4fd2e058bf65fca8c27178a8808557b297cd4ab9ff4ad7e62",
-    "stats-52275013.json": "c9c122cdecbbe4243797cb11cb12a2524dff68d5d9835b16320df02866deec6a",
-    "stats_cells-52275013.csv": "225c7eb6f5911c4082f4b940863d998122aa01ee9b1835738f1997339553bcb0",
+    "stats-52275013.json": "a7b2abd1914cbf3373958baf00d988f5d6d04ce1e05c02e86124ae3f217bc12c",
+    "stats_cells-52275013.csv": "99746ddaa7e3c220cbacce73a1f5ef65130004ec1e2d631a9f52b61760628d52",
     "trigger_profile-52275013.csv": "510d31b2884c1b955d2cf1b4cd0abe78e3554a0f0a8dea3ef1ed75d66423a211",
     "verify-52275013.json": "0a87f5982af1b70d7fa225c0559a963fb797907b358bc3f36cb62042e8a21e4a",
     "verify_eq2_sweep-52275013.csv": "1c9d081f425b424aed2be93bd8d07433a502735fa5004e48a71304b6d9edcea6",

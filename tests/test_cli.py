@@ -69,6 +69,14 @@ def test_env_params_validated_before_work(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("key", ["n_rollouts", "horizon_h"])
+def test_rollout_sizes_validated_before_work(tmp_path, key):
+    config_path = write_config(tmp_path / "config.json", exploration={key: 0})
+    with pytest.raises(ConfigError, match=f"exploration.{key}"):
+        main(["explore", "--config", config_path])
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_bad_policy_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"eval": {"policies": ["sometimes"]}}))
@@ -341,11 +349,12 @@ def test_llm_mock_is_only_an_option_of_fit_and_sweep(argv, capsys):
     assert "unrecognized arguments: --llm-mock" in capsys.readouterr().err
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_requests():
+def test_cli_import_loads_neither_scipy_nor_requests():
     import dial
 
     src = os.path.dirname(os.path.dirname(dial.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dial.cli; print([m for m in ('scipy.stats', 'requests') if m in sys.modules])"
+    code = ("import sys, dial.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -78,6 +78,8 @@ def test_paired_label_requires_base_plus_alternative():
         estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 1, 3, 2, seed=0)
     with pytest.raises(ValueError):
         estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 2, 3, 0, seed=0)
+    with pytest.raises(ValueError, match="at least one rollout"):
+        estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 2, 0, 2, seed=0)
 
 
 def test_fork_capability_error():

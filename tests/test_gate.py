@@ -430,6 +430,13 @@ def test_fit_gate_tau_modes():
         fit_gate(X, y, specs, tau=1.5, seed=9)
 
 
+def test_cv_tau_raises_when_every_fold_is_skipped():
+    specs, _, X, y = _fit_on_sim(seed=8)
+    rows = [int(np.flatnonzero(y == 0)[0]), int(np.flatnonzero(y == 1)[0])]
+    with pytest.raises(GateError, match="every fold was skipped"):
+        fit_gate(X[rows], y[rows], specs, regularizer="none", tau="cv", seed=0)
+
+
 def test_gate_decide_dimension_mismatch():
     model = _toy_model([1.0, 1.0])
     with pytest.raises(GateError):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from scipy import special as spsp
 from scipy import stats as sps
 
 from dial.cli import write_report_csv
@@ -14,6 +16,7 @@ from dial.stats import (
     REPORT_COLUMNS,
     CellKey,
     StatsError,
+    _t_approx_p,
     auc,
     average_ranks,
     bootstrap_ci,
@@ -89,6 +92,28 @@ def test_spearman_matches_scipy_on_random_data():
         ref_rho, ref_p = sps.spearmanr(x, y)
         assert ours.rho == pytest.approx(ref_rho, abs=1e-12)
         assert ours.p_value == pytest.approx(ref_p, abs=1e-9)
+
+
+TAIL_RHOS = np.geomspace(1e-12, 1 - 1e-7, 60)
+
+
+@pytest.mark.parametrize("n", list(range(3, 203)) + [1_002, 20_002, 1_000_002])
+def test_t_tail_matches_scipy(n):
+    for rho in np.concatenate([TAIL_RHOS, -TAIL_RHOS]):
+        t = rho * math.sqrt((n - 2) / (1 - rho * rho))
+        ref = 2.0 * spsp.stdtr(n - 2, -abs(t))
+        if ref < 1e-300:  # scipy underflows here
+            assert _t_approx_p(rho, n) < 1e-280
+        else:
+            assert _t_approx_p(rho, n) == pytest.approx(ref, rel=1e-8)
+    assert _t_approx_p(0.0, n) == 1.0
+    assert _t_approx_p(1.0, n) == 0.0 and _t_approx_p(-1.0, n) == 0.0
+
+
+def test_t_tail_raises_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr("dial.stats.BETAINC_MAX_ITER", 2)
+    with pytest.raises(StatsError, match="did not converge in 2 steps"):
+        _t_approx_p(0.5, 50)
 
 
 def test_spearman_validates_input():
