@@ -25,7 +25,18 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .explore import LabeledDataset, dataset_summary, dataset_to_jsonl, load_dataset_jsonl, run_exploration
+from .explore import (
+    DEFAULT_EPS_EXPLORE,
+    DEFAULT_K_CANDIDATES,
+    DEFAULT_N_EXPLORE,
+    DEFAULT_N_ROLLOUTS,
+    DEFAULT_ROLLOUT_HORIZON,
+    LabeledDataset,
+    dataset_summary,
+    dataset_to_jsonl,
+    load_dataset_jsonl,
+    run_exploration,
+)
 from .features import (
     HttpProposalClient,
     MockProposalClient,
@@ -84,6 +95,7 @@ class ConfigError(ValueError):
 class RunConfig:
     raw: Dict[str, Any]
     env_params: TwoSourceParams
+    eval_params: TwoSourceParams  # env_params with the eval trigger-cost override
     seed: int
     output_dir: str
 
@@ -112,7 +124,13 @@ class RunConfig:
 
 _DEFAULT_CONFIG: Dict[str, Any] = {
     "environment": {"type": "twosource"},
-    "exploration": {"eps": 0.5, "n_episodes": 50, "k_candidates": 5, "n_rollouts": 5, "horizon_h": 3},
+    "exploration": {
+        "eps": DEFAULT_EPS_EXPLORE,
+        "n_episodes": DEFAULT_N_EXPLORE,
+        "k_candidates": DEFAULT_K_CANDIDATES,
+        "n_rollouts": DEFAULT_N_ROLLOUTS,
+        "horizon_h": DEFAULT_ROLLOUT_HORIZON,
+    },
     "gate": {
         "regularizer": "l1",
         "c_grid": list(DEFAULT_C_GRID),
@@ -176,15 +194,29 @@ def load_config(path: str, seed_override: Optional[int] = None,
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"environment: {exc}") from exc
 
-    expl = merged["exploration"]
-    if not 0.0 <= float(expl["eps"]) <= 1.0:
-        raise ConfigError(f"exploration.eps: must lie in [0, 1], got {expl['eps']}")
-    for key in ("n_episodes", "n_rollouts", "horizon_h"):
-        if int(expl[key]) < 1:
-            raise ConfigError(f"exploration.{key}: must be >= 1")
-    if int(expl["k_candidates"]) < 2:
-        raise ConfigError("exploration.k_candidates: must be >= 2")
+    override = merged["eval"]["trigger_cost_units"]
+    try:
+        eval_params = env_params if override is None else replace(env_params, trigger_cost_units=float(override))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eval.trigger_cost_units: {exc}") from exc
+
+    if not 0.0 <= float(merged["exploration"]["eps"]) <= 1.0:
+        raise ConfigError(f"exploration.eps: must lie in [0, 1], got {merged['exploration']['eps']}")
+    for section, key, low in (
+        ("exploration", "n_episodes", 1),
+        ("exploration", "k_candidates", 2),
+        ("exploration", "n_rollouts", 1),
+        ("exploration", "horizon_h", 1),
+        ("gate", "folds", 2),
+        ("gate", "mi_k", 1),
+        ("gate", "mi_bins", 2),
+        ("eval", "n_episodes", 1),
+    ):
+        if int(merged[section][key]) < low:
+            raise ConfigError(f"{section}.{key}: must be >= {low}")
     gate_cfg = merged["gate"]
+    if not gate_cfg["c_grid"] or not all(float(c) > 0 for c in gate_cfg["c_grid"]):
+        raise ConfigError(f"gate.c_grid: must be a non-empty list of positive values, got {gate_cfg['c_grid']!r}")
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     if gate_cfg["tau"] != "cv" and not 0.0 < float(gate_cfg["tau"]) < 1.0:
@@ -193,12 +225,11 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
     for spec in merged["eval"]["policies"]:
         _parse_policy(spec, model=None, allow_unfitted=True)
-    if int(merged["eval"]["n_episodes"]) < 1:
-        raise ConfigError("eval.n_episodes: must be >= 1")
 
     return RunConfig(
         raw=merged,
         env_params=env_params,
+        eval_params=eval_params,
         seed=merged["seed"],
         output_dir=merged["output_dir"],
     )
@@ -351,7 +382,7 @@ def _proposal_specs(config: RunConfig, dataset: LabeledDataset, force_mock: bool
 
 def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> str:
     dataset = load_dataset_jsonl(dataset_path)
-    _check_input_digest("dataset", dataset.meta.extra.get("config_digest"), config)
+    _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
     if not dataset.labeled():
         raise ConfigError(
             "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
@@ -381,18 +412,10 @@ def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> s
     return path
 
 
-def _eval_env(config: RunConfig) -> TwoSourceEnv:
-    params = config.env_params
-    override = config.eval.get("trigger_cost_units")
-    if override is not None:
-        params = replace(params, trigger_cost_units=float(override))
-    return TwoSourceEnv(params)
-
-
 def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
     model = load_model_json(model_path)
     _check_input_digest("model", model.meta.get("config_digest"), config)
-    env = _eval_env(config)
+    env = TwoSourceEnv(config.eval_params)
     n_episodes = int(config.eval["n_episodes"])
     eval_seed = derive_seed(config.seed, "eval")
 
@@ -440,7 +463,7 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
 
 def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     dataset = load_dataset_jsonl(dataset_path)
-    _check_input_digest("dataset", dataset.meta.extra.get("config_digest"), config)
+    _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
     labeled = dataset.labeled()
     if len(labeled) < 6:
         raise ConfigError("dataset has too few labeled rows for correlation reports")

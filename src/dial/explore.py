@@ -12,7 +12,7 @@ whole-trajectory statistics stay computable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -52,24 +52,12 @@ class StepRecord:
 
 
 @dataclass
-class DatasetMeta:
-    env_id: str
-    seed: int
-    eps_explore: float
-    n_explore: int
-    horizon: int
-    k_candidates: int = DEFAULT_K_CANDIDATES
-    n_rollouts: int = DEFAULT_N_ROLLOUTS
-    rollout_horizon: int = DEFAULT_ROLLOUT_HORIZON
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class LabeledDataset:
-    """Ordered step records plus collection provenance."""
+    """Ordered step records plus the dataset header: the collection
+    settings and any provenance, written as ``env_meta`` on every line."""
 
     records: List[StepRecord]
-    meta: DatasetMeta
+    meta: Dict[str, Any]
 
     def labeled(self) -> List[StepRecord]:
         return [r for r in self.records if r.utility_label is not None]
@@ -152,7 +140,7 @@ def run_exploration(
         while not episode.done():
             try:
                 obs = episode.observe()
-                debug = episode.debug_state() if hasattr(episode, "debug_state") else None
+                debug = episode.debug_state()
                 triggered = bool(trigger_rng.random() < eps)
                 label: Optional[int] = None
                 if triggered:
@@ -183,16 +171,16 @@ def run_exploration(
             step_idx += 1
         horizon_seen = max(horizon_seen, step_idx)
 
-    meta = DatasetMeta(
-        env_id=getattr(env, "env_id", "unknown"),
-        seed=seed,
-        eps_explore=eps,
-        n_explore=n_episodes,
-        horizon=horizon_seen,
-        k_candidates=k_candidates,
-        n_rollouts=n_rollouts,
-        rollout_horizon=horizon_h,
-    )
+    meta = {
+        "env": getattr(env, "env_id", "unknown"),
+        "seed": seed,
+        "eps_explore": eps,
+        "n_explore": n_episodes,
+        "horizon": horizon_seen,
+        "k_candidates": k_candidates,
+        "n_rollouts": n_rollouts,
+        "rollout_horizon": horizon_h,
+    }
     return LabeledDataset(records=records, meta=meta)
 
 
@@ -239,7 +227,7 @@ def dataset_summary(dataset: LabeledDataset) -> Dict[str, Any]:
         ]
 
     return {
-        "env_id": dataset.meta.env_id,
+        "env_id": dataset.meta["env"],
         "n_episodes": len({r.episode_id for r in records}),
         "n_steps": n_steps,
         "n_labeled": n_labeled,
@@ -257,36 +245,20 @@ def dataset_summary(dataset: LabeledDataset) -> Dict[str, Any]:
 def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]] = None) -> str:
     """Serialize one record per line.
 
-    Contract fields: episode_id, step_index, triggered, utility_label
-    (null when absent), features (name->value map), signal, env_meta.
-    The raw observation and simulator debug fields ride along so feature
-    pools can be recomputed from the file.
+    A line holds the StepRecord fields (utility_label null when absent,
+    obs as floats), the universal ``features`` (name->value map) and
+    ``env_meta``: the dataset header merged with ``env_meta``. The raw
+    observation and simulator debug fields ride along so feature pools
+    can be recomputed from the file.
     """
-    shared_meta = {
-        "env": dataset.meta.env_id,
-        "seed": dataset.meta.seed,
-        "eps_explore": dataset.meta.eps_explore,
-        "n_explore": dataset.meta.n_explore,
-        "horizon": dataset.meta.horizon,
-        "k_candidates": dataset.meta.k_candidates,
-        "n_rollouts": dataset.meta.n_rollouts,
-        "rollout_horizon": dataset.meta.rollout_horizon,
-    }
-    shared_meta.update(dataset.meta.extra)
-    shared_meta.update(env_meta or {})
+    shared_meta = {**dataset.meta, **(env_meta or {})}
     lines = []
     for r in dataset.records:
         row = {
-            "episode_id": r.episode_id,
-            "step_index": r.step_index,
-            "triggered": r.triggered,
-            "utility_label": r.utility_label,
-            "features": extract_universal(r.obs),
-            "signal": r.signal,
-            "env_meta": shared_meta,
+            **vars(r),
             "obs": {k: float(v) for k, v in r.obs.items()},
-            "latent_type_debug": r.latent_type_debug,
-            "true_utility_debug": r.true_utility_debug,
+            "features": extract_universal(r.obs),
+            "env_meta": shared_meta,
         }
         lines.append(json.dumps(row, sort_keys=True, allow_nan=False))  # NaN is not JSON
     return "\n".join(lines) + "\n"
@@ -296,6 +268,7 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}
     first_line = 0
+    names = [f.name for f in fields(StepRecord)]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -306,30 +279,8 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
                 shared_meta, first_line = row["env_meta"], lineno
             elif row["env_meta"] != shared_meta:
                 raise ValueError(f"{path}: line {lineno}: env_meta differs from line {first_line}")
-            records.append(
-                StepRecord(
-                    episode_id=row["episode_id"],
-                    step_index=row["step_index"],
-                    obs=row.get("obs", row["features"]),
-                    triggered=row["triggered"],
-                    utility_label=row["utility_label"],
-                    signal=row["signal"],
-                    latent_type_debug=row.get("latent_type_debug"),
-                    true_utility_debug=row.get("true_utility_debug"),
-                )
-            )
+            # A field StepRecord gives a default (the debug fields) may be absent.
+            records.append(StepRecord(**{k: row[k] for k in names if k in row}))
     if not records:
         raise ValueError(f"dataset file {path} holds no records")
-    known = {"env", "seed", "eps_explore", "n_explore", "horizon", "k_candidates", "n_rollouts", "rollout_horizon"}
-    meta = DatasetMeta(
-        env_id=shared_meta.get("env", "unknown"),
-        seed=shared_meta.get("seed", 0),
-        eps_explore=shared_meta.get("eps_explore", DEFAULT_EPS_EXPLORE),
-        n_explore=shared_meta.get("n_explore", 0),
-        horizon=shared_meta.get("horizon", 0),
-        k_candidates=shared_meta.get("k_candidates", DEFAULT_K_CANDIDATES),
-        n_rollouts=shared_meta.get("n_rollouts", DEFAULT_N_ROLLOUTS),
-        rollout_horizon=shared_meta.get("rollout_horizon", DEFAULT_ROLLOUT_HORIZON),
-        extra={k: v for k, v in shared_meta.items() if k not in known},
-    )
-    return LabeledDataset(records=records, meta=meta)
+    return LabeledDataset(records=records, meta=shared_meta)

@@ -69,6 +69,8 @@ class FeatureSpec:
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
         builtin = self.extractor.startswith("builtin:")
+        if builtin and self.extractor[len("builtin:") :] not in UNIVERSAL_FEATURES:
+            raise FeatureError(f"unknown builtin feature {self.extractor!r}")
         object.__setattr__(self, "compiled", None if builtin else parse_expr(self.extractor))
 
 

@@ -48,6 +48,12 @@ SOLVER_MAX_ITER = 10_000
 REGULARIZERS = ("l1", "l2", "none", "elastic_net", "mi_topk")
 
 _ELASTIC_MIX = 0.5  # fixed l1/l2 mixing for elastic_net
+_PENALTY_SHARES = {
+    "l1": (1.0, 0.0),
+    "l2": (0.0, 1.0),
+    "elastic_net": (_ELASTIC_MIX, 1 - _ELASTIC_MIX),
+    "none": (0.0, 0.0),
+}
 
 
 class SingleClassError(ValueError):
@@ -73,19 +79,23 @@ def bce_sum(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.logaddexp(0.0, z).sum() - y @ z)
 
 
-def penalty_value(w: np.ndarray, c: float, reg: str) -> float:
+def _penalty_weights(c: float, reg: str) -> Tuple[float, float]:
+    """(lam1, lam2) of the penalty for C and a regularizer the solver
+    fits: the shares of 1/C on |w|_1 and on 0.5*|w|^2."""
+    if reg not in _PENALTY_SHARES:
+        raise GateError(f"unknown regularizer {reg!r} for the solver")
+    l1_share, l2_share = _PENALTY_SHARES[reg]
     lam = 1.0 / c
-    if reg == "l1":
-        return lam * float(np.abs(w).sum())
-    if reg == "l2":
-        return lam * 0.5 * float(w @ w)
-    if reg == "elastic_net":
-        return lam * (_ELASTIC_MIX * float(np.abs(w).sum()) + 0.5 * (1 - _ELASTIC_MIX) * float(w @ w))
-    return 0.0
+    return l1_share * lam, l2_share * lam
+
+
+def _penalty(w: np.ndarray, lam1: float, lam2: float) -> float:
+    """lam1*|w|_1 + 0.5*lam2*|w|^2 (the bias is never penalized)."""
+    return lam1 * float(np.abs(w).sum()) + 0.5 * lam2 * float(w @ w)
 
 
 def objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float, reg: str) -> float:
-    return bce_sum(X @ w + b, y) + penalty_value(w, c, reg)
+    return bce_sum(X @ w + b, y) + _penalty(w, *_penalty_weights(c, reg))
 
 
 # -- standardization ---------------------------------------------------------
@@ -236,11 +246,7 @@ def _fit_coordinate_descent(
     w = np.zeros(d) if w_init is None else w_init.astype(float).copy()
     b = float(b_init)
     z = X @ w + b
-
-    def penalty(wv: np.ndarray) -> float:
-        return lam1 * float(np.abs(wv).sum()) + 0.5 * lam2 * float(wv @ wv)
-
-    obj = bce_sum(z, y) + penalty(w)
+    obj = bce_sum(z, y) + _penalty(w, lam1, lam2)
     max_delta = math.nan
     for _ in range(max_iter):
         p = _sigmoid(z)
@@ -256,7 +262,7 @@ def _fit_coordinate_descent(
         for _ in range(50):  # halve until the penalized objective strictly decreases
             w_try = w + step * dir_w
             z_try = z + step * dir_z
-            obj_try = bce_sum(z_try, y) + penalty(w_try)
+            obj_try = bce_sum(z_try, y) + _penalty(w_try, lam1, lam2)
             if obj_try < obj - 1e-12 * (1.0 + abs(obj)):
                 accepted = True
                 break
@@ -298,16 +304,8 @@ def fit_sparse_logistic(
         raise GateError("matrix and labels misaligned")
     if c <= 0:
         raise GateError(f"C must be positive, got {c}")
-    if reg not in ("l1", "l2", "none", "elastic_net"):
-        raise GateError(f"unknown regularizer {reg!r} for the solver")
+    lam1, lam2 = _penalty_weights(c, reg)
     _check_two_classes(y)
-    lam = 1.0 / c
-    lam1, lam2 = {
-        "l1": (lam, 0.0),
-        "l2": (0.0, lam),
-        "elastic_net": (_ELASTIC_MIX * lam, (1 - _ELASTIC_MIX) * lam),
-        "none": (0.0, 0.0),
-    }[reg]
     w0, b0 = (None, 0.0) if warm_start is None else warm_start
     return _fit_coordinate_descent(
         X, y, lam1=lam1, lam2=lam2, max_iter=max_iter, w_init=w0, b_init=b0

@@ -21,13 +21,15 @@ Conventions (fixed for reproducibility):
     (1 + fidelity_q) / 2.
   - num_options is an auxiliary decision-space count drawn independently
     of the latent type (a decoy feature the gate should learn to drop).
+  - one function derives every state, for episodes, forks and
+    ``sample_states`` alike, so a seed gives one state sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,61 +109,45 @@ def step_return(params: TwoSourceParams, state: SimState, triggered: bool) -> fl
     return reward
 
 
-def _draws(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raw draws for `n` consecutive states: the one place that fixes the
-    draw order, so identical seeds give identical sequences.
-
-    Order: signal uniforms, type uniforms, latent-noise normals,
-    reward-noise normals, proxy-flip uniforms, num_options. Each pair of
-    like draws is one call of length 2n, which for PCG64 gives the same
-    values as two calls of length n. Returns (uniforms[2n], normals[2n],
-    flip uniforms[n], num_options[n]).
-    """
-    return (
-        rng.random(2 * n),
-        rng.standard_normal(2 * n),
-        rng.random(n),
-        rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, n),
-    )
-
-
 def _draw_states(
     params: TwoSourceParams,
     rng: np.random.Generator,
-    start: int,
-    count: int,
+    steps: Sequence[int],
 ) -> Tuple[SimState, ...]:
-    """Draw `count` consecutive states starting at step index `start`.
+    """Draw one state per step index in ``steps``: the one place a state
+    is derived, so identical seeds give identical sequences everywhere.
 
-    Rows are derived in plain Python floats: an episode holds at most
-    `horizon` rows, and on arrays that short each numpy call costs more
-    than the draws themselves. `sample_states` derives the same values
-    with numpy.
+    Draw order for n states: signal and type uniforms (one call of
+    length 2n), latent and reward noise normals (one call of length
+    2n), proxy-flip uniforms, num_options. Rows are plain Python floats:
+    an episode or fork holds at most ``horizon`` rows, and on arrays that
+    short each numpy call costs more than the draws themselves.
     """
-    if count <= 0:
+    n = len(steps)
+    if n == 0:
         return ()
-    uniforms, normals, flips, num_options = _draws(rng, count)
-    u = uniforms.tolist()
-    z = normals.tolist()
+    u = rng.random(2 * n).tolist()
+    z = rng.standard_normal(2 * n).tolist()
+    flips = rng.random(n).tolist()
+    num_options = rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, n).tolist()
     sd = params.noise_sd
     flip_p = (1.0 - params.fidelity_q) / 2.0
     last = params.horizon - 1
     states = []
-    for i, (flip_u, options) in enumerate(zip(flips.tolist(), num_options.tolist())):
-        t = start + i
+    for i, t in enumerate(steps):
         signal = u[i]
-        is_type_i = u[count + i] < params.p_i(t)
+        is_type_i = u[n + i] < params.p_i(t)
         utility = (-params.alpha if is_type_i else params.beta) * signal + z[i] * sd
-        proxy = is_type_i if flip_u < flip_p else not is_type_i
+        proxy = is_type_i if flips[i] < flip_p else not is_type_i
         states.append(
             SimState(
                 t,
                 TYPE_I if is_type_i else TYPE_D,
                 signal,
                 int(proxy),
-                options,
+                num_options[i],
                 utility,
-                z[count + i] * sd,
+                z[n + i] * sd,
                 t == last,
             )
         )
@@ -182,7 +168,7 @@ class TwoSourceEpisode:
         rng = np.random.default_rng(seed)
         self.params = params
         self._rng = rng
-        self._rows = _draw_states(params, rng, 0, params.horizon)
+        self._rows = _draw_states(params, rng, range(params.horizon))
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
 
@@ -198,7 +184,7 @@ class TwoSourceEpisode:
         rows = self._rows
         if i >= len(rows):
             # Lazily extend a fork stepped past its pre-drawn lookahead.
-            more = _draw_states(self.params, self._rng, self._first + len(rows), i - len(rows) + 1)
+            more = _draw_states(self.params, self._rng, range(self._first + len(rows), self._cursor + 1))
             rows = self._rows = rows + more
         return rows[i]
 
@@ -225,11 +211,12 @@ class TwoSourceEpisode:
         fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
         fork.params = self.params
         fork._cursor = self._cursor
-        remaining = self.params.horizon - self._cursor - 1
-        ahead = remaining if lookahead is None else min(lookahead, remaining)
+        start, end = self._cursor + 1, self.params.horizon
+        if lookahead is not None:
+            end = min(start + lookahead, end)
         # Keep only the snapshot row; the future comes from the fork's stream.
         fork._rng = np.random.default_rng(reseed)
-        fork._rows = (snapshot,) + _draw_states(self.params, fork._rng, self._cursor + 1, ahead)
+        fork._rows = (snapshot,) + _draw_states(self.params, fork._rng, range(start, end))
         fork._first = self._cursor
         return fork
 
@@ -286,32 +273,24 @@ def observe(state: SimState) -> Dict[str, float]:
 
 
 def sample_states(params: TwoSourceParams, n_states: int, seed: int) -> Dict[str, np.ndarray]:
-    """Vectorized state sample for verification sweeps.
+    """State sample for verification sweeps, as columns.
 
     Steps cycle through episode positions (so mixture drift is
-    represented) but are drawn in one flat pass; this sampler has its own
-    deterministic stream, independent of episode handles.
+    represented) but are drawn in one flat pass on the sampler's own
+    stream: the same rows an episode with this seed draws, for as many
+    positions as it has.
     """
     if n_states < 1:
         raise ValueError("n_states must be positive")
-    rng = np.random.default_rng(seed)
-    steps = np.tile(np.arange(params.horizon), n_states // params.horizon + 1)[:n_states]
-    p_i = np.array([params.p_i(t) for t in range(params.horizon)])[steps]
-    uniforms, normals, flips, num_options = _draws(rng, n_states)
-    signals = uniforms[:n_states]
-    is_type_i = uniforms[n_states:] < p_i
-    latent_eps = normals[:n_states] * params.noise_sd
-    reward_eps = normals[n_states:] * params.noise_sd
-    flip = flips < (1.0 - params.fidelity_q) / 2.0
-    slope = np.where(is_type_i, -params.alpha, params.beta)
-    is_type_d = ~is_type_i
+    rows = _draw_states(params, np.random.default_rng(seed), [i % params.horizon for i in range(n_states)])
+    steps, types, signals, proxies, options, utilities, noises, finishes = zip(*rows)
     return {
-        "step_index": steps,
-        "signal": signals,
-        "is_type_d": is_type_d,
-        "type_proxy": np.where(flip, ~is_type_d, is_type_d).astype(int),
-        "num_options": num_options,
-        "true_utility": slope * signals + latent_eps,
-        "reward_noise": reward_eps,
-        "is_finish": (steps == params.horizon - 1),
+        "step_index": np.array(steps),
+        "signal": np.array(signals),
+        "is_type_d": np.array(types) == TYPE_D,
+        "type_proxy": np.array(proxies),
+        "num_options": np.array(options),
+        "true_utility": np.array(utilities),
+        "reward_noise": np.array(noises),
+        "is_finish": np.array(finishes),
     }

@@ -77,6 +77,28 @@ def test_rollout_sizes_validated_before_work(tmp_path, key):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gate", "c_grid", []),
+        ("gate", "c_grid", [0.1, 0.0, 1.0]),
+        ("gate", "c_grid", [-1.0]),
+        ("gate", "folds", 1),
+        ("gate", "mi_k", 0),
+        ("gate", "mi_bins", 1),
+        ("eval", "trigger_cost_units", 0),
+        ("eval", "trigger_cost_units", -2.0),
+    ],
+)
+def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, value):
+    # Each value would fail fit or eval; refused at load, it stops the
+    # run before explore writes anything.
+    config_path = write_config(tmp_path / "config.json", **{section: {key: value}})
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        main(["explore", "--config", config_path])
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_bad_policy_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"eval": {"policies": ["sometimes"]}}))

@@ -206,9 +206,7 @@ def _tiny_dataset(labels):
                    triggered=lab is not None, utility_label=lab, signal=0.1 * i)
         for i, lab in enumerate(labels)
     ]
-    from dial.explore import DatasetMeta
-
-    return LabeledDataset(records, DatasetMeta("test", 0, 0.5, 1, len(labels)))
+    return LabeledDataset(records, {"env": "test"})
 
 
 def test_summary_all_positive():
@@ -240,10 +238,8 @@ def test_summary_examples_capped_and_deterministic():
 
 
 def test_summary_rejects_empty():
-    from dial.explore import DatasetMeta
-
     with pytest.raises(ValueError):
-        dataset_summary(LabeledDataset([], DatasetMeta("test", 0, 0.5, 0, 0)))
+        dataset_summary(LabeledDataset([], {"env": "test"}))
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -253,10 +249,18 @@ def test_jsonl_round_trip(tmp_path):
     save_dataset_jsonl(ds, str(path), env_meta={"config_digest": "abc"})
     loaded = load_dataset_jsonl(str(path))
     assert len(loaded.records) == len(ds.records)
-    assert loaded.meta.eps_explore == 0.6
-    assert loaded.meta.extra["config_digest"] == "abc"
+    assert loaded.meta == {**ds.meta, "config_digest": "abc"}
+    assert loaded.meta["eps_explore"] == 0.6
     for a, b in zip(ds.records, loaded.records):
         assert a.obs == b.obs and a.utility_label == b.utility_label
+
+
+def test_jsonl_rewrite_of_a_loaded_file_is_byte_identical(tmp_path):
+    env = TwoSourceEnv(TwoSourceParams(noise_sd=0.2, fidelity_q=0.7, p_i_slope=0.03))
+    ds = run_exploration(env, eps=0.5, n_episodes=5, seed=12)
+    path = tmp_path / "data.jsonl"
+    save_dataset_jsonl(ds, str(path), env_meta={"config_digest": "abc", "seed": 99, "tool_version": "x"})
+    assert dataset_to_jsonl(load_dataset_jsonl(str(path))) == path.read_text()
 
 
 def test_jsonl_contract_fields_present(tmp_path):

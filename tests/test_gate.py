@@ -10,7 +10,7 @@ import pytest
 
 from dial.cli import save_model_json
 from dial.dsl import DslError
-from dial.features import build_pool, extract_features
+from dial.features import FeatureError, build_pool, extract_features
 from dial.gate import (
     DEFAULT_C_GRID,
     GateError,
@@ -398,6 +398,16 @@ def test_model_json_rejects_an_extractor_outside_the_language_at_load(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(DslError, match="only plain function calls are allowed"):
+        load_model_json(str(path))
+
+
+def test_model_json_rejects_an_unknown_builtin_at_load(tmp_path):
+    # Unchecked, a misspelt builtin reads as its default value on every row.
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    payload["feature_specs"][-1]["extractor"] = "builtin:step_cuont"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FeatureError, match="unknown builtin feature 'builtin:step_cuont'"):
         load_model_json(str(path))
 
 
