@@ -155,7 +155,7 @@ def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: 
         n_episodes=n_episodes,
         seed=seed,
         policy=policy.name(),
-        env_id=getattr(env, "env_id", "unknown"),
+        env_id=env.env_id,
     )
 
 

@@ -172,7 +172,7 @@ def run_exploration(
         horizon_seen = max(horizon_seen, step_idx)
 
     meta = {
-        "env": getattr(env, "env_id", "unknown"),
+        "env": env.env_id,
         "seed": seed,
         "eps_explore": eps,
         "n_explore": n_episodes,

@@ -23,6 +23,11 @@ Conventions (fixed for reproducibility):
     of the latent type (a decoy feature the gate should learn to drop).
   - one function derives every state, for episodes, forks and
     ``sample_states`` alike, so a seed gives one state sequence.
+  - a fork draws nothing until a row of its lookahead is read. An
+    untriggered lookahead step reads only that row's reward noise, which
+    it takes from the fork's stream by jumping over the uniforms
+    (PCG64 jump-ahead); any other read draws the full rows from the same
+    stream, so the bits do not depend on which read comes first.
 """
 
 from __future__ import annotations
@@ -119,7 +124,9 @@ def _draw_states(
 
     Draw order for n states: signal and type uniforms (one call of
     length 2n), latent and reward noise normals (one call of length
-    2n), proxy-flip uniforms, num_options. Rows are plain Python floats:
+    2n), proxy-flip uniforms, num_options. A fork's rollout reads reward
+    noise by skipping to the normals (``TwoSourceEpisode._reward_noise``),
+    so it relies on this order. Rows are plain Python floats:
     an episode or fork holds at most ``horizon`` rows, and on arrays that
     short each numpy call costs more than the draws themselves.
     """
@@ -161,13 +168,15 @@ class TwoSourceEpisode:
     states arrive), so policies compared under one episode seed see
     identical state streams. A fork snapshots the current state and
     continues on its own ``reseed`` noise stream, which is how paired
-    rollout arms are decoupled.
+    rollout arms are decoupled. A fork's lookahead rows are drawn on
+    first read (``_rng`` is None until then); a paired rollout, which
+    only sums untriggered rewards past the snapshot, never draws them.
     """
 
     def __init__(self, params: TwoSourceParams, seed: Optional[int] = None):
         rng = np.random.default_rng(seed)
         self.params = params
-        self._rng = rng
+        self._rng: Optional[np.random.Generator] = rng
         self._rows = _draw_states(params, rng, range(params.horizon))
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
@@ -183,16 +192,37 @@ class TwoSourceEpisode:
         i = self._cursor - self._first
         rows = self._rows
         if i >= len(rows):
-            # Lazily extend a fork stepped past its pre-drawn lookahead.
-            more = _draw_states(self.params, self._rng, range(self._first + len(rows), self._cursor + 1))
-            rows = self._rows = rows + more
+            if self._rng is None:
+                # First read of a fork's lookahead: draw the whole block.
+                self._rng = np.random.default_rng(self._reseed)
+                rows = self._rows = rows + _draw_states(self.params, self._rng, range(self._first + 1, self._end))
+            if i >= len(rows):
+                # Extend a fork stepped past its lookahead from the same stream.
+                more = _draw_states(self.params, self._rng, range(self._first + len(rows), self._cursor + 1))
+                rows = self._rows = rows + more
         return rows[i]
+
+    def _reward_noise(self) -> List[float]:
+        """Reward noise of an undrawn lookahead block, the same bits
+        ``_draw_states`` gives: skip the 2n signal and type uniforms
+        (PCG64 spends one 64-bit output per float64), then keep the last
+        n of the 2n normals."""
+        if self._noise is None:
+            n = self._end - self._first - 1
+            rng = np.random.default_rng(self._reseed)
+            rng.bit_generator.advance(2 * n)
+            sd = self.params.noise_sd
+            self._noise = [z * sd for z in rng.standard_normal(2 * n).tolist()[n:]]
+        return self._noise
 
     def observe(self) -> Dict[str, float]:
         return observe(self._current())
 
     def step(self, triggered: bool) -> float:
-        reward = step_return(self.params, self._current(), bool(triggered))
+        if self._rng is None and not triggered and self._first < self._cursor < self._end:
+            reward = self.params.base_reward + self._reward_noise()[self._cursor - self._first - 1]
+        else:
+            reward = step_return(self.params, self._current(), bool(triggered))
         self._cursor += 1
         return reward
 
@@ -205,19 +235,27 @@ class TwoSourceEpisode:
         return self.step(triggered=action != 0)
 
     def fork(self, reseed: int, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
+        """Fork at the current state. The fork keeps the snapshot row and
+        continues on ``default_rng(reseed)``: its next ``lookahead`` rows
+        (to the horizon when None) form one block drawn from that stream,
+        and steps past the block extend it from the same stream. Nothing
+        is drawn here; see ``_current`` and ``_reward_noise``."""
+        if lookahead is not None and lookahead < 0:
+            raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if self.done():
             raise EnvFault("cannot fork a finished episode")
         snapshot = self._current()  # materialize the snapshot step
         fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
         fork.params = self.params
-        fork._cursor = self._cursor
-        start, end = self._cursor + 1, self.params.horizon
+        fork._cursor = fork._first = self._cursor
+        end = self.params.horizon
         if lookahead is not None:
-            end = min(start + lookahead, end)
-        # Keep only the snapshot row; the future comes from the fork's stream.
-        fork._rng = np.random.default_rng(reseed)
-        fork._rows = (snapshot,) + _draw_states(self.params, fork._rng, range(start, end))
-        fork._first = self._cursor
+            end = min(self._cursor + 1 + lookahead, end)
+        fork._rows = (snapshot,)
+        fork._rng = None
+        fork._reseed = reseed
+        fork._end = end  # step index just past the lookahead block
+        fork._noise = None
         return fork
 
     def state_digest(self) -> str:

@@ -7,6 +7,8 @@ import pytest
 
 from dial.envs import CapabilityError, EnvFault
 from dial.explore import (
+    DEFAULT_K_CANDIDATES,
+    DEFAULT_N_ROLLOUTS,
     LabeledDataset,
     StepRecord,
     dataset_summary,
@@ -16,7 +18,7 @@ from dial.explore import (
     run_exploration,
 )
 from dial.cli import save_dataset_jsonl
-from dial.twosource import TwoSourceEnv, TwoSourceParams
+from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 
 
 # -- a minimal scripted episode for exact paired-label checks -----------------
@@ -108,6 +110,38 @@ def test_paired_arms_fork_from_identical_state():
     episode = env.episode(42)
     digests = {episode.fork(reseed=s).state_digest() for s in (1, 2, 3)}
     assert digests == {episode.state_digest()}
+
+
+def _count_forks(monkeypatch):
+    # The benchmark's traced check counts twosource.fork spans: a label
+    # must fork once per (candidate, rollout), even where a rollout reads
+    # nothing of its fork's lookahead.
+    calls = []
+    real_fork = TwoSourceEpisode.fork
+
+    def counting_fork(self, *args, **kwargs):
+        calls.append(kwargs.get("lookahead"))
+        return real_fork(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwoSourceEpisode, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.parametrize("k, n, h", [(5, 5, 3), (2, 1, 1), (3, 2, 6)])
+def test_paired_label_forks_once_per_candidate_rollout(monkeypatch, k, n, h):
+    calls = _count_forks(monkeypatch)
+    episode = TwoSourceEnv(TwoSourceParams(horizon=6)).episode(3)
+    episode.step(False)
+    estimate_utility_paired(episode, k, n, h, seed=11)
+    assert calls == [h - 1] * (k * n)
+
+
+def test_exploration_forks_k_times_n_per_label(monkeypatch):
+    calls = _count_forks(monkeypatch)
+    ds = run_exploration(TwoSourceEnv(TwoSourceParams(horizon=5)), eps=0.5, n_episodes=6, seed=2)
+    labels = len(ds.labeled())
+    assert labels > 0
+    assert len(calls) == DEFAULT_K_CANDIDATES * DEFAULT_N_ROLLOUTS * labels
 
 
 # -- run_exploration -----------------------------------------------------------

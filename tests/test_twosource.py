@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dial.envs import EnvFault
+from dial.explore import estimate_utility_paired
 from dial.stats import spearman
 from dial.twosource import (
     InvalidParams,
@@ -319,3 +320,111 @@ def test_sample_states_columns_are_pinned(params, seed, golden):
     # Keys, dtypes, shapes and bits of every column; verify's bundle and
     # the acceptance criteria read these columns.
     assert _columns_digest(sample_states(params, 500, seed)) == golden
+
+
+# -- lazy forks: a rollout reads only the reward noise it sums -----------------
+
+
+def _repr_digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def _episode_labels(params, k, n, h, seeds=range(12)):
+    # One label at every step, so snapshots near the end (lookahead cut
+    # by the horizon) are covered.
+    labels = []
+    for seed in seeds:
+        ep = spawn_episode(params, seed)
+        t = 0
+        while not ep.done():
+            labels.append(estimate_utility_paired(ep, k, n, h, seed=1000 * seed + t))
+            ep.step(t % 3 == 0)
+            t += 1
+    return labels
+
+
+def _rollout_rewards(params, lookahead, seeds=range(8)):
+    rewards = []
+    for seed in seeds:
+        ep = spawn_episode(params, seed)
+        for t in range(params.horizon):
+            fork = ep.fork(reseed=100 * seed + t, lookahead=lookahead)
+            row = [fork.apply_action(1)]
+            while not fork.done():
+                row.append(fork.step(False))
+            rewards.append(row)
+            ep.step(False)
+    return rewards
+
+
+@pytest.mark.parametrize(
+    "params, knh, golden",
+    [
+        (TwoSourceParams(), (5, 5, 3),
+         "5390c6dd2053c55c5b8aae315034bdcf13d9e50b0b39bfb952b9bf8c7417360c"),
+        (TwoSourceParams(noise_sd=0.0), (5, 5, 3),
+         "57295e4fa8165b7eca89ec43aa9639dd00273d15b684ae785a19a900d72f6aa7"),
+        (TwoSourceParams(horizon=1), (5, 5, 3),
+         "8f0f5195c41466e365a7019236527098e139f310a9d4622de652bd1e222bb500"),
+        (TwoSourceParams(horizon=4, noise_sd=0.3, fidelity_q=0.5), (2, 1, 1),
+         "831e4911a6ef098b3f8998e01e8b76c44308dd566a95d3148d19c5ad2a35171c"),
+        (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6, horizon=7), (3, 2, 6),
+         "6a925128ae630a34ce72f27ecf2d07d736b77025179e43a6308287f976f3a8cd"),
+    ],
+)
+def test_paired_labels_are_pinned(params, knh, golden):
+    assert _repr_digest(_episode_labels(params, *knh)) == golden
+
+
+@pytest.mark.parametrize(
+    "lookahead, golden",
+    [
+        (None, "496c71e788bf66b3a13a54216736d971e449ebfa6bfd821174f2bb73f3e6c99f"),
+        (0, "59403a3b12ca22178519c0c582cd2831e3548cda9b71c72a2d9006f264171cce"),
+        (2, "4e36023cb5c4d15838586651a50c4027cefefe836046fce858e4a6ea3ea954db"),
+    ],
+)
+def test_rollout_rewards_are_pinned(lookahead, golden):
+    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=7)
+    assert _repr_digest(_rollout_rewards(params, lookahead)) == golden
+
+
+@pytest.mark.parametrize("lookahead", [None, 0, 1, 3])
+def test_untriggered_fork_then_observed_equals_observed_twin(lookahead):
+    # The noise-only path followed by the full draw must give the rows a
+    # fork gives when it is observed before every step, bit for bit.
+    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
+    ep = spawn_episode(params, 33)
+    ep.step(False)
+    lazy = ep.fork(reseed=5, lookahead=lookahead)
+    twin = ep.fork(reseed=5, lookahead=lookahead)
+    lazy_rows = [lazy.step(False) for _ in range(3)]
+    twin_rows = []
+    for _ in range(3):
+        twin.observe()
+        twin_rows.append(twin.step(False))
+    while not twin.done():
+        for fork, rows in ((lazy, lazy_rows), (twin, twin_rows)):
+            rows.append((fork.observe(), fork.state_digest(), fork.debug_state(), fork.step(False)))
+    assert lazy.done()
+    assert repr(lazy_rows) == repr(twin_rows)
+
+
+def test_triggered_step_inside_lookahead_is_pinned():
+    # An untriggered step reads only reward noise; the triggered step
+    # after it draws the block's full rows, and the last step extends
+    # past the block.
+    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=6)
+    ep = spawn_episode(params, 21)
+    ep.step(False)
+    fork = ep.fork(reseed=78, lookahead=3)
+    rewards = [fork.step(t in (3, 5)) for t in range(1, 6)]
+    assert fork.done()
+    assert rewards == [1.385581736443682, 0.8558944220283697, 0.46059114191595674, 1.2665301566860825, 1.150865179149112]
+
+
+@pytest.mark.parametrize("lookahead", [-1, -4])
+def test_fork_rejects_negative_lookahead(lookahead):
+    ep = spawn_episode(TwoSourceParams(), seed=4)
+    with pytest.raises(ValueError, match="lookahead must be nonnegative"):
+        ep.fork(reseed=1, lookahead=lookahead)
