@@ -19,7 +19,7 @@ import numpy as np
 
 from .envs import CapabilityError, EnvFault, Environment, Episode
 from .features import extract_universal
-from .rng import derive_seed, rng_for
+from .rng import derive_seed, rng_for, stream
 
 DEFAULT_EPS_EXPLORE = 0.5
 DEFAULT_N_EXPLORE = 50
@@ -92,9 +92,9 @@ def estimate_utility_paired(
         raise CapabilityError("environment does not support forking; paired estimation unavailable")
 
     candidates = episode.candidate_actions(k_candidates)
-    values = np.empty(len(candidates))
+    values = []
     for ci, action in enumerate(candidates):
-        returns = np.empty(n_rollouts)
+        summed = 0.0  # returns added in rollout order
         for ri in range(n_rollouts):
             substream = derive_seed(seed, f"rollout:{ci}", ri)
             fork = episode.fork(reseed=substream, lookahead=horizon_h - 1)
@@ -103,8 +103,8 @@ def estimate_utility_paired(
             while steps_taken < horizon_h and not fork.done():
                 total += fork.step(False)
                 steps_taken += 1
-            returns[ri] = total
-        values[ci] = returns.mean()
+            summed += total
+        values.append(summed / n_rollouts)
     best = int(np.argmax(values))  # first index wins ties, so ties keep the base action
     return int(values[best] > values[0])
 
@@ -209,7 +209,7 @@ def dataset_summary(dataset: LabeledDataset) -> Dict[str, Any]:
             "positive_fraction": pos / len(lab) if lab else None,
         }
 
-    rng = np.random.default_rng(_SUMMARY_EXAMPLE_SEED)
+    rng = stream(_SUMMARY_EXAMPLE_SEED)
 
     def _examples(pool: List[StepRecord]) -> List[Dict[str, Any]]:
         if not pool:

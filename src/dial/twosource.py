@@ -21,24 +21,25 @@ Conventions (fixed for reproducibility):
     (1 + fidelity_q) / 2.
   - num_options is an auxiliary decision-space count drawn independently
     of the latent type (a decoy feature the gate should learn to drop).
-  - one function derives every state, for episodes, forks and
-    ``sample_states`` alike, so a seed gives one state sequence.
+  - one function derives every state, as numpy columns, for episodes,
+    forks and ``sample_states`` alike, so a seed gives one state
+    sequence. Every stream is a ``dial.rng.stream``.
   - a fork draws nothing until a row of its lookahead is read. An
     untriggered lookahead step reads only that row's reward noise, which
-    it takes from the fork's stream by jumping over the uniforms
-    (PCG64 jump-ahead); any other read draws the full rows from the same
-    stream, so the bits do not depend on which read comes first.
+    leads the fork's stream; any other read draws the full rows from the
+    same stream, so the bits do not depend on which read comes first.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .envs import EnvFault
+from .rng import stream
 
 TYPE_I = "I"
 TYPE_D = "D"
@@ -82,9 +83,10 @@ class TwoSourceParams:
         if np.isnan(self.success_threshold):
             object.__setattr__(self, "success_threshold", self.horizon * self.base_reward)
 
-    def p_i(self, step_index: int) -> float:
-        """Unsuitable-state probability at a step: clamp(p_i0 + slope * t, 0, 1)."""
-        return float(min(max(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0))
+    def p_i(self, step_index: int | np.ndarray) -> float | np.ndarray:
+        """Unsuitable-state probability at a step, elementwise over an
+        array of steps: clamp(p_i0 + slope * t, 0, 1)."""
+        return np.minimum(np.maximum(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0)
 
     def p_i_star(self) -> float:
         """Mixture at which the aggregate signal-utility correlation crosses zero."""
@@ -114,51 +116,46 @@ def step_return(params: TwoSourceParams, state: SimState, triggered: bool) -> fl
     return reward
 
 
-def _draw_states(
-    params: TwoSourceParams,
-    rng: np.random.Generator,
-    steps: Sequence[int],
-) -> Tuple[SimState, ...]:
-    """Draw one state per step index in ``steps``: the one place a state
-    is derived, so identical seeds give identical sequences everywhere.
+def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Dict[str, np.ndarray]:
+    """Draw one state per step index in ``steps``, as the columns
+    ``sample_states`` returns: the one place a state is derived, so
+    identical seeds give identical sequences everywhere.
 
-    Draw order for n states: signal and type uniforms (one call of
-    length 2n), latent and reward noise normals (one call of length
-    2n), proxy-flip uniforms, num_options. A fork's rollout reads reward
-    noise by skipping to the normals (``TwoSourceEpisode._reward_noise``),
-    so it relies on this order. Rows are plain Python floats:
-    an episode or fork holds at most ``horizon`` rows, and on arrays that
-    short each numpy call costs more than the draws themselves.
+    Draw order for n states: reward and latent noise normals (one call
+    of length 2n, reward noise first), then signal, type, proxy-flip and
+    num_options uniforms (one call of length 4n). A fork's rollout reads
+    only the first n normals (``TwoSourceEpisode._reward_noise``), so it
+    relies on this order. num_options is ``2 + floor(5u)``.
     """
     n = len(steps)
-    if n == 0:
-        return ()
-    u = rng.random(2 * n).tolist()
-    z = rng.standard_normal(2 * n).tolist()
-    flips = rng.random(n).tolist()
-    num_options = rng.integers(_NUM_OPTIONS_LO, _NUM_OPTIONS_HI + 1, n).tolist()
+    z = rng.standard_normal(2 * n)
+    u = rng.random(4 * n)
     sd = params.noise_sd
-    flip_p = (1.0 - params.fidelity_q) / 2.0
-    last = params.horizon - 1
-    states = []
-    for i, t in enumerate(steps):
-        signal = u[i]
-        is_type_i = u[n + i] < params.p_i(t)
-        utility = (-params.alpha if is_type_i else params.beta) * signal + z[i] * sd
-        proxy = is_type_i if flips[i] < flip_p else not is_type_i
-        states.append(
-            SimState(
-                t,
-                TYPE_I if is_type_i else TYPE_D,
-                signal,
-                int(proxy),
-                num_options[i],
-                utility,
-                z[n + i] * sd,
-                t == last,
-            )
-        )
-    return tuple(states)
+    signal = u[:n]
+    is_type_d = u[n : 2 * n] >= params.p_i(steps)
+    flipped = u[2 * n : 3 * n] < (1.0 - params.fidelity_q) / 2.0
+    n_values = _NUM_OPTIONS_HI - _NUM_OPTIONS_LO + 1
+    return {
+        "step_index": steps,
+        "is_type_d": is_type_d,
+        "signal": signal,
+        "type_proxy": (is_type_d != flipped).astype(np.int64),
+        "num_options": _NUM_OPTIONS_LO + (u[3 * n :] * n_values).astype(np.int64),
+        "true_utility": np.where(is_type_d, params.beta, -params.alpha) * signal + z[n:] * sd,
+        "reward_noise": z[:n] * sd,
+        "is_finish": steps == params.horizon - 1,
+    }
+
+
+def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, start: int, stop: int) -> Tuple[SimState, ...]:
+    """``_draw_states`` for steps ``start .. stop - 1``, as the rows an
+    episode steps through."""
+    columns = _draw_states(params, rng, np.arange(start, stop, dtype=np.int64))
+    # The columns come in SimState's field order, is_type_d for latent_type.
+    return tuple(
+        SimState(t, TYPE_D if d else TYPE_I, *rest)
+        for t, d, *rest in zip(*(column.tolist() for column in columns.values()))
+    )
 
 
 class TwoSourceEpisode:
@@ -173,11 +170,11 @@ class TwoSourceEpisode:
     only sums untriggered rewards past the snapshot, never draws them.
     """
 
-    def __init__(self, params: TwoSourceParams, seed: Optional[int] = None):
-        rng = np.random.default_rng(seed)
+    def __init__(self, params: TwoSourceParams, seed: int):
+        rng = stream(seed)
         self.params = params
         self._rng: Optional[np.random.Generator] = rng
-        self._rows = _draw_states(params, rng, range(params.horizon))
+        self._rows = _draw_rows(params, rng, 0, params.horizon)
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
 
@@ -194,25 +191,20 @@ class TwoSourceEpisode:
         if i >= len(rows):
             if self._rng is None:
                 # First read of a fork's lookahead: draw the whole block.
-                self._rng = np.random.default_rng(self._reseed)
-                rows = self._rows = rows + _draw_states(self.params, self._rng, range(self._first + 1, self._end))
+                self._rng = stream(self._reseed)
+                rows = self._rows = rows + _draw_rows(self.params, self._rng, self._first + 1, self._end)
             if i >= len(rows):
                 # Extend a fork stepped past its lookahead from the same stream.
-                more = _draw_states(self.params, self._rng, range(self._first + len(rows), self._cursor + 1))
+                more = _draw_rows(self.params, self._rng, self._first + len(rows), self._cursor + 1)
                 rows = self._rows = rows + more
         return rows[i]
 
     def _reward_noise(self) -> List[float]:
         """Reward noise of an undrawn lookahead block, the same bits
-        ``_draw_states`` gives: skip the 2n signal and type uniforms
-        (PCG64 spends one 64-bit output per float64), then keep the last
-        n of the 2n normals."""
+        ``_draw_states`` gives: the first n normals of the fork's stream."""
         if self._noise is None:
             n = self._end - self._first - 1
-            rng = np.random.default_rng(self._reseed)
-            rng.bit_generator.advance(2 * n)
-            sd = self.params.noise_sd
-            self._noise = [z * sd for z in rng.standard_normal(2 * n).tolist()[n:]]
+            self._noise = (stream(self._reseed).standard_normal(n) * self.params.noise_sd).tolist()
         return self._noise
 
     def observe(self) -> Dict[str, float]:
@@ -236,7 +228,7 @@ class TwoSourceEpisode:
 
     def fork(self, reseed: int, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
         """Fork at the current state. The fork keeps the snapshot row and
-        continues on ``default_rng(reseed)``: its next ``lookahead`` rows
+        continues on ``stream(reseed)``: its next ``lookahead`` rows
         (to the horizon when None) form one block drawn from that stream,
         and steps past the block extend it from the same stream. Nothing
         is drawn here; see ``_current`` and ``_reward_noise``."""
@@ -271,7 +263,7 @@ class TwoSourceEpisode:
         return {
             "latent_type": s.latent_type,
             "true_utility": s.true_utility,
-            "p_i": self.params.p_i(s.step_index),
+            "p_i": float(self.params.p_i(s.step_index)),
         }
 
 
@@ -320,15 +312,4 @@ def sample_states(params: TwoSourceParams, n_states: int, seed: int) -> Dict[str
     """
     if n_states < 1:
         raise ValueError("n_states must be positive")
-    rows = _draw_states(params, np.random.default_rng(seed), [i % params.horizon for i in range(n_states)])
-    steps, types, signals, proxies, options, utilities, noises, finishes = zip(*rows)
-    return {
-        "step_index": np.array(steps),
-        "signal": np.array(signals),
-        "is_type_d": np.array(types) == TYPE_D,
-        "type_proxy": np.array(proxies),
-        "num_options": np.array(options),
-        "true_utility": np.array(utilities),
-        "reward_noise": np.array(noises),
-        "is_finish": np.array(finishes),
-    }
+    return _draw_states(params, stream(seed), np.arange(n_states, dtype=np.int64) % params.horizon)

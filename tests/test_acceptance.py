@@ -344,19 +344,19 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-52275013.jsonl": "a2e93809c51ccd69dc411189ce2f7090f48d725373d7b9546ff86bb9f610e488",
-    "eval-52275013.json": "fa67bd6a2f16a03931bfdad8b4bc04d54a63d7a443a22e803d66618f4a1c3cb1",
-    "eval_summary-52275013.csv": "ea4128b7f2d10febd747d98367f3e6ff92b018fb8ef0df057cfafb700f7ff14c",
-    "model-52275013.json": "62ea82a961e722a4fd2e058bf65fca8c27178a8808557b297cd4ab9ff4ad7e62",
-    "stats-52275013.json": "a7b2abd1914cbf3373958baf00d988f5d6d04ce1e05c02e86124ae3f217bc12c",
-    "stats_cells-52275013.csv": "99746ddaa7e3c220cbacce73a1f5ef65130004ec1e2d631a9f52b61760628d52",
-    "trigger_profile-52275013.csv": "510d31b2884c1b955d2cf1b4cd0abe78e3554a0f0a8dea3ef1ed75d66423a211",
-    "verify-52275013.json": "0a87f5982af1b70d7fa225c0559a963fb797907b358bc3f36cb62042e8a21e4a",
-    "verify_eq2_sweep-52275013.csv": "1c9d081f425b424aed2be93bd8d07433a502735fa5004e48a71304b6d9edcea6",
-    "verify_normalization-52275013.csv": "f02295e77402251a50334d0e25892c734264c2a1590f164ceeba76bb2cf39f44",
-    "verify_simpson-52275013.csv": "d1eda8035b71bd653e1a26663860bceab36b59d638672f2641d3feeb0e4796f2",
-    "verify_temporal-52275013.csv": "ef715a14bf5df5c4f5fe86c4aabf1028e156cb070e4b3c4672fcf16336541ec5",
-    "verify_transforms-52275013.csv": "9c07af8f7c4735d6ae15a2bab18b6787842e57c295923e081d66db210da571d8",
+    "dataset-52275013.jsonl": "c7c2dc9f3403234bd41ec34ea4359a38fc9e71258c5d53347cdce1cb9d22e2fc",
+    "eval-52275013.json": "3436cb2d25fac3e386a128e6a2d7222164b7e7111c1cb684a2a5e72775ec3aaa",
+    "eval_summary-52275013.csv": "d8af73e5b4d998440f373fc5d31be8add66be4d55d09ef114559acc37ed8f6de",
+    "model-52275013.json": "a5566bee596655fa46116482eae1d4235d7e105ea0fe5c8a5a8157b0bb8f05bb",
+    "stats-52275013.json": "1d73d57b05c5fc327b25693fe0a51f92f703e7af93c90ea1689317cfce80ba47",
+    "stats_cells-52275013.csv": "94e6c4070526c87c3b84008669ee70f0edd4e9d978e01fd07ed2974badcd181b",
+    "trigger_profile-52275013.csv": "7d55fc0ee03dbdb4ba3006f19bcba7f6ebfebfa8d7b980573c259782265b2f7c",
+    "verify-52275013.json": "d2a7814ce969544be540f0aa2897564f7598e0012cce4ee0d0765b9cb1332ba5",
+    "verify_eq2_sweep-52275013.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
+    "verify_normalization-52275013.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
+    "verify_simpson-52275013.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
+    "verify_temporal-52275013.csv": "79e0ee39dbdda6dae500354d301931c19ee8b12979a2a7d9a26d0cc901f9b0dd",
+    "verify_transforms-52275013.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 
 

@@ -288,9 +288,9 @@ def test_verify_emits_eq2_sweep(tmp_path):
 
 
 SWEEP_GOLDEN_SHA256 = {
-    "sweep_summary.csv": "b8ff4bbcfad56eaaab2fb235f434537b9b0b03d0f4db6b1e0c1a4dae86a5bbab",
-    "p_i0=0.2/eval_summary-ddc1fa78.csv": "309e0bce7471507701517d4afdf04c7c7a8e42489c00f19e4f9d5b723d098fc3",
-    "p_i0=0.8/eval_summary-e9f2b230.csv": "48324af40740b2b2cd9a4359655d9fac7d42591e13dda9395517016800c3f083",
+    "sweep_summary.csv": "e71e8149930623cc4d481c21e0f79edba0ae48baeb387542cbf6cff585d75892",
+    "p_i0=0.2/eval_summary-ddc1fa78.csv": "df3884fdb51b1925aebda7c4e337fd63aa269ed7e28105127b4d52cfbe44e390",
+    "p_i0=0.8/eval_summary-e9f2b230.csv": "5dbbe82130f8bf9530e1dddd60ccc3b9a5697a04d74d4e2603d68a4c389e67e1",
 }
 
 SWEEP_CONFIG_SHA256 = {

@@ -286,10 +286,10 @@ def test_fork_extended_past_lookahead_is_pinned():
         rows.append((obs["step_count"], obs["signal"], obs["type_proxy"], obs["num_options"], obs["is_finish"], reward))
         triggered = not triggered
     assert rows == [
-        (2.0, 0.7098011904084252, 1.0, 2.0, 0.0, 2.3644604219764203),
-        (3.0, 0.7859323085424931, 0.0, 3.0, 0.0, 0.5174365141407371),
-        (4.0, 0.8013006796423605, 0.0, 3.0, 0.0, -0.6420801428512211),
-        (5.0, 0.6039750393802742, 0.0, 3.0, 1.0, 0.4410082104917391),
+        (2.0, 0.7469146583802309, 0.0, 4.0, 0.0, -0.0637936205100409),
+        (3.0, 0.4579508496492207, 0.0, 4.0, 0.0, 1.3186397871771782),
+        (4.0, 0.3088953461060029, 0.0, 4.0, 0.0, 1.4770571102214174),
+        (5.0, 0.14529975242278814, 0.0, 6.0, 1.0, 1.0032456754321093),
     ]
 
 
@@ -306,15 +306,16 @@ def _columns_digest(states):
     "params, seed, golden",
     [
         (TwoSourceParams(noise_sd=0.0), 3,
-         "b080762bd5e288e7a8f171cfa3bacd30088fb573453596f0b3296d3ccf95cf97"),
+         "df51a523a5521cb4454a40dd45e8ab6114d2eb662061bbde9b9af2715880fdc8"),
         (TwoSourceParams(fidelity_q=0.0, p_i0=0.3), 5,
-         "b95e04855b4a3352598439fc3b708a6d616c334f38db3a5d02267df6d48105e3"),
+         "c60497e9b088bda48bbef6bc451b1a8e772ca63775ebc1da1aaf37a47640f982"),
         (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6), 8,
-         "ac091beab6e8a8446d383b9a467f87bc082818c6db59317d6e988c42c0de0ac1"),
+         "e21280ea78046265e8321afc9ee7ee923677713fc473b88ffe626be24d21074f"),
         # 500 is not a multiple of the horizon: the last cycle is cut short.
         (TwoSourceParams(horizon=7, alpha=2.0, beta=0.5), 2**40 + 1,
-         "a9c51a4cf6c3f8cffeec741483c6e3c239626cfcd6406ae6e23f5e33cd30a92b"),
+         "747f34e673e1cbd85a304fe01d24fad1e6a90b085d32ea728c3ecac9048d6a59"),
     ],
+    ids=["noiseless", "uninformative-proxy", "drifting", "horizon7-cut-cycle"],
 )
 def test_sample_states_columns_are_pinned(params, seed, golden):
     # Keys, dtypes, shapes and bits of every column; verify's bundle and
@@ -361,16 +362,17 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
     "params, knh, golden",
     [
         (TwoSourceParams(), (5, 5, 3),
-         "5390c6dd2053c55c5b8aae315034bdcf13d9e50b0b39bfb952b9bf8c7417360c"),
+         "fb2d6c56b075e23a8bbfd341e98a2d663329c678d81ea4cc1c9b8e347e95b1ab"),
         (TwoSourceParams(noise_sd=0.0), (5, 5, 3),
-         "57295e4fa8165b7eca89ec43aa9639dd00273d15b684ae785a19a900d72f6aa7"),
+         "6902b0e7f1715312750b979a94c277f7f8fea7e870e68484129e63f05ce3bb6d"),
         (TwoSourceParams(horizon=1), (5, 5, 3),
-         "8f0f5195c41466e365a7019236527098e139f310a9d4622de652bd1e222bb500"),
+         "6ee777b96d657fad57763d1bc0eca7711fc126b258960fc2e499f10d8f773b48"),
         (TwoSourceParams(horizon=4, noise_sd=0.3, fidelity_q=0.5), (2, 1, 1),
-         "831e4911a6ef098b3f8998e01e8b76c44308dd566a95d3148d19c5ad2a35171c"),
+         "4e95dda99ae6bd3a6b7d958b80a32738f57afa584031bb351e83ec64e74e5462"),
         (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6, horizon=7), (3, 2, 6),
-         "6a925128ae630a34ce72f27ecf2d07d736b77025179e43a6308287f976f3a8cd"),
+         "b4497ac896e0aafbb7e5b29e368c252052e489a8f61aaaa5b54e62644bae7234"),
     ],
+    ids=["default", "noiseless", "horizon1", "k2-n1-h1", "drifting-h6"],
 )
 def test_paired_labels_are_pinned(params, knh, golden):
     assert _repr_digest(_episode_labels(params, *knh)) == golden
@@ -379,10 +381,11 @@ def test_paired_labels_are_pinned(params, knh, golden):
 @pytest.mark.parametrize(
     "lookahead, golden",
     [
-        (None, "496c71e788bf66b3a13a54216736d971e449ebfa6bfd821174f2bb73f3e6c99f"),
-        (0, "59403a3b12ca22178519c0c582cd2831e3548cda9b71c72a2d9006f264171cce"),
-        (2, "4e36023cb5c4d15838586651a50c4027cefefe836046fce858e4a6ea3ea954db"),
+        (None, "b13c3e8e8a85c83b0fb40e6735df9e5b70ca0e6f15c582d7d2f41ca0438e14a4"),
+        (0, "9711abd7f46643e50abb1870f891ec0105e10ec322311db018867cdd3d7daff5"),
+        (2, "68b3bd694c4f6abf19b00c46bd963764daeefa32a823fe7c993620a3a4b3fd15"),
     ],
+    ids=["to-horizon", "lookahead0", "lookahead2"],
 )
 def test_rollout_rewards_are_pinned(lookahead, golden):
     params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=7)
@@ -420,7 +423,7 @@ def test_triggered_step_inside_lookahead_is_pinned():
     fork = ep.fork(reseed=78, lookahead=3)
     rewards = [fork.step(t in (3, 5)) for t in range(1, 6)]
     assert fork.done()
-    assert rewards == [1.385581736443682, 0.8558944220283697, 0.46059114191595674, 1.2665301566860825, 1.150865179149112]
+    assert rewards == [0.6630770813767324, 1.0508700853493795, 0.7723416290462037, 1.2278813419111148, 0.1673915164860229]
 
 
 @pytest.mark.parametrize("lookahead", [-1, -4])
