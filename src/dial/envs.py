@@ -51,9 +51,15 @@ class Episode(Protocol):
         """Execute a specific candidate action and advance."""
         ...
 
-    def fork(self, reseed: int, lookahead: Optional[int] = None) -> "Episode":
-        """Independent copy positioned at the same state that continues
-        on its own ``reseed`` noise stream (rollout substream)."""
+    def fork(
+        self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
+    ) -> "Episode":
+        """Independent copy positioned at the same state: sibling
+        ``index`` (0 <= index < count) of the ``count`` forks made here
+        with this ``reseed``. Siblings may share one keyed draw, but each
+        continues on noise of its own; ``count=1`` is a single fork on
+        the ``reseed`` stream. ``lookahead`` bounds how many steps past
+        the snapshot a rollout is expected to read (None: to the end)."""
         ...
 
     def state_digest(self) -> str:

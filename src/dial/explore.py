@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from .envs import CapabilityError, EnvFault, Environment, Episode
 from .features import extract_universal
 from .rng import derive_seed, rng_for, stream
@@ -77,10 +75,11 @@ def estimate_utility_paired(
     state.
 
     All candidates (base action first) are scored as the mean of
-    ``n_rollouts`` truncated returns from forks of the same snapshot;
-    each rollout runs on its own noise substream so the comparison is
-    not coupled by shared draws. Returns 1 iff the best candidate
-    strictly beats the base action; ties label 0.
+    ``n_rollouts`` truncated returns from forks of the same snapshot.
+    The k x n forks are siblings of one ``seed``: each rollout reads rows
+    of its own from their one keyed draw, so the comparison is not
+    coupled by shared draws. Returns 1 iff the best candidate strictly
+    beats the base action; ties label 0.
     """
     if k_candidates < 2:
         raise ValueError("paired estimation needs the base action plus at least one alternative")
@@ -92,12 +91,12 @@ def estimate_utility_paired(
         raise CapabilityError("environment does not support forking; paired estimation unavailable")
 
     candidates = episode.candidate_actions(k_candidates)
+    count = len(candidates) * n_rollouts
     values = []
     for ci, action in enumerate(candidates):
         summed = 0.0  # returns added in rollout order
         for ri in range(n_rollouts):
-            substream = derive_seed(seed, f"rollout:{ci}", ri)
-            fork = episode.fork(reseed=substream, lookahead=horizon_h - 1)
+            fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=ci * n_rollouts + ri, count=count)
             total = fork.apply_action(action)
             steps_taken = 1
             while steps_taken < horizon_h and not fork.done():
@@ -105,7 +104,7 @@ def estimate_utility_paired(
                 steps_taken += 1
             summed += total
         values.append(summed / n_rollouts)
-    best = int(np.argmax(values))  # first index wins ties, so ties keep the base action
+    best = max(range(len(values)), key=values.__getitem__)  # the first maximum, so ties keep the base action
     return int(values[best] > values[0])
 
 

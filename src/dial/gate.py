@@ -114,6 +114,18 @@ class Standardizer:
     sds: np.ndarray
     dropped: Tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.means) != len(self.feature_names) or len(self.sds) != len(self.feature_names):
+            raise GateError("standardizer means/sds misaligned with its feature names")
+        if not set(self.dropped) <= set(self.feature_names):
+            raise GateError("standardizer drops features it does not have")
+        # The keep-mask and the retained statistics, built once: a gate
+        # applies them to one row per decision.
+        keep = np.array([n not in self.dropped for n in self.feature_names], dtype=bool)
+        object.__setattr__(self, "_keep", keep)
+        object.__setattr__(self, "_kept_means", self.means[keep])
+        object.__setattr__(self, "_kept_sds", self.sds[keep])
+
     @property
     def retained(self) -> Tuple[str, ...]:
         return tuple(n for n in self.feature_names if n not in self.dropped)
@@ -123,8 +135,7 @@ class Standardizer:
             raise GateError(
                 f"feature dimension mismatch: got {X.shape[1]}, expected {len(self.feature_names)}"
             )
-        keep = np.array([n not in self.dropped for n in self.feature_names])
-        return (X[:, keep] - self.means[keep]) / self.sds[keep]
+        return (X[:, self._keep] - self._kept_means) / self._kept_sds
 
 
 def fit_standardizer(X: np.ndarray, names: Sequence[str]) -> Standardizer:
@@ -459,10 +470,6 @@ class GateModel:
         std = self.standardizer
         if tuple(s.name for s in self.feature_specs) != std.feature_names:
             raise GateError("feature specs misaligned with the standardizer's feature names")
-        if len(std.means) != len(std.feature_names) or len(std.sds) != len(std.feature_names):
-            raise GateError("standardizer means/sds misaligned with its feature names")
-        if not set(std.dropped) <= set(std.feature_names):
-            raise GateError("standardizer drops features it does not have")
         if len(self.weights) != len(std.retained):
             raise GateError("weights misaligned with retained features")
 

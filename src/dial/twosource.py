@@ -24,10 +24,17 @@ Conventions (fixed for reproducibility):
   - one function derives every state, as numpy columns, for episodes,
     forks and ``sample_states`` alike, so a seed gives one state
     sequence. Every stream is a ``dial.rng.stream``.
-  - a fork draws nothing until a row of its lookahead is read. An
-    untriggered lookahead step reads only that row's reward noise, which
-    leads the fork's stream; any other read draws the full rows from the
-    same stream, so the bits do not depend on which read comes first.
+  - the ``count`` sibling forks of one snapshot (one paired label's
+    rollouts) share one keyed draw: sibling i's lookahead rows are rows
+    ``[i*m, (i+1)*m)`` of one ``_draw_states`` call on ``stream(reseed)``
+    over the block's steps tiled ``count`` times. Nothing is drawn until
+    a row is read. An untriggered lookahead step reads only reward
+    noise, which leads the draw; any other read draws the full rows, so
+    the bits do not depend on which read, or which sibling, comes first.
+    The episode forked from keeps its last block, so siblings made one
+    after another draw once. A sibling stepped past its lookahead
+    continues on the block's stream as the full draw left it, advanced
+    by ``i * 2**64`` outputs. ``count=1`` is a single fork.
 """
 
 from __future__ import annotations
@@ -124,7 +131,7 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
     Draw order for n states: reward and latent noise normals (one call
     of length 2n, reward noise first), then signal, type, proxy-flip and
     num_options uniforms (one call of length 4n). A fork's rollout reads
-    only the first n normals (``TwoSourceEpisode._reward_noise``), so it
+    only the first n normals (``_SiblingBlock.reward_noise``), so it
     relies on this order. num_options is ``2 + floor(5u)``.
     """
     n = len(steps)
@@ -147,15 +154,60 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
     }
 
 
-def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, start: int, stop: int) -> Tuple[SimState, ...]:
-    """``_draw_states`` for steps ``start .. stop - 1``, as the rows an
+def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Tuple[SimState, ...]:
+    """``_draw_states`` for the step indices in ``steps``, as the rows an
     episode steps through."""
-    columns = _draw_states(params, rng, np.arange(start, stop, dtype=np.int64))
+    columns = _draw_states(params, rng, steps)
     # The columns come in SimState's field order, is_type_d for latent_type.
     return tuple(
         SimState(t, TYPE_D if d else TYPE_I, *rest)
         for t, d, *rest in zip(*(column.tolist() for column in columns.values()))
     )
+
+
+class _SiblingBlock:
+    """The one draw shared by the sibling forks of one snapshot (see the
+    module notes). A pure function of (params, key), it holds only drawn
+    values, filled on first read and never a generator, so what one
+    sibling reads does not depend on what its siblings read before it.
+    """
+
+    __slots__ = ("params", "key", "_noise", "_rows", "_after")
+
+    def __init__(self, params: TwoSourceParams, key: Tuple[int, int, int, int]):
+        self.params = params
+        self.key = key  # (reseed, count, snapshot step, step just past the block)
+        self._noise: Optional[Tuple[float, ...]] = None
+        self._rows: Optional[Tuple[SimState, ...]] = None
+        self._after: Optional[Dict[str, Any]] = None  # stream state after the rows were drawn; never mutated
+
+    def reward_noise(self) -> Tuple[float, ...]:
+        """Reward noise of every sibling's rows, the same bits the full
+        draw gives: the first count*m normals of the stream."""
+        if self._noise is None:
+            reseed, count, cursor, end = self.key
+            z = stream(reseed).standard_normal(count * (end - cursor - 1))
+            self._noise = tuple((z * self.params.noise_sd).tolist())
+        return self._noise
+
+    def rows(self, index: int) -> Tuple[SimState, ...]:
+        """Sibling ``index``'s lookahead rows."""
+        reseed, count, cursor, end = self.key
+        if self._rows is None:
+            rng = stream(reseed)
+            self._rows = _draw_rows(self.params, rng, np.tile(np.arange(cursor + 1, end, dtype=np.int64), count))
+            self._after = rng.bit_generator.state
+        m = end - cursor - 1
+        return self._rows[index * m : (index + 1) * m]
+
+    def extension(self, index: int) -> np.random.Generator:
+        """Sibling ``index``'s stream past its block, after ``rows``: the
+        block's stream as its draw left it, advanced by ``index * 2**64``
+        outputs. Sibling 0 (a single fork) continues the stream itself."""
+        rng = stream(self.key[0])
+        rng.bit_generator.state = self._after
+        rng.bit_generator.advance(index << 64)
+        return rng
 
 
 class TwoSourceEpisode:
@@ -164,19 +216,21 @@ class TwoSourceEpisode:
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
     identical state streams. A fork snapshots the current state and
-    continues on its own ``reseed`` noise stream, which is how paired
-    rollout arms are decoupled. A fork's lookahead rows are drawn on
-    first read (``_rng`` is None until then); a paired rollout, which
-    only sums untriggered rewards past the snapshot, never draws them.
+    continues on rows of its own: sibling forks share one keyed draw but
+    never a row, which is how paired rollout arms are decoupled. A fork's
+    lookahead rows are drawn on first read (``_rng`` is None until then);
+    a paired rollout, which only sums untriggered rewards past the
+    snapshot, reads the reward noise alone, once per label.
     """
 
     def __init__(self, params: TwoSourceParams, seed: int):
         rng = stream(seed)
         self.params = params
         self._rng: Optional[np.random.Generator] = rng
-        self._rows = _draw_rows(params, rng, 0, params.horizon)
+        self._rows = _draw_rows(params, rng, np.arange(params.horizon, dtype=np.int64))
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
+        self._siblings: Optional[_SiblingBlock] = None  # block of the last fork made here
 
     # -- episode protocol -------------------------------------------------
 
@@ -190,29 +244,21 @@ class TwoSourceEpisode:
         rows = self._rows
         if i >= len(rows):
             if self._rng is None:
-                # First read of a fork's lookahead: draw the whole block.
-                self._rng = stream(self._reseed)
-                rows = self._rows = rows + _draw_rows(self.params, self._rng, self._first + 1, self._end)
+                # First read of a fork's lookahead: take its rows of the sibling block.
+                rows = self._rows = rows + self._block.rows(self._index)
+                self._rng = self._block.extension(self._index)
             if i >= len(rows):
-                # Extend a fork stepped past its lookahead from the same stream.
-                more = _draw_rows(self.params, self._rng, self._first + len(rows), self._cursor + 1)
-                rows = self._rows = rows + more
+                # Extend a fork stepped past its lookahead from its own stream.
+                steps = np.arange(self._first + len(rows), self._cursor + 1, dtype=np.int64)
+                rows = self._rows = rows + _draw_rows(self.params, self._rng, steps)
         return rows[i]
-
-    def _reward_noise(self) -> List[float]:
-        """Reward noise of an undrawn lookahead block, the same bits
-        ``_draw_states`` gives: the first n normals of the fork's stream."""
-        if self._noise is None:
-            n = self._end - self._first - 1
-            self._noise = (stream(self._reseed).standard_normal(n) * self.params.noise_sd).tolist()
-        return self._noise
 
     def observe(self) -> Dict[str, float]:
         return observe(self._current())
 
     def step(self, triggered: bool) -> float:
         if self._rng is None and not triggered and self._first < self._cursor < self._end:
-            reward = self.params.base_reward + self._reward_noise()[self._cursor - self._first - 1]
+            reward = self.params.base_reward + self._block.reward_noise()[self._noise_offset + self._cursor]
         else:
             reward = step_return(self.params, self._current(), bool(triggered))
         self._cursor += 1
@@ -226,28 +272,42 @@ class TwoSourceEpisode:
     def apply_action(self, action: int) -> float:
         return self.step(triggered=action != 0)
 
-    def fork(self, reseed: int, lookahead: Optional[int] = None) -> "TwoSourceEpisode":
-        """Fork at the current state. The fork keeps the snapshot row and
-        continues on ``stream(reseed)``: its next ``lookahead`` rows
-        (to the horizon when None) form one block drawn from that stream,
-        and steps past the block extend it from the same stream. Nothing
-        is drawn here; see ``_current`` and ``_reward_noise``."""
+    def fork(
+        self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
+    ) -> "TwoSourceEpisode":
+        """Fork at the current state: sibling ``index`` of the ``count``
+        forks made here with this ``reseed`` and ``lookahead``. The fork
+        keeps the snapshot row; its next ``lookahead`` rows (to the
+        horizon when None) are its rows of the siblings' one draw from
+        ``stream(reseed)`` (see ``_SiblingBlock``), and steps past them
+        extend from a stream of its own. ``count=1`` is a single fork.
+        Nothing is drawn here, and the last block made here is kept, so
+        siblings made one after another share their draw."""
         if lookahead is not None and lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
+        if not 0 <= index < count:
+            raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
         if self.done():
             raise EnvFault("cannot fork a finished episode")
         snapshot = self._current()  # materialize the snapshot step
-        fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
-        fork.params = self.params
-        fork._cursor = fork._first = self._cursor
+        cursor = self._cursor
         end = self.params.horizon
         if lookahead is not None:
-            end = min(self._cursor + 1 + lookahead, end)
+            end = min(cursor + 1 + lookahead, end)
+        key = (reseed, count, cursor, end)
+        block = self._siblings
+        if block is None or block.key != key:
+            block = self._siblings = _SiblingBlock(self.params, key)
+        fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
+        fork.params = self.params
+        fork._cursor = fork._first = cursor
         fork._rows = (snapshot,)
         fork._rng = None
-        fork._reseed = reseed
         fork._end = end  # step index just past the lookahead block
-        fork._noise = None
+        fork._block = block
+        fork._index = index
+        fork._noise_offset = index * (end - cursor - 1) - cursor - 1  # reward_noise()[offset + t] is step t's
+        fork._siblings = None
         return fork
 
     def state_digest(self) -> str:

@@ -277,7 +277,10 @@ def test_c09_auc_hierarchy():
     model, _ = explore_and_fit(
         env, seed=109, eps=0.5, n_explore=200, proposal_client=MockProposalClient()
     )
-    holdout = run_exploration(env, eps=1.0, n_episodes=100, seed=derive_seed(109, "holdout"))
+    # 1,000 episodes: at 100 the signal AUC's spread over label streams
+    # (sd ~0.02 across seeds, mean ~0.474) put this seed's holdout on the
+    # 0.45 floor, so a change of label stream alone decided the result.
+    holdout = run_exploration(env, eps=1.0, n_episodes=1000, seed=derive_seed(109, "holdout"))
     labeled = holdout.labeled()
     labels = [r.utility_label for r in labeled]
     auc_signal = auc(labels, [r.signal for r in labeled])
@@ -344,18 +347,18 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-52275013.jsonl": "c7c2dc9f3403234bd41ec34ea4359a38fc9e71258c5d53347cdce1cb9d22e2fc",
-    "eval-52275013.json": "3436cb2d25fac3e386a128e6a2d7222164b7e7111c1cb684a2a5e72775ec3aaa",
-    "eval_summary-52275013.csv": "d8af73e5b4d998440f373fc5d31be8add66be4d55d09ef114559acc37ed8f6de",
-    "model-52275013.json": "a5566bee596655fa46116482eae1d4235d7e105ea0fe5c8a5a8157b0bb8f05bb",
-    "stats-52275013.json": "1d73d57b05c5fc327b25693fe0a51f92f703e7af93c90ea1689317cfce80ba47",
-    "stats_cells-52275013.csv": "94e6c4070526c87c3b84008669ee70f0edd4e9d978e01fd07ed2974badcd181b",
-    "trigger_profile-52275013.csv": "7d55fc0ee03dbdb4ba3006f19bcba7f6ebfebfa8d7b980573c259782265b2f7c",
-    "verify-52275013.json": "d2a7814ce969544be540f0aa2897564f7598e0012cce4ee0d0765b9cb1332ba5",
+    "dataset-52275013.jsonl": "0ad18be17b7dc145c5ad6d98919d934fa70e2bb2e286823cc128aefc54ff2e9b",
+    "eval-52275013.json": "c65ae3fcd477586955bd84f1006f82d250d7cfaa88dcad0cd77ba2c3657536d1",
+    "eval_summary-52275013.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
+    "model-52275013.json": "c0216b49b06d469a74f65731b1cc3e64d083fbb2c94c9335dc5540fa1a5db185",
+    "stats-52275013.json": "0d0819a58f3b15dee070fad71220e8de9629665f959863b78cfc5f9e9f396000",
+    "stats_cells-52275013.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
+    "trigger_profile-52275013.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
+    "verify-52275013.json": "02a56c0db86f91a4b13022a2e42bc0f932fbb050c757b52a9dd372af35443148",
     "verify_eq2_sweep-52275013.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
     "verify_normalization-52275013.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
     "verify_simpson-52275013.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
-    "verify_temporal-52275013.csv": "79e0ee39dbdda6dae500354d301931c19ee8b12979a2a7d9a26d0cc901f9b0dd",
+    "verify_temporal-52275013.csv": "9d235fdb753d868341550ca2dcbeee131b52dd7cb134b2c95340d1615ed2c23b",
     "verify_transforms-52275013.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 

@@ -17,6 +17,7 @@ from dial.explore import (
     load_dataset_jsonl,
     run_exploration,
 )
+from dial import twosource
 from dial.cli import save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 
@@ -48,7 +49,7 @@ class ScriptedEpisode:
     def step(self, triggered):
         return self.apply_action(1 if triggered else 0)
 
-    def fork(self, reseed, lookahead=None):
+    def fork(self, reseed, lookahead=None, *, index=0, count=1):
         clone = ScriptedEpisode(self.values, self.horizon)
         clone.t = self.t
         return clone
@@ -134,6 +135,29 @@ def test_paired_label_forks_once_per_candidate_rollout(monkeypatch, k, n, h):
     episode.step(False)
     estimate_utility_paired(episode, k, n, h, seed=11)
     assert calls == [h - 1] * (k * n)
+
+
+@pytest.mark.parametrize(
+    "k, n, h, steps_before, streams",
+    [(5, 5, 3, 1, 1), (3, 2, 6, 0, 1), (5, 5, 3, 5, 0), (2, 1, 1, 1, 0)],
+    ids=["mid-episode", "long-rollout", "last-step", "one-step-rollout"],
+)
+def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, streams):
+    # The k x n forks of a label share one keyed draw; a rollout that
+    # reads no step past the snapshot (last step, h = 1) draws nothing.
+    built = []
+    real_stream = twosource.stream
+
+    def counting_stream(seed):
+        built.append(seed)
+        return real_stream(seed)
+
+    episode = TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)).episode(3)
+    for _ in range(steps_before):
+        episode.step(False)
+    monkeypatch.setattr(twosource, "stream", counting_stream)
+    estimate_utility_paired(episode, k, n, h, seed=11)
+    assert built == [11] * streams
 
 
 def test_exploration_forks_k_times_n_per_label(monkeypatch):

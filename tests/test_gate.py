@@ -68,6 +68,18 @@ def test_standardizer_fit_output_is_centered_unit():
     assert np.abs(np.sqrt((out**2).mean(axis=0)) - 1).max() < 1e-9
 
 
+def test_standardizer_apply_matrix_equals_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    X = rng.normal(2.0, 3.0, size=(40, 4))
+    X[:, 1] = 2.5
+    std = fit_standardizer(X, ["a", "const", "c", "d"])
+    assert std.dropped == ("const",)
+    for M in (X, rng.normal(size=(7, 4)), X[:1]):
+        keep = np.array([n not in std.dropped for n in std.feature_names])
+        expected = (M[:, keep] - std.means[keep]) / std.sds[keep]
+        assert std.apply_matrix(M).tobytes() == expected.tobytes()
+
+
 def test_standardizer_needs_two_rows():
     with pytest.raises(GateError):
         fit_standardizer(np.array([[1.0]]), ["x"])

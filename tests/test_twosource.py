@@ -362,7 +362,7 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
     "params, knh, golden",
     [
         (TwoSourceParams(), (5, 5, 3),
-         "fb2d6c56b075e23a8bbfd341e98a2d663329c678d81ea4cc1c9b8e347e95b1ab"),
+         "ac13a9850710e2a30075a8bc3c5766d3c3a572de1e7f5b1dcec2e5c00b957251"),
         (TwoSourceParams(noise_sd=0.0), (5, 5, 3),
          "6902b0e7f1715312750b979a94c277f7f8fea7e870e68484129e63f05ce3bb6d"),
         (TwoSourceParams(horizon=1), (5, 5, 3),
@@ -370,7 +370,7 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
         (TwoSourceParams(horizon=4, noise_sd=0.3, fidelity_q=0.5), (2, 1, 1),
          "4e95dda99ae6bd3a6b7d958b80a32738f57afa584031bb351e83ec64e74e5462"),
         (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6, horizon=7), (3, 2, 6),
-         "b4497ac896e0aafbb7e5b29e368c252052e489a8f61aaaa5b54e62644bae7234"),
+         "0be9de7776d06be2a2f0b65bb15c106a644fc8c0beeed82606e3e754865e5c0d"),
     ],
     ids=["default", "noiseless", "horizon1", "k2-n1-h1", "drifting-h6"],
 )
@@ -431,3 +431,75 @@ def test_fork_rejects_negative_lookahead(lookahead):
     ep = spawn_episode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="lookahead must be nonnegative"):
         ep.fork(reseed=1, lookahead=lookahead)
+
+
+# -- sibling forks: one keyed draw per paired label ----------------------------
+
+_SIBLING_PARAMS = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
+_COUNTS = [1, 5, 25]
+_LOOKAHEADS = [0, 1, 3, None]
+
+
+def _siblings(count, lookahead):
+    # A fresh parent each call, so no block is shared with another call.
+    ep = spawn_episode(_SIBLING_PARAMS, 33)
+    ep.step(False)
+    return [ep.fork(5, lookahead, index=i, count=count) for i in range(count)]
+
+
+def _observed_rest(fork):
+    rows = []
+    while not fork.done():
+        rows.append((fork.observe(), fork.state_digest(), fork.debug_state(), fork.step(False)))
+    return rows
+
+
+def _observed_read(fork):
+    # Observed before every step: every row comes from the full draw.
+    rows = []
+    for _ in range(3):
+        fork.observe()
+        rows.append(fork.step(False))
+    return rows + _observed_rest(fork)
+
+
+@pytest.mark.parametrize("lookahead", _LOOKAHEADS)
+@pytest.mark.parametrize("count", _COUNTS)
+def test_sibling_noise_read_equals_observed_twin(count, lookahead):
+    # Every sibling steps untriggered (reward noise only) before any is
+    # observed, in forward and in reverse order; each must match its
+    # twin from a separate parent observed before every step.
+    twins = [repr(_observed_read(fork)) for fork in _siblings(count, lookahead)]
+    for order in (list(range(count)), list(reversed(range(count)))):
+        lazy = _siblings(count, lookahead)
+        rows = {i: [lazy[i].step(False) for _ in range(3)] for i in order}
+        for i in order:
+            rows[i] += _observed_rest(lazy[i])
+        assert [repr(rows[i]) for i in range(count)] == twins
+
+
+@pytest.mark.parametrize("lookahead", _LOOKAHEADS)
+@pytest.mark.parametrize("count", _COUNTS)
+def test_siblings_are_pairwise_distinct(count, lookahead):
+    reads = [repr(_observed_read(fork)[1:]) for fork in _siblings(count, lookahead)]
+    assert len(set(reads)) == count
+
+
+@pytest.mark.parametrize("lookahead", _LOOKAHEADS)
+@pytest.mark.parametrize("count", _COUNTS)
+def test_sibling_past_lookahead_ignores_its_siblings(count, lookahead):
+    # Read alone, or after every other sibling was read to the horizon
+    # (past its own lookahead), a sibling yields the same rows.
+    for index in sorted({0, count // 2, count - 1}):
+        alone = _observed_read(_siblings(count, lookahead)[index])
+        family = _siblings(count, lookahead)
+        for other in family[:index] + family[index + 1 :]:
+            _observed_read(other)
+        assert repr(_observed_read(family[index])) == repr(alone)
+
+
+@pytest.mark.parametrize("index, count", [(0, 0), (0, -2), (-1, 5), (5, 5), (30, 25)])
+def test_fork_rejects_a_sibling_outside_its_family(index, count):
+    ep = spawn_episode(TwoSourceParams(), seed=4)
+    with pytest.raises(ValueError, match="index < count"):
+        ep.fork(reseed=1, lookahead=2, index=index, count=count)
