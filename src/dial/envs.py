@@ -44,7 +44,9 @@ class Episode(Protocol):
         ...
 
     def candidate_actions(self, k: int) -> List[Any]:
-        """K candidate actions for the current step, base action first."""
+        """K candidate actions for the current step, base action first.
+        Candidates that compare equal are the same action: paired
+        labeling pools their rollouts into one score."""
         ...
 
     def apply_action(self, action: Any) -> float:
@@ -56,10 +58,13 @@ class Episode(Protocol):
     ) -> "Episode":
         """Independent copy positioned at the same state: sibling
         ``index`` (0 <= index < count) of the ``count`` forks made here
-        with this ``reseed``. Siblings may share one keyed draw, but each
-        continues on noise of its own; ``count=1`` is a single fork on
-        the ``reseed`` stream. ``lookahead`` bounds how many steps past
-        the snapshot a rollout is expected to read (None: to the end)."""
+        with this ``reseed``. Siblings may share one keyed draw, but
+        siblings with different ``index`` must read different noise:
+        paired labeling forks every rollout of a label with one
+        ``reseed`` and tells them apart by ``index`` alone. ``count=1``
+        is a single fork on the ``reseed`` stream. ``lookahead`` bounds
+        how many steps past the snapshot a rollout is expected to read
+        (None: to the end)."""
         ...
 
     def state_digest(self) -> str:

@@ -78,8 +78,11 @@ def estimate_utility_paired(
     ``n_rollouts`` truncated returns from forks of the same snapshot.
     The k x n forks are siblings of one ``seed``: each rollout reads rows
     of its own from their one keyed draw, so the comparison is not
-    coupled by shared draws. Returns 1 iff the best candidate strictly
-    beats the base action; ties label 0.
+    coupled by shared draws. Candidates that compare equal are one
+    action, scored as the mean over all of their rollouts: taking the
+    best of several noisy scores of one action would favour it for its
+    luckiest copy alone (the optimizer's curse). Returns 1 iff the best
+    action strictly beats the base action; ties label 0.
     """
     if k_candidates < 2:
         raise ValueError("paired estimation needs the base action plus at least one alternative")
@@ -92,9 +95,9 @@ def estimate_utility_paired(
 
     candidates = episode.candidate_actions(k_candidates)
     count = len(candidates) * n_rollouts
-    values = []
+    sums: Dict[Any, float] = {}  # per action, in first-seen order (base first); returns added in fork order
     for ci, action in enumerate(candidates):
-        summed = 0.0  # returns added in rollout order
+        summed = sums.get(action, 0.0)
         for ri in range(n_rollouts):
             fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=ci * n_rollouts + ri, count=count)
             total = fork.apply_action(action)
@@ -103,7 +106,8 @@ def estimate_utility_paired(
                 total += fork.step(False)
                 steps_taken += 1
             summed += total
-        values.append(summed / n_rollouts)
+        sums[action] = summed
+    values = [summed / (candidates.count(action) * n_rollouts) for action, summed in sums.items()]
     best = max(range(len(values)), key=values.__getitem__)  # the first maximum, so ties keep the base action
     return int(values[best] > values[0])
 

@@ -265,9 +265,11 @@ class TwoSourceEpisode:
         return reward
 
     def candidate_actions(self, k: int) -> List[int]:
+        """The base action (0), then the one intervention (1) k - 1
+        times: every candidate past the base triggers the optimizer."""
         if k < 1:
             raise ValueError("need at least one candidate action")
-        return list(range(k))
+        return [0] + [1] * (k - 1)
 
     def apply_action(self, action: int) -> float:
         return self.step(triggered=action != 0)

@@ -277,10 +277,7 @@ def test_c09_auc_hierarchy():
     model, _ = explore_and_fit(
         env, seed=109, eps=0.5, n_explore=200, proposal_client=MockProposalClient()
     )
-    # 1,000 episodes: at 100 the signal AUC's spread over label streams
-    # (sd ~0.02 across seeds, mean ~0.474) put this seed's holdout on the
-    # 0.45 floor, so a change of label stream alone decided the result.
-    holdout = run_exploration(env, eps=1.0, n_episodes=1000, seed=derive_seed(109, "holdout"))
+    holdout = run_exploration(env, eps=1.0, n_episodes=100, seed=derive_seed(109, "holdout"))
     labeled = holdout.labeled()
     labels = [r.utility_label for r in labeled]
     auc_signal = auc(labels, [r.signal for r in labeled])
@@ -354,11 +351,11 @@ C12_GOLDEN_SHA256 = {
     "stats-52275013.json": "0d0819a58f3b15dee070fad71220e8de9629665f959863b78cfc5f9e9f396000",
     "stats_cells-52275013.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
     "trigger_profile-52275013.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
-    "verify-52275013.json": "02a56c0db86f91a4b13022a2e42bc0f932fbb050c757b52a9dd372af35443148",
+    "verify-52275013.json": "317e5ea9347bf8c312e662f99f1bb05a94e865aa89a3c67778f6eda095ec36c1",
     "verify_eq2_sweep-52275013.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
     "verify_normalization-52275013.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
     "verify_simpson-52275013.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
-    "verify_temporal-52275013.csv": "9d235fdb753d868341550ca2dcbeee131b52dd7cb134b2c95340d1615ed2c23b",
+    "verify_temporal-52275013.csv": "9cdbc6caba6bcb4774fd583b4a5c3444c4b4449471ff4655b201738b44f5a469",
     "verify_transforms-52275013.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 

@@ -76,6 +76,46 @@ def test_paired_label_zero_when_base_wins():
     assert estimate_utility_paired(episode, 5, 3, 2, seed=0) == 0
 
 
+class SiblingScriptedEpisode(ScriptedEpisode):
+    """The given candidates; the fork made as sibling ``index`` returns
+    returns[index] on its one step."""
+
+    def __init__(self, candidates, returns):
+        super().__init__(values=None, horizon=1)
+        self.candidates = candidates
+        self.returns = returns
+        self.index = None
+
+    def candidate_actions(self, k):
+        return self.candidates[:k]
+
+    def apply_action(self, action):
+        self.t += 1
+        return self.returns[self.index]
+
+    def fork(self, reseed, lookahead=None, *, index=0, count=1):
+        clone = SiblingScriptedEpisode(self.candidates, self.returns)
+        clone.index = index
+        return clone
+
+
+@pytest.mark.parametrize(
+    "candidates, label", [([0, 1, 1, 1, 1], 0), ([0, 1, 2, 3, 4], 1)], ids=["one-intervention", "distinct"]
+)
+def test_paired_label_pools_equal_candidates(candidates, label):
+    # One lucky copy must not make an action win: equal candidates are
+    # scored over all of their rollouts (mean 0.3 < 0.5), distinct ones
+    # each over its own (0.9 > 0.5).
+    episode = SiblingScriptedEpisode(candidates, returns=[0.5, 0.9, 0.1, 0.1, 0.1])
+    assert estimate_utility_paired(episode, 5, 1, 1, seed=0) == label
+
+
+def test_twosource_candidates_are_the_base_then_one_intervention():
+    episode = TwoSourceEnv(TwoSourceParams()).episode(0)
+    assert episode.candidate_actions(5) == [0, 1, 1, 1, 1]
+    assert episode.candidate_actions(1) == [0]
+
+
 def test_paired_label_requires_base_plus_alternative():
     with pytest.raises(ValueError):
         estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 1, 3, 2, seed=0)
@@ -158,6 +198,25 @@ def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, stre
     monkeypatch.setattr(twosource, "stream", counting_stream)
     estimate_utility_paired(episode, k, n, h, seed=11)
     assert built == [11] * streams
+
+
+def test_paired_label_rollouts_read_noise_of_their_own(monkeypatch):
+    # Episode.fork's contract: a label's k x n forks share one reseed and
+    # differ by index alone, so each must roll out on noise of its own.
+    episode = TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)).episode(3)
+    episode.step(False)
+    rewards = {}  # fork -> its step rewards; keyed by the fork, so it stays alive
+    real_step = TwoSourceEpisode.step
+
+    def recording_step(self, triggered):
+        reward = real_step(self, triggered)
+        rewards.setdefault(self, []).append(reward)
+        return reward
+
+    monkeypatch.setattr(TwoSourceEpisode, "step", recording_step)
+    estimate_utility_paired(episode, 5, 5, 3, seed=11)
+    lookahead = {tuple(r[1:]) for r in rewards.values()}  # past the shared snapshot step
+    assert len(rewards) == 25 and len(lookahead) == 25
 
 
 def test_exploration_forks_k_times_n_per_label(monkeypatch):

@@ -362,7 +362,7 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
     "params, knh, golden",
     [
         (TwoSourceParams(), (5, 5, 3),
-         "ac13a9850710e2a30075a8bc3c5766d3c3a572de1e7f5b1dcec2e5c00b957251"),
+         "0d95589d9f996a0f6e5f171599e9eedc4a96df5db27be1045ae4eb156cfff8fc"),
         (TwoSourceParams(noise_sd=0.0), (5, 5, 3),
          "6902b0e7f1715312750b979a94c277f7f8fea7e870e68484129e63f05ce3bb6d"),
         (TwoSourceParams(horizon=1), (5, 5, 3),
@@ -370,7 +370,7 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
         (TwoSourceParams(horizon=4, noise_sd=0.3, fidelity_q=0.5), (2, 1, 1),
          "4e95dda99ae6bd3a6b7d958b80a32738f57afa584031bb351e83ec64e74e5462"),
         (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6, horizon=7), (3, 2, 6),
-         "0be9de7776d06be2a2f0b65bb15c106a644fc8c0beeed82606e3e754865e5c0d"),
+         "7a75ef8383025e8439c32ffc87f842e21d2056c8d47f4865828a042897640173"),
     ],
     ids=["default", "noiseless", "horizon1", "k2-n1-h1", "drifting-h6"],
 )
