@@ -38,10 +38,11 @@ from .explore import (
     run_exploration,
 )
 from .features import (
-    HttpProposalClient,
-    MockProposalClient,
+    PROPOSAL_MODES,
+    ProposalProvider,
     build_matrix,
     build_pool,
+    proposal_client,
     propose_llm_features,
 )
 from .gate import (
@@ -49,6 +50,7 @@ from .gate import (
     DEFAULT_FOLDS,
     DEFAULT_MI_BINS,
     DEFAULT_MI_K,
+    DEFAULT_TAU,
     REGULARIZERS,
     GateModel,
     data_digest,
@@ -135,7 +137,7 @@ _DEFAULT_CONFIG: Dict[str, Any] = {
         "regularizer": "l1",
         "c_grid": list(DEFAULT_C_GRID),
         "folds": DEFAULT_FOLDS,
-        "tau": 0.5,
+        "tau": DEFAULT_TAU,
         "llm_features": "mock",
         "mi_k": DEFAULT_MI_K,
         "mi_bins": DEFAULT_MI_BINS,
@@ -221,7 +223,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     if gate_cfg["tau"] != "cv" and not 0.0 < float(gate_cfg["tau"]) < 1.0:
         raise ConfigError("gate.tau: must be 'cv' or a probability in (0, 1)")
-    if gate_cfg["llm_features"] not in ("off", "mock", "http"):
+    if gate_cfg["llm_features"] not in PROPOSAL_MODES:
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
     for spec in merged["eval"]["policies"]:
         _parse_policy(spec, model=None, allow_unfitted=True)
@@ -366,47 +368,43 @@ def cmd_explore(config: RunConfig) -> str:
     return path
 
 
-def _proposal_specs(config: RunConfig, dataset: LabeledDataset, force_mock: bool):
-    mode = "mock" if force_mock else config.gate["llm_features"]
-    if mode == "off":
-        return None
-    summary = dataset_summary(dataset)
-    if mode == "mock":
-        client = MockProposalClient()
-    else:
-        cache = os.path.join(config.output_dir, "proposal_cache.json")
-        os.makedirs(config.output_dir, exist_ok=True)
-        client = HttpProposalClient(cache_path=cache)
-    return propose_llm_features(summary, client).specs
+def fit_dataset(
+    dataset: LabeledDataset, gate: Dict[str, Any], client: Optional[ProposalProvider], seed: int
+) -> GateModel:
+    """The one path from a labeled dataset to a gate: the client's five
+    proposals (none without a client), the pool, the matrix, and
+    ``fit_gate`` with every setting of a config's ``gate`` section, on the
+    run's ``"fit"`` seed. The model's meta records the data digest and its
+    own signed-weight reading."""
+    if not dataset.labeled():
+        raise ConfigError(
+            "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
+        )
+    llm_specs = None if client is None else propose_llm_features(dataset_summary(dataset), client).specs
+    specs = build_pool(llm_specs)
+    X, y, _ = build_matrix(dataset.records, specs)
+    model = fit_gate(
+        X, y, specs,
+        regularizer=gate["regularizer"],
+        c_grid=tuple(float(c) for c in gate["c_grid"]),
+        folds=int(gate["folds"]),
+        seed=derive_seed(seed, "fit"),
+        tau=gate["tau"],
+        mi_k=int(gate["mi_k"]),
+        mi_bins=int(gate["mi_bins"]),
+        meta={"data_digest": data_digest(X, y)},
+    )
+    return replace(model, meta={**model.meta, "direction_diagnostic": weight_diagnostic(model)})
 
 
 def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> str:
     dataset = load_dataset_jsonl(dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
-    if not dataset.labeled():
-        raise ConfigError(
-            "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
-        )
-    llm_specs = _proposal_specs(config, dataset, force_mock)
-    specs = build_pool(llm_specs)
-    X, y, _ = build_matrix(dataset.records, specs)
-    gate_cfg = config.gate
-    model = fit_gate(
-        X, y, specs,
-        regularizer=gate_cfg["regularizer"],
-        c_grid=tuple(float(c) for c in gate_cfg["c_grid"]),
-        folds=int(gate_cfg["folds"]),
-        seed=derive_seed(config.seed, "fit"),
-        tau=gate_cfg["tau"],
-        mi_k=int(gate_cfg["mi_k"]),
-        mi_bins=int(gate_cfg["mi_bins"]),
-        meta={
-            **_provenance(config, _file_digest(dataset_path)),
-            "data_digest": data_digest(X, y),
-        },
-    )
-    # The saved model records its own signed-weight reading.
-    model = replace(model, meta={**model.meta, "direction_diagnostic": weight_diagnostic(model)})
+    mode = "mock" if force_mock else config.gate["llm_features"]
+    client = proposal_client(mode, cache_path=os.path.join(config.output_dir, "proposal_cache.json"))
+    model = fit_dataset(dataset, config.gate, client, config.seed)
+    # Provenance last: its seed is the run's, not fit_gate's derived one.
+    model = replace(model, meta={**model.meta, **_provenance(config, _file_digest(dataset_path))})
     path = _out(config, "model", "json")
     save_model_json(model, path)
     return path

@@ -272,6 +272,7 @@ class HttpProposalClient(ProposalProvider):
         cache = self._cache_load()
         cache[digest] = items
         text = json.dumps(cache, sort_keys=True, indent=1)  # before the file is touched
+        os.makedirs(os.path.dirname(self.cache_path) or ".", exist_ok=True)
         tmp = f"{self.cache_path}.{os.urandom(6).hex()}.tmp"
         fh = open(tmp, "x", encoding="utf-8")
         try:
@@ -339,3 +340,18 @@ class HttpProposalClient(ProposalProvider):
             except ProviderError as exc:
                 last_error = exc
         raise ProviderError(f"proposal failed after retry: {last_error}")
+
+
+PROPOSAL_MODES = ("off", "mock", "http")  # the values of a config's gate.llm_features
+
+
+def proposal_client(mode: str, cache_path: Optional[str] = None) -> Optional[ProposalProvider]:
+    """The provider a proposal mode names: none for "off", the offline
+    mock, or the HTTP client caching its replies at ``cache_path``."""
+    if mode == "off":
+        return None
+    if mode == "mock":
+        return MockProposalClient()
+    if mode == "http":
+        return HttpProposalClient(cache_path=cache_path)
+    raise FeatureError(f"unknown proposal mode {mode!r}")

@@ -486,9 +486,6 @@ class GateModel:
         """Trigger iff sigmoid(w . phi_std(s) + b) exceeds tau (strictly)."""
         return self.score(obs) > self.tau
 
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.weights))
-
 
 def reverse_direction(model: GateModel) -> GateModel:
     """Adversarially wrong-direction copy: every weight negated, bias,
@@ -608,29 +605,45 @@ def fit_gate(
 # -- serialization -----------------------------------------------------------------
 
 
+# The top-level keys of a model JSON, written and required in this order.
+_MODEL_KEYS = (
+    "feature_specs", "feature_names", "weights", "bias", "tau",
+    "regularizer", "standardizer", "cv_report", "meta",
+)
+
+
 def model_to_dict(model: GateModel) -> Dict[str, Any]:
-    return {
-        "feature_specs": [
+    return dict(zip(_MODEL_KEYS, (
+        [
             {"name": s.name, "source": s.source, "extractor": s.extractor, "default_value": s.default_value}
             for s in model.feature_specs
         ],
-        "feature_names": list(model.feature_names),
-        "weights": [float(w) for w in model.weights],
-        "bias": model.bias,
-        "tau": model.tau,
-        "regularizer": model.regularizer,
-        "standardizer": {
+        list(model.feature_names),
+        [float(w) for w in model.weights],
+        model.bias,
+        model.tau,
+        model.regularizer,
+        {
             "feature_names": list(model.standardizer.feature_names),
             "means": [float(m) for m in model.standardizer.means],
             "sds": [float(s) for s in model.standardizer.sds],
             "dropped": list(model.standardizer.dropped),
         },
-        "cv_report": list(model.cv_report),
-        "meta": model.meta,
-    }
+        list(model.cv_report),
+        model.meta,
+    )))
 
 
 def model_from_dict(payload: Dict[str, Any]) -> GateModel:
+    """The model a ``model_to_dict`` payload holds. A missing or unknown
+    top-level key, or ``feature_names`` other than the standardizer's
+    retained features, is refused with a GateError naming it."""
+    missing = [k for k in _MODEL_KEYS if k not in payload]
+    if missing:
+        raise GateError(f"model JSON misaligned with its schema: missing key {missing[0]!r}")
+    unknown = sorted(set(payload) - set(_MODEL_KEYS))
+    if unknown:
+        raise GateError(f"model JSON misaligned with its schema: unknown key {unknown[0]!r}")
     std = payload["standardizer"]
     standardizer = Standardizer(
         feature_names=tuple(std["feature_names"]),
@@ -645,16 +658,19 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
         )
         for s in payload["feature_specs"]
     )
-    return GateModel(
+    model = GateModel(
         feature_specs=specs,
         standardizer=standardizer,
         weights=np.array(payload["weights"], dtype=float),
         bias=float(payload["bias"]),
         tau=float(payload["tau"]),
         regularizer=payload["regularizer"],
-        cv_report=tuple(payload.get("cv_report", [])),
-        meta=dict(payload.get("meta", {})),
+        cv_report=tuple(payload["cv_report"]),
+        meta=dict(payload["meta"]),
     )
+    if tuple(payload["feature_names"]) != model.feature_names:
+        raise GateError("model JSON feature_names misaligned with the standardizer's retained features")
+    return model
 
 
 def load_model_json(path: str) -> GateModel:

@@ -17,13 +17,7 @@ import numpy as np
 import pytest
 
 from dial.cli import cmd_eval, cmd_explore, cmd_fit, cmd_stats, cmd_verify, load_config
-from dial.evaluate import (
-    PolicySpec,
-    explore_and_fit,
-    prop1_counterexample,
-    run_deployment,
-    wrong_direction_experiment,
-)
+from dial.evaluate import PolicySpec, run_deployment
 from dial.explore import run_exploration
 from dial.features import MockProposalClient
 from dial.gate import fit_sparse_logistic, objective
@@ -40,6 +34,7 @@ from dial.stats import (
     transform_suite,
 )
 from dial.twosource import TwoSourceEnv, TwoSourceParams, sample_states
+from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
 
 
 def _report(criterion: str, detail: str) -> None:

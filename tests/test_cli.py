@@ -10,6 +10,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +22,20 @@ from dial.cli import (
     cmd_stats,
     cmd_sweep,
     cmd_verify,
+    fit_dataset,
     load_config,
     main,
     write_report_csv,
     write_report_json,
 )
+from dial.explore import run_exploration
+from dial.features import MockProposalClient
+from dial.gate import load_model_json
+from dial.rng import derive_seed
+from dial.twosource import TwoSourceEnv
+from direction_experiments import explore_and_fit
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 def write_config(path, **overrides):
@@ -260,6 +270,41 @@ def test_fit_requires_labeled_rows(tmp_path):
     dataset_path = cmd_explore(config)
     with pytest.raises(ConfigError, match="eps"):
         cmd_fit(config, dataset_path)
+
+
+def test_fit_with_proposals_off_builds_no_summary(tmp_path, monkeypatch):
+    def no_summary(dataset):
+        raise AssertionError("a dataset summary was built with proposals off")
+
+    monkeypatch.setattr("dial.cli.dataset_summary", no_summary)
+    config = load_config(write_config(tmp_path / "config.json", gate={"llm_features": "off"}))
+    model = load_model_json(cmd_fit(config, cmd_explore(config)))
+    assert all(spec.source != "llm" for spec in model.feature_specs)
+
+
+def test_cli_fit_and_library_fit_give_the_same_gate(tmp_path):
+    # dial explore + dial fit on the demo config, against the same run in
+    # memory and against the acceptance suite's explore_and_fit (the demo
+    # config's exploration and gate sections are the defaults).
+    config = load_config(str(DEMO_CONFIG), seed_override=42, out_override=str(tmp_path / "out"))
+    written = load_model_json(cmd_fit(config, cmd_explore(config), force_mock=True))
+
+    env = TwoSourceEnv(config.env_params)
+    expl = config.exploration
+    dataset = run_exploration(
+        env, eps=float(expl["eps"]), n_episodes=int(expl["n_episodes"]),
+        seed=derive_seed(config.seed, "explore"), k_candidates=int(expl["k_candidates"]),
+        n_rollouts=int(expl["n_rollouts"]), horizon_h=int(expl["horizon_h"]),
+    )
+    in_memory = fit_dataset(dataset, config.gate, MockProposalClient(), config.seed)
+    harness, _ = explore_and_fit(env, 42, eps=0.5, n_explore=50, proposal_client=MockProposalClient())
+
+    for model in (in_memory, harness):
+        assert model.weights.tobytes() == written.weights.tobytes()
+        assert (model.bias, model.tau, model.meta["chosen_c"]) == (
+            written.bias, written.tau, written.meta["chosen_c"])
+        assert [s.name for s in model.feature_specs] == [s.name for s in written.feature_specs]
+    assert len(written.feature_specs) == 12  # five mock proposals joined the pool
 
 
 def test_eval_trigger_cost_override(tmp_path):

@@ -5,19 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dial.evaluate import (
-    EvalError,
-    PolicySpec,
-    explore_and_fit,
-    prop1_counterexample,
-    run_deployment,
-    wilson_interval,
-    wrong_direction_experiment,
-)
+from dial.evaluate import EvalError, PolicySpec, run_deployment, wilson_interval
 from dial.envs import EnvFault
 from dial.gate import GateModel, Standardizer
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
+from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
 
 
 def _env(**kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 
 import numpy as np
@@ -20,6 +21,7 @@ from dial.features import (
     build_pool,
     extract_features,
     extract_universal,
+    proposal_client,
     propose_llm_features,
 )
 
@@ -334,6 +336,14 @@ def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch):
     assert len(calls) == 2  # the first reply is still cached
 
 
+def test_http_cache_creates_its_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
+    client = HttpProposalClient(url="http://llm.invalid/v1/chat/completions",
+                                cache_path=str(tmp_path / "out" / "cache.json"))
+    client.propose({"n_steps": 10})
+    assert list(json.loads((tmp_path / "out" / "cache.json").read_text()).values()) == [json.loads(GOOD_REPLY)]
+
+
 def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
     calls = []
     four = json.dumps([{"name": f"h{i}", "expr": "signal"} for i in range(4)])
@@ -401,6 +411,48 @@ def test_http_client_requires_endpoint(monkeypatch):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     with pytest.raises(ProviderError):
         HttpProposalClient()
+
+
+# -- proposal modes ---------------------------------------------------------------
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a proposal mode reached for the network")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
+
+
+def test_proposal_mode_off_has_no_client(no_network):
+    assert proposal_client("off") is None
+
+
+def test_proposal_mode_mock_is_the_mock_client(no_network):
+    client = proposal_client("mock")
+    assert isinstance(client, MockProposalClient)
+    assert len(propose_llm_features({"n_steps": 10}, client).specs) == 5
+
+
+def test_proposal_mode_http_caches_where_asked(no_network, monkeypatch, tmp_path):
+    monkeypatch.setenv("DIAL_LLM_URL", "http://llm.invalid/v1/chat/completions")
+    client = proposal_client("http", cache_path=str(tmp_path / "cache.json"))
+    assert isinstance(client, HttpProposalClient)
+    assert client.cache_path == str(tmp_path / "cache.json")
+
+
+def test_proposal_mode_http_needs_an_endpoint(no_network, monkeypatch):
+    monkeypatch.delenv("DIAL_LLM_URL", raising=False)
+    with pytest.raises(ProviderError, match="DIAL_LLM_URL"):
+        proposal_client("http")
+
+
+@pytest.mark.parametrize("mode", ["llm", "Mock", "", None])
+def test_proposal_mode_unknown_is_refused(no_network, mode):
+    with pytest.raises(FeatureError, match="unknown proposal mode"):
+        proposal_client(mode)
 
 
 def test_dsl_nested_calls():

@@ -437,9 +437,9 @@ def test_fit_gate_regularizer_family(reg):
     model = fit_gate(X, y, specs, regularizer=reg, seed=7)
     assert model.regularizer == reg
     if reg == "mi_topk":
-        assert model.nnz() <= 3
+        assert np.count_nonzero(model.weights) <= 3
     if reg in ("l2", "none"):
-        assert model.nnz() == len(model.feature_names)  # shrinkage only, no zeros
+        assert np.count_nonzero(model.weights) == len(model.feature_names)  # shrinkage only, no zeros
 
 
 def test_fit_gate_tau_modes():
@@ -479,8 +479,12 @@ def test_gate_decide_dimension_mismatch():
         lambda m: m["standardizer"]["means"].pop(),
         lambda m: m["standardizer"]["sds"].append(1.0),
         lambda m: m["standardizer"]["dropped"].append("ghost"),
+        lambda m: m.pop("cv_report"),
+        lambda m: m.update(stray=1),
+        lambda m: m["feature_names"].reverse(),
     ],
-    ids=["specs_reordered", "means_short", "sds_long", "dropped_unknown"],
+    ids=["specs_reordered", "means_short", "sds_long", "dropped_unknown",
+         "cv_report_missing", "stray_key", "feature_names_reversed"],
 )
 def test_model_json_rejects_a_misaligned_model_at_load(tmp_path, corrupt):
     payload = model_to_dict(_toy_model([0.5, -0.5]))
@@ -489,6 +493,18 @@ def test_model_json_rejects_a_misaligned_model_at_load(tmp_path, corrupt):
     path.write_text(json.dumps(payload))
     with pytest.raises(GateError, match="misaligned|does not have"):
         load_model_json(str(path))
+
+
+@pytest.mark.parametrize(
+    "corrupt, key",
+    [(lambda m: m.pop("meta"), "meta"), (lambda m: m.update(weight=[]), "weight")],
+    ids=["missing", "unknown"],
+)
+def test_model_json_refusal_names_the_key(corrupt, key):
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    corrupt(payload)
+    with pytest.raises(GateError, match=f"key '{key}'"):
+        model_from_dict(payload)
 
 
 def test_mi_default_k_is_three():
