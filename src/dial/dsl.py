@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
 
+import numpy as np
+
 Namespace = Dict[str, Any]
 Fn = Callable[[Namespace], float]
 
@@ -30,6 +32,10 @@ _NUMERIC_FUNCS = {
     "abs": (1, 1, lambda v: abs(v[0])),
 }
 _TEXT_FUNCS = {"keyword_count": 2, "regex_count": 2, "length": 1}
+
+# Field values read as numbers: Python's and numpy's scalars, the Python
+# float first (observations hold floats). numpy's str_ is a str, never one.
+NUMBER_TYPES = (float, int, np.floating, np.integer, np.bool_)
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: lambda left, right: 0.0 if right == 0.0 else left / right}
@@ -74,7 +80,7 @@ def _compile(node: ast.AST, source: str) -> Fn:
 
         def read(ns: Namespace) -> float:
             value = ns.get(name)  # missing, text and other non-numbers read 0.0
-            return float(value) if isinstance(value, (int, float)) else 0.0
+            return float(value) if isinstance(value, NUMBER_TYPES) else 0.0
 
         return read
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .envs import EnvFault, Environment
 from .gate import GateModel, reverse_direction
@@ -115,8 +115,8 @@ def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: 
     tcu = env.trigger_cost_units()
     successes = 0
     cost = 0.0
-    step_counts: Dict[int, int] = {}
-    step_triggers: Dict[int, int] = {}
+    step_counts: List[int] = []  # per step index t: episodes that reached t
+    step_triggers: List[int] = []  # and triggered there
     for i in range(n_episodes):
         episode = env.episode(derive_seed(seed, "eval-episode", i))
         episode_return = 0.0
@@ -130,21 +130,23 @@ def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: 
             except Exception as exc:
                 raise EnvFault(f"environment fault at eval episode {i}, step {t}: {exc}") from exc
             cost += 1.0 + (tcu if triggered else 0.0)
-            step_counts[t] = step_counts.get(t, 0) + 1
-            step_triggers[t] = step_triggers.get(t, 0) + int(triggered)
+            if t == len(step_counts):
+                step_counts.append(0)
+                step_triggers.append(0)
+            step_counts[t] += 1
+            step_triggers[t] += triggered
             t += 1
         successes += int(env.episode_success(episode_return))
 
     profile = []
-    for t in sorted(step_counts):
-        hits, n = step_triggers[t], step_counts[t]
+    for t, (hits, n) in enumerate(zip(step_triggers, step_counts)):
         low, high = wilson_interval(hits, n)
         profile.append(PerStepTrigger(t, hits / n, low, high, n))
-    steps = sum(step_counts.values())
+    steps = sum(step_counts)
     return EvalResult(
         sr=successes / n_episodes,
         cost_x_base=cost / steps,  # base policy costs 1 unit per step
-        trigger_rate=sum(step_triggers.values()) / steps,
+        trigger_rate=sum(step_triggers) / steps,
         per_step_trigger=tuple(profile),
         n_episodes=n_episodes,
         seed=seed,

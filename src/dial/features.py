@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsl import CompiledExpr, DslError, parse_expr
+from .dsl import NUMBER_TYPES, CompiledExpr, DslError, parse_expr
 
 UNIVERSAL_FEATURES: Tuple[str, ...] = (
     "step_count",
@@ -74,11 +75,12 @@ class FeatureSpec:
         object.__setattr__(self, "compiled", None if builtin else parse_expr(self.extractor))
 
 
-def _resolve(obs: Dict[str, Any], universal_name: str) -> float:
-    for key in _ALIASES[universal_name]:
+def _resolve(obs: Dict[str, Any], keys: Tuple[str, ...]) -> float:
+    """The first of ``keys`` that ``obs`` holds as a number, else 0.0."""
+    for key in keys:
         if key in obs:
             value = obs[key]
-            if isinstance(value, (int, float, bool)):
+            if isinstance(value, NUMBER_TYPES):
                 return float(value)
     return 0.0
 
@@ -86,7 +88,7 @@ def _resolve(obs: Dict[str, Any], universal_name: str) -> float:
 def extract_universal(obs: Dict[str, Any]) -> Dict[str, float]:
     """Universal feature values by name, in UNIVERSAL_FEATURES order;
     unexposed signals default to zero."""
-    return {name: _resolve(obs, name) for name in UNIVERSAL_FEATURES}
+    return {name: _resolve(obs, keys) for name, keys in _ALIASES.items()}
 
 
 def universal_specs() -> List[FeatureSpec]:
@@ -121,16 +123,16 @@ def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> np.nd
     identical observations give identical vectors.
     """
     namespace: Dict[str, Any] = dict(obs)
-    namespace.update(extract_universal(obs))
-    values = np.empty(len(specs))
-    for i, spec in enumerate(specs):
-        if spec.compiled is None:
-            values[i] = namespace.get(spec.extractor[len("builtin:") :], spec.default_value)
-        else:
-            values[i] = spec.compiled(namespace)
-    if not np.all(np.isfinite(values)):
+    for name, keys in _ALIASES.items():
+        namespace[name] = _resolve(obs, keys)
+    values = [
+        namespace.get(spec.extractor[len("builtin:") :], spec.default_value) if spec.compiled is None
+        else spec.compiled(namespace)
+        for spec in specs
+    ]
+    if not all(map(math.isfinite, values)):
         raise FeatureError("feature vector contains non-finite values")
-    return values
+    return np.array(values, dtype=float)
 
 
 def build_matrix(

@@ -119,12 +119,15 @@ class Standardizer:
             raise GateError("standardizer means/sds misaligned with its feature names")
         if not set(self.dropped) <= set(self.feature_names):
             raise GateError("standardizer drops features it does not have")
-        # The keep-mask and the retained statistics, built once: a gate
-        # applies them to one row per decision.
+        # The keep-mask and the retained statistics, built once; a gate
+        # standardizes one row per decision from the (index, mean, sd)
+        # triples, in Python floats.
         keep = np.array([n not in self.dropped for n in self.feature_names], dtype=bool)
         object.__setattr__(self, "_keep", keep)
         object.__setattr__(self, "_kept_means", self.means[keep])
         object.__setattr__(self, "_kept_sds", self.sds[keep])
+        kept = zip(np.flatnonzero(keep).tolist(), self._kept_means.tolist(), self._kept_sds.tolist())
+        object.__setattr__(self, "_kept", tuple(kept))
 
     @property
     def retained(self) -> Tuple[str, ...]:
@@ -478,9 +481,17 @@ class GateModel:
         return self.standardizer.retained
 
     def score(self, obs: Dict[str, Any]) -> float:
-        phi = extract_features(self.feature_specs, obs)
-        x = self.standardizer.apply_matrix(phi[None, :])[0]
-        return float(_sigmoid(np.array([x @ self.weights + self.bias]))[0])
+        """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
+        ``standardizer.apply_matrix`` on the one row: elementwise ``-`` and
+        ``/`` are IEEE-identical in Python floats, while the dot product
+        and ``exp`` stay numpy's (BLAS summation order, numpy's exp)."""
+        phi = extract_features(self.feature_specs, obs).tolist()
+        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self.standardizer._kept])
+        z = x @ self.weights + self.bias
+        if z >= 0:
+            return float(1.0 / (1.0 + np.exp(-z)))
+        ez = np.exp(z)
+        return float(ez / (1.0 + ez))
 
     def decide(self, obs: Dict[str, Any]) -> bool:
         """Trigger iff sigmoid(w . phi_std(s) + b) exceeds tau (strictly)."""

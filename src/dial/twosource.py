@@ -157,12 +157,10 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
 def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Tuple[SimState, ...]:
     """``_draw_states`` for the step indices in ``steps``, as the rows an
     episode steps through."""
-    columns = _draw_states(params, rng, steps)
+    columns = [column.tolist() for column in _draw_states(params, rng, steps).values()]
     # The columns come in SimState's field order, is_type_d for latent_type.
-    return tuple(
-        SimState(t, TYPE_D if d else TYPE_I, *rest)
-        for t, d, *rest in zip(*(column.tolist() for column in columns.values()))
-    )
+    columns[1] = [TYPE_D if d else TYPE_I for d in columns[1]]
+    return tuple(map(SimState, *columns))
 
 
 class _SiblingBlock:

@@ -8,17 +8,6 @@ import pytest
 from dial.twosource import TwoSourceParams
 
 
-def obs_from_sample(states, i):
-    """Observation dict for row i of a sample_states() result."""
-    return {
-        "step_count": float(states["step_index"][i]),
-        "signal": float(states["signal"][i]),
-        "type_proxy": float(states["type_proxy"][i]),
-        "num_options": float(states["num_options"][i]),
-        "is_finish": float(states["is_finish"][i]),
-    }
-
-
 @pytest.fixture
 def balanced_params():
     return TwoSourceParams(p_i0=0.5, noise_sd=0.05, fidelity_q=1.0, horizon=10)

@@ -42,12 +42,13 @@ def _report(criterion: str, detail: str) -> None:
 
 
 def _obs(states, i):
+    """Observation of row i of sample_states' columns, as numpy scalars."""
     return {
-        "step_count": float(states["step_index"][i]),
-        "signal": float(states["signal"][i]),
-        "type_proxy": float(states["type_proxy"][i]),
-        "num_options": float(states["num_options"][i]),
-        "is_finish": float(states["is_finish"][i]),
+        "step_count": states["step_index"][i],
+        "signal": states["signal"][i],
+        "type_proxy": states["type_proxy"][i],
+        "num_options": states["num_options"][i],
+        "is_finish": states["is_finish"][i],
     }
 
 

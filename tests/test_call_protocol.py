@@ -1,0 +1,71 @@
+"""The call protocol perfbench's traced runs check, counted by patching
+the class attributes as its tracer does (``expected_counts`` in
+perfbench/workloads.py):
+
+- ``GateModel.decide``: once per gated deployed step
+- ``TwoSourceEpisode.step``: once per deployed step
+- ``TwoSourceEpisode.fork``: k x n per paired label
+
+Untraced benchmark runs never see these counts, so a change that breaks
+them would otherwise surface only in a traced run. ROADMAP item 6
+(column-wise deploy: one decision over the rows of a step) and item 7
+(fork-free paired labels) change them on purpose; each must land after
+a benchmark change that re-points perfbench's checks.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dial import cli
+from dial.gate import GateModel
+from dial.twosource import TwoSourceEpisode
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    counted = {"decide": 0, "step": 0, "fork": 0}
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(GateModel, "decide")
+    counting(TwoSourceEpisode, "step")
+    counting(TwoSourceEpisode, "fork")
+    return counted
+
+
+def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts):
+    raw = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    raw["exploration"]["n_episodes"] = 12
+    raw["eval"]["n_episodes"] = 15
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = cli.load_config(str(path), out_override=str(tmp_path / "out"))
+    expl, horizon = config.exploration, config.env_params.horizon
+
+    dataset_path = cli.cmd_explore(config)
+    labels = len(cli.load_dataset_jsonl(dataset_path).labeled())
+    assert labels > 0
+    assert counts["fork"] == expl["k_candidates"] * expl["n_rollouts"] * labels
+    model_path = cli.cmd_fit(config, dataset_path)
+
+    for name in counts:
+        counts[name] = 0
+    cli.cmd_eval(config, model_path)
+    policies = config.eval["policies"]
+    gated = sum(p in ("dial", "reversed_dial") for p in policies)
+    deployed_steps = config.eval["n_episodes"] * horizon
+    assert gated == 2
+    assert counts == {"decide": gated * deployed_steps, "step": len(policies) * deployed_steps, "fork": 0}

@@ -83,6 +83,63 @@ def test_cost_formula_hand_arithmetic_three_episode_fixture():
     assert result.trigger_rate == pytest.approx(triggered / 12.0, abs=1e-12)
 
 
+class _ScriptedEpisode:
+    """Steps through fixed signals; a step returns 1, or 2 if triggered."""
+
+    def __init__(self, signals):
+        self.signals, self.t = signals, 0
+
+    def done(self):
+        return self.t >= len(self.signals)
+
+    def observe(self):
+        return {"signal": self.signals[self.t]}
+
+    def step(self, triggered):
+        self.t += 1
+        return 2.0 if triggered else 1.0
+
+
+class _VariableLengthEnv:
+    """Episodes of lengths 1, 3 and 2, in the order they are asked for."""
+
+    env_id = "scripted"
+    SIGNALS = ([0.9], [0.1, 0.2, 0.8], [0.7, 0.9])
+
+    def __init__(self):
+        self.made = 0
+
+    def episode(self, seed):
+        self.made += 1
+        return _ScriptedEpisode(self.SIGNALS[self.made - 1])
+
+    def trigger_cost_units(self):
+        return 2.0
+
+    def episode_success(self, total_return):
+        return total_return > 2.5
+
+
+def test_variable_length_episodes_hand_arithmetic():
+    # Triggers (signal > 0.5) by step: t=0 in episodes 0 and 2, t=1 in
+    # episode 2, t=2 in episode 1; step 2 is reached by episode 1 alone,
+    # after a shorter episode came first.
+    policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
+    result = run_deployment(_VariableLengthEnv(), policy, 3, seed=0)
+    assert [(p.step_index, p.n, p.rate) for p in result.per_step_trigger] == [
+        (0, 3, 2 / 3), (1, 2, 0.5), (2, 1, 1.0),
+    ]
+    # 95% Wilson intervals of 2/3, 1/2 and 1/1 (z = 1.959964)
+    bounds = [(p.ci_low, p.ci_high) for p in result.per_step_trigger]
+    expected = [(0.2076596, 0.9385081), (0.0945312, 0.9054688), (0.2065493, 1.0)]
+    for got, want in zip(bounds, expected):
+        assert got == pytest.approx(want, abs=1e-7)
+    # 6 steps cost 1 each, the 4 triggered ones 2 more: (6 + 8) / 6
+    assert result.cost_x_base == 14.0 / 6.0
+    assert result.trigger_rate == 4 / 6
+    assert result.sr == 2 / 3  # returns 2, 4 and 4 against 2.5
+
+
 def test_never_firing_gate_equals_base_only():
     env = _env(noise_sd=0.2)
     silent = _signal_model(weight=0.0, bias=0.0, tau=0.5)  # sigmoid(0) = 0.5, never > tau

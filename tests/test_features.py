@@ -52,6 +52,20 @@ def test_universal_prefers_exact_names_over_aliases():
     assert vec["token_entropy"] == 0.9
 
 
+def test_numpy_scalars_read_as_the_numbers_they_hold():
+    # What indexing sample_states' columns gives: np.int64, np.float64,
+    # np.bool_; np.float32 too. numpy's str_ is text, never a number.
+    obs = {"step_count": np.int64(3), "signal": np.float32(0.5), "type_proxy": np.bool_(True),
+           "num_options": np.uint8(4), "is_finish": np.bool_(False), "note": np.str_("7")}
+    assert list(extract_universal(obs).values()) == [3.0, 0.5, 1.0, 4.0, 0.0]
+    assert parse_expr("step_count * 2 + type_proxy")(obs) == 7.0
+    assert parse_expr("note + 1")(obs) == 1.0
+    assert parse_expr("length(note)")(obs) == 1.0
+    floats = {k: float(v) for k, v in obs.items() if k != "note"}
+    pool = build_pool(propose_llm_features({}, MockProposalClient()).specs)
+    assert extract_features(pool, obs).tolist() == extract_features(pool, floats).tolist()
+
+
 def _pool_values(obs):
     pool = build_pool()
     return dict(zip((s.name for s in pool), extract_features(pool, obs).tolist()))

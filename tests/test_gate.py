@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dial.cli import save_model_json
+from dial.cli import load_config, save_model_json
 from dial.dsl import DslError
-from dial.features import FeatureError, build_pool, extract_features
+from dial.features import FeatureError, MockProposalClient, build_pool, extract_features
 from dial.gate import (
     DEFAULT_C_GRID,
     GateError,
@@ -29,7 +30,12 @@ from dial.gate import (
     objective,
     reverse_direction,
     weight_diagnostic,
+    _sigmoid,
 )
+from dial.twosource import TwoSourceEnv, sample_states
+from direction_experiments import explore_and_fit
+
+_DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")).env_params
 
 
 # -- standardizer ------------------------------------------------------------
@@ -540,3 +546,65 @@ def test_all_constant_features_give_intercept_only_gate():
     assert len(model.weights) == 0
     # balanced labels, zero weights: sigmoid(b) == 0.5, never above tau
     assert model.decide({"a": 5.0, "b": 1.0, "c": 0.0}) is False
+
+
+# -- the deployed gate: one observation at a time -------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_gate():
+    model, _ = explore_and_fit(TwoSourceEnv(_DEMO_PARAMS), seed=42, proposal_client=MockProposalClient())
+    return model
+
+
+def _demo_rows(n, seed=9):
+    """Observations of ``sample_states`` rows, their fields as numpy
+    scalars (as indexing the columns gives) and as Python floats."""
+    states = sample_states(_DEMO_PARAMS, n, seed)
+    fields = {"step_count": "step_index", "signal": "signal", "type_proxy": "type_proxy",
+              "num_options": "num_options", "is_finish": "is_finish"}
+    numpy_rows = [{k: states[c][i] for k, c in fields.items()} for i in range(n)]
+    float_rows = [{k: float(v) for k, v in row.items()} for row in numpy_rows]
+    return numpy_rows, float_rows
+
+
+def _with_dropped_feature(model, name):
+    """``model`` with ``name`` standardized as zero-variance (dropped)."""
+    std = model.standardizer
+    j = std.feature_names.index(name)
+    sds = std.sds.copy()
+    sds[j] = 0.0
+    dropped = Standardizer(std.feature_names, std.means, sds, (name,))
+    return GateModel(
+        feature_specs=model.feature_specs, standardizer=dropped,
+        weights=np.delete(model.weights, j), bias=model.bias, tau=model.tau,
+        regularizer=model.regularizer,
+    )
+
+
+def test_scalar_score_equals_the_matrix_formula_bit_for_bit(demo_gate):
+    # score() standardizes one row in Python floats; it must give the bits
+    # of the matrix path: apply_matrix, each row's dot product, _sigmoid.
+    # The rows are made contiguous, as a one-row matrix's row is: numpy
+    # sums a strided row's dot product in another order than BLAS ddot.
+    _, rows = _demo_rows(2000)
+    models = [demo_gate, reverse_direction(demo_gate), _with_dropped_feature(demo_gate, "step_count")]
+    for model in models:
+        X = np.vstack([extract_features(model.feature_specs, obs) for obs in rows])
+        Xs = np.ascontiguousarray(model.standardizer.apply_matrix(X))
+        expected = _sigmoid(np.array([x @ model.weights for x in Xs]) + model.bias).tolist()
+        scores = [model.score(obs) for obs in rows]
+        assert scores == expected
+        assert [model.decide(obs) for obs in rows] == [p > model.tau for p in expected]
+        assert min(scores) < 0.5 < max(scores)  # both logit signs occur
+
+
+def test_numpy_scalar_observations_score_as_floats(demo_gate):
+    # np.int64 and np.bool_ fields (indexing sample_states' columns) read
+    # as the numbers they hold, not as missing.
+    numpy_rows, float_rows = _demo_rows(300, seed=10)
+    assert isinstance(numpy_rows[0]["step_count"], np.int64)
+    assert isinstance(numpy_rows[0]["is_finish"], np.bool_)
+    for model in (demo_gate, reverse_direction(demo_gate)):
+        assert [model.score(o) for o in numpy_rows] == [model.score(o) for o in float_rows]
+        assert [model.decide(o) for o in numpy_rows] == [model.decide(o) for o in float_rows]

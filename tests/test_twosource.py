@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import typing
 
 import numpy as np
 import pytest
 
 from dial.envs import EnvFault
 from dial.explore import estimate_utility_paired
+from dial.rng import stream
 from dial.stats import spearman
 from dial.twosource import (
+    TYPE_D,
+    TYPE_I,
     InvalidParams,
     SimState,
     TwoSourceEnv,
     TwoSourceParams,
+    _draw_rows,
     sample_states,
     spawn_episode,
     step_return,
@@ -268,6 +273,25 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
         assert debug["true_utility"] == states["true_utility"][i]
         assert ep.step(False) == params.base_reward + states["reward_noise"][i]
     assert ep.done()
+
+
+@pytest.mark.parametrize("params", [TwoSourceParams(), TwoSourceParams(p_i0=0.3, fidelity_q=0.5, horizon=4)])
+def test_drawn_rows_carry_python_scalars_equal_to_sample_states(params):
+    # Episode rows hold Python scalars of SimState's declared types (never
+    # numpy scalars) with the values sample_states draws for the same
+    # seed and positions.
+    n = 3 * params.horizon
+    rows = _draw_rows(params, stream(23), np.arange(n, dtype=np.int64) % params.horizon)
+    states = sample_states(params, n, 23)
+    hints = typing.get_type_hints(SimState)
+    declared = tuple(hints[f] for f in SimState._fields)
+    assert declared == (int, str, float, int, int, float, float, bool)
+    for i, row in enumerate(rows):
+        assert tuple(type(v) for v in row) == declared
+        assert row.step_index == states["step_index"][i]
+        assert row.latent_type == (TYPE_D if states["is_type_d"][i] else TYPE_I)
+        for name in SimState._fields[2:]:
+            assert getattr(row, name) == states[name][i]
 
 
 def test_fork_extended_past_lookahead_is_pinned():
