@@ -161,6 +161,11 @@ def _check_keys(section: str, payload: Dict[str, Any]) -> None:
         raise ConfigError(f"{section}.{unknown[0]}: unknown key")
 
 
+def _is_number(value: Any, kinds: Any = (int, float)) -> bool:
+    """A JSON number of the given kinds; a bool is never one."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def load_config(path: str, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> RunConfig:
     """Parse, merge with defaults, and validate every section before any
@@ -180,12 +185,10 @@ def load_config(path: str, seed_override: Optional[int] = None,
             raise ConfigError(f"{section}: must be an object")
         _check_keys(section, payload)
         merged[section].update(payload)
-    merged["seed"] = int(user.get("seed", merged["seed"]))
-    merged["output_dir"] = str(user.get("output_dir", merged["output_dir"]))
-    if seed_override is not None:
-        merged["seed"] = int(seed_override)
-    if out_override is not None:
-        merged["output_dir"] = out_override
+    merged["seed"] = user.get("seed", merged["seed"]) if seed_override is None else int(seed_override)
+    if not _is_number(merged["seed"], int):
+        raise ConfigError(f"seed: must be an integer, got {merged['seed']!r}")
+    merged["output_dir"] = str(user.get("output_dir", merged["output_dir"])) if out_override is None else out_override
 
     env_section = dict(merged["environment"])
     env_type = env_section.pop("type", "twosource")
@@ -202,8 +205,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"eval.trigger_cost_units: {exc}") from exc
 
-    if not 0.0 <= float(merged["exploration"]["eps"]) <= 1.0:
-        raise ConfigError(f"exploration.eps: must lie in [0, 1], got {merged['exploration']['eps']}")
+    eps = merged["exploration"]["eps"]
+    if not (_is_number(eps) and 0.0 <= eps <= 1.0):
+        raise ConfigError(f"exploration.eps: must be a number in [0, 1], got {eps!r}")
     for section, key, low in (
         ("exploration", "n_episodes", 1),
         ("exploration", "k_candidates", 2),
@@ -214,15 +218,18 @@ def load_config(path: str, seed_override: Optional[int] = None,
         ("gate", "mi_bins", 2),
         ("eval", "n_episodes", 1),
     ):
-        if int(merged[section][key]) < low:
-            raise ConfigError(f"{section}.{key}: must be >= {low}")
+        value = merged[section][key]
+        if not (_is_number(value, int) and value >= low):
+            raise ConfigError(f"{section}.{key}: must be an integer >= {low}, got {value!r}")
     gate_cfg = merged["gate"]
-    if not gate_cfg["c_grid"] or not all(float(c) > 0 for c in gate_cfg["c_grid"]):
-        raise ConfigError(f"gate.c_grid: must be a non-empty list of positive values, got {gate_cfg['c_grid']!r}")
+    c_grid = gate_cfg["c_grid"]
+    if not (isinstance(c_grid, list) and c_grid and all(_is_number(c) and c > 0 for c in c_grid)):
+        raise ConfigError(f"gate.c_grid: must be a non-empty list of positive values, got {c_grid!r}")
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
-    if gate_cfg["tau"] != "cv" and not 0.0 < float(gate_cfg["tau"]) < 1.0:
-        raise ConfigError("gate.tau: must be 'cv' or a probability in (0, 1)")
+    tau = gate_cfg["tau"]
+    if tau != "cv" and not (_is_number(tau) and 0.0 < tau < 1.0):
+        raise ConfigError(f"gate.tau: must be 'cv' or a probability in (0, 1), got {tau!r}")
     if gate_cfg["llm_features"] not in PROPOSAL_MODES:
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
     for spec in merged["eval"]["policies"]:

@@ -24,12 +24,12 @@ import numpy as np
 Namespace = Dict[str, Any]
 Fn = Callable[[Namespace], float]
 
-# name -> (min args, max args or None, value from the argument values)
+# name -> (min args, max args or None, value from the argument values, passed positionally)
 _NUMERIC_FUNCS = {
     "min": (2, None, min),
     "max": (2, None, max),
-    "clamp": (3, 3, lambda v: min(max(v[0], v[1]), v[2])),
-    "abs": (1, 1, lambda v: abs(v[0])),
+    "clamp": (3, 3, lambda value, low, high: min(max(value, low), high)),
+    "abs": (1, 1, abs),
 }
 _TEXT_FUNCS = {"keyword_count": 2, "regex_count": 2, "length": 1}
 
@@ -112,8 +112,18 @@ def _compile_call(node: ast.Call, source: str) -> Fn:
         lo, hi, apply = _NUMERIC_FUNCS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
+        # Up to three arguments are passed directly, with no list per call.
         fns = [_compile(a, source) for a in args]
-        return lambda ns: apply([f(ns) for f in fns])
+        if len(fns) == 1:
+            (first,) = fns
+            return lambda ns: apply(first(ns))
+        if len(fns) == 2:
+            first, second = fns
+            return lambda ns: apply(first(ns), second(ns))
+        if len(fns) == 3:
+            first, second, third = fns
+            return lambda ns: apply(first(ns), second(ns), third(ns))
+        return lambda ns: apply([f(ns) for f in fns])  # min or max of four or more
     if name in _TEXT_FUNCS:
         n_expected = _TEXT_FUNCS[name]
         if len(args) != n_expected:

@@ -62,9 +62,10 @@ class Episode(Protocol):
         siblings with different ``index`` must read different noise:
         paired labeling forks every rollout of a label with one
         ``reseed`` and tells them apart by ``index`` alone. ``count=1``
-        is a single fork on the ``reseed`` stream. ``lookahead`` bounds
-        how many steps past the snapshot a rollout is expected to read
-        (None: to the end)."""
+        is a single fork on the ``reseed`` stream. The fork is done after
+        the snapshot step plus ``lookahead`` more steps, clipped at the
+        episode's end (None: at the episode's end); paired labeling steps
+        each fork until it is done."""
         ...
 
     def state_digest(self) -> str:

@@ -60,9 +60,6 @@ class LabeledDataset:
     def labeled(self) -> List[StepRecord]:
         return [r for r in self.records if r.utility_label is not None]
 
-    def n_steps(self) -> int:
-        return len(self.records)
-
 
 def estimate_utility_paired(
     episode: Episode,
@@ -75,10 +72,11 @@ def estimate_utility_paired(
     state.
 
     All candidates (base action first) are scored as the mean of
-    ``n_rollouts`` truncated returns from forks of the same snapshot.
-    The k x n forks are siblings of one ``seed``: each rollout reads rows
-    of its own from their one keyed draw, so the comparison is not
-    coupled by shared draws. Candidates that compare equal are one
+    ``n_rollouts`` truncated returns from forks of the same snapshot,
+    each stepped until done (``horizon_h`` steps, fewer at the episode's
+    end). The k x n forks are siblings of one ``seed``: each rollout
+    reads rows of its own from their one keyed draw, so the comparison
+    is not coupled by shared draws. Candidates that compare equal are one
     action, scored as the mean over all of their rollouts: taking the
     best of several noisy scores of one action would favour it for its
     luckiest copy alone (the optimizer's curse). Returns 1 iff the best
@@ -101,10 +99,8 @@ def estimate_utility_paired(
         for ri in range(n_rollouts):
             fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=ci * n_rollouts + ri, count=count)
             total = fork.apply_action(action)
-            steps_taken = 1
-            while steps_taken < horizon_h and not fork.done():
+            while not fork.done():  # the fork ends at its lookahead
                 total += fork.step(False)
-                steps_taken += 1
             summed += total
         sums[action] = summed
     values = [summed / (candidates.count(action) * n_rollouts) for action, summed in sums.items()]

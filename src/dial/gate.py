@@ -119,15 +119,11 @@ class Standardizer:
             raise GateError("standardizer means/sds misaligned with its feature names")
         if not set(self.dropped) <= set(self.feature_names):
             raise GateError("standardizer drops features it does not have")
-        # The keep-mask and the retained statistics, built once; a gate
-        # standardizes one row per decision from the (index, mean, sd)
-        # triples, in Python floats.
-        keep = np.array([n not in self.dropped for n in self.feature_names], dtype=bool)
-        object.__setattr__(self, "_keep", keep)
-        object.__setattr__(self, "_kept_means", self.means[keep])
-        object.__setattr__(self, "_kept_sds", self.sds[keep])
-        kept = zip(np.flatnonzero(keep).tolist(), self._kept_means.tolist(), self._kept_sds.tolist())
-        object.__setattr__(self, "_kept", tuple(kept))
+        # The retained (index, mean, sd) triples, built once: a gate
+        # standardizes one row per decision from them, in Python floats.
+        stats = zip(self.feature_names, self.means.tolist(), self.sds.tolist())
+        kept = tuple((j, mean, sd) for j, (name, mean, sd) in enumerate(stats) if name not in self.dropped)
+        object.__setattr__(self, "_kept", kept)
 
     @property
     def retained(self) -> Tuple[str, ...]:
@@ -138,7 +134,10 @@ class Standardizer:
             raise GateError(
                 f"feature dimension mismatch: got {X.shape[1]}, expected {len(self.feature_names)}"
             )
-        return (X[:, self._keep] - self._kept_means) / self._kept_sds
+        # A boolean column mask: the fit's bits depend on the memory order
+        # of the F-ordered array it gives.
+        keep = np.array([n not in self.dropped for n in self.feature_names], dtype=bool)
+        return (X[:, keep] - self.means[keep]) / self.sds[keep]
 
 
 def fit_standardizer(X: np.ndarray, names: Sequence[str]) -> Standardizer:

@@ -32,9 +32,10 @@ Conventions (fixed for reproducibility):
     noise, which leads the draw; any other read draws the full rows, so
     the bits do not depend on which read, or which sibling, comes first.
     The episode forked from keeps its last block, so siblings made one
-    after another draw once. A sibling stepped past its lookahead
-    continues on the block's stream as the full draw left it, advanced
-    by ``i * 2**64`` outputs. ``count=1`` is a single fork.
+    after another draw once. ``count=1`` is a single fork.
+  - a fork ends at its lookahead: it is done after its snapshot step and
+    ``lookahead`` more (to the horizon when None), and reads no row past
+    them. Every stream is a fresh ``stream(seed)`` read forward.
 """
 
 from __future__ import annotations
@@ -170,14 +171,13 @@ class _SiblingBlock:
     sibling reads does not depend on what its siblings read before it.
     """
 
-    __slots__ = ("params", "key", "_noise", "_rows", "_after")
+    __slots__ = ("params", "key", "_noise", "_rows")
 
     def __init__(self, params: TwoSourceParams, key: Tuple[int, int, int, int]):
         self.params = params
         self.key = key  # (reseed, count, snapshot step, step just past the block)
         self._noise: Optional[Tuple[float, ...]] = None
         self._rows: Optional[Tuple[SimState, ...]] = None
-        self._after: Optional[Dict[str, Any]] = None  # stream state after the rows were drawn; never mutated
 
     def reward_noise(self) -> Tuple[float, ...]:
         """Reward noise of every sibling's rows, the same bits the full
@@ -192,20 +192,10 @@ class _SiblingBlock:
         """Sibling ``index``'s lookahead rows."""
         reseed, count, cursor, end = self.key
         if self._rows is None:
-            rng = stream(reseed)
-            self._rows = _draw_rows(self.params, rng, np.tile(np.arange(cursor + 1, end, dtype=np.int64), count))
-            self._after = rng.bit_generator.state
+            steps = np.tile(np.arange(cursor + 1, end, dtype=np.int64), count)
+            self._rows = _draw_rows(self.params, stream(reseed), steps)
         m = end - cursor - 1
         return self._rows[index * m : (index + 1) * m]
-
-    def extension(self, index: int) -> np.random.Generator:
-        """Sibling ``index``'s stream past its block, after ``rows``: the
-        block's stream as its draw left it, advanced by ``index * 2**64``
-        outputs. Sibling 0 (a single fork) continues the stream itself."""
-        rng = stream(self.key[0])
-        rng.bit_generator.state = self._after
-        rng.bit_generator.advance(index << 64)
-        return rng
 
 
 class TwoSourceEpisode:
@@ -214,48 +204,43 @@ class TwoSourceEpisode:
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
     identical state streams. A fork snapshots the current state and
-    continues on rows of its own: sibling forks share one keyed draw but
-    never a row, which is how paired rollout arms are decoupled. A fork's
-    lookahead rows are drawn on first read (``_rng`` is None until then);
-    a paired rollout, which only sums untriggered rewards past the
-    snapshot, reads the reward noise alone, once per label.
+    continues on rows of its own up to its lookahead, where it is done:
+    sibling forks share one keyed draw but never a row, which is how
+    paired rollout arms are decoupled. A fork's lookahead rows are drawn
+    on first read (its ``_block`` is kept until then); a paired rollout,
+    which only sums untriggered rewards past the snapshot, reads the
+    reward noise alone, once per label.
     """
 
     def __init__(self, params: TwoSourceParams, seed: int):
-        rng = stream(seed)
         self.params = params
-        self._rng: Optional[np.random.Generator] = rng
-        self._rows = _draw_rows(params, rng, np.arange(params.horizon, dtype=np.int64))
+        self._rows = _draw_rows(params, stream(seed), np.arange(params.horizon, dtype=np.int64))
         self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
+        self._end = params.horizon  # done at this step index
+        self._block: Optional[_SiblingBlock] = None  # a fork's sibling block, until its rows are read
         self._siblings: Optional[_SiblingBlock] = None  # block of the last fork made here
 
     # -- episode protocol -------------------------------------------------
 
     def done(self) -> bool:
-        return self._cursor >= self.params.horizon
+        return self._cursor >= self._end
 
     def _current(self) -> SimState:
         if self.done():
             raise EnvFault("episode is finished")
         i = self._cursor - self._first
-        rows = self._rows
-        if i >= len(rows):
-            if self._rng is None:
-                # First read of a fork's lookahead: take its rows of the sibling block.
-                rows = self._rows = rows + self._block.rows(self._index)
-                self._rng = self._block.extension(self._index)
-            if i >= len(rows):
-                # Extend a fork stepped past its lookahead from its own stream.
-                steps = np.arange(self._first + len(rows), self._cursor + 1, dtype=np.int64)
-                rows = self._rows = rows + _draw_rows(self.params, self._rng, steps)
-        return rows[i]
+        if i >= len(self._rows):
+            # First read of a fork's lookahead: take its rows of the sibling block.
+            self._rows += self._block.rows(self._index)
+            self._block = None
+        return self._rows[i]
 
     def observe(self) -> Dict[str, float]:
         return observe(self._current())
 
     def step(self, triggered: bool) -> float:
-        if self._rng is None and not triggered and self._first < self._cursor < self._end:
+        if self._block is not None and not triggered and self._first < self._cursor < self._end:
             reward = self.params.base_reward + self._block.reward_noise()[self._noise_offset + self._cursor]
         else:
             reward = step_return(self.params, self._current(), bool(triggered))
@@ -279,10 +264,10 @@ class TwoSourceEpisode:
         forks made here with this ``reseed`` and ``lookahead``. The fork
         keeps the snapshot row; its next ``lookahead`` rows (to the
         horizon when None) are its rows of the siblings' one draw from
-        ``stream(reseed)`` (see ``_SiblingBlock``), and steps past them
-        extend from a stream of its own. ``count=1`` is a single fork.
-        Nothing is drawn here, and the last block made here is kept, so
-        siblings made one after another share their draw."""
+        ``stream(reseed)`` (see ``_SiblingBlock``), and it is done after
+        them. ``count=1`` is a single fork. Nothing is drawn here, and
+        the last block made here is kept, so siblings made one after
+        another share their draw."""
         if lookahead is not None and lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
@@ -302,8 +287,7 @@ class TwoSourceEpisode:
         fork.params = self.params
         fork._cursor = fork._first = cursor
         fork._rows = (snapshot,)
-        fork._rng = None
-        fork._end = end  # step index just past the lookahead block
+        fork._end = end
         fork._block = block
         fork._index = index
         fork._noise_offset = index * (end - cursor - 1) - cursor - 1  # reward_noise()[offset + t] is step t's

@@ -109,6 +109,27 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, val
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"exploration": {"k_candidates": 2.7}}, "exploration.k_candidates"),
+        ({"exploration": {"n_episodes": "many"}}, "exploration.n_episodes"),
+        ({"exploration": {"eps": "half"}}, "exploration.eps"),
+        ({"gate": {"tau": "auto"}}, "gate.tau"),
+        ({"gate": {"c_grid": [0.1, "x"]}}, "gate.c_grid"),
+        ({"gate": {"folds": None}}, "gate.folds"),
+        ({"eval": {"n_episodes": True}}, "eval.n_episodes"),
+        ({"seed": "abc"}, "seed"),
+    ],
+    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "folds-null", "n-bool", "seed-text"],
+)
+def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
+    # Neither truncated to an integer nor left to fail as a bare error.
+    config_path = write_config(tmp_path / "config.json", **overrides)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(config_path)
+
+
 def test_bad_policy_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"eval": {"policies": ["sometimes"]}}))

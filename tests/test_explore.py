@@ -26,15 +26,17 @@ from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 
 
 class ScriptedEpisode:
-    """Candidate action k yields reward values[k]; future steps add 0."""
+    """Candidate action k yields reward values[k]; future steps add 0.
+    A fork is done at its lookahead, as the Episode contract says."""
 
     def __init__(self, values, horizon=3):
         self.values = values
         self.horizon = horizon
+        self.end = horizon
         self.t = 0
 
     def done(self):
-        return self.t >= self.horizon
+        return self.t >= self.end
 
     def observe(self):
         return {"signal": 0.5, "step_count": float(self.t)}
@@ -50,8 +52,12 @@ class ScriptedEpisode:
         return self.apply_action(1 if triggered else 0)
 
     def fork(self, reseed, lookahead=None, *, index=0, count=1):
-        clone = ScriptedEpisode(self.values, self.horizon)
+        return self._positioned(ScriptedEpisode(self.values, self.horizon), lookahead)
+
+    def _positioned(self, clone, lookahead):
         clone.t = self.t
+        if lookahead is not None:
+            clone.end = min(self.t + 1 + lookahead, self.horizon)
         return clone
 
     def state_digest(self):
@@ -96,7 +102,7 @@ class SiblingScriptedEpisode(ScriptedEpisode):
     def fork(self, reseed, lookahead=None, *, index=0, count=1):
         clone = SiblingScriptedEpisode(self.candidates, self.returns)
         clone.index = index
-        return clone
+        return self._positioned(clone, lookahead)
 
 
 @pytest.mark.parametrize(

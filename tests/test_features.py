@@ -159,6 +159,10 @@ DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, 
         ("a != 3", 0.0),
         ("min(b, a, x)", -2.5),
         ("max(x, b, a)", 4.0),
+        ("min(b, a)", 3.0),
+        ("max(a, x)", 3.0),
+        ("min(b, n, a, x)", -2.5),
+        ("max(x, a, n, b, 1)", 12.5),
         ("abs(x)", 2.5),
         ("clamp(n, 0, 10)", 10.0),
         ('length("abcd")', 4.0),

@@ -16,6 +16,8 @@ from dial.twosource import TwoSourceEpisode, TwoSourceParams
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/dial/*.py"))
 SEEDING_CALLS = {"default_rng", "SeedSequence", "RandomState"}
+# Ways to jump a stream or to restore one from a saved state.
+STREAM_JUMPS = {"advance", "jumped"}
 
 # PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128).
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
@@ -90,13 +92,19 @@ def test_episode_seed_is_required():
 
 
 def seeding_calls(source: str) -> list:
+    """Calls that seed a stream other than through ``stream``, calls that
+    jump a stream, and reads of a generator's ``bit_generator``, whose
+    state can be saved and restored: every stream is to be a fresh
+    ``stream(seed)``, read forward."""
     calls = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in SEEDING_CALLS:
+            if name in SEEDING_CALLS | STREAM_JUMPS:
                 calls.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr == "bit_generator":
+            calls.append((node.lineno, "bit_generator"))
     return sorted(calls)
 
 
@@ -106,6 +114,16 @@ def test_scan_finds_seeding_calls():
         "a = np.random.default_rng(1)\nb = SeedSequence(2)\nc = np.random.RandomState\nd = RandomState(3)\n"
     )
     assert seeding_calls(source) == [(3, "default_rng"), (4, "SeedSequence"), (6, "RandomState")]
+
+
+def test_scan_finds_stream_jumps_and_saved_states():
+    source = (
+        "rng = stream(1)\nafter = rng.bit_generator.state\n"
+        "rng.bit_generator.advance(3 << 64)\nbits = PCG64(2).jumped(1)\nstate = rng.bit_generator\n"
+    )
+    assert seeding_calls(source) == [
+        (2, "bit_generator"), (3, "advance"), (3, "bit_generator"), (4, "jumped"), (5, "bit_generator"),
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))

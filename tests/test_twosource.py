@@ -294,29 +294,6 @@ def test_drawn_rows_carry_python_scalars_equal_to_sample_states(params):
             assert getattr(row, name) == states[name][i]
 
 
-def test_fork_extended_past_lookahead_is_pinned():
-    # A fork stepped past its lookahead draws the rest from its own
-    # stream one state at a time; pin what it yields.
-    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=6)
-    ep = spawn_episode(params, 21)
-    ep.step(True)
-    ep.step(False)
-    fork = ep.fork(reseed=77, lookahead=1)
-    rows = []
-    triggered = True
-    while not fork.done():
-        obs = fork.observe()
-        reward = fork.step(triggered)
-        rows.append((obs["step_count"], obs["signal"], obs["type_proxy"], obs["num_options"], obs["is_finish"], reward))
-        triggered = not triggered
-    assert rows == [
-        (2.0, 0.7469146583802309, 0.0, 4.0, 0.0, -0.0637936205100409),
-        (3.0, 0.4579508496492207, 0.0, 4.0, 0.0, 1.3186397871771782),
-        (4.0, 0.3088953461060029, 0.0, 4.0, 0.0, 1.4770571102214174),
-        (5.0, 0.14529975242278814, 0.0, 6.0, 1.0, 1.0032456754321093),
-    ]
-
-
 def _columns_digest(states):
     h = hashlib.sha256()
     for key in sorted(states):
@@ -406,14 +383,22 @@ def test_paired_labels_are_pinned(params, knh, golden):
     "lookahead, golden",
     [
         (None, "b13c3e8e8a85c83b0fb40e6735df9e5b70ca0e6f15c582d7d2f41ca0438e14a4"),
-        (0, "9711abd7f46643e50abb1870f891ec0105e10ec322311db018867cdd3d7daff5"),
-        (2, "68b3bd694c4f6abf19b00c46bd963764daeefa32a823fe7c993620a3a4b3fd15"),
+        (0, "9ed13776bbb9c1e141ab5d2e3820adfe5df9058f0ec41a8dcb9384ca9ac7c0e8"),
+        (2, "f88b062494e5f0f73a157731932ba85ced2c38fc48e353144ff9aa88418baa54"),
     ],
     ids=["to-horizon", "lookahead0", "lookahead2"],
 )
 def test_rollout_rewards_are_pinned(lookahead, golden):
     params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=7)
     assert _repr_digest(_rollout_rewards(params, lookahead)) == golden
+
+
+def _untriggered_steps(fork, n=3):
+    # Up to n untriggered steps (reward noise only), fewer if the fork is done first.
+    rewards = []
+    while len(rewards) < n and not fork.done():
+        rewards.append(fork.step(False))
+    return rewards
 
 
 @pytest.mark.parametrize("lookahead", [None, 0, 1, 3])
@@ -425,9 +410,9 @@ def test_untriggered_fork_then_observed_equals_observed_twin(lookahead):
     ep.step(False)
     lazy = ep.fork(reseed=5, lookahead=lookahead)
     twin = ep.fork(reseed=5, lookahead=lookahead)
-    lazy_rows = [lazy.step(False) for _ in range(3)]
+    lazy_rows = _untriggered_steps(lazy)
     twin_rows = []
-    for _ in range(3):
+    while len(twin_rows) < 3 and not twin.done():
         twin.observe()
         twin_rows.append(twin.step(False))
     while not twin.done():
@@ -439,15 +424,14 @@ def test_untriggered_fork_then_observed_equals_observed_twin(lookahead):
 
 def test_triggered_step_inside_lookahead_is_pinned():
     # An untriggered step reads only reward noise; the triggered step
-    # after it draws the block's full rows, and the last step extends
-    # past the block.
+    # after it draws the block's full rows.
     params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=6)
     ep = spawn_episode(params, 21)
     ep.step(False)
     fork = ep.fork(reseed=78, lookahead=3)
-    rewards = [fork.step(t in (3, 5)) for t in range(1, 6)]
+    rewards = [fork.step(t == 3) for t in range(1, 5)]
     assert fork.done()
-    assert rewards == [0.6630770813767324, 1.0508700853493795, 0.7723416290462037, 1.2278813419111148, 0.1673915164860229]
+    assert rewards == [0.6630770813767324, 1.0508700853493795, 0.7723416290462037, 1.2278813419111148]
 
 
 @pytest.mark.parametrize("lookahead", [-1, -4])
@@ -481,7 +465,7 @@ def _observed_rest(fork):
 def _observed_read(fork):
     # Observed before every step: every row comes from the full draw.
     rows = []
-    for _ in range(3):
+    while len(rows) < 3 and not fork.done():
         fork.observe()
         rows.append(fork.step(False))
     return rows + _observed_rest(fork)
@@ -496,7 +480,7 @@ def test_sibling_noise_read_equals_observed_twin(count, lookahead):
     twins = [repr(_observed_read(fork)) for fork in _siblings(count, lookahead)]
     for order in (list(range(count)), list(reversed(range(count)))):
         lazy = _siblings(count, lookahead)
-        rows = {i: [lazy[i].step(False) for _ in range(3)] for i in order}
+        rows = {i: _untriggered_steps(lazy[i]) for i in order}
         for i in order:
             rows[i] += _observed_rest(lazy[i])
         assert [repr(rows[i]) for i in range(count)] == twins
@@ -505,21 +489,35 @@ def test_sibling_noise_read_equals_observed_twin(count, lookahead):
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_siblings_are_pairwise_distinct(count, lookahead):
+    # Past the shared snapshot row no two siblings read alike; at
+    # lookahead 0 a sibling is done at the snapshot and reads no row past it.
     reads = [repr(_observed_read(fork)[1:]) for fork in _siblings(count, lookahead)]
-    assert len(set(reads)) == count
+    assert len(set(reads)) == (1 if lookahead == 0 else count)
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
-def test_sibling_past_lookahead_ignores_its_siblings(count, lookahead):
-    # Read alone, or after every other sibling was read to the horizon
-    # (past its own lookahead), a sibling yields the same rows.
-    for index in sorted({0, count // 2, count - 1}):
-        alone = _observed_read(_siblings(count, lookahead)[index])
-        family = _siblings(count, lookahead)
-        for other in family[:index] + family[index + 1 :]:
-            _observed_read(other)
-        assert repr(_observed_read(family[index])) == repr(alone)
+def test_fork_is_done_at_its_lookahead(count, lookahead):
+    # From every snapshot, first and last sibling, untriggered and mixed
+    # steps: done after the snapshot step plus the lookahead, clipped at
+    # the horizon; then every read raises, as on a finished episode.
+    horizon = _SIBLING_PARAMS.horizon
+    ep = spawn_episode(_SIBLING_PARAMS, 33)
+    for cursor in range(horizon):
+        expected = horizon - cursor if lookahead is None else min(1 + lookahead, horizon - cursor)
+        for index in sorted({0, count - 1}):
+            for mixed in (False, True):
+                fork = ep.fork(5, lookahead, index=index, count=count)
+                steps = 0
+                while not fork.done():
+                    fork.step(mixed and steps % 2 == 1)
+                    steps += 1
+                assert steps == expected
+                for read in (lambda: fork.step(False), lambda: fork.step(True),
+                             fork.observe, fork.debug_state, fork.state_digest):
+                    with pytest.raises(EnvFault, match="finished"):
+                        read()
+        ep.step(False)
 
 
 @pytest.mark.parametrize("index, count", [(0, 0), (0, -2), (-1, 5), (5, 5), (30, 25)])
