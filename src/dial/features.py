@@ -61,7 +61,6 @@ class FeatureSpec:
     name: str
     source: str  # universal | derived | llm
     extractor: str  # "builtin:<universal name>" or a DSL expression
-    default_value: float = 0.0
     compiled: Optional[CompiledExpr] = field(init=False, compare=False, repr=False)  # None for builtins
 
     def __post_init__(self) -> None:
@@ -126,7 +125,7 @@ def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> np.nd
     for name, keys in _ALIASES.items():
         namespace[name] = _resolve(obs, keys)
     values = [
-        namespace.get(spec.extractor[len("builtin:") :], spec.default_value) if spec.compiled is None
+        namespace[spec.extractor[len("builtin:") :]] if spec.compiled is None
         else spec.compiled(namespace)
         for spec in specs
     ]

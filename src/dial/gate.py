@@ -12,12 +12,15 @@ sigmoid threshold. The loss is the summed binary cross-entropy plus a
                  an unregularized fit on the selected features
 
 Every penalty is solved by one proximal-Newton path: each outer
-iteration solves a weighted quadratic model of the loss by cyclic
-coordinate descent with soft-thresholding; l2 and none are the case
-without an l1 term. The solver stops when the largest parameter update
-falls below 1e-8, and logs a warning when it stops at its cap of 10,000
-outer iterations instead. Fitting is single-threaded and deterministic;
-a fitted model is immutable and can be shared freely.
+iteration solves a weighted quadratic model of the loss exactly, by an
+active-set (feature-sign) search over the weighted Gram matrix of
+[X 1]; l2 and none are the case without an l1 term, solved in one step.
+The solver stops on a KKT certificate, when no gradient entry (the
+bias's included) is farther than 1e-8 from the l1 subdifferential; it
+also stops when no step improves the objective in double precision, and
+at its cap of 10,000 outer iterations, which it logs. Each model's meta
+records how its fits stopped. Fitting is single-threaded and
+deterministic; a fitted model is immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,135 +168,179 @@ def _check_two_classes(y: np.ndarray) -> None:
         raise GateError(f"labels must be binary, got classes {classes}")
 
 
-def _soft(target: float, lam1: float) -> float:
-    return math.copysign(max(abs(target) - lam1, 0.0), target)
-
-
-_INNER_REFINEMENTS = 40
 _WEIGHT_FLOOR = 1e-5  # curvature clamp for the working weights
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_STOPS = ("certificate", "no_improving_step", "cap")
 
 
-def _inner_weighted_cd(
-    X: np.ndarray, response: np.ndarray, weights: np.ndarray,
-    u: np.ndarray, ub: float, lam1: float, lam2: float,
-) -> Tuple[np.ndarray, float]:
-    """Solve one weighted quadratic subproblem:
-    min over (u, ub) of 0.5*sum(weights*(response - X u - ub)^2)
-    + lam1*|u| + 0.5*lam2*u^2 (bias unpenalized).
+class SolverRun(NamedTuple):
+    """What one solver call did: why it stopped (one of ``_STOPS``), the
+    KKT violation of the point it returned, its outer (proximal-Newton)
+    iterations and its active-set solves."""
 
-    Cyclic soft-thresholding sweeps settle the active sign pattern; the
-    pattern is then finished with an exact bordered linear solve,
-    accepted only when signs stay consistent and the inactive
-    coordinates satisfy their subgradient bound.
+    stop: str
+    violation: float
+    outer_iterations: int
+    active_set_solves: int
+
+
+def _solver_totals(runs: Sequence[SolverRun]) -> Dict[str, Any]:
+    """Totals over solver calls: calls, how many converged (stopped on
+    the certificate), the count of each stop reason, the largest final
+    KKT violation, outer iterations and active-set solves."""
+    return {
+        "fits": len(runs),
+        "converged": sum(r.stop == "certificate" for r in runs),
+        "stops": {stop: sum(r.stop == stop for r in runs) for stop in _STOPS},
+        "max_violation": max(r.violation for r in runs),
+        "outer_iterations": sum(r.outer_iterations for r in runs),
+        "active_set_solves": sum(r.active_set_solves for r in runs),
+    }
+
+
+def _kkt_violation(grad: np.ndarray, w: np.ndarray, lam1: float) -> float:
+    """Largest distance of the gradient of the smooth part (weights, then
+    the bias) from the l1 subdifferential: |g_j + lam1*sign(w_j)| on a
+    nonzero weight, max(|g_j| - lam1, 0) on a zero one, |g_b| on the bias."""
+    g = grad[:-1]
+    dist = np.where(w != 0.0, np.abs(g + lam1 * np.sign(w)), np.maximum(np.abs(g) - lam1, 0.0))
+    return max(float(dist.max(initial=0.0)), abs(float(grad[-1])))
+
+
+def _solve_active(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The LU solution of ``system @ x = rhs``; when LU fails, or leaves a
+    residual above sqrt(eps) of the right-hand side, the system is
+    singular or nearly so (dependent columns a warm start made active),
+    and its least-norm least-squares solution is returned instead."""
+    try:
+        x = np.linalg.solve(system, rhs)
+        if np.abs(system @ x - rhs).max() <= _SQRT_EPS * np.abs(rhs).max():
+            return x
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+def _solve_subproblem(
+    gram: np.ndarray, target: np.ndarray, v: np.ndarray, lam1: float, live: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Solve one weighted quadratic subproblem exactly by feature-sign
+    search (Lee, Battle, Raina & Ng, NIPS 2007):
+    min over v = (u, ub) of 0.5*v'Gv - t'v + lam1*|u|_1, the bias last and
+    unpenalized, where G is the weighted Gram matrix of [X 1] plus the l2
+    ridge. From the sign pattern of the start ``v``, each step solves the
+    bordered system on the active set, moves to the lowest-objective point
+    among its solution and the sign crossings on the way there, and, once
+    the signs hold, activates the inactive coordinate that most violates
+    |grad| <= lam1. A column that depends linearly on active ones has a
+    zero gradient, so it is never activated; only a start with dependent
+    nonzero columns gives a singular system (see ``_solve_active``).
+    Returns the solution and the number of solves.
     """
-    n, d = X.shape
-    col_h = weights @ (X**2)
-    weight_sum = float(weights.sum())
-    resid = response - X @ u - ub
-    live = np.flatnonzero(col_h > 0.0)
-    for _ in range(_INNER_REFINEMENTS):
-        for _ in range(3):  # sweeps to settle the active set
-            max_delta = 0.0
-            delta_b = float(weights @ resid) / weight_sum
-            ub += delta_b
-            resid -= delta_b
-            max_delta = abs(delta_b)
-            for j in live:
-                x_j = X[:, j]
-                rho = float((weights * x_j) @ resid) + col_h[j] * u[j]
-                new_u = _soft(rho, lam1) / (col_h[j] + lam2)
-                delta = new_u - u[j]
-                if delta != 0.0:
-                    u[j] = new_u
-                    resid -= delta * x_j
-                    max_delta = max(max_delta, abs(delta))
-            if max_delta < SOLVER_TOL:
-                return u, ub
-        active = live if lam1 == 0.0 else np.flatnonzero(u != 0.0)
-        signs = np.sign(u[active])
-        Xa = X[:, active]
-        wXa = weights[:, None] * Xa
-        k = active.size
-        system = np.empty((k + 1, k + 1))
-        system[:k, :k] = Xa.T @ wXa + lam2 * np.eye(k)
-        system[:k, k] = wXa.sum(axis=0)
-        system[k, :k] = wXa.sum(axis=0)
-        system[k, k] = weight_sum
-        rhs = np.empty(k + 1)
-        rhs[:k] = wXa.T @ response - lam1 * signs
-        rhs[k] = float(weights @ response)
-        try:
-            solution = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
+    d = v.size - 1
+    v = v.copy()
+    theta = np.sign(v)
+    theta[d] = 0.0
+    active = (v != 0.0) & live
+    active[d] = True
+    for solves in range(1, 4 * (d + 1) + 1):  # finite in exact arithmetic; a guard against rounding
+        idx = np.flatnonzero(active)
+        system = gram[idx][:, idx]
+        x = _solve_active(system, target[idx] - lam1 * theta[idx])
+        cur = v[idx]
+        cross = np.flatnonzero(cur * x < 0.0) if lam1 > 0.0 else ()
+        if len(cross):
+            # The candidates: the solution, and each point where a
+            # coordinate reaches zero on the way to it (set to exactly 0).
+            points = cur + (cur[cross] / (cur[cross] - x[cross]))[:, None] * (x - cur)
+            points[np.arange(len(cross)), cross] = 0.0
+            points = np.vstack([x, points])
+            values = (0.5 * np.einsum("ij,jk,ik->i", points, system, points) - points @ target[idx]
+                      + lam1 * np.abs(points[:, :-1]).sum(axis=1))
+            x = points[int(np.argmin(values))]
+        v[idx] = x
+        signs_hold = lam1 == 0.0 or bool(np.all(np.sign(x[:-1]) == theta[idx[:-1]]))
+        theta = np.sign(v)
+        theta[d] = 0.0
+        active = (v != 0.0) & live
+        active[d] = True
+        if not signs_hold:
             continue
-        u_exact, ub_exact = solution[:k], float(solution[k])
-        if lam1 > 0.0 and np.any(u_exact * signs <= 0.0):
-            continue  # sign pattern not settled yet, keep sweeping
-        resid_exact = response - Xa @ u_exact - ub_exact
-        inactive = np.setdiff1d(live, active, assume_unique=False)
-        if inactive.size:
-            grad = (weights * resid_exact) @ X[:, inactive]
-            if np.any(np.abs(grad) > lam1 * (1 + 1e-9) + 1e-9):
-                continue  # an excluded coordinate violates its bound
-        u = np.zeros(d)
-        u[active] = u_exact
-        return u, ub_exact
-    return u, ub
+        grad = gram @ v - target
+        excess = np.where(active | ~live, 0.0, np.abs(grad))
+        j = int(np.argmax(excess))
+        if excess[j] <= lam1 * (1 + 1e-9) + 1e-9:
+            break
+        active[j] = True
+        theta[j] = -np.sign(grad[j])
+    return v, solves
 
 
-def _fit_coordinate_descent(
+def _proximal_newton(
     X: np.ndarray, y: np.ndarray, lam1: float, lam2: float, max_iter: int,
     w_init: Optional[np.ndarray] = None, b_init: float = 0.0,
-) -> Tuple[np.ndarray, float]:
-    """Proximal-Newton outer loop with cyclic soft-thresholding
-    coordinate descent on each quadratic subproblem, plus a halving line
-    search that keeps the penalized objective monotone. Stops when the
-    largest parameter update falls below SOLVER_TOL, when no step improves
-    the objective, or after ``max_iter`` outer iterations, which is
-    logged. The problem is convex, so a warm start changes the path but
+) -> Tuple[np.ndarray, float, SolverRun]:
+    """Proximal-Newton outer loop: each iteration solves the weighted
+    quadratic model of the loss exactly (``_solve_subproblem``), then a
+    halving line search keeps the penalized objective strictly
+    decreasing. Stops on a KKT certificate (``_kkt_violation`` at most
+    SOLVER_TOL; Friedman, Hastie & Tibshirani, JSS 2010), when no step
+    improves the objective, or after ``max_iter`` outer iterations, which
+    is logged. The problem is convex, so a warm start changes the path but
     not the optimal objective value. The minimizer is unique for
     lam2 > 0; with lam2 == 0 it need not be, and separable data has no
     finite minimizer at all.
     """
     n, d = X.shape
-    w = np.zeros(d) if w_init is None else w_init.astype(float).copy()
-    b = float(b_init)
-    z = X @ w + b
-    obj = bce_sum(z, y) + _penalty(w, lam1, lam2)
-    max_delta = math.nan
-    for _ in range(max_iter):
+    design = np.hstack([X, np.ones((n, 1))])  # [X 1]: the bias is coordinate d
+    live = np.any(design != 0.0, axis=0)
+    ridge = np.full(d + 1, lam2)
+    ridge[d] = 0.0
+    v = np.zeros(d + 1)
+    if w_init is not None:
+        v[:d] = w_init
+    v[d] = b_init
+    z = design @ v
+    obj = bce_sum(z, y) + _penalty(v[:d], lam1, lam2)
+    stop, outer, solves, last_update = "cap", 0, 0, math.nan
+    while True:
         p = _sigmoid(z)
+        violation = _kkt_violation(design.T @ (p - y) + ridge * v, v[:d], lam1)
+        if violation <= SOLVER_TOL:
+            stop = "certificate"
+            break
+        if outer == max_iter:
+            logger.warning(
+                "solver stopped at its cap of %d outer iterations (lam1=%g, lam2=%g); "
+                "last update %.3g, KKT violation %.3g, tolerance %g",
+                max_iter, lam1, lam2, last_update, violation, SOLVER_TOL,
+            )
+            break
+        outer += 1
         p_safe = np.clip(p, _WEIGHT_FLOOR, 1.0 - _WEIGHT_FLOOR)
         weights = p_safe * (1.0 - p_safe)
-        response = z + (y - p) / weights
-        u, ub = _inner_weighted_cd(X, response, weights, w.copy(), b, lam1, lam2)
-        dir_w = u - w
-        dir_b = ub - b
-        dir_z = X @ dir_w + dir_b
+        weighted = design * weights[:, None]
+        gram = design.T @ weighted
+        gram[np.diag_indices(d + 1)] += ridge
+        target = weighted.T @ (z + (y - p) / weights)
+        u, k = _solve_subproblem(gram, target, v, lam1, live)
+        solves += k
+        direction = u - v
+        dir_z = design @ direction
         step = 1.0
-        accepted = False
         for _ in range(50):  # halve until the penalized objective strictly decreases
-            w_try = w + step * dir_w
+            v_try = v + step * direction
             z_try = z + step * dir_z
-            obj_try = bce_sum(z_try, y) + _penalty(w_try, lam1, lam2)
-            if obj_try < obj - 1e-12 * (1.0 + abs(obj)):
-                accepted = True
+            obj_try = bce_sum(z_try, y) + _penalty(v_try[:d], lam1, lam2)
+            if obj_try < obj:
                 break
             step *= 0.5
-        if not accepted:
-            break  # no double-precision improvement left: converged
-        max_delta = step * max(float(np.max(np.abs(dir_w))) if d else 0.0, abs(dir_b))
-        w, b = w_try, b + step * dir_b
-        z, obj = z_try, obj_try
-        if max_delta < SOLVER_TOL:
+        else:
+            stop = "no_improving_step"
             break
-    else:
-        logger.warning(
-            "solver stopped at its cap of %d outer iterations (lam1=%g, lam2=%g); "
-            "last update %.3g, tolerance %g",
-            max_iter, lam1, lam2, max_delta, SOLVER_TOL,
-        )
-    return w, b
+        last_update = step * float(np.abs(direction).max())
+        v, z, obj = v_try, z_try, obj_try
+    return v[:d].copy(), float(v[d]), SolverRun(stop, violation, outer, solves)
 
 
 def fit_sparse_logistic(
@@ -304,12 +351,14 @@ def fit_sparse_logistic(
     *,
     max_iter: int = SOLVER_MAX_ITER,
     warm_start: Optional[Tuple[np.ndarray, float]] = None,
+    runs: Optional[List[SolverRun]] = None,
 ) -> Tuple[np.ndarray, float]:
     """Minimize summed BCE plus (1/C)*penalty over (weights, bias).
 
     Inputs are expected standardized. Deterministic for fixed inputs,
     ``warm_start`` included; every regularizer takes the same
-    proximal-Newton path (l2 and none have no l1 term).
+    proximal-Newton path (l2 and none have no l1 term). The call's
+    ``SolverRun`` is appended to ``runs`` when one is given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -320,9 +369,10 @@ def fit_sparse_logistic(
     lam1, lam2 = _penalty_weights(c, reg)
     _check_two_classes(y)
     w0, b0 = (None, 0.0) if warm_start is None else warm_start
-    return _fit_coordinate_descent(
-        X, y, lam1=lam1, lam2=lam2, max_iter=max_iter, w_init=w0, b_init=b0
-    )
+    w, b, run = _proximal_newton(X, y, lam1=lam1, lam2=lam2, max_iter=max_iter, w_init=w0, b_init=b0)
+    if runs is not None:
+        runs.append(run)
+    return w, b
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -352,12 +402,13 @@ def _usable_folds(y: np.ndarray, folds: int, seed: int) -> Iterator[Tuple[int, n
 
 
 def _c_path(
-    X: np.ndarray, y: np.ndarray, grid: Sequence[float], reg: str
+    X: np.ndarray, y: np.ndarray, grid: Sequence[float], reg: str,
+    runs: Optional[List[SolverRun]] = None,
 ) -> Iterator[Tuple[float, Tuple[np.ndarray, float]]]:
     """Fits along the ascending C grid, each warm-started from the last."""
     warm = None
     for c in sorted(float(c) for c in grid):
-        warm = fit_sparse_logistic(X, y, c, reg, warm_start=warm)
+        warm = fit_sparse_logistic(X, y, c, reg, warm_start=warm, runs=runs)
         yield c, warm
 
 
@@ -372,11 +423,13 @@ def cross_validate_c(
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
     reg: str = "l1",
+    runs: Optional[List[SolverRun]] = None,
 ) -> Tuple[float, List[Dict[str, Any]]]:
     """Pick C by mean held-out log-loss across seeded stratified folds.
 
     Folds whose training split is single-class are skipped for every C;
-    ties go to the smaller C (more regularization).
+    ties go to the smaller C (more regularization). Each fit's
+    ``SolverRun`` is appended to ``runs`` when one is given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -393,7 +446,7 @@ def cross_validate_c(
     used = []
     for f, train in _usable_folds(y, folds, seed):
         used.append(f)
-        for c, (w, b) in _c_path(X[train], y[train], grid_sorted, reg):
+        for c, (w, b) in _c_path(X[train], y[train], grid_sorted, reg, runs):
             losses[c].append(mean_logloss(X[~train] @ w + b, y[~train]))
     if not used:
         raise GateError("every fold was skipped (single-class training splits)")
@@ -524,12 +577,15 @@ def weight_diagnostic(model: GateModel) -> Dict[str, str]:
 _TAU_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(9))  # 0.30 .. 0.70
 
 
-def _cv_tau(X: np.ndarray, y: np.ndarray, c: float, reg: str, folds: int, seed: int) -> float:
+def _cv_tau(
+    X: np.ndarray, y: np.ndarray, c: float, reg: str, folds: int, seed: int,
+    runs: List[SolverRun],
+) -> float:
     """Sweep tau on held-out folds, maximizing trigger/label agreement;
     ties prefer the value nearest 0.5 (then the smaller one)."""
     accuracy = {tau: [] for tau in _TAU_GRID}
     for _, train in _usable_folds(y, folds, seed):
-        w, b = fit_sparse_logistic(X[train], y[train], c, reg)
+        w, b = fit_sparse_logistic(X[train], y[train], c, reg, runs=runs)
         p = _sigmoid(X[~train] @ w + b)
         for tau in _TAU_GRID:
             accuracy[tau].append(float(((p > tau) == (y[~train] == 1.0)).mean()))
@@ -559,7 +615,10 @@ def fit_gate(
 
     ``tau`` is either a float (default 0.5) or "cv" for a held-out sweep.
     ``regularizer`` accepts the ablation family: l1, l2, none,
-    elastic_net, mi_topk.
+    elastic_net, mi_topk. ``meta["solver"]`` records how the solver
+    stopped: on the call that gave the weights (``final``) and in totals
+    over every call of this fit, CV and tau-sweep folds included
+    (``all``).
     """
     if regularizer not in REGULARIZERS:
         raise GateError(f"unknown regularizer {regularizer!r}")
@@ -574,31 +633,39 @@ def fit_gate(
     retained = standardizer.retained
 
     cv_report: List[Dict[str, Any]] = []
+    runs: List[SolverRun] = []  # every solver call of this fit
     chosen_c: Optional[float] = None
     tau_matrix = Xs  # what a "cv" threshold sweep refits on
     tau_reg = "none"
     if regularizer == "mi_topk":
         selected = set(mi_topk_select(Xs, y, retained, k=min(mi_k, len(retained)), bins=mi_bins))
         keep = np.array([n in selected for n in retained])
-        w_sel, b = fit_sparse_logistic(Xs[:, keep], y, c=1.0, reg="none")
+        w_sel, b = fit_sparse_logistic(Xs[:, keep], y, c=1.0, reg="none", runs=runs)
         weights = np.zeros(len(retained))
         weights[keep] = w_sel
         tau_matrix = Xs[:, keep]
     elif regularizer == "none":
-        weights, b = fit_sparse_logistic(Xs, y, c=1.0, reg="none")
+        weights, b = fit_sparse_logistic(Xs, y, c=1.0, reg="none", runs=runs)
     else:
-        chosen_c, cv_report = cross_validate_c(Xs, y, c_grid, folds, seed, reg=regularizer)
-        path = _c_path(Xs, y, [c for c in c_grid if float(c) <= chosen_c], regularizer)
+        chosen_c, cv_report = cross_validate_c(Xs, y, c_grid, folds, seed, reg=regularizer, runs=runs)
+        path = _c_path(Xs, y, [c for c in c_grid if float(c) <= chosen_c], regularizer, runs)
         _, (weights, b) = list(path)[-1]  # the final fit rides the CV path up to the chosen C
         tau_reg = regularizer
+    final = runs[-1]  # the call that gave the weights
 
     if tau == "cv":
         tau_value = _cv_tau(tau_matrix, y, chosen_c if chosen_c is not None else 1.0,
-                            tau_reg, folds, seed)
+                            tau_reg, folds, seed, runs)
     else:
         tau_value = float(tau)
 
-    model_meta = {"seed": seed, "chosen_c": chosen_c, "n_rows": int(len(y))}
+    model_meta = {
+        "seed": seed, "chosen_c": chosen_c, "n_rows": int(len(y)),
+        "solver": {
+            "final": {"converged": final.stop == "certificate", **final._asdict()},
+            "all": _solver_totals(runs),
+        },
+    }
     model_meta.update(meta or {})
     return GateModel(
         feature_specs=tuple(specs),
@@ -620,14 +687,24 @@ _MODEL_KEYS = (
     "feature_specs", "feature_names", "weights", "bias", "tau",
     "regularizer", "standardizer", "cv_report", "meta",
 )
+# The keys of each feature spec in a model JSON.
+_SPEC_KEYS = ("name", "source", "extractor")
+
+
+def _refuse_off_schema(payload: Dict[str, Any], keys: Sequence[str], what: str) -> None:
+    """GateError naming the first key of ``keys`` missing from ``payload``,
+    or else its first key outside ``keys``."""
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise GateError(f"model JSON misaligned with its schema: missing {what} {missing[0]!r}")
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise GateError(f"model JSON misaligned with its schema: unknown {what} {unknown[0]!r}")
 
 
 def model_to_dict(model: GateModel) -> Dict[str, Any]:
     return dict(zip(_MODEL_KEYS, (
-        [
-            {"name": s.name, "source": s.source, "extractor": s.extractor, "default_value": s.default_value}
-            for s in model.feature_specs
-        ],
+        [{k: getattr(s, k) for k in _SPEC_KEYS} for s in model.feature_specs],
         list(model.feature_names),
         [float(w) for w in model.weights],
         model.bias,
@@ -646,14 +723,12 @@ def model_to_dict(model: GateModel) -> Dict[str, Any]:
 
 def model_from_dict(payload: Dict[str, Any]) -> GateModel:
     """The model a ``model_to_dict`` payload holds. A missing or unknown
-    top-level key, or ``feature_names`` other than the standardizer's
-    retained features, is refused with a GateError naming it."""
-    missing = [k for k in _MODEL_KEYS if k not in payload]
-    if missing:
-        raise GateError(f"model JSON misaligned with its schema: missing key {missing[0]!r}")
-    unknown = sorted(set(payload) - set(_MODEL_KEYS))
-    if unknown:
-        raise GateError(f"model JSON misaligned with its schema: unknown key {unknown[0]!r}")
+    top-level or feature spec key, or ``feature_names`` other than the
+    standardizer's retained features, is refused with a GateError naming
+    it."""
+    _refuse_off_schema(payload, _MODEL_KEYS, "key")
+    for spec in payload["feature_specs"]:
+        _refuse_off_schema(spec, _SPEC_KEYS, "feature spec key")
     std = payload["standardizer"]
     standardizer = Standardizer(
         feature_names=tuple(std["feature_names"]),
@@ -661,13 +736,7 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
         sds=np.array(std["sds"], dtype=float),
         dropped=tuple(std["dropped"]),
     )
-    specs = tuple(
-        FeatureSpec(
-            name=s["name"], source=s["source"], extractor=s["extractor"],
-            default_value=s.get("default_value", 0.0),
-        )
-        for s in payload["feature_specs"]
-    )
+    specs = tuple(FeatureSpec(**spec) for spec in payload["feature_specs"])
     model = GateModel(
         feature_specs=specs,
         standardizer=standardizer,

@@ -84,8 +84,8 @@ class TwoSourceParams:
             raise InvalidParams(f"noise_sd must be nonnegative, got {self.noise_sd}")
         if not 0.0 <= self.fidelity_q <= 1.0:
             raise InvalidParams(f"fidelity_q must be in [0, 1], got {self.fidelity_q}")
-        if self.horizon < 1:
-            raise InvalidParams(f"horizon must be a positive count, got {self.horizon}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
+            raise InvalidParams(f"horizon must be a positive integer, got {self.horizon!r}")
         if not self.trigger_cost_units > 0:
             raise InvalidParams(f"trigger_cost_units must be positive, got {self.trigger_cost_units}")
         if np.isnan(self.success_threshold):

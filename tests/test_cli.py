@@ -79,6 +79,13 @@ def test_env_params_validated_before_work(tmp_path):
         load_config(str(path))
 
 
+def test_non_integer_horizon_refused_by_name(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"environment": {"horizon": 4.5}}))
+    with pytest.raises(ConfigError, match="environment: horizon must be a positive integer, got 4.5"):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("key", ["n_rollouts", "horizon_h"])
 def test_rollout_sizes_validated_before_work(tmp_path, key):
     config_path = write_config(tmp_path / "config.json", exploration={key: 0})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dial.gate
 from dial.cli import load_config, save_model_json
 from dial.dsl import DslError
-from dial.features import FeatureError, MockProposalClient, build_pool, extract_features
+from dial.features import FeatureError, FeatureSpec, MockProposalClient, build_matrix, build_pool, extract_features
 from dial.gate import (
     DEFAULT_C_GRID,
     GateError,
@@ -191,6 +193,73 @@ def test_solver_logs_only_a_stop_at_its_cap(caplog):
     assert len(messages) == 1
     assert "cap of 20 outer iterations" in messages[0]
     assert "lam1=0, lam2=0" in messages[0] and "last update" in messages[0]
+
+
+def test_cap_stops_are_recorded_in_the_model(monkeypatch, caplog):
+    # Separable: "none" has no finite optimum, so the final fit and each of
+    # the five tau-sweep refits stop at the cap (lowered here to keep the
+    # test fast; at the default 10,000 they stop the same way).
+    monkeypatch.setattr(dial.gate, "fit_sparse_logistic",
+                        functools.partial(fit_sparse_logistic, max_iter=20))
+    X = np.linspace(-2.0, 2.0, 10).reshape(-1, 1)
+    y = (X[:, 0] > 0).astype(float)
+    with caplog.at_level("WARNING", logger="dial.gate"):
+        model = fit_gate(X, y, [FeatureSpec("x", "llm", "signal")], regularizer="none", tau="cv")
+    assert len([r for r in caplog.records if r.name == "dial.gate"]) == 6
+    final, totals = model.meta["solver"]["final"], model.meta["solver"]["all"]
+    assert final["converged"] is False and final["stop"] == "cap"
+    assert final["outer_iterations"] == 20 and final["violation"] > 1e-8
+    assert totals["fits"] == 6 and totals["converged"] == 0
+    assert totals["stops"] == {"certificate": 0, "no_improving_step": 0, "cap": 6}
+    assert totals["outer_iterations"] == 120
+
+
+def test_demo_fit_records_a_certified_final_fit(demo_data):
+    model, _, _ = demo_data
+    final, totals = model.meta["solver"]["final"], model.meta["solver"]["all"]
+    assert final["converged"] is True and final["stop"] == "certificate"
+    assert final["violation"] <= 1e-8
+    path = sum(c <= model.meta["chosen_c"] for c in DEFAULT_C_GRID)
+    assert totals["fits"] == 5 * len(DEFAULT_C_GRID) + path  # the CV folds' paths, then the final path
+    assert totals["stops"]["cap"] == 0
+    assert sum(totals["stops"].values()) == totals["fits"]
+    assert totals["active_set_solves"] >= totals["outer_iterations"] > 0
+
+
+def test_fit_does_not_depend_on_column_order(demo_data):
+    model, X, y = demo_data
+    specs = list(model.feature_specs)
+    base = fit_gate(X, y, specs, seed=5)
+    c = base.meta["chosen_c"]
+    base_obj = objective(base.standardizer.apply_matrix(X), y, base.weights, base.bias, c, "l1")
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        perm = rng.permutation(X.shape[1])
+        permuted = fit_gate(X[:, perm], y, [specs[j] for j in perm], seed=5)
+        assert permuted.meta["chosen_c"] == c
+        obj = objective(permuted.standardizer.apply_matrix(X[:, perm]), y, permuted.weights, permuted.bias, c, "l1")
+        assert abs(obj - base_obj) <= 1e-9
+        by_name = dict(zip(permuted.feature_names, permuted.weights))
+        assert np.abs(np.array([by_name[n] for n in base.feature_names]) - base.weights).max() <= 1e-6
+        assert weight_diagnostic(permuted) == weight_diagnostic(base)
+
+
+@pytest.mark.parametrize("reg", ["l1", "none"])
+def test_duplicated_column_fits_as_well_as_the_single_one(demo_data, reg):
+    # From a cold start the copy of an active column is never activated;
+    # a warm start with both copies nonzero makes the active-set system
+    # singular.
+    model, X, y = demo_data
+    Xs = model.standardizer.apply_matrix(X)
+    w1, b1 = fit_sparse_logistic(Xs, y, 1.0, reg)
+    single = objective(Xs, y, w1, b1, 1.0, reg)
+    for j in range(Xs.shape[1]):
+        doubled = np.hstack([Xs, Xs[:, [j]]])
+        both = np.append(w1, 0.5)
+        both[j] = 0.5
+        for start in (None, (both, b1)):
+            w, b = fit_sparse_logistic(doubled, y, 1.0, reg, warm_start=start)
+            assert objective(doubled, y, w, b, 1.0, reg) <= single + 1e-9, (j, start is None)
 
 
 # -- cross-validation ------------------------------------------------------------
@@ -513,6 +582,30 @@ def test_model_json_refusal_names_the_key(corrupt, key):
         model_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "corrupt, key",
+    [(lambda s: s.pop("source"), "source"), (lambda s: s.update(weight=1.0), "weight")],
+    ids=["missing", "unknown"],
+)
+def test_model_json_refuses_an_off_schema_feature_spec_by_name(corrupt, key):
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    corrupt(payload["feature_specs"][0])
+    with pytest.raises(GateError, match=f"feature spec key '{key}'"):
+        model_from_dict(payload)
+
+
+def test_model_json_written_with_spec_default_values_is_refused_by_name(tmp_path):
+    # Earlier versions wrote an unused "default_value" into every feature
+    # spec; such a file is refused by name, never read with a guess.
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    for spec in payload["feature_specs"]:
+        spec["default_value"] = 0.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GateError, match="unknown feature spec key 'default_value'"):
+        load_model_json(str(path))
+
+
 def test_mi_default_k_is_three():
     import inspect
 
@@ -552,9 +645,16 @@ def test_all_constant_features_give_intercept_only_gate():
 
 
 @pytest.fixture(scope="module")
-def demo_gate():
-    model, _ = explore_and_fit(TwoSourceEnv(_DEMO_PARAMS), seed=42, proposal_client=MockProposalClient())
-    return model
+def demo_data():
+    """The seed-42 demo gate and the matrix and labels it was fitted on."""
+    model, dataset = explore_and_fit(TwoSourceEnv(_DEMO_PARAMS), seed=42, proposal_client=MockProposalClient())
+    X, y, _ = build_matrix(dataset.records, model.feature_specs)
+    return model, X, y
+
+
+@pytest.fixture(scope="module")
+def demo_gate(demo_data):
+    return demo_data[0]
 
 
 def _demo_rows(n, seed=9):

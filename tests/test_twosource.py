@@ -54,6 +54,14 @@ def test_degenerate_horizon_rejected():
         TwoSourceParams(horizon=0)
 
 
+@pytest.mark.parametrize("horizon", [4.5, 10.0, True, "10"], ids=["fraction", "float", "bool", "text"])
+def test_non_integer_horizon_rejected(horizon):
+    # A fractional horizon would run ceil(horizon) steps with no finishing
+    # step and a fractional success threshold.
+    with pytest.raises(InvalidParams, match="horizon must be a positive integer"):
+        TwoSourceParams(horizon=horizon)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
