@@ -232,8 +232,11 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError(f"gate.tau: must be 'cv' or a probability in (0, 1), got {tau!r}")
     if gate_cfg["llm_features"] not in PROPOSAL_MODES:
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
-    for spec in merged["eval"]["policies"]:
-        _parse_policy(spec, model=None, allow_unfitted=True)
+    policies = merged["eval"]["policies"]
+    if not isinstance(policies, list):
+        raise ConfigError(f"eval.policies: must be a list of policies, got {policies!r}")
+    for index, spec in enumerate(policies):
+        _parse_policy(index, spec, model=None)
 
     return RunConfig(
         raw=merged,
@@ -244,28 +247,33 @@ def load_config(path: str, seed_override: Optional[int] = None,
     )
 
 
-def _parse_policy(spec: Any, model: Optional[GateModel], allow_unfitted: bool = False) -> Optional[PolicySpec]:
+def _parse_policy(index: int, spec: Any, model: Optional[GateModel]) -> Optional[PolicySpec]:
+    """Entry ``index`` of ``eval.policies``; a gate policy is None until
+    a model is given."""
+    entry = f"eval.policies[{index}]"
     if isinstance(spec, str):
         if spec in ("base_only", "always_trigger"):
             return PolicySpec(spec)
         if spec in ("dial", "reversed_dial"):
-            if model is None and not allow_unfitted:
-                raise ConfigError(f"eval.policies: {spec} requires a fitted model file")
             return None if model is None else PolicySpec(spec, model=model)
-        raise ConfigError(f"eval.policies: unknown policy {spec!r}")
-    if isinstance(spec, dict):
-        if spec.get("kind") != "fixed_threshold":
-            raise ConfigError(f"eval.policies: unknown policy object {spec!r}")
-        extra = set(spec) - {"kind", "signal", "direction", "threshold"}
-        if extra:
-            raise ConfigError(f"eval.policies.{sorted(extra)[0]}: unknown key")
-        return PolicySpec(
-            "fixed_threshold",
-            signal=spec.get("signal", "signal"),
-            direction=int(spec.get("direction", 1)),
-            threshold=float(spec.get("threshold", 0.5)),
-        )
-    raise ConfigError(f"eval.policies: unsupported entry {spec!r}")
+        raise ConfigError(f"{entry}: unknown policy {spec!r}")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{entry}: unsupported entry {spec!r}")
+    if spec.get("kind") != "fixed_threshold":
+        raise ConfigError(f"{entry}: unknown policy object {spec!r}")
+    extra = set(spec) - {"kind", "signal", "direction", "threshold"}
+    if extra:
+        raise ConfigError(f"{entry}.{sorted(extra)[0]}: unknown key")
+    signal = spec.get("signal", "signal")
+    if not (isinstance(signal, str) and signal):
+        raise ConfigError(f"{entry}.signal: must be a non-empty string, got {signal!r}")
+    direction = spec.get("direction", 1)
+    if not (_is_number(direction, int) and direction in (1, -1)):
+        raise ConfigError(f"{entry}.direction: must be the integer 1 or -1, got {direction!r}")
+    threshold = spec.get("threshold", 0.5)
+    if not (_is_number(threshold) and abs(threshold) <= sys.float_info.max):  # not NaN or infinite
+        raise ConfigError(f"{entry}.threshold: must be a finite number, got {threshold!r}")
+    return PolicySpec("fixed_threshold", signal=signal, direction=direction, threshold=float(threshold))
 
 
 # -- output discipline ---------------------------------------------------------
@@ -425,8 +433,8 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
     eval_seed = derive_seed(config.seed, "eval")
 
     results: List[EvalResult] = []
-    for raw_spec in config.eval["policies"]:
-        policy = _parse_policy(raw_spec, model)
+    for index, raw_spec in enumerate(config.eval["policies"]):
+        policy = _parse_policy(index, raw_spec, model)
         results.append(run_deployment(env, policy, n_episodes, eval_seed))
 
     payload = {

@@ -2,8 +2,8 @@
 
 An Environment builds independent episodes from per-episode seeds; an
 Episode is a single-threaded handle over one trajectory. Episodes must
-support forking (independent copy, parent never mutated by rollouts on a
-fork) so utility labels can be estimated by paired counterfactual
+support forking (a rollout from the current state that never mutates the
+parent) so utility labels can be estimated by paired counterfactual
 rollouts from the same state snapshot.
 
 Actions are opaque to the callers here; by convention
@@ -56,20 +56,18 @@ class Episode(Protocol):
     def fork(
         self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
     ) -> "Episode":
-        """Independent copy positioned at the same state: sibling
-        ``index`` (0 <= index < count) of the ``count`` forks made here
-        with this ``reseed``. Siblings may share one keyed draw, but
-        siblings with different ``index`` must read different noise:
-        paired labeling forks every rollout of a label with one
-        ``reseed`` and tells them apart by ``index`` alone. ``count=1``
-        is a single fork on the ``reseed`` stream. The fork is done after
-        the snapshot step plus ``lookahead`` more steps, clipped at the
-        episode's end (None: at the episode's end); paired labeling steps
-        each fork until it is done."""
-        ...
-
-    def state_digest(self) -> str:
-        """Digest of the full current state, for paired-fork assertions."""
+        """One rollout from the current state: sibling ``index``
+        (0 <= index < count) of the ``count`` forks made here with this
+        ``reseed``. The fork may take any action at the snapshot, then
+        only untriggered steps; it may refuse any other read past the
+        snapshot. Siblings may share one keyed draw, but siblings with
+        different ``index`` must read different noise: paired labeling
+        forks every rollout of a label with one ``reseed`` and tells them
+        apart by ``index`` alone. ``count=1`` is a single fork on the
+        ``reseed`` stream. The fork is done after the snapshot step plus
+        ``lookahead`` more steps, clipped at the episode's end (None: at
+        the episode's end); paired labeling steps each fork until it is
+        done."""
         ...
 
     def debug_state(self) -> Optional[Dict[str, Any]]:

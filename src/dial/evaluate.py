@@ -125,8 +125,6 @@ def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: 
             try:
                 triggered = bool(decide(episode.observe()))
                 episode_return += episode.step(triggered)
-            except EnvFault:
-                raise
             except Exception as exc:
                 raise EnvFault(f"environment fault at eval episode {i}, step {t}: {exc}") from exc
             cost += 1.0 + (tcu if triggered else 0.0)

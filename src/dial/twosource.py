@@ -21,26 +21,28 @@ Conventions (fixed for reproducibility):
     (1 + fidelity_q) / 2.
   - num_options is an auxiliary decision-space count drawn independently
     of the latent type (a decoy feature the gate should learn to drop).
-  - one function derives every state, as numpy columns, for episodes,
-    forks and ``sample_states`` alike, so a seed gives one state
-    sequence. Every stream is a ``dial.rng.stream``.
-  - the ``count`` sibling forks of one snapshot (one paired label's
-    rollouts) share one keyed draw: sibling i's lookahead rows are rows
-    ``[i*m, (i+1)*m)`` of one ``_draw_states`` call on ``stream(reseed)``
-    over the block's steps tiled ``count`` times. Nothing is drawn until
-    a row is read. An untriggered lookahead step reads only reward
-    noise, which leads the draw; any other read draws the full rows, so
-    the bits do not depend on which read, or which sibling, comes first.
-    The episode forked from keeps its last block, so siblings made one
-    after another draw once. ``count=1`` is a single fork.
+  - one function derives every state, as numpy columns, for episodes
+    and ``sample_states`` alike, so a seed gives one state sequence; a
+    fork draws only the reward noise that leads its columns. Every
+    stream is a ``dial.rng.stream``.
+  - a fork is one rollout. It reads the snapshot row, which any action
+    may take, and past it takes only untriggered steps, each the base
+    reward plus its own reward noise; every other read past the
+    snapshot raises ``EnvFault``. The ``count`` sibling forks of one
+    snapshot (one paired label's rollouts) share one draw: sibling i's
+    noise is slice ``[i*m, (i+1)*m)`` of ``count*m`` normals from
+    ``stream(reseed)``, the reward noise ``_draw_states`` gives for the
+    lookahead steps tiled ``count`` times. The episode forked from keeps
+    the last family's noise, so siblings made one after another draw
+    once; a family with no step past its snapshot draws nothing.
+    ``count=1`` is a single fork.
   - a fork ends at its lookahead: it is done after its snapshot step and
-    ``lookahead`` more (to the horizon when None), and reads no row past
-    them. Every stream is a fresh ``stream(seed)`` read forward.
+    ``lookahead`` more (to the horizon when None). Every stream is a
+    fresh ``stream(seed)`` read forward.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -96,10 +98,6 @@ class TwoSourceParams:
         array of steps: clamp(p_i0 + slope * t, 0, 1)."""
         return np.minimum(np.maximum(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0)
 
-    def p_i_star(self) -> float:
-        """Mixture at which the aggregate signal-utility correlation crosses zero."""
-        return self.beta / (self.alpha + self.beta)
-
 
 class SimState(NamedTuple):
     """One pre-drawn decision step. Hidden fields (latent_type,
@@ -131,8 +129,8 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
 
     Draw order for n states: reward and latent noise normals (one call
     of length 2n, reward noise first), then signal, type, proxy-flip and
-    num_options uniforms (one call of length 4n). A fork's rollout reads
-    only the first n normals (``_SiblingBlock.reward_noise``), so it
+    num_options uniforms (one call of length 4n). A fork draws only the
+    first n normals for the reward noise of its rollout steps, so it
     relies on this order. num_options is ``2 + floor(5u)``.
     """
     n = len(steps)
@@ -164,62 +162,29 @@ def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndar
     return tuple(map(SimState, *columns))
 
 
-class _SiblingBlock:
-    """The one draw shared by the sibling forks of one snapshot (see the
-    module notes). A pure function of (params, key), it holds only drawn
-    values, filled on first read and never a generator, so what one
-    sibling reads does not depend on what its siblings read before it.
-    """
-
-    __slots__ = ("params", "key", "_noise", "_rows")
-
-    def __init__(self, params: TwoSourceParams, key: Tuple[int, int, int, int]):
-        self.params = params
-        self.key = key  # (reseed, count, snapshot step, step just past the block)
-        self._noise: Optional[Tuple[float, ...]] = None
-        self._rows: Optional[Tuple[SimState, ...]] = None
-
-    def reward_noise(self) -> Tuple[float, ...]:
-        """Reward noise of every sibling's rows, the same bits the full
-        draw gives: the first count*m normals of the stream."""
-        if self._noise is None:
-            reseed, count, cursor, end = self.key
-            z = stream(reseed).standard_normal(count * (end - cursor - 1))
-            self._noise = tuple((z * self.params.noise_sd).tolist())
-        return self._noise
-
-    def rows(self, index: int) -> Tuple[SimState, ...]:
-        """Sibling ``index``'s lookahead rows."""
-        reseed, count, cursor, end = self.key
-        if self._rows is None:
-            steps = np.tile(np.arange(cursor + 1, end, dtype=np.int64), count)
-            self._rows = _draw_rows(self.params, stream(reseed), steps)
-        m = end - cursor - 1
-        return self._rows[index * m : (index + 1) * m]
-
-
 class TwoSourceEpisode:
     """Handle over one episode: a deterministic pre-drawn step sequence.
 
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
-    identical state streams. A fork snapshots the current state and
-    continues on rows of its own up to its lookahead, where it is done:
-    sibling forks share one keyed draw but never a row, which is how
-    paired rollout arms are decoupled. A fork's lookahead rows are drawn
-    on first read (its ``_block`` is kept until then); a paired rollout,
-    which only sums untriggered rewards past the snapshot, reads the
-    reward noise alone, once per label.
+    identical state streams. A fork is one rollout from the current
+    state (see the module notes): it shares the episode's rows but reads
+    only its snapshot row, then steps untriggered on reward noise of its
+    own up to its lookahead, where it is done. Sibling forks share one
+    draw but never a value, which is how paired rollout arms are
+    decoupled.
     """
 
     def __init__(self, params: TwoSourceParams, seed: int):
+        if not isinstance(params, TwoSourceParams):
+            raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
         self._rows = _draw_rows(params, stream(seed), np.arange(params.horizon, dtype=np.int64))
-        self._first = 0   # step index of _rows[0]
         self._cursor = 0  # step index of the current state
         self._end = params.horizon  # done at this step index
-        self._block: Optional[_SiblingBlock] = None  # a fork's sibling block, until its rows are read
-        self._siblings: Optional[_SiblingBlock] = None  # block of the last fork made here
+        self._last_read = params.horizon - 1  # last step whose state is read: a fork's snapshot
+        self._noise: Tuple[float, ...] = ()  # a fork's reward noise of the steps past its snapshot
+        self._family: Optional[Tuple[tuple, Tuple[float, ...]]] = None  # key and noise of the last fork family here
 
     # -- episode protocol -------------------------------------------------
 
@@ -229,19 +194,16 @@ class TwoSourceEpisode:
     def _current(self) -> SimState:
         if self.done():
             raise EnvFault("episode is finished")
-        i = self._cursor - self._first
-        if i >= len(self._rows):
-            # First read of a fork's lookahead: take its rows of the sibling block.
-            self._rows += self._block.rows(self._index)
-            self._block = None
-        return self._rows[i]
+        if self._cursor > self._last_read:
+            raise EnvFault(f"a fork reads no state past its snapshot at step {self._last_read}")
+        return self._rows[self._cursor]
 
     def observe(self) -> Dict[str, float]:
         return observe(self._current())
 
     def step(self, triggered: bool) -> float:
-        if self._block is not None and not triggered and self._first < self._cursor < self._end:
-            reward = self.params.base_reward + self._block.reward_noise()[self._noise_offset + self._cursor]
+        if self._last_read < self._cursor < self._end and not triggered:
+            reward = self.params.base_reward + self._noise[self._cursor - self._last_read - 1]
         else:
             reward = step_return(self.params, self._current(), bool(triggered))
         self._cursor += 1
@@ -262,45 +224,35 @@ class TwoSourceEpisode:
     ) -> "TwoSourceEpisode":
         """Fork at the current state: sibling ``index`` of the ``count``
         forks made here with this ``reseed`` and ``lookahead``. The fork
-        keeps the snapshot row; its next ``lookahead`` rows (to the
-        horizon when None) are its rows of the siblings' one draw from
-        ``stream(reseed)`` (see ``_SiblingBlock``), and it is done after
-        them. ``count=1`` is a single fork. Nothing is drawn here, and
-        the last block made here is kept, so siblings made one after
-        another share their draw."""
+        reads the snapshot row; its next ``lookahead`` steps (to the
+        horizon when None) are untriggered steps on its slice of the
+        siblings' reward noise, and it is done after them. ``count=1``
+        is a single fork. The last family's noise is kept here, so
+        siblings made one after another share their draw."""
         if lookahead is not None and lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
-        if self.done():
-            raise EnvFault("cannot fork a finished episode")
-        snapshot = self._current()  # materialize the snapshot step
+        self._current()  # refuses a finished episode and a fork past its snapshot
         cursor = self._cursor
         end = self.params.horizon
         if lookahead is not None:
             end = min(cursor + 1 + lookahead, end)
-        key = (reseed, count, cursor, end)
-        block = self._siblings
-        if block is None or block.key != key:
-            block = self._siblings = _SiblingBlock(self.params, key)
+        m = end - cursor - 1
         fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
         fork.params = self.params
-        fork._cursor = fork._first = cursor
-        fork._rows = (snapshot,)
+        fork._rows = self._rows
+        fork._cursor = fork._last_read = cursor
         fork._end = end
-        fork._block = block
-        fork._index = index
-        fork._noise_offset = index * (end - cursor - 1) - cursor - 1  # reward_noise()[offset + t] is step t's
-        fork._siblings = None
+        fork._noise = ()
+        fork._family = None
+        if m:
+            key = (reseed, count, cursor, end)
+            if self._family is None or self._family[0] != key:
+                z = stream(reseed).standard_normal(count * m)
+                self._family = (key, tuple((z * self.params.noise_sd).tolist()))
+            fork._noise = self._family[1][index * m : (index + 1) * m]
         return fork
-
-    def state_digest(self) -> str:
-        s = self._current()
-        payload = np.array(
-            [s.step_index, s.signal, s.type_proxy, s.num_options, s.true_utility, s.reward_noise],
-            dtype=np.float64,
-        ).tobytes()
-        return hashlib.sha256(payload + s.latent_type.encode()).hexdigest()
 
     def debug_state(self) -> Dict[str, Any]:
         s = self._current()
@@ -319,20 +271,13 @@ class TwoSourceEnv:
         self.env_id = env_id
 
     def episode(self, seed: int) -> TwoSourceEpisode:
-        return spawn_episode(self.params, seed)
+        return TwoSourceEpisode(self.params, seed)
 
     def episode_success(self, episode_return: float) -> bool:
         return episode_return >= self.params.success_threshold
 
     def trigger_cost_units(self) -> float:
         return self.params.trigger_cost_units
-
-
-def spawn_episode(params: TwoSourceParams, seed: int) -> TwoSourceEpisode:
-    """Deterministic episode handle for (params, seed)."""
-    if not isinstance(params, TwoSourceParams):
-        raise InvalidParams("params must be a TwoSourceParams instance")
-    return TwoSourceEpisode(params, seed=seed)
 
 
 def observe(state: SimState) -> Dict[str, float]:

@@ -21,7 +21,7 @@ from dial.explore import LabeledDataset, run_exploration
 from dial.features import build_matrix
 from dial.gate import GateModel
 from dial.rng import derive_seed
-from dial.stats import spearman
+from dial.stats import predicted_rho, spearman
 from dial.twosource import TwoSourceEnv, TwoSourceParams
 
 
@@ -148,15 +148,16 @@ def prop1_counterexample(
     reaches that environment's base SR minus 1 point.
     """
     params_a, params_b = env_pair
-    if not params_a.p_i0 < params_a.p_i_star():
+    crossing_a, crossing_b = (predicted_rho(p.alpha, p.beta, p.p_i0).crossing for p in env_pair)
+    if not params_a.p_i0 < crossing_a:
         raise EvalError(
             f"first environment must be decision-dominated: p_i0={params_a.p_i0} "
-            f">= crossing {params_a.p_i_star():.3f}"
+            f">= crossing {crossing_a:.3f}"
         )
-    if not params_b.p_i0 > params_b.p_i_star():
+    if not params_b.p_i0 > crossing_b:
         raise EvalError(
             f"second environment must be unsuitable-dominated: p_i0={params_b.p_i0} "
-            f"<= crossing {params_b.p_i_star():.3f}"
+            f"<= crossing {crossing_b:.3f}"
         )
     grid = np.linspace(0.0, 1.0, 41) if threshold_grid is None else np.asarray(threshold_grid, dtype=float)
     if grid.size < 1:

@@ -7,8 +7,8 @@ perfbench/workloads.py):
 - ``TwoSourceEpisode.fork``: k x n per paired label
 
 Untraced benchmark runs never see these counts, so a change that breaks
-them would otherwise surface only in a traced run. ROADMAP item 6
-(column-wise deploy: one decision over the rows of a step) and item 7
+them would otherwise surface only in a traced run. ROADMAP item 5
+(column-wise deploy: one decision over the rows of a step) and item 4
 (fork-free paired labels) change them on purpose; each must land after
 a benchmark change that re-points perfbench's checks.
 """

@@ -7,6 +7,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -134,6 +135,34 @@ def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
     # Neither truncated to an integer nor left to fail as a bare error.
     config_path = write_config(tmp_path / "config.json", **overrides)
     with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(config_path)
+
+
+def _threshold(**keys):
+    return {"kind": "fixed_threshold", **keys}
+
+
+@pytest.mark.parametrize(
+    "policies, key",
+    [
+        (["base_only", _threshold(threshold="x")], "eval.policies[1].threshold"),
+        ([_threshold(threshold=None)], "eval.policies[0].threshold"),
+        ([_threshold(threshold=float("nan"))], "eval.policies[0].threshold"),
+        ([_threshold(threshold=10**400)], "eval.policies[0].threshold"),
+        ([_threshold(direction=1.5)], "eval.policies[0].direction"),
+        ([_threshold(direction=True)], "eval.policies[0].direction"),
+        ([_threshold(direction=2)], "eval.policies[0].direction"),
+        (["dial", _threshold(signal=3)], "eval.policies[1].signal"),
+        ([_threshold(scale=2)], "eval.policies[0].scale"),
+        ("dial", "eval.policies: must be a list"),
+    ],
+    ids=["threshold-text", "threshold-null", "threshold-nan", "threshold-huge", "direction-fraction",
+         "direction-bool", "direction-two", "signal-number", "unknown-key", "policies-text"],
+)
+def test_ill_typed_policies_are_refused_by_name(tmp_path, policies, key):
+    # Each would fail as a bare error, or run as a different policy.
+    config_path = write_config(tmp_path / "config.json", eval={"policies": policies})
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
         load_config(config_path)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dial.evaluate import EvalError, PolicySpec, run_deployment, wilson_interval
-from dial.envs import EnvFault
+from dial.envs import CapabilityError, EnvFault
 from dial.gate import GateModel, Standardizer
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
@@ -98,6 +98,18 @@ class _ScriptedEpisode:
     def step(self, triggered):
         self.t += 1
         return 2.0 if triggered else 1.0
+
+    def candidate_actions(self, k):
+        return [False] + [True] * (k - 1)
+
+    def apply_action(self, action):
+        return self.step(action)
+
+    def fork(self, reseed, lookahead=None, *, index=0, count=1):
+        raise CapabilityError("scripted deployment episodes do not fork")
+
+    def debug_state(self):
+        return None
 
 
 class _VariableLengthEnv:
@@ -262,17 +274,17 @@ def test_prop1_degenerate_grid_still_well_formed():
 
 
 class _FaultyEpisode:
-    """A two-source episode whose step ``fail_at`` raises."""
+    """A two-source episode whose step ``fail_at`` raises ``error``."""
 
-    def __init__(self, inner, fail_at):
-        self.inner, self.fail_at, self.t = inner, fail_at, 0
+    def __init__(self, inner, fail_at, error):
+        self.inner, self.fail_at, self.error, self.t = inner, fail_at, error, 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def step(self, triggered):
         if self.t == self.fail_at:
-            raise RuntimeError("simulator crashed")
+            raise self.error("simulator crashed")
         self.t += 1
         return self.inner.step(triggered)
 
@@ -280,8 +292,9 @@ class _FaultyEpisode:
 class _FaultyEnv:
     """A two-source environment whose second episode fails at step 2."""
 
-    def __init__(self):
+    def __init__(self, error=RuntimeError):
         self.inner = _env(horizon=5)
+        self.error = error
         self.episodes = 0
 
     def __getattr__(self, name):
@@ -289,11 +302,14 @@ class _FaultyEnv:
 
     def episode(self, seed):
         self.episodes += 1
-        return _FaultyEpisode(self.inner.episode(seed), fail_at=2 if self.episodes == 2 else None)
+        return _FaultyEpisode(self.inner.episode(seed), 2 if self.episodes == 2 else None, self.error)
 
 
-@pytest.mark.parametrize("kind", ["eval"])
-def test_step_fault_names_episode_and_step(kind):
-    env = _FaultyEnv()
+@pytest.mark.parametrize(
+    "kind, error", [("eval", RuntimeError), ("eval", EnvFault)], ids=["eval", "eval-env-fault"]
+)
+def test_step_fault_names_episode_and_step(kind, error):
+    # An environment's own EnvFault gets the same context as any other error.
+    env = _FaultyEnv(error)
     with pytest.raises(EnvFault, match=f"at {kind} episode 1, step 2: simulator crashed"):
         run_deployment(env, PolicySpec("always_trigger"), 3, seed=0)

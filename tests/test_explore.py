@@ -60,9 +60,6 @@ class ScriptedEpisode:
             clone.end = min(self.t + 1 + lookahead, self.horizon)
         return clone
 
-    def state_digest(self):
-        return f"scripted:{self.t}"
-
     def debug_state(self):
         return None
 
@@ -153,10 +150,15 @@ def test_noise_free_labels_match_hidden_utility_sign():
 
 
 def test_paired_arms_fork_from_identical_state():
+    # observe(), debug_state() and the snapshot step's reward, triggered
+    # or not, read every field of the state: equal on the forks and on
+    # the episode they were forked from.
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.2))
-    episode = env.episode(42)
-    digests = {episode.fork(reseed=s).state_digest() for s in (1, 2, 3)}
-    assert digests == {episode.state_digest()}
+    for triggered in (False, True):
+        episode = env.episode(42)
+        handles = [episode.fork(reseed=s) for s in (1, 2, 3)] + [episode]
+        reads = {repr((h.observe(), h.debug_state(), h.step(triggered))) for h in handles}
+        assert len(reads) == 1
 
 
 def _count_forks(monkeypatch):

@@ -1,0 +1,54 @@
+"""Every environment and episode that the package and its tests run is
+an instance of the runtime-checkable protocols in ``dial.envs`` and adds
+no public method of its own, so a method dropped from a protocol or from
+one implementation, without the other, fails here."""
+
+from __future__ import annotations
+
+import pytest
+
+from dial.envs import Environment, Episode
+from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
+from test_eval import _FaultyEnv, _ScriptedEpisode, _VariableLengthEnv
+from test_explore import ScriptedEpisode, SiblingScriptedEpisode
+
+
+def _public_methods(cls):
+    return {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+
+
+_ENV = TwoSourceEnv(TwoSourceParams())
+
+_CASES = {
+    "twosource-env": (_ENV, Environment),
+    "twosource-episode": (_ENV.episode(0), Episode),
+    "twosource-fork": (_ENV.episode(0).fork(reseed=1, lookahead=2, index=1, count=3), Episode),
+    "explore-scripted-episode": (ScriptedEpisode([0.1, 0.2]), Episode),
+    "explore-sibling-episode": (SiblingScriptedEpisode([0, 1], [0.5, 0.9]), Episode),
+    "eval-scripted-episode": (_ScriptedEpisode([0.5]), Episode),
+    "eval-variable-length-env": (_VariableLengthEnv(), Environment),
+    # These two delegate every other name to a two-source env or episode.
+    "eval-faulty-env": (_FaultyEnv(), Environment),
+    "eval-faulty-episode": (_FaultyEnv().episode(0), Episode),
+}
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_implementation_is_an_instance_of_its_protocol(name):
+    instance, protocol = _CASES[name]
+    assert isinstance(instance, protocol)
+
+
+@pytest.mark.parametrize(
+    "cls, protocol",
+    [
+        (TwoSourceEnv, Environment),
+        (TwoSourceEpisode, Episode),
+        (ScriptedEpisode, Episode),
+        (_ScriptedEpisode, Episode),
+        (_VariableLengthEnv, Environment),
+    ],
+    ids=lambda value: value.__name__,
+)
+def test_implementation_adds_no_public_method(cls, protocol):
+    assert _public_methods(cls) == _public_methods(protocol)

@@ -18,16 +18,17 @@ from dial.twosource import (
     InvalidParams,
     SimState,
     TwoSourceEnv,
+    TwoSourceEpisode,
     TwoSourceParams,
     _draw_rows,
+    _draw_states,
     sample_states,
-    spawn_episode,
     step_return,
 )
 
 
 def collect_episode(params, seed):
-    ep = spawn_episode(params, seed)
+    ep = TwoSourceEpisode(params, seed)
     rows = []
     while not ep.done():
         obs = ep.observe()
@@ -105,7 +106,7 @@ def test_intermediate_fidelity_match_probability():
 
 
 def test_observation_hides_latent_fields():
-    ep = spawn_episode(TwoSourceParams(), seed=3)
+    ep = TwoSourceEpisode(TwoSourceParams(), seed=3)
     obs = ep.observe()
     assert set(obs) == {"step_count", "signal", "type_proxy", "num_options", "is_finish"}
     assert "true_utility" not in obs and "latent_type" not in obs
@@ -182,7 +183,7 @@ def test_episode_return_is_sum_of_step_returns_and_reproducible():
     triggers = [True, False] * 5
     totals = []
     for _ in range(2):
-        ep = spawn_episode(params, seed=7)
+        ep = TwoSourceEpisode(params, seed=7)
         total = 0.0
         for trig in triggers:
             total += ep.step(trig)
@@ -190,34 +191,46 @@ def test_episode_return_is_sum_of_step_returns_and_reproducible():
     assert totals[0] == totals[1]  # bit-identical
 
 
+def _read_state(episode, triggered):
+    # observe(), debug_state() and the step reward read every SimState
+    # field between them; the reward adds true_utility when triggered.
+    return episode.observe(), episode.debug_state(), episode.step(triggered)
+
+
+def test_episode_must_be_built_from_params():
+    with pytest.raises(InvalidParams, match="TwoSourceParams"):
+        TwoSourceEpisode({"horizon": 10}, seed=1)
+
+
 def test_fork_reseed_shares_snapshot_but_diverges_later():
-    ep = spawn_episode(TwoSourceParams(noise_sd=0.3), seed=9)
-    ep.step(False)
-    fork_a = ep.fork(reseed=100)
-    fork_b = ep.fork(reseed=200)
-    assert fork_a.state_digest() == fork_b.state_digest() == ep.state_digest()
-    fork_a.step(False)
-    fork_b.step(False)
-    assert fork_a.observe()["signal"] != fork_b.observe()["signal"]
+    for triggered in (False, True):
+        ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=9)
+        ep.step(False)
+        fork_a, fork_b = ep.fork(reseed=100), ep.fork(reseed=200)
+        assert _read_state(fork_a, triggered) == _read_state(fork_b, triggered) == _read_state(ep, triggered)
+        assert fork_a.step(False) != fork_b.step(False)
 
 
 def test_fork_rollouts_do_not_mutate_parent():
-    ep = spawn_episode(TwoSourceParams(), seed=10)
-    before = ep.state_digest()
-    fork = ep.fork(reseed=1, lookahead=2)
-    fork.apply_action(3)
-    while not fork.done():
-        fork.step(False)
-    assert ep.state_digest() == before
+    for triggered in (False, True):
+        ep = TwoSourceEpisode(TwoSourceParams(), seed=10)
+        twin = TwoSourceEpisode(TwoSourceParams(), seed=10)
+        fork = ep.fork(reseed=1, lookahead=2)
+        fork.apply_action(3)
+        while not fork.done():
+            fork.step(False)
+        while not twin.done():
+            assert _read_state(ep, triggered) == _read_state(twin, triggered)
+        assert ep.done()
 
 
 def test_fork_of_a_fork_steps_to_the_end():
-    ep = spawn_episode(TwoSourceParams(), seed=5)
+    ep = TwoSourceEpisode(TwoSourceParams(), seed=5)
     ep.step(False)
     fork = ep.fork(reseed=9, lookahead=1)
     inner = fork.fork(reseed=3)
-    assert inner.state_digest() == fork.state_digest() == ep.state_digest()
-    steps = 0
+    assert _read_state(inner, True) == _read_state(fork, True) == _read_state(ep, True)
+    steps = 1
     while not inner.done():
         inner.step(False)
         steps += 1
@@ -225,7 +238,7 @@ def test_fork_of_a_fork_steps_to_the_end():
 
 
 def test_stepping_past_horizon_raises():
-    ep = spawn_episode(TwoSourceParams(horizon=2), seed=11)
+    ep = TwoSourceEpisode(TwoSourceParams(horizon=2), seed=11)
     ep.step(False)
     ep.step(False)
     assert ep.done()
@@ -269,7 +282,7 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
     # sample_states draws on its own stream; over one episode's
     # positions it must give the states an episode with that seed gives.
     states = sample_states(params, params.horizon, seed)
-    ep = spawn_episode(params, seed)
+    ep = TwoSourceEpisode(params, seed)
     for i in range(params.horizon):
         obs, debug = ep.observe(), ep.debug_state()
         assert obs["step_count"] == states["step_index"][i]
@@ -332,7 +345,7 @@ def test_sample_states_columns_are_pinned(params, seed, golden):
     assert _columns_digest(sample_states(params, 500, seed)) == golden
 
 
-# -- lazy forks: a rollout reads only the reward noise it sums -----------------
+# -- forks: a rollout sums the snapshot reward and its own reward noise --------
 
 
 def _repr_digest(values):
@@ -344,7 +357,7 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
     # by the horizon) are covered.
     labels = []
     for seed in seeds:
-        ep = spawn_episode(params, seed)
+        ep = TwoSourceEpisode(params, seed)
         t = 0
         while not ep.done():
             labels.append(estimate_utility_paired(ep, k, n, h, seed=1000 * seed + t))
@@ -356,7 +369,7 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
 def _rollout_rewards(params, lookahead, seeds=range(8)):
     rewards = []
     for seed in seeds:
-        ep = spawn_episode(params, seed)
+        ep = TwoSourceEpisode(params, seed)
         for t in range(params.horizon):
             fork = ep.fork(reseed=100 * seed + t, lookahead=lookahead)
             row = [fork.apply_action(1)]
@@ -401,50 +414,9 @@ def test_rollout_rewards_are_pinned(lookahead, golden):
     assert _repr_digest(_rollout_rewards(params, lookahead)) == golden
 
 
-def _untriggered_steps(fork, n=3):
-    # Up to n untriggered steps (reward noise only), fewer if the fork is done first.
-    rewards = []
-    while len(rewards) < n and not fork.done():
-        rewards.append(fork.step(False))
-    return rewards
-
-
-@pytest.mark.parametrize("lookahead", [None, 0, 1, 3])
-def test_untriggered_fork_then_observed_equals_observed_twin(lookahead):
-    # The noise-only path followed by the full draw must give the rows a
-    # fork gives when it is observed before every step, bit for bit.
-    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
-    ep = spawn_episode(params, 33)
-    ep.step(False)
-    lazy = ep.fork(reseed=5, lookahead=lookahead)
-    twin = ep.fork(reseed=5, lookahead=lookahead)
-    lazy_rows = _untriggered_steps(lazy)
-    twin_rows = []
-    while len(twin_rows) < 3 and not twin.done():
-        twin.observe()
-        twin_rows.append(twin.step(False))
-    while not twin.done():
-        for fork, rows in ((lazy, lazy_rows), (twin, twin_rows)):
-            rows.append((fork.observe(), fork.state_digest(), fork.debug_state(), fork.step(False)))
-    assert lazy.done()
-    assert repr(lazy_rows) == repr(twin_rows)
-
-
-def test_triggered_step_inside_lookahead_is_pinned():
-    # An untriggered step reads only reward noise; the triggered step
-    # after it draws the block's full rows.
-    params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=6)
-    ep = spawn_episode(params, 21)
-    ep.step(False)
-    fork = ep.fork(reseed=78, lookahead=3)
-    rewards = [fork.step(t == 3) for t in range(1, 5)]
-    assert fork.done()
-    assert rewards == [0.6630770813767324, 1.0508700853493795, 0.7723416290462037, 1.2278813419111148]
-
-
 @pytest.mark.parametrize("lookahead", [-1, -4])
 def test_fork_rejects_negative_lookahead(lookahead):
-    ep = spawn_episode(TwoSourceParams(), seed=4)
+    ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="lookahead must be nonnegative"):
         ep.fork(reseed=1, lookahead=lookahead)
 
@@ -456,80 +428,99 @@ _COUNTS = [1, 5, 25]
 _LOOKAHEADS = [0, 1, 3, None]
 
 
-def _siblings(count, lookahead):
-    # A fresh parent each call, so no block is shared with another call.
-    ep = spawn_episode(_SIBLING_PARAMS, 33)
+def _siblings(count, lookahead, order=None):
+    # A fresh parent each call, so no family's noise is shared with
+    # another call; the forks are made in ``order``.
+    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
     ep.step(False)
-    return [ep.fork(5, lookahead, index=i, count=count) for i in range(count)]
+    forks = {i: ep.fork(5, lookahead, index=i, count=count) for i in (order or range(count))}
+    return [forks[i] for i in range(count)]
 
 
-def _observed_rest(fork):
-    rows = []
+def _rollout(fork):
+    # The intervention at the snapshot, then untriggered steps to the end.
+    rewards = [fork.step(True)]
     while not fork.done():
-        rows.append((fork.observe(), fork.state_digest(), fork.debug_state(), fork.step(False)))
-    return rows
-
-
-def _observed_read(fork):
-    # Observed before every step: every row comes from the full draw.
-    rows = []
-    while len(rows) < 3 and not fork.done():
-        fork.observe()
-        rows.append(fork.step(False))
-    return rows + _observed_rest(fork)
+        rewards.append(fork.step(False))
+    return rewards
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_sibling_noise_read_equals_observed_twin(count, lookahead):
-    # Every sibling steps untriggered (reward noise only) before any is
-    # observed, in forward and in reverse order; each must match its
-    # twin from a separate parent observed before every step.
-    twins = [repr(_observed_read(fork)) for fork in _siblings(count, lookahead)]
+    # The twin is the one state derivation itself: sibling i's rewards
+    # past the snapshot (step 1) are base_reward plus its slice of the
+    # reward_noise column that _draw_states gives on stream(reseed) for
+    # the lookahead steps tiled count times, bit for bit, whether the
+    # siblings are made and read in forward or in reverse order.
+    params = _SIBLING_PARAMS
+    steps = np.arange(2, params.horizon if lookahead is None else min(2 + lookahead, params.horizon))
+    m = len(steps)
+    noise = _draw_states(params, stream(5), np.tile(steps, count))["reward_noise"]
+    expected = [(params.base_reward + noise[i * m : (i + 1) * m]).tolist() for i in range(count)]
     for order in (list(range(count)), list(reversed(range(count)))):
-        lazy = _siblings(count, lookahead)
-        rows = {i: _untriggered_steps(lazy[i]) for i in order}
-        for i in order:
-            rows[i] += _observed_rest(lazy[i])
-        assert [repr(rows[i]) for i in range(count)] == twins
+        forks = _siblings(count, lookahead, order)
+        rewards = {i: _rollout(forks[i])[1:] for i in order}
+        assert [rewards[i] for i in range(count)] == expected
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_siblings_are_pairwise_distinct(count, lookahead):
     # Past the shared snapshot row no two siblings read alike; at
-    # lookahead 0 a sibling is done at the snapshot and reads no row past it.
-    reads = [repr(_observed_read(fork)[1:]) for fork in _siblings(count, lookahead)]
-    assert len(set(reads)) == (1 if lookahead == 0 else count)
+    # lookahead 0 a sibling is done at the snapshot and reads nothing past it.
+    rollouts = [repr(_rollout(fork)[1:]) for fork in _siblings(count, lookahead)]
+    assert len(set(rollouts)) == (1 if lookahead == 0 else count)
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_fork_is_done_at_its_lookahead(count, lookahead):
-    # From every snapshot, first and last sibling, untriggered and mixed
-    # steps: done after the snapshot step plus the lookahead, clipped at
-    # the horizon; then every read raises, as on a finished episode.
+    # From every snapshot, first and last sibling, the snapshot step
+    # triggered or not: done after the snapshot step plus the lookahead,
+    # clipped at the horizon; then every read raises, as on a finished
+    # episode.
     horizon = _SIBLING_PARAMS.horizon
-    ep = spawn_episode(_SIBLING_PARAMS, 33)
+    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
     for cursor in range(horizon):
         expected = horizon - cursor if lookahead is None else min(1 + lookahead, horizon - cursor)
         for index in sorted({0, count - 1}):
-            for mixed in (False, True):
+            for triggered in (False, True):
                 fork = ep.fork(5, lookahead, index=index, count=count)
                 steps = 0
                 while not fork.done():
-                    fork.step(mixed and steps % 2 == 1)
+                    fork.step(triggered and steps == 0)
                     steps += 1
                 assert steps == expected
                 for read in (lambda: fork.step(False), lambda: fork.step(True),
-                             fork.observe, fork.debug_state, fork.state_digest):
+                             fork.observe, fork.debug_state, lambda: fork.fork(6)):
                     with pytest.raises(EnvFault, match="finished"):
                         read()
         ep.step(False)
 
 
+@pytest.mark.parametrize("read", ["observe", "debug_state", "triggered-step", "apply-action", "fork"])
+def test_fork_refuses_reads_past_its_snapshot(read):
+    # Past its snapshot a fork takes untriggered steps only.
+    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
+    ep.step(False)
+    fork = ep.fork(5, lookahead=3)
+    fork.step(True)
+    fork.step(False)
+    reads = {
+        "observe": fork.observe,
+        "debug_state": fork.debug_state,
+        "triggered-step": lambda: fork.step(True),
+        "apply-action": lambda: fork.apply_action(1),
+        "fork": lambda: fork.fork(6),
+    }
+    with pytest.raises(EnvFault, match="past its snapshot at step 1"):
+        reads[read]()
+    assert not fork.done()
+
+
 @pytest.mark.parametrize("index, count", [(0, 0), (0, -2), (-1, 5), (5, 5), (30, 25)])
 def test_fork_rejects_a_sibling_outside_its_family(index, count):
-    ep = spawn_episode(TwoSourceParams(), seed=4)
+    ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="index < count"):
         ep.fork(reseed=1, lookahead=2, index=index, count=count)
