@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .gate import (
     model_to_dict,
     weight_diagnostic,
 )
-from .evaluate import EvalResult, PolicySpec, run_deployment
+from .evaluate import PolicySpec, run_deployment
 from .rng import derive_seed
 from .stats import (
     REPORT_COLUMNS,
@@ -432,10 +432,8 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
     n_episodes = int(config.eval["n_episodes"])
     eval_seed = derive_seed(config.seed, "eval")
 
-    results: List[EvalResult] = []
-    for index, raw_spec in enumerate(config.eval["policies"]):
-        policy = _parse_policy(index, raw_spec, model)
-        results.append(run_deployment(env, policy, n_episodes, eval_seed))
+    policies = [_parse_policy(index, raw_spec, model) for index, raw_spec in enumerate(config.eval["policies"])]
+    results = run_deployment(env, policies, n_episodes, eval_seed)
 
     payload = {
         "provenance": _provenance(config, _file_digest(model_path)),

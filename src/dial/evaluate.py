@@ -3,16 +3,19 @@ accounting loop.
 
 All policies evaluated on one environment share the episode seed
 schedule, so success-rate differences reflect trigger choices rather
-than draw noise. Cost is counted in abstract call units: 1 per step,
-plus the environment's trigger cost on triggered steps, normalized by
-the never-trigger baseline.
+than draw noise. The loop is episode-major: each episode seed is
+derived once and the episode is run by every policy in turn, each on a
+fresh episode from that seed, so a fault surfaces at the first episode
+that has one, and within it at the first policy. Cost is counted in
+abstract call units: 1 per step, plus the environment's trigger cost on
+triggered steps, normalized by the never-trigger baseline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .envs import EnvFault, Environment
 from .gate import GateModel, reverse_direction
@@ -62,7 +65,14 @@ class PolicySpec:
             return lambda obs: True
         if self.kind == "fixed_threshold":
             signal, direction, theta = self.signal, self.direction, self.threshold
-            return lambda obs: direction * float(obs.get(signal, 0.0)) > direction * theta
+
+            def decide(obs) -> bool:
+                value = obs.get(signal)
+                if value is None:
+                    raise EvalError(f"observation has no signal {signal!r}")
+                return direction * float(value) > direction * theta
+
+            return decide
         model = self.model if self.kind == "dial" else reverse_direction(self.model)
         return model.decide
 
@@ -100,54 +110,65 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_deployment(env: Environment, policy: PolicySpec, n_episodes: int, seed: int) -> EvalResult:
-    """Evaluate one policy: success rate, cost relative to the
-    never-trigger baseline under the same seed schedule, and the
-    per-step trigger profile.
+def run_deployment(
+    env: Environment, policies: Sequence[PolicySpec], n_episodes: int, seed: int
+) -> List[EvalResult]:
+    """Evaluate policies on one seed schedule, one result per policy in
+    order: success rate, cost relative to the never-trigger baseline,
+    and the per-step trigger profile.
 
-    Cost adds 1 per step plus the environment's trigger cost on
-    triggered steps, one step at a time. Any fault while deciding or
-    stepping becomes an EnvFault naming the episode and step.
+    Each episode seed is derived once; every policy then runs a fresh
+    episode from it (see the module notes). Cost adds 1 per step plus
+    the environment's trigger cost on triggered steps, one step at a
+    time, per policy. Any fault while deciding or stepping becomes an
+    EnvFault naming the policy, the episode and the step.
     """
     if n_episodes < 1:
         raise EvalError("n_episodes must be >= 1")
-    decide = policy.build()
+    decides = [policy.build() for policy in policies]
     tcu = env.trigger_cost_units()
-    successes = 0
-    cost = 0.0
-    step_counts: List[int] = []  # per step index t: episodes that reached t
-    step_triggers: List[int] = []  # and triggered there
+    successes = [0] * len(policies)
+    costs = [0.0] * len(policies)
+    step_counts: List[List[int]] = [[] for _ in policies]  # per policy and step index t: episodes that reached t
+    step_triggers: List[List[int]] = [[] for _ in policies]  # and triggered there
     for i in range(n_episodes):
-        episode = env.episode(derive_seed(seed, "eval-episode", i))
-        episode_return = 0.0
-        t = 0
-        while not episode.done():
-            try:
-                triggered = bool(decide(episode.observe()))
-                episode_return += episode.step(triggered)
-            except Exception as exc:
-                raise EnvFault(f"environment fault at eval episode {i}, step {t}: {exc}") from exc
-            cost += 1.0 + (tcu if triggered else 0.0)
-            if t == len(step_counts):
-                step_counts.append(0)
-                step_triggers.append(0)
-            step_counts[t] += 1
-            step_triggers[t] += triggered
-            t += 1
-        successes += int(env.episode_success(episode_return))
+        episode_seed = derive_seed(seed, "eval-episode", i)
+        for p, decide in enumerate(decides):
+            episode = env.episode(episode_seed)
+            counts, triggers, cost = step_counts[p], step_triggers[p], costs[p]
+            episode_return = 0.0
+            t = 0
+            while not episode.done():
+                try:
+                    triggered = bool(decide(episode.observe()))
+                    episode_return += episode.step(triggered)
+                except Exception as exc:
+                    raise EnvFault(
+                        f"policy {policies[p].name()}: environment fault at eval episode {i}, step {t}: {exc}"
+                    ) from exc
+                cost += 1.0 + (tcu if triggered else 0.0)
+                if t == len(counts):
+                    counts.append(0)
+                    triggers.append(0)
+                counts[t] += 1
+                triggers[t] += triggered
+                t += 1
+            costs[p] = cost
+            successes[p] += int(env.episode_success(episode_return))
 
-    profile = []
-    for t, (hits, n) in enumerate(zip(step_triggers, step_counts)):
-        low, high = wilson_interval(hits, n)
-        profile.append(PerStepTrigger(t, hits / n, low, high, n))
-    steps = sum(step_counts)
-    return EvalResult(
-        sr=successes / n_episodes,
-        cost_x_base=cost / steps,  # base policy costs 1 unit per step
-        trigger_rate=sum(step_triggers) / steps,
-        per_step_trigger=tuple(profile),
-        n_episodes=n_episodes,
-        seed=seed,
-        policy=policy.name(),
-        env_id=env.env_id,
-    )
+    return [
+        EvalResult(
+            sr=wins / n_episodes,
+            cost_x_base=cost / sum(n_at),  # base policy costs 1 unit per step
+            trigger_rate=sum(hits_at) / sum(n_at),
+            per_step_trigger=tuple(
+                PerStepTrigger(t, hits / n, *wilson_interval(hits, n), n)
+                for t, (hits, n) in enumerate(zip(hits_at, n_at))
+            ),
+            n_episodes=n_episodes,
+            seed=seed,
+            policy=policy.name(),
+            env_id=env.env_id,
+        )
+        for policy, hits_at, n_at, cost, wins in zip(policies, step_triggers, step_counts, costs, successes)
+    ]

@@ -61,6 +61,15 @@ class LabeledDataset:
         return [r for r in self.records if r.utility_label is not None]
 
 
+def _check_paired_settings(k_candidates: int, n_rollouts: int, horizon_h: int) -> None:
+    if k_candidates < 2:
+        raise ValueError("paired estimation needs the base action plus at least one alternative")
+    if horizon_h < 1:
+        raise ValueError("rollout horizon must be >= 1")
+    if n_rollouts < 1:
+        raise ValueError("paired estimation needs at least one rollout per candidate")
+
+
 def estimate_utility_paired(
     episode: Episode,
     k_candidates: int,
@@ -82,12 +91,7 @@ def estimate_utility_paired(
     luckiest copy alone (the optimizer's curse). Returns 1 iff the best
     action strictly beats the base action; ties label 0.
     """
-    if k_candidates < 2:
-        raise ValueError("paired estimation needs the base action plus at least one alternative")
-    if horizon_h < 1:
-        raise ValueError("rollout horizon must be >= 1")
-    if n_rollouts < 1:
-        raise ValueError("paired estimation needs at least one rollout per candidate")
+    _check_paired_settings(k_candidates, n_rollouts, horizon_h)
     if not callable(getattr(episode, "fork", None)):
         raise CapabilityError("environment does not support forking; paired estimation unavailable")
 
@@ -123,12 +127,15 @@ def run_exploration(
     Trigger decisions come from a dedicated stream derived from the
     master seed, so they are independent of all observation content.
     Episodes are assembled in episode-index order; replaying with the
-    same seed reproduces the dataset exactly.
+    same seed reproduces the dataset exactly. The labeling settings are
+    checked before the first episode; past that, every error but a
+    CapabilityError becomes an EnvFault naming the episode and step.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    _check_paired_settings(k_candidates, n_rollouts, horizon_h)
 
     records: List[StepRecord] = []
     horizon_seen = 0
@@ -151,7 +158,7 @@ def run_exploration(
                         seed=derive_seed(seed, f"label:{ep_idx}", step_idx),
                     )
                 episode.step(triggered)
-            except (CapabilityError, ValueError):
+            except CapabilityError:
                 raise
             except Exception as exc:
                 raise EnvFault(f"environment fault at episode {ep_idx}, step {step_idx}: {exc}") from exc

@@ -39,10 +39,15 @@ Conventions (fixed for reproducibility):
   - a fork ends at its lookahead: it is done after its snapshot step and
     ``lookahead`` more (to the horizon when None). Every stream is a
     fresh ``stream(seed)`` read forward.
+  - an episode's rows come from a one-slot cache keyed by (params,
+    seed): a deployment builds each episode once per policy, one policy
+    after another, so only the first policy of an episode draws it. The
+    rows are an immutable tuple, so episodes and forks share them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -162,6 +167,13 @@ def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndar
     return tuple(map(SimState, *columns))
 
 
+@functools.lru_cache(maxsize=1)
+def _episode_rows(params: TwoSourceParams, seed: int) -> Tuple[SimState, ...]:
+    """The rows of the episode with this seed, drawn once for a run of
+    episodes built on one seed (see the module notes)."""
+    return _draw_rows(params, stream(seed), np.arange(params.horizon, dtype=np.int64))
+
+
 class TwoSourceEpisode:
     """Handle over one episode: a deterministic pre-drawn step sequence.
 
@@ -179,7 +191,7 @@ class TwoSourceEpisode:
         if not isinstance(params, TwoSourceParams):
             raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
-        self._rows = _draw_rows(params, stream(seed), np.arange(params.horizon, dtype=np.int64))
+        self._rows = _episode_rows(params, seed)
         self._cursor = 0  # step index of the current state
         self._end = params.horizon  # done at this step index
         self._last_read = params.horizon - 1  # last step whose state is read: a fork's snapshot

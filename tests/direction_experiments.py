@@ -89,8 +89,9 @@ def wrong_direction_experiment(
         model, dataset = explore_and_fit(env, env_seed, n_explore=n_explore)
         name, rho_star = strongest_signal(dataset, model.feature_specs)
         eval_seed = derive_seed(env_seed, "eval")
-        dial = run_deployment(env, PolicySpec("dial", model=model), n_eval, eval_seed)
-        rev = run_deployment(env, PolicySpec("reversed_dial", model=model), n_eval, eval_seed)
+        dial, rev = run_deployment(
+            env, [PolicySpec("dial", model=model), PolicySpec("reversed_dial", model=model)], n_eval, eval_seed
+        )
         rows.append(
             WrongDirectionRow(
                 rho_star=rho_star,
@@ -168,38 +169,34 @@ def prop1_counterexample(
     eval_seed_a = derive_seed(seed, "prop1-eval", 0)
     eval_seed_b = derive_seed(seed, "prop1-eval", 1)
 
-    base_a = run_deployment(env_a, PolicySpec("base_only"), n_eval, eval_seed_a)
-    base_b = run_deployment(env_b, PolicySpec("base_only"), n_eval, eval_seed_b)
-
-    gates: List[GatePassRecord] = []
-    for direction in (1, -1):
-        for theta in grid:
-            spec = PolicySpec("fixed_threshold", signal="signal", direction=direction, threshold=float(theta))
-            res_a = run_deployment(env_a, spec, n_eval, eval_seed_a)
-            res_b = run_deployment(env_b, spec, n_eval, eval_seed_b)
-            gates.append(
-                GatePassRecord(
-                    direction=direction,
-                    threshold=float(theta),
-                    sr_a=res_a.sr,
-                    sr_b=res_b.sr,
-                    passes_a=_passes(res_a.sr, n_eval, base_a.sr),
-                    passes_b=_passes(res_b.sr, n_eval, base_b.sr),
-                )
-            )
-
-    dial_srs = []
-    dial_pass = []
-    for env, eval_seed, base in ((env_a, eval_seed_a, base_a), (env_b, eval_seed_b, base_b)):
+    specs = [
+        PolicySpec("fixed_threshold", signal="signal", direction=direction, threshold=float(theta))
+        for direction in (1, -1)
+        for theta in grid
+    ]
+    deployed = []  # per environment: the base policy, every threshold gate, then the fitted gate
+    for env, eval_seed in ((env_a, eval_seed_a), (env_b, eval_seed_b)):
         model, _ = explore_and_fit(env, derive_seed(seed, f"prop1-fit-{env.env_id}"), n_explore=n_explore)
-        res = run_deployment(env, PolicySpec("dial", model=model), n_eval, eval_seed)
-        dial_srs.append(res.sr)
-        dial_pass.append(_passes(res.sr, n_eval, base.sr))
+        policies = [PolicySpec("base_only"), *specs, PolicySpec("dial", model=model)]
+        deployed.append(run_deployment(env, policies, n_eval, eval_seed))
+    (base_a, *res_a, dial_a), (base_b, *res_b, dial_b) = deployed
+
+    gates = [
+        GatePassRecord(
+            direction=spec.direction,
+            threshold=spec.threshold,
+            sr_a=a.sr,
+            sr_b=b.sr,
+            passes_a=_passes(a.sr, n_eval, base_a.sr),
+            passes_b=_passes(b.sr, n_eval, base_b.sr),
+        )
+        for spec, a, b in zip(specs, res_a, res_b)
+    ]
 
     return CounterexampleVerdict(
         base_sr=(base_a.sr, base_b.sr),
         sigma_gates=tuple(gates),
         any_sigma_passes_both=any(g.passes_a and g.passes_b for g in gates),
-        dial_sr=(dial_srs[0], dial_srs[1]),
-        dial_passes_both=all(dial_pass),
+        dial_sr=(dial_a.sr, dial_b.sr),
+        dial_passes_both=_passes(dial_a.sr, n_eval, base_a.sr) and _passes(dial_b.sr, n_eval, base_b.sr),
     )

@@ -318,14 +318,13 @@ def test_c09_auc_hierarchy():
 
 def test_c10_cost_accounting():
     env = TwoSourceEnv(TwoSourceParams(horizon=4, trigger_cost_units=5.0))
-    base = run_deployment(env, PolicySpec("base_only"), 3, seed=110)
+    policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
+    base, always, result = run_deployment(
+        env, [PolicySpec("base_only"), PolicySpec("always_trigger"), policy], 3, seed=110
+    )
     assert base.cost_x_base == 1.0  # exact
-
-    always = run_deployment(env, PolicySpec("always_trigger"), 3, seed=110)
     assert abs(always.cost_x_base - (1.0 + 5.0 * 1.0)) <= 1e-9
 
-    policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
-    result = run_deployment(env, policy, 3, seed=110)
     triggered = 0
     for i in range(3):  # hand count from the replayed observation stream
         episode = env.episode(derive_seed(110, "eval-episode", i))

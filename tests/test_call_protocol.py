@@ -3,8 +3,13 @@ the class attributes as its tracer does (``expected_counts`` in
 perfbench/workloads.py):
 
 - ``GateModel.decide``: once per gated deployed step
-- ``TwoSourceEpisode.step``: once per deployed step
+- ``TwoSourceEpisode.step``: once per deployed step, each while
+  ``dial.cli.run_deployment`` runs (perfbench's ``evaluate.steps``
+  counts the steps inside that span)
 - ``TwoSourceEpisode.fork``: k x n per paired label
+
+and the draw that one deployment of all policies saves: ``cmd_eval``
+draws each eval episode once, not once per policy.
 
 Untraced benchmark runs never see these counts, so a change that breaks
 them would otherwise surface only in a traced run. ROADMAP item 5
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from dial import cli
+from dial import cli, twosource
 from dial.gate import GateModel
 from dial.twosource import TwoSourceEpisode
 
@@ -46,7 +51,7 @@ def counts(monkeypatch):
     return counted
 
 
-def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts):
+def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatch):
     raw = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
     raw["exploration"]["n_episodes"] = 12
     raw["eval"]["n_episodes"] = 15
@@ -63,7 +68,31 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts):
 
     for name in counts:
         counts[name] = 0
+    real_draw, real_deploy, real_step = twosource._draw_rows, cli.run_deployment, TwoSourceEpisode.step
+    draws, deploying, steps_outside = [0], [0], [0]
+
+    def counting_draw(*args):
+        draws[0] += 1
+        return real_draw(*args)
+
+    def deploy(*args):
+        deploying[0] += 1
+        try:
+            return real_deploy(*args)
+        finally:
+            deploying[0] -= 1
+
+    def step(*args):
+        steps_outside[0] += not deploying[0]
+        return real_step(*args)
+
+    monkeypatch.setattr(twosource, "_draw_rows", counting_draw)
+    monkeypatch.setattr(cli, "run_deployment", deploy)
+    monkeypatch.setattr(TwoSourceEpisode, "step", step)
+    twosource._episode_rows.cache_clear()
     cli.cmd_eval(config, model_path)
+    assert draws[0] == config.eval["n_episodes"]
+    assert steps_outside[0] == 0
     policies = config.eval["policies"]
     gated = sum(p in ("dial", "reversed_dial") for p in policies)
     deployed_steps = config.eval["n_episodes"] * horizon

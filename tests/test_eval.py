@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dial.cli import load_config
 from dial.evaluate import EvalError, PolicySpec, run_deployment, wilson_interval
 from dial.envs import CapabilityError, EnvFault
 from dial.gate import GateModel, Standardizer
@@ -17,9 +20,9 @@ def _env(**kwargs):
     return TwoSourceEnv(TwoSourceParams(**kwargs))
 
 
-def _signal_model(weight, bias=0.0, tau=0.5):
+def _signal_model(weight, bias=0.0, tau=0.5, center=0.0):
     spec = (FeatureSpec("sig", "llm", "signal * 1"),)
-    std = Standardizer(("sig",), np.zeros(1), np.ones(1), ())
+    std = Standardizer(("sig",), np.full(1, center), np.ones(1), ())
     return GateModel(
         feature_specs=spec, standardizer=std, weights=np.array([float(weight)]),
         bias=bias, tau=tau, regularizer="l1",
@@ -52,13 +55,13 @@ def test_fixed_threshold_directions():
 
 
 def test_base_only_cost_is_exactly_one():
-    result = run_deployment(_env(), PolicySpec("base_only"), 50, seed=0)
+    (result,) = run_deployment(_env(), [PolicySpec("base_only")], 50, seed=0)
     assert result.cost_x_base == 1.0
     assert result.trigger_rate == 0.0
 
 
 def test_always_trigger_cost_matches_units():
-    result = run_deployment(_env(trigger_cost_units=5.0), PolicySpec("always_trigger"), 50, seed=0)
+    (result,) = run_deployment(_env(trigger_cost_units=5.0), [PolicySpec("always_trigger")], 50, seed=0)
     assert result.cost_x_base == pytest.approx(6.0, abs=1e-12)
     assert result.trigger_rate == 1.0
 
@@ -68,7 +71,7 @@ def test_cost_formula_hand_arithmetic_three_episode_fixture():
     # hand from the observed signals, then check the cost identity.
     env = _env(horizon=4, trigger_cost_units=5.0)
     policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
-    result = run_deployment(env, policy, 3, seed=21)
+    (result,) = run_deployment(env, [policy], 3, seed=21)
 
     from dial.rng import derive_seed
 
@@ -137,7 +140,7 @@ def test_variable_length_episodes_hand_arithmetic():
     # episode 2, t=2 in episode 1; step 2 is reached by episode 1 alone,
     # after a shorter episode came first.
     policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
-    result = run_deployment(_VariableLengthEnv(), policy, 3, seed=0)
+    (result,) = run_deployment(_VariableLengthEnv(), [policy], 3, seed=0)
     assert [(p.step_index, p.n, p.rate) for p in result.per_step_trigger] == [
         (0, 3, 2 / 3), (1, 2, 0.5), (2, 1, 1.0),
     ]
@@ -155,8 +158,7 @@ def test_variable_length_episodes_hand_arithmetic():
 def test_never_firing_gate_equals_base_only():
     env = _env(noise_sd=0.2)
     silent = _signal_model(weight=0.0, bias=0.0, tau=0.5)  # sigmoid(0) = 0.5, never > tau
-    base = run_deployment(env, PolicySpec("base_only"), 80, seed=3)
-    gated = run_deployment(env, PolicySpec("dial", model=silent), 80, seed=3)
+    base, gated = run_deployment(env, [PolicySpec("base_only"), PolicySpec("dial", model=silent)], 80, seed=3)
     assert gated.sr == base.sr
     assert gated.cost_x_base == 1.0
 
@@ -164,14 +166,14 @@ def test_never_firing_gate_equals_base_only():
 def test_deployment_deterministic():
     env = _env(noise_sd=0.3)
     policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.3)
-    a = run_deployment(env, policy, 60, seed=5)
-    b = run_deployment(env, policy, 60, seed=5)
+    a = run_deployment(env, [policy], 60, seed=5)
+    b = run_deployment(env, [policy], 60, seed=5)
     assert a == b
 
 
 def test_deployment_validates_episode_count():
     with pytest.raises(EvalError):
-        run_deployment(_env(), PolicySpec("base_only"), 0, seed=0)
+        run_deployment(_env(), [PolicySpec("base_only")], 0, seed=0)
 
 
 # -- trigger profiles ------------------------------------------------------------------
@@ -179,8 +181,7 @@ def test_deployment_validates_episode_count():
 
 def test_trigger_profile_bounds_policies():
     env = _env(horizon=6)
-    always = run_deployment(env, PolicySpec("always_trigger"), 40, seed=1)
-    base = run_deployment(env, PolicySpec("base_only"), 40, seed=1)
+    always, base = run_deployment(env, [PolicySpec("always_trigger"), PolicySpec("base_only")], 40, seed=1)
     assert all(p.rate == 1.0 for p in always.per_step_trigger)
     assert all(p.rate == 0.0 for p in base.per_step_trigger)
     assert [p.step_index for p in always.per_step_trigger] == list(range(6))
@@ -199,7 +200,7 @@ def test_profile_decays_when_late_steps_turn_unsuitable():
     params = TwoSourceParams(p_i0=0.1, p_i_slope=0.09, noise_sd=0.2, fidelity_q=1.0)
     env = TwoSourceEnv(params)
     model, _ = explore_and_fit(env, seed=8, n_explore=120)
-    result = run_deployment(env, PolicySpec("dial", model=model), 500, seed=9)
+    (result,) = run_deployment(env, [PolicySpec("dial", model=model)], 500, seed=9)
     profile = result.per_step_trigger
     early = np.mean([p.rate for p in profile[:3]])
     late = np.mean([p.rate for p in profile[-3:]])
@@ -212,8 +213,9 @@ def test_profile_decays_when_late_steps_turn_unsuitable():
 def test_reversed_policy_complements_zero_bias_gate():
     env = _env(noise_sd=0.2)
     model = _signal_model(weight=2.0, bias=0.0, tau=0.5)
-    dial = run_deployment(env, PolicySpec("dial", model=model), 50, seed=11)
-    rev = run_deployment(env, PolicySpec("reversed_dial", model=model), 50, seed=11)
+    dial, rev = run_deployment(
+        env, [PolicySpec("dial", model=model), PolicySpec("reversed_dial", model=model)], 50, seed=11
+    )
     assert dial.trigger_rate + rev.trigger_rate == pytest.approx(1.0, abs=1e-12)
     for p_d, p_r in zip(dial.per_step_trigger, rev.per_step_trigger):
         assert p_d.rate + p_r.rate == pytest.approx(1.0, abs=1e-12)
@@ -223,9 +225,9 @@ def test_dial_beats_base_where_rollouts_harm_on_average():
     params = TwoSourceParams(alpha=2.0, beta=1.0, p_i0=0.85, noise_sd=0.2, fidelity_q=1.0)
     env = TwoSourceEnv(params)
     model, _ = explore_and_fit(env, seed=5, n_explore=100)
-    base = run_deployment(env, PolicySpec("base_only"), 300, seed=77)
-    always = run_deployment(env, PolicySpec("always_trigger"), 300, seed=77)
-    dial = run_deployment(env, PolicySpec("dial", model=model), 300, seed=77)
+    base, always, dial = run_deployment(
+        env, [PolicySpec("base_only"), PolicySpec("always_trigger"), PolicySpec("dial", model=model)], 300, seed=77
+    )
     assert always.sr < base.sr  # net-harmful optimizer
     assert dial.sr >= base.sr - 0.02
     assert dial.trigger_rate < always.trigger_rate
@@ -290,7 +292,7 @@ class _FaultyEpisode:
 
 
 class _FaultyEnv:
-    """A two-source environment whose second episode fails at step 2."""
+    """A two-source environment whose second episode built fails at step 2."""
 
     def __init__(self, error=RuntimeError):
         self.inner = _env(horizon=5)
@@ -312,4 +314,40 @@ def test_step_fault_names_episode_and_step(kind, error):
     # An environment's own EnvFault gets the same context as any other error.
     env = _FaultyEnv(error)
     with pytest.raises(EnvFault, match=f"at {kind} episode 1, step 2: simulator crashed"):
-        run_deployment(env, PolicySpec("always_trigger"), 3, seed=0)
+        run_deployment(env, [PolicySpec("always_trigger")], 3, seed=0)
+
+
+def test_fault_names_the_policy_that_meets_it_first():
+    # Episode-major: the second episode built is the second policy's
+    # episode 0, so it faults before the first policy reaches episode 1.
+    env = _FaultyEnv()
+    policies = [PolicySpec("base_only"), PolicySpec("always_trigger")]
+    with pytest.raises(EnvFault, match="^policy always_trigger: environment fault at eval episode 0, step 2: "):
+        run_deployment(env, policies, 3, seed=0)
+
+
+def test_missing_signal_is_named():
+    policy = PolicySpec("fixed_threshold", signal="sigal", direction=1, threshold=0.5)
+    with pytest.raises(EvalError, match="observation has no signal 'sigal'"):
+        policy.build()({"signal": 0.9})
+    message = r"policy fixed\(sigal>0.5\): environment fault at eval episode 0, step 0: observation has no signal 'sigal'"
+    with pytest.raises(EnvFault, match=message):
+        run_deployment(_env(), [policy], 3, seed=0)
+
+
+def test_one_deployment_of_many_policies_equals_one_per_policy():
+    demo = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json"))
+    env = TwoSourceEnv(demo.eval_params)
+    model = _signal_model(weight=3.0, center=0.3)  # triggers above signal 0.3; reversed, below
+    policies = [
+        PolicySpec("base_only"),
+        PolicySpec("always_trigger"),
+        PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5),
+        PolicySpec("dial", model=model),
+        PolicySpec("reversed_dial", model=model),
+    ]
+    together = run_deployment(env, policies, 200, seed=13)
+    apart = [result for policy in policies for result in run_deployment(env, [policy], 200, seed=13)]
+    assert together == apart
+    assert [repr(r) for r in together] == [repr(r) for r in apart]  # floats bit for bit
+    assert len({r.trigger_rate for r in together}) == len(policies)  # five different policies

@@ -288,8 +288,11 @@ def test_exploration_validates_inputs():
 class FaultyEnv:
     env_id = "faulty"
 
+    def __init__(self, episode_type=None):
+        self.episode_type = episode_type or FaultyEpisode
+
     def episode(self, seed):
-        return FaultyEpisode()
+        return self.episode_type()
 
     def episode_success(self, r):
         return True
@@ -311,6 +314,39 @@ class FaultyEpisode(ScriptedEpisode):
 def test_environment_fault_carries_context():
     with pytest.raises(EnvFault, match="episode 0, step 1"):
         run_exploration(FaultyEnv(), eps=0.0, n_episodes=1, seed=0)
+
+
+class BadRewardEpisode(ScriptedEpisode):
+    def __init__(self):
+        super().__init__([0.0, 0.0], horizon=5)
+
+    def step(self, triggered):
+        if self.t == 3:
+            raise ValueError("bad reward")
+        return super().step(triggered)
+
+
+def test_environment_value_error_carries_context():
+    # An environment's own ValueError is a fault like any other.
+    with pytest.raises(EnvFault, match="episode 0, step 3: bad reward"):
+        run_exploration(FaultyEnv(BadRewardEpisode), eps=0.0, n_episodes=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"k_candidates": 1}, "base action plus at least one alternative"),
+        ({"n_rollouts": 0}, "at least one rollout per candidate"),
+        ({"horizon_h": 0}, "rollout horizon must be >= 1"),
+    ],
+    ids=["k", "n", "h"],
+)
+def test_exploration_checks_label_settings_before_the_first_episode(setting, message):
+    # Checked up front, so even a run that never triggers refuses them,
+    # and an episode is never built.
+    env = FaultyEnv(lambda: pytest.fail("an episode was built"))
+    with pytest.raises(ValueError, match=message):
+        run_exploration(env, eps=0.0, n_episodes=1, seed=0, **setting)
 
 
 # -- records and datasets ---------------------------------------------------------

@@ -202,6 +202,20 @@ def test_episode_must_be_built_from_params():
         TwoSourceEpisode({"horizon": 10}, seed=1)
 
 
+def test_episodes_built_on_one_seed_share_one_draw():
+    params = TwoSourceParams(noise_sd=0.3)
+    first = TwoSourceEpisode(params, seed=4)
+    first.step(True)
+    second = TwoSourceEpisode(params, seed=4)
+    assert second._rows is first._rows  # the second episode draws nothing
+    assert second.observe()["step_count"] == 0.0  # but keeps a cursor of its own
+    assert second._rows == _draw_rows(params, stream(4), np.arange(params.horizon, dtype=np.int64))
+    other = TwoSourceEpisode(params, seed=5)
+    assert other._rows != first._rows
+    again = TwoSourceEpisode(params, seed=4)  # one slot: seed 5 evicted seed 4, so this is a fresh draw
+    assert again._rows == first._rows and again._rows is not first._rows
+
+
 def test_fork_reseed_shares_snapshot_but_diverges_later():
     for triggered in (False, True):
         ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=9)
