@@ -97,7 +97,6 @@ class ConfigError(ValueError):
 class RunConfig:
     raw: Dict[str, Any]
     env_params: TwoSourceParams
-    eval_params: TwoSourceParams  # env_params with the eval trigger-cost override
     seed: int
     output_dir: str
 
@@ -125,7 +124,7 @@ class RunConfig:
 
 
 _DEFAULT_CONFIG: Dict[str, Any] = {
-    "environment": {"type": "twosource"},
+    "environment": {},
     "exploration": {
         "eps": DEFAULT_EPS_EXPLORE,
         "n_episodes": DEFAULT_N_EXPLORE,
@@ -145,7 +144,6 @@ _DEFAULT_CONFIG: Dict[str, Any] = {
     "eval": {
         "policies": ["base_only", "always_trigger", "dial", "reversed_dial"],
         "n_episodes": 500,
-        "trigger_cost_units": None,
     },
     "seed": 0,
     "output_dir": "runs/out",
@@ -190,20 +188,10 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError(f"seed: must be an integer, got {merged['seed']!r}")
     merged["output_dir"] = str(user.get("output_dir", merged["output_dir"])) if out_override is None else out_override
 
-    env_section = dict(merged["environment"])
-    env_type = env_section.pop("type", "twosource")
-    if env_type != "twosource":
-        raise ConfigError(f"environment.type: unsupported environment {env_type!r}")
     try:
-        env_params = TwoSourceParams(**env_section)
+        env_params = TwoSourceParams(**merged["environment"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"environment: {exc}") from exc
-
-    override = merged["eval"]["trigger_cost_units"]
-    try:
-        eval_params = env_params if override is None else replace(env_params, trigger_cost_units=float(override))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"eval.trigger_cost_units: {exc}") from exc
 
     eps = merged["exploration"]["eps"]
     if not (_is_number(eps) and 0.0 <= eps <= 1.0):
@@ -241,7 +229,6 @@ def load_config(path: str, seed_override: Optional[int] = None,
     return RunConfig(
         raw=merged,
         env_params=env_params,
-        eval_params=eval_params,
         seed=merged["seed"],
         output_dir=merged["output_dir"],
     )
@@ -412,11 +399,10 @@ def fit_dataset(
     return replace(model, meta={**model.meta, "direction_diagnostic": weight_diagnostic(model)})
 
 
-def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> str:
+def cmd_fit(config: RunConfig, dataset_path: str) -> str:
     dataset = load_dataset_jsonl(dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
-    mode = "mock" if force_mock else config.gate["llm_features"]
-    client = proposal_client(mode, cache_path=os.path.join(config.output_dir, "proposal_cache.json"))
+    client = proposal_client(config.gate["llm_features"], os.path.join(config.output_dir, "proposal_cache.json"))
     model = fit_dataset(dataset, config.gate, client, config.seed)
     # Provenance last: its seed is the run's, not fit_gate's derived one.
     model = replace(model, meta={**model.meta, **_provenance(config, _file_digest(dataset_path))})
@@ -428,7 +414,7 @@ def cmd_fit(config: RunConfig, dataset_path: str, force_mock: bool = False) -> s
 def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
     model = load_model_json(model_path)
     _check_input_digest("model", model.meta.get("config_digest"), config)
-    env = TwoSourceEnv(config.eval_params)
+    env = TwoSourceEnv(config.env_params)
     n_episodes = int(config.eval["n_episodes"])
     eval_seed = derive_seed(config.seed, "eval")
 
@@ -643,7 +629,7 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     return paths
 
 
-def cmd_sweep(config: RunConfig, axis: str, force_mock: bool = False) -> str:
+def cmd_sweep(config: RunConfig, axis: str) -> str:
     """Run explore -> fit -> eval for each value on one config axis,
     each run isolated in its own output directory. A run's config.json
     leaves out ``output_dir``, so it reads the same wherever the sweep is."""
@@ -673,7 +659,7 @@ def cmd_sweep(config: RunConfig, axis: str, force_mock: bool = False) -> str:
         write_report_json(sub_path, raw)
         sub_config = load_config(sub_path, out_override=sub_dir)
         dataset_path = cmd_explore(sub_config)
-        model_path = cmd_fit(sub_config, dataset_path, force_mock)
+        model_path = cmd_fit(sub_config, dataset_path)
         outputs = cmd_eval(sub_config, model_path)
         with open(outputs["summary"], "r", encoding="utf-8") as fh:
             for row in list(csv.DictReader(fh)):
@@ -705,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the gate from a dataset file")
     common(p_fit)
     p_fit.add_argument("--dataset", required=True)
-    p_fit.add_argument("--llm-mock", action="store_true", help="force the mock proposal provider")
 
     p_eval = sub.add_parser("eval", help="evaluate policies with a fitted model")
     common(p_eval)
@@ -721,7 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over one config axis")
     common(p_sweep)
     p_sweep.add_argument("--axis", required=True, help="section.key=v1,v2,...")
-    p_sweep.add_argument("--llm-mock", action="store_true", help="force the mock proposal provider in every run")
 
     return parser
 
@@ -732,7 +716,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "explore":
         print(cmd_explore(config))
     elif args.command == "fit":
-        print(cmd_fit(config, args.dataset, force_mock=args.llm_mock))
+        print(cmd_fit(config, args.dataset))
     elif args.command == "eval":
         for name, path in cmd_eval(config, args.model).items():
             print(f"{name}: {path}")
@@ -743,7 +727,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, path in cmd_verify(config).items():
             print(f"{name}: {path}")
     elif args.command == "sweep":
-        print(cmd_sweep(config, args.axis, force_mock=args.llm_mock))
+        print(cmd_sweep(config, args.axis))
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from .envs import CapabilityError, EnvFault, Environment, Episode
-from .features import extract_universal
+from .features import extract_universal, scalar_signal
 from .rng import derive_seed, rng_for, stream
 
 DEFAULT_EPS_EXPLORE = 0.5
@@ -169,7 +169,7 @@ def run_exploration(
                     obs=obs,
                     triggered=triggered,
                     utility_label=label,
-                    signal=float(obs.get("signal", obs.get("token_entropy", 0.0))),
+                    signal=scalar_signal(obs),
                     latent_type_debug=None if debug is None else debug.get("latent_type"),
                     true_utility_debug=None if debug is None else debug.get("true_utility"),
                 )

@@ -90,6 +90,11 @@ def extract_universal(obs: Dict[str, Any]) -> Dict[str, float]:
     return {name: _resolve(obs, keys) for name, keys in _ALIASES.items()}
 
 
+def scalar_signal(obs: Dict[str, Any]) -> float:
+    """The value the ``token_entropy`` feature reads from ``obs``."""
+    return _resolve(obs, _ALIASES["token_entropy"])
+
+
 def universal_specs() -> List[FeatureSpec]:
     return [FeatureSpec(name, "universal", f"builtin:{name}") for name in UNIVERSAL_FEATURES]
 

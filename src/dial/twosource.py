@@ -268,11 +268,7 @@ class TwoSourceEpisode:
 
     def debug_state(self) -> Dict[str, Any]:
         s = self._current()
-        return {
-            "latent_type": s.latent_type,
-            "true_utility": s.true_utility,
-            "p_i": float(self.params.p_i(s.step_index)),
-        }
+        return {"latent_type": s.latent_type, "true_utility": s.true_utility}
 
 
 class TwoSourceEnv:

@@ -369,19 +369,19 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-52275013.jsonl": "0ad18be17b7dc145c5ad6d98919d934fa70e2bb2e286823cc128aefc54ff2e9b",
-    "eval-52275013.json": "ea217a6c52425376a0d1d2e6ea4264c3108f95932c60ea7218fb528d785659a7",
-    "eval_summary-52275013.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
-    "model-52275013.json": "44de485f690794c03d0c263598bb94ad634f68e1b2ac3886abc0c7ec01e0b6fe",
-    "stats-52275013.json": "0d0819a58f3b15dee070fad71220e8de9629665f959863b78cfc5f9e9f396000",
-    "stats_cells-52275013.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
-    "trigger_profile-52275013.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
-    "verify-52275013.json": "317e5ea9347bf8c312e662f99f1bb05a94e865aa89a3c67778f6eda095ec36c1",
-    "verify_eq2_sweep-52275013.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
-    "verify_normalization-52275013.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
-    "verify_simpson-52275013.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
-    "verify_temporal-52275013.csv": "9cdbc6caba6bcb4774fd583b4a5c3444c4b4449471ff4655b201738b44f5a469",
-    "verify_transforms-52275013.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
+    "dataset-9a69751b.jsonl": "c340451312448c6b30b623a1e5bf6abd4cc65b6c702f3e6d987d35e65c2a5647",
+    "eval-9a69751b.json": "fe735ba5fcc2306cdc6ce7b12e68d5b0604c743c985f214f8e22d8ea3e7aaa60",
+    "eval_summary-9a69751b.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
+    "model-9a69751b.json": "275a8903984fc02f1bec412cabd4a811c782bd9c986549de098498bbe2ff1c48",
+    "stats-9a69751b.json": "a8014af3f9e9b95d0db3cdfbab6c72fad02a9daa5501e21acb7b7d273bf5d5cb",
+    "stats_cells-9a69751b.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
+    "trigger_profile-9a69751b.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
+    "verify-9a69751b.json": "440d1168901b2520b73e7b696d941fb9b6a0e7a0df2325a145d023cd765684f6",
+    "verify_eq2_sweep-9a69751b.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
+    "verify_normalization-9a69751b.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
+    "verify_simpson-9a69751b.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
+    "verify_temporal-9a69751b.csv": "9cdbc6caba6bcb4774fd583b4a5c3444c4b4449471ff4655b201738b44f5a469",
+    "verify_transforms-9a69751b.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 
 

@@ -73,6 +73,18 @@ def test_unknown_section_key_named_with_path(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "section, key, value", [("environment", "type", "twosource"), ("eval", "trigger_cost_units", 2.0)]
+)
+def test_removed_settings_are_unknown_keys(tmp_path, section, key, value):
+    # Each setting has one key: the environment section is the two-source
+    # parameters, and deployment cost is environment.trigger_cost_units.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=f"^{section}.{key}: unknown key$"):
+        load_config(str(path))
+
+
 def test_env_params_validated_before_work(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"environment": {"alpha": -1.0}}))
@@ -104,15 +116,16 @@ def test_rollout_sizes_validated_before_work(tmp_path, key):
         ("gate", "folds", 1),
         ("gate", "mi_k", 0),
         ("gate", "mi_bins", 1),
-        ("eval", "trigger_cost_units", 0),
-        ("eval", "trigger_cost_units", -2.0),
+        ("environment", "trigger_cost_units", 0),
+        ("environment", "trigger_cost_units", -2.0),
     ],
 )
 def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, value):
     # Each value would fail fit or eval; refused at load, it stops the
-    # run before explore writes anything.
+    # run before explore writes anything. An environment parameter is
+    # named after the section ("environment: trigger_cost_units ...").
     config_path = write_config(tmp_path / "config.json", **{section: {key: value}})
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    with pytest.raises(ConfigError, match=f"^{section}(\\.|: ){key}"):
         main(["explore", "--config", config_path])
     assert not os.path.exists(tmp_path / "out")
 
@@ -344,7 +357,8 @@ def test_cli_fit_and_library_fit_give_the_same_gate(tmp_path):
     # memory and against the acceptance suite's explore_and_fit (the demo
     # config's exploration and gate sections are the defaults).
     config = load_config(str(DEMO_CONFIG), seed_override=42, out_override=str(tmp_path / "out"))
-    written = load_model_json(cmd_fit(config, cmd_explore(config), force_mock=True))
+    assert config.gate["llm_features"] == "mock"
+    written = load_model_json(cmd_fit(config, cmd_explore(config)))
 
     env = TwoSourceEnv(config.env_params)
     expl = config.exploration
@@ -365,8 +379,9 @@ def test_cli_fit_and_library_fit_give_the_same_gate(tmp_path):
 
 
 def test_eval_trigger_cost_override(tmp_path):
+    # Deployment cost is the environment's: 2.0 in place of the default 5.0.
     config = load_config(
-        write_config(tmp_path / "config.json", eval={"n_episodes": 30, "trigger_cost_units": 2.0})
+        write_config(tmp_path / "config.json", environment={"trigger_cost_units": 2.0}, eval={"n_episodes": 30})
     )
     dataset_path = cmd_explore(config)
     model_path = cmd_fit(config, dataset_path)
@@ -391,13 +406,13 @@ def test_verify_emits_eq2_sweep(tmp_path):
 
 SWEEP_GOLDEN_SHA256 = {
     "sweep_summary.csv": "e71e8149930623cc4d481c21e0f79edba0ae48baeb387542cbf6cff585d75892",
-    "p_i0=0.2/eval_summary-ddc1fa78.csv": "df3884fdb51b1925aebda7c4e337fd63aa269ed7e28105127b4d52cfbe44e390",
-    "p_i0=0.8/eval_summary-e9f2b230.csv": "5dbbe82130f8bf9530e1dddd60ccc3b9a5697a04d74d4e2603d68a4c389e67e1",
+    "p_i0=0.2/eval_summary-302a1cbf.csv": "df3884fdb51b1925aebda7c4e337fd63aa269ed7e28105127b4d52cfbe44e390",
+    "p_i0=0.8/eval_summary-5eb089a5.csv": "5dbbe82130f8bf9530e1dddd60ccc3b9a5697a04d74d4e2603d68a4c389e67e1",
 }
 
 SWEEP_CONFIG_SHA256 = {
-    "p_i0=0.2/config.json": "c97a83c7aa9635a40796650a45c8f962e2990fe148d51951c117b3ecae15fdf9",
-    "p_i0=0.8/config.json": "63b7bfd42e1ef6f314f6db6c13e675466fca95dad34136af407f7af75149931c",
+    "p_i0=0.2/config.json": "967faaa6ac6e3bea3b867e6e967e80e2420ac6f7693b3614865b8bd311a0dfa1",
+    "p_i0=0.8/config.json": "0ea468e1df60fd9594a1ed77c38f0b703ed53e833507a313881c3d927a07fb48",
 }
 
 
@@ -445,28 +460,22 @@ def test_sweep_axis_validation(tmp_path):
 
 
 def test_main_entry_point(tmp_path, capsys):
-    config_path = write_config(tmp_path / "config.json",
+    config_path = write_config(tmp_path / "config.json", gate={"llm_features": "mock"},
                                exploration={"eps": 0.5, "n_episodes": 6})
     assert main(["explore", "--config", config_path]) == 0
     dataset_path = capsys.readouterr().out.strip()
     assert os.path.exists(dataset_path)
-    assert main(["fit", "--config", config_path, "--dataset", dataset_path, "--llm-mock"]) == 0
-
-
-def test_sweep_honours_llm_mock(tmp_path, monkeypatch):
-    # An "http" config with no endpoint fails unless --llm-mock reaches each run's fit.
-    monkeypatch.delenv("DIAL_LLM_URL", raising=False)
-    config_path = write_config(tmp_path / "config.json", gate={"llm_features": "http"},
-                               exploration={"eps": 0.5, "n_episodes": 6}, eval={"n_episodes": 10})
-    assert main(["sweep", "--config", config_path, "--axis", "environment.p_i0=0.2", "--llm-mock"]) == 0
+    assert main(["fit", "--config", config_path, "--dataset", dataset_path]) == 0
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["explore"], ["eval", "--model", "m.json"], ["stats", "--dataset", "d.jsonl"], ["verify"]],
-    ids=["explore", "eval", "stats", "verify"],
+    [["explore"], ["fit", "--dataset", "d.jsonl"], ["eval", "--model", "m.json"],
+     ["stats", "--dataset", "d.jsonl"], ["verify"], ["sweep", "--axis", "environment.p_i0=0.2"]],
+    ids=["explore", "fit", "eval", "stats", "verify", "sweep"],
 )
-def test_llm_mock_is_only_an_option_of_fit_and_sweep(argv, capsys):
+def test_llm_mock_is_no_option(argv, capsys):
+    # The proposal provider is gate.llm_features, which the config digest records.
     with pytest.raises(SystemExit) as excinfo:
         main(argv + ["--config", "config.json", "--llm-mock"])
     assert excinfo.value.code == 2

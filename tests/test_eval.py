@@ -337,7 +337,7 @@ def test_missing_signal_is_named():
 
 def test_one_deployment_of_many_policies_equals_one_per_policy():
     demo = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json"))
-    env = TwoSourceEnv(demo.eval_params)
+    env = TwoSourceEnv(demo.env_params)
     model = _signal_model(weight=3.0, center=0.3)  # triggers above signal 0.3; reversed, below
     policies = [
         PolicySpec("base_only"),

@@ -17,6 +17,7 @@ from dial.explore import (
     load_dataset_jsonl,
     run_exploration,
 )
+from dial.features import extract_universal
 from dial import twosource
 from dial.cli import save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
@@ -330,6 +331,35 @@ def test_environment_value_error_carries_context():
     # An environment's own ValueError is a fault like any other.
     with pytest.raises(EnvFault, match="episode 0, step 3: bad reward"):
         run_exploration(FaultyEnv(BadRewardEpisode), eps=0.0, n_episodes=1, seed=0)
+
+
+class FixedObservationEpisode(ScriptedEpisode):
+    """Every step shows ``obs`` plus its step count."""
+
+    def __init__(self, obs):
+        super().__init__([0.0, 0.0], horizon=2)
+        self.obs = obs
+
+    def observe(self):
+        return {**self.obs, "step_count": float(self.t)}
+
+
+@pytest.mark.parametrize(
+    "obs, signal",
+    [
+        ({"token_entropy": 0.8, "signal": 0.1}, 0.8),
+        ({"signal": "high"}, 0.0),
+        ({"token_entropy": "high", "signal": 0.3}, 0.3),
+    ],
+    ids=["both-keys", "text", "text-entropy"],
+)
+def test_record_signal_is_the_value_the_gate_reads(obs, signal):
+    # dial stats correlates StepRecord.signal; the gate's token_entropy
+    # feature must read the same value from the same observation.
+    ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode(obs)), eps=0.0, n_episodes=1, seed=0)
+    assert len(ds.records) == 2
+    for record in ds.records:
+        assert record.signal == signal == extract_universal(record.obs)["token_entropy"]
 
 
 @pytest.mark.parametrize(
