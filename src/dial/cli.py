@@ -75,7 +75,7 @@ from .stats import (
     temporal_split_rho,
     transform_suite,
 )
-from .twosource import TwoSourceEnv, TwoSourceParams, sample_states
+from .twosource import InvalidParams, TwoSourceEnv, TwoSourceParams, sample_states
 
 EQ2_SWEEP_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 EQ2_SWEEP_N = 5000
@@ -190,8 +190,8 @@ def load_config(path: str, seed_override: Optional[int] = None,
 
     try:
         env_params = TwoSourceParams(**merged["environment"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"environment: {exc}") from exc
+    except InvalidParams as exc:  # its message starts with the field's name
+        raise ConfigError(f"environment.{exc}") from exc
 
     eps = merged["exploration"]["eps"]
     if not (_is_number(eps) and 0.0 <= eps <= 1.0):

@@ -106,53 +106,39 @@ def objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float, r
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature location/scale fitted once on the exploration data.
+    """Location and population sd of each feature a gate reads, as fitted."""
 
-    Uses the population convention (divide by n). Zero-variance features
-    are dropped and recorded; apply() always uses the stored statistics.
-    """
-
-    feature_names: Tuple[str, ...]
     means: np.ndarray
     sds: np.ndarray
-    dropped: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.means) != len(self.feature_names) or len(self.sds) != len(self.feature_names):
-            raise GateError("standardizer means/sds misaligned with its feature names")
-        if not set(self.dropped) <= set(self.feature_names):
-            raise GateError("standardizer drops features it does not have")
-        # The retained (index, mean, sd) triples, built once: a gate
-        # standardizes one row per decision from them, in Python floats.
-        stats = zip(self.feature_names, self.means.tolist(), self.sds.tolist())
-        kept = tuple((j, mean, sd) for j, (name, mean, sd) in enumerate(stats) if name not in self.dropped)
-        object.__setattr__(self, "_kept", kept)
-
-    @property
-    def retained(self) -> Tuple[str, ...]:
-        return tuple(n for n in self.feature_names if n not in self.dropped)
+        if len(self.means) != len(self.sds):
+            raise GateError(f"standardizer misaligned: {len(self.means)} means, {len(self.sds)} sds")
+        if not np.all(self.sds > 0.0):
+            raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
+        # (index, mean, sd) triples, built once: each decision standardizes in Python floats.
+        object.__setattr__(self, "_stats", tuple(zip(range(len(self.sds)), self.means.tolist(), self.sds.tolist())))
 
     def apply_matrix(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != len(self.feature_names):
-            raise GateError(
-                f"feature dimension mismatch: got {X.shape[1]}, expected {len(self.feature_names)}"
-            )
-        # A boolean column mask: the fit's bits depend on the memory order
-        # of the F-ordered array it gives.
-        keep = np.array([n not in self.dropped for n in self.feature_names], dtype=bool)
-        return (X[:, keep] - self.means[keep]) / self.sds[keep]
+        if X.shape[1] != len(self.means):
+            raise GateError(f"feature dimension mismatch: got {X.shape[1]}, expected {len(self.means)}")
+        return (X - self.means) / self.sds
 
 
-def fit_standardizer(X: np.ndarray, names: Sequence[str]) -> Standardizer:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise GateError("standardizer needs at least 2 rows")
-    if X.shape[1] != len(names):
-        raise GateError("names misaligned with matrix columns")
-    means = X.mean(axis=0)
-    sds = np.sqrt(((X - means) ** 2).mean(axis=0))
-    dropped = tuple(str(names[j]) for j in range(X.shape[1]) if sds[j] == 0.0)
-    return Standardizer(tuple(str(n) for n in names), means, sds, dropped)
+def _dropped_columns(X: np.ndarray, means: np.ndarray, sds: np.ndarray, names: Sequence[str]) -> Dict[str, str]:
+    """Why a gate drops each column it does not read: zero variance, or
+    standardized values bit-equal to an earlier read column's (with both,
+    the l1 optimum would not be unique)."""
+    dropped: Dict[str, str] = {}
+    first: Dict[bytes, str] = {}  # the first name read with each standardized column
+    for j, name in enumerate(names):
+        if sds[j] == 0.0:
+            dropped[name] = "zero variance"
+            continue
+        twin = first.setdefault(((X[:, j] - means[j]) / sds[j]).tobytes(), name)
+        if twin != name:
+            dropped[name] = f"duplicate of {twin}"
+    return dropped
 
 
 # -- solvers ------------------------------------------------------------------
@@ -507,12 +493,12 @@ def mi_topk_select(
 
 @dataclass(frozen=True)
 class GateModel:
-    """Deployable gate: feature pool, standardizer, signed weights,
-    bias, and decision threshold."""
+    """Deployable gate: the features it reads, their standardizer, signed
+    weights, bias, and decision threshold."""
 
-    feature_specs: Tuple[FeatureSpec, ...]
+    feature_specs: Tuple[FeatureSpec, ...]  # the features the gate reads, each once
     standardizer: Standardizer
-    weights: np.ndarray            # aligned with standardizer.retained
+    weights: np.ndarray            # aligned with feature_specs
     bias: float
     tau: float
     regularizer: str
@@ -522,15 +508,12 @@ class GateModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
-        std = self.standardizer
-        if tuple(s.name for s in self.feature_specs) != std.feature_names:
-            raise GateError("feature specs misaligned with the standardizer's feature names")
-        if len(self.weights) != len(std.retained):
-            raise GateError("weights misaligned with retained features")
+        if not len(self.feature_specs) == len(self.standardizer.means) == len(self.weights):
+            raise GateError("model misaligned: feature specs, standardizer means and weights differ in length")
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
-        return self.standardizer.retained
+        return tuple(s.name for s in self.feature_specs)
 
     def score(self, obs: Dict[str, Any]) -> float:
         """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
@@ -538,7 +521,7 @@ class GateModel:
         ``/`` are IEEE-identical in Python floats, while the dot product
         and ``exp`` stay numpy's (BLAS summation order, numpy's exp)."""
         phi = extract_features(self.feature_specs, obs).tolist()
-        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self.standardizer._kept])
+        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self.standardizer._stats])
         z = x @ self.weights + self.bias
         if z >= 0:
             return float(1.0 / (1.0 + np.exp(-z)))
@@ -613,6 +596,8 @@ def fit_gate(
 ) -> GateModel:
     """Standardize, select C by CV, fit, and package the deployable gate.
 
+    A column the gate does not read (zero variance, or a duplicate) is
+    left out of the model and named in ``meta["dropped"]`` with why.
     ``tau`` is either a float (default 0.5) or "cv" for a held-out sweep.
     ``regularizer`` accepts the ablation family: l1, l2, none,
     elastic_net, mi_topk. ``meta["solver"]`` records how the solver
@@ -625,12 +610,18 @@ def fit_gate(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     names = [s.name for s in specs]
-    if X.shape[1] != len(names):
-        raise GateError("matrix columns misaligned with feature specs")
+    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != len(names):
+        raise GateError(f"a gate fit needs at least 2 rows and a column per feature spec, got shape {X.shape}")
 
-    standardizer = fit_standardizer(X, names)
-    Xs = standardizer.apply_matrix(X)
-    retained = standardizer.retained
+    means = X.mean(axis=0)
+    sds = np.sqrt(((X - means) ** 2).mean(axis=0))
+    dropped = _dropped_columns(X, means, sds, names)
+    read = np.array([name not in dropped for name in names], dtype=bool)
+    # One boolean-masked standardize: the fit's bits depend on the memory
+    # order of the F-ordered array it gives.
+    Xs = (X[:, read] - means[read]) / sds[read]
+    specs = tuple(s for s, r in zip(specs, read) if r)
+    retained = [s.name for s in specs]
 
     cv_report: List[Dict[str, Any]] = []
     runs: List[SolverRun] = []  # every solver call of this fit
@@ -660,7 +651,7 @@ def fit_gate(
         tau_value = float(tau)
 
     model_meta = {
-        "seed": seed, "chosen_c": chosen_c, "n_rows": int(len(y)),
+        "seed": seed, "chosen_c": chosen_c, "n_rows": int(len(y)), "dropped": dropped,
         "solver": {
             "final": {"converged": final.stop == "certificate", **final._asdict()},
             "all": _solver_totals(runs),
@@ -668,8 +659,8 @@ def fit_gate(
     }
     model_meta.update(meta or {})
     return GateModel(
-        feature_specs=tuple(specs),
-        standardizer=standardizer,
+        feature_specs=specs,
+        standardizer=Standardizer(means[read], sds[read]),
         weights=weights,
         bias=float(b),
         tau=tau_value,
@@ -683,10 +674,7 @@ def fit_gate(
 
 
 # The top-level keys of a model JSON, written and required in this order.
-_MODEL_KEYS = (
-    "feature_specs", "feature_names", "weights", "bias", "tau",
-    "regularizer", "standardizer", "cv_report", "meta",
-)
+_MODEL_KEYS = ("feature_specs", "weights", "bias", "tau", "regularizer", "standardizer", "cv_report", "meta")
 # The keys of each feature spec in a model JSON.
 _SPEC_KEYS = ("name", "source", "extractor")
 
@@ -705,17 +693,11 @@ def _refuse_off_schema(payload: Dict[str, Any], keys: Sequence[str], what: str) 
 def model_to_dict(model: GateModel) -> Dict[str, Any]:
     return dict(zip(_MODEL_KEYS, (
         [{k: getattr(s, k) for k in _SPEC_KEYS} for s in model.feature_specs],
-        list(model.feature_names),
         [float(w) for w in model.weights],
         model.bias,
         model.tau,
         model.regularizer,
-        {
-            "feature_names": list(model.standardizer.feature_names),
-            "means": [float(m) for m in model.standardizer.means],
-            "sds": [float(s) for s in model.standardizer.sds],
-            "dropped": list(model.standardizer.dropped),
-        },
+        {"means": model.standardizer.means.tolist(), "sds": model.standardizer.sds.tolist()},
         list(model.cv_report),
         model.meta,
     )))
@@ -723,23 +705,16 @@ def model_to_dict(model: GateModel) -> Dict[str, Any]:
 
 def model_from_dict(payload: Dict[str, Any]) -> GateModel:
     """The model a ``model_to_dict`` payload holds. A missing or unknown
-    top-level or feature spec key, or ``feature_names`` other than the
-    standardizer's retained features, is refused with a GateError naming
-    it."""
+    top-level, feature spec or standardizer key is refused with a
+    GateError naming it."""
     _refuse_off_schema(payload, _MODEL_KEYS, "key")
     for spec in payload["feature_specs"]:
         _refuse_off_schema(spec, _SPEC_KEYS, "feature spec key")
     std = payload["standardizer"]
-    standardizer = Standardizer(
-        feature_names=tuple(std["feature_names"]),
-        means=np.array(std["means"], dtype=float),
-        sds=np.array(std["sds"], dtype=float),
-        dropped=tuple(std["dropped"]),
-    )
-    specs = tuple(FeatureSpec(**spec) for spec in payload["feature_specs"])
-    model = GateModel(
-        feature_specs=specs,
-        standardizer=standardizer,
+    _refuse_off_schema(std, ("means", "sds"), "standardizer key")
+    return GateModel(
+        feature_specs=tuple(FeatureSpec(**spec) for spec in payload["feature_specs"]),
+        standardizer=Standardizer(np.array(std["means"], dtype=float), np.array(std["sds"], dtype=float)),
         weights=np.array(payload["weights"], dtype=float),
         bias=float(payload["bias"]),
         tau=float(payload["tau"]),
@@ -747,9 +722,6 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
         cv_report=tuple(payload["cv_report"]),
         meta=dict(payload["meta"]),
     )
-    if tuple(payload["feature_names"]) != model.feature_names:
-        raise GateError("model JSON feature_names misaligned with the standardizer's retained features")
-    return model
 
 
 def load_model_json(path: str) -> GateModel:

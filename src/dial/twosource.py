@@ -48,7 +48,9 @@ Conventions (fixed for reproducibility):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -69,7 +71,8 @@ class InvalidParams(ValueError):
 
 @dataclass(frozen=True)
 class TwoSourceParams:
-    """Generative parameters of the two-source environment."""
+    """Generative parameters of the two-source environment. Each is a
+    finite real number (not a bool); a refusal starts with the field's name."""
 
     alpha: float = 1.0            # within-type slope, unsuitable states (> 0)
     beta: float = 1.0             # within-type slope, decision states (> 0)
@@ -83,19 +86,24 @@ class TwoSourceParams:
     trigger_cost_units: float = 5.0          # cost added per trigger, base-step units
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise InvalidParams(f"slopes must be positive, got alpha={self.alpha}, beta={self.beta}")
-        if not 0.0 <= self.p_i0 <= 1.0:
-            raise InvalidParams(f"p_i0 must be in [0, 1], got {self.p_i0}")
-        if self.noise_sd < 0:
-            raise InvalidParams(f"noise_sd must be nonnegative, got {self.noise_sd}")
-        if not 0.0 <= self.fidelity_q <= 1.0:
-            raise InvalidParams(f"fidelity_q must be in [0, 1], got {self.fidelity_q}")
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
-            raise InvalidParams(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not self.trigger_cost_units > 0:
-            raise InvalidParams(f"trigger_cost_units must be positive, got {self.trigger_cost_units}")
-        if np.isnan(self.success_threshold):
+            raise InvalidParams(f"horizon: must be a positive integer, got {self.horizon!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise InvalidParams(f"{f.name}: must be a real number, got {value!r}")
+            # Finite: not NaN (unequal to itself; success_threshold's default), infinite or past float range.
+            if not (abs(value) <= sys.float_info.max or (f.name == "success_threshold" and value != value)):
+                raise InvalidParams(f"{f.name}: must be finite, got {value!r}")
+        for name in ("alpha", "beta", "trigger_cost_units"):
+            if not getattr(self, name) > 0:
+                raise InvalidParams(f"{name}: must be positive, got {getattr(self, name)!r}")
+        for name in ("p_i0", "fidelity_q"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidParams(f"{name}: must be in [0, 1], got {getattr(self, name)!r}")
+        if self.noise_sd < 0:
+            raise InvalidParams(f"noise_sd: must be nonnegative, got {self.noise_sd!r}")
+        if math.isnan(self.success_threshold):
             object.__setattr__(self, "success_threshold", self.horizon * self.base_reward)
 
     def p_i(self, step_index: int | np.ndarray) -> float | np.ndarray:

@@ -370,9 +370,9 @@ def test_c11_statistics_oracles():
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
     "dataset-9a69751b.jsonl": "c340451312448c6b30b623a1e5bf6abd4cc65b6c702f3e6d987d35e65c2a5647",
-    "eval-9a69751b.json": "fe735ba5fcc2306cdc6ce7b12e68d5b0604c743c985f214f8e22d8ea3e7aaa60",
+    "eval-9a69751b.json": "f43e0afa50b39d74cb4ee0d267daa4cecc18ebf1eb2c3d8b636a2fff6f5af437",
     "eval_summary-9a69751b.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
-    "model-9a69751b.json": "275a8903984fc02f1bec412cabd4a811c782bd9c986549de098498bbe2ff1c48",
+    "model-9a69751b.json": "2a50b3ffac715fc622eebbbdb32fc18b36e238c790ae5466e70f5d98302d10c1",
     "stats-9a69751b.json": "a8014af3f9e9b95d0db3cdfbab6c72fad02a9daa5501e21acb7b7d273bf5d5cb",
     "stats_cells-9a69751b.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
     "trigger_profile-9a69751b.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",

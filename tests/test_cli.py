@@ -95,7 +95,7 @@ def test_env_params_validated_before_work(tmp_path):
 def test_non_integer_horizon_refused_by_name(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"environment": {"horizon": 4.5}}))
-    with pytest.raises(ConfigError, match="environment: horizon must be a positive integer, got 4.5"):
+    with pytest.raises(ConfigError, match="^environment.horizon: must be a positive integer, got 4.5$"):
         load_config(str(path))
 
 
@@ -122,10 +122,9 @@ def test_rollout_sizes_validated_before_work(tmp_path, key):
 )
 def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, value):
     # Each value would fail fit or eval; refused at load, it stops the
-    # run before explore writes anything. An environment parameter is
-    # named after the section ("environment: trigger_cost_units ...").
+    # run before explore writes anything.
     config_path = write_config(tmp_path / "config.json", **{section: {key: value}})
-    with pytest.raises(ConfigError, match=f"^{section}(\\.|: ){key}"):
+    with pytest.raises(ConfigError, match=f"^{section}\\.{key}: "):
         main(["explore", "--config", config_path])
     assert not os.path.exists(tmp_path / "out")
 
@@ -141,8 +140,14 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, val
         ({"gate": {"folds": None}}, "gate.folds"),
         ({"eval": {"n_episodes": True}}, "eval.n_episodes"),
         ({"seed": "abc"}, "seed"),
+        ({"environment": {"base_reward": "1"}}, "environment.base_reward"),
+        ({"environment": {"p_i_slope": "0.1"}}, "environment.p_i_slope"),
+        ({"environment": {"noise_sd": float("nan")}}, "environment.noise_sd"),
+        ({"environment": {"alpha": "x"}}, "environment.alpha"),
+        ({"environment": {"fidelity_q": True}}, "environment.fidelity_q"),
     ],
-    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "folds-null", "n-bool", "seed-text"],
+    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "folds-null", "n-bool", "seed-text",
+         "env-reward-text", "env-slope-text", "env-noise-nan", "env-alpha-text", "env-bool"],
 )
 def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
     # Neither truncated to an integer nor left to fail as a bare error.

@@ -22,7 +22,7 @@ def _env(**kwargs):
 
 def _signal_model(weight, bias=0.0, tau=0.5, center=0.0):
     spec = (FeatureSpec("sig", "llm", "signal * 1"),)
-    std = Standardizer(("sig",), np.full(1, center), np.ones(1), ())
+    std = Standardizer(np.full(1, center), np.ones(1))
     return GateModel(
         feature_specs=spec, standardizer=std, weights=np.array([float(weight)]),
         bias=bias, tau=tau, regularizer="l1",

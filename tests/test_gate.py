@@ -23,7 +23,6 @@ from dial.gate import (
     cross_validate_c,
     fit_gate,
     fit_sparse_logistic,
-    fit_standardizer,
     load_model_json,
     mean_logloss,
     mi_topk_select,
@@ -43,60 +42,109 @@ _DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" /
 # -- standardizer ------------------------------------------------------------
 
 
+def _specs(names):
+    return [FeatureSpec(n, "llm", n + " * 1") for n in names]
+
+
+def _labels(n):
+    return np.resize([0.0, 1.0, 1.0, 0.0], n)
+
+
+def _fit_stats(X):
+    """The unpenalized gate ``fit_gate`` gives on ``X`` (columns a, b, ...)
+    against ``_labels``, which the test matrices do not separate."""
+    return fit_gate(X, _labels(len(X)), _specs("abcd"[: X.shape[1]]), regularizer="none", seed=0)
+
+
 def test_standardizer_drops_constant_columns():
-    X = np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 6.0]])
-    std = fit_standardizer(X, ["const", "varies"])
-    assert std.dropped == ("const",)
-    assert std.retained == ("varies",)
-    out = std.apply_matrix(X)
-    assert out.shape == (3, 1)
+    X = np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 6.0], [1.0, 8.0]])
+    model = _fit_stats(X)
+    assert model.feature_names == ("b",)
+    assert model.meta["dropped"] == {"a": "zero variance"}
+    assert model.standardizer.means.tolist() == [5.0] and len(model.standardizer.sds) == 1
+    assert model.standardizer.apply_matrix(X[:, 1:]).shape == (4, 1)
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))).feature_names == ("b",)
 
 
 def test_standardizer_is_idempotent_on_standard_columns():
     rng = np.random.default_rng(0)
     col = rng.standard_normal(500)
     col = (col - col.mean()) / col.std()
-    std = fit_standardizer(col.reshape(-1, 1), ["z"])
+    std = _fit_stats(col.reshape(-1, 1)).standardizer
     out = std.apply_matrix(col.reshape(-1, 1))[:, 0]
     assert np.abs(out - col).max() < 1e-12
 
 
 def test_standardizer_population_convention():
-    X = np.array([[0.0], [2.0]])
-    std = fit_standardizer(X, ["x"])
-    assert std.apply_matrix(X)[:, 0].tolist() == [-1.0, 1.0]
+    X = np.array([[0.0], [2.0], [2.0], [0.0]])
+    std = _fit_stats(X).standardizer
+    assert std.apply_matrix(X)[:, 0].tolist() == [-1.0, 1.0, 1.0, -1.0]
 
 
 def test_standardizer_fit_output_is_centered_unit():
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 7, size=(200, 3))
-    std = fit_standardizer(X, ["a", "b", "c"])
-    out = std.apply_matrix(X)
+    out = _fit_stats(X).standardizer.apply_matrix(X)
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(np.sqrt((out**2).mean(axis=0)) - 1).max() < 1e-9
 
 
 def test_standardizer_apply_matrix_equals_the_masked_formula_bit_for_bit():
+    # The standardizer holds the read columns' statistics, and the fit
+    # solves on the boolean-masked standardize of the full matrix.
     rng = np.random.default_rng(3)
     X = rng.normal(2.0, 3.0, size=(40, 4))
     X[:, 1] = 2.5
-    std = fit_standardizer(X, ["a", "const", "c", "d"])
-    assert std.dropped == ("const",)
+    model = _fit_stats(X)
+    assert model.meta["dropped"] == {"b": "zero variance"}
+    keep = np.array([True, False, True, True])
+    means = X.mean(axis=0)
+    sds = np.sqrt(((X - means) ** 2).mean(axis=0))
     for M in (X, rng.normal(size=(7, 4)), X[:1]):
-        keep = np.array([n not in std.dropped for n in std.feature_names])
-        expected = (M[:, keep] - std.means[keep]) / std.sds[keep]
-        assert std.apply_matrix(M).tobytes() == expected.tobytes()
+        expected = (M[:, keep] - means[keep]) / sds[keep]
+        assert model.standardizer.apply_matrix(M[:, keep]).tobytes() == expected.tobytes()
+    w, b = fit_sparse_logistic((X[:, keep] - means[keep]) / sds[keep], _labels(len(X)), c=1.0, reg="none")
+    assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
 
 def test_standardizer_needs_two_rows():
-    with pytest.raises(GateError):
-        fit_standardizer(np.array([[1.0]]), ["x"])
+    with pytest.raises(GateError, match="at least 2 rows"):
+        fit_gate(np.array([[1.0]]), np.array([1.0]), _specs("a"))
 
 
 def test_standardizer_dimension_mismatch():
-    std = fit_standardizer(np.array([[0.0], [2.0]]), ["x"])
+    std = Standardizer(np.zeros(1), np.ones(1))
     with pytest.raises(GateError):
         std.apply_matrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "means, sds",
+    [([0.0, 1.0], [1.0]), ([0.0], [0.0]), ([0.0, 0.0], [1.0, -2.0]), ([0.0], [float("nan")])],
+    ids=["lengths", "zero-sd", "negative-sd", "nan-sd"],
+)
+def test_standardizer_refuses_misaligned_or_nonpositive_scales(means, sds):
+    # A zero sd would divide by zero at every decision of a loaded model.
+    with pytest.raises(GateError, match="standardizer"):
+        Standardizer(np.array(means), np.array(sds))
+
+
+def test_duplicate_column_is_read_once():
+    # Two equal standardized columns make the l1 optimum non-unique; the
+    # fit keeps the earlier one and names the other, so it solves the
+    # single-column problem.
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(120)
+    other = rng.standard_normal(120)
+    y = (rng.random(120) < 1 / (1 + np.exp(-1.5 * x))).astype(float)
+    dup = fit_gate(np.column_stack([x, other, x]), y, _specs(["x", "other", "x_copy"]), seed=1)
+    single = fit_gate(np.column_stack([x, other]), y, _specs(["x", "other"]), seed=1)
+    assert dup.feature_names == ("x", "other")
+    assert dup.meta["dropped"] == {"x_copy": "duplicate of x"}
+    c = dup.meta["chosen_c"]
+    assert c == single.meta["chosen_c"]
+    Xs = single.standardizer.apply_matrix(np.column_stack([x, other]))
+    assert objective(Xs, y, dup.weights, dup.bias, c, "l1") == objective(Xs, y, single.weights, single.bias, c, "l1")
 
 
 # -- solver -------------------------------------------------------------------
@@ -373,7 +421,7 @@ def _toy_model(weights, bias=0.0, tau=0.5, reg="l1"):
         __import__("dial.features", fromlist=["FeatureSpec"]).FeatureSpec(n, "llm", n + " * 1")
         for n in names
     )
-    std = Standardizer(tuple(names), np.zeros(len(names)), np.ones(len(names)), ())
+    std = Standardizer(np.zeros(len(names)), np.ones(len(names)))
     return GateModel(
         feature_specs=specs,
         standardizer=std,
@@ -550,23 +598,43 @@ def test_gate_decide_dimension_mismatch():
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda m: m["feature_specs"].reverse(),
         lambda m: m["standardizer"]["means"].pop(),
         lambda m: m["standardizer"]["sds"].append(1.0),
-        lambda m: m["standardizer"]["dropped"].append("ghost"),
+        lambda m: m["weights"].pop(),
+        lambda m: m["feature_specs"].pop(),
         lambda m: m.pop("cv_report"),
         lambda m: m.update(stray=1),
-        lambda m: m["feature_names"].reverse(),
     ],
-    ids=["specs_reordered", "means_short", "sds_long", "dropped_unknown",
-         "cv_report_missing", "stray_key", "feature_names_reversed"],
+    ids=["means_short", "sds_long", "weights_short", "specs_short", "cv_report_missing", "stray_key"],
 )
 def test_model_json_rejects_a_misaligned_model_at_load(tmp_path, corrupt):
     payload = model_to_dict(_toy_model([0.5, -0.5]))
     corrupt(payload)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(GateError, match="misaligned|does not have"):
+    with pytest.raises(GateError, match="misaligned"):
+        load_model_json(str(path))
+
+
+@pytest.mark.parametrize(
+    "corrupt, key",
+    [
+        (lambda m: m.update(feature_names=["f0", "f1"]), "key 'feature_names'"),
+        (lambda m: m["standardizer"].update(feature_names=["f0", "f1"]), "standardizer key 'feature_names'"),
+        (lambda m: m["standardizer"].update(dropped=[]), "standardizer key 'dropped'"),
+        (lambda m: m["standardizer"].pop("sds"), "standardizer key 'sds'"),
+    ],
+    ids=["feature_names", "standardizer_feature_names", "standardizer_dropped", "standardizer_sds_missing"],
+)
+def test_model_json_listing_features_twice_is_refused_by_name(tmp_path, corrupt, key):
+    # Earlier versions named the features three times (feature_names, and
+    # the standardizer's feature_names and dropped); such a file is
+    # refused by name, never read with a guess.
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    corrupt(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GateError, match=f"(missing|unknown) {key}"):
         load_model_json(str(path))
 
 
@@ -635,7 +703,8 @@ def test_all_constant_features_give_intercept_only_gate():
         for n in ("a", "b", "c")
     ]
     model = fit_gate(X, y, specs, seed=0)
-    assert model.standardizer.dropped == ("a", "b", "c")
+    assert model.meta["dropped"] == {"a": "zero variance", "b": "zero variance", "c": "zero variance"}
+    assert model.feature_specs == () and len(model.standardizer.means) == 0
     assert len(model.weights) == 0
     # balanced labels, zero weights: sigmoid(b) == 0.5, never above tau
     assert model.decide({"a": 5.0, "b": 1.0, "c": 0.0}) is False
@@ -669,14 +738,13 @@ def _demo_rows(n, seed=9):
 
 
 def _with_dropped_feature(model, name):
-    """``model`` with ``name`` standardized as zero-variance (dropped)."""
+    """``model`` without the feature ``name``, as a fit that dropped it
+    gives: a gate whose specs skip a column of the observation's pool."""
+    j = model.feature_names.index(name)
     std = model.standardizer
-    j = std.feature_names.index(name)
-    sds = std.sds.copy()
-    sds[j] = 0.0
-    dropped = Standardizer(std.feature_names, std.means, sds, (name,))
     return GateModel(
-        feature_specs=model.feature_specs, standardizer=dropped,
+        feature_specs=model.feature_specs[:j] + model.feature_specs[j + 1:],
+        standardizer=Standardizer(np.delete(std.means, j), np.delete(std.sds, j)),
         weights=np.delete(model.weights, j), bias=model.bias, tau=model.tau,
         regularizer=model.regularizer,
     )

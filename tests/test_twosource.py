@@ -59,8 +59,28 @@ def test_degenerate_horizon_rejected():
 def test_non_integer_horizon_rejected(horizon):
     # A fractional horizon would run ceil(horizon) steps with no finishing
     # step and a fractional success threshold.
-    with pytest.raises(InvalidParams, match="horizon must be a positive integer"):
+    with pytest.raises(InvalidParams, match="^horizon: must be a positive integer"):
         TwoSourceParams(horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"base_reward": "1"}, "base_reward: must be a real number"),
+        ({"p_i_slope": "0.1"}, "p_i_slope: must be a real number"),
+        ({"alpha": "x"}, "alpha: must be a real number"),
+        ({"fidelity_q": True}, "fidelity_q: must be a real number"),
+        ({"noise_sd": float("nan")}, "noise_sd: must be finite"),
+        ({"success_threshold": float("inf")}, "success_threshold: must be finite"),
+        ({"alpha": 10**400}, "alpha: must be finite"),
+        ({"beta": 0.0}, "beta: must be positive"),
+    ],
+    ids=["reward-text", "slope-text", "alpha-text", "bool", "nan", "inf-threshold", "past-float-range", "beta-zero"],
+)
+def test_ill_typed_params_refused_by_name(kwargs, message):
+    # Never loaded as a string that later repeats or compares as text.
+    with pytest.raises(InvalidParams, match=f"^{message}"):
+        TwoSourceParams(**kwargs)
 
 
 @pytest.mark.parametrize(
