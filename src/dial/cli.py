@@ -211,8 +211,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
             raise ConfigError(f"{section}.{key}: must be an integer >= {low}, got {value!r}")
     gate_cfg = merged["gate"]
     c_grid = gate_cfg["c_grid"]
-    if not (isinstance(c_grid, list) and c_grid and all(_is_number(c) and c > 0 for c in c_grid)):
-        raise ConfigError(f"gate.c_grid: must be a non-empty list of positive values, got {c_grid!r}")
+    if not (isinstance(c_grid, list) and c_grid
+            and all(_is_number(c) and 0 < c <= sys.float_info.max for c in c_grid)):  # not NaN or infinite
+        raise ConfigError(f"gate.c_grid: must be a non-empty list of positive finite values, got {c_grid!r}")
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     tau = gate_cfg["tau"]

@@ -7,6 +7,13 @@ two-sided t tail being I_{df/(df+t^2)}(df/2, 1/2) (Abramowitz & Stegun
 bootstrap intervals are seeded 95% percentile intervals with a
 deterministic per-resample seed schedule; quantile normalization uses
 the Hazen plotting position (rank - 0.5) / n with average ranks.
+
+Rank method: one sort (``np.unique``) gives each value the index of its
+group of equal values; counting each group (``np.bincount``) and an
+exclusive cumulative sum give `below`, the number of smaller values, and
+every value ranks below + (count + 1) / 2. The bootstrap sorts each
+column once and only counts each resample's groups, so its ranks are
+the integers and halves a fresh sort would give.
 """
 
 from __future__ import annotations
@@ -53,14 +60,22 @@ class CellKey:
             raise StatsError("cell key components must be non-empty")
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks, ties replaced by their average rank: a group of
-    `count` equal values above `below` smaller ones ranks
-    below + (count + 1) / 2."""
-    x = np.asarray(values, dtype=float)
-    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+def _value_groups(x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Group ids by value (0.0 and -0.0 are one value) and the group count."""
+    distinct, group = np.unique(x, return_inverse=True)
+    return group, len(distinct)
+
+
+def _group_ranks(group: np.ndarray, groups: int) -> np.ndarray:
+    """Average ranks from group ids, by the rank method above."""
+    counts = np.bincount(group, minlength=groups)
     below = np.cumsum(counts) - counts
     return (below + (counts + 1) / 2.0)[group]
+
+
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, ties replaced by their average rank."""
+    return _group_ranks(*_value_groups(np.asarray(values, dtype=float)))
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -134,7 +149,7 @@ def _corr_report(
         return CorrReport(rho=float("nan"), n=n, p_value=float("nan"), degenerate=True, small_n=n < 10)
     report = CorrReport(rho=core, n=n, p_value=_t_approx_p(core, n), small_n=n < 10)
     if ci:
-        low, high = bootstrap_ci(list(zip(x, y)), stat=kind, b=b, seed=seed)
+        low, high = bootstrap_ci(np.column_stack((x, y)), stat=kind, b=b, seed=seed)
         report = CorrReport(
             rho=report.rho, n=n, p_value=report.p_value,
             ci_low=low, ci_high=high, small_n=report.small_n,
@@ -176,15 +191,18 @@ def bootstrap_ci(
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise StatsError("pairs must be an (n >= 3, 2) array")
+    _check_finite(arr)
     n = arr.shape[0]
+    x, y = arr[:, 0], arr[:, 1]
+    if stat == "spearman":
+        (gx, kx), (gy, ky) = _value_groups(x), _value_groups(y)
     values = []
     for i in range(b):
         idx = rng_for(seed, "resample", i).integers(0, n, n)
-        xs, ys = arr[idx, 0], arr[idx, 1]
         core = (
-            _pearson_core(average_ranks(xs), average_ranks(ys))
+            _pearson_core(_group_ranks(gx[idx], kx), _group_ranks(gy[idx], ky))
             if stat == "spearman"
-            else _pearson_core(xs, ys)
+            else _pearson_core(x[idx], y[idx])
         )
         if core is not None:
             values.append(core)

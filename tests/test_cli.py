@@ -137,6 +137,8 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, val
         ({"exploration": {"eps": "half"}}, "exploration.eps"),
         ({"gate": {"tau": "auto"}}, "gate.tau"),
         ({"gate": {"c_grid": [0.1, "x"]}}, "gate.c_grid"),
+        ({"gate": {"c_grid": [0.1, float("inf")]}}, "gate.c_grid"),
+        ({"gate": {"c_grid": [0.1, 10**400]}}, "gate.c_grid"),
         ({"gate": {"folds": None}}, "gate.folds"),
         ({"eval": {"n_episodes": True}}, "eval.n_episodes"),
         ({"seed": "abc"}, "seed"),
@@ -146,8 +148,9 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, val
         ({"environment": {"alpha": "x"}}, "environment.alpha"),
         ({"environment": {"fidelity_q": True}}, "environment.fidelity_q"),
     ],
-    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "folds-null", "n-bool", "seed-text",
-         "env-reward-text", "env-slope-text", "env-noise-nan", "env-alpha-text", "env-bool"],
+    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "c-grid-inf", "c-grid-huge",
+         "folds-null", "n-bool", "seed-text", "env-reward-text", "env-slope-text", "env-noise-nan",
+         "env-alpha-text", "env-bool"],
 )
 def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
     # Neither truncated to an integer nor left to fail as a bare error.

@@ -12,6 +12,7 @@ from scipy import stats as sps
 
 from dial.cli import write_report_csv
 from dial.explore import StepRecord
+from dial.rng import rng_for
 from dial.stats import (
     REPORT_COLUMNS,
     CellKey,
@@ -188,6 +189,51 @@ def test_corr_report_ci_brackets_rho():
     y = x + 0.3 * rng.standard_normal(60)
     report = spearman(x, y, ci=True, b=300, seed=5)
     assert report.ci_low <= report.rho <= report.ci_high
+
+
+def _reference_bootstrap(pairs, stat, b, seed):
+    # Re-sorts every resample: Pearson of average ranks (or of the values),
+    # degenerate resamples skipped, then the 2.5 and 97.5 percentiles.
+    arr = np.asarray(pairs, dtype=float)
+    n = len(arr)
+    values = []
+    for i in range(b):
+        idx = rng_for(seed, "resample", i).integers(0, n, n)
+        xs, ys = arr[idx, 0], arr[idx, 1]
+        if stat == "spearman":
+            xs, ys = average_ranks(xs), average_ranks(ys)
+        report = pearson(xs, ys)
+        if not report.degenerate:
+            values.append(report.rho)
+    low, high = np.percentile(values, [2.5, 97.5])
+    return float(low), float(high)
+
+
+_TIE_RNG = np.random.default_rng(21)
+_TIE_CASES = {
+    "mod3": np.column_stack((np.arange(60) % 3, _TIE_RNG.integers(0, 30, 60) % 3)),
+    "binary": np.column_stack((_TIE_RNG.random(80), _TIE_RNG.integers(0, 2, 80))),
+    "signed_zeros": np.column_stack(
+        (_TIE_RNG.choice([0.0, -0.0, 1.0], 40), _TIE_RNG.choice([-0.0, 0.0, 0.5, 2.0], 40))
+    ),
+    "n3": np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]),
+    "often_constant": np.column_stack(([0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("stat", ["spearman", "pearson"])
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_bootstrap_equals_resorting_reference(stat, case):
+    pairs = _TIE_CASES[case]
+    assert bootstrap_ci(pairs, stat=stat, b=200, seed=11) == _reference_bootstrap(pairs, stat, 200, 11)
+
+
+@pytest.mark.parametrize("stat", ["spearman", "pearson"])
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_bootstrap_refuses_non_finite_pairs(stat, bad):
+    pairs = [(0.0, 1.0), (1.0, bad), (2.0, 0.5), (3.0, 2.0)]
+    with pytest.raises(StatsError, match="non-finite"):
+        bootstrap_ci(pairs, stat=stat, b=100, seed=0)
 
 
 # -- quantile normalization ------------------------------------------------------------
