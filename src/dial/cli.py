@@ -224,8 +224,13 @@ def load_config(path: str, seed_override: Optional[int] = None,
     policies = merged["eval"]["policies"]
     if not isinstance(policies, list):
         raise ConfigError(f"eval.policies: must be a list of policies, got {policies!r}")
+    names = set()
     for index, spec in enumerate(policies):
-        _parse_policy(index, spec, model=None)
+        policy = _parse_policy(index, spec, model=None)
+        name = spec if policy is None else policy.name()  # a gate policy is named by its kind
+        if name in names:  # the eval reports key their rows by policy name
+            raise ConfigError(f"eval.policies[{index}]: duplicate policy {name!r}")
+        names.add(name)
 
     return RunConfig(
         raw=merged,
@@ -303,10 +308,6 @@ def write_report_json(path: str, payload: Any) -> None:
 
 
 def _json_default(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if is_dataclass(value):
         return asdict(value)
     raise TypeError(f"not JSON serializable: {type(value)}")

@@ -54,7 +54,7 @@ class PolicySpec:
     def name(self) -> str:
         if self.kind == "fixed_threshold":
             arrow = ">" if self.direction == 1 else "<"
-            return f"fixed({self.signal}{arrow}{self.threshold:g})"
+            return f"fixed({self.signal}{arrow}{self.threshold!r})"  # repr: distinct thresholds, distinct names
         return self.kind
 
     def build(self):

@@ -12,7 +12,7 @@ whole-trajectory statistics stay computable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from .envs import CapabilityError, EnvFault, Environment, Episode
@@ -84,12 +84,12 @@ def estimate_utility_paired(
     ``n_rollouts`` truncated returns from forks of the same snapshot,
     each stepped until done (``horizon_h`` steps, fewer at the episode's
     end). The k x n forks are siblings of one ``seed``: each rollout
-    reads rows of its own from their one keyed draw, so the comparison
-    is not coupled by shared draws. Candidates that compare equal are one
-    action, scored as the mean over all of their rollouts: taking the
-    best of several noisy scores of one action would favour it for its
-    luckiest copy alone (the optimizer's curse). Returns 1 iff the best
-    action strictly beats the base action; ties label 0.
+    reads reward noise of its own from their one keyed draw, so the
+    comparison is not coupled by shared draws. Candidates that compare
+    equal are one action, scored as the mean over all of their rollouts:
+    taking the best of several noisy scores of one action would favour it
+    for its luckiest copy alone (the optimizer's curse). Returns 1 iff the
+    best action strictly beats the base action; ties label 0.
     """
     _check_paired_settings(k_candidates, n_rollouts, horizon_h)
     if not callable(getattr(episode, "fork", None)):
@@ -270,7 +270,22 @@ def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]]
     return "\n".join(lines) + "\n"
 
 
+def _line_fault(line: str, exc: Exception) -> str:
+    """What is wrong with a dataset line that failed to load with ``exc``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON: {exc.msg} at column {exc.colno}"
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        return "not a JSON object"
+    required = ["env_meta"] + [f.name for f in fields(StepRecord) if f.default is MISSING]
+    missing = [k for k in required if k not in row]
+    return f"missing field {missing[0]!r}" if missing else str(exc)
+
+
 def load_dataset_jsonl(path: str) -> LabeledDataset:
+    """Read a file ``dataset_to_jsonl`` wrote. A fault in a line (bad
+    JSON, a missing field, an invalid record) is a ``ValueError`` that
+    names the file and the line."""
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}
     first_line = 0
@@ -280,13 +295,17 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+                meta = row["env_meta"]
+                # A field StepRecord gives a default (the debug fields) may be absent.
+                records.append(StepRecord(**{k: row[k] for k in names if k in row}))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {_line_fault(line, exc)}") from exc
             if not first_line:
-                shared_meta, first_line = row["env_meta"], lineno
-            elif row["env_meta"] != shared_meta:
+                shared_meta, first_line = meta, lineno
+            elif meta != shared_meta:
                 raise ValueError(f"{path}: line {lineno}: env_meta differs from line {first_line}")
-            # A field StepRecord gives a default (the debug fields) may be absent.
-            records.append(StepRecord(**{k: row[k] for k in names if k in row}))
     if not records:
         raise ValueError(f"dataset file {path} holds no records")
     return LabeledDataset(records=records, meta=shared_meta)

@@ -25,7 +25,7 @@ Conventions (fixed for reproducibility):
     and ``sample_states`` alike, so a seed gives one state sequence; a
     fork draws only the reward noise that leads its columns. Every
     stream is a ``dial.rng.stream``.
-  - a fork is one rollout. It reads the snapshot row, which any action
+  - a fork is one rollout. It reads the snapshot state, which any action
     may take, and past it takes only untriggered steps, each the base
     reward plus its own reward noise; every other read past the
     snapshot raises ``EnvFault``. The ``count`` sibling forks of one
@@ -39,10 +39,12 @@ Conventions (fixed for reproducibility):
   - a fork ends at its lookahead: it is done after its snapshot step and
     ``lookahead`` more (to the horizon when None). Every stream is a
     fresh ``stream(seed)`` read forward.
-  - an episode's rows come from a one-slot cache keyed by (params,
-    seed): a deployment builds each episode once per policy, one policy
-    after another, so only the first policy of an episode draws it. The
-    rows are an immutable tuple, so episodes and forks share them.
+  - an episode reads the ``sample_states`` columns of its seed, as lists
+    of Python scalars, at its step index. They come from a one-slot cache
+    keyed by (params, seed): a deployment builds each episode once per
+    policy, one policy after another, so only the first policy of an
+    episode draws it. Nothing writes to the columns, so episodes and
+    forks share them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,29 +114,6 @@ class TwoSourceParams:
         return np.minimum(np.maximum(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0)
 
 
-class SimState(NamedTuple):
-    """One pre-drawn decision step. Hidden fields (latent_type,
-    true_utility, reward_noise) are never exposed through observations."""
-
-    step_index: int
-    latent_type: str              # TYPE_I or TYPE_D
-    signal: float
-    type_proxy: int               # noisy indicator of the decision-difficult type
-    num_options: int
-    true_utility: float
-    reward_noise: float
-    is_finish: bool
-
-
-def step_return(params: TwoSourceParams, state: SimState, triggered: bool) -> float:
-    """Realized step reward. The triggered-minus-untriggered difference
-    from the same state is exactly the state's true utility."""
-    reward = params.base_reward + state.reward_noise
-    if triggered:
-        reward += state.true_utility
-    return reward
-
-
 def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Dict[str, np.ndarray]:
     """Draw one state per step index in ``steps``, as the columns
     ``sample_states`` returns: the one place a state is derived, so
@@ -166,20 +145,12 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
     }
 
 
-def _draw_rows(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Tuple[SimState, ...]:
-    """``_draw_states`` for the step indices in ``steps``, as the rows an
-    episode steps through."""
-    columns = [column.tolist() for column in _draw_states(params, rng, steps).values()]
-    # The columns come in SimState's field order, is_type_d for latent_type.
-    columns[1] = [TYPE_D if d else TYPE_I for d in columns[1]]
-    return tuple(map(SimState, *columns))
-
-
 @functools.lru_cache(maxsize=1)
-def _episode_rows(params: TwoSourceParams, seed: int) -> Tuple[SimState, ...]:
-    """The rows of the episode with this seed, drawn once for a run of
-    episodes built on one seed (see the module notes)."""
-    return _draw_rows(params, stream(seed), np.arange(params.horizon, dtype=np.int64))
+def _episode_columns(params: TwoSourceParams, seed: int) -> Dict[str, list]:
+    """The columns of the episode with this seed, as lists of Python
+    scalars, drawn once for a run of episodes built on one seed (see the
+    module notes)."""
+    return {name: column.tolist() for name, column in sample_states(params, params.horizon, seed).items()}
 
 
 class TwoSourceEpisode:
@@ -188,8 +159,8 @@ class TwoSourceEpisode:
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
     identical state streams. A fork is one rollout from the current
-    state (see the module notes): it shares the episode's rows but reads
-    only its snapshot row, then steps untriggered on reward noise of its
+    state (see the module notes): it shares the episode's columns but reads
+    only its snapshot state, then steps untriggered on reward noise of its
     own up to its lookahead, where it is done. Sibling forks share one
     draw but never a value, which is how paired rollout arms are
     decoupled.
@@ -199,7 +170,7 @@ class TwoSourceEpisode:
         if not isinstance(params, TwoSourceParams):
             raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
-        self._rows = _episode_rows(params, seed)
+        self._cols = _episode_columns(params, seed)
         self._cursor = 0  # step index of the current state
         self._end = params.horizon  # done at this step index
         self._last_read = params.horizon - 1  # last step whose state is read: a fork's snapshot
@@ -211,21 +182,35 @@ class TwoSourceEpisode:
     def done(self) -> bool:
         return self._cursor >= self._end
 
-    def _current(self) -> SimState:
+    def _current(self) -> int:
+        """The step index of the current state, which may be read."""
         if self.done():
             raise EnvFault("episode is finished")
         if self._cursor > self._last_read:
             raise EnvFault(f"a fork reads no state past its snapshot at step {self._last_read}")
-        return self._rows[self._cursor]
+        return self._cursor
 
     def observe(self) -> Dict[str, float]:
-        return observe(self._current())
+        """Observation record of the current state; hidden fields stay hidden."""
+        t, cols = self._current(), self._cols
+        return {
+            "step_count": float(cols["step_index"][t]),
+            "signal": cols["signal"][t],
+            "type_proxy": float(cols["type_proxy"][t]),
+            "num_options": float(cols["num_options"][t]),
+            "is_finish": float(cols["is_finish"][t]),
+        }
 
     def step(self, triggered: bool) -> float:
         if self._last_read < self._cursor < self._end and not triggered:
             reward = self.params.base_reward + self._noise[self._cursor - self._last_read - 1]
         else:
-            reward = step_return(self.params, self._current(), bool(triggered))
+            # The triggered-minus-untriggered difference from one state is
+            # exactly its true utility.
+            t = self._current()
+            reward = self.params.base_reward + self._cols["reward_noise"][t]
+            if triggered:
+                reward += self._cols["true_utility"][t]
         self._cursor += 1
         return reward
 
@@ -244,7 +229,7 @@ class TwoSourceEpisode:
     ) -> "TwoSourceEpisode":
         """Fork at the current state: sibling ``index`` of the ``count``
         forks made here with this ``reseed`` and ``lookahead``. The fork
-        reads the snapshot row; its next ``lookahead`` steps (to the
+        reads the snapshot state; its next ``lookahead`` steps (to the
         horizon when None) are untriggered steps on its slice of the
         siblings' reward noise, and it is done after them. ``count=1``
         is a single fork. The last family's noise is kept here, so
@@ -261,7 +246,7 @@ class TwoSourceEpisode:
         m = end - cursor - 1
         fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
         fork.params = self.params
-        fork._rows = self._rows
+        fork._cols = self._cols
         fork._cursor = fork._last_read = cursor
         fork._end = end
         fork._noise = ()
@@ -275,8 +260,9 @@ class TwoSourceEpisode:
         return fork
 
     def debug_state(self) -> Dict[str, Any]:
-        s = self._current()
-        return {"latent_type": s.latent_type, "true_utility": s.true_utility}
+        t = self._current()
+        return {"latent_type": TYPE_D if self._cols["is_type_d"][t] else TYPE_I,
+                "true_utility": self._cols["true_utility"][t]}
 
 
 class TwoSourceEnv:
@@ -296,23 +282,12 @@ class TwoSourceEnv:
         return self.params.trigger_cost_units
 
 
-def observe(state: SimState) -> Dict[str, float]:
-    """Observation record for a state; hidden fields stay hidden."""
-    return {
-        "step_count": float(state.step_index),
-        "signal": float(state.signal),
-        "type_proxy": float(state.type_proxy),
-        "num_options": float(state.num_options),
-        "is_finish": float(state.is_finish),
-    }
-
-
 def sample_states(params: TwoSourceParams, n_states: int, seed: int) -> Dict[str, np.ndarray]:
     """State sample for verification sweeps, as columns.
 
     Steps cycle through episode positions (so mixture drift is
     represented) but are drawn in one flat pass on the sampler's own
-    stream: the same rows an episode with this seed draws, for as many
+    stream: the same states an episode with this seed draws, for as many
     positions as it has.
     """
     if n_states < 1:

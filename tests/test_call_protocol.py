@@ -12,8 +12,8 @@ and the draw that one deployment of all policies saves: ``cmd_eval``
 draws each eval episode once, not once per policy.
 
 Untraced benchmark runs never see these counts, so a change that breaks
-them would otherwise surface only in a traced run. ROADMAP item 5
-(column-wise deploy: one decision over the rows of a step) and item 4
+them would otherwise surface only in a traced run. ROADMAP item 4
+(column-wise deploy: one decision over the rows of a step) and item 3
 (fork-free paired labels) change them on purpose; each must land after
 a benchmark change that re-points perfbench's checks.
 """
@@ -68,7 +68,7 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
 
     for name in counts:
         counts[name] = 0
-    real_draw, real_deploy, real_step = twosource._draw_rows, cli.run_deployment, TwoSourceEpisode.step
+    real_draw, real_deploy, real_step = twosource._draw_states, cli.run_deployment, TwoSourceEpisode.step
     draws, deploying, steps_outside = [0], [0], [0]
 
     def counting_draw(*args):
@@ -86,10 +86,10 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
         steps_outside[0] += not deploying[0]
         return real_step(*args)
 
-    monkeypatch.setattr(twosource, "_draw_rows", counting_draw)
+    monkeypatch.setattr(twosource, "_draw_states", counting_draw)
     monkeypatch.setattr(cli, "run_deployment", deploy)
     monkeypatch.setattr(TwoSourceEpisode, "step", step)
-    twosource._episode_rows.cache_clear()
+    twosource._episode_columns.cache_clear()
     cli.cmd_eval(config, model_path)
     assert draws[0] == config.eval["n_episodes"]
     assert steps_outside[0] == 0

@@ -187,6 +187,28 @@ def test_ill_typed_policies_are_refused_by_name(tmp_path, policies, key):
         load_config(config_path)
 
 
+@pytest.mark.parametrize(
+    "policies, index, name",
+    [
+        (["dial", "dial"], 1, "dial"),
+        (["base_only", "dial", "base_only"], 2, "base_only"),
+        ([_threshold(threshold=0.5), "dial", _threshold(threshold=0.5, signal="signal")], 2, "fixed(signal>0.5)"),
+    ],
+    ids=["gate-twice", "bound-twice", "threshold-twice"],
+)
+def test_duplicate_policies_are_refused(tmp_path, policies, index, name):
+    # The eval reports hold one row per policy name.
+    config_path = write_config(tmp_path / "config.json", eval={"policies": policies})
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'eval.policies[{index}]: duplicate policy {name!r}')}$"):
+        load_config(config_path)
+
+
+def test_thresholds_apart_by_less_than_six_digits_load_as_two_policies(tmp_path):
+    policies = [_threshold(threshold=0.5), _threshold(threshold=0.5000001)]
+    config = load_config(write_config(tmp_path / "config.json", eval={"policies": policies}))
+    assert config.eval["policies"] == policies
+
+
 def test_bad_policy_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"eval": {"policies": ["sometimes"]}}))

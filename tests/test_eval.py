@@ -51,6 +51,16 @@ def test_fixed_threshold_directions():
     assert not up({"signal": 0.5}) and not down({"signal": 0.5})  # strict
 
 
+@pytest.mark.parametrize(
+    "direction, threshold, name",
+    [(1, 0.5, "fixed(signal>0.5)"), (1, 0.5000001, "fixed(signal>0.5000001)"),
+     (-1, 0.1 + 0.2, "fixed(signal<0.30000000000000004)"), (1, 1e-7, "fixed(signal>1e-07)")],
+)
+def test_fixed_threshold_name_spells_the_threshold_exactly(direction, threshold, name):
+    # Two thresholds that differ have names that differ, so eval rows stay apart.
+    assert PolicySpec("fixed_threshold", signal="signal", direction=direction, threshold=threshold).name() == name
+
+
 # -- run_deployment and cost accounting --------------------------------------------
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -457,8 +460,6 @@ def test_jsonl_rewrite_of_a_loaded_file_is_byte_identical(tmp_path):
 def test_jsonl_contract_fields_present(tmp_path):
     env = TwoSourceEnv(TwoSourceParams())
     ds = run_exploration(env, eps=1.0, n_episodes=1, seed=6)
-    import json
-
     line = dataset_to_jsonl(ds).splitlines()[0]
     row = json.loads(line)
     for field in ("episode_id", "step_index", "triggered", "utility_label", "features", "signal", "env_meta"):
@@ -496,12 +497,33 @@ def test_loader_rejects_mixed_env_meta(tmp_path):
     env = TwoSourceEnv(TwoSourceParams())
     ds = run_exploration(env, eps=0.5, n_episodes=2, seed=8)
     lines = dataset_to_jsonl(ds, {"config_digest": "abc"}).splitlines()
-    import json
-
     row = json.loads(lines[2])
     row["env_meta"]["config_digest"] = "xyz"
     lines[2] = json.dumps(row)
     path = tmp_path / "mixed.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3: env_meta differs from line 1"):
+        load_dataset_jsonl(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: "{" + json.dumps(row), r"line 2: invalid JSON: Expecting property name enclosed in double "
+                                            r"quotes at column 2$"),
+        (lambda row: json.dumps({k: v for k, v in row.items() if k != "env_meta"}), r"line 2: missing field 'env_meta'$"),
+        (lambda row: json.dumps({k: v for k, v in row.items() if k != "signal"}), r"line 2: missing field 'signal'$"),
+        (lambda row: json.dumps({**row, "triggered": True, "utility_label": 2}),
+         r"line 2: utility_label must be binary, got 2$"),
+        (lambda row: json.dumps(list(row)), r"line 2: not a JSON object$"),
+    ],
+    ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object"],
+)
+def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):
+    ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)
+    lines = dataset_to_jsonl(ds).splitlines()
+    lines[1] = edit(json.loads(lines[1]))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_dataset_jsonl(str(path))

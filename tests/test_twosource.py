@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import typing
 
 import numpy as np
 import pytest
@@ -16,14 +15,12 @@ from dial.twosource import (
     TYPE_D,
     TYPE_I,
     InvalidParams,
-    SimState,
     TwoSourceEnv,
     TwoSourceEpisode,
     TwoSourceParams,
-    _draw_rows,
     _draw_states,
+    _episode_columns,
     sample_states,
-    step_return,
 )
 
 
@@ -132,45 +129,47 @@ def test_observation_hides_latent_fields():
     assert "true_utility" not in obs and "latent_type" not in obs
 
 
-def _state(latent, signal, utility, reward_noise=0.0, step=0, horizon=10):
-    return SimState(
-        step_index=step,
-        latent_type=latent,
-        signal=signal,
-        type_proxy=int(latent == "D"),
-        num_options=3,
-        true_utility=utility,
-        reward_noise=reward_noise,
-        is_finish=step == horizon - 1,
-    )
+def _arms(params, seed, **state):
+    # Per step of the episode with this seed: the triggered and the
+    # untriggered reward of the state (a fork steps the triggered arm) and
+    # the state's debug record. ``state`` overrides the first state's columns.
+    ep = TwoSourceEpisode(params, seed)
+    ep._cols = {name: [state.get(name, column[0])] + column[1:] for name, column in ep._cols.items()}
+    arms = []
+    while not ep.done():
+        debug = ep.debug_state()
+        arms.append((ep.fork(reseed=seed).step(True), ep.step(False), debug))
+    return arms
 
 
 def test_step_return_difference_is_utility_type_d():
-    params = TwoSourceParams(beta=1.0, noise_sd=0.0)
-    state = _state("D", signal=0.4, utility=0.4)
-    diff = step_return(params, state, True) - step_return(params, state, False)
-    assert diff == pytest.approx(0.4)
+    params = TwoSourceParams(beta=1.0, p_i0=0.0, noise_sd=0.0)
+    for triggered, untriggered, debug in _arms(params, seed=12):
+        assert debug["latent_type"] == TYPE_D and debug["true_utility"] > 0
+        assert triggered - untriggered == pytest.approx(debug["true_utility"])
 
 
 def test_step_return_difference_is_utility_type_i():
-    params = TwoSourceParams(alpha=1.0, noise_sd=0.0)
-    state = _state("I", signal=0.4, utility=-0.4)
-    diff = step_return(params, state, True) - step_return(params, state, False)
-    assert diff == pytest.approx(-0.4)
+    params = TwoSourceParams(alpha=1.0, p_i0=1.0, noise_sd=0.0)
+    for triggered, untriggered, debug in _arms(params, seed=13):
+        assert debug["latent_type"] == TYPE_I and debug["true_utility"] < 0
+        assert triggered - untriggered == pytest.approx(debug["true_utility"])
 
 
 def test_zero_signal_zero_noise_arms_equal():
     params = TwoSourceParams(noise_sd=0.0)
-    state = _state("I", signal=0.0, utility=0.0)
-    assert step_return(params, state, True) == step_return(params, state, False)
+    triggered, untriggered, debug = _arms(params, seed=14, is_type_d=False, signal=0.0, true_utility=0.0)[0]
+    assert debug["true_utility"] == 0.0
+    assert triggered == untriggered == params.base_reward
 
 
 def test_reward_noise_shared_between_arms():
     # The paired difference stays exactly the utility even with noise.
     params = TwoSourceParams(noise_sd=0.5)
-    state = _state("D", signal=0.7, utility=0.9, reward_noise=0.31)
-    diff = step_return(params, state, True) - step_return(params, state, False)
-    assert diff == pytest.approx(0.9, abs=1e-12)
+    arms = _arms(params, seed=15)
+    assert len({untriggered for _, untriggered, _ in arms}) == params.horizon  # the noise varies per step
+    for triggered, untriggered, debug in arms:
+        assert triggered - untriggered == pytest.approx(debug["true_utility"], abs=1e-12)
 
 
 def test_pure_type_extremes_have_exact_rank_correlation():
@@ -212,8 +211,8 @@ def test_episode_return_is_sum_of_step_returns_and_reproducible():
 
 
 def _read_state(episode, triggered):
-    # observe(), debug_state() and the step reward read every SimState
-    # field between them; the reward adds true_utility when triggered.
+    # observe(), debug_state() and the step reward read every state
+    # column between them; the reward adds true_utility when triggered.
     return episode.observe(), episode.debug_state(), episode.step(triggered)
 
 
@@ -227,13 +226,16 @@ def test_episodes_built_on_one_seed_share_one_draw():
     first = TwoSourceEpisode(params, seed=4)
     first.step(True)
     second = TwoSourceEpisode(params, seed=4)
-    assert second._rows is first._rows  # the second episode draws nothing
+    assert second._cols is first._cols  # the second episode draws nothing
     assert second.observe()["step_count"] == 0.0  # but keeps a cursor of its own
-    assert second._rows == _draw_rows(params, stream(4), np.arange(params.horizon, dtype=np.int64))
+    expected = sample_states(params, params.horizon, 4)
+    assert second._cols.keys() == expected.keys()
+    for name, column in expected.items():
+        assert second._cols[name] == column.tolist()
     other = TwoSourceEpisode(params, seed=5)
-    assert other._rows != first._rows
+    assert other._cols != first._cols
     again = TwoSourceEpisode(params, seed=4)  # one slot: seed 5 evicted seed 4, so this is a fresh draw
-    assert again._rows == first._rows and again._rows is not first._rows
+    assert again._cols == first._cols and again._cols is not first._cols
 
 
 def test_fork_reseed_shares_snapshot_but_diverges_later():
@@ -330,23 +332,30 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
     assert ep.done()
 
 
+_COLUMN_TYPES = {
+    "step_index": int, "is_type_d": bool, "signal": float, "type_proxy": int,
+    "num_options": int, "true_utility": float, "reward_noise": float, "is_finish": bool,
+}
+
+
 @pytest.mark.parametrize("params", [TwoSourceParams(), TwoSourceParams(p_i0=0.3, fidelity_q=0.5, horizon=4)])
-def test_drawn_rows_carry_python_scalars_equal_to_sample_states(params):
-    # Episode rows hold Python scalars of SimState's declared types (never
-    # numpy scalars) with the values sample_states draws for the same
-    # seed and positions.
-    n = 3 * params.horizon
-    rows = _draw_rows(params, stream(23), np.arange(n, dtype=np.int64) % params.horizon)
-    states = sample_states(params, n, 23)
-    hints = typing.get_type_hints(SimState)
-    declared = tuple(hints[f] for f in SimState._fields)
-    assert declared == (int, str, float, int, int, float, float, bool)
-    for i, row in enumerate(rows):
-        assert tuple(type(v) for v in row) == declared
-        assert row.step_index == states["step_index"][i]
-        assert row.latent_type == (TYPE_D if states["is_type_d"][i] else TYPE_I)
-        for name in SimState._fields[2:]:
-            assert getattr(row, name) == states[name][i]
+def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
+    # An episode's cached columns hold Python scalars (never numpy
+    # scalars) with the values sample_states draws for the same seed and
+    # positions, and every observation value is a Python float.
+    _episode_columns.cache_clear()
+    columns = _episode_columns(params, 23)
+    states = sample_states(params, params.horizon, 23)
+    assert columns.keys() == states.keys() == _COLUMN_TYPES.keys()
+    for name, column in columns.items():
+        assert isinstance(column, list) and len(column) == params.horizon
+        assert {type(v) for v in column} == {_COLUMN_TYPES[name]}
+        assert column == states[name].tolist()
+    ep = TwoSourceEpisode(params, 23)
+    assert ep._cols is columns
+    while not ep.done():
+        assert {type(v) for v in ep.observe().values()} == {float}
+        ep.step(False)
 
 
 def _columns_digest(states):
