@@ -186,7 +186,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
     merged["seed"] = user.get("seed", merged["seed"]) if seed_override is None else int(seed_override)
     if not _is_number(merged["seed"], int):
         raise ConfigError(f"seed: must be an integer, got {merged['seed']!r}")
-    merged["output_dir"] = str(user.get("output_dir", merged["output_dir"])) if out_override is None else out_override
+    merged["output_dir"] = user.get("output_dir", merged["output_dir"]) if out_override is None else out_override
+    if not (isinstance(merged["output_dir"], str) and merged["output_dir"]):
+        raise ConfigError(f"output_dir: must be a non-empty string, got {merged['output_dir']!r}")
 
     try:
         env_params = TwoSourceParams(**merged["environment"])
@@ -214,6 +216,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if not (isinstance(c_grid, list) and c_grid
             and all(_is_number(c) and 0 < c <= sys.float_info.max for c in c_grid)):  # not NaN or infinite
         raise ConfigError(f"gate.c_grid: must be a non-empty list of positive finite values, got {c_grid!r}")
+    repeated = [c for i, c in enumerate(c_grid) if c in c_grid[:i]]  # 1 == 1.0; CV would score a repeat twice
+    if repeated:
+        raise ConfigError(f"gate.c_grid: duplicate value {repeated[0]!r}")
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     tau = gate_cfg["tau"]

@@ -1,29 +1,23 @@
 """Episodic environment contract consumed by exploration and deployment.
 
 An Environment builds independent episodes from per-episode seeds; an
-Episode is a single-threaded handle over one trajectory. Episodes must
-support forking (a rollout from the current state that never mutates the
-parent) so utility labels can be estimated by paired counterfactual
-rollouts from the same state snapshot.
-
-Actions are opaque to the callers here; by convention
-``candidate_actions()[0]`` is the base policy's action and any other
-candidate is an optimizer intervention. Truncated rollouts are scored as
+Episode is a single-threaded handle over one trajectory. A step takes
+one of two actions, the base policy's (untriggered) or the base policy
+with the optimizer invoked (triggered). Episodes must support forking (a
+rollout from the current state that never mutates the parent) so
+utility labels can be estimated by paired counterfactual rollouts of the
+two arms from the same state snapshot. Truncated rollouts are scored as
 the sum of step rewards, so environments express task-specific scoring
 through the reward channel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, Optional, Protocol, runtime_checkable
 
 
 class EnvFault(RuntimeError):
     """An environment failed while stepping; carries episode/step context."""
-
-
-class CapabilityError(RuntimeError):
-    """The environment does not support a required operation (e.g. fork)."""
 
 
 @runtime_checkable
@@ -43,22 +37,12 @@ class Episode(Protocol):
         intervention) and advance. Returns the realized step reward."""
         ...
 
-    def candidate_actions(self, k: int) -> List[Any]:
-        """K candidate actions for the current step, base action first.
-        Candidates that compare equal are the same action: paired
-        labeling pools their rollouts into one score."""
-        ...
-
-    def apply_action(self, action: Any) -> float:
-        """Execute a specific candidate action and advance."""
-        ...
-
     def fork(
         self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
     ) -> "Episode":
         """One rollout from the current state: sibling ``index``
         (0 <= index < count) of the ``count`` forks made here with this
-        ``reseed``. The fork may take any action at the snapshot, then
+        ``reseed``. The fork may take either step at the snapshot, then
         only untriggered steps; it may refuse any other read past the
         snapshot. Siblings may share one keyed draw, but siblings with
         different ``index`` must read different noise: paired labeling

@@ -2,20 +2,21 @@
 
 Each step triggers the optimizer with a fixed probability, independent
 of every observation field, which keeps the collected labels free of
-selection bias. A triggered step's utility label is estimated by forking
-the episode and scoring the optimizer's pick against the base action
-under an identical truncated-rollout protocol; the label is 1 only when
-the pick strictly wins. Untriggered steps are persisted unlabeled so
-whole-trajectory statistics stay computable.
+selection bias. A triggered step's utility label compares two arms
+forked from its state under one truncated-rollout protocol, the base
+policy and the base policy with the optimizer invoked; it is 1 only when
+the intervention arm strictly wins. Untriggered steps are persisted
+unlabeled so whole-trajectory statistics stay computable.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Optional
 
-from .envs import CapabilityError, EnvFault, Environment, Episode
+from .envs import EnvFault, Environment, Episode
 from .features import extract_universal, scalar_signal
 from .rng import derive_seed, rng_for, stream
 
@@ -47,6 +48,11 @@ class StepRecord:
             raise ValueError("utility_label must be present exactly when the step triggered")
         if self.utility_label is not None and self.utility_label not in (0, 1):
             raise ValueError(f"utility_label must be binary, got {self.utility_label}")
+        if not isinstance(self.obs, dict):
+            raise ValueError(f"obs must be an object, got {self.obs!r}")
+        signal = self.signal  # finite: not NaN (fails every comparison), infinite or past float range
+        if isinstance(signal, bool) or not (isinstance(signal, (int, float)) and abs(signal) <= sys.float_info.max):
+            raise ValueError(f"signal must be a finite number, got {signal!r}")
 
 
 @dataclass
@@ -80,36 +86,28 @@ def estimate_utility_paired(
     """Binary utility of invoking the optimizer at the episode's current
     state.
 
-    All candidates (base action first) are scored as the mean of
-    ``n_rollouts`` truncated returns from forks of the same snapshot,
-    each stepped until done (``horizon_h`` steps, fewer at the episode's
-    end). The k x n forks are siblings of one ``seed``: each rollout
-    reads reward noise of its own from their one keyed draw, so the
-    comparison is not coupled by shared draws. Candidates that compare
-    equal are one action, scored as the mean over all of their rollouts:
-    taking the best of several noisy scores of one action would favour it
-    for its luckiest copy alone (the optimizer's curse). Returns 1 iff the
-    best action strictly beats the base action; ties label 0.
+    The k x n forks of the snapshot are siblings of one ``seed``, each
+    reading reward noise of its own from their one keyed draw, and each
+    stepped until done (``horizon_h`` steps, fewer at the episode's end).
+    The base arm's ``n_rollouts`` forks come first and take the
+    untriggered step at the snapshot; the intervention arm's other
+    ``(k_candidates - 1) * n_rollouts`` take the triggered one. An arm
+    scores the mean truncated return of all of its rollouts, so the one
+    intervention never wins on its luckiest copy (the optimizer's curse).
+    Returns 1 iff the intervention arm strictly beats the base arm; ties
+    label 0.
     """
     _check_paired_settings(k_candidates, n_rollouts, horizon_h)
-    if not callable(getattr(episode, "fork", None)):
-        raise CapabilityError("environment does not support forking; paired estimation unavailable")
-
-    candidates = episode.candidate_actions(k_candidates)
-    count = len(candidates) * n_rollouts
-    sums: Dict[Any, float] = {}  # per action, in first-seen order (base first); returns added in fork order
-    for ci, action in enumerate(candidates):
-        summed = sums.get(action, 0.0)
-        for ri in range(n_rollouts):
-            fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=ci * n_rollouts + ri, count=count)
-            total = fork.apply_action(action)
-            while not fork.done():  # the fork ends at its lookahead
-                total += fork.step(False)
-            summed += total
-        sums[action] = summed
-    values = [summed / (candidates.count(action) * n_rollouts) for action, summed in sums.items()]
-    best = max(range(len(values)), key=values.__getitem__)  # the first maximum, so ties keep the base action
-    return int(values[best] > values[0])
+    count = k_candidates * n_rollouts
+    sums = [0.0, 0.0]  # base arm, intervention arm; returns added in fork order
+    for index in range(count):
+        triggered = index >= n_rollouts
+        fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=index, count=count)
+        total = fork.step(triggered)
+        while not fork.done():  # the fork ends at its lookahead
+            total += fork.step(False)
+        sums[triggered] += total
+    return int(sums[1] / (count - n_rollouts) > sums[0] / n_rollouts)
 
 
 def run_exploration(
@@ -128,8 +126,8 @@ def run_exploration(
     master seed, so they are independent of all observation content.
     Episodes are assembled in episode-index order; replaying with the
     same seed reproduces the dataset exactly. The labeling settings are
-    checked before the first episode; past that, every error but a
-    CapabilityError becomes an EnvFault naming the episode and step.
+    checked before the first episode; past that, every error (one from
+    an episode that cannot fork too) is an EnvFault naming episode and step.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -158,8 +156,6 @@ def run_exploration(
                         seed=derive_seed(seed, f"label:{ep_idx}", step_idx),
                     )
                 episode.step(triggered)
-            except CapabilityError:
-                raise
             except Exception as exc:
                 raise EnvFault(f"environment fault at episode {ep_idx}, step {step_idx}: {exc}") from exc
             records.append(
@@ -284,8 +280,8 @@ def _line_fault(line: str, exc: Exception) -> str:
 
 def load_dataset_jsonl(path: str) -> LabeledDataset:
     """Read a file ``dataset_to_jsonl`` wrote. A fault in a line (bad
-    JSON, a missing field, an invalid record) is a ``ValueError`` that
-    names the file and the line."""
+    JSON, a missing field, an invalid record, an ``obs`` value that is
+    not a number) is a ``ValueError`` that names the file and the line."""
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}
     first_line = 0
@@ -299,7 +295,10 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
                 row = json.loads(line)
                 meta = row["env_meta"]
                 # A field StepRecord gives a default (the debug fields) may be absent.
-                records.append(StepRecord(**{k: row[k] for k in names if k in row}))
+                record = StepRecord(**{k: row[k] for k in names if k in row})
+                if not set(map(type, record.obs.values())) <= {int, float}:  # json's numbers; a bool is neither
+                    raise ValueError(f"obs must map names to numbers, got {record.obs!r}")
+                records.append(record)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {_line_fault(line, exc)}") from exc
             if not first_line:

@@ -414,8 +414,8 @@ def cross_validate_c(
     """Pick C by mean held-out log-loss across seeded stratified folds.
 
     Folds whose training split is single-class are skipped for every C;
-    ties go to the smaller C (more regularization). Each fit's
-    ``SolverRun`` is appended to ``runs`` when one is given.
+    ties go to the smaller C (more regularization); a repeated C is
+    refused. Each fit's ``SolverRun`` is appended to ``runs`` when given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -428,6 +428,8 @@ def cross_validate_c(
     _check_two_classes(y)
 
     grid_sorted = sorted(float(c) for c in grid)
+    if len(set(grid_sorted)) < len(grid_sorted):
+        raise GateError(f"duplicate C value in grid {list(grid)!r}")
     losses: Dict[float, List[float]] = {c: [] for c in grid_sorted}
     used = []
     for f, train in _usable_folds(y, folds, seed):

@@ -25,8 +25,8 @@ Conventions (fixed for reproducibility):
     and ``sample_states`` alike, so a seed gives one state sequence; a
     fork draws only the reward noise that leads its columns. Every
     stream is a ``dial.rng.stream``.
-  - a fork is one rollout. It reads the snapshot state, which any action
-    may take, and past it takes only untriggered steps, each the base
+  - a fork is one rollout. It reads the snapshot state, which either
+    step may take, and past it takes only untriggered steps, each the base
     reward plus its own reward noise; every other read past the
     snapshot raises ``EnvFault``. The ``count`` sibling forks of one
     snapshot (one paired label's rollouts) share one draw: sibling i's
@@ -53,7 +53,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -213,16 +213,6 @@ class TwoSourceEpisode:
                 reward += self._cols["true_utility"][t]
         self._cursor += 1
         return reward
-
-    def candidate_actions(self, k: int) -> List[int]:
-        """The base action (0), then the one intervention (1) k - 1
-        times: every candidate past the base triggers the optimizer."""
-        if k < 1:
-            raise ValueError("need at least one candidate action")
-        return [0] + [1] * (k - 1)
-
-    def apply_action(self, action: int) -> float:
-        return self.step(triggered=action != 0)
 
     def fork(
         self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1

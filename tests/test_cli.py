@@ -147,16 +147,39 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, val
         ({"environment": {"noise_sd": float("nan")}}, "environment.noise_sd"),
         ({"environment": {"alpha": "x"}}, "environment.alpha"),
         ({"environment": {"fidelity_q": True}}, "environment.fidelity_q"),
+        ({"gate": {"c_grid": [0.1, 0.1, 1.0]}}, "gate.c_grid"),
+        ({"gate": {"c_grid": [1, 10.0, 1.0]}}, "gate.c_grid"),
+        ({"output_dir": None}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
+        ({"output_dir": 7}, "output_dir"),
     ],
     ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "c-grid-inf", "c-grid-huge",
          "folds-null", "n-bool", "seed-text", "env-reward-text", "env-slope-text", "env-noise-nan",
-         "env-alpha-text", "env-bool"],
+         "env-alpha-text", "env-bool", "c-grid-duplicate", "c-grid-duplicate-int", "output-dir-null",
+         "output-dir-empty", "output-dir-number"],
 )
 def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
     # Neither truncated to an integer nor left to fail as a bare error.
     config_path = write_config(tmp_path / "config.json", **overrides)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         load_config(config_path)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"gate": {"c_grid": [0.1, 0.1, 1.0]}}, "gate.c_grid: duplicate value 0.1"),
+        ({"output_dir": None}, "output_dir: must be a non-empty string, got None"),
+    ],
+    ids=["c-grid", "output-dir"],
+)
+def test_refusal_messages_name_the_value(tmp_path, overrides, message):
+    # A null output_dir once wrote every artifact into ./None; a repeated
+    # C was cross-validated twice.
+    config_path = write_config(tmp_path / "config.json", **overrides)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(config_path)
+    assert str(excinfo.value) == message
 
 
 def _threshold(**keys):

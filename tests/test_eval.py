@@ -9,7 +9,7 @@ import pytest
 
 from dial.cli import load_config
 from dial.evaluate import EvalError, PolicySpec, run_deployment, wilson_interval
-from dial.envs import CapabilityError, EnvFault
+from dial.envs import EnvFault
 from dial.gate import GateModel, Standardizer
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
@@ -112,14 +112,8 @@ class _ScriptedEpisode:
         self.t += 1
         return 2.0 if triggered else 1.0
 
-    def candidate_actions(self, k):
-        return [False] + [True] * (k - 1)
-
-    def apply_action(self, action):
-        return self.step(action)
-
     def fork(self, reseed, lookahead=None, *, index=0, count=1):
-        raise CapabilityError("scripted deployment episodes do not fork")
+        raise EnvFault("scripted deployment episodes do not fork")
 
     def debug_state(self):
         return None

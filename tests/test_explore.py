@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from dial.envs import CapabilityError, EnvFault
+from dial.envs import EnvFault
 from dial.explore import (
     DEFAULT_K_CANDIDATES,
     DEFAULT_N_ROLLOUTS,
@@ -30,8 +30,9 @@ from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 
 
 class ScriptedEpisode:
-    """Candidate action k yields reward values[k]; future steps add 0.
-    A fork is done at its lookahead, as the Episode contract says."""
+    """An untriggered step yields reward values[0], a triggered one
+    values[1]. A fork is done at its lookahead, as the Episode contract
+    says."""
 
     def __init__(self, values, horizon=3):
         self.values = values
@@ -45,15 +46,9 @@ class ScriptedEpisode:
     def observe(self):
         return {"signal": 0.5, "step_count": float(self.t)}
 
-    def candidate_actions(self, k):
-        return list(range(k))
-
-    def apply_action(self, action):
-        self.t += 1
-        return float(self.values[action])
-
     def step(self, triggered):
-        return self.apply_action(1 if triggered else 0)
+        self.t += 1
+        return float(self.values[triggered])
 
     def fork(self, reseed, lookahead=None, *, index=0, count=1):
         return self._positioned(ScriptedEpisode(self.values, self.horizon), lookahead)
@@ -69,58 +64,57 @@ class ScriptedEpisode:
 
 
 def test_paired_label_one_when_pick_strictly_wins():
-    episode = ScriptedEpisode(values=[0.5, 0.8, 0.8, 0.8, 0.8])
+    episode = ScriptedEpisode(values=[0.5, 0.8])
     assert estimate_utility_paired(episode, 5, 3, 2, seed=0) == 1
 
 
 def test_paired_label_zero_on_tie():
-    episode = ScriptedEpisode(values=[0.5, 0.5, 0.5, 0.5, 0.5])
+    episode = ScriptedEpisode(values=[0.5, 0.5])
     assert estimate_utility_paired(episode, 5, 3, 2, seed=0) == 0
 
 
 def test_paired_label_zero_when_base_wins():
-    episode = ScriptedEpisode(values=[0.9, 0.2, 0.2, 0.2, 0.2])
+    episode = ScriptedEpisode(values=[0.9, 0.2])
     assert estimate_utility_paired(episode, 5, 3, 2, seed=0) == 0
 
 
 class SiblingScriptedEpisode(ScriptedEpisode):
-    """The given candidates; the fork made as sibling ``index`` returns
-    returns[index] on its one step."""
+    """The fork made as sibling ``index`` returns returns[index] on its
+    one step, triggered or not, and records that step's action in
+    ``actions``."""
 
-    def __init__(self, candidates, returns):
+    def __init__(self, returns):
         super().__init__(values=None, horizon=1)
-        self.candidates = candidates
         self.returns = returns
         self.index = None
+        self.actions = []
 
-    def candidate_actions(self, k):
-        return self.candidates[:k]
-
-    def apply_action(self, action):
+    def step(self, triggered):
         self.t += 1
+        self.actions.append((self.index, triggered))
         return self.returns[self.index]
 
     def fork(self, reseed, lookahead=None, *, index=0, count=1):
-        clone = SiblingScriptedEpisode(self.candidates, self.returns)
-        clone.index = index
+        clone = SiblingScriptedEpisode(self.returns)
+        clone.index, clone.actions = index, self.actions
         return self._positioned(clone, lookahead)
 
 
-@pytest.mark.parametrize(
-    "candidates, label", [([0, 1, 1, 1, 1], 0), ([0, 1, 2, 3, 4], 1)], ids=["one-intervention", "distinct"]
-)
-def test_paired_label_pools_equal_candidates(candidates, label):
-    # One lucky copy must not make an action win: equal candidates are
-    # scored over all of their rollouts (mean 0.3 < 0.5), distinct ones
-    # each over its own (0.9 > 0.5).
-    episode = SiblingScriptedEpisode(candidates, returns=[0.5, 0.9, 0.1, 0.1, 0.1])
+@pytest.mark.parametrize("label", [0], ids=["one-intervention"])
+def test_paired_label_pools_equal_candidates(label):
+    # One lucky rollout must not make the intervention win: its arm is
+    # scored over all of its rollouts (mean 0.3 < 0.5).
+    episode = SiblingScriptedEpisode(returns=[0.5, 0.9, 0.1, 0.1, 0.1])
     assert estimate_utility_paired(episode, 5, 1, 1, seed=0) == label
 
 
-def test_twosource_candidates_are_the_base_then_one_intervention():
-    episode = TwoSourceEnv(TwoSourceParams()).episode(0)
-    assert episode.candidate_actions(5) == [0, 1, 1, 1, 1]
-    assert episode.candidate_actions(1) == [0]
+@pytest.mark.parametrize("k, n", [(5, 5), (2, 1), (3, 2)])
+def test_paired_label_forks_the_base_arm_then_the_intervention_arm(k, n):
+    # Forks 0 .. n-1 take the untriggered step at the snapshot, the
+    # other (k-1)*n the triggered one.
+    episode = SiblingScriptedEpisode(returns=[0.0] * (k * n))
+    estimate_utility_paired(episode, k, n, 1, seed=0)
+    assert episode.actions == list(enumerate([False] * n + [True] * ((k - 1) * n)))
 
 
 def test_paired_label_requires_base_plus_alternative():
@@ -130,13 +124,6 @@ def test_paired_label_requires_base_plus_alternative():
         estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 2, 3, 0, seed=0)
     with pytest.raises(ValueError, match="at least one rollout"):
         estimate_utility_paired(ScriptedEpisode([0.1, 0.2]), 2, 0, 2, seed=0)
-
-
-def test_fork_capability_error():
-    episode = ScriptedEpisode([0.1, 0.2])
-    episode.fork = None  # shadow the method: this env cannot snapshot
-    with pytest.raises(CapabilityError):
-        estimate_utility_paired(episode, 2, 1, 1, seed=0)
 
 
 def test_noise_free_labels_match_hidden_utility_sign():
@@ -167,8 +154,8 @@ def test_paired_arms_fork_from_identical_state():
 
 def _count_forks(monkeypatch):
     # The benchmark's traced check counts twosource.fork spans: a label
-    # must fork once per (candidate, rollout), even where a rollout reads
-    # nothing of its fork's lookahead.
+    # must fork k x n times, once per rollout of either arm, even where a
+    # rollout reads nothing of its fork's lookahead.
     calls = []
     real_fork = TwoSourceEpisode.fork
 
@@ -318,6 +305,16 @@ class FaultyEpisode(ScriptedEpisode):
 def test_environment_fault_carries_context():
     with pytest.raises(EnvFault, match="episode 0, step 1"):
         run_exploration(FaultyEnv(), eps=0.0, n_episodes=1, seed=0)
+
+
+def test_an_episode_that_cannot_fork_is_an_environment_fault():
+    def unforkable():
+        episode = ScriptedEpisode([0.0, 0.0])
+        episode.fork = None  # shadow the method: this environment cannot snapshot
+        return episode
+
+    with pytest.raises(EnvFault, match="episode 0, step 0: "):
+        run_exploration(FaultyEnv(unforkable), eps=1.0, n_episodes=1, seed=0)
 
 
 class BadRewardEpisode(ScriptedEpisode):
@@ -516,8 +513,19 @@ def test_loader_rejects_mixed_env_meta(tmp_path):
         (lambda row: json.dumps({**row, "triggered": True, "utility_label": 2}),
          r"line 2: utility_label must be binary, got 2$"),
         (lambda row: json.dumps(list(row)), r"line 2: not a JSON object$"),
+        (lambda row: json.dumps({**row, "signal": "x"}), r"line 2: signal must be a finite number, got 'x'$"),
+        (lambda row: json.dumps({**row, "signal": True}), r"line 2: signal must be a finite number, got True$"),
+        (lambda row: json.dumps({**row, "signal": float("nan")}), r"line 2: signal must be a finite number, got nan$"),
+        (lambda row: json.dumps({**row, "signal": 10**400}), r"line 2: signal must be a finite number, got 1000"),
+        (lambda row: json.dumps({**row, "obs": None}), r"line 2: obs must be an object, got None$"),
+        (lambda row: json.dumps({**row, "obs": [0.5]}), r"line 2: obs must be an object, got \[0.5\]$"),
+        (lambda row: json.dumps({**row, "obs": {**row["obs"], "signal": "x"}}),
+         r"line 2: obs must map names to numbers, got \{.*'signal': 'x'"),
+        (lambda row: json.dumps({**row, "obs": {"signal": False}}),
+         r"line 2: obs must map names to numbers, got \{'signal': False\}$"),
     ],
-    ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object"],
+    ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
+         "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool"],
 )
 def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):
     ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)

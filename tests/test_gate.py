@@ -327,14 +327,30 @@ def test_cv_default_grid_matches_contract():
     assert DEFAULT_C_GRID == (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
 
 
-def test_cv_prefers_smaller_c_on_ties():
-    # Duplicate C values force exact ties; the smaller index wins.
+def _tie_data():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((60, 2))
     y = (rng.random(60) < 0.5).astype(float)
     y[:5], y[5:10] = 1.0, 0.0
-    c, _ = cross_validate_c(X, y, [0.1, 0.1], folds=3, seed=1)
-    assert c == 0.1
+    return X, y
+
+
+def test_cv_prefers_smaller_c_on_ties():
+    # C values small enough that l1 zeroes every weight force exact ties
+    # (each fit is its intercept alone); the smaller C wins, wherever it
+    # stands in the grid.
+    X, y = _tie_data()
+    c, report = cross_validate_c(X, y, [1e-3, 1e-4], folds=3, seed=1)
+    assert report[0]["fold_losses"] == report[1]["fold_losses"]
+    assert c == 1e-4
+
+
+@pytest.mark.parametrize("grid", [[0.1, 0.1], [0.1, 1.0, 0.1], [1, 1.0]])
+def test_cv_refuses_a_repeated_c(grid):
+    # A repeated C would be scored twice, with twice the fold losses.
+    X, y = _tie_data()
+    with pytest.raises(GateError, match="duplicate C value"):
+        cross_validate_c(X, y, grid, folds=3, seed=1)
 
 
 def test_cv_picks_near_oracle_c():

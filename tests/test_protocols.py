@@ -24,7 +24,7 @@ _CASES = {
     "twosource-episode": (_ENV.episode(0), Episode),
     "twosource-fork": (_ENV.episode(0).fork(reseed=1, lookahead=2, index=1, count=3), Episode),
     "explore-scripted-episode": (ScriptedEpisode([0.1, 0.2]), Episode),
-    "explore-sibling-episode": (SiblingScriptedEpisode([0, 1], [0.5, 0.9]), Episode),
+    "explore-sibling-episode": (SiblingScriptedEpisode([0.5, 0.9]), Episode),
     "eval-scripted-episode": (_ScriptedEpisode([0.5]), Episode),
     "eval-variable-length-env": (_VariableLengthEnv(), Environment),
     # These two delegate every other name to a two-source env or episode.

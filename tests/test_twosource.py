@@ -252,7 +252,7 @@ def test_fork_rollouts_do_not_mutate_parent():
         ep = TwoSourceEpisode(TwoSourceParams(), seed=10)
         twin = TwoSourceEpisode(TwoSourceParams(), seed=10)
         fork = ep.fork(reseed=1, lookahead=2)
-        fork.apply_action(3)
+        fork.step(True)
         while not fork.done():
             fork.step(False)
         while not twin.done():
@@ -415,7 +415,7 @@ def _rollout_rewards(params, lookahead, seeds=range(8)):
         ep = TwoSourceEpisode(params, seed)
         for t in range(params.horizon):
             fork = ep.fork(reseed=100 * seed + t, lookahead=lookahead)
-            row = [fork.apply_action(1)]
+            row = [fork.step(True)]
             while not fork.done():
                 row.append(fork.step(False))
             rewards.append(row)
@@ -542,7 +542,7 @@ def test_fork_is_done_at_its_lookahead(count, lookahead):
         ep.step(False)
 
 
-@pytest.mark.parametrize("read", ["observe", "debug_state", "triggered-step", "apply-action", "fork"])
+@pytest.mark.parametrize("read", ["observe", "debug_state", "triggered-step", "fork"])
 def test_fork_refuses_reads_past_its_snapshot(read):
     # Past its snapshot a fork takes untriggered steps only.
     ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
@@ -554,7 +554,6 @@ def test_fork_refuses_reads_past_its_snapshot(read):
         "observe": fork.observe,
         "debug_state": fork.debug_state,
         "triggered-step": lambda: fork.step(True),
-        "apply-action": lambda: fork.apply_action(1),
         "fork": lambda: fork.fork(6),
     }
     with pytest.raises(EnvFault, match="past its snapshot at step 1"):
