@@ -4,11 +4,11 @@ An Environment builds independent episodes from per-episode seeds; an
 Episode is a single-threaded handle over one trajectory. A step takes
 one of two actions, the base policy's (untriggered) or the base policy
 with the optimizer invoked (triggered). Episodes must support forking (a
-rollout from the current state that never mutates the parent) so
-utility labels can be estimated by paired counterfactual rollouts of the
-two arms from the same state snapshot. Truncated rollouts are scored as
-the sum of step rewards, so environments express task-specific scoring
-through the reward channel.
+rollout from the current state that returns its truncated return and
+never moves the episode) so utility labels can be estimated by paired
+counterfactual rollouts of the two arms from the same state snapshot.
+A truncated return is the sum of step rewards, so environments express
+task-specific scoring through the reward channel.
 """
 
 from __future__ import annotations
@@ -38,20 +38,19 @@ class Episode(Protocol):
         ...
 
     def fork(
-        self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
-    ) -> "Episode":
-        """One rollout from the current state: sibling ``index``
-        (0 <= index < count) of the ``count`` forks made here with this
-        ``reseed``. The fork may take either step at the snapshot, then
-        only untriggered steps; it may refuse any other read past the
-        snapshot. Siblings may share one keyed draw, but siblings with
-        different ``index`` must read different noise: paired labeling
-        forks every rollout of a label with one ``reseed`` and tells them
-        apart by ``index`` alone. ``count=1`` is a single fork on the
-        ``reseed`` stream. The fork is done after the snapshot step plus
-        ``lookahead`` more steps, clipped at the episode's end (None: at
-        the episode's end); paired labeling steps each fork until it is
-        done."""
+        self, reseed: int, lookahead: Optional[int] = None, *, triggered: bool, index: int = 0, count: int = 1
+    ) -> float:
+        """Truncated return of one rollout from the current state: sibling
+        ``index`` (0 <= index < count) of the ``count`` forks made here
+        with this ``reseed``. The rollout takes the current step,
+        ``triggered`` or not, then ``lookahead`` untriggered steps,
+        clipped at the episode's end (None: to the episode's end), and
+        sums their rewards in step order. The episode does not move.
+        Siblings may share one keyed draw, but siblings with different
+        ``index`` must read different noise: paired labeling forks every
+        rollout of a label with one ``reseed`` and tells them apart by
+        ``index`` alone. ``count=1`` is a single fork on the ``reseed``
+        stream. A finished episode refuses to fork."""
         ...
 
     def debug_state(self) -> Optional[Dict[str, Any]]:

@@ -16,6 +16,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Optional
 
+from .dsl import NUMBER_TYPES
 from .envs import EnvFault, Environment, Episode
 from .features import extract_universal, scalar_signal
 from .rng import derive_seed, rng_for, stream
@@ -44,10 +45,16 @@ class StepRecord:
     true_utility_debug: Optional[float] = None    # simulator only, never a feature
 
     def __post_init__(self) -> None:
+        for name in ("episode_id", "step_index"):  # type(...) is int: a bool is not one
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        if type(self.triggered) is not bool:
+            raise ValueError(f"triggered must be a bool, got {self.triggered!r}")
+        if self.utility_label is not None and (type(self.utility_label) is not int or self.utility_label not in (0, 1)):
+            raise ValueError(f"utility_label must be binary, got {self.utility_label!r}")
         if self.triggered != (self.utility_label is not None):
             raise ValueError("utility_label must be present exactly when the step triggered")
-        if self.utility_label is not None and self.utility_label not in (0, 1):
-            raise ValueError(f"utility_label must be binary, got {self.utility_label}")
         if not isinstance(self.obs, dict):
             raise ValueError(f"obs must be an object, got {self.obs!r}")
         signal = self.signal  # finite: not NaN (fails every comparison), infinite or past float range
@@ -88,10 +95,10 @@ def estimate_utility_paired(
 
     The k x n forks of the snapshot are siblings of one ``seed``, each
     reading reward noise of its own from their one keyed draw, and each
-    stepped until done (``horizon_h`` steps, fewer at the episode's end).
-    The base arm's ``n_rollouts`` forks come first and take the
-    untriggered step at the snapshot; the intervention arm's other
-    ``(k_candidates - 1) * n_rollouts`` take the triggered one. An arm
+    returning its rollout's truncated return (``horizon_h`` steps, fewer
+    at the episode's end). The base arm's ``n_rollouts`` forks come first
+    and take the untriggered step at the snapshot; the intervention arm's
+    other ``(k_candidates - 1) * n_rollouts`` take the triggered one. An arm
     scores the mean truncated return of all of its rollouts, so the one
     intervention never wins on its luckiest copy (the optimizer's curse).
     Returns 1 iff the intervention arm strictly beats the base arm; ties
@@ -102,11 +109,8 @@ def estimate_utility_paired(
     sums = [0.0, 0.0]  # base arm, intervention arm; returns added in fork order
     for index in range(count):
         triggered = index >= n_rollouts
-        fork = episode.fork(reseed=seed, lookahead=horizon_h - 1, index=index, count=count)
-        total = fork.step(triggered)
-        while not fork.done():  # the fork ends at its lookahead
-            total += fork.step(False)
-        sums[triggered] += total
+        sums[triggered] += episode.fork(reseed=seed, lookahead=horizon_h - 1,
+                                        triggered=triggered, index=index, count=count)
     return int(sums[1] / (count - n_rollouts) > sums[0] / n_rollouts)
 
 
@@ -244,6 +248,19 @@ def dataset_summary(dataset: LabeledDataset) -> Dict[str, Any]:
 # -- persistence -------------------------------------------------------------
 
 
+def _obs_number(record: StepRecord, key: str, value: Any) -> float:
+    """An observation value as the float a dataset line holds; text, NaN
+    and infinities are refused with the episode, step and key."""
+    try:  # an int past float range overflows
+        number = float(value) if isinstance(value, NUMBER_TYPES) else float("nan")
+    except OverflowError:
+        number = float("nan")
+    if abs(number) <= sys.float_info.max:  # finite: not NaN (fails every comparison) or infinite
+        return number
+    raise ValueError(f"episode {record.episode_id}, step {record.step_index}: "
+                     f"obs {key!r} must be a finite number, got {value!r}")
+
+
 def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]] = None) -> str:
     """Serialize one record per line.
 
@@ -258,7 +275,7 @@ def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]]
     for r in dataset.records:
         row = {
             **vars(r),
-            "obs": {k: float(v) for k, v in r.obs.items()},
+            "obs": {k: _obs_number(r, k, v) for k, v in r.obs.items()},
             "features": extract_universal(r.obs),
             "env_meta": shared_meta,
         }

@@ -25,26 +25,24 @@ Conventions (fixed for reproducibility):
     and ``sample_states`` alike, so a seed gives one state sequence; a
     fork draws only the reward noise that leads its columns. Every
     stream is a ``dial.rng.stream``.
-  - a fork is one rollout. It reads the snapshot state, which either
-    step may take, and past it takes only untriggered steps, each the base
-    reward plus its own reward noise; every other read past the
-    snapshot raises ``EnvFault``. The ``count`` sibling forks of one
-    snapshot (one paired label's rollouts) share one draw: sibling i's
-    noise is slice ``[i*m, (i+1)*m)`` of ``count*m`` normals from
-    ``stream(reseed)``, the reward noise ``_draw_states`` gives for the
-    lookahead steps tiled ``count`` times. The episode forked from keeps
-    the last family's noise, so siblings made one after another draw
-    once; a family with no step past its snapshot draws nothing.
-    ``count=1`` is a single fork.
-  - a fork ends at its lookahead: it is done after its snapshot step and
-    ``lookahead`` more (to the horizon when None). Every stream is a
-    fresh ``stream(seed)`` read forward.
+  - a fork is one rollout, returned as its truncated return: the
+    snapshot state's reward, triggered or not, then ``+= base_reward +
+    z`` for each untriggered step up to the lookahead (to the horizon
+    when None), each ``z`` the rollout's own reward noise. It reads no
+    other state and leaves the episode where it was. The ``count``
+    sibling forks of one snapshot (one paired label's rollouts) share
+    one draw: sibling i's noise is slice ``[i*m, (i+1)*m)`` of
+    ``count*m`` normals from ``stream(reseed)``, the reward noise
+    ``_draw_states`` gives for the lookahead steps tiled ``count``
+    times. The episode keeps the last family's noise, so siblings forked
+    one after another draw once; a family with no step past its snapshot
+    draws nothing. ``count=1`` is a single fork.
   - an episode reads the ``sample_states`` columns of its seed, as lists
     of Python scalars, at its step index. They come from a one-slot cache
     keyed by (params, seed): a deployment builds each episode once per
     policy, one policy after another, so only the first policy of an
-    episode draws it. Nothing writes to the columns, so episodes and
-    forks share them.
+    episode draws it. Nothing writes to the columns, so episodes share
+    them.
 """
 
 from __future__ import annotations
@@ -158,12 +156,10 @@ class TwoSourceEpisode:
 
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
-    identical state streams. A fork is one rollout from the current
-    state (see the module notes): it shares the episode's columns but reads
-    only its snapshot state, then steps untriggered on reward noise of its
-    own up to its lookahead, where it is done. Sibling forks share one
-    draw but never a value, which is how paired rollout arms are
-    decoupled.
+    identical state streams. A fork returns the truncated return of one
+    rollout from the current state (see the module notes) and moves
+    nothing. Sibling forks share one draw but never a value, which is how
+    paired rollout arms are decoupled.
     """
 
     def __init__(self, params: TwoSourceParams, seed: int):
@@ -172,22 +168,17 @@ class TwoSourceEpisode:
         self.params = params
         self._cols = _episode_columns(params, seed)
         self._cursor = 0  # step index of the current state
-        self._end = params.horizon  # done at this step index
-        self._last_read = params.horizon - 1  # last step whose state is read: a fork's snapshot
-        self._noise: Tuple[float, ...] = ()  # a fork's reward noise of the steps past its snapshot
         self._family: Optional[Tuple[tuple, Tuple[float, ...]]] = None  # key and noise of the last fork family here
 
     # -- episode protocol -------------------------------------------------
 
     def done(self) -> bool:
-        return self._cursor >= self._end
+        return self._cursor >= self.params.horizon
 
     def _current(self) -> int:
         """The step index of the current state, which may be read."""
         if self.done():
             raise EnvFault("episode is finished")
-        if self._cursor > self._last_read:
-            raise EnvFault(f"a fork reads no state past its snapshot at step {self._last_read}")
         return self._cursor
 
     def observe(self) -> Dict[str, float]:
@@ -201,53 +192,43 @@ class TwoSourceEpisode:
             "is_finish": float(cols["is_finish"][t]),
         }
 
+    def _reward(self, triggered: bool) -> float:
+        # Triggered minus untriggered is exactly the state's true utility.
+        t = self._current()
+        reward = self.params.base_reward + self._cols["reward_noise"][t]
+        if triggered:
+            reward += self._cols["true_utility"][t]
+        return reward
+
     def step(self, triggered: bool) -> float:
-        if self._last_read < self._cursor < self._end and not triggered:
-            reward = self.params.base_reward + self._noise[self._cursor - self._last_read - 1]
-        else:
-            # The triggered-minus-untriggered difference from one state is
-            # exactly its true utility.
-            t = self._current()
-            reward = self.params.base_reward + self._cols["reward_noise"][t]
-            if triggered:
-                reward += self._cols["true_utility"][t]
+        reward = self._reward(triggered)
         self._cursor += 1
         return reward
 
     def fork(
-        self, reseed: int, lookahead: Optional[int] = None, *, index: int = 0, count: int = 1
-    ) -> "TwoSourceEpisode":
-        """Fork at the current state: sibling ``index`` of the ``count``
-        forks made here with this ``reseed`` and ``lookahead``. The fork
-        reads the snapshot state; its next ``lookahead`` steps (to the
-        horizon when None) are untriggered steps on its slice of the
-        siblings' reward noise, and it is done after them. ``count=1``
-        is a single fork. The last family's noise is kept here, so
-        siblings made one after another share their draw."""
+        self, reseed: int, lookahead: Optional[int] = None, *, triggered: bool, index: int = 0, count: int = 1
+    ) -> float:
+        """Truncated return of sibling ``index`` of the ``count`` rollouts
+        forked here with this ``reseed`` and ``lookahead`` (see the module
+        notes). The last family's noise is kept here, so siblings forked
+        one after another share their draw."""
         if lookahead is not None and lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
-        self._current()  # refuses a finished episode and a fork past its snapshot
+        total = self._reward(triggered)  # refuses a finished episode
         cursor = self._cursor
-        end = self.params.horizon
-        if lookahead is not None:
-            end = min(cursor + 1 + lookahead, end)
+        end = self.params.horizon if lookahead is None else min(cursor + 1 + lookahead, self.params.horizon)
         m = end - cursor - 1
-        fork = TwoSourceEpisode.__new__(TwoSourceEpisode)
-        fork.params = self.params
-        fork._cols = self._cols
-        fork._cursor = fork._last_read = cursor
-        fork._end = end
-        fork._noise = ()
-        fork._family = None
         if m:
             key = (reseed, count, cursor, end)
             if self._family is None or self._family[0] != key:
                 z = stream(reseed).standard_normal(count * m)
                 self._family = (key, tuple((z * self.params.noise_sd).tolist()))
-            fork._noise = self._family[1][index * m : (index + 1) * m]
-        return fork
+            base = self.params.base_reward
+            for z in self._family[1][index * m : (index + 1) * m]:
+                total += base + z
+        return total
 
     def debug_state(self) -> Dict[str, Any]:
         t = self._current()

@@ -6,7 +6,9 @@ perfbench/workloads.py):
 - ``TwoSourceEpisode.step``: once per deployed step, each while
   ``dial.cli.run_deployment`` runs (perfbench's ``evaluate.steps``
   counts the steps inside that span)
-- ``TwoSourceEpisode.fork``: k x n per paired label
+- ``TwoSourceEpisode.fork``: k x n per paired label, in ``cmd_explore``
+  and in ``cmd_verify``'s temporal explorations alike; each call returns
+  one rollout's return and steps nothing
 
 and the draw that one deployment of all policies saves: ``cmd_eval``
 draws each eval episode once, not once per policy.
@@ -14,7 +16,7 @@ draws each eval episode once, not once per policy.
 Untraced benchmark runs never see these counts, so a change that breaks
 them would otherwise surface only in a traced run. ROADMAP item 4
 (column-wise deploy: one decision over the rows of a step) and item 3
-(fork-free paired labels) change them on purpose; each must land after
+(one call per paired label) change them on purpose; each must land after
 a benchmark change that re-points perfbench's checks.
 """
 
@@ -98,3 +100,21 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
     deployed_steps = config.eval["n_episodes"] * horizon
     assert gated == 2
     assert counts == {"decide": gated * deployed_steps, "step": len(policies) * deployed_steps, "fork": 0}
+
+
+def test_verify_forks_k_times_n_per_label(tmp_path, counts, monkeypatch):
+    # verify's temporal explorations make most of the demo's forks.
+    config = cli.load_config(str(DEMO_CONFIG), out_override=str(tmp_path / "out"))
+    real_explore, rollouts, records = cli.run_exploration, [0], [0]
+
+    def exploring(*args, **kwargs):
+        dataset = real_explore(*args, **kwargs)
+        rollouts[0] += dataset.meta["k_candidates"] * dataset.meta["n_rollouts"] * len(dataset.labeled())
+        records[0] += len(dataset.records)
+        return dataset
+
+    monkeypatch.setattr(cli, "run_exploration", exploring)
+    cli.cmd_verify(config)
+    assert rollouts[0] > 0
+    # One episode step per record: the forks step nothing.
+    assert counts == {"decide": 0, "step": records[0], "fork": rollouts[0]}

@@ -31,17 +31,16 @@ from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 
 class ScriptedEpisode:
     """An untriggered step yields reward values[0], a triggered one
-    values[1]. A fork is done at its lookahead, as the Episode contract
-    says."""
+    values[1]. A fork returns the snapshot step's reward plus values[0]
+    for each step up to its lookahead, as the Episode contract says."""
 
     def __init__(self, values, horizon=3):
         self.values = values
         self.horizon = horizon
-        self.end = horizon
         self.t = 0
 
     def done(self):
-        return self.t >= self.end
+        return self.t >= self.horizon
 
     def observe(self):
         return {"signal": 0.5, "step_count": float(self.t)}
@@ -50,14 +49,12 @@ class ScriptedEpisode:
         self.t += 1
         return float(self.values[triggered])
 
-    def fork(self, reseed, lookahead=None, *, index=0, count=1):
-        return self._positioned(ScriptedEpisode(self.values, self.horizon), lookahead)
-
-    def _positioned(self, clone, lookahead):
-        clone.t = self.t
-        if lookahead is not None:
-            clone.end = min(self.t + 1 + lookahead, self.horizon)
-        return clone
+    def fork(self, reseed, lookahead=None, *, triggered, index=0, count=1):
+        end = self.horizon if lookahead is None else min(self.t + 1 + lookahead, self.horizon)
+        total = float(self.values[triggered])
+        for _ in range(end - self.t - 1):
+            total += float(self.values[0])
+        return total
 
     def debug_state(self):
         return None
@@ -79,25 +76,17 @@ def test_paired_label_zero_when_base_wins():
 
 
 class SiblingScriptedEpisode(ScriptedEpisode):
-    """The fork made as sibling ``index`` returns returns[index] on its
-    one step, triggered or not, and records that step's action in
-    ``actions``."""
+    """The fork made as sibling ``index`` returns returns[index], triggered
+    or not, and records its index and snapshot action in ``actions``."""
 
     def __init__(self, returns):
         super().__init__(values=None, horizon=1)
         self.returns = returns
-        self.index = None
         self.actions = []
 
-    def step(self, triggered):
-        self.t += 1
-        self.actions.append((self.index, triggered))
-        return self.returns[self.index]
-
-    def fork(self, reseed, lookahead=None, *, index=0, count=1):
-        clone = SiblingScriptedEpisode(self.returns)
-        clone.index, clone.actions = index, self.actions
-        return self._positioned(clone, lookahead)
+    def fork(self, reseed, lookahead=None, *, triggered, index=0, count=1):
+        self.actions.append((index, triggered))
+        return float(self.returns[index])
 
 
 @pytest.mark.parametrize("label", [0], ids=["one-intervention"])
@@ -141,15 +130,13 @@ def test_noise_free_labels_match_hidden_utility_sign():
 
 
 def test_paired_arms_fork_from_identical_state():
-    # observe(), debug_state() and the snapshot step's reward, triggered
-    # or not, read every field of the state: equal on the forks and on
-    # the episode they were forked from.
+    # At lookahead 0 a fork returns the snapshot step's reward, triggered
+    # or not, whatever its reseed: the reward the episode takes there.
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.2))
     for triggered in (False, True):
         episode = env.episode(42)
-        handles = [episode.fork(reseed=s) for s in (1, 2, 3)] + [episode]
-        reads = {repr((h.observe(), h.debug_state(), h.step(triggered))) for h in handles}
-        assert len(reads) == 1
+        returns = {episode.fork(reseed=s, lookahead=0, triggered=triggered) for s in (1, 2, 3)}
+        assert returns == {episode.step(triggered)}
 
 
 def _count_forks(monkeypatch):
@@ -201,21 +188,22 @@ def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, stre
 
 def test_paired_label_rollouts_read_noise_of_their_own(monkeypatch):
     # Episode.fork's contract: a label's k x n forks share one reseed and
-    # differ by index alone, so each must roll out on noise of its own.
+    # differ by index alone, so each must roll out on noise of its own:
+    # each fork, remade with the untriggered snapshot step, returns a
+    # value no other does.
     episode = TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)).episode(3)
     episode.step(False)
-    rewards = {}  # fork -> its step rewards; keyed by the fork, so it stays alive
-    real_step = TwoSourceEpisode.step
+    calls = []
+    real_fork = TwoSourceEpisode.fork
 
-    def recording_step(self, triggered):
-        reward = real_step(self, triggered)
-        rewards.setdefault(self, []).append(reward)
-        return reward
+    def recording_fork(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real_fork(self, *args, **kwargs)
 
-    monkeypatch.setattr(TwoSourceEpisode, "step", recording_step)
+    monkeypatch.setattr(TwoSourceEpisode, "fork", recording_fork)
     estimate_utility_paired(episode, 5, 5, 3, seed=11)
-    lookahead = {tuple(r[1:]) for r in rewards.values()}  # past the shared snapshot step
-    assert len(rewards) == 25 and len(lookahead) == 25
+    untriggered = {real_fork(episode, *args, **{**kwargs, "triggered": False}) for args, kwargs in calls}
+    assert len(calls) == 25 and len(untriggered) == 25
 
 
 def test_exploration_forks_k_times_n_per_label(monkeypatch):
@@ -469,8 +457,18 @@ def test_jsonl_contract_fields_present(tmp_path):
 @pytest.mark.parametrize("field", ["signal", "extra"])
 def test_jsonl_refuses_non_finite_observations(field):
     ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=1.0, n_episodes=1, seed=6)
-    ds.records[0].obs[field] = float("nan")
-    with pytest.raises(ValueError):
+    for value in (float("nan"), float("inf"), -np.inf, 10**400):
+        ds.records[2].obs[field] = value
+        message = f"episode 0, step 2: obs '{field}' must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataset_to_jsonl(ds)
+
+
+def test_jsonl_names_the_step_of_a_text_observation():
+    # Exploration takes text observation values (the features read them
+    # as 0.0), but a dataset line holds numbers only.
+    ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode({"signal": "high"})), eps=0.0, n_episodes=1, seed=0)
+    with pytest.raises(ValueError, match=r"^episode 0, step 0: obs 'signal' must be a finite number, got 'high'$"):
         dataset_to_jsonl(ds)
 
 
@@ -523,9 +521,19 @@ def test_loader_rejects_mixed_env_meta(tmp_path):
          r"line 2: obs must map names to numbers, got \{.*'signal': 'x'"),
         (lambda row: json.dumps({**row, "obs": {"signal": False}}),
          r"line 2: obs must map names to numbers, got \{'signal': False\}$"),
+        (lambda row: json.dumps({**row, "triggered": 1}), r"line 2: triggered must be a bool, got 1$"),
+        (lambda row: json.dumps({**row, "triggered": True, "utility_label": True}),
+         r"line 2: utility_label must be binary, got True$"),
+        (lambda row: json.dumps({**row, "triggered": True, "utility_label": 1.0}),
+         r"line 2: utility_label must be binary, got 1.0$"),
+        (lambda row: json.dumps({**row, "episode_id": "a"}), r"line 2: episode_id must be a non-negative integer, got 'a'$"),
+        (lambda row: json.dumps({**row, "episode_id": -1}), r"line 2: episode_id must be a non-negative integer, got -1$"),
+        (lambda row: json.dumps({**row, "step_index": 2.5}), r"line 2: step_index must be a non-negative integer, got 2.5$"),
+        (lambda row: json.dumps({**row, "step_index": True}), r"line 2: step_index must be a non-negative integer, got True$"),
     ],
     ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
-         "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool"],
+         "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool", "triggered-one", "label-bool",
+         "label-float", "episode-text", "episode-negative", "step-fraction", "step-bool"],
 )
 def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):
     ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)

@@ -1,7 +1,8 @@
 """Every environment and episode that the package and its tests run is
 an instance of the runtime-checkable protocols in ``dial.envs`` and adds
 no public method of its own, so a method dropped from a protocol or from
-one implementation, without the other, fails here."""
+one implementation, without the other, fails here. Every episode that
+forks returns a float from ``fork``."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ _ENV = TwoSourceEnv(TwoSourceParams())
 _CASES = {
     "twosource-env": (_ENV, Environment),
     "twosource-episode": (_ENV.episode(0), Episode),
-    "twosource-fork": (_ENV.episode(0).fork(reseed=1, lookahead=2, index=1, count=3), Episode),
     "explore-scripted-episode": (ScriptedEpisode([0.1, 0.2]), Episode),
     "explore-sibling-episode": (SiblingScriptedEpisode([0.5, 0.9]), Episode),
     "eval-scripted-episode": (_ScriptedEpisode([0.5]), Episode),
@@ -52,3 +52,14 @@ def test_implementation_is_an_instance_of_its_protocol(name):
 )
 def test_implementation_adds_no_public_method(cls, protocol):
     assert _public_methods(cls) == _public_methods(protocol)
+
+
+@pytest.mark.parametrize(
+    "episode",
+    [_ENV.episode(0), ScriptedEpisode([1, 2]), SiblingScriptedEpisode([1, 2])],
+    ids=["twosource-episode", "explore-scripted-episode", "explore-sibling-episode"],
+)
+@pytest.mark.parametrize("triggered", [False, True])
+def test_a_fork_returns_a_float(episode, triggered):
+    # Episode.fork returns its rollout's truncated return, never a handle.
+    assert type(episode.fork(reseed=1, lookahead=2, triggered=triggered, index=1, count=3)) is float

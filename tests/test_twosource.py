@@ -131,14 +131,15 @@ def test_observation_hides_latent_fields():
 
 def _arms(params, seed, **state):
     # Per step of the episode with this seed: the triggered and the
-    # untriggered reward of the state (a fork steps the triggered arm) and
-    # the state's debug record. ``state`` overrides the first state's columns.
+    # untriggered reward of the state (a fork of lookahead 0 returns the
+    # triggered one) and the state's debug record. ``state`` overrides
+    # the first state's columns.
     ep = TwoSourceEpisode(params, seed)
     ep._cols = {name: [state.get(name, column[0])] + column[1:] for name, column in ep._cols.items()}
     arms = []
     while not ep.done():
         debug = ep.debug_state()
-        arms.append((ep.fork(reseed=seed).step(True), ep.step(False), debug))
+        arms.append((ep.fork(reseed=seed, lookahead=0, triggered=True), ep.step(False), debug))
     return arms
 
 
@@ -170,6 +171,16 @@ def test_reward_noise_shared_between_arms():
     assert len({untriggered for _, untriggered, _ in arms}) == params.horizon  # the noise varies per step
     for triggered, untriggered, debug in arms:
         assert triggered - untriggered == pytest.approx(debug["true_utility"], abs=1e-12)
+
+
+def test_snapshot_returns_differ_by_the_true_utility():
+    # At lookahead 0 a fork's return is the snapshot step alone, so the
+    # two arms differ by the state's utility, noise and all.
+    ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3, p_i_slope=0.05), seed=16)
+    while not ep.done():
+        triggered, untriggered = (ep.fork(reseed=7, lookahead=0, triggered=arm) for arm in (True, False))
+        assert triggered - untriggered == pytest.approx(ep.debug_state()["true_utility"], abs=1e-12)
+        ep.step(False)
 
 
 def test_pure_type_extremes_have_exact_rank_correlation():
@@ -242,35 +253,25 @@ def test_fork_reseed_shares_snapshot_but_diverges_later():
     for triggered in (False, True):
         ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=9)
         ep.step(False)
-        fork_a, fork_b = ep.fork(reseed=100), ep.fork(reseed=200)
-        assert _read_state(fork_a, triggered) == _read_state(fork_b, triggered) == _read_state(ep, triggered)
-        assert fork_a.step(False) != fork_b.step(False)
+        snapshot = {ep.fork(reseed=s, lookahead=0, triggered=triggered) for s in (100, 200)}
+        later = {ep.fork(reseed=s, triggered=triggered) for s in (100, 200)}
+        assert snapshot == {_read_state(ep, triggered)[2]}
+        assert len(later) == 2
 
 
 def test_fork_rollouts_do_not_mutate_parent():
+    # A fork moves neither the cursor nor the observation of the episode
+    # it is made on, whatever its lookahead, arm or sibling.
     for triggered in (False, True):
-        ep = TwoSourceEpisode(TwoSourceParams(), seed=10)
-        twin = TwoSourceEpisode(TwoSourceParams(), seed=10)
-        fork = ep.fork(reseed=1, lookahead=2)
-        fork.step(True)
-        while not fork.done():
-            fork.step(False)
+        ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
+        twin = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
         while not twin.done():
+            for lookahead in (None, 0, 2):
+                for index in (0, 4):
+                    ep.fork(reseed=1, lookahead=lookahead, triggered=True, index=index, count=5)
+            assert ep._cursor == twin._cursor
             assert _read_state(ep, triggered) == _read_state(twin, triggered)
         assert ep.done()
-
-
-def test_fork_of_a_fork_steps_to_the_end():
-    ep = TwoSourceEpisode(TwoSourceParams(), seed=5)
-    ep.step(False)
-    fork = ep.fork(reseed=9, lookahead=1)
-    inner = fork.fork(reseed=3)
-    assert _read_state(inner, True) == _read_state(fork, True) == _read_state(ep, True)
-    steps = 1
-    while not inner.done():
-        inner.step(False)
-        steps += 1
-    assert steps == ep.params.horizon - 1
 
 
 def test_stepping_past_horizon_raises():
@@ -388,7 +389,7 @@ def test_sample_states_columns_are_pinned(params, seed, golden):
     assert _columns_digest(sample_states(params, 500, seed)) == golden
 
 
-# -- forks: a rollout sums the snapshot reward and its own reward noise --------
+# -- forks: a rollout's return sums the snapshot reward and its own noise -----
 
 
 def _repr_digest(values):
@@ -409,18 +410,14 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
     return labels
 
 
-def _rollout_rewards(params, lookahead, seeds=range(8)):
-    rewards = []
+def _rollout_returns(params, lookahead, seeds=range(8)):
+    returns = []
     for seed in seeds:
         ep = TwoSourceEpisode(params, seed)
         for t in range(params.horizon):
-            fork = ep.fork(reseed=100 * seed + t, lookahead=lookahead)
-            row = [fork.step(True)]
-            while not fork.done():
-                row.append(fork.step(False))
-            rewards.append(row)
+            returns.append(ep.fork(reseed=100 * seed + t, lookahead=lookahead, triggered=True))
             ep.step(False)
-    return rewards
+    return returns
 
 
 @pytest.mark.parametrize(
@@ -446,22 +443,25 @@ def test_paired_labels_are_pinned(params, knh, golden):
 @pytest.mark.parametrize(
     "lookahead, golden",
     [
-        (None, "b13c3e8e8a85c83b0fb40e6735df9e5b70ca0e6f15c582d7d2f41ca0438e14a4"),
-        (0, "9ed13776bbb9c1e141ab5d2e3820adfe5df9058f0ec41a8dcb9384ca9ac7c0e8"),
-        (2, "f88b062494e5f0f73a157731932ba85ced2c38fc48e353144ff9aa88418baa54"),
+        (None, "b641d2ed905d302dda3359228bbe73482a735dc6ffc7ff30e48a6e6db6f522f3"),
+        (0, "2bd6fb1e46a81dd48e1a5cb030539e6b5fdd0a2e93fc5616a1375f014958a989"),
+        (2, "385ab1603a75b70048c0d141966361cfaaf047b8da1acb0540c23567b08a347e"),
     ],
     ids=["to-horizon", "lookahead0", "lookahead2"],
 )
 def test_rollout_rewards_are_pinned(lookahead, golden):
+    # Each golden is the digest of the per-step rewards of version 0.3.0's
+    # stepped forks, each row summed in step order: a fork's return keeps
+    # the bits of the rollout it replaced.
     params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=7)
-    assert _repr_digest(_rollout_rewards(params, lookahead)) == golden
+    assert _repr_digest(_rollout_returns(params, lookahead)) == golden
 
 
 @pytest.mark.parametrize("lookahead", [-1, -4])
 def test_fork_rejects_negative_lookahead(lookahead):
     ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="lookahead must be nonnegative"):
-        ep.fork(reseed=1, lookahead=lookahead)
+        ep.fork(reseed=1, lookahead=lookahead, triggered=False)
 
 
 # -- sibling forks: one keyed draw per paired label ----------------------------
@@ -471,98 +471,74 @@ _COUNTS = [1, 5, 25]
 _LOOKAHEADS = [0, 1, 3, None]
 
 
-def _siblings(count, lookahead, order=None):
+def _siblings(count, lookahead, order=None, triggered=True):
     # A fresh parent each call, so no family's noise is shared with
     # another call; the forks are made in ``order``.
     ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
     ep.step(False)
-    forks = {i: ep.fork(5, lookahead, index=i, count=count) for i in (order or range(count))}
-    return [forks[i] for i in range(count)]
-
-
-def _rollout(fork):
-    # The intervention at the snapshot, then untriggered steps to the end.
-    rewards = [fork.step(True)]
-    while not fork.done():
-        rewards.append(fork.step(False))
-    return rewards
+    returns = {i: ep.fork(5, lookahead, triggered=triggered, index=i, count=count) for i in (order or range(count))}
+    return [returns[i] for i in range(count)]
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_sibling_noise_read_equals_observed_twin(count, lookahead):
-    # The twin is the one state derivation itself: sibling i's rewards
-    # past the snapshot (step 1) are base_reward plus its slice of the
-    # reward_noise column that _draw_states gives on stream(reseed) for
-    # the lookahead steps tiled count times, bit for bit, whether the
-    # siblings are made and read in forward or in reverse order.
+    # The twin is the one state derivation itself: sibling i's return is
+    # the snapshot's triggered reward, then base_reward plus each value of
+    # its slice of the reward_noise column that _draw_states gives on
+    # stream(reseed) for the lookahead steps tiled count times, added in
+    # step order, bit for bit, whether the siblings are made in forward
+    # or in reverse order.
     params = _SIBLING_PARAMS
     steps = np.arange(2, params.horizon if lookahead is None else min(2 + lookahead, params.horizon))
     m = len(steps)
-    noise = _draw_states(params, stream(5), np.tile(steps, count))["reward_noise"]
-    expected = [(params.base_reward + noise[i * m : (i + 1) * m]).tolist() for i in range(count)]
+    noise = _draw_states(params, stream(5), np.tile(steps, count))["reward_noise"].tolist()
+    columns = sample_states(params, params.horizon, 33)
+    snapshot = params.base_reward + columns["reward_noise"][1].item() + columns["true_utility"][1].item()
+    expected = []
+    for i in range(count):
+        total = snapshot
+        for z in noise[i * m : (i + 1) * m]:
+            total += params.base_reward + z
+        expected.append(total)
     for order in (list(range(count)), list(reversed(range(count)))):
-        forks = _siblings(count, lookahead, order)
-        rewards = {i: _rollout(forks[i])[1:] for i in order}
-        assert [rewards[i] for i in range(count)] == expected
+        assert _siblings(count, lookahead, order) == expected
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_siblings_are_pairwise_distinct(count, lookahead):
-    # Past the shared snapshot row no two siblings read alike; at
-    # lookahead 0 a sibling is done at the snapshot and reads nothing past it.
-    rollouts = [repr(_rollout(fork)[1:]) for fork in _siblings(count, lookahead)]
-    assert len(set(rollouts)) == (1 if lookahead == 0 else count)
+    # Siblings share the snapshot step and no noise past it; at lookahead
+    # 0 a sibling's return is the snapshot step alone.
+    for triggered in (False, True):
+        returns = _siblings(count, lookahead, triggered=triggered)
+        assert len(set(returns)) == (1 if lookahead == 0 else count)
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_fork_is_done_at_its_lookahead(count, lookahead):
-    # From every snapshot, first and last sibling, the snapshot step
-    # triggered or not: done after the snapshot step plus the lookahead,
-    # clipped at the horizon; then every read raises, as on a finished
-    # episode.
-    horizon = _SIBLING_PARAMS.horizon
-    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
-    for cursor in range(horizon):
-        expected = horizon - cursor if lookahead is None else min(1 + lookahead, horizon - cursor)
-        for index in sorted({0, count - 1}):
-            for triggered in (False, True):
-                fork = ep.fork(5, lookahead, index=index, count=count)
-                steps = 0
-                while not fork.done():
-                    fork.step(triggered and steps == 0)
-                    steps += 1
-                assert steps == expected
-                for read in (lambda: fork.step(False), lambda: fork.step(True),
-                             fork.observe, fork.debug_state, lambda: fork.fork(6)):
-                    with pytest.raises(EnvFault, match="finished"):
-                        read()
+    # Noise-free, from every snapshot, first and last sibling, the
+    # snapshot step triggered or not: the return adds base_reward once per
+    # step past the snapshot, min(lookahead, horizon - t - 1) times
+    # (horizon - t - 1 when None). On a finished episode a fork raises.
+    params = TwoSourceParams(noise_sd=0.0, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
+    ep = TwoSourceEpisode(params, 33)
+    for t in range(params.horizon):
+        past = params.horizon - t - 1 if lookahead is None else min(lookahead, params.horizon - t - 1)
+        for triggered in (False, True):
+            expected = params.base_reward + (ep.debug_state()["true_utility"] if triggered else 0.0)
+            for _ in range(past):
+                expected += params.base_reward
+            for index in sorted({0, count - 1}):
+                assert ep.fork(5, lookahead, triggered=triggered, index=index, count=count) == expected
         ep.step(False)
-
-
-@pytest.mark.parametrize("read", ["observe", "debug_state", "triggered-step", "fork"])
-def test_fork_refuses_reads_past_its_snapshot(read):
-    # Past its snapshot a fork takes untriggered steps only.
-    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
-    ep.step(False)
-    fork = ep.fork(5, lookahead=3)
-    fork.step(True)
-    fork.step(False)
-    reads = {
-        "observe": fork.observe,
-        "debug_state": fork.debug_state,
-        "triggered-step": lambda: fork.step(True),
-        "fork": lambda: fork.fork(6),
-    }
-    with pytest.raises(EnvFault, match="past its snapshot at step 1"):
-        reads[read]()
-    assert not fork.done()
+    with pytest.raises(EnvFault, match="finished"):
+        ep.fork(5, lookahead, triggered=False, index=count - 1, count=count)
 
 
 @pytest.mark.parametrize("index, count", [(0, 0), (0, -2), (-1, 5), (5, 5), (30, 25)])
 def test_fork_rejects_a_sibling_outside_its_family(index, count):
     ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="index < count"):
-        ep.fork(reseed=1, lookahead=2, index=index, count=count)
+        ep.fork(reseed=1, lookahead=2, triggered=True, index=index, count=count)
