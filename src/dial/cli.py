@@ -578,11 +578,15 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     )
     stationary = replace(params, p_i0=VERIFY_STATIONARY_P0, p_i_slope=0.0, noise_sd=noise)
     temporal_rows = []
+    expl = config.exploration
     for tag, point in (("drifting", drifting), ("stationary", stationary)):
         env = TwoSourceEnv(point)
         ds = run_exploration(
             env, eps=1.0, n_episodes=VERIFY_TEMPORAL_EPISODES,
             seed=derive_seed(verify_seed, f"temporal-{tag}"),
+            k_candidates=int(expl["k_candidates"]),
+            n_rollouts=int(expl["n_rollouts"]),
+            horizon_h=int(expl["horizon_h"]),
         )
         early, late, delta = temporal_split_rho(ds.records)
         temporal_rows.append(

@@ -12,6 +12,7 @@ unlabeled so whole-trajectory statistics stay computable.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Optional
@@ -298,7 +299,8 @@ def _line_fault(line: str, exc: Exception) -> str:
 def load_dataset_jsonl(path: str) -> LabeledDataset:
     """Read a file ``dataset_to_jsonl`` wrote. A fault in a line (bad
     JSON, a missing field, an invalid record, an ``obs`` value that is
-    not a number) is a ``ValueError`` that names the file and the line."""
+    not a finite number) is a ``ValueError`` that names the file and the
+    line."""
     records: List[StepRecord] = []
     shared_meta: Dict[str, Any] = {}
     first_line = 0
@@ -315,6 +317,13 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
                 record = StepRecord(**{k: row[k] for k in names if k in row})
                 if not set(map(type, record.obs.values())) <= {int, float}:  # json's numbers; a bool is neither
                     raise ValueError(f"obs must map names to numbers, got {record.obs!r}")
+                try:  # json reads NaN and Infinity, which the writer refuses; one sum finds them
+                    finite = math.isfinite(math.fsum(record.obs.values()))
+                except OverflowError:  # an int past float range, or a sum past it
+                    finite = False
+                if not finite:
+                    for key, value in record.obs.items():
+                        _obs_number(record, key, value)
                 records.append(record)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {_line_fault(line, exc)}") from exc

@@ -43,6 +43,7 @@ _ALIASES: Dict[str, Tuple[str, ...]] = {
 }
 
 N_LLM_FEATURES = 5
+HTTP_TIMEOUT_S = 60.0  # per proposal request
 
 
 class FeatureError(ValueError):
@@ -241,40 +242,30 @@ def summary_digest(summary: Dict[str, Any]) -> str:
 class HttpProposalClient(ProposalProvider):
     """Chat-completion client for the proposal step.
 
-    Configured via DIAL_LLM_URL / DIAL_LLM_KEY / DIAL_LLM_MODEL (or
-    constructor arguments). Replies are cached in a JSON file keyed by
-    the summary digest, so a run never re-queries for the same dataset.
-    Retries once on an unusable reply, then fails hard: silently
-    degrading the pool would bias ablations.
+    Configured via DIAL_LLM_URL / DIAL_LLM_KEY / DIAL_LLM_MODEL. Replies
+    are cached in the JSON file ``cache_path``, keyed by the summary
+    digest, so a run never re-queries for the same dataset. Retries once
+    on an unusable reply, then fails hard: silently degrading the pool
+    would bias ablations.
     """
 
-    def __init__(
-        self,
-        url: Optional[str] = None,
-        api_key: Optional[str] = None,
-        model: Optional[str] = None,
-        cache_path: Optional[str] = None,
-        timeout: float = 60.0,
-    ):
-        self.url = url or os.environ.get("DIAL_LLM_URL", "")
-        self.api_key = api_key or os.environ.get("DIAL_LLM_KEY", "")
-        self.model = model or os.environ.get("DIAL_LLM_MODEL", "")
+    def __init__(self, cache_path: str):
+        self.url = os.environ.get("DIAL_LLM_URL", "")
+        self.api_key = os.environ.get("DIAL_LLM_KEY", "")
+        self.model = os.environ.get("DIAL_LLM_MODEL", "")
         self.cache_path = cache_path
-        self.timeout = timeout
         if not self.url:
             raise ProviderError("no proposal endpoint configured (set DIAL_LLM_URL)")
 
     # -- cache ---------------------------------------------------------
 
     def _cache_load(self) -> Dict[str, Any]:
-        if not self.cache_path or not os.path.exists(self.cache_path):
+        if not os.path.exists(self.cache_path):
             return {}
         with open(self.cache_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
 
     def _cache_store(self, digest: str, items: List[Dict[str, str]]) -> None:
-        if not self.cache_path:
-            return
         cache = self._cache_load()
         cache[digest] = items
         text = json.dumps(cache, sort_keys=True, indent=1)  # before the file is touched
@@ -307,7 +298,7 @@ class HttpProposalClient(ProposalProvider):
         )
         try:
             # urlopen raises HTTPError on an error status
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
                 payload = json.loads(resp.read())
             return payload["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - network/shape faults all map to ProviderError
@@ -351,7 +342,7 @@ class HttpProposalClient(ProposalProvider):
 PROPOSAL_MODES = ("off", "mock", "http")  # the values of a config's gate.llm_features
 
 
-def proposal_client(mode: str, cache_path: Optional[str] = None) -> Optional[ProposalProvider]:
+def proposal_client(mode: str, cache_path: str) -> Optional[ProposalProvider]:
     """The provider a proposal mode names: none for "off", the offline
     mock, or the HTTP client caching its replies at ``cache_path``."""
     if mode == "off":

@@ -60,8 +60,7 @@ _PENALTY_SHARES = {
 
 
 class SingleClassError(ValueError):
-    """Both label classes are required; fall back to an intercept-only
-    gate (constant trigger probability) when only one class is present."""
+    """The training labels hold a single class; a gate needs both."""
 
 
 class GateError(ValueError):
@@ -116,6 +115,9 @@ class Standardizer:
             raise GateError(f"standardizer misaligned: {len(self.means)} means, {len(self.sds)} sds")
         if not np.all(self.sds > 0.0):
             raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
+        for name in ("means", "sds"):  # a model JSON may hold NaN or Infinity
+            if not np.isfinite(getattr(self, name)).all():
+                raise GateError(f"standardizer {name} must be finite, got {getattr(self, name).tolist()}")
         # (index, mean, sd) triples, built once: each decision standardizes in Python floats.
         object.__setattr__(self, "_stats", tuple(zip(range(len(self.sds)), self.means.tolist(), self.sds.tolist())))
 
@@ -147,9 +149,7 @@ def _dropped_columns(X: np.ndarray, means: np.ndarray, sds: np.ndarray, names: S
 def _check_two_classes(y: np.ndarray) -> None:
     classes = np.unique(y)
     if classes.size < 2:
-        raise SingleClassError(
-            "training labels contain a single class; fit an intercept-only gate instead"
-        )
+        raise SingleClassError(f"training labels contain a single class, {classes.tolist()}; a gate needs both")
     if not set(classes.tolist()) <= {0.0, 1.0}:
         raise GateError(f"labels must be binary, got classes {classes}")
 
@@ -512,6 +512,10 @@ class GateModel:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
         if not len(self.feature_specs) == len(self.standardizer.means) == len(self.weights):
             raise GateError("model misaligned: feature specs, standardizer means and weights differ in length")
+        if not np.isfinite(self.weights).all():
+            raise GateError(f"weights must be finite, got {self.weights.tolist()}")
+        if not math.isfinite(self.bias):
+            raise GateError(f"bias must be finite, got {self.bias!r}")
 
     @property
     def feature_names(self) -> Tuple[str, ...]:

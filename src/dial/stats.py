@@ -4,9 +4,10 @@ Conventions fixed here: Spearman uses average ranks for ties and the
 large-sample t approximation for p-values (flagged below n = 10), the
 two-sided t tail being I_{df/(df+t^2)}(df/2, 1/2) (Abramowitz & Stegun
 26.7.1) by its continued fraction (Numerical Recipes 6.4, modified Lentz);
-bootstrap intervals are seeded 95% percentile intervals with a
-deterministic per-resample seed schedule; quantile normalization uses
-the Hazen plotting position (rank - 0.5) / n with average ranks.
+the one bootstrap interval, of Spearman rho, is a seeded 95% percentile
+interval with a deterministic per-resample seed schedule; quantile
+normalization uses the Hazen plotting position (rank - 0.5) / n with
+average ranks.
 
 Rank method: one sort (``np.unique``) gives each value the index of its
 group of equal values; counting each group (``np.bincount``) and an
@@ -19,7 +20,7 @@ the integers and halves a fresh sort would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,45 +140,37 @@ def _validate_xy(x: Sequence[float], y: Sequence[float]) -> Tuple[np.ndarray, np
     return x, y
 
 
-def _corr_report(
-    x: np.ndarray, y: np.ndarray, kind: str,
-    ci: bool, b: int, seed: int,
-) -> CorrReport:
-    core = _pearson_core(average_ranks(x), average_ranks(y)) if kind == "spearman" else _pearson_core(x, y)
-    n = len(x)
+def _report(core: Optional[float], n: int) -> CorrReport:
     if core is None:
         return CorrReport(rho=float("nan"), n=n, p_value=float("nan"), degenerate=True, small_n=n < 10)
-    report = CorrReport(rho=core, n=n, p_value=_t_approx_p(core, n), small_n=n < 10)
-    if ci:
-        low, high = bootstrap_ci(np.column_stack((x, y)), stat=kind, b=b, seed=seed)
-        report = CorrReport(
-            rho=report.rho, n=n, p_value=report.p_value,
-            ci_low=low, ci_high=high, small_n=report.small_n,
-        )
-    return report
+    return CorrReport(rho=core, n=n, p_value=_t_approx_p(core, n), small_n=n < 10)
 
 
 def spearman(x: Sequence[float], y: Sequence[float], *, ci: bool = False,
              b: int = BOOTSTRAP_DEFAULT_B, seed: int = 0) -> CorrReport:
     """Spearman rho: Pearson of average ranks; constant input is flagged
-    degenerate rather than raising."""
+    degenerate rather than raising. ``ci`` adds ``bootstrap_ci``'s
+    interval to a report that is not degenerate."""
     x, y = _validate_xy(x, y)
-    return _corr_report(x, y, "spearman", ci, b, seed)
+    report = _report(_pearson_core(average_ranks(x), average_ranks(y)), len(x))
+    if ci and not report.degenerate:
+        low, high = bootstrap_ci(np.column_stack((x, y)), b=b, seed=seed)
+        report = replace(report, ci_low=low, ci_high=high)
+    return report
 
 
-def pearson(x: Sequence[float], y: Sequence[float], *, ci: bool = False,
-            b: int = BOOTSTRAP_DEFAULT_B, seed: int = 0) -> CorrReport:
+def pearson(x: Sequence[float], y: Sequence[float]) -> CorrReport:
     x, y = _validate_xy(x, y)
-    return _corr_report(x, y, "pearson", ci, b, seed)
+    return _report(_pearson_core(x, y), len(x))
 
 
 def bootstrap_ci(
     pairs: Sequence[Tuple[float, float]],
-    stat: str = "spearman",
     b: int = BOOTSTRAP_DEFAULT_B,
     seed: int = 0,
 ) -> Tuple[float, float]:
-    """Seeded 95% percentile interval over b resamples with replacement.
+    """Seeded 95% percentile interval of Spearman rho over b resamples
+    with replacement.
 
     Each resample draws its indices from its own derived stream, so the
     set of resample statistics does not depend on evaluation order.
@@ -186,24 +179,16 @@ def bootstrap_ci(
     """
     if b < 100:
         raise StatsError(f"need at least 100 resamples, got {b}")
-    if stat not in ("spearman", "pearson"):
-        raise StatsError(f"unknown statistic {stat!r}")
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise StatsError("pairs must be an (n >= 3, 2) array")
     _check_finite(arr)
     n = arr.shape[0]
-    x, y = arr[:, 0], arr[:, 1]
-    if stat == "spearman":
-        (gx, kx), (gy, ky) = _value_groups(x), _value_groups(y)
+    (gx, kx), (gy, ky) = _value_groups(arr[:, 0]), _value_groups(arr[:, 1])
     values = []
     for i in range(b):
         idx = rng_for(seed, "resample", i).integers(0, n, n)
-        core = (
-            _pearson_core(_group_ranks(gx[idx], kx), _group_ranks(gy[idx], ky))
-            if stat == "spearman"
-            else _pearson_core(x[idx], y[idx])
-        )
+        core = _pearson_core(_group_ranks(gx[idx], kx), _group_ranks(gy[idx], ky))
         if core is not None:
             values.append(core)
     if not values:

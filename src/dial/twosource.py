@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
@@ -92,8 +91,12 @@ class TwoSourceParams:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise InvalidParams(f"{f.name}: must be a real number, got {value!r}")
-            # Finite: not NaN (unequal to itself; success_threshold's default), infinite or past float range.
-            if not (abs(value) <= sys.float_info.max or (f.name == "success_threshold" and value != value)):
+            # Finite as a Python float (numpy compares a float32 in float32); an int past float range is not.
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if not (math.isfinite(number) or (f.name == "success_threshold" and math.isnan(number))):
                 raise InvalidParams(f"{f.name}: must be finite, got {value!r}")
         for name in ("alpha", "beta", "trigger_cost_units"):
             if not getattr(self, name) > 0:

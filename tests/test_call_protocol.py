@@ -118,3 +118,23 @@ def test_verify_forks_k_times_n_per_label(tmp_path, counts, monkeypatch):
     assert rollouts[0] > 0
     # One episode step per record: the forks step nothing.
     assert counts == {"decide": 0, "step": records[0], "fork": rollouts[0]}
+
+
+def test_verify_labels_with_the_configs_exploration_settings(tmp_path, monkeypatch):
+    # verify's artifacts carry the config's digest, so its labels use the
+    # config's exploration settings, not the library defaults.
+    raw = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    raw["exploration"].update(k_candidates=3, n_rollouts=2, horizon_h=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = cli.load_config(str(path), out_override=str(tmp_path / "out"))
+    real_explore, settings = cli.run_exploration, []
+
+    def exploring(*args, **kwargs):
+        dataset = real_explore(*args, **kwargs)
+        settings.append({k: dataset.meta[k] for k in ("k_candidates", "n_rollouts", "rollout_horizon")})
+        return dataset
+
+    monkeypatch.setattr(cli, "run_exploration", exploring)
+    cli.cmd_verify(config)
+    assert settings == [{"k_candidates": 3, "n_rollouts": 2, "rollout_horizon": 2}] * 2

@@ -521,6 +521,12 @@ def test_loader_rejects_mixed_env_meta(tmp_path):
          r"line 2: obs must map names to numbers, got \{.*'signal': 'x'"),
         (lambda row: json.dumps({**row, "obs": {"signal": False}}),
          r"line 2: obs must map names to numbers, got \{'signal': False\}$"),
+        (lambda row: json.dumps({**row, "obs": {**row["obs"], "signal": float("nan")}}),
+         r"line 2: episode 0, step 1: obs 'signal' must be a finite number, got nan$"),
+        (lambda row: json.dumps({**row, "obs": {**row["obs"], "step_count": float("-inf")}}),
+         r"line 2: episode 0, step 1: obs 'step_count' must be a finite number, got -inf$"),
+        (lambda row: json.dumps({**row, "obs": {**row["obs"], "step_count": 10**400}}),
+         r"line 2: episode 0, step 1: obs 'step_count' must be a finite number, got 1000"),
         (lambda row: json.dumps({**row, "triggered": 1}), r"line 2: triggered must be a bool, got 1$"),
         (lambda row: json.dumps({**row, "triggered": True, "utility_label": True}),
          r"line 2: utility_label must be binary, got True$"),
@@ -532,7 +538,8 @@ def test_loader_rejects_mixed_env_meta(tmp_path):
         (lambda row: json.dumps({**row, "step_index": True}), r"line 2: step_index must be a non-negative integer, got True$"),
     ],
     ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
-         "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool", "triggered-one", "label-bool",
+         "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool", "obs-nan", "obs-inf", "obs-huge",
+         "triggered-one", "label-bool",
          "label-float", "episode-text", "episode-negative", "step-fraction", "step-bool"],
 )
 def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):

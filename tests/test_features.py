@@ -291,30 +291,33 @@ GOOD_REPLY = json.dumps(
 )
 
 
-def _client(tmp_path, **kwargs):
-    return HttpProposalClient(
-        url="http://llm.invalid/v1/chat/completions",
-        api_key="key",
-        model="test-model",
-        cache_path=str(tmp_path / "cache.json"),
-        **kwargs,
-    )
+@pytest.fixture
+def endpoint(monkeypatch):
+    monkeypatch.setenv("DIAL_LLM_URL", "http://llm.invalid/v1/chat/completions")
+    monkeypatch.setenv("DIAL_LLM_KEY", "key")
+    monkeypatch.setenv("DIAL_LLM_MODEL", "test-model")
 
 
-def test_http_client_parses_good_reply(tmp_path, monkeypatch):
+def _client(tmp_path):
+    return HttpProposalClient(str(tmp_path / "cache.json"))
+
+
+def test_http_client_parses_good_reply(tmp_path, monkeypatch, endpoint):
     calls = []
 
     def fake_urlopen(request, timeout=None):
-        calls.append(json.loads(request.data))
+        calls.append((request.full_url, request.get_header("Authorization"), json.loads(request.data)))
         return FakeResponse("Here you go:\n" + GOOD_REPLY)
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     proposal = propose_llm_features({"n_steps": 10}, _client(tmp_path))
     assert len(proposal.specs) == 5
-    assert calls and calls[0]["model"] == "test-model"
+    # The endpoint, key and model are the environment's.
+    url, auth, body = calls[0]
+    assert (url, auth, body["model"]) == ("http://llm.invalid/v1/chat/completions", "Bearer key", "test-model")
 
 
-def test_http_client_uses_cache(tmp_path, monkeypatch):
+def test_http_client_uses_cache(tmp_path, monkeypatch, endpoint):
     calls = []
 
     def fake_urlopen(request, timeout=None):
@@ -329,7 +332,7 @@ def test_http_client_uses_cache(tmp_path, monkeypatch):
     assert len(calls) == 1  # second call answered from cache
 
 
-def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch):
+def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch, endpoint):
     calls = []
     intact = json.JSONEncoder.iterencode
 
@@ -354,15 +357,14 @@ def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch):
     assert len(calls) == 2  # the first reply is still cached
 
 
-def test_http_cache_creates_its_directory(tmp_path, monkeypatch):
+def test_http_cache_creates_its_directory(tmp_path, monkeypatch, endpoint):
     monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
-    client = HttpProposalClient(url="http://llm.invalid/v1/chat/completions",
-                                cache_path=str(tmp_path / "out" / "cache.json"))
+    client = HttpProposalClient(str(tmp_path / "out" / "cache.json"))
     client.propose({"n_steps": 10})
     assert list(json.loads((tmp_path / "out" / "cache.json").read_text()).values()) == [json.loads(GOOD_REPLY)]
 
 
-def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
+def test_http_client_retries_once_then_fails(tmp_path, monkeypatch, endpoint):
     calls = []
     four = json.dumps([{"name": f"h{i}", "expr": "signal"} for i in range(4)])
 
@@ -376,7 +378,7 @@ def test_http_client_retries_once_then_fails(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tmp_path, monkeypatch):
+def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tmp_path, monkeypatch, endpoint):
     calls = []
     bad = json.dumps([{"name": "high entropy", "expr": "signal"}] + json.loads(GOOD_REPLY)[1:])
 
@@ -394,7 +396,7 @@ def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tm
     assert len(calls) == 2  # the rerun is answered from the cache
 
 
-def test_http_client_unreachable(tmp_path, monkeypatch):
+def test_http_client_unreachable(tmp_path, monkeypatch, endpoint):
     def fake_urlopen(request, timeout=None):
         raise ConnectionError("no route to host")
 
@@ -413,7 +415,7 @@ class _Malformed(FakeResponse):
     TimeoutError("timed out"),
     "malformed",
 ])
-def test_http_client_maps_transport_faults(tmp_path, monkeypatch, fault):
+def test_http_client_maps_transport_faults(tmp_path, monkeypatch, endpoint, fault):
     def fake_urlopen(request, timeout=None):
         assert request.get_method() == "POST" and timeout == 60.0
         if fault == "malformed":
@@ -425,10 +427,10 @@ def test_http_client_maps_transport_faults(tmp_path, monkeypatch, fault):
         _client(tmp_path).propose({"n": 1})
 
 
-def test_http_client_requires_endpoint(monkeypatch):
+def test_http_client_requires_endpoint(tmp_path, monkeypatch):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     with pytest.raises(ProviderError):
-        HttpProposalClient()
+        HttpProposalClient(str(tmp_path / "cache.json"))
 
 
 # -- proposal modes ---------------------------------------------------------------
@@ -444,33 +446,33 @@ def no_network(monkeypatch):
     monkeypatch.setattr("urllib.request.urlopen", refuse)
 
 
-def test_proposal_mode_off_has_no_client(no_network):
-    assert proposal_client("off") is None
+def test_proposal_mode_off_has_no_client(no_network, tmp_path):
+    assert proposal_client("off", str(tmp_path / "cache.json")) is None
 
 
-def test_proposal_mode_mock_is_the_mock_client(no_network):
-    client = proposal_client("mock")
+def test_proposal_mode_mock_is_the_mock_client(no_network, tmp_path):
+    client = proposal_client("mock", str(tmp_path / "cache.json"))
     assert isinstance(client, MockProposalClient)
     assert len(propose_llm_features({"n_steps": 10}, client).specs) == 5
 
 
 def test_proposal_mode_http_caches_where_asked(no_network, monkeypatch, tmp_path):
     monkeypatch.setenv("DIAL_LLM_URL", "http://llm.invalid/v1/chat/completions")
-    client = proposal_client("http", cache_path=str(tmp_path / "cache.json"))
+    client = proposal_client("http", str(tmp_path / "cache.json"))
     assert isinstance(client, HttpProposalClient)
     assert client.cache_path == str(tmp_path / "cache.json")
 
 
-def test_proposal_mode_http_needs_an_endpoint(no_network, monkeypatch):
+def test_proposal_mode_http_needs_an_endpoint(no_network, monkeypatch, tmp_path):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     with pytest.raises(ProviderError, match="DIAL_LLM_URL"):
-        proposal_client("http")
+        proposal_client("http", str(tmp_path / "cache.json"))
 
 
 @pytest.mark.parametrize("mode", ["llm", "Mock", "", None])
-def test_proposal_mode_unknown_is_refused(no_network, mode):
+def test_proposal_mode_unknown_is_refused(no_network, tmp_path, mode):
     with pytest.raises(FeatureError, match="unknown proposal mode"):
-        proposal_client(mode)
+        proposal_client(mode, str(tmp_path / "cache.json"))
 
 
 def test_dsl_nested_calls():

@@ -633,6 +633,26 @@ def test_model_json_rejects_a_misaligned_model_at_load(tmp_path, corrupt):
 
 
 @pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda m: m["weights"].__setitem__(1, float("nan")), r"weights must be finite, got \[0.5, nan\]"),
+        (lambda m: m.update(bias=float("nan")), "bias must be finite, got nan"),
+        (lambda m: m["standardizer"]["means"].__setitem__(0, float("inf")),
+         r"standardizer means must be finite, got \[inf, 0.0\]"),
+    ],
+    ids=["nan-weight", "nan-bias", "inf-mean"],
+)
+def test_model_json_refuses_non_finite_numbers_by_name(tmp_path, corrupt, message):
+    # json reads NaN and Infinity; such a gate would score NaN and never trigger.
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    corrupt(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GateError, match=f"^{message}$"):
+        load_model_json(str(path))
+
+
+@pytest.mark.parametrize(
     "corrupt, key",
     [
         (lambda m: m.update(feature_names=["f0", "f1"]), "key 'feature_names'"),

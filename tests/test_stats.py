@@ -154,7 +154,7 @@ def test_bootstrap_default_resamples_is_1000():
 
 def test_bootstrap_exact_correlation_pins_interval():
     x = np.arange(10.0)
-    low, high = bootstrap_ci(list(zip(x, x)), stat="spearman", b=200, seed=0)
+    low, high = bootstrap_ci(list(zip(x, x)), b=200, seed=0)
     assert low == pytest.approx(1.0) and high == pytest.approx(1.0)
 
 
@@ -170,15 +170,16 @@ def test_bootstrap_order_independent_schedule():
 
 
 def test_bootstrap_coverage_monte_carlo():
-    # 95% interval should contain the true rho in >= 90 of 100 trials.
-    target = 0.5
-    cov = np.array([[1.0, target], [target, 1.0]])
-    chol = np.linalg.cholesky(cov)
+    # 95% interval should contain the true Spearman rho in >= 90 of 100
+    # trials; for a bivariate normal with correlation r it is (6/pi) asin(r/2).
+    r = 0.5
+    target = 6.0 / math.pi * math.asin(r / 2.0)
+    chol = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
     hits = 0
     for trial in range(100):
         rng = np.random.default_rng(10_000 + trial)
         xy = rng.standard_normal((200, 2)) @ chol.T
-        low, high = bootstrap_ci(list(map(tuple, xy)), stat="pearson", b=300, seed=trial)
+        low, high = bootstrap_ci(list(map(tuple, xy)), b=300, seed=trial)
         hits += int(low <= target <= high)
     assert hits >= 90
 
@@ -191,18 +192,15 @@ def test_corr_report_ci_brackets_rho():
     assert report.ci_low <= report.rho <= report.ci_high
 
 
-def _reference_bootstrap(pairs, stat, b, seed):
-    # Re-sorts every resample: Pearson of average ranks (or of the values),
-    # degenerate resamples skipped, then the 2.5 and 97.5 percentiles.
+def _reference_bootstrap(pairs, b, seed):
+    # Re-sorts every resample: Pearson of average ranks, degenerate
+    # resamples skipped, then the 2.5 and 97.5 percentiles.
     arr = np.asarray(pairs, dtype=float)
     n = len(arr)
     values = []
     for i in range(b):
         idx = rng_for(seed, "resample", i).integers(0, n, n)
-        xs, ys = arr[idx, 0], arr[idx, 1]
-        if stat == "spearman":
-            xs, ys = average_ranks(xs), average_ranks(ys)
-        report = pearson(xs, ys)
+        report = pearson(average_ranks(arr[idx, 0]), average_ranks(arr[idx, 1]))
         if not report.degenerate:
             values.append(report.rho)
     low, high = np.percentile(values, [2.5, 97.5])
@@ -221,19 +219,18 @@ _TIE_CASES = {
 }
 
 
-@pytest.mark.parametrize("stat", ["spearman", "pearson"])
-@pytest.mark.parametrize("case", sorted(_TIE_CASES))
-def test_bootstrap_equals_resorting_reference(stat, case):
+# The ids name the statistic the bootstrap takes, Spearman rho.
+@pytest.mark.parametrize("case", sorted(_TIE_CASES), ids=[f"{c}-spearman" for c in sorted(_TIE_CASES)])
+def test_bootstrap_equals_resorting_reference(case):
     pairs = _TIE_CASES[case]
-    assert bootstrap_ci(pairs, stat=stat, b=200, seed=11) == _reference_bootstrap(pairs, stat, 200, 11)
+    assert bootstrap_ci(pairs, b=200, seed=11) == _reference_bootstrap(pairs, 200, 11)
 
 
-@pytest.mark.parametrize("stat", ["spearman", "pearson"])
-@pytest.mark.parametrize("bad", [NAN, INF])
-def test_bootstrap_refuses_non_finite_pairs(stat, bad):
+@pytest.mark.parametrize("bad", [NAN, INF], ids=["nan-spearman", "inf-spearman"])
+def test_bootstrap_refuses_non_finite_pairs(bad):
     pairs = [(0.0, 1.0), (1.0, bad), (2.0, 0.5), (3.0, 2.0)]
     with pytest.raises(StatsError, match="non-finite"):
-        bootstrap_ci(pairs, stat=stat, b=100, seed=0)
+        bootstrap_ci(pairs, b=100, seed=0)
 
 
 # -- quantile normalization ------------------------------------------------------------
@@ -433,4 +430,4 @@ def test_report_csv_columns(tmp_path):
 
 def test_bootstrap_all_degenerate_resamples_error():
     with pytest.raises(StatsError):
-        bootstrap_ci([(1.0, 2.0)] * 10, stat="spearman", b=100, seed=0)
+        bootstrap_ci([(1.0, 2.0)] * 10, b=100, seed=0)

@@ -70,14 +70,22 @@ def test_non_integer_horizon_rejected(horizon):
         ({"noise_sd": float("nan")}, "noise_sd: must be finite"),
         ({"success_threshold": float("inf")}, "success_threshold: must be finite"),
         ({"alpha": 10**400}, "alpha: must be finite"),
+        ({"base_reward": np.float32("inf")}, "base_reward: must be finite"),
+        ({"noise_sd": np.float16("inf")}, "noise_sd: must be finite"),
         ({"beta": 0.0}, "beta: must be positive"),
     ],
-    ids=["reward-text", "slope-text", "alpha-text", "bool", "nan", "inf-threshold", "past-float-range", "beta-zero"],
+    ids=["reward-text", "slope-text", "alpha-text", "bool", "nan", "inf-threshold", "past-float-range",
+         "float32-inf", "float16-inf", "beta-zero"],
 )
 def test_ill_typed_params_refused_by_name(kwargs, message):
     # Never loaded as a string that later repeats or compares as text.
     with pytest.raises(InvalidParams, match=f"^{message}"):
         TwoSourceParams(**kwargs)
+
+
+def test_numpy_float_params_build():
+    params = TwoSourceParams(base_reward=np.float32(0.5), horizon=np.int64(4))
+    assert params.base_reward == 0.5 and params.success_threshold == 2.0
 
 
 @pytest.mark.parametrize(
