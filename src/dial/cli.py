@@ -300,8 +300,8 @@ def _write_once(path: str, text: str) -> None:
         os.unlink(tmp)
 
 
-def save_dataset_jsonl(dataset: LabeledDataset, path: str, env_meta: Optional[Dict[str, Any]] = None) -> None:
-    _write_once(path, dataset_to_jsonl(dataset, env_meta))
+def save_dataset_jsonl(dataset: LabeledDataset, path: str) -> None:
+    _write_once(path, dataset_to_jsonl(dataset))
 
 
 def save_model_json(model: GateModel, path: str) -> None:
@@ -372,8 +372,9 @@ def cmd_explore(config: RunConfig) -> str:
         n_rollouts=int(expl["n_rollouts"]),
         horizon_h=int(expl["horizon_h"]),
     )
+    dataset.meta.update(_provenance(config, input_digest=None))  # its seed is the run's, not the stream's
     path = _out(config, "dataset", "jsonl")
-    save_dataset_jsonl(dataset, path, env_meta=_provenance(config, input_digest=None))
+    save_dataset_jsonl(dataset, path)
     return path
 
 

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from .dsl import NUMBER_TYPES
 from .envs import EnvFault, Environment, Episode
-from .features import extract_universal, scalar_signal
+from .features import scalar_signal
 from .rng import derive_seed, rng_for, stream
 
 DEFAULT_EPS_EXPLORE = 0.5
@@ -39,8 +39,7 @@ class StepRecord:
     episode_id: int
     step_index: int
     obs: Dict[str, float]
-    triggered: bool
-    utility_label: Optional[int]
+    utility_label: Optional[int]  # None exactly when the step did not trigger
     signal: float
     latent_type_debug: Optional[str] = None       # simulator only, never a feature
     true_utility_debug: Optional[float] = None    # simulator only, never a feature
@@ -50,12 +49,8 @@ class StepRecord:
             value = getattr(self, name)
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if type(self.triggered) is not bool:
-            raise ValueError(f"triggered must be a bool, got {self.triggered!r}")
         if self.utility_label is not None and (type(self.utility_label) is not int or self.utility_label not in (0, 1)):
             raise ValueError(f"utility_label must be binary, got {self.utility_label!r}")
-        if self.triggered != (self.utility_label is not None):
-            raise ValueError("utility_label must be present exactly when the step triggered")
         if not isinstance(self.obs, dict):
             raise ValueError(f"obs must be an object, got {self.obs!r}")
         signal = self.signal  # finite: not NaN (fails every comparison), infinite or past float range
@@ -66,7 +61,7 @@ class StepRecord:
 @dataclass
 class LabeledDataset:
     """Ordered step records plus the dataset header: the collection
-    settings and any provenance, written as ``env_meta`` on every line."""
+    settings and any provenance, the first line of the dataset file."""
 
     records: List[StepRecord]
     meta: Dict[str, Any]
@@ -168,7 +163,6 @@ def run_exploration(
                     episode_id=ep_idx,
                     step_index=step_idx,
                     obs=obs,
-                    triggered=triggered,
                     utility_label=label,
                     signal=scalar_signal(obs),
                     latent_type_debug=None if debug is None else debug.get("latent_type"),
@@ -262,59 +256,59 @@ def _obs_number(record: StepRecord, key: str, value: Any) -> float:
                      f"obs {key!r} must be a finite number, got {value!r}")
 
 
-def dataset_to_jsonl(dataset: LabeledDataset, env_meta: Optional[Dict[str, Any]] = None) -> str:
-    """Serialize one record per line.
-
-    A line holds the StepRecord fields (utility_label null when absent,
-    obs as floats), the universal ``features`` (name->value map) and
-    ``env_meta``: the dataset header merged with ``env_meta``. The raw
-    observation and simulator debug fields ride along so feature pools
-    can be recomputed from the file.
+def dataset_to_jsonl(dataset: LabeledDataset) -> str:
+    """Serialize the dataset: line 1 is the header ``{"env_meta": meta}``,
+    then one StepRecord per line (utility_label null when the step did
+    not trigger, obs as floats). The raw observation and simulator debug
+    fields ride along so feature pools can be recomputed from the file.
     """
-    shared_meta = {**dataset.meta, **(env_meta or {})}
-    lines = []
+    lines = [json.dumps({"env_meta": dataset.meta}, sort_keys=True, allow_nan=False)]
     for r in dataset.records:
-        row = {
-            **vars(r),
-            "obs": {k: _obs_number(r, k, v) for k, v in r.obs.items()},
-            "features": extract_universal(r.obs),
-            "env_meta": shared_meta,
-        }
+        row = {**vars(r), "obs": {k: _obs_number(r, k, v) for k, v in r.obs.items()}}
         lines.append(json.dumps(row, sort_keys=True, allow_nan=False))  # NaN is not JSON
     return "\n".join(lines) + "\n"
 
 
+def _header(path: str, line: str) -> Dict[str, Any]:
+    """The dataset header that line 1 of ``path`` holds."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError:
+        row = None
+    if isinstance(row, dict) and list(row) == ["env_meta"] and isinstance(row["env_meta"], dict):
+        return row["env_meta"]
+    raise ValueError(f'{path}: line 1: not the dataset header {{"env_meta": {{...}}}} '
+                     "(a file with env_meta on every record has the older per-line layout)")
+
+
 def _line_fault(line: str, exc: Exception) -> str:
-    """What is wrong with a dataset line that failed to load with ``exc``."""
+    """What is wrong with a record line that failed to load with ``exc``."""
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON: {exc.msg} at column {exc.colno}"
     row = json.loads(line)
     if not isinstance(row, dict):
         return "not a JSON object"
-    required = ["env_meta"] + [f.name for f in fields(StepRecord) if f.default is MISSING]
-    missing = [k for k in required if k not in row]
-    return f"missing field {missing[0]!r}" if missing else str(exc)
+    missing = [f.name for f in fields(StepRecord) if f.default is MISSING and f.name not in row]
+    if missing:
+        return f"missing field {missing[0]!r}"
+    unknown = sorted(row.keys() - {f.name for f in fields(StepRecord)})
+    return f"unknown field {unknown[0]!r}" if unknown else str(exc)
 
 
 def load_dataset_jsonl(path: str) -> LabeledDataset:
-    """Read a file ``dataset_to_jsonl`` wrote. A fault in a line (bad
-    JSON, a missing field, an invalid record, an ``obs`` value that is
-    not a finite number) is a ``ValueError`` that names the file and the
-    line."""
+    """Read a file ``dataset_to_jsonl`` wrote. A line 1 that is not the
+    header, or a fault in a record line (bad JSON, a missing or unknown
+    field, an invalid record, an ``obs`` value that is not a finite
+    number), is a ``ValueError`` that names the file and the line."""
     records: List[StepRecord] = []
-    shared_meta: Dict[str, Any] = {}
-    first_line = 0
-    names = [f.name for f in fields(StepRecord)]
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        meta = _header(path, fh.readline())
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                meta = row["env_meta"]
-                # A field StepRecord gives a default (the debug fields) may be absent.
-                record = StepRecord(**{k: row[k] for k in names if k in row})
+                record = StepRecord(**json.loads(line))  # the debug fields have defaults and may be absent
                 if not set(map(type, record.obs.values())) <= {int, float}:  # json's numbers; a bool is neither
                     raise ValueError(f"obs must map names to numbers, got {record.obs!r}")
                 try:  # json reads NaN and Infinity, which the writer refuses; one sum finds them
@@ -325,12 +319,8 @@ def load_dataset_jsonl(path: str) -> LabeledDataset:
                     for key, value in record.obs.items():
                         _obs_number(record, key, value)
                 records.append(record)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {_line_fault(line, exc)}") from exc
-            if not first_line:
-                shared_meta, first_line = meta, lineno
-            elif meta != shared_meta:
-                raise ValueError(f"{path}: line {lineno}: env_meta differs from line {first_line}")
     if not records:
         raise ValueError(f"dataset file {path} holds no records")
-    return LabeledDataset(records=records, meta=shared_meta)
+    return LabeledDataset(records=records, meta=meta)

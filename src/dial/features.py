@@ -85,12 +85,6 @@ def _resolve(obs: Dict[str, Any], keys: Tuple[str, ...]) -> float:
     return 0.0
 
 
-def extract_universal(obs: Dict[str, Any]) -> Dict[str, float]:
-    """Universal feature values by name, in UNIVERSAL_FEATURES order;
-    unexposed signals default to zero."""
-    return {name: _resolve(obs, keys) for name, keys in _ALIASES.items()}
-
-
 def scalar_signal(obs: Dict[str, Any]) -> float:
     """The value the ``token_entropy`` feature reads from ``obs``."""
     return _resolve(obs, _ALIASES["token_entropy"])

@@ -369,11 +369,11 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-9a69751b.jsonl": "c340451312448c6b30b623a1e5bf6abd4cc65b6c702f3e6d987d35e65c2a5647",
-    "eval-9a69751b.json": "f43e0afa50b39d74cb4ee0d267daa4cecc18ebf1eb2c3d8b636a2fff6f5af437",
+    "dataset-9a69751b.jsonl": "f4b6924ad7906131c460864fb120b47f244df2d0760a44ce9b750fdff050c535",
+    "eval-9a69751b.json": "718f104b6333d20471296919a1ba9a1adb941ff85a2cfd511914e69972d2f08a",
     "eval_summary-9a69751b.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
-    "model-9a69751b.json": "2a50b3ffac715fc622eebbbdb32fc18b36e238c790ae5466e70f5d98302d10c1",
-    "stats-9a69751b.json": "a8014af3f9e9b95d0db3cdfbab6c72fad02a9daa5501e21acb7b7d273bf5d5cb",
+    "model-9a69751b.json": "2b71009c0420c3ba5f2113f5d71f50111704aa7e1382998935e1d83ef9e93a46",
+    "stats-9a69751b.json": "ed8644f647df87667c1aa8e4fe94bc0680aa573e3db5729a518bdedbf24f89ee",
     "stats_cells-9a69751b.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
     "trigger_profile-9a69751b.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
     "verify-9a69751b.json": "440d1168901b2520b73e7b696d941fb9b6a0e7a0df2325a145d023cd765684f6",

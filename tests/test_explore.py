@@ -20,7 +20,7 @@ from dial.explore import (
     load_dataset_jsonl,
     run_exploration,
 )
-from dial.features import extract_universal
+from dial.features import UNIVERSAL_FEATURES, extract_features, universal_specs
 from dial import twosource
 from dial.cli import save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
@@ -244,7 +244,7 @@ def test_trigger_decisions_independent_of_signal():
     ds = run_exploration(env, eps=0.5, n_episodes=1100, seed=4)
     assert len(ds.records) >= 10_000
     signals = np.array([r.signal for r in ds.records])
-    triggers = np.array([float(r.triggered) for r in ds.records])
+    triggers = np.array([float(r.utility_label is not None) for r in ds.records])
     corr = np.corrcoef(signals, triggers)[0, 1]
     assert abs(corr) < 0.03
 
@@ -347,7 +347,8 @@ def test_record_signal_is_the_value_the_gate_reads(obs, signal):
     ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode(obs)), eps=0.0, n_episodes=1, seed=0)
     assert len(ds.records) == 2
     for record in ds.records:
-        assert record.signal == signal == extract_universal(record.obs)["token_entropy"]
+        universal = dict(zip(UNIVERSAL_FEATURES, extract_features(universal_specs(), record.obs)))
+        assert record.signal == signal == universal["token_entropy"]
 
 
 @pytest.mark.parametrize(
@@ -371,18 +372,18 @@ def test_exploration_checks_label_settings_before_the_first_episode(setting, mes
 
 
 def test_step_record_label_trigger_consistency():
-    with pytest.raises(ValueError):
-        StepRecord(0, 0, {}, triggered=True, utility_label=None, signal=0.0)
-    with pytest.raises(ValueError):
-        StepRecord(0, 0, {}, triggered=False, utility_label=1, signal=0.0)
-    with pytest.raises(ValueError):
-        StepRecord(0, 0, {}, triggered=True, utility_label=2, signal=0.0)
+    # A label is None (the step did not trigger), 0 or 1; nothing else.
+    for label in (None, 0, 1):
+        assert StepRecord(0, 0, {}, utility_label=label, signal=0.0).utility_label == label
+    for label in (2, -1, True, 1.0):
+        with pytest.raises(ValueError, match="utility_label must be binary"):
+            StepRecord(0, 0, {}, utility_label=label, signal=0.0)
 
 
 def _tiny_dataset(labels):
     records = [
         StepRecord(0, i, {"signal": 0.1 * i, "step_count": float(i)},
-                   triggered=lab is not None, utility_label=lab, signal=0.1 * i)
+                   utility_label=lab, signal=0.1 * i)
         for i, lab in enumerate(labels)
     ]
     return LabeledDataset(records, {"env": "test"})
@@ -425,10 +426,11 @@ def test_jsonl_round_trip(tmp_path):
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.1))
     ds = run_exploration(env, eps=0.6, n_episodes=6, seed=5)
     path = tmp_path / "data.jsonl"
-    save_dataset_jsonl(ds, str(path), env_meta={"config_digest": "abc"})
+    ds.meta["config_digest"] = "abc"
+    save_dataset_jsonl(ds, str(path))
     loaded = load_dataset_jsonl(str(path))
     assert len(loaded.records) == len(ds.records)
-    assert loaded.meta == {**ds.meta, "config_digest": "abc"}
+    assert loaded.meta == ds.meta
     assert loaded.meta["eps_explore"] == 0.6
     for a, b in zip(ds.records, loaded.records):
         assert a.obs == b.obs and a.utility_label == b.utility_label
@@ -438,19 +440,19 @@ def test_jsonl_rewrite_of_a_loaded_file_is_byte_identical(tmp_path):
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.2, fidelity_q=0.7, p_i_slope=0.03))
     ds = run_exploration(env, eps=0.5, n_episodes=5, seed=12)
     path = tmp_path / "data.jsonl"
-    save_dataset_jsonl(ds, str(path), env_meta={"config_digest": "abc", "seed": 99, "tool_version": "x"})
+    ds.meta.update({"config_digest": "abc", "seed": 99, "tool_version": "x"})
+    save_dataset_jsonl(ds, str(path))
     assert dataset_to_jsonl(load_dataset_jsonl(str(path))) == path.read_text()
 
 
 def test_jsonl_contract_fields_present(tmp_path):
     env = TwoSourceEnv(TwoSourceParams())
     ds = run_exploration(env, eps=1.0, n_episodes=1, seed=6)
-    line = dataset_to_jsonl(ds).splitlines()[0]
+    header, line = dataset_to_jsonl(ds).splitlines()[:2]
+    assert json.loads(header) == {"env_meta": ds.meta}
     row = json.loads(line)
-    for field in ("episode_id", "step_index", "triggered", "utility_label", "features", "signal", "env_meta"):
-        assert field in row
-    assert set(row["features"]) == {
-        "step_count", "token_entropy", "evidence_count", "num_available_actions", "is_finish",
+    assert set(row) == {
+        "episode_id", "step_index", "obs", "utility_label", "signal", "latent_type_debug", "true_utility_debug",
     }
 
 
@@ -488,64 +490,80 @@ def test_loader_rejects_empty_file(tmp_path):
         load_dataset_jsonl(str(path))
 
 
-def test_loader_rejects_mixed_env_meta(tmp_path):
-    env = TwoSourceEnv(TwoSourceParams())
-    ds = run_exploration(env, eps=0.5, n_episodes=2, seed=8)
-    lines = dataset_to_jsonl(ds, {"config_digest": "abc"}).splitlines()
-    row = json.loads(lines[2])
-    row["env_meta"]["config_digest"] = "xyz"
-    lines[2] = json.dumps(row)
-    path = tmp_path / "mixed.jsonl"
+def test_loader_refuses_the_per_line_header_layout(tmp_path):
+    # Each line of the older layout is a record carrying the header as
+    # env_meta and the universal features; it has no header line.
+    row = {"episode_id": 0, "step_index": 0, "obs": {"signal": 0.5, "step_count": 0.0},
+           "triggered": True, "utility_label": 1, "signal": 0.5,
+           "latent_type_debug": "D", "true_utility_debug": 0.25,
+           "features": {"step_count": 0.0, "token_entropy": 0.5, "evidence_count": 0.0,
+                        "num_available_actions": 0.0, "is_finish": 0.0},
+           "env_meta": {"env": "two_source", "seed": 1, "config_digest": "abc"}}
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(row, sort_keys=True) + "\n")
+    message = f'{path}: line 1: not the dataset header {{"env_meta": {{...}}}} ('
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_dataset_jsonl(str(path))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [None, "", "{", "[]", '{"env_meta": []}', '{"env_meta": {}, "seed": 1}', '{"meta": {}}'],
+    ids=["no-header", "blank", "bad-json", "not-an-object", "meta-list", "extra-key", "other-key"],
+)
+def test_loader_refuses_a_bad_header_at_line_1(tmp_path, header):
+    ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)
+    lines = dataset_to_jsonl(ds).splitlines()
+    lines[:1] = [] if header is None else [header]  # no header: line 1 is episode 0's step 0
+    path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line 3: env_meta differs from line 1"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: not the dataset header"):
         load_dataset_jsonl(str(path))
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda row: "{" + json.dumps(row), r"line 2: invalid JSON: Expecting property name enclosed in double "
+        (lambda row: "{" + json.dumps(row), r"line 3: invalid JSON: Expecting property name enclosed in double "
                                             r"quotes at column 2$"),
-        (lambda row: json.dumps({k: v for k, v in row.items() if k != "env_meta"}), r"line 2: missing field 'env_meta'$"),
-        (lambda row: json.dumps({k: v for k, v in row.items() if k != "signal"}), r"line 2: missing field 'signal'$"),
-        (lambda row: json.dumps({**row, "triggered": True, "utility_label": 2}),
-         r"line 2: utility_label must be binary, got 2$"),
-        (lambda row: json.dumps(list(row)), r"line 2: not a JSON object$"),
-        (lambda row: json.dumps({**row, "signal": "x"}), r"line 2: signal must be a finite number, got 'x'$"),
-        (lambda row: json.dumps({**row, "signal": True}), r"line 2: signal must be a finite number, got True$"),
-        (lambda row: json.dumps({**row, "signal": float("nan")}), r"line 2: signal must be a finite number, got nan$"),
-        (lambda row: json.dumps({**row, "signal": 10**400}), r"line 2: signal must be a finite number, got 1000"),
-        (lambda row: json.dumps({**row, "obs": None}), r"line 2: obs must be an object, got None$"),
-        (lambda row: json.dumps({**row, "obs": [0.5]}), r"line 2: obs must be an object, got \[0.5\]$"),
+        (lambda row: json.dumps({k: v for k, v in row.items() if k != "signal"}), r"line 3: missing field 'signal'$"),
+        (lambda row: json.dumps({**row, "utility_label": 2}), r"line 3: utility_label must be binary, got 2$"),
+        (lambda row: json.dumps(list(row)), r"line 3: not a JSON object$"),
+        (lambda row: json.dumps({**row, "signal": "x"}), r"line 3: signal must be a finite number, got 'x'$"),
+        (lambda row: json.dumps({**row, "signal": True}), r"line 3: signal must be a finite number, got True$"),
+        (lambda row: json.dumps({**row, "signal": float("nan")}), r"line 3: signal must be a finite number, got nan$"),
+        (lambda row: json.dumps({**row, "signal": 10**400}), r"line 3: signal must be a finite number, got 1000"),
+        (lambda row: json.dumps({**row, "obs": None}), r"line 3: obs must be an object, got None$"),
+        (lambda row: json.dumps({**row, "obs": [0.5]}), r"line 3: obs must be an object, got \[0.5\]$"),
         (lambda row: json.dumps({**row, "obs": {**row["obs"], "signal": "x"}}),
-         r"line 2: obs must map names to numbers, got \{.*'signal': 'x'"),
+         r"line 3: obs must map names to numbers, got \{.*'signal': 'x'"),
         (lambda row: json.dumps({**row, "obs": {"signal": False}}),
-         r"line 2: obs must map names to numbers, got \{'signal': False\}$"),
+         r"line 3: obs must map names to numbers, got \{'signal': False\}$"),
         (lambda row: json.dumps({**row, "obs": {**row["obs"], "signal": float("nan")}}),
-         r"line 2: episode 0, step 1: obs 'signal' must be a finite number, got nan$"),
+         r"line 3: episode 0, step 1: obs 'signal' must be a finite number, got nan$"),
         (lambda row: json.dumps({**row, "obs": {**row["obs"], "step_count": float("-inf")}}),
-         r"line 2: episode 0, step 1: obs 'step_count' must be a finite number, got -inf$"),
+         r"line 3: episode 0, step 1: obs 'step_count' must be a finite number, got -inf$"),
         (lambda row: json.dumps({**row, "obs": {**row["obs"], "step_count": 10**400}}),
-         r"line 2: episode 0, step 1: obs 'step_count' must be a finite number, got 1000"),
-        (lambda row: json.dumps({**row, "triggered": 1}), r"line 2: triggered must be a bool, got 1$"),
-        (lambda row: json.dumps({**row, "triggered": True, "utility_label": True}),
-         r"line 2: utility_label must be binary, got True$"),
-        (lambda row: json.dumps({**row, "triggered": True, "utility_label": 1.0}),
-         r"line 2: utility_label must be binary, got 1.0$"),
-        (lambda row: json.dumps({**row, "episode_id": "a"}), r"line 2: episode_id must be a non-negative integer, got 'a'$"),
-        (lambda row: json.dumps({**row, "episode_id": -1}), r"line 2: episode_id must be a non-negative integer, got -1$"),
-        (lambda row: json.dumps({**row, "step_index": 2.5}), r"line 2: step_index must be a non-negative integer, got 2.5$"),
-        (lambda row: json.dumps({**row, "step_index": True}), r"line 2: step_index must be a non-negative integer, got True$"),
+         r"line 3: episode 0, step 1: obs 'step_count' must be a finite number, got 1000"),
+        (lambda row: json.dumps({**row, "triggered": 1}), r"line 3: unknown field 'triggered'$"),
+        (lambda row: json.dumps({**row, "features": {"step_count": 1.0}}), r"line 3: unknown field 'features'$"),
+        (lambda row: json.dumps({**row, "env_meta": {"env": "x"}}), r"line 3: unknown field 'env_meta'$"),
+        (lambda row: json.dumps({**row, "utility_label": True}), r"line 3: utility_label must be binary, got True$"),
+        (lambda row: json.dumps({**row, "utility_label": 1.0}), r"line 3: utility_label must be binary, got 1.0$"),
+        (lambda row: json.dumps({**row, "episode_id": "a"}), r"line 3: episode_id must be a non-negative integer, got 'a'$"),
+        (lambda row: json.dumps({**row, "episode_id": -1}), r"line 3: episode_id must be a non-negative integer, got -1$"),
+        (lambda row: json.dumps({**row, "step_index": 2.5}), r"line 3: step_index must be a non-negative integer, got 2.5$"),
+        (lambda row: json.dumps({**row, "step_index": True}), r"line 3: step_index must be a non-negative integer, got True$"),
     ],
-    ids=["bad-json", "no-env-meta", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
+    ids=["bad-json", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
          "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool", "obs-nan", "obs-inf", "obs-huge",
-         "triggered-one", "label-bool",
+         "triggered-one", "features", "env-meta", "label-bool",
          "label-float", "episode-text", "episode-negative", "step-fraction", "step-bool"],
 )
 def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):
     ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)
-    lines = dataset_to_jsonl(ds).splitlines()
-    lines[1] = edit(json.loads(lines[1]))
+    lines = dataset_to_jsonl(ds).splitlines()  # the header, then episode 0's steps 0, 1, ...
+    lines[2] = edit(json.loads(lines[2]))
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):

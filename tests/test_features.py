@@ -20,9 +20,9 @@ from dial.features import (
     UNIVERSAL_FEATURES,
     build_pool,
     extract_features,
-    extract_universal,
     proposal_client,
     propose_llm_features,
+    universal_specs,
 )
 
 SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4.0, "is_finish": 0.0}
@@ -31,25 +31,25 @@ SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4
 # -- universal / derived -----------------------------------------------------
 
 
+def _universal(obs):
+    return extract_features(universal_specs(), obs).tolist()
+
+
 def test_universal_maps_simulator_observation():
-    vec = extract_universal(SIM_OBS)
-    assert tuple(vec) == UNIVERSAL_FEATURES
-    assert list(vec.values()) == [3.0, 0.7, 0.0, 4.0, 0.0]
+    assert tuple(spec.name for spec in universal_specs()) == UNIVERSAL_FEATURES
+    assert _universal(SIM_OBS) == [3.0, 0.7, 0.0, 4.0, 0.0]
 
 
 def test_universal_defaults_to_zero_for_unexposed_signals():
-    vec = extract_universal({"step_count": 2.0, "signal": 0.4})
-    assert list(vec.values()) == [2.0, 0.4, 0.0, 0.0, 0.0]
+    assert _universal({"step_count": 2.0, "signal": 0.4}) == [2.0, 0.4, 0.0, 0.0, 0.0]
 
 
 def test_finish_flag_passes_through():
-    vec = extract_universal({**SIM_OBS, "is_finish": 1.0})
-    assert vec["is_finish"] == 1.0
+    assert _universal({**SIM_OBS, "is_finish": 1.0})[UNIVERSAL_FEATURES.index("is_finish")] == 1.0
 
 
 def test_universal_prefers_exact_names_over_aliases():
-    vec = extract_universal({"token_entropy": 0.9, "signal": 0.1})
-    assert vec["token_entropy"] == 0.9
+    assert _universal({"token_entropy": 0.9, "signal": 0.1})[UNIVERSAL_FEATURES.index("token_entropy")] == 0.9
 
 
 def test_numpy_scalars_read_as_the_numbers_they_hold():
@@ -57,7 +57,7 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     # np.bool_; np.float32 too. numpy's str_ is text, never a number.
     obs = {"step_count": np.int64(3), "signal": np.float32(0.5), "type_proxy": np.bool_(True),
            "num_options": np.uint8(4), "is_finish": np.bool_(False), "note": np.str_("7")}
-    assert list(extract_universal(obs).values()) == [3.0, 0.5, 1.0, 4.0, 0.0]
+    assert _universal(obs) == [3.0, 0.5, 1.0, 4.0, 0.0]
     assert parse_expr("step_count * 2 + type_proxy")(obs) == 7.0
     assert parse_expr("note + 1")(obs) == 1.0
     assert parse_expr("length(note)")(obs) == 1.0

@@ -310,8 +310,7 @@ def test_transform_domain_validation():
 
 
 def _record(step, signal, label):
-    return StepRecord(0, step, {"signal": signal}, triggered=label is not None,
-                      utility_label=label, signal=signal)
+    return StepRecord(0, step, {"signal": signal}, utility_label=label, signal=signal)
 
 
 def test_temporal_split_errors_on_single_step_episodes():
