@@ -59,7 +59,7 @@ from .gate import (
     model_to_dict,
     weight_diagnostic,
 )
-from .evaluate import PolicySpec, run_deployment
+from .evaluate import EvalError, PolicySpec, run_deployment
 from .rng import derive_seed
 from .stats import (
     REPORT_COLUMNS,
@@ -166,10 +166,16 @@ def _is_number(value: Any, kinds: Any = (int, float)) -> bool:
 
 def load_config(path: str, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> RunConfig:
-    """Parse, merge with defaults, and validate every section before any
-    work starts. Unknown keys are errors, not warnings."""
+    """Read the JSON config at ``path`` and check it (``_config_from_dict``)."""
     with open(path, "r", encoding="utf-8") as fh:
         user = json.load(fh)
+    return _config_from_dict(user, seed_override, out_override)
+
+
+def _config_from_dict(user: Any, seed_override: Optional[int] = None,
+                      out_override: Optional[str] = None) -> RunConfig:
+    """Merge a parsed config with the defaults, and validate every section
+    before any work starts. Unknown keys are errors, not warnings."""
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     unknown_top = sorted(set(user) - set(_DEFAULT_CONFIG))
@@ -262,16 +268,11 @@ def _parse_policy(index: int, spec: Any, model: Optional[GateModel]) -> Optional
     extra = set(spec) - {"kind", "signal", "direction", "threshold"}
     if extra:
         raise ConfigError(f"{entry}.{sorted(extra)[0]}: unknown key")
-    signal = spec.get("signal", "signal")
-    if not (isinstance(signal, str) and signal):
-        raise ConfigError(f"{entry}.signal: must be a non-empty string, got {signal!r}")
-    direction = spec.get("direction", 1)
-    if not (_is_number(direction, int) and direction in (1, -1)):
-        raise ConfigError(f"{entry}.direction: must be the integer 1 or -1, got {direction!r}")
-    threshold = spec.get("threshold", 0.5)
-    if not (_is_number(threshold) and abs(threshold) <= sys.float_info.max):  # not NaN or infinite
-        raise ConfigError(f"{entry}.threshold: must be a finite number, got {threshold!r}")
-    return PolicySpec("fixed_threshold", signal=signal, direction=direction, threshold=float(threshold))
+    try:
+        return PolicySpec("fixed_threshold", signal=spec.get("signal", "signal"),
+                          direction=spec.get("direction", 1), threshold=spec.get("threshold", 0.5))
+    except EvalError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{entry}.{exc}") from exc
 
 
 # -- output discipline ---------------------------------------------------------
@@ -429,35 +430,17 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
     policies = [_parse_policy(index, raw_spec, model) for index, raw_spec in enumerate(config.eval["policies"])]
     results = run_deployment(env, policies, n_episodes, eval_seed)
 
-    payload = {
-        "provenance": _provenance(config, _file_digest(model_path)),
-        "results": [
-            {
-                "policy": r.policy,
-                "env": r.env_id,
-                "sr": r.sr,
-                "cost_x_base": r.cost_x_base,
-                "trigger_rate": r.trigger_rate,
-                "n_episodes": r.n_episodes,
-                "per_step_trigger": [
-                    {"step": p.step_index, "rate": p.rate, "ci_low": p.ci_low, "ci_high": p.ci_high, "n": p.n}
-                    for p in r.per_step_trigger
-                ],
-            }
-            for r in results
-        ],
-    }
     paths = {"json": _out(config, "eval", "json"), "summary": _out(config, "eval_summary", "csv"),
              "profile": _out(config, "trigger_profile", "csv")}
-    write_report_json(paths["json"], payload)
+    write_report_json(paths["json"], {"provenance": _provenance(config, _file_digest(model_path)), "results": results})
     summary = [
-        {"policy": r.policy, "env": r.env_id, "SR": f"{r.sr:.6f}",
+        {"policy": r.policy, "env": r.env, "SR": f"{r.sr:.6f}",
          "cost_x_base": f"{r.cost_x_base:.6f}", "trigger_rate": f"{r.trigger_rate:.6f}"}
         for r in results
     ]
     write_report_csv(paths["summary"], summary, ("policy", "env", "SR", "cost_x_base", "trigger_rate"))
     profile = [
-        {"policy": r.policy, "step": p.step_index, "trigger_rate": f"{p.rate:.6f}",
+        {"policy": r.policy, "step": p.step, "trigger_rate": f"{p.rate:.6f}",
          "ci_low": f"{p.ci_low:.6f}", "ci_high": f"{p.ci_high:.6f}", "n": p.n}
         for r in results
         for p in r.per_step_trigger
@@ -643,8 +626,10 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
 
 def cmd_sweep(config: RunConfig, axis: str) -> str:
     """Run explore -> fit -> eval for each value on one config axis,
-    each run isolated in its own output directory. A run's config.json
-    leaves out ``output_dir``, so it reads the same wherever the sweep is."""
+    each run isolated in its own output directory. Every value's config
+    is checked, and a repeated value refused, before the first run
+    starts. A run's config.json leaves out ``output_dir``, so it reads
+    the same wherever the sweep is."""
     try:
         key_path, values_text = axis.split("=", 1)
         section, key = key_path.split(".", 1)
@@ -656,20 +641,26 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
     if not values:
         raise ConfigError("sweep axis has no values")
 
-    summary_rows = []
     sweep_dir = os.path.join(config.output_dir, f"sweep_{section}.{key}")
+    runs = []  # (value, its run's config, the config.json it writes)
     for value in values:
-        raw = copy.deepcopy(config.raw)
         try:
             parsed: Any = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
+        if any(parsed == earlier[section][key] for _, _, earlier in runs):  # 0.5 == 0.50
+            raise ConfigError(f"sweep axis {section}.{key}: value {value} repeats an earlier value")
+        raw = copy.deepcopy(config.raw)
         raw[section][key] = parsed
         del raw["output_dir"]
-        sub_dir = os.path.join(sweep_dir, f"{key}={value}")
-        sub_path = os.path.join(sub_dir, "config.json")
-        write_report_json(sub_path, raw)
-        sub_config = load_config(sub_path, out_override=sub_dir)
+        try:
+            runs.append((value, _config_from_dict(raw, out_override=os.path.join(sweep_dir, f"{key}={value}")), raw))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep axis {section}.{key}={value}: {exc}") from exc
+
+    summary_rows = []
+    for value, sub_config, raw in runs:
+        write_report_json(os.path.join(sub_config.output_dir, "config.json"), raw)
         dataset_path = cmd_explore(sub_config)
         model_path = cmd_fit(sub_config, dataset_path)
         outputs = cmd_eval(sub_config, model_path)

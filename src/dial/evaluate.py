@@ -14,6 +14,7 @@ triggered steps, normalized by the never-trigger baseline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,11 +44,15 @@ class PolicySpec:
         kinds = ("base_only", "always_trigger", "fixed_threshold", "dial", "reversed_dial")
         if self.kind not in kinds:
             raise EvalError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "fixed_threshold":
-            if self.direction not in (1, -1):
-                raise EvalError(f"fixed_threshold direction must be +1 or -1, got {self.direction}")
-            if not self.signal:
-                raise EvalError("fixed_threshold needs a signal name")
+        if self.kind == "fixed_threshold":  # each refusal starts with the field's name
+            if not (isinstance(self.signal, str) and self.signal):
+                raise EvalError(f"signal: must be a non-empty string, got {self.signal!r}")
+            if type(self.direction) is not int or self.direction not in (1, -1):  # a bool is not an int here
+                raise EvalError(f"direction: must be the integer 1 or -1, got {self.direction!r}")
+            theta = self.threshold  # finite: not NaN (fails every comparison), infinite or past float range
+            if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max):
+                raise EvalError(f"threshold: must be a finite number, got {theta!r}")
+            object.__setattr__(self, "threshold", float(theta))
         if self.kind in ("dial", "reversed_dial") and self.model is None:
             raise EvalError(f"{self.kind} policy needs a fitted gate model")
 
@@ -79,7 +84,7 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class PerStepTrigger:
-    step_index: int
+    step: int
     rate: float
     ci_low: float
     ci_high: float
@@ -93,9 +98,8 @@ class EvalResult:
     trigger_rate: float
     per_step_trigger: Tuple[PerStepTrigger, ...]
     n_episodes: int
-    seed: int
     policy: str = ""
-    env_id: str = ""
+    env: str = ""
 
 
 def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
@@ -166,9 +170,8 @@ def run_deployment(
                 for t, (hits, n) in enumerate(zip(hits_at, n_at))
             ),
             n_episodes=n_episodes,
-            seed=seed,
             policy=policy.name(),
-            env_id=env.env_id,
+            env=env.env_id,
         )
         for policy, hits_at, n_at, cost, wins in zip(policies, step_triggers, step_counts, costs, successes)
     ]

@@ -181,6 +181,21 @@ def _proposal(items: Sequence[Dict[str, Any]]) -> FeatureProposal:
     ))
 
 
+def _proposal_items(items: Any) -> List[Dict[str, str]]:
+    """The name and expr of each proposed feature, once ``items`` (a
+    parsed reply or a cache entry) passes the checks propose_llm_features
+    makes, so an unusable reply is retried, never cached, and an unusable
+    cache entry is never used."""
+    if not (isinstance(items, list)
+            and all(isinstance(item, dict) and "name" in item and "expr" in item for item in items)):
+        raise ProviderError("each proposed feature needs 'name' and 'expr'")
+    try:
+        proposal = _proposal(items)
+    except (FeatureError, DslError) as exc:
+        raise ProviderError(f"proposal rejected: {exc}") from exc
+    return [{"name": spec.name, "expr": spec.extractor} for spec in proposal.specs]
+
+
 def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> FeatureProposal:
     """Ask a provider for five task-specific features for this dataset."""
     return _proposal(client.propose(summary))
@@ -254,10 +269,18 @@ class HttpProposalClient(ProposalProvider):
     # -- cache ---------------------------------------------------------
 
     def _cache_load(self) -> Dict[str, Any]:
+        """The cache file's object, empty when there is no file; a file
+        that does not parse as a JSON object is refused, naming its path."""
         if not os.path.exists(self.cache_path):
             return {}
         with open(self.cache_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                cache = json.load(fh)
+            except json.JSONDecodeError:
+                cache = None
+        if not isinstance(cache, dict):
+            raise ProviderError(f"proposal cache {self.cache_path} is not a JSON object")
+        return cache
 
     def _cache_store(self, digest: str, items: List[Dict[str, str]]) -> None:
         cache = self._cache_load()
@@ -307,20 +330,16 @@ class HttpProposalClient(ProposalProvider):
             items = json.loads(content[start : end + 1])
         except json.JSONDecodeError as exc:
             raise ProviderError(f"reply is not valid JSON: {exc}") from exc
-        if not all(isinstance(item, dict) and "name" in item and "expr" in item for item in items):
-            raise ProviderError("each proposed feature needs 'name' and 'expr'")
-        try:
-            # the checks propose_llm_features makes, so an unusable reply is retried, never cached
-            proposal = _proposal(items)
-        except (FeatureError, DslError) as exc:
-            raise ProviderError(f"proposal rejected: {exc}") from exc
-        return [{"name": spec.name, "expr": spec.extractor} for spec in proposal.specs]
+        return _proposal_items(items)
 
     def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
         digest = summary_digest(summary)
         cache = self._cache_load()
         if digest in cache:
-            return cache[digest]
+            try:
+                return _proposal_items(cache[digest])
+            except ProviderError as exc:
+                raise ProviderError(f"proposal cache {self.cache_path}: entry {digest}: {exc}") from exc
         prompt = PROMPT_TEMPLATE.format(summary=json.dumps(summary, sort_keys=True, default=str, indent=1))
         last_error: Optional[Exception] = None
         for _ in range(2):  # one retry on an unusable reply

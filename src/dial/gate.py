@@ -103,30 +103,6 @@ def objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float, r
 # -- standardization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Location and population sd of each feature a gate reads, as fitted."""
-
-    means: np.ndarray
-    sds: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.means) != len(self.sds):
-            raise GateError(f"standardizer misaligned: {len(self.means)} means, {len(self.sds)} sds")
-        if not np.all(self.sds > 0.0):
-            raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
-        for name in ("means", "sds"):  # a model JSON may hold NaN or Infinity
-            if not np.isfinite(getattr(self, name)).all():
-                raise GateError(f"standardizer {name} must be finite, got {getattr(self, name).tolist()}")
-        # (index, mean, sd) triples, built once: each decision standardizes in Python floats.
-        object.__setattr__(self, "_stats", tuple(zip(range(len(self.sds)), self.means.tolist(), self.sds.tolist())))
-
-    def apply_matrix(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != len(self.means):
-            raise GateError(f"feature dimension mismatch: got {X.shape[1]}, expected {len(self.means)}")
-        return (X - self.means) / self.sds
-
-
 def _dropped_columns(X: np.ndarray, means: np.ndarray, sds: np.ndarray, names: Sequence[str]) -> Dict[str, str]:
     """Why a gate drops each column it does not read: zero variance, or
     standardized values bit-equal to an earlier read column's (with both,
@@ -495,12 +471,13 @@ def mi_topk_select(
 
 @dataclass(frozen=True)
 class GateModel:
-    """Deployable gate: the features it reads, their standardizer, signed
-    weights, bias, and decision threshold."""
+    """Deployable gate: the features it reads, the location and population
+    sd of each as fitted, signed weights, bias, and decision threshold."""
 
     feature_specs: Tuple[FeatureSpec, ...]  # the features the gate reads, each once
-    standardizer: Standardizer
-    weights: np.ndarray            # aligned with feature_specs
+    means: np.ndarray              # aligned with feature_specs, as are sds and weights
+    sds: np.ndarray
+    weights: np.ndarray
     bias: float
     tau: float
     regularizer: str
@@ -510,12 +487,18 @@ class GateModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
-        if not len(self.feature_specs) == len(self.standardizer.means) == len(self.weights):
-            raise GateError("model misaligned: feature specs, standardizer means and weights differ in length")
-        if not np.isfinite(self.weights).all():
-            raise GateError(f"weights must be finite, got {self.weights.tolist()}")
+        if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
+            raise GateError("model misaligned: feature specs, standardizer means, sds and weights differ in length")
+        if not np.all(self.sds > 0.0):
+            raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
+        finite = (("standardizer means", self.means), ("standardizer sds", self.sds), ("weights", self.weights))
+        for name, values in finite:  # a model JSON may hold NaN or Infinity
+            if not np.isfinite(values).all():
+                raise GateError(f"{name} must be finite, got {values.tolist()}")
         if not math.isfinite(self.bias):
             raise GateError(f"bias must be finite, got {self.bias!r}")
+        # (index, mean, sd) triples, built once: each decision standardizes in Python floats.
+        object.__setattr__(self, "_stats", tuple(zip(range(len(self.sds)), self.means.tolist(), self.sds.tolist())))
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
@@ -523,11 +506,11 @@ class GateModel:
 
     def score(self, obs: Dict[str, Any]) -> float:
         """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
-        ``standardizer.apply_matrix`` on the one row: elementwise ``-`` and
-        ``/`` are IEEE-identical in Python floats, while the dot product
-        and ``exp`` stay numpy's (BLAS summation order, numpy's exp)."""
+        ``(X - means) / sds`` on the one row: elementwise ``-`` and ``/``
+        are IEEE-identical in Python floats, while the dot product and
+        ``exp`` stay numpy's (BLAS summation order, numpy's exp)."""
         phi = extract_features(self.feature_specs, obs).tolist()
-        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self.standardizer._stats])
+        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self._stats])
         z = x @ self.weights + self.bias
         if z >= 0:
             return float(1.0 / (1.0 + np.exp(-z)))
@@ -540,8 +523,8 @@ class GateModel:
 
 
 def reverse_direction(model: GateModel) -> GateModel:
-    """Adversarially wrong-direction copy: every weight negated, bias,
-    threshold, and standardizer untouched."""
+    """Adversarially wrong-direction copy: every weight negated; bias,
+    threshold, means and sds untouched."""
     return replace(model, weights=-model.weights)
 
 
@@ -666,7 +649,8 @@ def fit_gate(
     model_meta.update(meta or {})
     return GateModel(
         feature_specs=specs,
-        standardizer=Standardizer(means[read], sds[read]),
+        means=means[read],
+        sds=sds[read],
         weights=weights,
         bias=float(b),
         tau=tau_value,
@@ -703,7 +687,7 @@ def model_to_dict(model: GateModel) -> Dict[str, Any]:
         model.bias,
         model.tau,
         model.regularizer,
-        {"means": model.standardizer.means.tolist(), "sds": model.standardizer.sds.tolist()},
+        {"means": model.means.tolist(), "sds": model.sds.tolist()},
         list(model.cv_report),
         model.meta,
     )))
@@ -720,7 +704,8 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
     _refuse_off_schema(std, ("means", "sds"), "standardizer key")
     return GateModel(
         feature_specs=tuple(FeatureSpec(**spec) for spec in payload["feature_specs"]),
-        standardizer=Standardizer(np.array(std["means"], dtype=float), np.array(std["sds"], dtype=float)),
+        means=np.array(std["means"], dtype=float),
+        sds=np.array(std["sds"], dtype=float),
         weights=np.array(payload["weights"], dtype=float),
         bias=float(payload["bias"]),
         tau=float(payload["tau"]),

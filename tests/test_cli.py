@@ -512,6 +512,23 @@ def test_sweep_axis_validation(tmp_path):
         cmd_sweep(config, "environment.nope=1,2")
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("exploration.eps=0.25,2.0", "sweep axis exploration.eps=2.0: exploration.eps: must be a number in [0, 1]"),
+        ("exploration.eps=0.5,0.50", "sweep axis exploration.eps: value 0.50 repeats an earlier value"),
+    ],
+    ids=["bad-second-value", "repeated-value"],
+)
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, axis, message):
+    # The first value's pipeline once ran in full before the second one
+    # failed, and a corrected rerun then stopped on the first's files.
+    config = load_config(write_config(tmp_path / "config.json"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        cmd_sweep(config, axis)
+    assert not os.path.exists(os.path.join(config.output_dir, "sweep_exploration.eps"))
+
+
 def test_main_entry_point(tmp_path, capsys):
     config_path = write_config(tmp_path / "config.json", gate={"llm_features": "mock"},
                                exploration={"eps": 0.5, "n_episodes": 6})

@@ -10,7 +10,7 @@ import pytest
 from dial.cli import load_config
 from dial.evaluate import EvalError, PolicySpec, run_deployment, wilson_interval
 from dial.envs import EnvFault
-from dial.gate import GateModel, Standardizer
+from dial.gate import GateModel
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
 from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
@@ -22,9 +22,8 @@ def _env(**kwargs):
 
 def _signal_model(weight, bias=0.0, tau=0.5, center=0.0):
     spec = (FeatureSpec("sig", "llm", "signal * 1"),)
-    std = Standardizer(np.full(1, center), np.ones(1))
     return GateModel(
-        feature_specs=spec, standardizer=std, weights=np.array([float(weight)]),
+        feature_specs=spec, means=np.full(1, center), sds=np.ones(1), weights=np.array([float(weight)]),
         bias=bias, tau=tau, regularizer="l1",
     )
 
@@ -41,6 +40,14 @@ def test_policy_kind_validation():
         PolicySpec("fixed_threshold", direction=1)
     with pytest.raises(EvalError):
         PolicySpec("dial")
+    # The bad values a config's policy table refuses, refused by the
+    # library too, each by its field's name.
+    for field, value in (("direction", True), ("direction", 1.5), ("threshold", float("nan")),
+                         ("threshold", 10**400), ("threshold", "x"), ("signal", 3), ("signal", "")):
+        keys = {"signal": "signal", "direction": 1, "threshold": 0.5, field: value}
+        with pytest.raises(EvalError, match=f"^{field}: "):
+            PolicySpec("fixed_threshold", **keys)
+    assert PolicySpec("fixed_threshold", signal="signal", threshold=1).name() == "fixed(signal>1.0)"
 
 
 def test_fixed_threshold_directions():
@@ -145,7 +152,7 @@ def test_variable_length_episodes_hand_arithmetic():
     # after a shorter episode came first.
     policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
     (result,) = run_deployment(_VariableLengthEnv(), [policy], 3, seed=0)
-    assert [(p.step_index, p.n, p.rate) for p in result.per_step_trigger] == [
+    assert [(p.step, p.n, p.rate) for p in result.per_step_trigger] == [
         (0, 3, 2 / 3), (1, 2, 0.5), (2, 1, 1.0),
     ]
     # 95% Wilson intervals of 2/3, 1/2 and 1/1 (z = 1.959964)
@@ -188,7 +195,7 @@ def test_trigger_profile_bounds_policies():
     always, base = run_deployment(env, [PolicySpec("always_trigger"), PolicySpec("base_only")], 40, seed=1)
     assert all(p.rate == 1.0 for p in always.per_step_trigger)
     assert all(p.rate == 0.0 for p in base.per_step_trigger)
-    assert [p.step_index for p in always.per_step_trigger] == list(range(6))
+    assert [p.step for p in always.per_step_trigger] == list(range(6))
 
 
 def test_wilson_interval_sanity():

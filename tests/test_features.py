@@ -22,6 +22,7 @@ from dial.features import (
     extract_features,
     proposal_client,
     propose_llm_features,
+    summary_digest,
     universal_specs,
 )
 
@@ -425,6 +426,48 @@ def test_http_client_maps_transport_faults(tmp_path, monkeypatch, endpoint, faul
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     with pytest.raises(ProviderError, match="proposal endpoint failed"):
         _client(tmp_path).propose({"n": 1})
+
+
+def _unused_request(self, prompt):
+    raise AssertionError("the proposal endpoint was requested")
+
+
+_SUMMARY = {"n_steps": 10}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([{"name": "h0", "sql": "signal"}] + json.loads(GOOD_REPLY)[1:], "needs 'name' and 'expr'"),
+        (json.loads(GOOD_REPLY)[:4], "exactly 5 features"),
+        ([{"name": "high entropy", "expr": "signal"}] + json.loads(GOOD_REPLY)[1:], "is not an identifier"),
+        ([{"name": "h0", "expr": "signal +"}] + json.loads(GOOD_REPLY)[1:], "proposal rejected"),
+        ({"h0": "signal"}, "needs 'name' and 'expr'"),
+        (7, "needs 'name' and 'expr'"),
+    ],
+    ids=["missing-expr", "four-features", "bad-name", "bad-expr", "object", "number"],
+)
+def test_http_cached_entry_is_checked_like_a_reply(tmp_path, monkeypatch, endpoint, entry, message):
+    # A cache entry once returned unchecked, to fail later as a bare KeyError.
+    monkeypatch.setattr(HttpProposalClient, "_request", _unused_request)
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({summary_digest(_SUMMARY): entry}))
+    with pytest.raises(ProviderError, match=message) as excinfo:
+        _client(tmp_path).propose(_SUMMARY)
+    assert str(excinfo.value).startswith(f"proposal cache {cache}: ")
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '"cache"', "null"], ids=["malformed", "list", "string", "null"])
+def test_http_cache_file_that_is_not_an_object_is_refused_before_a_request(tmp_path, monkeypatch, endpoint, text):
+    # Such a file was found only after a paid request, as a TypeError
+    # while storing the reply.
+    monkeypatch.setattr(HttpProposalClient, "_request", _unused_request)
+    cache = tmp_path / "cache.json"
+    cache.write_text(text)
+    with pytest.raises(ProviderError) as excinfo:
+        _client(tmp_path).propose(_SUMMARY)
+    assert str(excinfo.value) == f"proposal cache {cache} is not a JSON object"
+    assert cache.read_text() == text
 
 
 def test_http_client_requires_endpoint(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from dial.gate import (
     GateError,
     GateModel,
     SingleClassError,
-    Standardizer,
     cross_validate_c,
     fit_gate,
     fit_sparse_logistic,
@@ -50,6 +49,11 @@ def _labels(n):
     return np.resize([0.0, 1.0, 1.0, 0.0], n)
 
 
+def _standardize(model, X):
+    """The matrix standardize of ``X`` by the model's fitted statistics."""
+    return (X - model.means) / model.sds
+
+
 def _fit_stats(X):
     """The unpenalized gate ``fit_gate`` gives on ``X`` (columns a, b, ...)
     against ``_labels``, which the test matrices do not separate."""
@@ -61,8 +65,8 @@ def test_standardizer_drops_constant_columns():
     model = _fit_stats(X)
     assert model.feature_names == ("b",)
     assert model.meta["dropped"] == {"a": "zero variance"}
-    assert model.standardizer.means.tolist() == [5.0] and len(model.standardizer.sds) == 1
-    assert model.standardizer.apply_matrix(X[:, 1:]).shape == (4, 1)
+    assert model.means.tolist() == [5.0] and len(model.sds) == 1
+    assert _standardize(model, X[:, 1:]).shape == (4, 1)
     assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))).feature_names == ("b",)
 
 
@@ -70,27 +74,25 @@ def test_standardizer_is_idempotent_on_standard_columns():
     rng = np.random.default_rng(0)
     col = rng.standard_normal(500)
     col = (col - col.mean()) / col.std()
-    std = _fit_stats(col.reshape(-1, 1)).standardizer
-    out = std.apply_matrix(col.reshape(-1, 1))[:, 0]
+    out = _standardize(_fit_stats(col.reshape(-1, 1)), col.reshape(-1, 1))[:, 0]
     assert np.abs(out - col).max() < 1e-12
 
 
 def test_standardizer_population_convention():
     X = np.array([[0.0], [2.0], [2.0], [0.0]])
-    std = _fit_stats(X).standardizer
-    assert std.apply_matrix(X)[:, 0].tolist() == [-1.0, 1.0, 1.0, -1.0]
+    assert _standardize(_fit_stats(X), X)[:, 0].tolist() == [-1.0, 1.0, 1.0, -1.0]
 
 
 def test_standardizer_fit_output_is_centered_unit():
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 7, size=(200, 3))
-    out = _fit_stats(X).standardizer.apply_matrix(X)
+    out = _standardize(_fit_stats(X), X)
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(np.sqrt((out**2).mean(axis=0)) - 1).max() < 1e-9
 
 
 def test_standardizer_apply_matrix_equals_the_masked_formula_bit_for_bit():
-    # The standardizer holds the read columns' statistics, and the fit
+    # The model holds the read columns' statistics, and the fit
     # solves on the boolean-masked standardize of the full matrix.
     rng = np.random.default_rng(3)
     X = rng.normal(2.0, 3.0, size=(40, 4))
@@ -102,7 +104,7 @@ def test_standardizer_apply_matrix_equals_the_masked_formula_bit_for_bit():
     sds = np.sqrt(((X - means) ** 2).mean(axis=0))
     for M in (X, rng.normal(size=(7, 4)), X[:1]):
         expected = (M[:, keep] - means[keep]) / sds[keep]
-        assert model.standardizer.apply_matrix(M[:, keep]).tobytes() == expected.tobytes()
+        assert _standardize(model, M[:, keep]).tobytes() == expected.tobytes()
     w, b = fit_sparse_logistic((X[:, keep] - means[keep]) / sds[keep], _labels(len(X)), c=1.0, reg="none")
     assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
@@ -112,12 +114,6 @@ def test_standardizer_needs_two_rows():
         fit_gate(np.array([[1.0]]), np.array([1.0]), _specs("a"))
 
 
-def test_standardizer_dimension_mismatch():
-    std = Standardizer(np.zeros(1), np.ones(1))
-    with pytest.raises(GateError):
-        std.apply_matrix(np.zeros((2, 3)))
-
-
 @pytest.mark.parametrize(
     "means, sds",
     [([0.0, 1.0], [1.0]), ([0.0], [0.0]), ([0.0, 0.0], [1.0, -2.0]), ([0.0], [float("nan")])],
@@ -125,8 +121,10 @@ def test_standardizer_dimension_mismatch():
 )
 def test_standardizer_refuses_misaligned_or_nonpositive_scales(means, sds):
     # A zero sd would divide by zero at every decision of a loaded model.
+    n = len(means)
     with pytest.raises(GateError, match="standardizer"):
-        Standardizer(np.array(means), np.array(sds))
+        GateModel(feature_specs=tuple(_specs("ab"[:n])), means=np.array(means), sds=np.array(sds),
+                  weights=np.zeros(n), bias=0.0, tau=0.5, regularizer="l1")
 
 
 def test_duplicate_column_is_read_once():
@@ -143,7 +141,7 @@ def test_duplicate_column_is_read_once():
     assert dup.meta["dropped"] == {"x_copy": "duplicate of x"}
     c = dup.meta["chosen_c"]
     assert c == single.meta["chosen_c"]
-    Xs = single.standardizer.apply_matrix(np.column_stack([x, other]))
+    Xs = _standardize(single, np.column_stack([x, other]))
     assert objective(Xs, y, dup.weights, dup.bias, c, "l1") == objective(Xs, y, single.weights, single.bias, c, "l1")
 
 
@@ -279,13 +277,13 @@ def test_fit_does_not_depend_on_column_order(demo_data):
     specs = list(model.feature_specs)
     base = fit_gate(X, y, specs, seed=5)
     c = base.meta["chosen_c"]
-    base_obj = objective(base.standardizer.apply_matrix(X), y, base.weights, base.bias, c, "l1")
+    base_obj = objective(_standardize(base, X), y, base.weights, base.bias, c, "l1")
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(X.shape[1])
         permuted = fit_gate(X[:, perm], y, [specs[j] for j in perm], seed=5)
         assert permuted.meta["chosen_c"] == c
-        obj = objective(permuted.standardizer.apply_matrix(X[:, perm]), y, permuted.weights, permuted.bias, c, "l1")
+        obj = objective(_standardize(permuted, X[:, perm]), y, permuted.weights, permuted.bias, c, "l1")
         assert abs(obj - base_obj) <= 1e-9
         by_name = dict(zip(permuted.feature_names, permuted.weights))
         assert np.abs(np.array([by_name[n] for n in base.feature_names]) - base.weights).max() <= 1e-6
@@ -298,7 +296,7 @@ def test_duplicated_column_fits_as_well_as_the_single_one(demo_data, reg):
     # a warm start with both copies nonzero makes the active-set system
     # singular.
     model, X, y = demo_data
-    Xs = model.standardizer.apply_matrix(X)
+    Xs = _standardize(model, X)
     w1, b1 = fit_sparse_logistic(Xs, y, 1.0, reg)
     single = objective(Xs, y, w1, b1, 1.0, reg)
     for j in range(Xs.shape[1]):
@@ -437,10 +435,10 @@ def _toy_model(weights, bias=0.0, tau=0.5, reg="l1"):
         __import__("dial.features", fromlist=["FeatureSpec"]).FeatureSpec(n, "llm", n + " * 1")
         for n in names
     )
-    std = Standardizer(np.zeros(len(names)), np.ones(len(names)))
     return GateModel(
         feature_specs=specs,
-        standardizer=std,
+        means=np.zeros(len(names)),
+        sds=np.ones(len(names)),
         weights=np.asarray(weights, dtype=float),
         bias=bias,
         tau=tau,
@@ -603,7 +601,8 @@ def test_gate_decide_dimension_mismatch():
     with pytest.raises(GateError):
         GateModel(
             feature_specs=model.feature_specs[:1],
-            standardizer=model.standardizer,
+            means=model.means,
+            sds=model.sds,
             weights=model.weights,
             bias=0.0,
             tau=0.5,
@@ -740,7 +739,7 @@ def test_all_constant_features_give_intercept_only_gate():
     ]
     model = fit_gate(X, y, specs, seed=0)
     assert model.meta["dropped"] == {"a": "zero variance", "b": "zero variance", "c": "zero variance"}
-    assert model.feature_specs == () and len(model.standardizer.means) == 0
+    assert model.feature_specs == () and len(model.means) == 0
     assert len(model.weights) == 0
     # balanced labels, zero weights: sigmoid(b) == 0.5, never above tau
     assert model.decide({"a": 5.0, "b": 1.0, "c": 0.0}) is False
@@ -777,10 +776,9 @@ def _with_dropped_feature(model, name):
     """``model`` without the feature ``name``, as a fit that dropped it
     gives: a gate whose specs skip a column of the observation's pool."""
     j = model.feature_names.index(name)
-    std = model.standardizer
     return GateModel(
         feature_specs=model.feature_specs[:j] + model.feature_specs[j + 1:],
-        standardizer=Standardizer(np.delete(std.means, j), np.delete(std.sds, j)),
+        means=np.delete(model.means, j), sds=np.delete(model.sds, j),
         weights=np.delete(model.weights, j), bias=model.bias, tau=model.tau,
         regularizer=model.regularizer,
     )
@@ -788,14 +786,14 @@ def _with_dropped_feature(model, name):
 
 def test_scalar_score_equals_the_matrix_formula_bit_for_bit(demo_gate):
     # score() standardizes one row in Python floats; it must give the bits
-    # of the matrix path: apply_matrix, each row's dot product, _sigmoid.
+    # of the matrix path: the matrix standardize, each row's dot product, _sigmoid.
     # The rows are made contiguous, as a one-row matrix's row is: numpy
     # sums a strided row's dot product in another order than BLAS ddot.
     _, rows = _demo_rows(2000)
     models = [demo_gate, reverse_direction(demo_gate), _with_dropped_feature(demo_gate, "step_count")]
     for model in models:
         X = np.vstack([extract_features(model.feature_specs, obs) for obs in rows])
-        Xs = np.ascontiguousarray(model.standardizer.apply_matrix(X))
+        Xs = np.ascontiguousarray(_standardize(model, X))
         expected = _sigmoid(np.array([x @ model.weights for x in Xs]) + model.bias).tolist()
         scores = [model.score(obs) for obs in rows]
         assert scores == expected
