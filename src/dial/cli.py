@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -391,7 +391,7 @@ def fit_dataset(
         raise ConfigError(
             "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
         )
-    llm_specs = None if client is None else propose_llm_features(dataset_summary(dataset), client).specs
+    llm_specs = None if client is None else propose_llm_features(dataset_summary(dataset), client)
     specs = build_pool(llm_specs)
     X, y, _ = build_matrix(dataset.records, specs)
     model = fit_gate(
@@ -602,8 +602,7 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
             )
             offset += 600
 
-    bundle = {
-        "provenance": _provenance(config, input_digest=None),
+    tables = {
         "eq2_sweep": sweep_rows,
         "simpson": simpson_rows,
         "temporal": temporal_rows,
@@ -611,17 +610,29 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
         "normalization": norm_rows,
     }
     paths = {"json": _out(config, "verify", "json")}
-    write_report_json(paths["json"], bundle)
-    for name, rows in (
-        ("eq2_sweep", sweep_rows),
-        ("simpson", simpson_rows),
-        ("temporal", temporal_rows),
-        ("transforms", transform_rows),
-        ("normalization", norm_rows),
-    ):
+    write_report_json(paths["json"], {"provenance": _provenance(config, input_digest=None), **tables})
+    for name, rows in tables.items():
         paths[name] = _out(config, f"verify_{name}", "csv")
         write_report_csv(paths[name], rows, list(rows[0]))
     return paths
+
+
+def _axis_values(key_path: str, text: str) -> List[str]:
+    """The values of a sweep axis: ``text`` split at each comma outside
+    ``[...]`` and ``{...}``, so a list or object is one value, and each
+    value stripped. An unbalanced bracket is refused."""
+    values, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char in "[{") - (char in "]}")
+        if depth < 0:
+            break
+        if char == "," and depth == 0:
+            values.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ConfigError(f"sweep axis {key_path}: unbalanced bracket in {text!r}")
+    values.append(text[start:])
+    return [v.strip() for v in values if v.strip()]
 
 
 def cmd_sweep(config: RunConfig, axis: str) -> str:
@@ -633,11 +644,11 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
     try:
         key_path, values_text = axis.split("=", 1)
         section, key = key_path.split(".", 1)
-        values = [v.strip() for v in values_text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep axis {axis!r}; expected section.key=v1,v2,...") from exc
     if section not in _SECTION_KEYS or key not in _SECTION_KEYS[section]:
         raise ConfigError(f"bad sweep axis: {section}.{key} is not a config key")
+    values = _axis_values(f"{section}.{key}", values_text)
     if not values:
         raise ConfigError("sweep axis has no values")
 
@@ -678,59 +689,40 @@ def cmd_sweep(config: RunConfig, axis: str) -> str:
 # -- entry point ---------------------------------------------------------------------
 
 
+# Each subcommand's help, and its one input flag with that flag's help
+# (None: no input flag). main calls the module's ``cmd_<name>`` with the
+# config and the flag's value.
+COMMANDS: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
+    "explore": ("collect the exploration dataset", None, None),
+    "fit": ("fit the gate from a dataset file", "--dataset", None),
+    "eval": ("evaluate policies with a fitted model", "--model", None),
+    "stats": ("correlation reports for a dataset", "--dataset", None),
+    "verify": ("two-source verification bundle", None, None),
+    "sweep": ("grid of runs over one config axis", "--axis", "section.key=v1,v2,..."),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dial", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dial {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, flag, flag_help) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-
-    p_explore = sub.add_parser("explore", help="collect the exploration dataset")
-    common(p_explore)
-
-    p_fit = sub.add_parser("fit", help="fit the gate from a dataset file")
-    common(p_fit)
-    p_fit.add_argument("--dataset", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate policies with a fitted model")
-    common(p_eval)
-    p_eval.add_argument("--model", required=True)
-
-    p_stats = sub.add_parser("stats", help="correlation reports for a dataset")
-    common(p_stats)
-    p_stats.add_argument("--dataset", required=True)
-
-    p_verify = sub.add_parser("verify", help="two-source verification bundle")
-    common(p_verify)
-
-    p_sweep = sub.add_parser("sweep", help="grid of runs over one config axis")
-    common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, help="section.key=v1,v2,...")
-
+        if flag is not None:
+            p.add_argument(flag, required=True, help=flag_help)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    if args.command == "explore":
-        print(cmd_explore(config))
-    elif args.command == "fit":
-        print(cmd_fit(config, args.dataset))
-    elif args.command == "eval":
-        for name, path in cmd_eval(config, args.model).items():
-            print(f"{name}: {path}")
-    elif args.command == "stats":
-        for name, path in cmd_stats(config, args.dataset).items():
-            print(f"{name}: {path}")
-    elif args.command == "verify":
-        for name, path in cmd_verify(config).items():
-            print(f"{name}: {path}")
-    elif args.command == "sweep":
-        print(cmd_sweep(config, args.axis))
+    flag = COMMANDS[args.command][1]
+    inputs = () if flag is None else (getattr(args, flag[2:]),)
+    result = globals()[f"cmd_{args.command}"](config, *inputs)  # looked up now, so a patched cmd_* is the one run
+    print(result if isinstance(result, str) else "\n".join(f"{name}: {path}" for name, path in result.items()))
     return 0
 
 

@@ -21,16 +21,6 @@ import numpy as np
 
 from .dsl import NUMBER_TYPES, CompiledExpr, DslError, parse_expr
 
-UNIVERSAL_FEATURES: Tuple[str, ...] = (
-    "step_count",
-    "token_entropy",
-    "evidence_count",
-    "num_available_actions",
-    "is_finish",
-)
-
-DERIVED_FEATURES: Tuple[str, ...] = ("entropy_sq", "step_x_entropy")
-
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
 # separate features.
@@ -41,6 +31,7 @@ _ALIASES: Dict[str, Tuple[str, ...]] = {
     "num_available_actions": ("num_available_actions", "num_options"),
     "is_finish": ("is_finish",),
 }
+UNIVERSAL_FEATURES: Tuple[str, ...] = tuple(_ALIASES)
 
 N_LLM_FEATURES = 5
 HTTP_TIMEOUT_S = 60.0  # per proposal request
@@ -153,52 +144,33 @@ def build_matrix(
 # -- proposal layer ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureProposal:
-    """Exactly five proposed features, all parseable in the DSL."""
-
-    specs: Tuple[FeatureSpec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.specs) != N_LLM_FEATURES:
-            raise FeatureError(f"proposal must contain exactly {N_LLM_FEATURES} features, got {len(self.specs)}")
-        names = [s.name for s in self.specs]
-        if len(set(names)) != len(names):
-            raise FeatureError("proposal contains duplicate feature names")
-        reserved = set(UNIVERSAL_FEATURES) | set(DERIVED_FEATURES)
-        clash = sorted(set(names) & reserved)
-        if clash:
-            raise FeatureError(f"proposal reuses reserved feature names: {clash}")
-        for spec in self.specs:
-            if spec.source != "llm":
-                raise FeatureError(f"proposed feature {spec.name!r} must have source 'llm'")
-
-
-def _proposal(items: Sequence[Dict[str, Any]]) -> FeatureProposal:
-    return FeatureProposal(tuple(
-        FeatureSpec(name=str(item["name"]), source="llm", extractor=str(item["expr"]))
-        for item in items
-    ))
-
-
-def _proposal_items(items: Any) -> List[Dict[str, str]]:
-    """The name and expr of each proposed feature, once ``items`` (a
-    parsed reply or a cache entry) passes the checks propose_llm_features
-    makes, so an unusable reply is retried, never cached, and an unusable
-    cache entry is never used."""
+def proposed_specs(items: Any) -> Tuple[FeatureSpec, ...]:
+    """The features a proposal (a provider's reply or a cache entry)
+    names, once it passes every check a proposal gets: each item holds a
+    "name" and an "expr" in the DSL, there are exactly five, their names
+    are distinct, and none is a universal or derived feature's. An
+    unusable proposal is a ProviderError."""
     if not (isinstance(items, list)
             and all(isinstance(item, dict) and "name" in item and "expr" in item for item in items)):
         raise ProviderError("each proposed feature needs 'name' and 'expr'")
     try:
-        proposal = _proposal(items)
+        specs = tuple(FeatureSpec(str(item["name"]), "llm", str(item["expr"])) for item in items)
+        names = [s.name for s in specs]
+        clash = sorted(set(names) & {s.name for s in universal_specs() + derived_specs()})
+        if len(specs) != N_LLM_FEATURES:
+            raise FeatureError(f"proposal must contain exactly {N_LLM_FEATURES} features, got {len(specs)}")
+        if len(set(names)) != len(names):
+            raise FeatureError("proposal contains duplicate feature names")
+        if clash:
+            raise FeatureError(f"proposal reuses reserved feature names: {clash}")
     except (FeatureError, DslError) as exc:
         raise ProviderError(f"proposal rejected: {exc}") from exc
-    return [{"name": spec.name, "expr": spec.extractor} for spec in proposal.specs]
+    return specs
 
 
-def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> FeatureProposal:
+def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> Tuple[FeatureSpec, ...]:
     """Ask a provider for five task-specific features for this dataset."""
-    return _proposal(client.propose(summary))
+    return proposed_specs(client.propose(summary))
 
 
 class ProposalProvider:
@@ -322,29 +294,35 @@ class HttpProposalClient(ProposalProvider):
             raise ProviderError(f"proposal endpoint failed: {exc}") from exc
 
     @staticmethod
-    def _parse_reply(content: str) -> List[Dict[str, str]]:
+    def _parse_reply(content: str) -> Any:
         start, end = content.find("["), content.rfind("]")
         if start < 0 or end <= start:
             raise ProviderError("reply contains no JSON array")
         try:
-            items = json.loads(content[start : end + 1])
+            return json.loads(content[start : end + 1])
         except json.JSONDecodeError as exc:
             raise ProviderError(f"reply is not valid JSON: {exc}") from exc
-        return _proposal_items(items)
+
+    @staticmethod
+    def _checked(items: Any) -> List[Dict[str, str]]:
+        """The name and expr of each feature of a reply or cache entry that
+        passes ``proposed_specs``, so an unusable reply is retried, never
+        cached, and an unusable cache entry is never used."""
+        return [{"name": spec.name, "expr": spec.extractor} for spec in proposed_specs(items)]
 
     def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
         digest = summary_digest(summary)
         cache = self._cache_load()
         if digest in cache:
             try:
-                return _proposal_items(cache[digest])
+                return self._checked(cache[digest])
             except ProviderError as exc:
                 raise ProviderError(f"proposal cache {self.cache_path}: entry {digest}: {exc}") from exc
         prompt = PROMPT_TEMPLATE.format(summary=json.dumps(summary, sort_keys=True, default=str, indent=1))
         last_error: Optional[Exception] = None
         for _ in range(2):  # one retry on an unusable reply
             try:
-                items = self._parse_reply(self._request(prompt))
+                items = self._checked(self._parse_reply(self._request(prompt)))
                 self._cache_store(digest, items)
                 return items
             except ProviderError as exc:

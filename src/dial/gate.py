@@ -485,6 +485,14 @@ class GateModel:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("means", "sds", "weights"):  # lists, as a model JSON holds them, become arrays
+            try:
+                values = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.ndim != 1:
+                raise GateError(f"{name} must be a list of numbers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, values)
         if not 0.0 < self.tau < 1.0:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
         if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
@@ -704,9 +712,9 @@ def model_from_dict(payload: Dict[str, Any]) -> GateModel:
     _refuse_off_schema(std, ("means", "sds"), "standardizer key")
     return GateModel(
         feature_specs=tuple(FeatureSpec(**spec) for spec in payload["feature_specs"]),
-        means=np.array(std["means"], dtype=float),
-        sds=np.array(std["sds"], dtype=float),
-        weights=np.array(payload["weights"], dtype=float),
+        means=std["means"],
+        sds=std["sds"],
+        weights=payload["weights"],
         bias=float(payload["bias"]),
         tau=float(payload["tau"]),
         regularizer=payload["regularizer"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import glob
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from dial.cli import (
     ConfigError,
+    build_parser,
     cmd_eval,
     cmd_explore,
     cmd_fit,
@@ -517,8 +519,10 @@ def test_sweep_axis_validation(tmp_path):
     [
         ("exploration.eps=0.25,2.0", "sweep axis exploration.eps=2.0: exploration.eps: must be a number in [0, 1]"),
         ("exploration.eps=0.5,0.50", "sweep axis exploration.eps: value 0.50 repeats an earlier value"),
+        ("exploration.eps=[0.25,0.5", "sweep axis exploration.eps: unbalanced bracket in '[0.25,0.5'"),
+        ("exploration.eps=0.25],[0.5", "sweep axis exploration.eps: unbalanced bracket in '0.25],[0.5'"),
     ],
-    ids=["bad-second-value", "repeated-value"],
+    ids=["bad-second-value", "repeated-value", "unclosed-bracket", "unopened-bracket"],
 )
 def test_sweep_checks_every_value_before_the_first_run(tmp_path, axis, message):
     # The first value's pipeline once ran in full before the second one
@@ -527,6 +531,19 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, axis, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         cmd_sweep(config, axis)
     assert not os.path.exists(os.path.join(config.output_dir, "sweep_exploration.eps"))
+
+
+def test_sweep_a_list_valued_key(tmp_path):
+    # The axis was once split at every comma, inside brackets too.
+    config = load_config(write_config(tmp_path / "config.json", exploration={"eps": 0.5, "n_episodes": 12},
+                                      eval={"n_episodes": 20}))
+    summary_path = cmd_sweep(config, "gate.c_grid=[0.1,1.0], [0.3,3.0]")
+    sweep_dir = os.path.dirname(summary_path)
+    assert sorted(os.listdir(sweep_dir)) == ["c_grid=[0.1,1.0]", "c_grid=[0.3,3.0]", "sweep_summary.csv"]
+    with open(os.path.join(sweep_dir, "c_grid=[0.3,3.0]", "config.json")) as fh:
+        assert json.load(fh)["gate"]["c_grid"] == [0.3, 3.0]
+    with open(summary_path) as fh:
+        assert [r["gate.c_grid"] for r in csv.DictReader(fh)] == ["[0.1,1.0]"] * 4 + ["[0.3,3.0]"] * 4
 
 
 def test_main_entry_point(tmp_path, capsys):
@@ -550,6 +567,26 @@ def test_llm_mock_is_no_option(argv, capsys):
         main(argv + ["--config", "config.json", "--llm-mock"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --llm-mock" in capsys.readouterr().err
+
+
+# Each subcommand's one input flag, beside --config, --seed and --out.
+INPUT_FLAGS = {"explore": [], "fit": ["--dataset"], "eval": ["--model"], "stats": ["--dataset"],
+               "verify": [], "sweep": ["--axis"]}
+
+
+def test_cli_surface_is_pinned(capsys):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for action in sub._actions for s in action.option_strings if s not in ("-h", "--help")]
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == {name: ["--config", "--seed", "--out"] + flags for name, flags in INPUT_FLAGS.items()}
+    assert sum(map(len, options.values())) == 22
+    for name in INPUT_FLAGS:
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: dial {name} ")
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():

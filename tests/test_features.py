@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import urllib.error
 
@@ -12,7 +13,6 @@ import pytest
 from dial.dsl import DslError, parse_expr
 from dial.features import (
     FeatureError,
-    FeatureProposal,
     FeatureSpec,
     HttpProposalClient,
     MockProposalClient,
@@ -22,6 +22,7 @@ from dial.features import (
     extract_features,
     proposal_client,
     propose_llm_features,
+    proposed_specs,
     summary_digest,
     universal_specs,
 )
@@ -63,7 +64,7 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     assert parse_expr("note + 1")(obs) == 1.0
     assert parse_expr("length(note)")(obs) == 1.0
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
-    pool = build_pool(propose_llm_features({}, MockProposalClient()).specs)
+    pool = build_pool(propose_llm_features({}, MockProposalClient()))
     assert extract_features(pool, obs).tolist() == extract_features(pool, floats).tolist()
 
 
@@ -233,8 +234,7 @@ def test_dsl_deterministic():
 
 
 def test_pool_merges_with_unique_names():
-    proposal = propose_llm_features({"any": "summary"}, MockProposalClient())
-    pool = build_pool(proposal.specs)
+    pool = build_pool(propose_llm_features({"any": "summary"}, MockProposalClient()))
     assert len(pool) == len(UNIVERSAL_FEATURES) + 2 + 5
     names = [s.name for s in pool]
     assert len(set(names)) == len(names)
@@ -253,19 +253,42 @@ def test_mock_provider_is_deterministic():
     client = MockProposalClient()
     first = propose_llm_features({"a": 1}, client)
     second = propose_llm_features({"b": 2}, client)
-    assert first.specs == second.specs
-    assert len(first.specs) == 5
+    assert first == second
+    assert len(first) == 5
+
+
+def _items(n):
+    return [{"name": f"f{i}", "expr": "signal"} for i in range(n)]
 
 
 def test_proposal_requires_exactly_five():
-    with pytest.raises(FeatureError):
-        FeatureProposal(tuple(FeatureSpec(f"f{i}", "llm", "signal") for i in range(4)))
+    with pytest.raises(ProviderError, match="exactly 5 features, got 4"):
+        proposed_specs(_items(4))
 
 
 def test_proposal_rejects_unparseable_expression():
-    specs = tuple(FeatureSpec(f"f{i}", "llm", "signal") for i in range(4))
-    with pytest.raises(DslError):
-        FeatureProposal(specs + (FeatureSpec("f4", "llm", "x[0]"),))
+    with pytest.raises(ProviderError, match="proposal rejected") as excinfo:
+        proposed_specs(_items(4) + [{"name": "f4", "expr": "x[0]"}])
+    assert isinstance(excinfo.value.__cause__, DslError)
+
+
+@pytest.mark.parametrize(
+    "fifth, message",
+    [({"name": "f0", "expr": "signal + 1"}, "contains duplicate feature names"),
+     ({"name": "entropy_sq", "expr": "signal * signal"}, "reuses reserved feature names: ['entropy_sq']")],
+    ids=["duplicate", "reserved"],
+)
+def test_proposal_rejects_a_repeated_or_reserved_name(fifth, message):
+    with pytest.raises(ProviderError, match=f"^proposal rejected: proposal {re.escape(message)}$"):
+        proposed_specs(_items(4) + [fifth])
+
+
+def test_a_bad_proposal_from_any_provider_is_a_provider_error():
+    class FourFeatures(MockProposalClient):
+        FIXED = MockProposalClient.FIXED[:4]
+
+    with pytest.raises(ProviderError, match="exactly 5 features"):
+        propose_llm_features({}, FourFeatures())
 
 
 # -- HTTP client ----------------------------------------------------------------
@@ -311,8 +334,7 @@ def test_http_client_parses_good_reply(tmp_path, monkeypatch, endpoint):
         return FakeResponse("Here you go:\n" + GOOD_REPLY)
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    proposal = propose_llm_features({"n_steps": 10}, _client(tmp_path))
-    assert len(proposal.specs) == 5
+    assert len(propose_llm_features({"n_steps": 10}, _client(tmp_path))) == 5
     # The endpoint, key and model are the environment's.
     url, auth, body = calls[0]
     assert (url, auth, body["model"]) == ("http://llm.invalid/v1/chat/completions", "Bearer key", "test-model")
@@ -496,7 +518,7 @@ def test_proposal_mode_off_has_no_client(no_network, tmp_path):
 def test_proposal_mode_mock_is_the_mock_client(no_network, tmp_path):
     client = proposal_client("mock", str(tmp_path / "cache.json"))
     assert isinstance(client, MockProposalClient)
-    assert len(propose_llm_features({"n_steps": 10}, client).specs) == 5
+    assert len(propose_llm_features({"n_steps": 10}, client)) == 5
 
 
 def test_proposal_mode_http_caches_where_asked(no_network, monkeypatch, tmp_path):

@@ -127,6 +127,26 @@ def test_standardizer_refuses_misaligned_or_nonpositive_scales(means, sds):
                   weights=np.zeros(n), bias=0.0, tau=0.5, regularizer="l1")
 
 
+def test_a_model_built_from_lists_decides_like_one_built_from_arrays():
+    # Lists once failed with a bare TypeError, and so did reversing list weights.
+    fields = dict(feature_specs=tuple(_specs("ab")), bias=0.1, tau=0.5, regularizer="l1")
+    lists = GateModel(means=[0.5, 1], sds=[2.0, 0.5], weights=[0.3, -0.7], **fields)
+    arrays = GateModel(means=np.array([0.5, 1.0]), sds=np.array([2.0, 0.5]), weights=np.array([0.3, -0.7]), **fields)
+    observations = [{"a": a, "b": b} for a in (-1.0, 0.4, 3.0) for b in (0.0, 1.2, 2.5)]
+    for one, other in ((lists, arrays), (reverse_direction(lists), reverse_direction(arrays))):
+        assert [one.score(obs) for obs in observations] == [other.score(obs) for obs in observations]
+        assert [one.decide(obs) for obs in observations] == [other.decide(obs) for obs in observations]
+    assert len({lists.decide(obs) for obs in observations}) == 2
+
+
+@pytest.mark.parametrize("field", ["means", "sds", "weights"])
+@pytest.mark.parametrize("value", [["x"], None, [[1.0]]], ids=["text", "none", "nested"])
+def test_a_model_field_that_is_no_list_of_numbers_is_refused_by_name(field, value):
+    values = {"means": [0.0], "sds": [1.0], "weights": [1.0], field: value}
+    with pytest.raises(GateError, match=f"^{field} must be a list of numbers"):
+        GateModel(feature_specs=tuple(_specs("a")), bias=0.0, tau=0.5, regularizer="l1", **values)
+
+
 def test_duplicate_column_is_read_once():
     # Two equal standardized columns make the l1 optimum non-unique; the
     # fit keeps the earlier one and names the other, so it solves the
