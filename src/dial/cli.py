@@ -166,9 +166,15 @@ def _is_number(value: Any, kinds: Any = (int, float)) -> bool:
 
 def load_config(path: str, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> RunConfig:
-    """Read the JSON config at ``path`` and check it (``_config_from_dict``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        user = json.load(fh)
+    """Read the JSON config at ``path`` and check it (``_config_from_dict``);
+    a file that cannot be read or is not JSON is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            user = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config {path}: cannot be read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     return _config_from_dict(user, seed_override, out_override)
 
 
@@ -717,11 +723,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a ConfigError is one stderr line and exit status 2, as argparse gives."""
     args = build_parser().parse_args(argv)
-    config = load_config(args.config, seed_override=args.seed, out_override=args.out)
     flag = COMMANDS[args.command][1]
     inputs = () if flag is None else (getattr(args, flag[2:]),)
-    result = globals()[f"cmd_{args.command}"](config, *inputs)  # looked up now, so a patched cmd_* is the one run
+    try:
+        config = load_config(args.config, seed_override=args.seed, out_override=args.out)
+        result = globals()[f"cmd_{args.command}"](config, *inputs)  # looked up now, so a patched cmd_* is the one run
+    except ConfigError as exc:
+        print(f"dial: error: {exc}", file=sys.stderr)
+        return 2
     print(result if isinstance(result, str) else "\n".join(f"{name}: {path}" for name, path in result.items()))
     return 0
 

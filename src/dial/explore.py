@@ -92,7 +92,8 @@ def estimate_utility_paired(
     The k x n forks of the snapshot are siblings of one ``seed``, each
     reading reward noise of its own from their one keyed draw, and each
     returning its rollout's truncated return (``horizon_h`` steps, fewer
-    at the episode's end). The base arm's ``n_rollouts`` forks come first
+    at the episode's end); the first sums them all and the episode keeps
+    the returns, so the rest are lookups. The base arm's ``n_rollouts`` forks come first
     and take the untriggered step at the snapshot; the intervention arm's
     other ``(k_candidates - 1) * n_rollouts`` take the triggered one. An arm
     scores the mean truncated return of all of its rollouts, so the one

@@ -53,6 +53,7 @@ class FeatureSpec:
     name: str
     source: str  # universal | derived | llm
     extractor: str  # "builtin:<universal name>" or a DSL expression
+    builtin: Optional[str] = field(init=False, compare=False, repr=False)  # the universal name; None for DSL
     compiled: Optional[CompiledExpr] = field(init=False, compare=False, repr=False)  # None for builtins
 
     def __post_init__(self) -> None:
@@ -60,10 +61,11 @@ class FeatureSpec:
             raise FeatureError(f"unknown feature source {self.source!r}")
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
-        builtin = self.extractor.startswith("builtin:")
-        if builtin and self.extractor[len("builtin:") :] not in UNIVERSAL_FEATURES:
+        builtin = self.extractor[len("builtin:") :] if self.extractor.startswith("builtin:") else None
+        if builtin is not None and builtin not in UNIVERSAL_FEATURES:
             raise FeatureError(f"unknown builtin feature {self.extractor!r}")
-        object.__setattr__(self, "compiled", None if builtin else parse_expr(self.extractor))
+        object.__setattr__(self, "builtin", builtin)
+        object.__setattr__(self, "compiled", None if builtin is not None else parse_expr(self.extractor))
 
 
 def _resolve(obs: Dict[str, Any], keys: Tuple[str, ...]) -> float:
@@ -115,11 +117,7 @@ def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> np.nd
     namespace: Dict[str, Any] = dict(obs)
     for name, keys in _ALIASES.items():
         namespace[name] = _resolve(obs, keys)
-    values = [
-        namespace[spec.extractor[len("builtin:") :]] if spec.compiled is None
-        else spec.compiled(namespace)
-        for spec in specs
-    ]
+    values = [spec.compiled(namespace) if spec.builtin is None else namespace[spec.builtin] for spec in specs]
     if not all(map(math.isfinite, values)):
         raise FeatureError("feature vector contains non-finite values")
     return np.array(values, dtype=float)

@@ -505,8 +505,6 @@ class GateModel:
                 raise GateError(f"{name} must be finite, got {values.tolist()}")
         if not math.isfinite(self.bias):
             raise GateError(f"bias must be finite, got {self.bias!r}")
-        # (index, mean, sd) triples, built once: each decision standardizes in Python floats.
-        object.__setattr__(self, "_stats", tuple(zip(range(len(self.sds)), self.means.tolist(), self.sds.tolist())))
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
@@ -514,11 +512,11 @@ class GateModel:
 
     def score(self, obs: Dict[str, Any]) -> float:
         """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
-        ``(X - means) / sds`` on the one row: elementwise ``-`` and ``/``
-        are IEEE-identical in Python floats, while the dot product and
-        ``exp`` stay numpy's (BLAS summation order, numpy's exp)."""
-        phi = extract_features(self.feature_specs, obs).tolist()
-        x = np.array([(phi[j] - mean) / sd for j, mean, sd in self._stats])
+        ``(X - means) / sds`` on the one row: the row is standardized by
+        the same elementwise numpy ``-`` and ``/`` (each one IEEE-rounded
+        op per element, whatever the row count), and the dot product and
+        ``exp`` are numpy's (BLAS summation order, numpy's exp)."""
+        x = (extract_features(self.feature_specs, obs) - self.means) / self.sds
         z = x @ self.weights + self.bias
         if z >= 0:
             return float(1.0 / (1.0 + np.exp(-z)))

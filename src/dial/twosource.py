@@ -34,9 +34,11 @@ Conventions (fixed for reproducibility):
     one draw: sibling i's noise is slice ``[i*m, (i+1)*m)`` of
     ``count*m`` normals from ``stream(reseed)``, the reward noise
     ``_draw_states`` gives for the lookahead steps tiled ``count``
-    times. The episode keeps the last family's noise, so siblings forked
-    one after another draw once; a family with no step past its snapshot
-    draws nothing. ``count=1`` is a single fork.
+    times. A family's first fork sums all its siblings of both arms as
+    numpy vector adds in step order (one sibling's IEEE adds, per
+    element), and the episode keeps the last family's returns, so later
+    siblings are lookups; a family with no step past its snapshot draws
+    nothing. ``count=1`` is a single fork.
   - an episode reads the ``sample_states`` columns of its seed, as lists
     of Python scalars, at its step index. They come from a one-slot cache
     keyed by (params, seed): a deployment builds each episode once per
@@ -50,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,7 +173,7 @@ class TwoSourceEpisode:
         self.params = params
         self._cols = _episode_columns(params, seed)
         self._cursor = 0  # step index of the current state
-        self._family: Optional[Tuple[tuple, Tuple[float, ...]]] = None  # key and noise of the last fork family here
+        self._family: Optional[Tuple[tuple, List[List[float]]]] = None  # last family: key, [base, triggered] returns
 
     # -- episode protocol -------------------------------------------------
 
@@ -180,7 +182,7 @@ class TwoSourceEpisode:
 
     def _current(self) -> int:
         """The step index of the current state, which may be read."""
-        if self.done():
+        if self._cursor >= self.params.horizon:
             raise EnvFault("episode is finished")
         return self._cursor
 
@@ -213,25 +215,24 @@ class TwoSourceEpisode:
     ) -> float:
         """Truncated return of sibling ``index`` of the ``count`` rollouts
         forked here with this ``reseed`` and ``lookahead`` (see the module
-        notes). The last family's noise is kept here, so siblings forked
-        one after another share their draw."""
+        notes). The last family's returns are kept here, so of siblings
+        forked one after another only the first draws and sums."""
         if lookahead is not None and lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
-        total = self._reward(triggered)  # refuses a finished episode
-        cursor = self._cursor
-        end = self.params.horizon if lookahead is None else min(cursor + 1 + lookahead, self.params.horizon)
-        m = end - cursor - 1
-        if m:
-            key = (reseed, count, cursor, end)
-            if self._family is None or self._family[0] != key:
-                z = stream(reseed).standard_normal(count * m)
-                self._family = (key, tuple((z * self.params.noise_sd).tolist()))
-            base = self.params.base_reward
-            for z in self._family[1][index * m : (index + 1) * m]:
-                total += base + z
-        return total
+        key = (reseed, lookahead, count, self._cursor)
+        if self._family is None or self._family[0] != key:  # a new family: sum every sibling of both arms
+            # Each sibling starts at its arm's snapshot reward; _reward refuses a finished episode.
+            totals = np.array([[self._reward(False)] * count, [self._reward(True)] * count])
+            end = self.params.horizon if lookahead is None else min(self._cursor + 1 + lookahead, self.params.horizon)
+            m = end - self._cursor - 1
+            if m:
+                z = stream(reseed).standard_normal(count * m) * self.params.noise_sd
+                for row in self.params.base_reward + z.reshape(count, m).T:  # row j: step j of every sibling
+                    totals += row
+            self._family = (key, totals.tolist())
+        return self._family[1][1 if triggered else 0][index]
 
     def debug_state(self) -> Dict[str, Any]:
         t = self._current()

@@ -102,10 +102,10 @@ def test_non_integer_horizon_refused_by_name(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["n_rollouts", "horizon_h"])
-def test_rollout_sizes_validated_before_work(tmp_path, key):
+def test_rollout_sizes_validated_before_work(tmp_path, capsys, key):
     config_path = write_config(tmp_path / "config.json", exploration={key: 0})
-    with pytest.raises(ConfigError, match=f"exploration.{key}"):
-        main(["explore", "--config", config_path])
+    assert main(["explore", "--config", config_path]) == 2
+    assert capsys.readouterr().err.startswith(f"dial: error: exploration.{key}: ")
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -122,12 +122,12 @@ def test_rollout_sizes_validated_before_work(tmp_path, key):
         ("environment", "trigger_cost_units", -2.0),
     ],
 )
-def test_fit_and_eval_settings_validated_before_work(tmp_path, section, key, value):
+def test_fit_and_eval_settings_validated_before_work(tmp_path, capsys, section, key, value):
     # Each value would fail fit or eval; refused at load, it stops the
     # run before explore writes anything.
     config_path = write_config(tmp_path / "config.json", **{section: {key: value}})
-    with pytest.raises(ConfigError, match=f"^{section}\\.{key}: "):
-        main(["explore", "--config", config_path])
+    assert main(["explore", "--config", config_path]) == 2
+    assert capsys.readouterr().err.startswith(f"dial: error: {section}.{key}: ")
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -553,6 +553,55 @@ def test_main_entry_point(tmp_path, capsys):
     dataset_path = capsys.readouterr().out.strip()
     assert os.path.exists(dataset_path)
     assert main(["fit", "--config", config_path, "--dataset", dataset_path]) == 0
+
+
+def test_a_config_error_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    config_path = write_config(tmp_path / "config.json", exploration={"eps": 2.0})
+    assert main(["explore", "--config", config_path]) == 2
+    assert capsys.readouterr() == ("", "dial: error: exploration.eps: must be a number in [0, 1], got 2.0\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_an_out_of_range_sweep_value_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    out = tmp_path / "badsweep"
+    argv = ["sweep", "--config", write_config(tmp_path / "config.json"), "--out", str(out),
+            "--axis", "exploration.eps=0.25,2.0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dial: error: sweep axis exploration.eps=2.0: exploration.eps: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("missing", "cannot be read"), ("directory", "cannot be read"),
+     ("truncated", "not valid JSON"), ("not-utf8", "not valid JSON")],
+    ids=["missing", "directory", "truncated", "not-utf8"],
+)
+def test_a_config_file_that_does_not_load_is_a_config_error_naming_it(tmp_path, kind, message):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "truncated":
+        path.write_text('{"seed": 1,')
+    elif kind == "not-utf8":
+        path.write_bytes(b'\xff{"seed": 1}')
+    with pytest.raises(ConfigError, match=f"^config {re.escape(str(path))}: {message} \\("):
+        load_config(str(path))
+
+
+def test_the_console_script_reports_a_missing_config_with_exit_status_2(tmp_path):
+    import dial
+
+    src = os.path.dirname(os.path.dirname(dial.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = tmp_path / "missing.json"
+    done = subprocess.run([sys.executable, "-m", "dial.cli", "explore", "--config", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"dial: error: config {path}: cannot be read (No such file or directory)\n"
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,14 @@ def test_universal_prefers_exact_names_over_aliases():
     assert _universal({"token_entropy": 0.9, "signal": 0.1})[UNIVERSAL_FEATURES.index("token_entropy")] == 0.9
 
 
+def test_a_renamed_builtin_reads_its_universal_feature():
+    # The spec's own name is no key: an observation field of that name is
+    # not read, and an alias still resolves through the universal name.
+    specs = [FeatureSpec("steps", "universal", "builtin:step_count"),
+             FeatureSpec("entropy", "universal", "builtin:token_entropy")]
+    assert extract_features(specs, {**SIM_OBS, "steps": 99.0, "entropy": 99.0}).tolist() == [3.0, 0.7]
+
+
 def test_numpy_scalars_read_as_the_numbers_they_hold():
     # What indexing sample_states' columns gives: np.int64, np.float64,
     # np.bool_; np.float32 too. numpy's str_ is text, never a number.

@@ -550,3 +550,100 @@ def test_fork_rejects_a_sibling_outside_its_family(index, count):
     ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="index < count"):
         ep.fork(reseed=1, lookahead=2, triggered=True, index=index, count=count)
+
+
+# -- fork families: the first sibling sums them all, later ones look up -------
+
+
+def _scalar_fork(params, seed, t, reseed, lookahead, count, index, triggered):
+    # The fork rule in Python floats, one sibling at a time: the snapshot
+    # reward, then base_reward plus each of the sibling's noise values,
+    # added in step order.
+    columns = sample_states(params, params.horizon, seed)
+    total = params.base_reward + columns["reward_noise"][t].item()
+    if triggered:
+        total += columns["true_utility"][t].item()
+    end = params.horizon if lookahead is None else min(t + 1 + lookahead, params.horizon)
+    m = end - t - 1
+    noise = (stream(reseed).standard_normal(count * m) * params.noise_sd).tolist()
+    for z in noise[index * m : (index + 1) * m]:
+        total += params.base_reward + z
+    return total
+
+
+def _counted_streams(monkeypatch):
+    import dial.twosource
+
+    calls = []
+
+    def counted(seed):
+        calls.append(seed)
+        return stream(seed)
+
+    monkeypatch.setattr(dial.twosource, "stream", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lookahead", [None, 0, 2])
+@pytest.mark.parametrize("count", [1, 25])
+def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lookahead):
+    # At every step, the last one (no step past the snapshot) included,
+    # with one reseed throughout, so a family kept past its step would
+    # show; the arms interleave. A family draws once, and not at all
+    # when it has no rollout step.
+    params = _SIBLING_PARAMS
+    forks = [(t, index, triggered)
+             for t in range(params.horizon) for index in range(count) for triggered in (True, False)]
+    expected = [_scalar_fork(params, 33, t, 5, lookahead, count, index, triggered) for t, index, triggered in forks]
+    ep = TwoSourceEpisode(params, 33)
+    calls = _counted_streams(monkeypatch)
+    got = []
+    for t in range(params.horizon):
+        got += [ep.fork(5, lookahead, triggered=triggered, index=index, count=count)
+                for step, index, triggered in forks if step == t]
+        ep.step(t % 2 == 0)
+    assert got == expected
+    drawing = sum(1 for t in range(params.horizon)
+                  if (params.horizon if lookahead is None else min(t + 1 + lookahead, params.horizon)) - t - 1)
+    assert len(calls) == drawing
+
+
+def test_interleaved_families_evict_and_redraw(monkeypatch):
+    # Families that differ in reseed, in lookahead or in count, forked in
+    # turn on one episode: each fork evicts the other family and draws
+    # again, and every sibling still reads its own family's returns.
+    params = _SIBLING_PARAMS
+    families = [(5, 2, 25), (6, 2, 25), (5, None, 25), (5, 2, 5)]
+    for other in families[1:]:
+        forks = [(*family, index) for index in range(5) for family in (families[0], other)]
+        expected = [_scalar_fork(params, 33, 1, reseed, lookahead, count, index, index % 2 == 0)
+                    for reseed, lookahead, count, index in forks]
+        ep = TwoSourceEpisode(params, 33)
+        ep.step(False)
+        calls = _counted_streams(monkeypatch)
+        got = [ep.fork(reseed, lookahead, triggered=index % 2 == 0, index=index, count=count)
+               for reseed, lookahead, count, index in forks]
+        assert got == expected
+        assert len(calls) == len(forks)
+
+
+def test_each_refusal_holds_on_a_familys_first_and_later_siblings():
+    params = _SIBLING_PARAMS
+    refusals = [({"index": 25}, "index < count"), ({"index": -1}, "index < count"),
+                ({"lookahead": -1}, "lookahead must be nonnegative")]
+    for bad, message in refusals:
+        call = {"reseed": 5, "lookahead": 2, "triggered": True, "index": 0, "count": 25, **bad}
+        ep = TwoSourceEpisode(params, 33)
+        with pytest.raises(ValueError, match=message):  # a family's first call
+            ep.fork(**call)
+        ep.fork(5, 2, triggered=True, index=0, count=25)
+        with pytest.raises(ValueError, match=message):  # a later sibling of the kept family
+            ep.fork(**call)
+    ep = TwoSourceEpisode(params, 33)
+    for _ in range(params.horizon - 1):
+        ep.step(False)
+    ep.fork(5, 2, triggered=False, index=0, count=25)  # the last step forks
+    ep.step(False)
+    for reseed, index in ((5, 1), (6, 0)):  # a later sibling of the family kept from the last step; a new family
+        with pytest.raises(EnvFault, match="finished"):
+            ep.fork(reseed, 2, triggered=False, index=index, count=25)
