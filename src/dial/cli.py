@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -356,6 +356,15 @@ def _provenance(config: RunConfig, input_digest: Optional[str]) -> Dict[str, Any
     }
 
 
+def _load_input(kind: str, load: Callable[[str], Any], path: str) -> Any:
+    """``load(path)``; a file that cannot be opened is a ConfigError naming
+    it, as a config file that cannot be is."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{kind} {path}: cannot be read ({exc.strerror or exc})") from exc
+
+
 def _check_input_digest(kind: str, embedded: Optional[str], config: RunConfig) -> None:
     if embedded != config.digest():
         raise ConfigError(
@@ -415,7 +424,7 @@ def fit_dataset(
 
 
 def cmd_fit(config: RunConfig, dataset_path: str) -> str:
-    dataset = load_dataset_jsonl(dataset_path)
+    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
     client = proposal_client(config.gate["llm_features"], os.path.join(config.output_dir, "proposal_cache.json"))
     model = fit_dataset(dataset, config.gate, client, config.seed)
@@ -427,7 +436,7 @@ def cmd_fit(config: RunConfig, dataset_path: str) -> str:
 
 
 def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
-    model = load_model_json(model_path)
+    model = _load_input("model", load_model_json, model_path)
     _check_input_digest("model", model.meta.get("config_digest"), config)
     env = TwoSourceEnv(config.env_params)
     n_episodes = int(config.eval["n_episodes"])
@@ -456,7 +465,7 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
 
 
 def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
-    dataset = load_dataset_jsonl(dataset_path)
+    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
     labeled = dataset.labeled()
     if len(labeled) < 6:

@@ -5,7 +5,11 @@ The language supports numeric field access, keyword/regex counting and
 length over text fields, threshold indicators (comparisons), and bounded
 arithmetic. One recursive pass over the expression's Python ``ast``
 checks each node against a strict whitelist and compiles it to a
-closure, so evaluation is deterministic and side-effect free.
+closure, so evaluation is deterministic and side-effect free. A number
+literal operand of an operator or of a one- or two-argument function
+is held by that node's closure, not called per row, and such a node
+whose operands are all literals is folded when it is compiled: the same
+IEEE operation on the same floats, so the same bits.
 
 Missing fields never produce errors: numeric access defaults to 0.0 and
 text access to the empty string. Division by zero evaluates to 0.0.
@@ -17,12 +21,13 @@ import ast
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Union
 
 import numpy as np
 
 Namespace = Dict[str, Any]
 Fn = Callable[[Namespace], float]
+Operand = Union[float, Fn]  # a compiled node: a literal's value, or an evaluator
 
 # name -> (min args, max args or None, value from the argument values, passed positionally)
 _NUMERIC_FUNCS = {
@@ -65,43 +70,74 @@ def parse_expr(source: str) -> CompiledExpr:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
-    return CompiledExpr(source=source, fn=_compile(tree.body, source))
+    return CompiledExpr(source=source, fn=_evaluator(_compile(tree.body, source)))
 
 
-def _compile(node: ast.AST, source: str) -> Fn:
-    """Check one node (children left to right) and return its evaluator."""
+def _evaluator(operand: Operand) -> Fn:
+    """A compiled operand as an evaluator: a literal becomes a constant one."""
+    if callable(operand):
+        return operand
+    return lambda ns: operand
+
+
+def _apply(op: Callable[[float, float], float], left: Operand, right: Operand) -> Operand:
+    """``op`` over two compiled operands; a literal is held here, and two fold."""
+    if callable(left):
+        if callable(right):
+            return lambda ns: op(left(ns), right(ns))
+        return lambda ns: op(left(ns), right)
+    if callable(right):
+        return lambda ns: op(left, right(ns))
+    return op(left, right)
+
+
+def _compare(cmpop: Callable[[float, float], bool], left: Operand, right: Operand) -> Operand:
+    """1.0 where ``cmpop`` holds over two compiled operands, else 0.0; a
+    literal is held here, and two fold."""
+    if callable(left):
+        if callable(right):
+            return lambda ns: 1.0 if cmpop(left(ns), right(ns)) else 0.0
+        return lambda ns: 1.0 if cmpop(left(ns), right) else 0.0
+    if callable(right):
+        return lambda ns: 1.0 if cmpop(left, right(ns)) else 0.0
+    return 1.0 if cmpop(left, right) else 0.0
+
+
+def _compile(node: ast.AST, source: str) -> Operand:
+    """Check one node (children left to right) and compile it: a number
+    literal, or an operator over literals alone, to its value, anything
+    else to its evaluator."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise DslError(f"{source!r}: literal {node.value!r} outside a text function")
-        value = float(node.value)
-        return lambda ns: value
+        return float(node.value)
     if isinstance(node, ast.Name):
         name = node.id
 
         def read(ns: Namespace) -> float:
-            value = ns.get(name)  # missing, text and other non-numbers read 0.0
-            return float(value) if isinstance(value, NUMBER_TYPES) else 0.0
+            value = ns.get(name)
+            if type(value) is float:  # observations hold floats
+                return value
+            return float(value) if isinstance(value, NUMBER_TYPES) else 0.0  # missing and text read 0.0
 
         return read
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _compile(node.operand, source)
-        return operand if isinstance(node.op, ast.UAdd) else lambda ns: -operand(ns)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return (lambda ns: -operand(ns)) if callable(operand) else -operand
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        binop = _BINOPS[type(node.op)]
-        left, right = _compile(node.left, source), _compile(node.right, source)
-        return lambda ns: binop(left(ns), right(ns))
+        return _apply(_BINOPS[type(node.op)], _compile(node.left, source), _compile(node.right, source))
     if isinstance(node, ast.Compare):
         if len(node.ops) != 1 or type(node.ops[0]) not in _CMPOPS:
             raise DslError(f"{source!r}: only single two-sided comparisons are allowed")
-        cmpop = _CMPOPS[type(node.ops[0])]
-        left, right = _compile(node.left, source), _compile(node.comparators[0], source)
-        return lambda ns: float(cmpop(left(ns), right(ns)))
+        return _compare(_CMPOPS[type(node.ops[0])], _compile(node.left, source), _compile(node.comparators[0], source))
     if isinstance(node, ast.Call):
         return _compile_call(node, source)
     raise DslError(f"{source!r}: node {type(node).__name__} is not part of the feature language")
 
 
-def _compile_call(node: ast.Call, source: str) -> Fn:
+def _compile_call(node: ast.Call, source: str) -> Operand:
     if not isinstance(node.func, ast.Name):
         raise DslError(f"{source!r}: only plain function calls are allowed")
     if node.keywords:
@@ -112,14 +148,14 @@ def _compile_call(node: ast.Call, source: str) -> Fn:
         lo, hi, apply = _NUMERIC_FUNCS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
-        # Up to three arguments are passed directly, with no list per call.
-        fns = [_compile(a, source) for a in args]
-        if len(fns) == 1:
-            (first,) = fns
-            return lambda ns: apply(first(ns))
-        if len(fns) == 2:
-            first, second = fns
-            return lambda ns: apply(first(ns), second(ns))
+        operands = [_compile(a, source) for a in args]
+        if len(operands) == 1:
+            (first,) = operands
+            return (lambda ns: apply(first(ns))) if callable(first) else apply(first)
+        if len(operands) == 2:
+            return _apply(apply, *operands)
+        # Three arguments are passed directly, with no list per call.
+        fns = [_evaluator(operand) for operand in operands]
         if len(fns) == 3:
             first, second, third = fns
             return lambda ns: apply(first(ns), second(ns), third(ns))
@@ -137,7 +173,7 @@ def _compile_call(node: ast.Call, source: str) -> Fn:
         if name == "keyword_count":
             keyword = pat.value.lower()
             if not keyword:
-                return lambda ns: 0.0
+                return 0.0
             return lambda ns: float(text(ns).lower().count(keyword))
         try:
             regex = re.compile(pat.value)

@@ -139,13 +139,14 @@ def run_deployment(
         episode_seed = derive_seed(seed, "eval-episode", i)
         for p, decide in enumerate(decides):
             episode = env.episode(episode_seed)
+            done, observe, step = episode.done, episode.observe, episode.step
             counts, triggers, cost = step_counts[p], step_triggers[p], costs[p]
             episode_return = 0.0
             t = 0
-            while not episode.done():
+            while not done():
                 try:
-                    triggered = bool(decide(episode.observe()))
-                    episode_return += episode.step(triggered)
+                    triggered = bool(decide(observe()))
+                    episode_return += step(triggered)
                 except Exception as exc:
                     raise EnvFault(
                         f"policy {policies[p].name()}: environment fault at eval episode {i}, step {t}: {exc}"

@@ -69,10 +69,12 @@ class FeatureSpec:
 
 
 def _resolve(obs: Dict[str, Any], keys: Tuple[str, ...]) -> float:
-    """The first of ``keys`` that ``obs`` holds as a number, else 0.0."""
+    """The first of ``keys`` that ``obs`` holds as a number, as a float, else 0.0."""
     for key in keys:
         if key in obs:
             value = obs[key]
+            if type(value) is float:  # observations hold floats
+                return value
             if isinstance(value, NUMBER_TYPES):
                 return float(value)
     return 0.0

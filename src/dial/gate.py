@@ -514,14 +514,16 @@ class GateModel:
         """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
         ``(X - means) / sds`` on the one row: the row is standardized by
         the same elementwise numpy ``-`` and ``/`` (each one IEEE-rounded
-        op per element, whatever the row count), and the dot product and
-        ``exp`` are numpy's (BLAS summation order, numpy's exp)."""
+        op per element, whatever the row count), the dot product is
+        ``ndarray.dot`` (BLAS ``ddot``, as 1-D ``@`` is, without matmul's
+        dispatch) and ``exp`` is numpy's; the other ops of the sign-split
+        logistic are IEEE double ops whether on Python floats or numpy's."""
         x = (extract_features(self.feature_specs, obs) - self.means) / self.sds
-        z = x @ self.weights + self.bias
-        if z >= 0:
-            return float(1.0 / (1.0 + np.exp(-z)))
-        ez = np.exp(z)
-        return float(ez / (1.0 + ez))
+        z = float(x.dot(self.weights)) + self.bias
+        if z >= 0.0:
+            return 1.0 / (1.0 + float(np.exp(-z)))
+        ez = float(np.exp(z))
+        return ez / (1.0 + ez)
 
     def decide(self, obs: Dict[str, Any]) -> bool:
         """Trigger iff sigmoid(w . phi_std(s) + b) exceeds tau (strictly)."""

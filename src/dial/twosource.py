@@ -40,11 +40,12 @@ Conventions (fixed for reproducibility):
     siblings are lookups; a family with no step past its snapshot draws
     nothing. ``count=1`` is a single fork.
   - an episode reads the ``sample_states`` columns of its seed, as lists
-    of Python scalars, at its step index. They come from a one-slot cache
-    keyed by (params, seed): a deployment builds each episode once per
-    policy, one policy after another, so only the first policy of an
-    episode draws it. Nothing writes to the columns, so episodes share
-    them.
+    of Python scalars, at its step index, and each state's observation
+    record, built once from them. Both come from one-slot caches keyed by
+    (params, seed): a deployment builds each episode once per policy, one
+    policy after another, so only the first policy of an episode draws
+    it and builds its records. Nothing writes to the columns or the
+    records (``observe`` returns a copy), so episodes share them.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class InvalidParams(ValueError):
 @dataclass(frozen=True)
 class TwoSourceParams:
     """Generative parameters of the two-source environment. Each is a
-    finite real number (not a bool); a refusal starts with the field's name."""
+    finite real number (not a bool), stored as a Python float (``horizon``
+    as an int); a refusal starts with the field's name."""
 
     alpha: float = 1.0            # within-type slope, unsuitable states (> 0)
     beta: float = 1.0             # within-type slope, decision states (> 0)
@@ -108,6 +110,8 @@ class TwoSourceParams:
                 raise InvalidParams(f"{name}: must be in [0, 1], got {getattr(self, name)!r}")
         if self.noise_sd < 0:
             raise InvalidParams(f"noise_sd: must be nonnegative, got {self.noise_sd!r}")
+        for f in fields(self):  # Python scalars, so numpy-scalar params give the bits of float params
+            object.__setattr__(self, f.name, (int if f.name == "horizon" else float)(getattr(self, f.name)))
         if math.isnan(self.success_threshold):
             object.__setattr__(self, "success_threshold", self.horizon * self.base_reward)
 
@@ -156,6 +160,20 @@ def _episode_columns(params: TwoSourceParams, seed: int) -> Dict[str, list]:
     return {name: column.tolist() for name, column in sample_states(params, params.horizon, seed).items()}
 
 
+@functools.lru_cache(maxsize=1)
+def _episode_observations(params: TwoSourceParams, seed: int) -> List[Dict[str, float]]:
+    """Each state's observation record, in step order, for the episode
+    with this seed: hidden fields stay hidden, every value is a float."""
+    cols = _episode_columns(params, seed)
+    return [
+        {"step_count": float(t), "signal": signal, "type_proxy": float(proxy),
+         "num_options": float(options), "is_finish": float(finish)}
+        for t, signal, proxy, options, finish in zip(
+            cols["step_index"], cols["signal"], cols["type_proxy"], cols["num_options"], cols["is_finish"]
+        )
+    ]
+
+
 class TwoSourceEpisode:
     """Handle over one episode: a deterministic pre-drawn step sequence.
 
@@ -172,6 +190,7 @@ class TwoSourceEpisode:
             raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
         self._cols = _episode_columns(params, seed)
+        self._observations = _episode_observations(params, seed)
         self._cursor = 0  # step index of the current state
         self._family: Optional[Tuple[tuple, List[List[float]]]] = None  # last family: key, [base, triggered] returns
 
@@ -187,28 +206,20 @@ class TwoSourceEpisode:
         return self._cursor
 
     def observe(self) -> Dict[str, float]:
-        """Observation record of the current state; hidden fields stay hidden."""
-        t, cols = self._current(), self._cols
-        return {
-            "step_count": float(cols["step_index"][t]),
-            "signal": cols["signal"][t],
-            "type_proxy": float(cols["type_proxy"][t]),
-            "num_options": float(cols["num_options"][t]),
-            "is_finish": float(cols["is_finish"][t]),
-        }
+        """Observation record of the current state, a new dict on every call."""
+        return self._observations[self._current()].copy()
 
-    def _reward(self, triggered: bool) -> float:
-        # Triggered minus untriggered is exactly the state's true utility.
-        t = self._current()
+    def _reward(self, t: int, triggered: bool) -> float:
+        # Triggered minus untriggered is exactly the true utility of state t.
         reward = self.params.base_reward + self._cols["reward_noise"][t]
         if triggered:
             reward += self._cols["true_utility"][t]
         return reward
 
     def step(self, triggered: bool) -> float:
-        reward = self._reward(triggered)
-        self._cursor += 1
-        return reward
+        t = self._current()
+        self._cursor = t + 1
+        return self._reward(t, triggered)
 
     def fork(
         self, reseed: int, lookahead: Optional[int] = None, *, triggered: bool, index: int = 0, count: int = 1
@@ -223,10 +234,11 @@ class TwoSourceEpisode:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
         key = (reseed, lookahead, count, self._cursor)
         if self._family is None or self._family[0] != key:  # a new family: sum every sibling of both arms
-            # Each sibling starts at its arm's snapshot reward; _reward refuses a finished episode.
-            totals = np.array([[self._reward(False)] * count, [self._reward(True)] * count])
-            end = self.params.horizon if lookahead is None else min(self._cursor + 1 + lookahead, self.params.horizon)
-            m = end - self._cursor - 1
+            t = self._current()  # refuses a finished episode
+            # Each sibling starts at its arm's snapshot reward.
+            totals = np.array([[self._reward(t, False)] * count, [self._reward(t, True)] * count])
+            end = self.params.horizon if lookahead is None else min(t + 1 + lookahead, self.params.horizon)
+            m = end - t - 1
             if m:
                 z = stream(reseed).standard_normal(count * m) * self.params.noise_sd
                 for row in self.params.base_reward + z.reshape(count, m).T:  # row j: step j of every sibling

@@ -592,6 +592,23 @@ def test_a_config_file_that_does_not_load_is_a_config_error_naming_it(tmp_path, 
         load_config(str(path))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, flag, noun", [("fit", "--dataset", "dataset"), ("stats", "--dataset", "dataset"),
+                                                 ("eval", "--model", "model")])
+def test_an_input_file_that_cannot_be_opened_is_one_stderr_line_and_exit_status_2(
+    tmp_path, capsys, command, flag, noun, kind
+):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path / "config.json"), "--out", str(out), flag, str(path)]
+    assert main(argv) == 2
+    strerror = "Is a directory" if kind == "directory" else "No such file or directory"
+    assert capsys.readouterr() == ("", f"dial: error: {noun} {path}: cannot be read ({strerror})\n")
+    assert not out.exists()
+
+
 def test_the_console_script_reports_a_missing_config_with_exit_status_2(tmp_path):
     import dial
 

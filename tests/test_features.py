@@ -76,6 +76,30 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     assert extract_features(pool, obs).tolist() == extract_features(pool, floats).tolist()
 
 
+_READS = {"f": 0.25, "i": 3, "i64": np.int64(-2), "f32": np.float32(0.5), "f64": np.float64(0.75),
+          "b": np.bool_(True), "pb": True, "t": "text"}
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        # comparisons, a literal on the left, the right or both sides
+        ("f > 0.2", 1.0), ("0.2 > f", 0.0), ("2 > 1", 1.0), ("1 >= 2", 0.0), ("i == 3", 1.0),
+        ("3 != i", 0.0), ("-1 <= f", 1.0), ("f < -1", 0.0), ("f > f", 0.0), ("1 == 1", 1.0),
+        # arithmetic with literal operands, division by zero included
+        ("f * 4", 1.0), ("4 - f", 3.75), ("1 + 2", 3.0), ("-(2 * 3)", -6.0), ("f / 0", 0.0), ("1 / 0", 0.0),
+        ("0 / 0", 0.0), ("i / 2", 1.5), ("2 / f", 8.0), ("max(f, 1)", 1.0), ("min(2, 1)", 1.0), ("abs(-3)", 3.0),
+        ("clamp(i, 0, 1)", 1.0), ("7", 7.0), ("keyword_count(t, '')", 0.0),
+        # name reads: numbers of every kind, text and missing fields
+        ("f", 0.25), ("i", 3.0), ("i64", -2.0), ("f32", 0.5), ("f64", 0.75), ("b", 1.0), ("pb", 1.0),
+        ("t", 0.0), ("missing", 0.0), ("-i64", 2.0), ("+f32", 0.5),
+    ],
+)
+def test_every_expression_value_is_a_python_float(expr, expected):
+    value = parse_expr(expr)(_READS)
+    assert type(value) is float and value == expected
+
+
 def _pool_values(obs):
     pool = build_pool()
     return dict(zip((s.name for s in pool), extract_features(pool, obs).tolist()))

@@ -805,8 +805,8 @@ def _with_dropped_feature(model, name):
 
 
 def test_scalar_score_equals_the_matrix_formula_bit_for_bit(demo_gate):
-    # score() standardizes one row in Python floats; it must give the bits
-    # of the matrix path: the matrix standardize, each row's dot product, _sigmoid.
+    # score() standardizes one row as the numpy (x - means) / sds; it must give
+    # the bits of the matrix path: the matrix standardize, each row's dot product, _sigmoid.
     # The rows are made contiguous, as a one-row matrix's row is: numpy
     # sums a strided row's dot product in another order than BLAS ddot.
     _, rows = _demo_rows(2000)

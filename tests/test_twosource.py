@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ def test_numpy_float_params_build():
     assert params.base_reward == 0.5 and params.success_threshold == 2.0
 
 
+def _rewards(params, seed):
+    # Every step's reward and a triggered and an untriggered fork at each state.
+    ep, out = TwoSourceEpisode(params, seed), []
+    while not ep.done():
+        out += [ep.fork(reseed=seed, lookahead=2, triggered=True, count=3, index=1),
+                ep.fork(reseed=seed, lookahead=None, triggered=False), ep.step(True)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"base_reward": np.float32(0.5)},
+     {"base_reward": np.float32(0.7), "noise_sd": np.float32(0.3), "alpha": np.float16(1.7), "horizon": np.int64(6)}],
+    ids=["float32-reward", "mixed"],
+)
+def test_numpy_scalar_params_step_and_fork_as_python_floats(kwargs):
+    # Each field is stored as a Python scalar, so numpy-scalar params give
+    # the bits of the params holding those values as Python floats.
+    params = TwoSourceParams(**kwargs)
+    assert {f.name: type(getattr(params, f.name)) for f in fields(params)} == {
+        f.name: int if f.name == "horizon" else float for f in fields(params)}
+    as_floats = TwoSourceParams(**{k: int(v) if k == "horizon" else float(v) for k, v in kwargs.items()})
+    _episode_columns.cache_clear()
+    got = _rewards(params, 11)
+    _episode_columns.cache_clear()
+    expected = _rewards(as_floats, 11)
+    assert {type(r) for r in got} == {float}
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -135,6 +166,25 @@ def test_observation_hides_latent_fields():
     obs = ep.observe()
     assert set(obs) == {"step_count", "signal", "type_proxy", "num_options", "is_finish"}
     assert "true_utility" not in obs and "latent_type" not in obs
+
+
+def test_each_observation_is_a_new_dict():
+    # Episodes on one seed share their observation records; observe hands
+    # out copies, so a caller that writes to one changes no other.
+    params = TwoSourceParams(noise_sd=0.3)
+    ep = TwoSourceEpisode(params, seed=6)
+    first = ep.observe()
+    expected = dict(first)
+    first["signal"] = 99.0
+    first["extra"] = 1.0
+    second = ep.observe()
+    assert second is not first and second == expected
+    second.clear()
+    twin = TwoSourceEpisode(params, seed=6)
+    assert twin.observe() == expected
+    ep.step(False)
+    twin.step(False)
+    assert ep.observe() == twin.observe() and ep.observe() is not twin.observe()
 
 
 def _arms(params, seed, **state):
