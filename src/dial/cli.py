@@ -234,8 +234,8 @@ def _config_from_dict(user: Any, seed_override: Optional[int] = None,
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     tau = gate_cfg["tau"]
-    if tau != "cv" and not (_is_number(tau) and 0.0 < tau < 1.0):
-        raise ConfigError(f"gate.tau: must be 'cv' or a probability in (0, 1), got {tau!r}")
+    if not (_is_number(tau) and 0.0 < tau < 1.0):
+        raise ConfigError(f"gate.tau: must be a probability in (0, 1), got {tau!r}")
     if gate_cfg["llm_features"] not in PROPOSAL_MODES:
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
     policies = merged["eval"]["policies"]
@@ -357,12 +357,15 @@ def _provenance(config: RunConfig, input_digest: Optional[str]) -> Dict[str, Any
 
 
 def _load_input(kind: str, load: Callable[[str], Any], path: str) -> Any:
-    """``load(path)``; a file that cannot be opened is a ConfigError naming
-    it, as a config file that cannot be is."""
+    """``load(path)``; a file that cannot be opened, or that the loader
+    refuses (any ValueError), is a ConfigError naming it, as a config
+    file is."""
     try:
         return load(path)
     except OSError as exc:
         raise ConfigError(f"{kind} {path}: cannot be read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, GateError, DslError, a bad dataset line
+        raise ConfigError(f"{kind} {path}: not a valid {kind} ({exc})") from exc
 
 
 def _check_input_digest(kind: str, embedded: Optional[str], config: RunConfig) -> None:

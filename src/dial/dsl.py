@@ -1,25 +1,24 @@
 """Constrained feature-extraction expression language.
 
-Proposed features are expressions over observation fields, never code.
-The language supports numeric field access, keyword/regex counting and
-length over text fields, threshold indicators (comparisons), and bounded
-arithmetic. One recursive pass over the expression's Python ``ast``
-checks each node against a strict whitelist and compiles it to a
+Proposed features are numeric expressions over observation fields,
+never code. The language supports field access, number literals,
+threshold indicators (comparisons), and bounded arithmetic (+ - * /,
+min, max, clamp, abs). One recursive pass over the expression's Python
+``ast`` checks each node against a strict whitelist and compiles it to a
 closure, so evaluation is deterministic and side-effect free. A number
 literal operand of an operator or of a one- or two-argument function
-is held by that node's closure, not called per row, and such a node
-whose operands are all literals is folded when it is compiled: the same
-IEEE operation on the same floats, so the same bits.
+is held by that node's closure, not called per row, and a node whose
+operands are all literals is folded when it is compiled: the same IEEE
+operation on the same floats, so the same bits.
 
-Missing fields never produce errors: numeric access defaults to 0.0 and
-text access to the empty string. Division by zero evaluates to 0.0.
+Missing fields never produce errors: a field that is missing or not a
+number reads as 0.0. Division by zero evaluates to 0.0.
 """
 
 from __future__ import annotations
 
 import ast
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Union
 
@@ -30,13 +29,12 @@ Fn = Callable[[Namespace], float]
 Operand = Union[float, Fn]  # a compiled node: a literal's value, or an evaluator
 
 # name -> (min args, max args or None, value from the argument values, passed positionally)
-_NUMERIC_FUNCS = {
+_FUNCS = {
     "min": (2, None, min),
     "max": (2, None, max),
     "clamp": (3, 3, lambda value, low, high: min(max(value, low), high)),
     "abs": (1, 1, abs),
 }
-_TEXT_FUNCS = {"keyword_count": 2, "regex_count": 2, "length": 1}
 
 # Field values read as numbers: Python's and numpy's scalars, the Python
 # float first (observations hold floats). numpy's str_ is a str, never one.
@@ -105,11 +103,11 @@ def _compare(cmpop: Callable[[float, float], bool], left: Operand, right: Operan
 
 def _compile(node: ast.AST, source: str) -> Operand:
     """Check one node (children left to right) and compile it: a number
-    literal, or an operator over literals alone, to its value, anything
-    else to its evaluator."""
+    literal, or an operator or call over literals alone, to its value,
+    anything else to its evaluator."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
-            raise DslError(f"{source!r}: literal {node.value!r} outside a text function")
+            raise DslError(f"{source!r}: literal {node.value!r} is not a number")
         return float(node.value)
     if isinstance(node, ast.Name):
         name = node.id
@@ -143,57 +141,22 @@ def _compile_call(node: ast.Call, source: str) -> Operand:
     if node.keywords:
         raise DslError(f"{source!r}: keyword arguments are not allowed")
     name = node.func.id
-    args = node.args
-    if name in _NUMERIC_FUNCS:
-        lo, hi, apply = _NUMERIC_FUNCS[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
-        operands = [_compile(a, source) for a in args]
-        if len(operands) == 1:
-            (first,) = operands
-            return (lambda ns: apply(first(ns))) if callable(first) else apply(first)
-        if len(operands) == 2:
-            return _apply(apply, *operands)
-        # Three arguments are passed directly, with no list per call.
-        fns = [_evaluator(operand) for operand in operands]
-        if len(fns) == 3:
-            first, second, third = fns
-            return lambda ns: apply(first(ns), second(ns), third(ns))
-        return lambda ns: apply([f(ns) for f in fns])  # min or max of four or more
-    if name in _TEXT_FUNCS:
-        n_expected = _TEXT_FUNCS[name]
-        if len(args) != n_expected:
-            raise DslError(f"{source!r}: {name} takes exactly {n_expected} arguments")
-        text = _compile_text(args[0], name, source)
-        if name == "length":
-            return lambda ns: float(len(text(ns)))
-        pat = args[1]
-        if not (isinstance(pat, ast.Constant) and isinstance(pat.value, str)):
-            raise DslError(f"{source!r}: {name} pattern must be a string literal")
-        if name == "keyword_count":
-            keyword = pat.value.lower()
-            if not keyword:
-                return 0.0
-            return lambda ns: float(text(ns).lower().count(keyword))
-        try:
-            regex = re.compile(pat.value)
-        except re.error as exc:
-            raise DslError(f"{source!r}: bad regex {pat.value!r}: {exc}") from exc
-        return lambda ns: float(len(regex.findall(text(ns))))
-    raise DslError(f"{source!r}: unknown function {name!r}")
-
-
-def _compile_text(node: ast.AST, func: str, source: str) -> Callable[[Namespace], str]:
-    """A text function's first argument: a string literal or a field read as text."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        text = node.value
-        return lambda ns: text
-    if not isinstance(node, ast.Name):
-        raise DslError(f"{source!r}: {func} expects a field name or string literal")
-    name = node.id
-
-    def read(ns: Namespace) -> str:
-        value = ns.get(name)
-        return "" if value is None else str(value)
-
-    return read
+    if name not in _FUNCS:
+        raise DslError(f"{source!r}: unknown function {name!r}")
+    lo, hi, apply = _FUNCS[name]
+    if len(node.args) < lo or (hi is not None and len(node.args) > hi):
+        raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
+    operands = [_compile(a, source) for a in node.args]
+    if not any(map(callable, operands)):  # all literals: fold
+        return apply(*operands)
+    if len(operands) == 1:
+        (first,) = operands
+        return lambda ns: apply(first(ns))
+    if len(operands) == 2:
+        return _apply(apply, *operands)
+    # Three arguments are passed directly, with no list per call.
+    fns = [_evaluator(operand) for operand in operands]
+    if len(fns) == 3:
+        first, second, third = fns
+        return lambda ns: apply(first(ns), second(ns), third(ns))
+    return lambda ns: apply([f(ns) for f in fns])  # min or max of four or more

@@ -37,15 +37,13 @@ class Episode(Protocol):
         intervention) and advance. Returns the realized step reward."""
         ...
 
-    def fork(
-        self, reseed: int, lookahead: Optional[int] = None, *, triggered: bool, index: int = 0, count: int = 1
-    ) -> float:
+    def fork(self, reseed: int, lookahead: int, *, triggered: bool, index: int = 0, count: int = 1) -> float:
         """Truncated return of one rollout from the current state: sibling
         ``index`` (0 <= index < count) of the ``count`` forks made here
         with this ``reseed``. The rollout takes the current step,
         ``triggered`` or not, then ``lookahead`` untriggered steps,
-        clipped at the episode's end (None: to the episode's end), and
-        sums their rewards in step order. The episode does not move.
+        clipped at the episode's end, and sums their rewards in step
+        order. The episode does not move.
         Siblings may share one keyed draw, but siblings with different
         ``index`` must read different noise: paired labeling forks every
         rollout of a label with one ``reseed`` and tells them apart by

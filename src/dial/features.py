@@ -208,8 +208,7 @@ Task: propose observation features that discriminate the label-1 steps from the 
 Requirements:
 - Reply with a JSON array of exactly 5 objects, each {{"name": <identifier>, "expr": <expression>}}.
 - Each expression must use only this language: observation field names, numbers, + - * /, \
-comparisons (which evaluate to 0 or 1), min(a,b), max(a,b), clamp(x,lo,hi), abs(x), \
-keyword_count(field,"kw"), regex_count(field,"pattern"), length(field).
+comparisons (which evaluate to 0 or 1), min(a,b), max(a,b), clamp(x,lo,hi), abs(x).
 - Every feature must evaluate to a number; missing fields read as 0.
 - Prefer features whose values differ between the positive and negative examples.
 - Output the JSON array only, no prose."""

@@ -29,6 +29,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -352,17 +353,6 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _usable_folds(y: np.ndarray, folds: int, seed: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """(fold index, training mask) of each seeded stratified fold, skipping
-    folds whose held-out split is empty or whose training split is
-    single-class."""
-    fold_ids = _stratified_folds(y, folds, seed)
-    for f in range(folds):
-        train = fold_ids != f
-        if not train.all() and np.unique(y[train]).size >= 2:
-            yield f, train
-
-
 def _c_path(
     X: np.ndarray, y: np.ndarray, grid: Sequence[float], reg: str,
     runs: Optional[List[SolverRun]] = None,
@@ -408,7 +398,11 @@ def cross_validate_c(
         raise GateError(f"duplicate C value in grid {list(grid)!r}")
     losses: Dict[float, List[float]] = {c: [] for c in grid_sorted}
     used = []
-    for f, train in _usable_folds(y, folds, seed):
+    fold_ids = _stratified_folds(y, folds, seed)
+    for f in range(folds):
+        train = fold_ids != f
+        if train.all() or np.unique(y[train]).size < 2:  # an empty held-out split, or a single-class training one
+            continue
         used.append(f)
         for c, (w, b) in _c_path(X[train], y[train], grid_sorted, reg, runs):
             losses[c].append(mean_logloss(X[~train] @ w + b, y[~train]))
@@ -488,7 +482,7 @@ class GateModel:
         for name in ("means", "sds", "weights"):  # lists, as a model JSON holds them, become arrays
             try:
                 values = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
                 values = None
             if values is None or values.ndim != 1:
                 raise GateError(f"{name} must be a list of numbers, got {getattr(self, name)!r}")
@@ -554,29 +548,6 @@ def weight_diagnostic(model: GateModel) -> Dict[str, str]:
 # -- orchestration ---------------------------------------------------------------
 
 
-_TAU_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(9))  # 0.30 .. 0.70
-
-
-def _cv_tau(
-    X: np.ndarray, y: np.ndarray, c: float, reg: str, folds: int, seed: int,
-    runs: List[SolverRun],
-) -> float:
-    """Sweep tau on held-out folds, maximizing trigger/label agreement;
-    ties prefer the value nearest 0.5 (then the smaller one)."""
-    accuracy = {tau: [] for tau in _TAU_GRID}
-    for _, train in _usable_folds(y, folds, seed):
-        w, b = fit_sparse_logistic(X[train], y[train], c, reg, runs=runs)
-        p = _sigmoid(X[~train] @ w + b)
-        for tau in _TAU_GRID:
-            accuracy[tau].append(float(((p > tau) == (y[~train] == 1.0)).mean()))
-    usable = {t: np.mean(v) for t, v in accuracy.items() if v}
-    if not usable:
-        raise GateError("every fold was skipped (single-class training splits); tau cannot be cross-validated")
-    best_acc = max(usable.values())
-    candidates = sorted([t for t, a in usable.items() if a == best_acc], key=lambda t: (abs(t - 0.5), t))
-    return float(candidates[0])
-
-
 def fit_gate(
     X: np.ndarray,
     y: np.ndarray,
@@ -586,7 +557,7 @@ def fit_gate(
     c_grid: Sequence[float] = DEFAULT_C_GRID,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    tau: Any = DEFAULT_TAU,
+    tau: float = DEFAULT_TAU,
     mi_k: int = DEFAULT_MI_K,
     mi_bins: int = DEFAULT_MI_BINS,
     meta: Optional[Dict[str, Any]] = None,
@@ -595,12 +566,11 @@ def fit_gate(
 
     A column the gate does not read (zero variance, or a duplicate) is
     left out of the model and named in ``meta["dropped"]`` with why.
-    ``tau`` is either a float (default 0.5) or "cv" for a held-out sweep.
+    ``tau`` is the decision threshold, a probability (default 0.5).
     ``regularizer`` accepts the ablation family: l1, l2, none,
     elastic_net, mi_topk. ``meta["solver"]`` records how the solver
     stopped: on the call that gave the weights (``final``) and in totals
-    over every call of this fit, CV and tau-sweep folds included
-    (``all``).
+    over every call of this fit, CV folds included (``all``).
     """
     if regularizer not in REGULARIZERS:
         raise GateError(f"unknown regularizer {regularizer!r}")
@@ -623,29 +593,19 @@ def fit_gate(
     cv_report: List[Dict[str, Any]] = []
     runs: List[SolverRun] = []  # every solver call of this fit
     chosen_c: Optional[float] = None
-    tau_matrix = Xs  # what a "cv" threshold sweep refits on
-    tau_reg = "none"
     if regularizer == "mi_topk":
         selected = set(mi_topk_select(Xs, y, retained, k=min(mi_k, len(retained)), bins=mi_bins))
         keep = np.array([n in selected for n in retained])
         w_sel, b = fit_sparse_logistic(Xs[:, keep], y, c=1.0, reg="none", runs=runs)
         weights = np.zeros(len(retained))
         weights[keep] = w_sel
-        tau_matrix = Xs[:, keep]
     elif regularizer == "none":
         weights, b = fit_sparse_logistic(Xs, y, c=1.0, reg="none", runs=runs)
     else:
         chosen_c, cv_report = cross_validate_c(Xs, y, c_grid, folds, seed, reg=regularizer, runs=runs)
         path = _c_path(Xs, y, [c for c in c_grid if float(c) <= chosen_c], regularizer, runs)
         _, (weights, b) = list(path)[-1]  # the final fit rides the CV path up to the chosen C
-        tau_reg = regularizer
     final = runs[-1]  # the call that gave the weights
-
-    if tau == "cv":
-        tau_value = _cv_tau(tau_matrix, y, chosen_c if chosen_c is not None else 1.0,
-                            tau_reg, folds, seed, runs)
-    else:
-        tau_value = float(tau)
 
     model_meta = {
         "seed": seed, "chosen_c": chosen_c, "n_rows": int(len(y)), "dropped": dropped,
@@ -661,7 +621,7 @@ def fit_gate(
         sds=sds[read],
         weights=weights,
         bias=float(b),
-        tau=tau_value,
+        tau=float(tau),
         regularizer=regularizer,
         cv_report=tuple(cv_report),
         meta=model_meta,
@@ -701,25 +661,43 @@ def model_to_dict(model: GateModel) -> Dict[str, Any]:
     )))
 
 
-def model_from_dict(payload: Dict[str, Any]) -> GateModel:
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", float: "a number within float range"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is of the JSON ``kind`` (a number as a float: an
+    int within float range is one, a bool none), else a GateError naming
+    ``what``."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, kind):
+        raise GateError(f"model JSON: {what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def model_from_dict(payload: Any) -> GateModel:
     """The model a ``model_to_dict`` payload holds. A missing or unknown
-    top-level, feature spec or standardizer key is refused with a
-    GateError naming it."""
-    _refuse_off_schema(payload, _MODEL_KEYS, "key")
-    for spec in payload["feature_specs"]:
-        _refuse_off_schema(spec, _SPEC_KEYS, "feature spec key")
-    std = payload["standardizer"]
+    top-level, feature spec or standardizer key, or a value of another
+    JSON type than the schema's (object, list, string or number), is
+    refused with a GateError naming it."""
+    _refuse_off_schema(_typed(payload, dict, "the payload"), _MODEL_KEYS, "key")
+    specs = []
+    for spec in _typed(payload["feature_specs"], list, "feature_specs"):
+        _refuse_off_schema(_typed(spec, dict, "a feature spec"), _SPEC_KEYS, "feature spec key")
+        specs.append(FeatureSpec(**{k: _typed(spec[k], str, f"feature spec {k}") for k in _SPEC_KEYS}))
+    std = _typed(payload["standardizer"], dict, "standardizer")
     _refuse_off_schema(std, ("means", "sds"), "standardizer key")
+    cv_report = tuple(_typed(row, dict, "a cv_report row") for row in _typed(payload["cv_report"], list, "cv_report"))
     return GateModel(
-        feature_specs=tuple(FeatureSpec(**spec) for spec in payload["feature_specs"]),
+        feature_specs=tuple(specs),
         means=std["means"],
         sds=std["sds"],
         weights=payload["weights"],
-        bias=float(payload["bias"]),
-        tau=float(payload["tau"]),
+        bias=_typed(payload["bias"], float, "bias"),
+        tau=_typed(payload["tau"], float, "tau"),
         regularizer=payload["regularizer"],
-        cv_report=tuple(payload["cv_report"]),
-        meta=dict(payload["meta"]),
+        cv_report=cv_report,
+        meta=dict(_typed(payload["meta"], dict, "meta")),
     )
 
 

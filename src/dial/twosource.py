@@ -27,8 +27,8 @@ Conventions (fixed for reproducibility):
     stream is a ``dial.rng.stream``.
   - a fork is one rollout, returned as its truncated return: the
     snapshot state's reward, triggered or not, then ``+= base_reward +
-    z`` for each untriggered step up to the lookahead (to the horizon
-    when None), each ``z`` the rollout's own reward noise. It reads no
+    z`` for each untriggered step up to the lookahead (clipped at the
+    horizon), each ``z`` the rollout's own reward noise. It reads no
     other state and leaves the episode where it was. The ``count``
     sibling forks of one snapshot (one paired label's rollouts) share
     one draw: sibling i's noise is slice ``[i*m, (i+1)*m)`` of
@@ -221,14 +221,12 @@ class TwoSourceEpisode:
         self._cursor = t + 1
         return self._reward(t, triggered)
 
-    def fork(
-        self, reseed: int, lookahead: Optional[int] = None, *, triggered: bool, index: int = 0, count: int = 1
-    ) -> float:
+    def fork(self, reseed: int, lookahead: int, *, triggered: bool, index: int = 0, count: int = 1) -> float:
         """Truncated return of sibling ``index`` of the ``count`` rollouts
         forked here with this ``reseed`` and ``lookahead`` (see the module
         notes). The last family's returns are kept here, so of siblings
         forked one after another only the first draws and sums."""
-        if lookahead is not None and lookahead < 0:
+        if lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
@@ -237,8 +235,7 @@ class TwoSourceEpisode:
             t = self._current()  # refuses a finished episode
             # Each sibling starts at its arm's snapshot reward.
             totals = np.array([[self._reward(t, False)] * count, [self._reward(t, True)] * count])
-            end = self.params.horizon if lookahead is None else min(t + 1 + lookahead, self.params.horizon)
-            m = end - t - 1
+            m = min(lookahead, self.params.horizon - t - 1)  # rollout steps past the snapshot
             if m:
                 z = stream(reseed).standard_normal(count * m) * self.params.noise_sd
                 for row in self.params.base_reward + z.reshape(count, m).T:  # row j: step j of every sibling

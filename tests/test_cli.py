@@ -33,7 +33,7 @@ from dial.cli import (
 )
 from dial.explore import run_exploration
 from dial.features import MockProposalClient
-from dial.gate import load_model_json
+from dial.gate import load_model_json, model_from_dict
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv
 from direction_experiments import explore_and_fit
@@ -120,6 +120,7 @@ def test_rollout_sizes_validated_before_work(tmp_path, capsys, key):
         ("gate", "mi_bins", 1),
         ("environment", "trigger_cost_units", 0),
         ("environment", "trigger_cost_units", -2.0),
+        ("gate", "tau", "cv"),
     ],
 )
 def test_fit_and_eval_settings_validated_before_work(tmp_path, capsys, section, key, value):
@@ -172,8 +173,9 @@ def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
     [
         ({"gate": {"c_grid": [0.1, 0.1, 1.0]}}, "gate.c_grid: duplicate value 0.1"),
         ({"output_dir": None}, "output_dir: must be a non-empty string, got None"),
+        ({"gate": {"tau": "cv"}}, "gate.tau: must be a probability in (0, 1), got 'cv'"),
     ],
-    ids=["c-grid", "output-dir"],
+    ids=["c-grid", "output-dir", "tau-cv"],
 )
 def test_refusal_messages_name_the_value(tmp_path, overrides, message):
     # A null output_dir once wrote every artifact into ./None; a repeated
@@ -606,6 +608,49 @@ def test_an_input_file_that_cannot_be_opened_is_one_stderr_line_and_exit_status_
     assert main(argv) == 2
     strerror = "Is a directory" if kind == "directory" else "No such file or directory"
     assert capsys.readouterr() == ("", f"dial: error: {noun} {path}: cannot be read ({strerror})\n")
+    assert not out.exists()
+
+
+_SPEC = {"name": "f0", "source": "llm", "extractor": "signal"}
+_MODEL = {"feature_specs": [_SPEC], "weights": [0.5], "bias": 0.0, "tau": 0.5, "regularizer": "l1",
+          "standardizer": {"means": [0.0], "sds": [1.0]}, "cv_report": [], "meta": {}}
+
+
+def _model_text(**changes):
+    return json.dumps({**_MODEL, **changes})
+
+
+@pytest.mark.parametrize(
+    "noun, text",
+    [
+        ("model", "not json"),
+        ("model", "1"),
+        ("model", _model_text(tau=None)),
+        ("model", _model_text(feature_specs=[{**_SPEC, "name": 1}])),
+        ("model", _model_text(feature_specs=["f0"])),
+        ("model", _model_text(standardizer=[[0.0], [1.0]])),
+        ("model", _model_text(cv_report="none")),
+        ("model", _model_text(meta=[])),
+        ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "meta"})),
+        ("model", _model_text(weights=[10**400])),
+        ("model", _model_text(bias=10**400)),
+        ("model", _model_text(feature_specs=[{**_SPEC, "extractor": "length(signal)"}])),
+        ("dataset", '{"env_meta": {}}\nnot json\n'),
+    ],
+    ids=["not-json", "number", "tau-null", "spec-name-number", "spec-not-object", "standardizer-list",
+         "cv-report-text", "meta-list", "meta-missing", "weight-huge", "bias-huge", "text-function",
+         "bad-record-line"],
+)
+def test_an_input_file_that_does_not_load_is_one_stderr_line_and_exit_status_2(tmp_path, capsys, noun, text):
+    model_from_dict(_MODEL)  # the base model loads, so each case fails on its own fault
+    path = tmp_path / "input"
+    path.write_text(text)
+    out = tmp_path / "out"
+    command, flag = ("eval", "--model") if noun == "model" else ("stats", "--dataset")
+    assert main([command, "--config", write_config(tmp_path / "config.json"), "--out", str(out), flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"dial: error: {noun} {path}: not a valid {noun} (")
     assert not out.exists()
 
 

@@ -119,7 +119,7 @@ class _ScriptedEpisode:
         self.t += 1
         return 2.0 if triggered else 1.0
 
-    def fork(self, reseed, lookahead=None, *, triggered, index=0, count=1):
+    def fork(self, reseed, lookahead, *, triggered, index=0, count=1):
         raise EnvFault("scripted deployment episodes do not fork")
 
     def debug_state(self):

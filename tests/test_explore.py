@@ -49,10 +49,9 @@ class ScriptedEpisode:
         self.t += 1
         return float(self.values[triggered])
 
-    def fork(self, reseed, lookahead=None, *, triggered, index=0, count=1):
-        end = self.horizon if lookahead is None else min(self.t + 1 + lookahead, self.horizon)
+    def fork(self, reseed, lookahead, *, triggered, index=0, count=1):
         total = float(self.values[triggered])
-        for _ in range(end - self.t - 1):
+        for _ in range(min(lookahead, self.horizon - self.t - 1)):
             total += float(self.values[0])
         return total
 
@@ -84,7 +83,7 @@ class SiblingScriptedEpisode(ScriptedEpisode):
         self.returns = returns
         self.actions = []
 
-    def fork(self, reseed, lookahead=None, *, triggered, index=0, count=1):
+    def fork(self, reseed, lookahead, *, triggered, index=0, count=1):
         self.actions.append((index, triggered))
         return float(self.returns[index])
 

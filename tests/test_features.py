@@ -70,7 +70,6 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     assert _universal(obs) == [3.0, 0.5, 1.0, 4.0, 0.0]
     assert parse_expr("step_count * 2 + type_proxy")(obs) == 7.0
     assert parse_expr("note + 1")(obs) == 1.0
-    assert parse_expr("length(note)")(obs) == 1.0
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
     pool = build_pool(propose_llm_features({}, MockProposalClient()))
     assert extract_features(pool, obs).tolist() == extract_features(pool, floats).tolist()
@@ -89,7 +88,7 @@ _READS = {"f": 0.25, "i": 3, "i64": np.int64(-2), "f32": np.float32(0.5), "f64":
         # arithmetic with literal operands, division by zero included
         ("f * 4", 1.0), ("4 - f", 3.75), ("1 + 2", 3.0), ("-(2 * 3)", -6.0), ("f / 0", 0.0), ("1 / 0", 0.0),
         ("0 / 0", 0.0), ("i / 2", 1.5), ("2 / f", 8.0), ("max(f, 1)", 1.0), ("min(2, 1)", 1.0), ("abs(-3)", 3.0),
-        ("clamp(i, 0, 1)", 1.0), ("7", 7.0), ("keyword_count(t, '')", 0.0),
+        ("clamp(i, 0, 1)", 1.0), ("7", 7.0), ("min(2, 1, 3)", 1.0),
         # name reads: numbers of every kind, text and missing fields
         ("f", 0.25), ("i", 3.0), ("i64", -2.0), ("f32", 0.5), ("f64", 0.75), ("b", 1.0), ("pb", 1.0),
         ("t", 0.0), ("missing", 0.0), ("-i64", 2.0), ("+f32", 0.5),
@@ -126,27 +125,6 @@ def test_extraction_is_pure():
 
 
 # -- DSL ----------------------------------------------------------------------
-
-
-def test_dsl_length_arithmetic():
-    expr = parse_expr('length("abcd") / 2')
-    assert expr({}) == 2.0
-
-
-def test_dsl_keyword_count_empty_text():
-    expr = parse_expr('keyword_count(state_text, "click")')
-    assert expr({"state_text": ""}) == 0.0
-    assert expr({}) == 0.0
-
-
-def test_dsl_keyword_count_case_insensitive():
-    expr = parse_expr('keyword_count(state_text, "Click")')
-    assert expr({"state_text": "click[a] CLICK[b]"}) == 2.0
-
-
-def test_dsl_regex_count():
-    expr = parse_expr('regex_count(state_text, "[0-9]+")')
-    assert expr({"state_text": "a1 b22 c"}) == 2.0
 
 
 def test_dsl_clamp_endpoint():
@@ -199,16 +177,7 @@ DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, 
         ("max(x, a, n, b, 1)", 12.5),
         ("abs(x)", 2.5),
         ("clamp(n, 0, 10)", 10.0),
-        ('length("abcd")', 4.0),
-        ("length(t)", 7.0),
-        ("length(n)", 4.0),  # str(12.5)
-        ("length(flag)", 4.0),  # str(True)
-        ("length(none)", 0.0),
-        ('keyword_count(t, "")', 0.0),
-        ('keyword_count(missing, "a")', 0.0),
-        ('keyword_count(t, "ABC")', 2.0),
-        ('keyword_count("abab", "b") - 1', 1.0),
-        ('regex_count(t, "[ab]+")', 2.0),
+        ("clamp(2, 0, 1)", 1.0),  # all literals: folded
         ("flag + off", 1.0),
         ("t + 1", 1.0),  # a text field read as a number is 0.0
         ("none * 2 + missing", 0.0),
@@ -227,10 +196,8 @@ DSL_REJECTED = {
     "x[0]": "node Subscript is not part of the feature language",
     "lambda: 1": "node Lambda is not part of the feature language",
     "f(1)": "unknown function 'f'",
-    "regex_count(t, '[')": "bad regex '[': unterminated character set at position 0",
-    "'bare string'": "literal 'bare string' outside a text function",
+    "'bare string'": "literal 'bare string' is not a number",
     "1 < 2 < 3": "only single two-sided comparisons are allowed",
-    "keyword_count(t)": "keyword_count takes exactly 2 arguments",
     "": "empty expression",
     "not x": "node UnaryOp is not part of the feature language",
     "x ** 2": "node BinOp is not part of the feature language",
@@ -238,14 +205,18 @@ DSL_REJECTED = {
     "min(1)": "min takes 2+ arguments",
     "abs(1, 2)": "abs takes 1 arguments",
     "max(a=1)": "keyword arguments are not allowed",
-    'keyword_count(1, "a")': "keyword_count expects a field name or string literal",
-    "keyword_count(t, x)": "keyword_count pattern must be a string literal",
     "a.b()": "only plain function calls are allowed",
     "x[0] + (1 < 2 < 3)": "node Subscript is not part of the feature language",
     "max(1, x[0], z=1)": "keyword arguments are not allowed",
     "abs(1, x[0])": "abs takes 1 arguments",
     "f(x[0])": "unknown function 'f'",
     "1 in x": "only single two-sided comparisons are allowed",
+    # the language is numeric: no function reads text, whatever its arguments
+    "length(signal)": "unknown function 'length'",
+    "keyword_count(t)": "unknown function 'keyword_count'",
+    'keyword_count(1, "a")': "unknown function 'keyword_count'",
+    "keyword_count(t, x)": "unknown function 'keyword_count'",
+    "regex_count(t, '[')": "unknown function 'regex_count'",
 }
 
 
@@ -299,9 +270,10 @@ def test_proposal_requires_exactly_five():
 
 
 def test_proposal_rejects_unparseable_expression():
-    with pytest.raises(ProviderError, match="proposal rejected") as excinfo:
-        proposed_specs(_items(4) + [{"name": "f4", "expr": "x[0]"}])
-    assert isinstance(excinfo.value.__cause__, DslError)
+    for expr in ("x[0]", "length(signal)"):
+        with pytest.raises(ProviderError, match="proposal rejected") as excinfo:
+            proposed_specs(_items(4) + [{"name": "f4", "expr": expr}])
+        assert isinstance(excinfo.value.__cause__, DslError)
 
 
 @pytest.mark.parametrize(
@@ -573,8 +545,9 @@ def test_proposal_mode_unknown_is_refused(no_network, tmp_path, mode):
 
 
 def test_dsl_nested_calls():
-    expr = parse_expr('clamp(keyword_count(state_text, "go") + 0.5, 0, 2)')
-    assert expr({"state_text": "go go go"}) == 2.0
+    expr = parse_expr("clamp(max(abs(x), 1) + 0.5, 0, 2)")
+    assert expr({"x": -3.0}) == 2.0
+    assert expr({"x": 0.2}) == 1.5
 
 
 def test_default_exploration_constants():

@@ -89,12 +89,17 @@ def test_numpy_float_params_build():
     assert params.base_reward == 0.5 and params.success_threshold == 2.0
 
 
+# A lookahead past every horizon in this module: the fork clips it at the
+# episode's end, so the rollout runs to the end.
+_TO_END = 100
+
+
 def _rewards(params, seed):
     # Every step's reward and a triggered and an untriggered fork at each state.
     ep, out = TwoSourceEpisode(params, seed), []
     while not ep.done():
         out += [ep.fork(reseed=seed, lookahead=2, triggered=True, count=3, index=1),
-                ep.fork(reseed=seed, lookahead=None, triggered=False), ep.step(True)]
+                ep.fork(reseed=seed, lookahead=_TO_END, triggered=False), ep.step(True)]
     return out
 
 
@@ -312,7 +317,7 @@ def test_fork_reseed_shares_snapshot_but_diverges_later():
         ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=9)
         ep.step(False)
         snapshot = {ep.fork(reseed=s, lookahead=0, triggered=triggered) for s in (100, 200)}
-        later = {ep.fork(reseed=s, triggered=triggered) for s in (100, 200)}
+        later = {ep.fork(reseed=s, lookahead=_TO_END, triggered=triggered) for s in (100, 200)}
         assert snapshot == {_read_state(ep, triggered)[2]}
         assert len(later) == 2
 
@@ -324,7 +329,7 @@ def test_fork_rollouts_do_not_mutate_parent():
         ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
         twin = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
         while not twin.done():
-            for lookahead in (None, 0, 2):
+            for lookahead in (_TO_END, 0, 2):
                 for index in (0, 4):
                     ep.fork(reseed=1, lookahead=lookahead, triggered=True, index=index, count=5)
             assert ep._cursor == twin._cursor
@@ -501,7 +506,7 @@ def test_paired_labels_are_pinned(params, knh, golden):
 @pytest.mark.parametrize(
     "lookahead, golden",
     [
-        (None, "b641d2ed905d302dda3359228bbe73482a735dc6ffc7ff30e48a6e6db6f522f3"),
+        (_TO_END, "b641d2ed905d302dda3359228bbe73482a735dc6ffc7ff30e48a6e6db6f522f3"),
         (0, "2bd6fb1e46a81dd48e1a5cb030539e6b5fdd0a2e93fc5616a1375f014958a989"),
         (2, "385ab1603a75b70048c0d141966361cfaaf047b8da1acb0540c23567b08a347e"),
     ],
@@ -526,7 +531,12 @@ def test_fork_rejects_negative_lookahead(lookahead):
 
 _SIBLING_PARAMS = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
 _COUNTS = [1, 5, 25]
-_LOOKAHEADS = [0, 1, 3, None]
+_LOOKAHEADS = [0, 1, 3, None]  # None: to the episode's end
+
+
+def _ahead(lookahead):
+    # A fork's lookahead for an entry of a lookahead table.
+    return _TO_END if lookahead is None else lookahead
 
 
 def _siblings(count, lookahead, order=None, triggered=True):
@@ -547,8 +557,8 @@ def test_sibling_noise_read_equals_observed_twin(count, lookahead):
     # stream(reseed) for the lookahead steps tiled count times, added in
     # step order, bit for bit, whether the siblings are made in forward
     # or in reverse order.
-    params = _SIBLING_PARAMS
-    steps = np.arange(2, params.horizon if lookahead is None else min(2 + lookahead, params.horizon))
+    params, lookahead = _SIBLING_PARAMS, _ahead(lookahead)
+    steps = np.arange(2, min(2 + lookahead, params.horizon))
     m = len(steps)
     noise = _draw_states(params, stream(5), np.tile(steps, count))["reward_noise"].tolist()
     columns = sample_states(params, params.horizon, 33)
@@ -569,7 +579,7 @@ def test_siblings_are_pairwise_distinct(count, lookahead):
     # Siblings share the snapshot step and no noise past it; at lookahead
     # 0 a sibling's return is the snapshot step alone.
     for triggered in (False, True):
-        returns = _siblings(count, lookahead, triggered=triggered)
+        returns = _siblings(count, _ahead(lookahead), triggered=triggered)
         assert len(set(returns)) == (1 if lookahead == 0 else count)
 
 
@@ -578,12 +588,13 @@ def test_siblings_are_pairwise_distinct(count, lookahead):
 def test_fork_is_done_at_its_lookahead(count, lookahead):
     # Noise-free, from every snapshot, first and last sibling, the
     # snapshot step triggered or not: the return adds base_reward once per
-    # step past the snapshot, min(lookahead, horizon - t - 1) times
-    # (horizon - t - 1 when None). On a finished episode a fork raises.
+    # step past the snapshot, min(lookahead, horizon - t - 1) times. On a
+    # finished episode a fork raises.
     params = TwoSourceParams(noise_sd=0.0, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
+    lookahead = _ahead(lookahead)
     ep = TwoSourceEpisode(params, 33)
     for t in range(params.horizon):
-        past = params.horizon - t - 1 if lookahead is None else min(lookahead, params.horizon - t - 1)
+        past = min(lookahead, params.horizon - t - 1)
         for triggered in (False, True):
             expected = params.base_reward + (ep.debug_state()["true_utility"] if triggered else 0.0)
             for _ in range(past):
@@ -613,8 +624,7 @@ def _scalar_fork(params, seed, t, reseed, lookahead, count, index, triggered):
     total = params.base_reward + columns["reward_noise"][t].item()
     if triggered:
         total += columns["true_utility"][t].item()
-    end = params.horizon if lookahead is None else min(t + 1 + lookahead, params.horizon)
-    m = end - t - 1
+    m = min(lookahead, params.horizon - t - 1)
     noise = (stream(reseed).standard_normal(count * m) * params.noise_sd).tolist()
     for z in noise[index * m : (index + 1) * m]:
         total += params.base_reward + z
@@ -641,7 +651,7 @@ def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lo
     # with one reseed throughout, so a family kept past its step would
     # show; the arms interleave. A family draws once, and not at all
     # when it has no rollout step.
-    params = _SIBLING_PARAMS
+    params, lookahead = _SIBLING_PARAMS, _ahead(lookahead)
     forks = [(t, index, triggered)
              for t in range(params.horizon) for index in range(count) for triggered in (True, False)]
     expected = [_scalar_fork(params, 33, t, 5, lookahead, count, index, triggered) for t, index, triggered in forks]
@@ -653,8 +663,7 @@ def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lo
                 for step, index, triggered in forks if step == t]
         ep.step(t % 2 == 0)
     assert got == expected
-    drawing = sum(1 for t in range(params.horizon)
-                  if (params.horizon if lookahead is None else min(t + 1 + lookahead, params.horizon)) - t - 1)
+    drawing = sum(1 for t in range(params.horizon) if min(lookahead, params.horizon - t - 1))
     assert len(calls) == drawing
 
 
@@ -663,7 +672,7 @@ def test_interleaved_families_evict_and_redraw(monkeypatch):
     # turn on one episode: each fork evicts the other family and draws
     # again, and every sibling still reads its own family's returns.
     params = _SIBLING_PARAMS
-    families = [(5, 2, 25), (6, 2, 25), (5, None, 25), (5, 2, 5)]
+    families = [(5, 2, 25), (6, 2, 25), (5, _TO_END, 25), (5, 2, 5)]
     for other in families[1:]:
         forks = [(*family, index) for index in range(5) for family in (families[0], other)]
         expected = [_scalar_fork(params, 33, 1, reseed, lookahead, count, index, index % 2 == 0)
