@@ -40,6 +40,7 @@ from .explore import (
 from .features import (
     PROPOSAL_MODES,
     ProposalProvider,
+    ProviderError,
     build_matrix,
     build_pool,
     proposal_client,
@@ -735,14 +736,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; a ConfigError is one stderr line and exit status 2, as argparse gives."""
+    """Run one subcommand; a ConfigError or a ProviderError is one stderr
+    line and exit status 2, as argparse gives."""
     args = build_parser().parse_args(argv)
     flag = COMMANDS[args.command][1]
     inputs = () if flag is None else (getattr(args, flag[2:]),)
     try:
         config = load_config(args.config, seed_override=args.seed, out_override=args.out)
         result = globals()[f"cmd_{args.command}"](config, *inputs)  # looked up now, so a patched cmd_* is the one run
-    except ConfigError as exc:
+    except (ConfigError, ProviderError) as exc:
         print(f"dial: error: {exc}", file=sys.stderr)
         return 2
     print(result if isinstance(result, str) else "\n".join(f"{name}: {path}" for name, path in result.items()))

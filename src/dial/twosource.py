@@ -41,10 +41,10 @@ Conventions (fixed for reproducibility):
     nothing. ``count=1`` is a single fork.
   - an episode reads the ``sample_states`` columns of its seed, as lists
     of Python scalars, at its step index, and each state's observation
-    record, built once from them. Both come from one-slot caches keyed by
-    (params, seed): a deployment builds each episode once per policy, one
-    policy after another, so only the first policy of an episode draws
-    it and builds its records. Nothing writes to the columns or the
+    record, built once from them. One one-slot cache keyed by (params,
+    seed) returns both: a deployment builds each episode once per policy,
+    one policy after another, so only the first policy of an episode
+    draws it and builds its records. Nothing writes to the columns or the
     records (``observe`` returns a copy), so episodes share them.
 """
 
@@ -153,25 +153,20 @@ def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.nd
 
 
 @functools.lru_cache(maxsize=1)
-def _episode_columns(params: TwoSourceParams, seed: int) -> Dict[str, list]:
-    """The columns of the episode with this seed, as lists of Python
-    scalars, drawn once for a run of episodes built on one seed (see the
-    module notes)."""
-    return {name: column.tolist() for name, column in sample_states(params, params.horizon, seed).items()}
-
-
-@functools.lru_cache(maxsize=1)
-def _episode_observations(params: TwoSourceParams, seed: int) -> List[Dict[str, float]]:
-    """Each state's observation record, in step order, for the episode
-    with this seed: hidden fields stay hidden, every value is a float."""
-    cols = _episode_columns(params, seed)
-    return [
+def _episode_states(params: TwoSourceParams, seed: int) -> Tuple[Dict[str, list], List[Dict[str, float]]]:
+    """The episode with this seed, built once for a run of episodes on
+    one seed (see the module notes): its columns, as lists of Python
+    scalars, and each state's observation record in step order, whose
+    values are floats and which leaves the hidden fields out."""
+    cols = {name: column.tolist() for name, column in sample_states(params, params.horizon, seed).items()}
+    observations = [
         {"step_count": float(t), "signal": signal, "type_proxy": float(proxy),
          "num_options": float(options), "is_finish": float(finish)}
         for t, signal, proxy, options, finish in zip(
             cols["step_index"], cols["signal"], cols["type_proxy"], cols["num_options"], cols["is_finish"]
         )
     ]
+    return cols, observations
 
 
 class TwoSourceEpisode:
@@ -189,8 +184,7 @@ class TwoSourceEpisode:
         if not isinstance(params, TwoSourceParams):
             raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
-        self._cols = _episode_columns(params, seed)
-        self._observations = _episode_observations(params, seed)
+        self._cols, self._observations = _episode_states(params, seed)
         self._cursor = 0  # step index of the current state
         self._family: Optional[Tuple[tuple, List[List[float]]]] = None  # last family: key, [base, triggered] returns
 

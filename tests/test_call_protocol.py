@@ -91,7 +91,7 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
     monkeypatch.setattr(twosource, "_draw_states", counting_draw)
     monkeypatch.setattr(cli, "run_deployment", deploy)
     monkeypatch.setattr(TwoSourceEpisode, "step", step)
-    twosource._episode_columns.cache_clear()
+    twosource._episode_states.cache_clear()
     cli.cmd_eval(config, model_path)
     assert draws[0] == config.eval["n_episodes"]
     assert steps_outside[0] == 0

@@ -654,6 +654,19 @@ def test_an_input_file_that_does_not_load_is_one_stderr_line_and_exit_status_2(t
     assert not out.exists()
 
 
+def test_a_fit_with_no_proposal_endpoint_is_one_stderr_line_and_exit_status_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DIAL_LLM_URL", raising=False)
+    config_path = write_config(tmp_path / "config.json", gate={"llm_features": "http"})
+    out = tmp_path / "out"
+    assert main(["explore", "--config", config_path, "--out", str(out)]) == 0
+    dataset_path = capsys.readouterr().out.strip()
+    assert main(["fit", "--config", config_path, "--out", str(out), "--dataset", dataset_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dial: error: no proposal endpoint configured (set DIAL_LLM_URL)\n"
+    assert list(out.glob("model-*.json")) == []
+
+
 def test_the_console_script_reports_a_missing_config_with_exit_status_2(tmp_path):
     import dial
 

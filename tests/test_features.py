@@ -148,8 +148,10 @@ def test_dsl_missing_field_defaults_to_zero():
     assert compiled({}) == 1.0
 
 
-# One namespace for the whole table: numbers, text, a bool and a None.
-DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, "off": False, "none": None}
+# One namespace for the whole table: numbers, text, a bool and a None,
+# two of them under names Python also uses.
+DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, "off": False, "none": None,
+          "ns": 7.0, "min": 1.5}
 
 
 @pytest.mark.parametrize(
@@ -177,10 +179,22 @@ DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, 
         ("max(x, a, n, b, 1)", 12.5),
         ("abs(x)", 2.5),
         ("clamp(n, 0, 10)", 10.0),
-        ("clamp(2, 0, 1)", 1.0),  # all literals: folded
+        ("clamp(2, 0, 1)", 1.0),  # all literals
         ("flag + off", 1.0),
         ("t + 1", 1.0),  # a text field read as a number is 0.0
         ("none * 2 + missing", 0.0),
+        # a name is always a field, never a function or a Python name
+        ("ns + 1", 8.0),
+        ("min * 2 + min(ns, 5)", 8.0),
+        ("__import__ + 1", 1.0),
+        # a literal past float range is infinite
+        ("x < 1e999", 1.0),
+        ("-1e999 < x", 1.0),
+        ("clamp(x, 0, 1e999)", 0.0),
+        ("clamp(n, 0, 1e999)", 12.5),
+        # a zero division inside a comparison is 0.0 there too
+        ("a / (b - 4) < 1", 1.0),
+        ("max(a / off, x) == 0", 1.0),
     ],
 )
 def test_dsl_evaluation_table(source, expected):

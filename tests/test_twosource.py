@@ -20,7 +20,7 @@ from dial.twosource import (
     TwoSourceEpisode,
     TwoSourceParams,
     _draw_states,
-    _episode_columns,
+    _episode_states,
     sample_states,
 )
 
@@ -116,9 +116,9 @@ def test_numpy_scalar_params_step_and_fork_as_python_floats(kwargs):
     assert {f.name: type(getattr(params, f.name)) for f in fields(params)} == {
         f.name: int if f.name == "horizon" else float for f in fields(params)}
     as_floats = TwoSourceParams(**{k: int(v) if k == "horizon" else float(v) for k, v in kwargs.items()})
-    _episode_columns.cache_clear()
+    _episode_states.cache_clear()
     got = _rewards(params, 11)
-    _episode_columns.cache_clear()
+    _episode_states.cache_clear()
     expected = _rewards(as_floats, 11)
     assert {type(r) for r in got} == {float}
     assert [r.hex() for r in got] == [r.hex() for r in expected]
@@ -342,8 +342,9 @@ def test_stepping_past_horizon_raises():
     ep.step(False)
     ep.step(False)
     assert ep.done()
-    with pytest.raises(EnvFault):
-        ep.step(False)
+    for call in (lambda: ep.step(False), ep.observe, ep.debug_state):
+        with pytest.raises(EnvFault, match="^episode is finished$"):
+            call()
 
 
 def test_success_threshold_defaults_to_base_return():
@@ -407,8 +408,8 @@ def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
     # An episode's cached columns hold Python scalars (never numpy
     # scalars) with the values sample_states draws for the same seed and
     # positions, and every observation value is a Python float.
-    _episode_columns.cache_clear()
-    columns = _episode_columns(params, 23)
+    _episode_states.cache_clear()
+    columns, observations = _episode_states(params, 23)
     states = sample_states(params, params.horizon, 23)
     assert columns.keys() == states.keys() == _COLUMN_TYPES.keys()
     for name, column in columns.items():
@@ -416,7 +417,7 @@ def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
         assert {type(v) for v in column} == {_COLUMN_TYPES[name]}
         assert column == states[name].tolist()
     ep = TwoSourceEpisode(params, 23)
-    assert ep._cols is columns
+    assert ep._cols is columns and ep._observations is observations
     while not ep.done():
         assert {type(v) for v in ep.observe().values()} == {float}
         ep.step(False)
