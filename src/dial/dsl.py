@@ -3,14 +3,16 @@
 Proposed features are numeric expressions over observation fields,
 never code. The language supports field access, number literals,
 threshold indicators (comparisons), and bounded arithmetic (+ - * /,
-min, max, clamp, abs). One recursive pass over the expression's Python
+min, max, clamp, abs). One recursive pass over each expression's Python
 ``ast`` checks each node against a strict whitelist and builds, from the
-checked nodes alone, the tree of one Python function of the namespace,
-compiled once. In that function a field name is only a string key read
-through ``_number``, a literal only a float constant (so ``1e999`` stays
-infinite), ``/`` is ``_divide``, a comparison is ``1.0 if ... else 0.0``,
-and its globals hold its helpers and no builtins, so evaluation is
-deterministic and side-effect free.
+checked nodes alone, one Python function of the namespace for a whole
+list of expressions, compiled once, that returns the tuple of their
+values. In it a field name is only a string key read through
+``_number``, a bound name (a universal feature) a local read once from
+the first of its keys, a literal only a float constant (so ``1e999``
+stays infinite), ``/`` is ``_divide``, a comparison is ``1.0 if ... else
+0.0``, and its globals hold its helpers and no builtins, so evaluation
+is deterministic and side-effect free.
 
 Missing fields never produce errors: a field that is missing or not a
 number reads as 0.0. Division by zero evaluates to 0.0.
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 Namespace = Dict[str, Any]
-Fn = Callable[[Namespace], float]
+Fn = Callable[[Namespace], Any]
 
 # name -> (min args, max args or None, the function a call of that name runs)
 _FUNCS = {
@@ -43,19 +45,23 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq)
 
 
-def _number(ns: Namespace, name: str) -> float:
-    """The field ``name`` as a float; missing and text read 0.0."""
-    value = ns.get(name)
-    if type(value) is float:  # observations hold floats
-        return value
-    return float(value) if isinstance(value, NUMBER_TYPES) else 0.0
+def _number(ns: Namespace, *keys: str) -> float:
+    """The first of ``keys`` that ``ns`` holds as a number, as a float;
+    a key that is missing or holds text is passed over, and none reads 0.0."""
+    for key in keys:
+        value = ns.get(key)
+        if type(value) is float:  # observations hold floats
+            return value
+        if isinstance(value, NUMBER_TYPES):
+            return float(value)
+    return 0.0
 
 
 def _divide(left: float, right: float) -> float:
     return 0.0 if right == 0.0 else left / right
 
 
-# Everything a compiled expression can name besides its namespace ``ns``.
+# Everything a compiled function can name besides ``ns`` and its locals.
 _GLOBALS = {"__builtins__": {}, "_number": _number, "_divide": _divide,
             **{name: function for name, (_, _, function) in _FUNCS.items()}}
 
@@ -69,49 +75,71 @@ class CompiledExpr:
     source: str
     fn: Fn = field(repr=False, compare=False)
 
-    def __call__(self, namespace: Namespace) -> float:
+    def __call__(self, namespace: Namespace) -> Any:
         return self.fn(namespace)
 
 
 def parse_expr(source: str) -> CompiledExpr:
-    """Parse and compile one expression; raises DslError on anything
-    outside the whitelisted grammar."""
-    if not isinstance(source, str) or not source.strip():
-        raise DslError("empty expression")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
+    """Parse and compile one expression, a row of one; raises DslError
+    on anything outside the whitelisted grammar."""
+    fn = parse_row([source], {}).fn
+    return CompiledExpr(source=source, fn=lambda ns: fn(ns)[0])
+
+
+def parse_row(sources: Sequence[str], bound: Mapping[str, Tuple[str, ...]]) -> CompiledExpr:
+    """Parse and compile expressions into one function that returns the
+    tuple of their values. It reads each name of ``bound`` once, as
+    ``_number`` of its keys, for every expression that names it; any other
+    name is a field. Raises DslError on anything outside the grammar."""
+    local = {name: f"_{i}" for i, name in enumerate(bound)}  # a field name never becomes a Python name
+    body: List[ast.stmt] = [ast.Assign([ast.Name(local[name], ast.Store())], _read(*keys))
+                            for name, keys in bound.items()]
+    values = []
+    for source in sources:
+        if not isinstance(source, str) or not source.strip():
+            raise DslError("empty expression")
+        try:
+            tree = ast.parse(source, mode="eval")
+        except SyntaxError as exc:
+            raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
+        values.append(_compile(tree.body, source, local))
+    body.append(ast.Return(ast.Tuple(values, ast.Load())))
     args = ast.arguments(posonlyargs=[], args=[ast.arg("ns")], kwonlyargs=[], kw_defaults=[], defaults=[])
-    function = ast.Expression(ast.Lambda(args, _compile(tree.body, source)))
-    fn = eval(compile(ast.fix_missing_locations(function), "<dsl>", "eval"), _GLOBALS)
-    return CompiledExpr(source=source, fn=fn)
+    module = ast.Module([ast.FunctionDef("f", args, body, [], None, None)], [])
+    scope: Namespace = {}
+    exec(compile(ast.fix_missing_locations(module), "<dsl>", "exec"), _GLOBALS, scope)
+    return CompiledExpr(source=", ".join(sources), fn=scope["f"])
+
+
+def _read(*keys: str) -> ast.Call:
+    return _call("_number", ast.Name("ns", ast.Load()), *map(ast.Constant, keys))
 
 
 def _call(name: str, *args: ast.expr) -> ast.Call:
     return ast.Call(ast.Name(name, ast.Load()), list(args), [])
 
 
-def _compile(node: ast.AST, source: str) -> ast.expr:
+def _compile(node: ast.AST, source: str, local: Mapping[str, str]) -> ast.expr:
     """Check one node (children left to right) and build its part of the
-    compiled function from what was checked."""
+    compiled function from what was checked; a name in ``local`` reads
+    the local variable it maps to."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise DslError(f"{source!r}: literal {node.value!r} is not a number")
         return ast.Constant(float(node.value))
     if isinstance(node, ast.Name):
-        return _call("_number", ast.Name("ns", ast.Load()), ast.Constant(node.id))
+        return ast.Name(local[node.id], ast.Load()) if node.id in local else _read(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        operand = _compile(node.operand, source)
+        operand = _compile(node.operand, source, local)
         return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(ast.USub(), operand)
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        left, right = _compile(node.left, source), _compile(node.right, source)
+        left, right = _compile(node.left, source, local), _compile(node.right, source, local)
         return _call("_divide", left, right) if isinstance(node.op, ast.Div) else ast.BinOp(left, type(node.op)(), right)
     if isinstance(node, ast.Compare):
         if len(node.ops) != 1 or not isinstance(node.ops[0], _CMPOPS):
             raise DslError(f"{source!r}: only single two-sided comparisons are allowed")
-        test = ast.Compare(_compile(node.left, source), [type(node.ops[0])()], [_compile(node.comparators[0], source)])
-        return ast.IfExp(test, ast.Constant(1.0), ast.Constant(0.0))
+        left, right = _compile(node.left, source, local), _compile(node.comparators[0], source, local)
+        return ast.IfExp(ast.Compare(left, [type(node.ops[0])()], [right]), ast.Constant(1.0), ast.Constant(0.0))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name):
             raise DslError(f"{source!r}: only plain function calls are allowed")
@@ -123,5 +151,5 @@ def _compile(node: ast.AST, source: str) -> ast.expr:
         lo, hi, _ = _FUNCS[name]
         if len(node.args) < lo or (hi is not None and len(node.args) > hi):
             raise DslError(f"{source!r}: {name} takes {lo}{'' if hi == lo else '+'} arguments")
-        return _call(name, *(_compile(a, source) for a in node.args))
+        return _call(name, *(_compile(a, source, local) for a in node.args))
     raise DslError(f"{source!r}: node {type(node).__name__} is not part of the feature language")

@@ -14,12 +14,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsl import NUMBER_TYPES, CompiledExpr, DslError, parse_expr
+from .dsl import CompiledExpr, DslError, _number, parse_expr, parse_row
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -47,42 +47,27 @@ class ProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One named feature: a builtin extractor or a DSL expression, which
-    is compiled once, here, so one outside the language raises DslError."""
+    """One named feature: a builtin extractor or a DSL expression; one
+    outside the language raises DslError here."""
 
     name: str
     source: str  # universal | derived | llm
     extractor: str  # "builtin:<universal name>" or a DSL expression
-    builtin: Optional[str] = field(init=False, compare=False, repr=False)  # the universal name; None for DSL
-    compiled: Optional[CompiledExpr] = field(init=False, compare=False, repr=False)  # None for builtins
 
     def __post_init__(self) -> None:
         if self.source not in ("universal", "derived", "llm"):
             raise FeatureError(f"unknown feature source {self.source!r}")
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
-        builtin = self.extractor[len("builtin:") :] if self.extractor.startswith("builtin:") else None
-        if builtin is not None and builtin not in UNIVERSAL_FEATURES:
+        if not self.extractor.startswith("builtin:"):
+            parse_expr(self.extractor)
+        elif self.extractor[len("builtin:"):] not in UNIVERSAL_FEATURES:
             raise FeatureError(f"unknown builtin feature {self.extractor!r}")
-        object.__setattr__(self, "builtin", builtin)
-        object.__setattr__(self, "compiled", None if builtin is not None else parse_expr(self.extractor))
-
-
-def _resolve(obs: Dict[str, Any], keys: Tuple[str, ...]) -> float:
-    """The first of ``keys`` that ``obs`` holds as a number, as a float, else 0.0."""
-    for key in keys:
-        if key in obs:
-            value = obs[key]
-            if type(value) is float:  # observations hold floats
-                return value
-            if isinstance(value, NUMBER_TYPES):
-                return float(value)
-    return 0.0
 
 
 def scalar_signal(obs: Dict[str, Any]) -> float:
     """The value the ``token_entropy`` feature reads from ``obs``."""
-    return _resolve(obs, _ALIASES["token_entropy"])
+    return _number(obs, *_ALIASES["token_entropy"])
 
 
 def universal_specs() -> List[FeatureSpec]:
@@ -108,18 +93,20 @@ def build_pool(llm_specs: Optional[Sequence[FeatureSpec]] = None) -> List[Featur
     return pool
 
 
-def extract_features(specs: Sequence[FeatureSpec], obs: Dict[str, Any]) -> np.ndarray:
-    """Evaluate a full pool on one observation: one value per spec, in
-    spec order; a non-finite value raises FeatureError.
+def compile_features(specs: Sequence[FeatureSpec]) -> CompiledExpr:
+    """One function of an observation that returns each spec's value, in
+    spec order. A builtin is its universal feature, read once from the first
+    of its aliases that the observation holds as a number (else 0.0). DSL
+    features see the raw observation fields plus the universal feature
+    names, so proposals can reference either namespace."""
+    return parse_row([spec.extractor.removeprefix("builtin:") for spec in specs], _ALIASES)
 
-    DSL features see the raw observation fields plus the universal
-    feature names, so proposals can reference either namespace. Pure:
-    identical observations give identical vectors.
-    """
-    namespace: Dict[str, Any] = dict(obs)
-    for name, keys in _ALIASES.items():
-        namespace[name] = _resolve(obs, keys)
-    values = [spec.compiled(namespace) if spec.builtin is None else namespace[spec.builtin] for spec in specs]
+
+def extract_features(row: CompiledExpr, obs: Dict[str, Any]) -> np.ndarray:
+    """The values of a ``compile_features`` row on one observation; a
+    non-finite value raises FeatureError. Pure: identical observations
+    give identical vectors."""
+    values = row(obs)
     if not all(map(math.isfinite, values)):
         raise FeatureError("feature vector contains non-finite values")
     return np.array(values, dtype=float)
@@ -129,11 +116,12 @@ def build_matrix(
     records: Iterable[Any], specs: Sequence[FeatureSpec]
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
     """Feature matrix and label vector over the labeled records."""
+    row = compile_features(specs)
     rows, labels = [], []
     for record in records:
         if record.utility_label is None:
             continue
-        rows.append(extract_features(specs, record.obs))
+        rows.append(extract_features(row, record.obs))
         labels.append(record.utility_label)
     names = tuple(s.name for s in specs)
     if not rows:
@@ -241,14 +229,18 @@ class HttpProposalClient(ProposalProvider):
 
     def _cache_load(self) -> Dict[str, Any]:
         """The cache file's object, empty when there is no file; a file
-        that does not parse as a JSON object is refused, naming its path."""
+        that cannot be read as UTF-8 text or does not parse as a JSON
+        object is refused, naming its path."""
         if not os.path.exists(self.cache_path):
             return {}
-        with open(self.cache_path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(self.cache_path, "r", encoding="utf-8") as fh:
                 cache = json.load(fh)
-            except json.JSONDecodeError:
-                cache = None
+        except json.JSONDecodeError:
+            cache = None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ProviderError(f"proposal cache {self.cache_path}: cannot be read ({reason})") from exc
         if not isinstance(cache, dict):
             raise ProviderError(f"proposal cache {self.cache_path} is not a JSON object")
         return cache

@@ -35,7 +35,8 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from .features import FeatureSpec, extract_features
+from .dsl import CompiledExpr
+from .features import FeatureSpec, compile_features, extract_features
 from .rng import rng_for
 
 logger = logging.getLogger(__name__)
@@ -477,6 +478,7 @@ class GateModel:
     regularizer: str
     cv_report: Tuple[Dict[str, Any], ...] = ()
     meta: Dict[str, Any] = field(default_factory=dict)
+    row: CompiledExpr = field(init=False, compare=False, repr=False)  # the features as one compiled function
 
     def __post_init__(self) -> None:
         for name in ("means", "sds", "weights"):  # lists, as a model JSON holds them, become arrays
@@ -499,6 +501,7 @@ class GateModel:
                 raise GateError(f"{name} must be finite, got {values.tolist()}")
         if not math.isfinite(self.bias):
             raise GateError(f"bias must be finite, got {self.bias!r}")
+        object.__setattr__(self, "row", compile_features(self.feature_specs))
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
@@ -512,7 +515,7 @@ class GateModel:
         ``ndarray.dot`` (BLAS ``ddot``, as 1-D ``@`` is, without matmul's
         dispatch) and ``exp`` is numpy's; the other ops of the sign-split
         logistic are IEEE double ops whether on Python floats or numpy's."""
-        x = (extract_features(self.feature_specs, obs) - self.means) / self.sds
+        x = (extract_features(self.row, obs) - self.means) / self.sds
         z = float(x.dot(self.weights)) + self.bias
         if z >= 0.0:
             return 1.0 / (1.0 + float(np.exp(-z)))

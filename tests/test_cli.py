@@ -32,7 +32,7 @@ from dial.cli import (
     write_report_json,
 )
 from dial.explore import run_exploration
-from dial.features import MockProposalClient
+from dial.features import HttpProposalClient, MockProposalClient
 from dial.gate import load_model_json, model_from_dict
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv
@@ -664,6 +664,32 @@ def test_a_fit_with_no_proposal_endpoint_is_one_stderr_line_and_exit_status_2(tm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "dial: error: no proposal endpoint configured (set DIAL_LLM_URL)\n"
+    assert list(out.glob("model-*.json")) == []
+
+
+@pytest.mark.parametrize(
+    "make_cache, reason",
+    [(lambda path: path.write_bytes(b"\xff\xfe{}"), "'utf-8' codec can't decode byte 0xff in position 0"),
+     (lambda path: path.mkdir(), "Is a directory")],
+    ids=["not-utf8", "directory"],
+)
+def test_a_proposal_cache_that_cannot_be_read_is_one_stderr_line_and_exit_status_2(
+        tmp_path, capsys, monkeypatch, make_cache, reason):
+    # Both once escaped as tracebacks with exit status 1. The cache is read
+    # before any request, so the unroutable endpoint is never contacted.
+    monkeypatch.setenv("DIAL_LLM_URL", "http://192.0.2.1/v1/chat/completions")
+    monkeypatch.setattr(HttpProposalClient, "_request", lambda self, prompt: pytest.fail("requested"))
+    config_path = write_config(tmp_path / "config.json", gate={"llm_features": "http"})
+    out = tmp_path / "out"
+    assert main(["explore", "--config", config_path, "--out", str(out)]) == 0
+    dataset_path = capsys.readouterr().out.strip()
+    cache = out / "proposal_cache.json"
+    make_cache(cache)
+    assert main(["fit", "--config", config_path, "--out", str(out), "--dataset", dataset_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dial: error: proposal cache {cache}: cannot be read ({reason}")
+    assert captured.err.count("\n") == 1
     assert list(out.glob("model-*.json")) == []
 
 

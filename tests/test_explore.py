@@ -20,7 +20,7 @@ from dial.explore import (
     load_dataset_jsonl,
     run_exploration,
 )
-from dial.features import UNIVERSAL_FEATURES, extract_features, universal_specs
+from dial.features import UNIVERSAL_FEATURES, compile_features, extract_features, universal_specs
 from dial import twosource
 from dial.cli import save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
@@ -346,7 +346,7 @@ def test_record_signal_is_the_value_the_gate_reads(obs, signal):
     ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode(obs)), eps=0.0, n_episodes=1, seed=0)
     assert len(ds.records) == 2
     for record in ds.records:
-        universal = dict(zip(UNIVERSAL_FEATURES, extract_features(universal_specs(), record.obs)))
+        universal = dict(zip(UNIVERSAL_FEATURES, extract_features(compile_features(universal_specs()), record.obs)))
         assert record.signal == signal == universal["token_entropy"]
 
 

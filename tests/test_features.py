@@ -19,6 +19,7 @@ from dial.features import (
     ProviderError,
     UNIVERSAL_FEATURES,
     build_pool,
+    compile_features,
     extract_features,
     proposal_client,
     propose_llm_features,
@@ -34,7 +35,7 @@ SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4
 
 
 def _universal(obs):
-    return extract_features(universal_specs(), obs).tolist()
+    return extract_features(compile_features(universal_specs()), obs).tolist()
 
 
 def test_universal_maps_simulator_observation():
@@ -59,7 +60,7 @@ def test_a_renamed_builtin_reads_its_universal_feature():
     # not read, and an alias still resolves through the universal name.
     specs = [FeatureSpec("steps", "universal", "builtin:step_count"),
              FeatureSpec("entropy", "universal", "builtin:token_entropy")]
-    assert extract_features(specs, {**SIM_OBS, "steps": 99.0, "entropy": 99.0}).tolist() == [3.0, 0.7]
+    assert extract_features(compile_features(specs), {**SIM_OBS, "steps": 99.0, "entropy": 99.0}).tolist() == [3.0, 0.7]
 
 
 def test_numpy_scalars_read_as_the_numbers_they_hold():
@@ -72,7 +73,8 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     assert parse_expr("note + 1")(obs) == 1.0
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
     pool = build_pool(propose_llm_features({}, MockProposalClient()))
-    assert extract_features(pool, obs).tolist() == extract_features(pool, floats).tolist()
+    row = compile_features(pool)
+    assert extract_features(row, obs).tolist() == extract_features(row, floats).tolist()
 
 
 _READS = {"f": 0.25, "i": 3, "i64": np.int64(-2), "f32": np.float32(0.5), "f64": np.float64(0.75),
@@ -101,7 +103,7 @@ def test_every_expression_value_is_a_python_float(expr, expected):
 
 def _pool_values(obs):
     pool = build_pool()
-    return dict(zip((s.name for s in pool), extract_features(pool, obs).tolist()))
+    return dict(zip((s.name for s in pool), extract_features(compile_features(pool), obs).tolist()))
 
 
 def test_derived_formulas():
@@ -118,9 +120,9 @@ def test_derived_zero_cases():
 
 
 def test_extraction_is_pure():
-    specs = build_pool()
-    a = extract_features(specs, SIM_OBS)
-    b = extract_features(specs, dict(SIM_OBS))
+    row = compile_features(build_pool())
+    a = extract_features(row, SIM_OBS)
+    b = extract_features(row, dict(SIM_OBS))
     assert np.array_equal(a, b)
 
 
@@ -154,52 +156,118 @@ DSL_NS = {"a": 3.0, "b": 4, "x": -2.5, "n": 12.5, "t": "Abc abc", "flag": True, 
           "ns": 7.0, "min": 1.5}
 
 
-@pytest.mark.parametrize(
-    "source, expected",
-    [
-        ("-x", 2.5),
-        ("+x", -2.5),
-        ("a + b", 7.0),
-        ("a - b", -1.0),
-        ("a * b", 12.0),
-        ("a / b", 0.75),
-        ("a / 0.0", 0.0),
-        ("a / -0.0", 0.0),
-        ("a > b", 0.0),
-        ("a >= 3", 1.0),
-        ("a < b", 1.0),
-        ("b <= 3", 0.0),
-        ("a == 3", 1.0),
-        ("a != 3", 0.0),
-        ("min(b, a, x)", -2.5),
-        ("max(x, b, a)", 4.0),
-        ("min(b, a)", 3.0),
-        ("max(a, x)", 3.0),
-        ("min(b, n, a, x)", -2.5),
-        ("max(x, a, n, b, 1)", 12.5),
-        ("abs(x)", 2.5),
-        ("clamp(n, 0, 10)", 10.0),
-        ("clamp(2, 0, 1)", 1.0),  # all literals
-        ("flag + off", 1.0),
-        ("t + 1", 1.0),  # a text field read as a number is 0.0
-        ("none * 2 + missing", 0.0),
-        # a name is always a field, never a function or a Python name
-        ("ns + 1", 8.0),
-        ("min * 2 + min(ns, 5)", 8.0),
-        ("__import__ + 1", 1.0),
-        # a literal past float range is infinite
-        ("x < 1e999", 1.0),
-        ("-1e999 < x", 1.0),
-        ("clamp(x, 0, 1e999)", 0.0),
-        ("clamp(n, 0, 1e999)", 12.5),
-        # a zero division inside a comparison is 0.0 there too
-        ("a / (b - 4) < 1", 1.0),
-        ("max(a / off, x) == 0", 1.0),
-    ],
-)
+DSL_TABLE = [
+    ("-x", 2.5),
+    ("+x", -2.5),
+    ("a + b", 7.0),
+    ("a - b", -1.0),
+    ("a * b", 12.0),
+    ("a / b", 0.75),
+    ("a / 0.0", 0.0),
+    ("a / -0.0", 0.0),
+    ("a > b", 0.0),
+    ("a >= 3", 1.0),
+    ("a < b", 1.0),
+    ("b <= 3", 0.0),
+    ("a == 3", 1.0),
+    ("a != 3", 0.0),
+    ("min(b, a, x)", -2.5),
+    ("max(x, b, a)", 4.0),
+    ("min(b, a)", 3.0),
+    ("max(a, x)", 3.0),
+    ("min(b, n, a, x)", -2.5),
+    ("max(x, a, n, b, 1)", 12.5),
+    ("abs(x)", 2.5),
+    ("clamp(n, 0, 10)", 10.0),
+    ("clamp(2, 0, 1)", 1.0),  # all literals
+    ("flag + off", 1.0),
+    ("t + 1", 1.0),  # a text field read as a number is 0.0
+    ("none * 2 + missing", 0.0),
+    # a name is always a field, never a function or a Python name
+    ("ns + 1", 8.0),
+    ("min * 2 + min(ns, 5)", 8.0),
+    ("__import__ + 1", 1.0),
+    # a literal past float range is infinite
+    ("x < 1e999", 1.0),
+    ("-1e999 < x", 1.0),
+    ("clamp(x, 0, 1e999)", 0.0),
+    ("clamp(n, 0, 1e999)", 12.5),
+    # a zero division inside a comparison is 0.0 there too
+    ("a / (b - 4) < 1", 1.0),
+    ("max(a / off, x) == 0", 1.0),
+]
+
+
+@pytest.mark.parametrize("source, expected", DSL_TABLE)
 def test_dsl_evaluation_table(source, expected):
     value = parse_expr(source)(dict(DSL_NS))
     assert type(value) is float and value == expected
+
+
+# -- a feature list compiled to one row function ------------------------------
+
+
+def _row_of(sources):
+    return compile_features([FeatureSpec(f"f{i}", "llm", source) for i, source in enumerate(sources)])
+
+
+def test_a_compiled_row_gives_the_bits_of_each_expression():
+    sources = [source for source, _ in DSL_TABLE]
+    values = _row_of(sources)(dict(DSL_NS))
+    assert type(values) is tuple and all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [parse_expr(source)(dict(DSL_NS)).hex() for source in sources]
+
+
+# The universal features and their aliases, in pool order, as the gate
+# reads them: the first alias the observation holds as a number, else 0.0.
+_ALIAS_RULE = {"step_count": ("step_count",), "token_entropy": ("token_entropy", "signal"),
+               "evidence_count": ("evidence_count", "type_proxy"),
+               "num_available_actions": ("num_available_actions", "num_options"), "is_finish": ("is_finish",)}
+_ROW_SOURCES = ["token_entropy * token_entropy", "step_count * token_entropy", "evidence_count + 0.5",
+                "num_available_actions / max(step_count, 1)", "is_finish > 0", "signal", "type_proxy * 2",
+                "token_entropy - signal", "note + 1"]
+
+
+def _per_expression(obs):
+    """Each universal feature, then each of ``_ROW_SOURCES``, evaluated one
+    expression at a time over the raw fields with each universal name
+    resolved from its aliases."""
+    namespace = dict(obs)
+    for name, keys in _ALIAS_RULE.items():
+        numbers = [obs[k] for k in keys if isinstance(obs.get(k), (float, int, np.number, np.bool_))]
+        namespace[name] = float(numbers[0]) if numbers else 0.0
+    return [namespace[name] for name in _ALIAS_RULE] + [parse_expr(source)(namespace) for source in _ROW_SOURCES]
+
+
+@pytest.mark.parametrize(
+    "obs, universal",
+    [
+        ({}, [0.0, 0.0, 0.0, 0.0, 0.0]),  # every key missing
+        (SIM_OBS, [3.0, 0.7, 0.0, 4.0, 0.0]),
+        # text under the exact name falls through to the alias; text under both reads 0.0
+        ({"token_entropy": "high", "signal": 0.25, "evidence_count": "many", "type_proxy": "x",
+          "num_available_actions": None, "num_options": 6.0}, [0.0, 0.25, 0.0, 6.0, 0.0]),
+        ({"step_count": np.int64(4), "signal": np.float32(0.5), "type_proxy": np.bool_(True),
+          "num_options": np.uint8(3), "is_finish": np.float64(1.0)}, [4.0, 0.5, 1.0, 3.0, 1.0]),
+        ({"step_count": True, "token_entropy": False, "signal": 0.9, "evidence_count": 2, "type_proxy": 5.0,
+          "is_finish": np.bool_(False)}, [1.0, 0.0, 2.0, 0.0, 0.0]),
+    ],
+    ids=["missing", "floats", "text", "numpy", "bool"],
+)
+def test_a_compiled_row_reads_each_universal_feature_from_its_aliases(obs, universal):
+    row = compile_features(universal_specs() + [FeatureSpec(f"f{i}", "llm", s) for i, s in enumerate(_ROW_SOURCES)])
+    values = extract_features(row, obs).tolist()
+    assert values[:5] == universal
+    assert [v.hex() for v in values] == [v.hex() for v in _per_expression(obs)]
+
+
+def test_a_compiled_row_reads_fields_named_like_its_own_names():
+    # ns is the function's argument, min and _number are in its globals and
+    # _0 is the local the first universal feature is read into: each is
+    # still a field here, and a universal name still reads its aliases.
+    obs = {"ns": 7.0, "min": 1.5, "_number": 2.0, "_0": -1.0, "signal": 0.5}
+    sources = ["ns + 1", "min * 2 + min(ns, 5)", "_number", "_0", "step_count", "token_entropy"]
+    assert _row_of(sources)(obs) == (8.0, 8.0, 2.0, -1.0, 0.0, 0.5)
 
 
 # Each rejected source with the end of its message; the mixed cases pin

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 import dial.gate
 from dial.cli import load_config, save_model_json
 from dial.dsl import DslError
-from dial.features import FeatureError, FeatureSpec, MockProposalClient, build_matrix, build_pool, extract_features
+from dial.features import (
+    FeatureError, FeatureSpec, MockProposalClient, build_matrix, build_pool, compile_features, extract_features,
+)
 from dial.gate import (
     DEFAULT_C_GRID,
     GateError,
@@ -32,6 +35,7 @@ from dial.gate import (
     weight_diagnostic,
     _sigmoid,
 )
+from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv, sample_states
 from direction_experiments import explore_and_fit
 
@@ -522,6 +526,7 @@ def test_weight_diagnostic_signs():
 def _fit_on_sim(rescale=1.0, seed=0, n=400):
     rng = np.random.default_rng(seed)
     specs = build_pool()
+    row = compile_features(specs)
     names = [s.name for s in specs]
     obs_rows = []
     X = np.empty((n, len(names)))
@@ -535,7 +540,7 @@ def _fit_on_sim(rescale=1.0, seed=0, n=400):
             "is_finish": 0.0,
         }
         obs_rows.append(obs)
-        X[i] = extract_features(specs, obs)
+        X[i] = extract_features(row, obs)
         y[i] = float(obs["type_proxy"] == 1.0 and rng.random() < 0.9 or rng.random() < 0.1)
     return specs, obs_rows, X, y
 
@@ -807,7 +812,7 @@ def test_scalar_score_equals_the_matrix_formula_bit_for_bit(demo_gate):
     _, rows = _demo_rows(2000)
     models = [demo_gate, reverse_direction(demo_gate), _with_dropped_feature(demo_gate, "step_count")]
     for model in models:
-        X = np.vstack([extract_features(model.feature_specs, obs) for obs in rows])
+        X = np.vstack([extract_features(model.row, obs) for obs in rows])
         Xs = np.ascontiguousarray(_standardize(model, X))
         expected = _sigmoid(np.array([x @ model.weights for x in Xs]) + model.bias).tolist()
         scores = [model.score(obs) for obs in rows]
@@ -825,3 +830,26 @@ def test_numpy_scalar_observations_score_as_floats(demo_gate):
     for model in (demo_gate, reverse_direction(demo_gate)):
         assert [model.score(o) for o in numpy_rows] == [model.score(o) for o in float_rows]
         assert [model.decide(o) for o in numpy_rows] == [model.decide(o) for o in float_rows]
+
+
+# Per model: the triggers among the 2,000 demo holdout rows and the sha256
+# of their scores' hex, computed by evaluating each feature spec on its own.
+_HOLDOUT_DECISIONS = {
+    "demo": (1076, "0f1ed6da6bd6c30cca12a06d01d30d38cabb53ad8640a3f492bfef21c12844ec"),
+    "reversed": (895, "6a763a9ce9e52b9ba8b174ce215b320381dee7be6de1aa18444d7267a678e250"),
+    "loaded_without_token_entropy": (761, "a8f150071d0f641481f28a1e5f35ac733f9169fca0acea7335a1fcedc1c32ffd"),
+}
+
+
+def test_compiled_rows_decide_the_demo_holdout_as_per_spec_extraction_did(demo_gate):
+    # The loaded model's derived features still read token_entropy, which
+    # it no longer lists as a feature of its own.
+    rows, _ = _demo_rows(2000, seed=derive_seed(42, "holdout"))
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(_with_dropped_feature(demo_gate, "token_entropy")))))
+    models = {"demo": demo_gate, "reversed": reverse_direction(demo_gate), "loaded_without_token_entropy": loaded}
+    for name, model in models.items():
+        scores = [model.score(obs) for obs in rows]
+        decisions = [model.decide(obs) for obs in rows]
+        assert decisions == [p > model.tau for p in scores]
+        digest = hashlib.sha256(",".join(p.hex() for p in scores).encode()).hexdigest()
+        assert (sum(decisions), digest) == _HOLDOUT_DECISIONS[name], name

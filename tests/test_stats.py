@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -392,6 +393,17 @@ def test_auc_matches_pair_counting_oracle():
 def test_auc_single_class_rejected():
     with pytest.raises(StatsError):
         auc([1, 1, 1], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "labels, scores, bad",
+    [([0, 0, 1, 1, 2], [0.1, 0.2, 0.7, 0.9, 0.0], "2"),  # read 1.5: ranked, in neither class
+     ([0, 0.5, 1, 1], [0.1, 0.2, 0.7, 0.9], "0.5")],     # read 2.0
+    ids=["two", "half"],
+)
+def test_auc_refuses_a_label_other_than_0_or_1(labels, scores, bad):
+    with pytest.raises(StatsError, match=f"^AUC labels must be 0 or 1, got {re.escape(bad)}$"):
+        auc(labels, scores)
 
 
 # -- property: rank invariance --------------------------------------------------------------
