@@ -12,7 +12,8 @@ values. In it a field name is only a string key read through
 the first of its keys, a literal only a float constant (so ``1e999``
 stays infinite), ``/`` is ``_divide``, a comparison is ``1.0 if ... else
 0.0``, and its globals hold its helpers and no builtins, so evaluation
-is deterministic and side-effect free.
+is deterministic and side-effect free. ``check_expr`` runs the pass
+alone, compiling nothing.
 
 Missing fields never produce errors: a field that is missing or not a
 number reads as 0.0. Division by zero evaluates to 0.0.
@@ -94,21 +95,29 @@ def parse_row(sources: Sequence[str], bound: Mapping[str, Tuple[str, ...]]) -> C
     local = {name: f"_{i}" for i, name in enumerate(bound)}  # a field name never becomes a Python name
     body: List[ast.stmt] = [ast.Assign([ast.Name(local[name], ast.Store())], _read(*keys))
                             for name, keys in bound.items()]
-    values = []
-    for source in sources:
-        if not isinstance(source, str) or not source.strip():
-            raise DslError("empty expression")
-        try:
-            tree = ast.parse(source, mode="eval")
-        except SyntaxError as exc:
-            raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
-        values.append(_compile(tree.body, source, local))
+    values = [_check(source, local) for source in sources]
     body.append(ast.Return(ast.Tuple(values, ast.Load())))
     args = ast.arguments(posonlyargs=[], args=[ast.arg("ns")], kwonlyargs=[], kw_defaults=[], defaults=[])
     module = ast.Module([ast.FunctionDef("f", args, body, [], None, None)], [])
     scope: Namespace = {}
     exec(compile(ast.fix_missing_locations(module), "<dsl>", "exec"), _GLOBALS, scope)
     return CompiledExpr(source=", ".join(sources), fn=scope["f"])
+
+
+def check_expr(source: str) -> None:
+    """Raise DslError if ``source`` is outside the grammar; compiles nothing."""
+    _check(source, {})
+
+
+def _check(source: str, local: Mapping[str, str]) -> ast.expr:
+    """Parse one expression and run ``_compile`` over it."""
+    if not isinstance(source, str) or not source.strip():
+        raise DslError("empty expression")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise DslError(f"syntax error in {source!r}: {exc.msg}") from exc
+    return _compile(tree.body, source, local)
 
 
 def _read(*keys: str) -> ast.Call:

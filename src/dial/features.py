@@ -10,6 +10,7 @@ summary. Proposals are constrained to the feature expression language
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsl import CompiledExpr, DslError, _number, parse_expr, parse_row
+from .dsl import CompiledExpr, DslError, _number, check_expr, parse_row
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -60,7 +61,7 @@ class FeatureSpec:
         if not self.name.isidentifier():
             raise FeatureError(f"feature name {self.name!r} is not an identifier")
         if not self.extractor.startswith("builtin:"):
-            parse_expr(self.extractor)
+            check_expr(self.extractor)
         elif self.extractor[len("builtin:"):] not in UNIVERSAL_FEATURES:
             raise FeatureError(f"unknown builtin feature {self.extractor!r}")
 
@@ -98,8 +99,15 @@ def compile_features(specs: Sequence[FeatureSpec]) -> CompiledExpr:
     spec order. A builtin is its universal feature, read once from the first
     of its aliases that the observation holds as a number (else 0.0). DSL
     features see the raw observation fields plus the universal feature
-    names, so proposals can reference either namespace."""
-    return parse_row([spec.extractor.removeprefix("builtin:") for spec in specs], _ALIASES)
+    names, so proposals can reference either namespace. Each list of
+    extractors is compiled once per process, so a copy of a model made by
+    ``dataclasses.replace`` reuses its row."""
+    return _compile_row(tuple(spec.extractor for spec in specs))
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_row(extractors: Tuple[str, ...]) -> CompiledExpr:
+    return parse_row([extractor.removeprefix("builtin:") for extractor in extractors], _ALIASES)
 
 
 def extract_features(row: CompiledExpr, obs: Dict[str, Any]) -> np.ndarray:

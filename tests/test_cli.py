@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import dial.features
 from dial.cli import (
     ConfigError,
     build_parser,
@@ -32,8 +33,8 @@ from dial.cli import (
     write_report_json,
 )
 from dial.explore import run_exploration
-from dial.features import HttpProposalClient, MockProposalClient
-from dial.gate import load_model_json, model_from_dict
+from dial.features import HttpProposalClient, MockProposalClient, build_pool, proposed_specs
+from dial.gate import load_model_json, model_from_dict, reverse_direction
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv
 from direction_experiments import explore_and_fit
@@ -433,6 +434,30 @@ def test_cli_fit_and_library_fit_give_the_same_gate(tmp_path):
             written.bias, written.tau, written.meta["chosen_c"])
         assert [s.name for s in model.feature_specs] == [s.name for s in written.feature_specs]
     assert len(written.feature_specs) == 12  # five mock proposals joined the pool
+
+
+def test_each_feature_list_compiles_once(tmp_path, monkeypatch):
+    # Building specs and a pool only checks their expressions; a fit
+    # compiles the pool's row and the gate's, each once, and neither the
+    # copies dial fit makes of its gate, nor loading it, nor
+    # reverse_direction compiles again.
+    compiled = []
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args[1])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr("dial.dsl.compile", counting_compile, raising=False)
+    dial.features._compile_row.cache_clear()
+    pool = build_pool(proposed_specs(MockProposalClient().propose({})))
+    assert len(pool) == 12 and compiled == []
+
+    config = load_config(write_config(tmp_path / "config.json", gate={"llm_features": "mock"}))
+    model = load_model_json(cmd_fit(config, cmd_explore(config)))
+    rows = {tuple(s.extractor for s in specs) for specs in (pool, model.feature_specs)}
+    assert len(compiled) == len(rows)
+    reverse_direction(model)
+    assert len(compiled) == len(rows)
 
 
 def test_eval_trigger_cost_override(tmp_path):

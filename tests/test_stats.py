@@ -227,6 +227,36 @@ def test_bootstrap_equals_resorting_reference(case):
     assert bootstrap_ci(pairs, b=200, seed=11) == _reference_bootstrap(pairs, 200, 11)
 
 
+_BLOCK_RNG = np.random.default_rng(34)
+_BLOCK_CASES = {
+    # 16,384 // 700 = 23 resamples a block, which does not divide 200.
+    "partial-last-block": (np.column_stack((_BLOCK_RNG.random(700), _BLOCK_RNG.standard_normal(700))), 200),
+    # past 16,384 rows each block is one resample.
+    "one-row-blocks": (np.column_stack((_BLOCK_RNG.random(16_385), _BLOCK_RNG.random(16_385))), 100),
+    "one-row-blocks-ties": (
+        np.column_stack((_BLOCK_RNG.integers(0, 50, 20_000), _BLOCK_RNG.integers(0, 3, 20_000))), 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_bootstrap_blocks_equal_the_resorting_reference(case):
+    pairs, b = _BLOCK_CASES[case]
+    assert bootstrap_ci(pairs, b=b, seed=4) == _reference_bootstrap(pairs, b, 4)
+
+
+def test_bootstrap_draws_each_resample_once_in_index_order(monkeypatch):
+    calls = []
+
+    def recording_rng_for(master, name, index=0):
+        calls.append((master, name, index))
+        return rng_for(master, name, index)
+
+    monkeypatch.setattr("dial.stats.rng_for", recording_rng_for)
+    pairs, _ = _BLOCK_CASES["partial-last-block"]
+    bootstrap_ci(pairs, b=150, seed=9)
+    assert calls == [(9, "resample", i) for i in range(150)]
+
+
 @pytest.mark.parametrize("bad", [NAN, INF], ids=["nan-spearman", "inf-spearman"])
 def test_bootstrap_refuses_non_finite_pairs(bad):
     pairs = [(0.0, 1.0), (1.0, bad), (2.0, 0.5), (3.0, 2.0)]
