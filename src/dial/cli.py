@@ -44,7 +44,6 @@ from .features import (
     build_matrix,
     build_pool,
     proposal_client,
-    propose_llm_features,
 )
 from .gate import (
     DEFAULT_C_GRID,
@@ -54,11 +53,9 @@ from .gate import (
     DEFAULT_TAU,
     REGULARIZERS,
     GateModel,
-    data_digest,
     fit_gate,
     load_model_json,
     model_to_dict,
-    weight_diagnostic,
 )
 from .evaluate import EvalError, PolicySpec, run_deployment
 from .rng import derive_seed
@@ -404,16 +401,14 @@ def fit_dataset(
     """The one path from a labeled dataset to a gate: the client's five
     proposals (none without a client), the pool, the matrix, and
     ``fit_gate`` with every setting of a config's ``gate`` section, on the
-    run's ``"fit"`` seed. The model's meta records the data digest and its
-    own signed-weight reading."""
+    run's ``"fit"`` seed."""
     if not dataset.labeled():
         raise ConfigError(
             "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
         )
-    llm_specs = None if client is None else propose_llm_features(dataset_summary(dataset), client)
-    specs = build_pool(llm_specs)
-    X, y, _ = build_matrix(dataset.records, specs)
-    model = fit_gate(
+    specs = build_pool(() if client is None else client.propose(dataset_summary(dataset)))
+    X, y = build_matrix(dataset.records, specs)
+    return fit_gate(
         X, y, specs,
         regularizer=gate["regularizer"],
         c_grid=tuple(float(c) for c in gate["c_grid"]),
@@ -422,9 +417,7 @@ def fit_dataset(
         tau=gate["tau"],
         mi_k=int(gate["mi_k"]),
         mi_bins=int(gate["mi_bins"]),
-        meta={"data_digest": data_digest(X, y)},
     )
-    return replace(model, meta={**model.meta, "direction_diagnostic": weight_diagnostic(model)})
 
 
 def cmd_fit(config: RunConfig, dataset_path: str) -> str:
@@ -736,15 +729,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; a ConfigError or a ProviderError is one stderr
-    line and exit status 2, as argparse gives."""
+    """Run one subcommand; a ConfigError, a ProviderError or an existing
+    output is one stderr line and exit status 2, as argparse gives."""
     args = build_parser().parse_args(argv)
     flag = COMMANDS[args.command][1]
     inputs = () if flag is None else (getattr(args, flag[2:]),)
     try:
         config = load_config(args.config, seed_override=args.seed, out_override=args.out)
         result = globals()[f"cmd_{args.command}"](config, *inputs)  # looked up now, so a patched cmd_* is the one run
-    except (ConfigError, ProviderError) as exc:
+    except (ConfigError, ProviderError, FileExistsError) as exc:
         print(f"dial: error: {exc}", file=sys.stderr)
         return 2
     print(result if isinstance(result, str) else "\n".join(f"{name}: {path}" for name, path in result.items()))

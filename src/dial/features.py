@@ -71,27 +71,17 @@ def scalar_signal(obs: Dict[str, Any]) -> float:
     return _number(obs, *_ALIASES["token_entropy"])
 
 
-def universal_specs() -> List[FeatureSpec]:
-    return [FeatureSpec(name, "universal", f"builtin:{name}") for name in UNIVERSAL_FEATURES]
+UNIVERSAL_SPECS: Tuple[FeatureSpec, ...] = tuple(FeatureSpec(n, "universal", f"builtin:{n}") for n in UNIVERSAL_FEATURES)
+DERIVED_SPECS: Tuple[FeatureSpec, ...] = (
+    FeatureSpec("entropy_sq", "derived", "token_entropy * token_entropy"),
+    FeatureSpec("step_x_entropy", "derived", "step_count * token_entropy"),
+)
 
 
-def derived_specs() -> List[FeatureSpec]:
-    return [
-        FeatureSpec("entropy_sq", "derived", "token_entropy * token_entropy"),
-        FeatureSpec("step_x_entropy", "derived", "step_count * token_entropy"),
-    ]
-
-
-def build_pool(llm_specs: Optional[Sequence[FeatureSpec]] = None) -> List[FeatureSpec]:
-    """Assemble the candidate pool; universal features are never dropped."""
-    pool = universal_specs() + derived_specs()
-    if llm_specs:
-        pool = pool + list(llm_specs)
-    names = [s.name for s in pool]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise FeatureError(f"duplicate feature names in pool: {dupes}")
-    return pool
+def build_pool(llm_specs: Sequence[FeatureSpec] = ()) -> List[FeatureSpec]:
+    """The candidate pool: the universal and derived features, never
+    dropped, then the proposals, whose names ``proposed_specs`` checked."""
+    return [*UNIVERSAL_SPECS, *DERIVED_SPECS, *llm_specs]
 
 
 def compile_features(specs: Sequence[FeatureSpec]) -> CompiledExpr:
@@ -120,9 +110,7 @@ def extract_features(row: CompiledExpr, obs: Dict[str, Any]) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def build_matrix(
-    records: Iterable[Any], specs: Sequence[FeatureSpec]
-) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
+def build_matrix(records: Iterable[Any], specs: Sequence[FeatureSpec]) -> Tuple[np.ndarray, np.ndarray]:
     """Feature matrix and label vector over the labeled records."""
     row = compile_features(specs)
     rows, labels = [], []
@@ -131,10 +119,9 @@ def build_matrix(
             continue
         rows.append(extract_features(row, record.obs))
         labels.append(record.utility_label)
-    names = tuple(s.name for s in specs)
     if not rows:
-        return np.empty((0, len(names))), np.empty(0), names
-    return np.vstack(rows), np.asarray(labels, dtype=float), names
+        return np.empty((0, len(specs))), np.empty(0)
+    return np.vstack(rows), np.asarray(labels, dtype=float)
 
 
 # -- proposal layer ---------------------------------------------------------
@@ -152,7 +139,7 @@ def proposed_specs(items: Any) -> Tuple[FeatureSpec, ...]:
     try:
         specs = tuple(FeatureSpec(str(item["name"]), "llm", str(item["expr"])) for item in items)
         names = [s.name for s in specs]
-        clash = sorted(set(names) & {s.name for s in universal_specs() + derived_specs()})
+        clash = sorted(set(names) & {s.name for s in UNIVERSAL_SPECS + DERIVED_SPECS})
         if len(specs) != N_LLM_FEATURES:
             raise FeatureError(f"proposal must contain exactly {N_LLM_FEATURES} features, got {len(specs)}")
         if len(set(names)) != len(names):
@@ -164,15 +151,11 @@ def proposed_specs(items: Any) -> Tuple[FeatureSpec, ...]:
     return specs
 
 
-def propose_llm_features(summary: Dict[str, Any], client: "ProposalProvider") -> Tuple[FeatureSpec, ...]:
-    """Ask a provider for five task-specific features for this dataset."""
-    return proposed_specs(client.propose(summary))
-
-
 class ProposalProvider:
-    """Interface: propose(summary) -> list of {"name": ..., "expr": ...}."""
+    """Interface: propose(summary) -> the five task-specific features for
+    a dataset, as ``proposed_specs`` gives them."""
 
-    def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
+    def propose(self, summary: Dict[str, Any]) -> Tuple[FeatureSpec, ...]:
         raise NotImplementedError
 
 
@@ -187,8 +170,8 @@ class MockProposalClient(ProposalProvider):
         {"name": "options_per_step", "expr": "num_available_actions / max(step_count, 1)"},
     ]
 
-    def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
-        return [dict(item) for item in self.FIXED]
+    def propose(self, summary: Dict[str, Any]) -> Tuple[FeatureSpec, ...]:
+        return proposed_specs(self.FIXED)
 
 
 PROMPT_TEMPLATE = """You are assisting an agent that explored an interactive environment. \
@@ -302,28 +285,23 @@ class HttpProposalClient(ProposalProvider):
         except json.JSONDecodeError as exc:
             raise ProviderError(f"reply is not valid JSON: {exc}") from exc
 
-    @staticmethod
-    def _checked(items: Any) -> List[Dict[str, str]]:
-        """The name and expr of each feature of a reply or cache entry that
-        passes ``proposed_specs``, so an unusable reply is retried, never
-        cached, and an unusable cache entry is never used."""
-        return [{"name": spec.name, "expr": spec.extractor} for spec in proposed_specs(items)]
-
-    def propose(self, summary: Dict[str, Any]) -> List[Dict[str, str]]:
+    def propose(self, summary: Dict[str, Any]) -> Tuple[FeatureSpec, ...]:
+        """Each cache entry or reply is checked once by ``proposed_specs``: an
+        unusable reply is retried, never cached; an unusable entry never used."""
         digest = summary_digest(summary)
         cache = self._cache_load()
         if digest in cache:
             try:
-                return self._checked(cache[digest])
+                return proposed_specs(cache[digest])
             except ProviderError as exc:
                 raise ProviderError(f"proposal cache {self.cache_path}: entry {digest}: {exc}") from exc
         prompt = PROMPT_TEMPLATE.format(summary=json.dumps(summary, sort_keys=True, default=str, indent=1))
         last_error: Optional[Exception] = None
         for _ in range(2):  # one retry on an unusable reply
             try:
-                items = self._checked(self._parse_reply(self._request(prompt)))
-                self._cache_store(digest, items)
-                return items
+                specs = proposed_specs(self._parse_reply(self._request(prompt)))
+                self._cache_store(digest, [{"name": spec.name, "expr": spec.extractor} for spec in specs])
+                return specs
             except ProviderError as exc:
                 last_error = exc
         raise ProviderError(f"proposal failed after retry: {last_error}")

@@ -493,6 +493,9 @@ class GateModel:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
         if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
             raise GateError("model misaligned: feature specs, standardizer means, sds and weights differ in length")
+        names = self.feature_names
+        if len(set(names)) != len(names):  # meta such as direction_diagnostic is keyed by name
+            raise GateError(f"feature name {next(n for n in names if names.count(n) > 1)!r} is given more than once")
         if not np.all(self.sds > 0.0):
             raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
         finite = (("standardizer means", self.means), ("standardizer sds", self.sds), ("weights", self.weights))
@@ -563,7 +566,6 @@ def fit_gate(
     tau: float = DEFAULT_TAU,
     mi_k: int = DEFAULT_MI_K,
     mi_bins: int = DEFAULT_MI_BINS,
-    meta: Optional[Dict[str, Any]] = None,
 ) -> GateModel:
     """Standardize, select C by CV, fit, and package the deployable gate.
 
@@ -573,7 +575,9 @@ def fit_gate(
     ``regularizer`` accepts the ablation family: l1, l2, none,
     elastic_net, mi_topk. ``meta["solver"]`` records how the solver
     stopped: on the call that gave the weights (``final``) and in totals
-    over every call of this fit, CV folds included (``all``).
+    over every call of this fit, CV folds included (``all``);
+    ``meta["data_digest"]`` the matrix and labels fitted, and
+    ``meta["direction_diagnostic"]`` the model's ``weight_diagnostic``.
     """
     if regularizer not in REGULARIZERS:
         raise GateError(f"unknown regularizer {regularizer!r}")
@@ -616,9 +620,9 @@ def fit_gate(
             "final": {"converged": final.stop == "certificate", **final._asdict()},
             "all": _solver_totals(runs),
         },
+        "data_digest": data_digest(X, y),
     }
-    model_meta.update(meta or {})
-    return GateModel(
+    model = GateModel(
         feature_specs=specs,
         means=means[read],
         sds=sds[read],
@@ -629,6 +633,8 @@ def fit_gate(
         cv_report=tuple(cv_report),
         meta=model_meta,
     )
+    model_meta["direction_diagnostic"] = weight_diagnostic(model)  # read off the model's own weights
+    return model
 
 
 # -- serialization -----------------------------------------------------------------

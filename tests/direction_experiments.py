@@ -41,11 +41,11 @@ def explore_and_fit(
 
 def strongest_signal(dataset: LabeledDataset, specs: Sequence) -> Tuple[str, float]:
     """Feature with the largest |Spearman| against the utility label."""
-    X, y, names = build_matrix(dataset.records, specs)
+    X, y = build_matrix(dataset.records, specs)
     if len(y) < 3:
         raise EvalError("not enough labeled rows to measure signal strength")
     best_name, best_abs = "", 0.0
-    for j, name in enumerate(names):
+    for j, name in enumerate(s.name for s in specs):
         report = spearman(X[:, j], y)
         if not report.degenerate and abs(report.rho) > best_abs:
             best_name, best_abs = name, abs(report.rho)

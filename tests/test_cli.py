@@ -33,7 +33,7 @@ from dial.cli import (
     write_report_json,
 )
 from dial.explore import run_exploration
-from dial.features import HttpProposalClient, MockProposalClient, build_pool, proposed_specs
+from dial.features import HttpProposalClient, MockProposalClient, build_pool
 from dial.gate import load_model_json, model_from_dict, reverse_direction
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv
@@ -449,7 +449,7 @@ def test_each_feature_list_compiles_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("dial.dsl.compile", counting_compile, raising=False)
     dial.features._compile_row.cache_clear()
-    pool = build_pool(proposed_specs(MockProposalClient().propose({})))
+    pool = build_pool(MockProposalClient().propose({}))
     assert len(pool) == 12 and compiled == []
 
     config = load_config(write_config(tmp_path / "config.json", gate={"llm_features": "mock"}))
@@ -601,6 +601,19 @@ def test_an_out_of_range_sweep_value_is_one_stderr_line_and_exit_status_2(tmp_pa
     assert not out.exists()
 
 
+def test_a_rerun_into_an_existing_output_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    # The rerun once ended in a FileExistsError traceback and exit status 1.
+    argv = ["explore", "--config", write_config(tmp_path / "config.json", exploration={"n_episodes": 6}),
+            "--out", str(tmp_path / "D")]
+    assert main(argv) == 0
+    path = capsys.readouterr().out.strip()
+    before = open(path, "rb").read()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"dial: error: refusing to overwrite existing output {path}\n")
+    assert open(path, "rb").read() == before
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [("missing", "cannot be read"), ("directory", "cannot be read"),
@@ -660,11 +673,13 @@ def _model_text(**changes):
         ("model", _model_text(weights=[10**400])),
         ("model", _model_text(bias=10**400)),
         ("model", _model_text(feature_specs=[{**_SPEC, "extractor": "length(signal)"}])),
+        ("model", _model_text(feature_specs=[_SPEC, _SPEC], weights=[0.5, 0.5],
+                              standardizer={"means": [0.0, 0.0], "sds": [1.0, 1.0]})),
         ("dataset", '{"env_meta": {}}\nnot json\n'),
     ],
     ids=["not-json", "number", "tau-null", "spec-name-number", "spec-not-object", "standardizer-list",
          "cv-report-text", "meta-list", "meta-missing", "weight-huge", "bias-huge", "text-function",
-         "bad-record-line"],
+         "spec-name-twice", "bad-record-line"],
 )
 def test_an_input_file_that_does_not_load_is_one_stderr_line_and_exit_status_2(tmp_path, capsys, noun, text):
     model_from_dict(_MODEL)  # the base model loads, so each case fails on its own fault

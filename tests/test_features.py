@@ -18,14 +18,13 @@ from dial.features import (
     MockProposalClient,
     ProviderError,
     UNIVERSAL_FEATURES,
+    UNIVERSAL_SPECS,
     build_pool,
     compile_features,
     extract_features,
     proposal_client,
-    propose_llm_features,
     proposed_specs,
     summary_digest,
-    universal_specs,
 )
 
 SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4.0, "is_finish": 0.0}
@@ -35,11 +34,11 @@ SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4
 
 
 def _universal(obs):
-    return extract_features(compile_features(universal_specs()), obs).tolist()
+    return extract_features(compile_features(UNIVERSAL_SPECS), obs).tolist()
 
 
 def test_universal_maps_simulator_observation():
-    assert tuple(spec.name for spec in universal_specs()) == UNIVERSAL_FEATURES
+    assert tuple(spec.name for spec in UNIVERSAL_SPECS) == UNIVERSAL_FEATURES
     assert _universal(SIM_OBS) == [3.0, 0.7, 0.0, 4.0, 0.0]
 
 
@@ -72,7 +71,7 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     assert parse_expr("step_count * 2 + type_proxy")(obs) == 7.0
     assert parse_expr("note + 1")(obs) == 1.0
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
-    pool = build_pool(propose_llm_features({}, MockProposalClient()))
+    pool = build_pool(MockProposalClient().propose({}))
     row = compile_features(pool)
     assert extract_features(row, obs).tolist() == extract_features(row, floats).tolist()
 
@@ -255,7 +254,7 @@ def _per_expression(obs):
     ids=["missing", "floats", "text", "numpy", "bool"],
 )
 def test_a_compiled_row_reads_each_universal_feature_from_its_aliases(obs, universal):
-    row = compile_features(universal_specs() + [FeatureSpec(f"f{i}", "llm", s) for i, s in enumerate(_ROW_SOURCES)])
+    row = compile_features([*UNIVERSAL_SPECS, *(FeatureSpec(f"f{i}", "llm", s) for i, s in enumerate(_ROW_SOURCES))])
     values = extract_features(row, obs).tolist()
     assert values[:5] == universal
     assert [v.hex() for v in values] == [v.hex() for v in _per_expression(obs)]
@@ -319,25 +318,17 @@ def test_dsl_deterministic():
 
 
 def test_pool_merges_with_unique_names():
-    pool = build_pool(propose_llm_features({"any": "summary"}, MockProposalClient()))
+    pool = build_pool(MockProposalClient().propose({"any": "summary"}))
     assert len(pool) == len(UNIVERSAL_FEATURES) + 2 + 5
     names = [s.name for s in pool]
     assert len(set(names)) == len(names)
     assert list(names[:5]) == list(UNIVERSAL_FEATURES)
 
 
-def test_pool_rejects_duplicate_names():
-    dupe = (FeatureSpec("entropy_sq", "llm", "signal + 1"),) + tuple(
-        FeatureSpec(f"f{i}", "llm", "signal") for i in range(4)
-    )
-    with pytest.raises(FeatureError):
-        build_pool(dupe)
-
-
 def test_mock_provider_is_deterministic():
     client = MockProposalClient()
-    first = propose_llm_features({"a": 1}, client)
-    second = propose_llm_features({"b": 2}, client)
+    first = client.propose({"a": 1})
+    second = client.propose({"b": 2})
     assert first == second
     assert len(first) == 5
 
@@ -374,7 +365,7 @@ def test_a_bad_proposal_from_any_provider_is_a_provider_error():
         FIXED = MockProposalClient.FIXED[:4]
 
     with pytest.raises(ProviderError, match="exactly 5 features"):
-        propose_llm_features({}, FourFeatures())
+        FourFeatures().propose({})
 
 
 # -- HTTP client ----------------------------------------------------------------
@@ -420,7 +411,7 @@ def test_http_client_parses_good_reply(tmp_path, monkeypatch, endpoint):
         return FakeResponse("Here you go:\n" + GOOD_REPLY)
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    assert len(propose_llm_features({"n_steps": 10}, _client(tmp_path))) == 5
+    assert len(_client(tmp_path).propose({"n_steps": 10})) == 5
     # The endpoint, key and model are the environment's.
     url, auth, body = calls[0]
     assert (url, auth, body["model"]) == ("http://llm.invalid/v1/chat/completions", "Bearer key", "test-model")
@@ -436,9 +427,31 @@ def test_http_client_uses_cache(tmp_path, monkeypatch, endpoint):
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     client = _client(tmp_path)
     summary = {"n_steps": 10}
-    propose_llm_features(summary, client)
-    propose_llm_features(summary, _client(tmp_path))
+    client.propose(summary)
+    _client(tmp_path).propose(summary)
     assert len(calls) == 1  # second call answered from cache
+
+
+def test_http_client_checks_each_proposal_once(tmp_path, monkeypatch, endpoint):
+    # A fresh reply was once checked twice: by the client, then again by
+    # the function that asked it.
+    checks = []
+
+    def counting_proposed_specs(items):
+        checks.append(items)
+        return proposed_specs(items)
+
+    monkeypatch.setattr("dial.features.proposed_specs", counting_proposed_specs)
+    reply = [{**item, "why": "more signal"} for item in json.loads(GOOD_REPLY)]
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(json.dumps(reply)))
+    summary = {"n_steps": 10}
+    fresh = _client(tmp_path).propose(summary)
+    assert len(checks) == 1
+    assert _client(tmp_path).propose(summary) == fresh
+    assert len(checks) == 2
+    # The cache holds each feature's name and expr only, in the same bytes as before.
+    text = json.dumps({summary_digest(summary): json.loads(GOOD_REPLY)}, sort_keys=True, indent=1)
+    assert (tmp_path / "cache.json").read_text() == text
 
 
 def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch, endpoint):
@@ -497,11 +510,11 @@ def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tm
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     summary = {"n_steps": 10}
-    first = propose_llm_features(summary, _client(tmp_path))
+    first = _client(tmp_path).propose(summary)
     assert len(calls) == 2  # the invalid reply was retried
     cache = json.loads((tmp_path / "cache.json").read_text())
     assert list(cache.values()) == [json.loads(GOOD_REPLY)]
-    assert propose_llm_features(summary, _client(tmp_path)) == first
+    assert _client(tmp_path).propose(summary) == first
     assert len(calls) == 2  # the rerun is answered from the cache
 
 
@@ -604,7 +617,7 @@ def test_proposal_mode_off_has_no_client(no_network, tmp_path):
 def test_proposal_mode_mock_is_the_mock_client(no_network, tmp_path):
     client = proposal_client("mock", str(tmp_path / "cache.json"))
     assert isinstance(client, MockProposalClient)
-    assert len(propose_llm_features({"n_steps": 10}, client)) == 5
+    assert len(client.propose({"n_steps": 10})) == 5
 
 
 def test_proposal_mode_http_caches_where_asked(no_network, monkeypatch, tmp_path):

@@ -729,6 +729,21 @@ def test_model_json_written_with_spec_default_values_is_refused_by_name(tmp_path
         load_model_json(str(path))
 
 
+def test_a_model_naming_a_feature_twice_is_refused_by_name(tmp_path):
+    # Such a model once loaded and decided, and its name-keyed meta
+    # (direction_diagnostic) merged the two features into one entry.
+    payload = model_to_dict(_toy_model([0.5, -0.5]))
+    payload["feature_specs"][1]["name"] = "f0"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GateError, match="^feature name 'f0' is given more than once$"):
+        load_model_json(str(path))
+    # A fit from a hand-built pool is refused the same way.
+    X = np.column_stack([np.arange(8.0), np.arange(8.0) % 3])
+    with pytest.raises(GateError, match="^feature name 'x' is given more than once$"):
+        fit_gate(X, _labels(8), _specs(["x", "x"]), regularizer="none")
+
+
 def test_mi_default_k_is_three():
     import inspect
 
@@ -772,7 +787,7 @@ def test_all_constant_features_give_intercept_only_gate():
 def demo_data():
     """The seed-42 demo gate and the matrix and labels it was fitted on."""
     model, dataset = explore_and_fit(TwoSourceEnv(_DEMO_PARAMS), seed=42, proposal_client=MockProposalClient())
-    X, y, _ = build_matrix(dataset.records, model.feature_specs)
+    X, y = build_matrix(dataset.records, model.feature_specs)
     return model, X, y
 
 

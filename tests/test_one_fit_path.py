@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/dial/*.py"))
-ASSEMBLY_CALLS = ("build_pool", "build_matrix", "fit_gate", "propose_llm_features")
+ASSEMBLY_CALLS = ("build_pool", "build_matrix", "fit_gate", "propose")
 
 
 def callers(source: str, module: str) -> dict:
