@@ -45,6 +45,7 @@ from .features import (
     build_pool,
     proposal_client,
 )
+from .files import write_once
 from .gate import (
     DEFAULT_C_GRID,
     DEFAULT_FOLDS,
@@ -282,39 +283,16 @@ def _parse_policy(index: int, spec: Any, model: Optional[GateModel]) -> Optional
 # -- output discipline ---------------------------------------------------------
 
 
-def _write_once(path: str, text: str) -> None:
-    """Create ``path`` holding ``text``; raise FileExistsError if it exists.
-
-    The text goes to a temporary name in the same directory, which is
-    then hard-linked to ``path``: the file appears whole or not at all,
-    and an existing file is never replaced. The temporary name is removed
-    on every exit path. Files get a plain ``open``'s mode.
-    """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(text)
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            raise FileExistsError(f"refusing to overwrite existing output {path}") from None
-    finally:
-        os.unlink(tmp)
-
-
 def save_dataset_jsonl(dataset: LabeledDataset, path: str) -> None:
-    _write_once(path, dataset_to_jsonl(dataset))
+    write_once(path, dataset_to_jsonl(dataset))
 
 
 def save_model_json(model: GateModel, path: str) -> None:
-    _write_once(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1))
+    write_once(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1))
 
 
 def write_report_json(path: str, payload: Any) -> None:
-    _write_once(path, json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
+    write_once(path, json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
 
 
 def _json_default(value: Any) -> Any:
@@ -330,7 +308,7 @@ def write_report_csv(path: str, rows: Sequence[Dict[str, Any]], columns: Sequenc
     writer = csv.DictWriter(buffer, fieldnames=columns)
     writer.writeheader()
     writer.writerows(rows)
-    _write_once(path, buffer.getvalue())
+    write_once(path, buffer.getvalue())
 
 
 def _out(config: RunConfig, kind: str, ext: str) -> str:
@@ -423,7 +401,7 @@ def fit_dataset(
 def cmd_fit(config: RunConfig, dataset_path: str) -> str:
     dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
-    client = proposal_client(config.gate["llm_features"], os.path.join(config.output_dir, "proposal_cache.json"))
+    client = proposal_client(config.gate["llm_features"], os.path.join(config.output_dir, "proposal_cache"))
     model = fit_dataset(dataset, config.gate, client, config.seed)
     # Provenance last: its seed is the run's, not fit_gate's derived one.
     model = replace(model, meta={**model.meta, **_provenance(config, _file_digest(dataset_path))})

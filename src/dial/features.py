@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsl import CompiledExpr, DslError, _number, check_expr, parse_row
+from .files import write_once
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -201,55 +202,40 @@ def summary_digest(summary: Dict[str, Any]) -> str:
 class HttpProposalClient(ProposalProvider):
     """Chat-completion client for the proposal step.
 
-    Configured via DIAL_LLM_URL / DIAL_LLM_KEY / DIAL_LLM_MODEL. Replies
-    are cached in the JSON file ``cache_path``, keyed by the summary
-    digest, so a run never re-queries for the same dataset. Retries once
-    on an unusable reply, then fails hard: silently degrading the pool
-    would bias ablations.
+    Configured via DIAL_LLM_URL / DIAL_LLM_KEY / DIAL_LLM_MODEL. Each
+    reply is cached in its own write-once file under ``cache_dir``, named
+    by the summary digest, so a run never re-queries for the same
+    dataset. Retries once on an unusable reply, then fails hard: silently
+    degrading the pool would bias ablations.
     """
 
-    def __init__(self, cache_path: str):
+    def __init__(self, cache_dir: str):
         self.url = os.environ.get("DIAL_LLM_URL", "")
         self.api_key = os.environ.get("DIAL_LLM_KEY", "")
         self.model = os.environ.get("DIAL_LLM_MODEL", "")
-        self.cache_path = cache_path
+        self.cache_dir = cache_dir
         if not self.url:
             raise ProviderError("no proposal endpoint configured (set DIAL_LLM_URL)")
 
     # -- cache ---------------------------------------------------------
 
-    def _cache_load(self) -> Dict[str, Any]:
-        """The cache file's object, empty when there is no file; a file
-        that cannot be read as UTF-8 text or does not parse as a JSON
-        object is refused, naming its path."""
-        if not os.path.exists(self.cache_path):
-            return {}
+    @staticmethod
+    def _cached(path: str) -> Optional[Tuple[FeatureSpec, ...]]:
+        """The checked specs of the cache entry at ``path``, None when there
+        is no such file; an entry that cannot be read as UTF-8 JSON text or
+        is not a proposal is refused, naming its path."""
         try:
-            with open(self.cache_path, "r", encoding="utf-8") as fh:
-                cache = json.load(fh)
-        except json.JSONDecodeError:
-            cache = None
-        except (OSError, UnicodeDecodeError) as exc:
+            with open(path, "r", encoding="utf-8") as fh:
+                items = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             reason = getattr(exc, "strerror", None) or exc
-            raise ProviderError(f"proposal cache {self.cache_path}: cannot be read ({reason})") from exc
-        if not isinstance(cache, dict):
-            raise ProviderError(f"proposal cache {self.cache_path} is not a JSON object")
-        return cache
-
-    def _cache_store(self, digest: str, items: List[Dict[str, str]]) -> None:
-        cache = self._cache_load()
-        cache[digest] = items
-        text = json.dumps(cache, sort_keys=True, indent=1)  # before the file is touched
-        os.makedirs(os.path.dirname(self.cache_path) or ".", exist_ok=True)
-        tmp = f"{self.cache_path}.{os.urandom(6).hex()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+            raise ProviderError(f"proposal cache {path}: cannot be read ({reason})") from exc
         try:
-            with fh:
-                fh.write(text)
-            os.replace(tmp, self.cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            return proposed_specs(items)
+        except ProviderError as exc:
+            raise ProviderError(f"proposal cache {path}: {exc}") from exc
 
     # -- request -------------------------------------------------------
 
@@ -288,20 +274,20 @@ class HttpProposalClient(ProposalProvider):
     def propose(self, summary: Dict[str, Any]) -> Tuple[FeatureSpec, ...]:
         """Each cache entry or reply is checked once by ``proposed_specs``: an
         unusable reply is retried, never cached; an unusable entry never used."""
-        digest = summary_digest(summary)
-        cache = self._cache_load()
-        if digest in cache:
-            try:
-                return proposed_specs(cache[digest])
-            except ProviderError as exc:
-                raise ProviderError(f"proposal cache {self.cache_path}: entry {digest}: {exc}") from exc
+        path = os.path.join(self.cache_dir, f"{summary_digest(summary)}.json")
+        cached = self._cached(path)
+        if cached is not None:
+            return cached
         prompt = PROMPT_TEMPLATE.format(summary=json.dumps(summary, sort_keys=True, default=str, indent=1))
         last_error: Optional[Exception] = None
         for _ in range(2):  # one retry on an unusable reply
             try:
                 specs = proposed_specs(self._parse_reply(self._request(prompt)))
-                self._cache_store(digest, [{"name": spec.name, "expr": spec.extractor} for spec in specs])
+                items = [{"name": spec.name, "expr": spec.extractor} for spec in specs]
+                write_once(path, json.dumps(items, sort_keys=True, indent=1))
                 return specs
+            except FileExistsError:  # another fit stored this digest first: its entry stands
+                return self._cached(path)
             except ProviderError as exc:
                 last_error = exc
         raise ProviderError(f"proposal failed after retry: {last_error}")
@@ -310,13 +296,13 @@ class HttpProposalClient(ProposalProvider):
 PROPOSAL_MODES = ("off", "mock", "http")  # the values of a config's gate.llm_features
 
 
-def proposal_client(mode: str, cache_path: str) -> Optional[ProposalProvider]:
+def proposal_client(mode: str, cache_dir: str) -> Optional[ProposalProvider]:
     """The provider a proposal mode names: none for "off", the offline
-    mock, or the HTTP client caching its replies at ``cache_path``."""
+    mock, or the HTTP client caching its replies under ``cache_dir``."""
     if mode == "off":
         return None
     if mode == "mock":
         return MockProposalClient()
     if mode == "http":
-        return HttpProposalClient(cache_path=cache_path)
+        return HttpProposalClient(cache_dir=cache_dir)
     raise FeatureError(f"unknown proposal mode {mode!r}")

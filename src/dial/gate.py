@@ -105,6 +105,13 @@ def objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float, r
 # -- standardization ---------------------------------------------------------
 
 
+def _check_distinct(names: Sequence[str]) -> None:
+    """GateError naming the first name given twice: meta is keyed by name."""
+    repeated = [name for name in names if names.count(name) > 1]
+    if repeated:
+        raise GateError(f"feature name {repeated[0]!r} is given more than once")
+
+
 def _dropped_columns(X: np.ndarray, means: np.ndarray, sds: np.ndarray, names: Sequence[str]) -> Dict[str, str]:
     """Why a gate drops each column it does not read: zero variance, or
     standardized values bit-equal to an earlier read column's (with both,
@@ -493,9 +500,7 @@ class GateModel:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
         if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
             raise GateError("model misaligned: feature specs, standardizer means, sds and weights differ in length")
-        names = self.feature_names
-        if len(set(names)) != len(names):  # meta such as direction_diagnostic is keyed by name
-            raise GateError(f"feature name {next(n for n in names if names.count(n) > 1)!r} is given more than once")
+        _check_distinct(self.feature_names)  # a model JSON may name a feature twice
         if not np.all(self.sds > 0.0):
             raise GateError(f"standardizer sds must be > 0, got {self.sds.tolist()}")
         finite = (("standardizer means", self.means), ("standardizer sds", self.sds), ("weights", self.weights))
@@ -569,8 +574,9 @@ def fit_gate(
 ) -> GateModel:
     """Standardize, select C by CV, fit, and package the deployable gate.
 
-    A column the gate does not read (zero variance, or a duplicate) is
-    left out of the model and named in ``meta["dropped"]`` with why.
+    A feature name given twice is refused before any solve. A column the
+    gate does not read (zero variance, or a duplicate) is left out of the
+    model and named in ``meta["dropped"]`` with why.
     ``tau`` is the decision threshold, a probability (default 0.5).
     ``regularizer`` accepts the ablation family: l1, l2, none,
     elastic_net, mi_topk. ``meta["solver"]`` records how the solver
@@ -586,6 +592,7 @@ def fit_gate(
     names = [s.name for s in specs]
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != len(names):
         raise GateError(f"a gate fit needs at least 2 rows and a column per feature spec, got shape {X.shape}")
+    _check_distinct(names)
 
     means = X.mean(axis=0)
     sds = np.sqrt(((X - means) ** 2).mean(axis=0))

@@ -14,10 +14,10 @@ and the draw that one deployment of all policies saves: ``cmd_eval``
 draws each eval episode once, not once per policy.
 
 Untraced benchmark runs never see these counts, so a change that breaks
-them would otherwise surface only in a traced run. ROADMAP item 4
-(column-wise deploy: one decision over the rows of a step) and item 3
-(one call per paired label) change them on purpose; each must land after
-a benchmark change that re-points perfbench's checks.
+them would otherwise surface only in a traced run. ROADMAP item 3
+(column-wise deploy: one decision over the rows of a step) and item 4
+(column-wise labels: one call per paired label) change them on purpose;
+each must land after a benchmark change that re-points perfbench's checks.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from dial.cli import (
     write_report_csv,
     write_report_json,
 )
-from dial.explore import run_exploration
-from dial.features import HttpProposalClient, MockProposalClient, build_pool
+from dial.explore import dataset_summary, load_dataset_jsonl, run_exploration
+from dial.features import HttpProposalClient, MockProposalClient, build_pool, summary_digest
 from dial.gate import load_model_json, model_from_dict, reverse_direction
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv
@@ -723,7 +723,8 @@ def test_a_proposal_cache_that_cannot_be_read_is_one_stderr_line_and_exit_status
     out = tmp_path / "out"
     assert main(["explore", "--config", config_path, "--out", str(out)]) == 0
     dataset_path = capsys.readouterr().out.strip()
-    cache = out / "proposal_cache.json"
+    cache = out / "proposal_cache" / f"{summary_digest(dataset_summary(load_dataset_jsonl(dataset_path)))}.json"
+    cache.parent.mkdir()
     make_cache(cache)
     assert main(["fit", "--config", config_path, "--out", str(out), "--dataset", dataset_path]) == 2
     captured = capsys.readouterr()

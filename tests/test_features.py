@@ -400,7 +400,16 @@ def endpoint(monkeypatch):
 
 
 def _client(tmp_path):
-    return HttpProposalClient(str(tmp_path / "cache.json"))
+    return HttpProposalClient(str(tmp_path / "proposal_cache"))
+
+
+def _entry(tmp_path, summary):
+    """The path of the cache entry ``_client(tmp_path)`` keeps for ``summary``."""
+    return tmp_path / "proposal_cache" / f"{summary_digest(summary)}.json"
+
+
+def _entries(tmp_path):
+    return sorted(p.name for p in (tmp_path / "proposal_cache").iterdir())
 
 
 def test_http_client_parses_good_reply(tmp_path, monkeypatch, endpoint):
@@ -449,9 +458,10 @@ def test_http_client_checks_each_proposal_once(tmp_path, monkeypatch, endpoint):
     assert len(checks) == 1
     assert _client(tmp_path).propose(summary) == fresh
     assert len(checks) == 2
-    # The cache holds each feature's name and expr only, in the same bytes as before.
-    text = json.dumps({summary_digest(summary): json.loads(GOOD_REPLY)}, sort_keys=True, indent=1)
-    assert (tmp_path / "cache.json").read_text() == text
+    # The cache holds one entry: each feature's name and expr only, in the
+    # bytes the one-file cache gave its entry.
+    assert _entries(tmp_path) == [_entry(tmp_path, summary).name]
+    assert _entry(tmp_path, summary).read_text() == json.dumps(json.loads(GOOD_REPLY), sort_keys=True, indent=1)
 
 
 def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch, endpoint):
@@ -474,16 +484,16 @@ def test_http_cache_survives_a_failed_store(tmp_path, monkeypatch, endpoint):
     with pytest.raises(RuntimeError, match="serializer failed"):
         _client(tmp_path).propose({"n_steps": 11})
     monkeypatch.setattr(json.JSONEncoder, "iterencode", intact)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+    assert _entries(tmp_path) == [_entry(tmp_path, {"n_steps": 10}).name]
     _client(tmp_path).propose({"n_steps": 10})
     assert len(calls) == 2  # the first reply is still cached
 
 
 def test_http_cache_creates_its_directory(tmp_path, monkeypatch, endpoint):
     monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
-    client = HttpProposalClient(str(tmp_path / "out" / "cache.json"))
+    client = HttpProposalClient(str(tmp_path / "out" / "proposal_cache"))
     client.propose({"n_steps": 10})
-    assert list(json.loads((tmp_path / "out" / "cache.json").read_text()).values()) == [json.loads(GOOD_REPLY)]
+    assert json.loads(_entry(tmp_path / "out", {"n_steps": 10}).read_text()) == json.loads(GOOD_REPLY)
 
 
 def test_http_client_retries_once_then_fails(tmp_path, monkeypatch, endpoint):
@@ -512,8 +522,8 @@ def test_http_client_retries_a_reply_with_an_invalid_name_and_never_caches_it(tm
     summary = {"n_steps": 10}
     first = _client(tmp_path).propose(summary)
     assert len(calls) == 2  # the invalid reply was retried
-    cache = json.loads((tmp_path / "cache.json").read_text())
-    assert list(cache.values()) == [json.loads(GOOD_REPLY)]
+    assert _entries(tmp_path) == [_entry(tmp_path, summary).name]
+    assert json.loads(_entry(tmp_path, summary).read_text()) == json.loads(GOOD_REPLY)
     assert _client(tmp_path).propose(summary) == first
     assert len(calls) == 2  # the rerun is answered from the cache
 
@@ -571,30 +581,103 @@ _SUMMARY = {"n_steps": 10}
 def test_http_cached_entry_is_checked_like_a_reply(tmp_path, monkeypatch, endpoint, entry, message):
     # A cache entry once returned unchecked, to fail later as a bare KeyError.
     monkeypatch.setattr(HttpProposalClient, "_request", _unused_request)
-    cache = tmp_path / "cache.json"
-    cache.write_text(json.dumps({summary_digest(_SUMMARY): entry}))
+    cache = _entry(tmp_path, _SUMMARY)
+    cache.parent.mkdir()
+    cache.write_text(json.dumps(entry))
     with pytest.raises(ProviderError, match=message) as excinfo:
         _client(tmp_path).propose(_SUMMARY)
     assert str(excinfo.value).startswith(f"proposal cache {cache}: ")
 
 
-@pytest.mark.parametrize("text", ["{not json", "[]", '"cache"', "null"], ids=["malformed", "list", "string", "null"])
-def test_http_cache_file_that_is_not_an_object_is_refused_before_a_request(tmp_path, monkeypatch, endpoint, text):
-    # Such a file was found only after a paid request, as a TypeError
-    # while storing the reply.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "cannot be read (Expecting property name"),
+        ("[]", "proposal rejected: proposal must contain exactly 5 features, got 0"),
+        ('"cache"', "each proposed feature needs 'name' and 'expr'"),
+        ("null", "each proposed feature needs 'name' and 'expr'"),
+    ],
+    ids=["malformed", "list", "string", "null"],
+)
+def test_http_cache_entry_that_is_not_a_proposal_is_refused_before_a_request(
+        tmp_path, monkeypatch, endpoint, text, message):
+    # A cache that was not a JSON object was once found only after a paid
+    # request, as a TypeError while storing the reply.
     monkeypatch.setattr(HttpProposalClient, "_request", _unused_request)
-    cache = tmp_path / "cache.json"
+    cache = _entry(tmp_path, _SUMMARY)
+    cache.parent.mkdir()
     cache.write_text(text)
     with pytest.raises(ProviderError) as excinfo:
         _client(tmp_path).propose(_SUMMARY)
-    assert str(excinfo.value) == f"proposal cache {cache} is not a JSON object"
+    assert str(excinfo.value).startswith(f"proposal cache {cache}: {message}")
     assert cache.read_text() == text
+
+
+def _store_in_between(monkeypatch, store):
+    """Run ``store()`` once, when the next file is opened for creation: a
+    store's first write, after it has read the cache."""
+    real_open = open
+    calls = []
+
+    def open_then_store(file, mode="r", *args, **kwargs):
+        if "x" in mode and not calls:
+            calls.append(file)
+            store()
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", open_then_store)
+    return calls
+
+
+def test_http_cache_keeps_an_entry_another_client_stores_while_one_is_stored(tmp_path, monkeypatch, endpoint):
+    # With one shared cache file, the first client's store replaced the
+    # file it had read, and the second client's entry was lost.
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
+    calls = _store_in_between(monkeypatch, lambda: _client(tmp_path).propose({"n_steps": 11}))
+    _client(tmp_path).propose({"n_steps": 10})
+    assert len(calls) == 1
+    monkeypatch.setattr(HttpProposalClient, "_request", _unused_request)
+    for summary in ({"n_steps": 10}, {"n_steps": 11}):
+        assert len(_client(tmp_path).propose(summary)) == 5  # answered from the cache
+
+
+def test_http_cache_entry_stored_first_stands(tmp_path, monkeypatch, endpoint):
+    # Two fits of one dataset may both request; the entry stored first is
+    # what both return, so each finished fit matches the cache.
+    other = json.dumps([{"name": f"g{i}", "expr": "signal"} for i in range(5)])
+    replies = iter([GOOD_REPLY, other])
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(next(replies)))
+    second = []
+    _store_in_between(monkeypatch, lambda: second.extend(_client(tmp_path).propose(_SUMMARY)))
+    first = _client(tmp_path).propose(_SUMMARY)
+    assert [spec.name for spec in first] == [spec.name for spec in second] == [f"g{i}" for i in range(5)]
+    assert json.loads(_entry(tmp_path, _SUMMARY).read_text()) == json.loads(other)
+    assert _entries(tmp_path) == [_entry(tmp_path, _SUMMARY).name]
+
+
+def test_http_cache_store_touches_only_its_own_entry(tmp_path, monkeypatch, endpoint):
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
+    for n in range(3):
+        _client(tmp_path).propose({"n_steps": n})
+    before = {p.name: p.read_bytes() for p in (tmp_path / "proposal_cache").iterdir()}
+    _client(tmp_path).propose({"n_steps": 3})
+    after = {p.name: p.read_bytes() for p in (tmp_path / "proposal_cache").iterdir()}
+    assert sorted(after) == sorted([*before, _entry(tmp_path, {"n_steps": 3}).name])
+    assert {name: after[name] for name in before} == before
+    # A store that fails between writing and linking leaves no entry and no temporary file.
+    def broken_link(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("os.link", broken_link)
+    with pytest.raises(OSError, match="No space left"):
+        _client(tmp_path).propose({"n_steps": 4})
+    assert {p.name: p.read_bytes() for p in (tmp_path / "proposal_cache").iterdir()} == after
 
 
 def test_http_client_requires_endpoint(tmp_path, monkeypatch):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     with pytest.raises(ProviderError):
-        HttpProposalClient(str(tmp_path / "cache.json"))
+        HttpProposalClient(str(tmp_path / "proposal_cache"))
 
 
 # -- proposal modes ---------------------------------------------------------------
@@ -611,32 +694,32 @@ def no_network(monkeypatch):
 
 
 def test_proposal_mode_off_has_no_client(no_network, tmp_path):
-    assert proposal_client("off", str(tmp_path / "cache.json")) is None
+    assert proposal_client("off", str(tmp_path / "proposal_cache")) is None
 
 
 def test_proposal_mode_mock_is_the_mock_client(no_network, tmp_path):
-    client = proposal_client("mock", str(tmp_path / "cache.json"))
+    client = proposal_client("mock", str(tmp_path / "proposal_cache"))
     assert isinstance(client, MockProposalClient)
     assert len(client.propose({"n_steps": 10})) == 5
 
 
 def test_proposal_mode_http_caches_where_asked(no_network, monkeypatch, tmp_path):
     monkeypatch.setenv("DIAL_LLM_URL", "http://llm.invalid/v1/chat/completions")
-    client = proposal_client("http", str(tmp_path / "cache.json"))
+    client = proposal_client("http", str(tmp_path / "proposal_cache"))
     assert isinstance(client, HttpProposalClient)
-    assert client.cache_path == str(tmp_path / "cache.json")
+    assert client.cache_dir == str(tmp_path / "proposal_cache")
 
 
 def test_proposal_mode_http_needs_an_endpoint(no_network, monkeypatch, tmp_path):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     with pytest.raises(ProviderError, match="DIAL_LLM_URL"):
-        proposal_client("http", str(tmp_path / "cache.json"))
+        proposal_client("http", str(tmp_path / "proposal_cache"))
 
 
 @pytest.mark.parametrize("mode", ["llm", "Mock", "", None])
 def test_proposal_mode_unknown_is_refused(no_network, tmp_path, mode):
     with pytest.raises(FeatureError, match="unknown proposal mode"):
-        proposal_client(mode, str(tmp_path / "cache.json"))
+        proposal_client(mode, str(tmp_path / "proposal_cache"))
 
 
 def test_dsl_nested_calls():

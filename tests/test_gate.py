@@ -118,6 +118,25 @@ def test_standardizer_needs_two_rows():
         fit_gate(np.array([[1.0]]), np.array([1.0]), _specs("a"))
 
 
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
+def test_fit_refuses_a_repeated_feature_name_before_any_solve(monkeypatch, constant):
+    # Two constant x columns once fit, with one "dropped" entry for both;
+    # two varying ones were refused only by GateModel, after the whole CV fit.
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_sparse_logistic(*args, **kwargs)
+
+    monkeypatch.setattr(dial.gate, "fit_sparse_logistic", counting_fit)
+    X = np.random.default_rng(5).normal(size=(40, 3))
+    if constant:
+        X[:, :2] = 1.0
+    with pytest.raises(GateError, match="^feature name 'x' is given more than once$"):
+        fit_gate(X, _labels(40), _specs(["x", "x", "z"]))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "means, sds",
     [([0.0, 1.0], [1.0]), ([0.0], [0.0]), ([0.0, 0.0], [1.0, -2.0]), ([0.0], [float("nan")])],
