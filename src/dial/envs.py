@@ -1,7 +1,10 @@
 """Episodic environment contract consumed by exploration and deployment.
 
-An Environment builds independent episodes from per-episode seeds; an
-Episode is a single-threaded handle over one trajectory. A step takes
+An Environment builds a run of episodes from their per-episode seeds at
+once, so it may draw the whole run as one block; the run starts a fresh
+episode on any of its seeds, as often as asked, and an episode's states
+depend on its seed alone. An Episode is a single-threaded handle over
+one trajectory. A step takes
 one of two actions, the base policy's (untriggered) or the base policy
 with the optimizer invoked (triggered). Episodes must support forking (a
 rollout from the current state that returns its truncated return and
@@ -13,7 +16,7 @@ task-specific scoring through the reward channel.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, Optional, Protocol, Sequence, runtime_checkable
 
 
 class EnvFault(RuntimeError):
@@ -57,12 +60,21 @@ class Episode(Protocol):
 
 
 @runtime_checkable
+class Episodes(Protocol):
+    """A run of episodes, one per seed."""
+
+    def start(self, i: int) -> Episode:
+        """A fresh episode on the i-th seed of the run."""
+        ...
+
+
+@runtime_checkable
 class Environment(Protocol):
     """Episode factory plus the episode-level success rule."""
 
     env_id: str
 
-    def episode(self, seed: int) -> Episode:
+    def episodes(self, seeds: Sequence[int]) -> Episodes:
         ...
 
     def episode_success(self, episode_return: float) -> bool:

@@ -3,9 +3,11 @@ accounting loop.
 
 All policies evaluated on one environment share the episode seed
 schedule, so success-rate differences reflect trigger choices rather
-than draw noise. The loop is episode-major: each episode seed is
-derived once and the episode is run by every policy in turn, each on a
-fresh episode from that seed, so a fault surfaces at the first episode
+than draw noise. The N episode seeds are derived up front and the
+environment draws them as one run (``env.episodes``). The loop is
+episode-major: episode i is run by every policy in turn, each on a
+fresh episode started on seed i, so a two-source episode's row is built
+once, by the first policy, and a fault surfaces at the first episode
 that has one, and within it at the first policy. Cost is counted in
 abstract call units: 1 per step, plus the environment's trigger cost on
 triggered steps, normalized by the never-trigger baseline.
@@ -121,8 +123,8 @@ def run_deployment(
     order: success rate, cost relative to the never-trigger baseline,
     and the per-step trigger profile.
 
-    Each episode seed is derived once; every policy then runs a fresh
-    episode from it (see the module notes). Cost adds 1 per step plus
+    The episode seeds are drawn as one run; every policy then runs a
+    fresh episode started on each (see the module notes). Cost adds 1 per step plus
     the environment's trigger cost on triggered steps, one step at a
     time, per policy. Any fault while deciding or stepping becomes an
     EnvFault naming the policy, the episode and the step.
@@ -135,10 +137,10 @@ def run_deployment(
     costs = [0.0] * len(policies)
     step_counts: List[List[int]] = [[] for _ in policies]  # per policy and step index t: episodes that reached t
     step_triggers: List[List[int]] = [[] for _ in policies]  # and triggered there
+    episodes = env.episodes([derive_seed(seed, "eval-episode", i) for i in range(n_episodes)])
     for i in range(n_episodes):
-        episode_seed = derive_seed(seed, "eval-episode", i)
         for p, decide in enumerate(decides):
-            episode = env.episode(episode_seed)
+            episode = episodes.start(i)
             done, observe, step = episode.done, episode.observe, episode.step
             counts, triggers, cost = step_counts[p], step_triggers[p], costs[p]
             episode_return = 0.0

@@ -125,8 +125,9 @@ def run_exploration(
 
     Trigger decisions come from a dedicated stream derived from the
     master seed, so they are independent of all observation content.
-    Episodes are assembled in episode-index order; replaying with the
-    same seed reproduces the dataset exactly. The labeling settings are
+    The episode seeds are drawn as one run, and episodes are assembled
+    in episode-index order; replaying with the same seed reproduces the
+    dataset exactly. The labeling settings are
     checked before the first episode; past that, every error (one from
     an episode that cannot fork too) is an EnvFault naming episode and step.
     """
@@ -138,8 +139,9 @@ def run_exploration(
 
     records: List[StepRecord] = []
     horizon_seen = 0
+    episodes = env.episodes([derive_seed(seed, "episode", ep_idx) for ep_idx in range(n_episodes)])
     for ep_idx in range(n_episodes):
-        episode = env.episode(derive_seed(seed, "episode", ep_idx))
+        episode = episodes.start(ep_idx)
         trigger_rng = rng_for(seed, "trigger", ep_idx)
         step_idx = 0
         while not episode.done():

@@ -21,10 +21,13 @@ Conventions (fixed for reproducibility):
     (1 + fidelity_q) / 2.
   - num_options is an auxiliary decision-space count drawn independently
     of the latent type (a decoy feature the gate should learn to drop).
-  - one function derives every state, as numpy columns, for episodes
-    and ``sample_states`` alike, so a seed gives one state sequence; a
-    fork draws only the reward noise that leads its columns. Every
-    stream is a ``dial.rng.stream``.
+  - a seed's states are drawn in one fixed order from its own
+    ``dial.rng.stream`` into one row of draws (``_draw``), and one
+    function derives every state from rows of draws, elementwise, as
+    numpy columns with one row per seed (``_derive``): a run of episodes
+    and ``sample_states`` (one row) alike, so a seed gives one state
+    sequence whatever else is drawn with it. A fork draws only the
+    reward noise that leads its row.
   - a fork is one rollout, returned as its truncated return: the
     snapshot state's reward, triggered or not, then ``+= base_reward +
     z`` for each untriggered step up to the lookahead (clipped at the
@@ -33,27 +36,29 @@ Conventions (fixed for reproducibility):
     sibling forks of one snapshot (one paired label's rollouts) share
     one draw: sibling i's noise is slice ``[i*m, (i+1)*m)`` of
     ``count*m`` normals from ``stream(reseed)``, the reward noise
-    ``_draw_states`` gives for the lookahead steps tiled ``count``
-    times. A family's first fork sums all its siblings of both arms as
-    numpy vector adds in step order (one sibling's IEEE adds, per
-    element), and the episode keeps the last family's returns, so later
-    siblings are lookups; a family with no step past its snapshot draws
-    nothing. ``count=1`` is a single fork.
-  - an episode reads the ``sample_states`` columns of its seed, as lists
-    of Python scalars, at its step index, and each state's observation
-    record, built once from them. One one-slot cache keyed by (params,
-    seed) returns both: a deployment builds each episode once per policy,
-    one policy after another, so only the first policy of an episode
-    draws it and builds its records. Nothing writes to the columns or the
-    records (``observe`` returns a copy), so episodes share them.
+    ``_derive`` gives from one row of ``count*m`` states' draws. A
+    family's first fork sums all its siblings of both arms as numpy
+    vector adds in step order (one sibling's IEEE adds, per element),
+    and the episode keeps the last family's returns, so later siblings
+    are lookups; a family with no step past its snapshot draws nothing.
+    ``count=1`` is a single fork.
+  - a run of episodes (``TwoSourceEnv.episodes``) is one block: the
+    (N, H) columns of its N seeds, drawn and derived once. An episode
+    reads row i of the block, as lists of Python scalars, at its step
+    index, and each state's observation record, built from that row.
+    ``start(i)`` builds them on first use and keeps them in a one-slot
+    row cache: a deployment starts each episode once per policy, one
+    policy after another, so only the first policy of an episode builds
+    its row, and no more than one row's records are ever held. Nothing
+    writes to the row or the records (``observe`` returns a copy), so
+    episodes share them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,56 +126,48 @@ class TwoSourceParams:
         return np.minimum(np.maximum(self.p_i0 + self.p_i_slope * step_index, 0.0), 1.0)
 
 
-def _draw_states(params: TwoSourceParams, rng: np.random.Generator, steps: np.ndarray) -> Dict[str, np.ndarray]:
-    """Draw one state per step index in ``steps``, as the columns
-    ``sample_states`` returns: the one place a state is derived, so
-    identical seeds give identical sequences everywhere.
+def _draw(seeds: Sequence[int], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The draws behind n states per seed: row i of the first array holds
+    the 2n normals of ``stream(seeds[i])`` (reward noise first, then
+    latent noise), then row i of the second its 4n uniforms (signal,
+    type, proxy flip, num_options). This fixes the stream order; a fork
+    draws only the leading n normals, for its rollout steps' reward
+    noise, so it relies on it."""
+    z = np.empty((len(seeds), 2 * n))
+    u = np.empty((len(seeds), 4 * n))
+    for row, seed in enumerate(seeds):
+        rng = stream(seed)
+        rng.standard_normal(out=z[row])
+        rng.random(out=u[row])
+    return z, u
 
-    Draw order for n states: reward and latent noise normals (one call
-    of length 2n, reward noise first), then signal, type, proxy-flip and
-    num_options uniforms (one call of length 4n). A fork draws only the
-    first n normals for the reward noise of its rollout steps, so it
-    relies on this order. num_options is ``2 + floor(5u)``.
-    """
+
+def _derive(params: TwoSourceParams, z: np.ndarray, u: np.ndarray, steps: np.ndarray) -> Dict[str, np.ndarray]:
+    """The states at step indices ``steps`` of every row of draws, as the
+    columns ``sample_states`` returns, each with one row per row of draws:
+    the one place a state is derived, elementwise, so identical seeds give
+    identical sequences everywhere. num_options is ``2 + floor(5u)``."""
     n = len(steps)
-    z = rng.standard_normal(2 * n)
-    u = rng.random(4 * n)
     sd = params.noise_sd
-    signal = u[:n]
-    is_type_d = u[n : 2 * n] >= params.p_i(steps)
-    flipped = u[2 * n : 3 * n] < (1.0 - params.fidelity_q) / 2.0
+    signal = u[:, :n]
+    is_type_d = u[:, n : 2 * n] >= params.p_i(steps)
+    flipped = u[:, 2 * n : 3 * n] < (1.0 - params.fidelity_q) / 2.0
     n_values = _NUM_OPTIONS_HI - _NUM_OPTIONS_LO + 1
     return {
-        "step_index": steps,
+        "step_index": np.tile(steps, (len(u), 1)),
         "is_type_d": is_type_d,
         "signal": signal,
         "type_proxy": (is_type_d != flipped).astype(np.int64),
-        "num_options": _NUM_OPTIONS_LO + (u[3 * n :] * n_values).astype(np.int64),
-        "true_utility": np.where(is_type_d, params.beta, -params.alpha) * signal + z[n:] * sd,
-        "reward_noise": z[:n] * sd,
-        "is_finish": steps == params.horizon - 1,
+        "num_options": _NUM_OPTIONS_LO + (u[:, 3 * n :] * n_values).astype(np.int64),
+        "true_utility": np.where(is_type_d, params.beta, -params.alpha) * signal + z[:, n:] * sd,
+        "reward_noise": z[:, :n] * sd,
+        "is_finish": np.tile(steps == params.horizon - 1, (len(u), 1)),
     }
 
 
-@functools.lru_cache(maxsize=1)
-def _episode_states(params: TwoSourceParams, seed: int) -> Tuple[Dict[str, list], List[Dict[str, float]]]:
-    """The episode with this seed, built once for a run of episodes on
-    one seed (see the module notes): its columns, as lists of Python
-    scalars, and each state's observation record in step order, whose
-    values are floats and which leaves the hidden fields out."""
-    cols = {name: column.tolist() for name, column in sample_states(params, params.horizon, seed).items()}
-    observations = [
-        {"step_count": float(t), "signal": signal, "type_proxy": float(proxy),
-         "num_options": float(options), "is_finish": float(finish)}
-        for t, signal, proxy, options, finish in zip(
-            cols["step_index"], cols["signal"], cols["type_proxy"], cols["num_options"], cols["is_finish"]
-        )
-    ]
-    return cols, observations
-
-
 class TwoSourceEpisode:
-    """Handle over one episode: a deterministic pre-drawn step sequence.
+    """Handle over one episode: a deterministic pre-drawn step sequence,
+    one row of a run's block, made by ``TwoSourceEpisodes.start``.
 
     State transitions are exogenous (trigger decisions never change which
     states arrive), so policies compared under one episode seed see
@@ -180,11 +177,9 @@ class TwoSourceEpisode:
     paired rollout arms are decoupled.
     """
 
-    def __init__(self, params: TwoSourceParams, seed: int):
-        if not isinstance(params, TwoSourceParams):
-            raise InvalidParams("params must be a TwoSourceParams instance")
+    def __init__(self, params: TwoSourceParams, cols: Dict[str, list], observations: List[Dict[str, float]]):
         self.params = params
-        self._cols, self._observations = _episode_states(params, seed)
+        self._cols, self._observations = cols, observations
         self._cursor = 0  # step index of the current state
         self._family: Optional[Tuple[tuple, List[List[float]]]] = None  # last family: key, [base, triggered] returns
 
@@ -243,15 +238,41 @@ class TwoSourceEpisode:
                 "true_utility": self._cols["true_utility"][t]}
 
 
+class TwoSourceEpisodes:
+    """A run of episodes, one per seed, drawn as one block (see the module
+    notes); ``start(i)`` makes a fresh episode on the i-th seed's states."""
+
+    def __init__(self, params: TwoSourceParams, seeds: Sequence[int]):
+        if not isinstance(params, TwoSourceParams):
+            raise InvalidParams("params must be a TwoSourceParams instance")
+        self.params = params
+        steps = np.arange(params.horizon, dtype=np.int64)
+        self._block = _derive(params, *_draw(seeds, params.horizon), steps)
+        self._row: Optional[Tuple[int, Dict[str, list], List[Dict[str, float]]]] = None  # the last row started
+
+    def start(self, i: int) -> TwoSourceEpisode:
+        if self._row is None or self._row[0] != i:
+            cols = {name: column[i].tolist() for name, column in self._block.items()}
+            observations = [
+                {"step_count": float(t), "signal": signal, "type_proxy": float(proxy),
+                 "num_options": float(options), "is_finish": float(finish)}
+                for t, signal, proxy, options, finish in zip(
+                    cols["step_index"], cols["signal"], cols["type_proxy"], cols["num_options"], cols["is_finish"]
+                )
+            ]
+            self._row = (i, cols, observations)
+        return TwoSourceEpisode(self.params, self._row[1], self._row[2])
+
+
 class TwoSourceEnv:
-    """Environment wrapper: builds episodes and owns the success rule."""
+    """Environment wrapper: builds runs of episodes and owns the success rule."""
 
     def __init__(self, params: TwoSourceParams, env_id: str = "twosource"):
         self.params = params
         self.env_id = env_id
 
-    def episode(self, seed: int) -> TwoSourceEpisode:
-        return TwoSourceEpisode(self.params, seed)
+    def episodes(self, seeds: Sequence[int]) -> TwoSourceEpisodes:
+        return TwoSourceEpisodes(self.params, seeds)
 
     def episode_success(self, episode_return: float) -> bool:
         return episode_return >= self.params.success_threshold
@@ -265,9 +286,10 @@ def sample_states(params: TwoSourceParams, n_states: int, seed: int) -> Dict[str
 
     Steps cycle through episode positions (so mixture drift is
     represented) but are drawn in one flat pass on the sampler's own
-    stream: the same states an episode with this seed draws, for as many
-    positions as it has.
+    stream: one row of draws, so the same states an episode with this
+    seed draws, for as many positions as it has.
     """
     if n_states < 1:
         raise ValueError("n_states must be positive")
-    return _draw_states(params, stream(seed), np.arange(n_states, dtype=np.int64) % params.horizon)
+    steps = np.arange(n_states, dtype=np.int64) % params.horizon
+    return {name: column[0] for name, column in _derive(params, *_draw([seed], n_states), steps).items()}

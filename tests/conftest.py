@@ -13,15 +13,20 @@ def balanced_params():
     return TwoSourceParams(p_i0=0.5, noise_sd=0.05, fidelity_q=1.0, horizon=10)
 
 
-def run_episode_returns(env, seed, decide):
-    """Total return and per-step trigger flags for one episode."""
-    episode = env.episode(seed)
-    total, triggers = 0.0, []
-    while not episode.done():
-        trig = bool(decide(episode.observe()))
-        total += episode.step(trig)
-        triggers.append(trig)
-    return total, triggers
+class EpisodeRun:
+    """A run of episodes for a test environment: ``start(i)`` returns
+    ``make(i)``, a fresh episode on the run's i-th seed."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def start(self, i):
+        return self._make(i)
+
+
+def first_episode(env, seed):
+    """A fresh episode on ``seed``: the only episode of a one-seed run."""
+    return env.episodes([seed]).start(0)
 
 
 def assert_close(actual, expected, tol=1e-9):

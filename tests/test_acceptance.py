@@ -13,6 +13,7 @@ import hashlib
 import json
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from dial.stats import (
 )
 from dial.twosource import TwoSourceEnv, TwoSourceParams, sample_states
 from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -326,8 +329,9 @@ def test_c10_cost_accounting():
     assert abs(always.cost_x_base - (1.0 + 5.0 * 1.0)) <= 1e-9
 
     triggered = 0
+    episodes = env.episodes([derive_seed(110, "eval-episode", i) for i in range(3)])
     for i in range(3):  # hand count from the replayed observation stream
-        episode = env.episode(derive_seed(110, "eval-episode", i))
+        episode = episodes.start(i)
         while not episode.done():
             triggered += int(episode.observe()["signal"] > 0.5)
             episode.step(False)
@@ -418,3 +422,66 @@ def test_c12_pipeline_reproducibility(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
     assert digests == C12_GOLDEN_SHA256
     _report("C12 reproducibility", f"{len(first)} output files byte-identical across two runs and to their golden sha256")
+
+
+# sha256 of the 39 artifacts of the demo pipeline (configs/demo.json:
+# explore, fit, eval, stats and verify) on seeds 42, 7 and 201, keyed by
+# seed and file name. "Same behaviour" across a refactor is these bytes;
+# a change that alters one on purpose updates it here and says why.
+DEMO_GOLDEN_SHA256 = {
+    "42/dataset-2559fb27.jsonl": "e167cbc5bb64ea615eb286a015ff012b8b98be2240530bc3c8d458d8bc02c9b3",
+    "42/eval-2559fb27.json": "b8c001990672ed7573d5fd4a611f2c1ba2a62933087f04c4784ffb0863ed9a3b",
+    "42/eval_summary-2559fb27.csv": "58d10bcb9031c3844850346eefad3420afe924ff76205ca43013c89f8398e5c1",
+    "42/model-2559fb27.json": "c9944b86fbc9fb4bf72dbe0322a831bc3ddda098d457aa551db3e2a3e42508d3",
+    "42/stats-2559fb27.json": "11fca39d72cc6edf594773cfe0d49b739ca78d9007adce3913871a9529626555",
+    "42/stats_cells-2559fb27.csv": "953a058b140b9f21ac13a7e04902a60c32a601c99915b86ef57f9d2d66431138",
+    "42/trigger_profile-2559fb27.csv": "baabdbb3cbfff458f267dba65c7af0050ab3f605ae97f1f474b9408e48a75f26",
+    "42/verify-2559fb27.json": "12005ef64f44d23fb7489a11be7b5e7e4de3010cd666929f94094edef4221f73",
+    "42/verify_eq2_sweep-2559fb27.csv": "6eb0e5f92328853a96d5f23323337b34573997cb5cb8b4f26302f5faed7ed03e",
+    "42/verify_normalization-2559fb27.csv": "a801bfd226886013b9a4486136f237b0290cbd7af1f161809ecb1cc5111fd3fd",
+    "42/verify_simpson-2559fb27.csv": "c33436fd776566a64949c5cd0d90f287323a0429fec10513bce28f3665cdced8",
+    "42/verify_temporal-2559fb27.csv": "3720524b71919f3270b9cfd02514af4287cce7399f41e8e407dcb00586ee2df4",
+    "42/verify_transforms-2559fb27.csv": "83ce4e31808a33e952694ac9f4c1dd9867158ade7a9934c6763c8e6851939eb6",
+    "7/dataset-fe61dee7.jsonl": "5c5cea57a563de297c5255e4b1e160dc4e72971d4c7cbd07655e095dd9b05aa9",
+    "7/eval-fe61dee7.json": "cbfaad758f9e7b4b8b8b34630003e403168912934eb6a48a1dc2ace507f7ff9d",
+    "7/eval_summary-fe61dee7.csv": "25d396a3b0e3f43a731949cf79636900d75078c72d8b33afa2e5d93a5e6cef57",
+    "7/model-fe61dee7.json": "2a33ab8ba1a9e58060a3e97ea0c56662eef84f6be2122cd5d3b45feab7ed98a1",
+    "7/stats-fe61dee7.json": "b59de31257ff6d925bea7a26e0b09e836c1bb9d3abe862091eefbf9549c3302c",
+    "7/stats_cells-fe61dee7.csv": "907df9aa7ad6973f6310cfda3a5b8f22c242d1d0c0cf40a93a5d6dd6a3276314",
+    "7/trigger_profile-fe61dee7.csv": "192a6252e2367144b473c4491da04ef3457ca22ddfd4ab541e03a782043bda55",
+    "7/verify-fe61dee7.json": "f53467b88f0953cf1d24197bc0b82a7f91219ec90ee02091fe5302e5bb37ee20",
+    "7/verify_eq2_sweep-fe61dee7.csv": "1b431a1aa8399efb3368257a799f47fb0c8a910a48922e5fcec58ac0d5d16688",
+    "7/verify_normalization-fe61dee7.csv": "eab6c4366c41027cff4ed10d076d137c741d2eefd7f0015fb9780883191f9705",
+    "7/verify_simpson-fe61dee7.csv": "b81e31a7a93f35964dd9079aaf949fe48dc7b7ce215d787b8b63c4f26901014b",
+    "7/verify_temporal-fe61dee7.csv": "346d4b1337f13aa6d2087e42f50d43714ded5b5d55119916e7bfb8c29cac7ee6",
+    "7/verify_transforms-fe61dee7.csv": "9b25d874a7d7a8c4889565ed32e794fe988619158f117d9475e9304e5f8082f0",
+    "201/dataset-8d270fc8.jsonl": "df5f1913fbdd93e409f0b9115aa2dd8fdf8a0c950027c73a23df1c5423270100",
+    "201/eval-8d270fc8.json": "02259ceed8d104911e41763103df78aea7744f83986085ce05fd6b819fc54120",
+    "201/eval_summary-8d270fc8.csv": "dab3b80cfe6abbb091516e61b2e028789fddc552510e9c01d85bd680fabca70d",
+    "201/model-8d270fc8.json": "a2cd732e8d45ee5a114ade1ef51a7bc49a264eb018605f5250ab77fd71b577a6",
+    "201/stats-8d270fc8.json": "56afa3af9ffe78055c8a1a08cb279d9f9290151cabda4b87651d7f1479904744",
+    "201/stats_cells-8d270fc8.csv": "a5a0881e2eabc3e8974960abc5e690f39d985c3d9cc77926c5e4b9953bc475eb",
+    "201/trigger_profile-8d270fc8.csv": "55bc17125e95ec6643667b6f8cf09794afea195fda2f405fda1b934bc963c515",
+    "201/verify-8d270fc8.json": "5150d47acba3b99d7b5bdd430fb218279f8bcddd20be83fb1815a8ed8361d182",
+    "201/verify_eq2_sweep-8d270fc8.csv": "f4b71f1ae86e87ad4d29f43825bcaa2b2e8b5c3a324dc0e30977709609494ba1",
+    "201/verify_normalization-8d270fc8.csv": "92183a5b7bf5e10fc0e89aab92c80e904cf57faa8cae9be500ba6aa1d193285a",
+    "201/verify_simpson-8d270fc8.csv": "156abd60dcd492bec605f0d666c62f54fce2aa77bdbb7d19b290f766b6418a45",
+    "201/verify_temporal-8d270fc8.csv": "0f87098883db734964f456f9233b81a138dee50ea9e97d6246ada92aef1cd61f",
+    "201/verify_transforms-8d270fc8.csv": "b963a7ccb9ed91f5fa08bdcfa7110afc83711d185b24ba5b7e631d9c58c96103",
+}
+
+
+def test_demo_artifacts_keep_their_bytes(tmp_path):
+    digests = {}
+    for seed in (42, 7, 201):
+        out = tmp_path / str(seed)
+        config = load_config(str(DEMO_CONFIG), seed_override=seed, out_override=str(out))
+        dataset = cmd_explore(config)
+        model = cmd_fit(config, dataset)
+        cmd_eval(config, model)
+        cmd_stats(config, dataset)
+        cmd_verify(config)
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                digests[f"{seed}/{path.relative_to(out)}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == DEMO_GOLDEN_SHA256

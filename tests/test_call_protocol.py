@@ -70,12 +70,12 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
 
     for name in counts:
         counts[name] = 0
-    real_draw, real_deploy, real_step = twosource._draw_states, cli.run_deployment, TwoSourceEpisode.step
-    draws, deploying, steps_outside = [0], [0], [0]
+    real_draw, real_deploy, real_step = twosource._draw, cli.run_deployment, TwoSourceEpisode.step
+    draws, deploying, steps_outside = [], [0], [0]
 
-    def counting_draw(*args):
-        draws[0] += 1
-        return real_draw(*args)
+    def counting_draw(seeds, n):
+        draws.append((len(seeds), n))
+        return real_draw(seeds, n)
 
     def deploy(*args):
         deploying[0] += 1
@@ -88,12 +88,11 @@ def test_demo_pipeline_keeps_the_traced_call_counts(tmp_path, counts, monkeypatc
         steps_outside[0] += not deploying[0]
         return real_step(*args)
 
-    monkeypatch.setattr(twosource, "_draw_states", counting_draw)
+    monkeypatch.setattr(twosource, "_draw", counting_draw)
     monkeypatch.setattr(cli, "run_deployment", deploy)
     monkeypatch.setattr(TwoSourceEpisode, "step", step)
-    twosource._episode_states.cache_clear()
     cli.cmd_eval(config, model_path)
-    assert draws[0] == config.eval["n_episodes"]
+    assert draws == [(config.eval["n_episodes"], horizon)]  # one block: a row per episode, for every policy
     assert steps_outside[0] == 0
     policies = config.eval["policies"]
     gated = sum(p in ("dial", "reversed_dial") for p in policies)

@@ -13,6 +13,7 @@ from dial.envs import EnvFault
 from dial.gate import GateModel
 from dial.features import FeatureSpec
 from dial.twosource import TwoSourceEnv, TwoSourceParams
+from conftest import EpisodeRun
 from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
 
 
@@ -93,8 +94,9 @@ def test_cost_formula_hand_arithmetic_three_episode_fixture():
     from dial.rng import derive_seed
 
     triggered = 0
+    episodes = env.episodes([derive_seed(21, "eval-episode", i) for i in range(3)])
     for i in range(3):
-        ep = env.episode(derive_seed(21, "eval-episode", i))
+        ep = episodes.start(i)
         while not ep.done():
             triggered += int(ep.observe()["signal"] > 0.5)
             ep.step(False)
@@ -127,17 +129,13 @@ class _ScriptedEpisode:
 
 
 class _VariableLengthEnv:
-    """Episodes of lengths 1, 3 and 2, in the order they are asked for."""
+    """Episodes 0, 1 and 2 of a run have lengths 1, 3 and 2."""
 
     env_id = "scripted"
     SIGNALS = ([0.9], [0.1, 0.2, 0.8], [0.7, 0.9])
 
-    def __init__(self):
-        self.made = 0
-
-    def episode(self, seed):
-        self.made += 1
-        return _ScriptedEpisode(self.SIGNALS[self.made - 1])
+    def episodes(self, seeds):
+        return EpisodeRun(lambda i: _ScriptedEpisode(self.SIGNALS[i]))
 
     def trigger_cost_units(self):
         return 2.0
@@ -303,19 +301,24 @@ class _FaultyEpisode:
 
 
 class _FaultyEnv:
-    """A two-source environment whose second episode built fails at step 2."""
+    """A two-source environment whose second episode started fails at step 2."""
 
     def __init__(self, error=RuntimeError):
         self.inner = _env(horizon=5)
         self.error = error
-        self.episodes = 0
+        self.started = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def episode(self, seed):
-        self.episodes += 1
-        return _FaultyEpisode(self.inner.episode(seed), 2 if self.episodes == 2 else None, self.error)
+    def episodes(self, seeds):
+        run = self.inner.episodes(seeds)
+
+        def start(i):
+            self.started += 1
+            return _FaultyEpisode(run.start(i), 2 if self.started == 2 else None, self.error)
+
+        return EpisodeRun(start)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +332,7 @@ def test_step_fault_names_episode_and_step(kind, error):
 
 
 def test_fault_names_the_policy_that_meets_it_first():
-    # Episode-major: the second episode built is the second policy's
+    # Episode-major: the second episode started is the second policy's
     # episode 0, so it faults before the first policy reaches episode 1.
     env = _FaultyEnv()
     policies = [PolicySpec("base_only"), PolicySpec("always_trigger")]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -22,8 +23,9 @@ from dial.explore import (
 )
 from dial.features import UNIVERSAL_FEATURES, UNIVERSAL_SPECS, compile_features, extract_features
 from dial import twosource
-from dial.cli import save_dataset_jsonl
+from dial.cli import VERIFY_TEMPORAL_MIN_NOISE, VERIFY_TEMPORAL_P0, VERIFY_TEMPORAL_SLOPE, save_dataset_jsonl
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
+from conftest import EpisodeRun, first_episode
 
 
 # -- a minimal scripted episode for exact paired-label checks -----------------
@@ -118,7 +120,7 @@ def test_noise_free_labels_match_hidden_utility_sign():
     env = TwoSourceEnv(TwoSourceParams(p_i0=0.5, noise_sd=0.0, horizon=8))
     checked = 0
     for ep_seed in range(12):
-        episode = env.episode(ep_seed)
+        episode = first_episode(env, ep_seed)
         while not episode.done():
             label = estimate_utility_paired(episode, 5, 5, 3, seed=ep_seed * 100 + checked)
             hidden = episode.debug_state()["true_utility"]
@@ -133,7 +135,7 @@ def test_paired_arms_fork_from_identical_state():
     # or not, whatever its reseed: the reward the episode takes there.
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.2))
     for triggered in (False, True):
-        episode = env.episode(42)
+        episode = first_episode(env, 42)
         returns = {episode.fork(reseed=s, lookahead=0, triggered=triggered) for s in (1, 2, 3)}
         assert returns == {episode.step(triggered)}
 
@@ -156,7 +158,7 @@ def _count_forks(monkeypatch):
 @pytest.mark.parametrize("k, n, h", [(5, 5, 3), (2, 1, 1), (3, 2, 6)])
 def test_paired_label_forks_once_per_candidate_rollout(monkeypatch, k, n, h):
     calls = _count_forks(monkeypatch)
-    episode = TwoSourceEnv(TwoSourceParams(horizon=6)).episode(3)
+    episode = first_episode(TwoSourceEnv(TwoSourceParams(horizon=6)), 3)
     episode.step(False)
     estimate_utility_paired(episode, k, n, h, seed=11)
     assert calls == [h - 1] * (k * n)
@@ -177,7 +179,7 @@ def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, stre
         built.append(seed)
         return real_stream(seed)
 
-    episode = TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)).episode(3)
+    episode = first_episode(TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)), 3)
     for _ in range(steps_before):
         episode.step(False)
     monkeypatch.setattr(twosource, "stream", counting_stream)
@@ -190,7 +192,7 @@ def test_paired_label_rollouts_read_noise_of_their_own(monkeypatch):
     # differ by index alone, so each must roll out on noise of its own:
     # each fork, remade with the untriggered snapshot step, returns a
     # value no other does.
-    episode = TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)).episode(3)
+    episode = first_episode(TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)), 3)
     episode.step(False)
     calls = []
     real_fork = TwoSourceEpisode.fork
@@ -269,8 +271,8 @@ class FaultyEnv:
     def __init__(self, episode_type=None):
         self.episode_type = episode_type or FaultyEpisode
 
-    def episode(self, seed):
-        return self.episode_type()
+    def episodes(self, seeds):
+        return EpisodeRun(lambda i: self.episode_type())
 
     def episode_success(self, r):
         return True
@@ -477,9 +479,75 @@ def test_paired_estimate_deterministic_for_seed():
     env = TwoSourceEnv(TwoSourceParams(noise_sd=0.3))
     labels = []
     for _ in range(2):
-        episode = env.episode(33)
+        episode = first_episode(env, 33)
         labels.append(estimate_utility_paired(episode, 5, 5, 3, seed=91))
     assert labels[0] == labels[1]
+
+
+# -- the labels' distribution against its closed form -------------------------------
+
+
+def _oracle_scores(dataset, params, k, n, h):
+    """z scores of a dataset's labels against their closed form: overall,
+    then per probability decile ([0, .1), ..., [.9, 1]), each
+    sum(label - p) / sqrt(sum p (1 - p)). A label at step t reads
+    m = min(h - 1, H - t - 1) rollout steps past its snapshot. Both arms
+    share the snapshot's reward noise, so their snapshot rewards differ by
+    exactly the true utility u, and each rollout adds m independent
+    N(0, sd^2) noises: the difference of the arm means is N(u, sigma^2),
+    with sigma^2 = sd^2 m (1/n + 1/((k - 1) n)), so P(label = 1 | u) =
+    Phi(u / sigma). At m = 0 the label is exactly [u > 0] (a tie labels
+    0), which is asserted here."""
+    labeled = dataset.labeled()
+    t = np.array([r.step_index for r in labeled])
+    u = np.array([r.true_utility_debug for r in labeled])
+    y = np.array([r.utility_label for r in labeled], dtype=float)
+    m = np.minimum(h - 1, params.horizon - t - 1)
+    assert np.array_equal(y[m == 0], u[m == 0] > 0)
+    y, u, m = y[m > 0], u[m > 0], m[m > 0]
+    sigma = params.noise_sd * np.sqrt(m * (1 / n + 1 / ((k - 1) * n)))
+    p = np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in (u / sigma).tolist()])
+    decile = np.minimum((p * 10).astype(int), 9)
+    groups = [np.ones(len(p), dtype=bool)] + [decile == d for d in range(10)]
+    return [(y[g] - p[g]).sum() / math.sqrt((p[g] * (1 - p[g])).sum()) for g in groups if g.any()]
+
+
+_ORACLE_CASES = {  # params, (k, n, h), episodes
+    "verify-drifting": (TwoSourceParams(p_i0=VERIFY_TEMPORAL_P0, p_i_slope=VERIFY_TEMPORAL_SLOPE,
+                                        noise_sd=VERIFY_TEMPORAL_MIN_NOISE), (5, 5, 3), 300),
+    "k3-n2-h4": (TwoSourceParams(noise_sd=0.5), (3, 2, 4), 300),
+    "demo": (TwoSourceParams(), (5, 5, 3), 600),
+}
+
+
+def _oracle_dataset(params, k, n, h, episodes):
+    return run_exploration(TwoSourceEnv(params), eps=1.0, n_episodes=episodes, seed=11,
+                           k_candidates=k, n_rollouts=n, horizon_h=h)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_labels_follow_their_closed_form(case):
+    # Signal-agnostic exploration labels each state with probability
+    # Phi(u / sigma), a known, monotone function of its true utility.
+    # Bound |z| <= 4 on each of the 11 scores. Its false-alarm rate,
+    # measured over 20,000 label sets drawn from the formula at each
+    # case's own probabilities: about 1 in 1,000 per case (max |z| > 4 in
+    # 0.090-0.100% of them), so ~0.3% over the three. A normal score alone
+    # would give 6.3e-5; the deciles of near-certain labels are closer to
+    # Poisson, which widens the tail.
+    params, (k, n, h), episodes = _ORACLE_CASES[case]
+    scores = _oracle_scores(_oracle_dataset(params, k, n, h, episodes), params, k, n, h)
+    assert len(scores) == 11 and max(abs(z) for z in scores) <= 4, scores
+
+
+@pytest.mark.parametrize("actual, claimed", [(1, 4), (4, 1)], ids=["sigma-doubled", "sigma-halved"])
+def test_the_label_oracle_rejects_a_sigma_off_by_two(actual, claimed):
+    # The oracle's power: labels rolled out ``actual`` times per arm and
+    # scored as if ``claimed`` times, so their sigma is 2x (sigma^2 scales
+    # as 1/n) or 1/2x the formula's, fail the bound.
+    params, (k, _, h), _ = _ORACLE_CASES["verify-drifting"]
+    scores = _oracle_scores(_oracle_dataset(params, k, actual, h, 600), params, k, claimed, h)
+    assert max(abs(z) for z in scores) > 4, scores
 
 
 def test_loader_rejects_empty_file(tmp_path):

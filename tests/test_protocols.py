@@ -1,15 +1,16 @@
-"""Every environment and episode that the package and its tests run is
-an instance of the runtime-checkable protocols in ``dial.envs`` and adds
-no public method of its own, so a method dropped from a protocol or from
-one implementation, without the other, fails here. Every episode that
-forks returns a float from ``fork``."""
+"""Every environment, run of episodes and episode that the package and
+its tests run is an instance of the runtime-checkable protocols in
+``dial.envs`` and adds no public method of its own, so a method dropped
+from a protocol or from one implementation, without the other, fails
+here. Every episode that forks returns a float from ``fork``."""
 
 from __future__ import annotations
 
 import pytest
 
-from dial.envs import Environment, Episode
-from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
+from conftest import EpisodeRun, first_episode
+from dial.envs import Environment, Episode, Episodes
+from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceEpisodes, TwoSourceParams
 from test_eval import _FaultyEnv, _ScriptedEpisode, _VariableLengthEnv
 from test_explore import ScriptedEpisode, SiblingScriptedEpisode
 
@@ -22,14 +23,16 @@ _ENV = TwoSourceEnv(TwoSourceParams())
 
 _CASES = {
     "twosource-env": (_ENV, Environment),
-    "twosource-episode": (_ENV.episode(0), Episode),
+    "twosource-episodes": (_ENV.episodes([0]), Episodes),
+    "twosource-episode": (first_episode(_ENV, 0), Episode),
     "explore-scripted-episode": (ScriptedEpisode([0.1, 0.2]), Episode),
     "explore-sibling-episode": (SiblingScriptedEpisode([0.5, 0.9]), Episode),
     "eval-scripted-episode": (_ScriptedEpisode([0.5]), Episode),
     "eval-variable-length-env": (_VariableLengthEnv(), Environment),
+    "eval-variable-length-episodes": (_VariableLengthEnv().episodes([0]), Episodes),
     # These two delegate every other name to a two-source env or episode.
     "eval-faulty-env": (_FaultyEnv(), Environment),
-    "eval-faulty-episode": (_FaultyEnv().episode(0), Episode),
+    "eval-faulty-episode": (first_episode(_FaultyEnv(), 0), Episode),
 }
 
 
@@ -43,6 +46,8 @@ def test_implementation_is_an_instance_of_its_protocol(name):
     "cls, protocol",
     [
         (TwoSourceEnv, Environment),
+        (TwoSourceEpisodes, Episodes),
+        (EpisodeRun, Episodes),
         (TwoSourceEpisode, Episode),
         (ScriptedEpisode, Episode),
         (_ScriptedEpisode, Episode),
@@ -56,7 +61,7 @@ def test_implementation_adds_no_public_method(cls, protocol):
 
 @pytest.mark.parametrize(
     "episode",
-    [_ENV.episode(0), ScriptedEpisode([1, 2]), SiblingScriptedEpisode([1, 2])],
+    [first_episode(_ENV, 0), ScriptedEpisode([1, 2]), SiblingScriptedEpisode([1, 2])],
     ids=["twosource-episode", "explore-scripted-episode", "explore-sibling-episode"],
 )
 @pytest.mark.parametrize("triggered", [False, True])

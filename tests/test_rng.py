@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dial.rng import InvalidSeed, derive_seed, rng_for, stream
-from dial.twosource import TwoSourceEpisode, TwoSourceParams
+from dial.twosource import TwoSourceEnv, TwoSourceParams
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/dial/*.py"))
@@ -86,9 +86,9 @@ def test_numpy_integer_seed_is_its_value():
 
 def test_episode_seed_is_required():
     with pytest.raises(TypeError):
-        TwoSourceEpisode(TwoSourceParams())
+        TwoSourceEnv(TwoSourceParams()).episodes()
     with pytest.raises(InvalidSeed):
-        TwoSourceEpisode(TwoSourceParams(), None)
+        TwoSourceEnv(TwoSourceParams()).episodes([3, None])
 
 
 def seeding_calls(source: str) -> list:

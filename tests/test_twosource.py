@@ -3,30 +3,36 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dial.cli import VERIFY_TEMPORAL_MIN_NOISE, VERIFY_TEMPORAL_P0, VERIFY_TEMPORAL_SLOPE, load_config
 from dial.envs import EnvFault
 from dial.explore import estimate_utility_paired
-from dial.rng import stream
+from dial.rng import derive_seed, stream
 from dial.stats import spearman
 from dial.twosource import (
     TYPE_D,
     TYPE_I,
     InvalidParams,
     TwoSourceEnv,
-    TwoSourceEpisode,
     TwoSourceParams,
-    _draw_states,
-    _episode_states,
+    _derive,
+    _draw,
     sample_states,
 )
 
 
+def _episode(params, seed):
+    # A fresh episode on ``seed``: row 0 of a one-seed run.
+    return TwoSourceEnv(params).episodes([seed]).start(0)
+
+
 def collect_episode(params, seed):
-    ep = TwoSourceEpisode(params, seed)
+    ep = _episode(params, seed)
     rows = []
     while not ep.done():
         obs = ep.observe()
@@ -96,7 +102,7 @@ _TO_END = 100
 
 def _rewards(params, seed):
     # Every step's reward and a triggered and an untriggered fork at each state.
-    ep, out = TwoSourceEpisode(params, seed), []
+    ep, out = _episode(params, seed), []
     while not ep.done():
         out += [ep.fork(reseed=seed, lookahead=2, triggered=True, count=3, index=1),
                 ep.fork(reseed=seed, lookahead=_TO_END, triggered=False), ep.step(True)]
@@ -116,9 +122,7 @@ def test_numpy_scalar_params_step_and_fork_as_python_floats(kwargs):
     assert {f.name: type(getattr(params, f.name)) for f in fields(params)} == {
         f.name: int if f.name == "horizon" else float for f in fields(params)}
     as_floats = TwoSourceParams(**{k: int(v) if k == "horizon" else float(v) for k, v in kwargs.items()})
-    _episode_states.cache_clear()
     got = _rewards(params, 11)
-    _episode_states.cache_clear()
     expected = _rewards(as_floats, 11)
     assert {type(r) for r in got} == {float}
     assert [r.hex() for r in got] == [r.hex() for r in expected]
@@ -167,7 +171,7 @@ def test_intermediate_fidelity_match_probability():
 
 
 def test_observation_hides_latent_fields():
-    ep = TwoSourceEpisode(TwoSourceParams(), seed=3)
+    ep = _episode(TwoSourceParams(), seed=3)
     obs = ep.observe()
     assert set(obs) == {"step_count", "signal", "type_proxy", "num_options", "is_finish"}
     assert "true_utility" not in obs and "latent_type" not in obs
@@ -177,7 +181,8 @@ def test_each_observation_is_a_new_dict():
     # Episodes on one seed share their observation records; observe hands
     # out copies, so a caller that writes to one changes no other.
     params = TwoSourceParams(noise_sd=0.3)
-    ep = TwoSourceEpisode(params, seed=6)
+    run = TwoSourceEnv(params).episodes([6])
+    ep = run.start(0)
     first = ep.observe()
     expected = dict(first)
     first["signal"] = 99.0
@@ -185,8 +190,8 @@ def test_each_observation_is_a_new_dict():
     second = ep.observe()
     assert second is not first and second == expected
     second.clear()
-    twin = TwoSourceEpisode(params, seed=6)
-    assert twin.observe() == expected
+    twin = run.start(0)
+    assert twin._observations is ep._observations and twin.observe() == expected
     ep.step(False)
     twin.step(False)
     assert ep.observe() == twin.observe() and ep.observe() is not twin.observe()
@@ -197,7 +202,7 @@ def _arms(params, seed, **state):
     # untriggered reward of the state (a fork of lookahead 0 returns the
     # triggered one) and the state's debug record. ``state`` overrides
     # the first state's columns.
-    ep = TwoSourceEpisode(params, seed)
+    ep = _episode(params, seed)
     ep._cols = {name: [state.get(name, column[0])] + column[1:] for name, column in ep._cols.items()}
     arms = []
     while not ep.done():
@@ -239,7 +244,7 @@ def test_reward_noise_shared_between_arms():
 def test_snapshot_returns_differ_by_the_true_utility():
     # At lookahead 0 a fork's return is the snapshot step alone, so the
     # two arms differ by the state's utility, noise and all.
-    ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3, p_i_slope=0.05), seed=16)
+    ep = _episode(TwoSourceParams(noise_sd=0.3, p_i_slope=0.05), seed=16)
     while not ep.done():
         triggered, untriggered = (ep.fork(reseed=7, lookahead=0, triggered=arm) for arm in (True, False))
         assert triggered - untriggered == pytest.approx(ep.debug_state()["true_utility"], abs=1e-12)
@@ -276,7 +281,7 @@ def test_episode_return_is_sum_of_step_returns_and_reproducible():
     triggers = [True, False] * 5
     totals = []
     for _ in range(2):
-        ep = TwoSourceEpisode(params, seed=7)
+        ep = _episode(params, seed=7)
         total = 0.0
         for trig in triggers:
             total += ep.step(trig)
@@ -292,29 +297,32 @@ def _read_state(episode, triggered):
 
 def test_episode_must_be_built_from_params():
     with pytest.raises(InvalidParams, match="TwoSourceParams"):
-        TwoSourceEpisode({"horizon": 10}, seed=1)
+        TwoSourceEnv({"horizon": 10}).episodes([1])
 
 
 def test_episodes_built_on_one_seed_share_one_draw():
+    # Episodes started on one row of a run share its lists, and the row
+    # cache holds one row: starting another evicts it.
     params = TwoSourceParams(noise_sd=0.3)
-    first = TwoSourceEpisode(params, seed=4)
+    run = TwoSourceEnv(params).episodes([4, 5])
+    first = run.start(0)
     first.step(True)
-    second = TwoSourceEpisode(params, seed=4)
-    assert second._cols is first._cols  # the second episode draws nothing
+    second = run.start(0)
+    assert second._cols is first._cols  # the second episode builds nothing
     assert second.observe()["step_count"] == 0.0  # but keeps a cursor of its own
     expected = sample_states(params, params.horizon, 4)
     assert second._cols.keys() == expected.keys()
     for name, column in expected.items():
         assert second._cols[name] == column.tolist()
-    other = TwoSourceEpisode(params, seed=5)
+    other = run.start(1)
     assert other._cols != first._cols
-    again = TwoSourceEpisode(params, seed=4)  # one slot: seed 5 evicted seed 4, so this is a fresh draw
+    again = run.start(0)  # one slot: row 1 evicted row 0, so this is a fresh build
     assert again._cols == first._cols and again._cols is not first._cols
 
 
 def test_fork_reseed_shares_snapshot_but_diverges_later():
     for triggered in (False, True):
-        ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=9)
+        ep = _episode(TwoSourceParams(noise_sd=0.3), seed=9)
         ep.step(False)
         snapshot = {ep.fork(reseed=s, lookahead=0, triggered=triggered) for s in (100, 200)}
         later = {ep.fork(reseed=s, lookahead=_TO_END, triggered=triggered) for s in (100, 200)}
@@ -326,8 +334,8 @@ def test_fork_rollouts_do_not_mutate_parent():
     # A fork moves neither the cursor nor the observation of the episode
     # it is made on, whatever its lookahead, arm or sibling.
     for triggered in (False, True):
-        ep = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
-        twin = TwoSourceEpisode(TwoSourceParams(noise_sd=0.3), seed=10)
+        ep = _episode(TwoSourceParams(noise_sd=0.3), seed=10)
+        twin = _episode(TwoSourceParams(noise_sd=0.3), seed=10)
         while not twin.done():
             for lookahead in (_TO_END, 0, 2):
                 for index in (0, 4):
@@ -338,7 +346,7 @@ def test_fork_rollouts_do_not_mutate_parent():
 
 
 def test_stepping_past_horizon_raises():
-    ep = TwoSourceEpisode(TwoSourceParams(horizon=2), seed=11)
+    ep = _episode(TwoSourceParams(horizon=2), seed=11)
     ep.step(False)
     ep.step(False)
     assert ep.done()
@@ -360,8 +368,9 @@ def test_base_only_success_rate_is_interior_with_noise():
     params = TwoSourceParams(noise_sd=0.1)
     env = TwoSourceEnv(params)
     successes = 0
+    episodes = env.episodes(range(400))
     for i in range(400):
-        ep = env.episode(i)
+        ep = episodes.start(i)
         total = 0.0
         while not ep.done():
             total += ep.step(False)
@@ -383,7 +392,7 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
     # sample_states draws on its own stream; over one episode's
     # positions it must give the states an episode with that seed gives.
     states = sample_states(params, params.horizon, seed)
-    ep = TwoSourceEpisode(params, seed)
+    ep = _episode(params, seed)
     for i in range(params.horizon):
         obs, debug = ep.observe(), ep.debug_state()
         assert obs["step_count"] == states["step_index"][i]
@@ -408,19 +417,54 @@ def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
     # An episode's cached columns hold Python scalars (never numpy
     # scalars) with the values sample_states draws for the same seed and
     # positions, and every observation value is a Python float.
-    _episode_states.cache_clear()
-    columns, observations = _episode_states(params, 23)
+    run = TwoSourceEnv(params).episodes([23])
+    ep = run.start(0)
+    columns, observations = ep._cols, ep._observations
     states = sample_states(params, params.horizon, 23)
     assert columns.keys() == states.keys() == _COLUMN_TYPES.keys()
     for name, column in columns.items():
         assert isinstance(column, list) and len(column) == params.horizon
         assert {type(v) for v in column} == {_COLUMN_TYPES[name]}
         assert column == states[name].tolist()
-    ep = TwoSourceEpisode(params, 23)
+    ep = run.start(0)
     assert ep._cols is columns and ep._observations is observations
     while not ep.done():
         assert {type(v) for v in ep.observe().values()} == {float}
         ep.step(False)
+
+
+_DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")).env_params
+_VERIFY_DRIFTING = replace(_DEMO_PARAMS, p_i0=VERIFY_TEMPORAL_P0, p_i_slope=VERIFY_TEMPORAL_SLOPE,
+                           noise_sd=max(_DEMO_PARAMS.noise_sd, VERIFY_TEMPORAL_MIN_NOISE))  # as cmd_verify builds it
+
+
+@pytest.mark.parametrize("params", [_DEMO_PARAMS, _VERIFY_DRIFTING, TwoSourceParams(fidelity_q=0.5, horizon=7)],
+                         ids=["demo", "verify-drifting", "q0.5-horizon7"])
+def test_a_run_is_one_block_of_the_per_seed_states(params):
+    # A run of 2,000 episodes is drawn and derived as one (N, H) block;
+    # row i of every column has the bits of sample_states on seed i, and
+    # the episode start(i) makes replays that seed's observations, hidden
+    # states and rewards, both arms of each step.
+    seeds = [derive_seed(37, "block", i) for i in range(2000)]
+    run = TwoSourceEnv(params).episodes(seeds)
+    assert {column.shape for column in run._block.values()} == {(len(seeds), params.horizon)}
+    for i, seed in enumerate(seeds):
+        states = sample_states(params, params.horizon, seed)
+        assert run._block.keys() == states.keys()
+        for name, column in states.items():
+            assert run._block[name][i].dtype == column.dtype and run._block[name][i].tobytes() == column.tobytes()
+        ep = run.start(i)
+        for t in range(params.horizon):
+            assert ep.observe() == {"step_count": float(t), "signal": states["signal"][t].item(),
+                                    "type_proxy": float(states["type_proxy"][t]),
+                                    "num_options": float(states["num_options"][t]),
+                                    "is_finish": float(states["is_finish"][t])}
+            assert ep.debug_state() == {"latent_type": TYPE_D if states["is_type_d"][t] else TYPE_I,
+                                        "true_utility": states["true_utility"][t].item()}
+            untriggered = params.base_reward + states["reward_noise"][t].item()
+            assert ep.fork(reseed=seed, lookahead=0, triggered=False) == untriggered
+            assert ep.step(True) == untriggered + states["true_utility"][t].item()
+        assert ep.done()
 
 
 def _columns_digest(states):
@@ -465,7 +509,7 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
     # by the horizon) are covered.
     labels = []
     for seed in seeds:
-        ep = TwoSourceEpisode(params, seed)
+        ep = _episode(params, seed)
         t = 0
         while not ep.done():
             labels.append(estimate_utility_paired(ep, k, n, h, seed=1000 * seed + t))
@@ -477,7 +521,7 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
 def _rollout_returns(params, lookahead, seeds=range(8)):
     returns = []
     for seed in seeds:
-        ep = TwoSourceEpisode(params, seed)
+        ep = _episode(params, seed)
         for t in range(params.horizon):
             returns.append(ep.fork(reseed=100 * seed + t, lookahead=lookahead, triggered=True))
             ep.step(False)
@@ -523,7 +567,7 @@ def test_rollout_rewards_are_pinned(lookahead, golden):
 
 @pytest.mark.parametrize("lookahead", [-1, -4])
 def test_fork_rejects_negative_lookahead(lookahead):
-    ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
+    ep = _episode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="lookahead must be nonnegative"):
         ep.fork(reseed=1, lookahead=lookahead, triggered=False)
 
@@ -543,7 +587,7 @@ def _ahead(lookahead):
 def _siblings(count, lookahead, order=None, triggered=True):
     # A fresh parent each call, so no family's noise is shared with
     # another call; the forks are made in ``order``.
-    ep = TwoSourceEpisode(_SIBLING_PARAMS, 33)
+    ep = _episode(_SIBLING_PARAMS, 33)
     ep.step(False)
     returns = {i: ep.fork(5, lookahead, triggered=triggered, index=i, count=count) for i in (order or range(count))}
     return [returns[i] for i in range(count)]
@@ -554,14 +598,14 @@ def _siblings(count, lookahead, order=None, triggered=True):
 def test_sibling_noise_read_equals_observed_twin(count, lookahead):
     # The twin is the one state derivation itself: sibling i's return is
     # the snapshot's triggered reward, then base_reward plus each value of
-    # its slice of the reward_noise column that _draw_states gives on
-    # stream(reseed) for the lookahead steps tiled count times, added in
+    # its slice of the reward_noise column that _derive gives from one row
+    # of draws on stream(reseed), for the lookahead steps tiled count times, added in
     # step order, bit for bit, whether the siblings are made in forward
     # or in reverse order.
     params, lookahead = _SIBLING_PARAMS, _ahead(lookahead)
     steps = np.arange(2, min(2 + lookahead, params.horizon))
     m = len(steps)
-    noise = _draw_states(params, stream(5), np.tile(steps, count))["reward_noise"].tolist()
+    noise = _derive(params, *_draw([5], count * m), np.tile(steps, count))["reward_noise"][0].tolist()
     columns = sample_states(params, params.horizon, 33)
     snapshot = params.base_reward + columns["reward_noise"][1].item() + columns["true_utility"][1].item()
     expected = []
@@ -593,7 +637,7 @@ def test_fork_is_done_at_its_lookahead(count, lookahead):
     # finished episode a fork raises.
     params = TwoSourceParams(noise_sd=0.0, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
     lookahead = _ahead(lookahead)
-    ep = TwoSourceEpisode(params, 33)
+    ep = _episode(params, 33)
     for t in range(params.horizon):
         past = min(lookahead, params.horizon - t - 1)
         for triggered in (False, True):
@@ -609,7 +653,7 @@ def test_fork_is_done_at_its_lookahead(count, lookahead):
 
 @pytest.mark.parametrize("index, count", [(0, 0), (0, -2), (-1, 5), (5, 5), (30, 25)])
 def test_fork_rejects_a_sibling_outside_its_family(index, count):
-    ep = TwoSourceEpisode(TwoSourceParams(), seed=4)
+    ep = _episode(TwoSourceParams(), seed=4)
     with pytest.raises(ValueError, match="index < count"):
         ep.fork(reseed=1, lookahead=2, triggered=True, index=index, count=count)
 
@@ -656,7 +700,7 @@ def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lo
     forks = [(t, index, triggered)
              for t in range(params.horizon) for index in range(count) for triggered in (True, False)]
     expected = [_scalar_fork(params, 33, t, 5, lookahead, count, index, triggered) for t, index, triggered in forks]
-    ep = TwoSourceEpisode(params, 33)
+    ep = _episode(params, 33)
     calls = _counted_streams(monkeypatch)
     got = []
     for t in range(params.horizon):
@@ -678,7 +722,7 @@ def test_interleaved_families_evict_and_redraw(monkeypatch):
         forks = [(*family, index) for index in range(5) for family in (families[0], other)]
         expected = [_scalar_fork(params, 33, 1, reseed, lookahead, count, index, index % 2 == 0)
                     for reseed, lookahead, count, index in forks]
-        ep = TwoSourceEpisode(params, 33)
+        ep = _episode(params, 33)
         ep.step(False)
         calls = _counted_streams(monkeypatch)
         got = [ep.fork(reseed, lookahead, triggered=index % 2 == 0, index=index, count=count)
@@ -693,13 +737,13 @@ def test_each_refusal_holds_on_a_familys_first_and_later_siblings():
                 ({"lookahead": -1}, "lookahead must be nonnegative")]
     for bad, message in refusals:
         call = {"reseed": 5, "lookahead": 2, "triggered": True, "index": 0, "count": 25, **bad}
-        ep = TwoSourceEpisode(params, 33)
+        ep = _episode(params, 33)
         with pytest.raises(ValueError, match=message):  # a family's first call
             ep.fork(**call)
         ep.fork(5, 2, triggered=True, index=0, count=25)
         with pytest.raises(ValueError, match=message):  # a later sibling of the kept family
             ep.fork(**call)
-    ep = TwoSourceEpisode(params, 33)
+    ep = _episode(params, 33)
     for _ in range(params.horizon - 1):
         ep.step(False)
     ep.fork(5, 2, triggered=False, index=0, count=25)  # the last step forks
