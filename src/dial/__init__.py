@@ -6,4 +6,4 @@ Pipeline: explore (randomized counterfactual data collection) -> reason
 two-source environment and the statistics used to verify it.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

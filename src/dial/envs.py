@@ -47,11 +47,13 @@ class Episode(Protocol):
         ``triggered`` or not, then ``lookahead`` untriggered steps,
         clipped at the episode's end, and sums their rewards in step
         order. The episode does not move.
-        Siblings may share one keyed draw, but siblings with different
-        ``index`` must read different noise: paired labeling forks every
-        rollout of a label with one ``reseed`` and tells them apart by
-        ``index`` alone. ``count=1`` is a single fork on the ``reseed``
-        stream. A finished episode refuses to fork."""
+        The forks of one episode may share one keyed draw, but no two
+        rollouts may read the same noise: paired labeling uses one
+        ``reseed`` per episode, for every rollout of every label, and
+        tells a label's rollouts apart by ``index`` alone, and its labels
+        by the state they fork at, so forks at different states must read
+        disjoint noise too. ``count=1`` is a single fork on the
+        ``reseed`` stream. A finished episode refuses to fork."""
         ...
 
     def debug_state(self) -> Optional[Dict[str, Any]]:

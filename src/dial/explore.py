@@ -90,16 +90,18 @@ def estimate_utility_paired(
     state.
 
     The k x n forks of the snapshot are siblings of one ``seed``, each
-    reading reward noise of its own from their one keyed draw, and each
+    reading reward noise of its own from one keyed draw, and each
     returning its rollout's truncated return (``horizon_h`` steps, fewer
-    at the episode's end); the first sums them all and the episode keeps
-    the returns, so the rest are lookups. The base arm's ``n_rollouts`` forks come first
-    and take the untriggered step at the snapshot; the intervention arm's
-    other ``(k_candidates - 1) * n_rollouts`` take the triggered one. An arm
-    scores the mean truncated return of all of its rollouts, so the one
-    intervention never wins on its luckiest copy (the optimizer's curse).
-    Returns 1 iff the intervention arm strictly beats the base arm; ties
-    label 0.
+    at the episode's end). One ``seed`` serves every label of an episode:
+    the episode's first fork with it sums the rollouts of every state and
+    keeps them, so every other fork, this label's and later labels', is a
+    lookup, and labels at different states read disjoint noise. The base
+    arm's ``n_rollouts`` forks come first and take the untriggered step at
+    the snapshot; the intervention arm's other ``(k_candidates - 1) *
+    n_rollouts`` take the triggered one. An arm scores the mean truncated
+    return of all of its rollouts, so the one intervention never wins on
+    its luckiest copy (the optimizer's curse). Returns 1 iff the
+    intervention arm strictly beats the base arm; ties label 0.
     """
     _check_paired_settings(k_candidates, n_rollouts, horizon_h)
     count = k_candidates * n_rollouts
@@ -125,9 +127,13 @@ def run_exploration(
 
     Trigger decisions come from a dedicated stream derived from the
     master seed, so they are independent of all observation content.
-    The episode seeds are drawn as one run, and episodes are assembled
-    in episode-index order; replaying with the same seed reproduces the
-    dataset exactly. The labeling settings are
+    Each episode has one label seed, ``derive_seed(seed, "labels",
+    ep_idx)``, shared by all of its labels, so an episode draws its label
+    noise once and a label depends only on the seed, the episode and the
+    step, not on which other steps trigger. The episode seeds are drawn
+    as one run, and episodes are assembled in episode-index order;
+    replaying with the same seed reproduces the dataset exactly. The
+    labeling settings are
     checked before the first episode; past that, every error (one from
     an episode that cannot fork too) is an EnvFault naming episode and step.
     """
@@ -143,6 +149,7 @@ def run_exploration(
     for ep_idx in range(n_episodes):
         episode = episodes.start(ep_idx)
         trigger_rng = rng_for(seed, "trigger", ep_idx)
+        label_seed = derive_seed(seed, "labels", ep_idx)
         step_idx = 0
         while not episode.done():
             try:
@@ -151,13 +158,7 @@ def run_exploration(
                 triggered = bool(trigger_rng.random() < eps)
                 label: Optional[int] = None
                 if triggered:
-                    label = estimate_utility_paired(
-                        episode,
-                        k_candidates,
-                        n_rollouts,
-                        horizon_h,
-                        seed=derive_seed(seed, f"label:{ep_idx}", step_idx),
-                    )
+                    label = estimate_utility_paired(episode, k_candidates, n_rollouts, horizon_h, seed=label_seed)
                 episode.step(triggered)
             except Exception as exc:
                 raise EnvFault(f"environment fault at episode {ep_idx}, step {step_idx}: {exc}") from exc

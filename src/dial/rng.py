@@ -9,8 +9,8 @@ A stream is a PCG64 generator whose 128-bit state and increment are the
 four little-endian words of a 32-byte blake2b of its seed (O'Neill,
 "PCG", 2014: a PCG stream is its state and increment). No
 ``SeedSequence`` runs, so a fresh stream costs a hash and two object
-constructions; paired labeling builds at most one per label, from which
-the label's sibling fork calls read their rollouts' reward noise.
+constructions; paired labeling builds at most one per labelled episode,
+from which the episode's fork calls read their rollouts' reward noise.
 """
 
 from __future__ import annotations

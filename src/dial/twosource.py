@@ -32,16 +32,19 @@ Conventions (fixed for reproducibility):
     snapshot state's reward, triggered or not, then ``+= base_reward +
     z`` for each untriggered step up to the lookahead (clipped at the
     horizon), each ``z`` the rollout's own reward noise. It reads no
-    other state and leaves the episode where it was. The ``count``
-    sibling forks of one snapshot (one paired label's rollouts) share
-    one draw: sibling i's noise is slice ``[i*m, (i+1)*m)`` of
-    ``count*m`` normals from ``stream(reseed)``, the reward noise
-    ``_derive`` gives from one row of ``count*m`` states' draws. A
-    family's first fork sums all its siblings of both arms as numpy
-    vector adds in step order (one sibling's IEEE adds, per element),
-    and the episode keeps the last family's returns, so later siblings
-    are lookups; a family with no step past its snapshot draws nothing.
-    ``count=1`` is a single fork.
+    other state and leaves the episode where it was. The forks of one
+    episode with one ``(reseed, lookahead, count)`` are one family: the
+    ``count`` siblings at each of its H states (one paired label's
+    rollouts at every state it may label) share one draw, ``H*count*L``
+    normals from ``stream(reseed)`` with ``L = min(lookahead, H - 1)``,
+    read as an (H, count, L) block scaled by ``noise_sd``. State t reads
+    row t, and sibling i the first ``min(lookahead, H - t - 1)`` values
+    of its slice, so no two rollouts read the same value. A family's
+    first fork sums every state's siblings of both arms as numpy vector
+    adds in step order (one sibling's IEEE adds, per element), and the
+    episode keeps the last family's returns, so every later fork, at any
+    state, is a lookup; a family with no step past any snapshot
+    (``L = 0``) draws nothing. ``count=1`` is a single fork.
   - a run of episodes (``TwoSourceEnv.episodes``) is one block: the
     (N, H) columns of its N seeds, drawn and derived once. An episode
     reads row i of the block, as lists of Python scalars, at its step
@@ -173,15 +176,16 @@ class TwoSourceEpisode:
     states arrive), so policies compared under one episode seed see
     identical state streams. A fork returns the truncated return of one
     rollout from the current state (see the module notes) and moves
-    nothing. Sibling forks share one draw but never a value, which is how
-    paired rollout arms are decoupled.
+    nothing. The forks of one family share one draw but never a value,
+    at one state or across states, which is how paired rollout arms are
+    decoupled.
     """
 
     def __init__(self, params: TwoSourceParams, cols: Dict[str, list], observations: List[Dict[str, float]]):
         self.params = params
         self._cols, self._observations = cols, observations
         self._cursor = 0  # step index of the current state
-        self._family: Optional[Tuple[tuple, List[List[float]]]] = None  # last family: key, [base, triggered] returns
+        self._family: Optional[Tuple[tuple, List[List[List[float]]]]] = None  # last family: key, its returns
 
     # -- episode protocol -------------------------------------------------
 
@@ -198,39 +202,40 @@ class TwoSourceEpisode:
         """Observation record of the current state, a new dict on every call."""
         return self._observations[self._current()].copy()
 
-    def _reward(self, t: int, triggered: bool) -> float:
+    def step(self, triggered: bool) -> float:
+        t = self._current()
+        self._cursor = t + 1
         # Triggered minus untriggered is exactly the true utility of state t.
         reward = self.params.base_reward + self._cols["reward_noise"][t]
         if triggered:
             reward += self._cols["true_utility"][t]
         return reward
 
-    def step(self, triggered: bool) -> float:
-        t = self._current()
-        self._cursor = t + 1
-        return self._reward(t, triggered)
-
     def fork(self, reseed: int, lookahead: int, *, triggered: bool, index: int = 0, count: int = 1) -> float:
         """Truncated return of sibling ``index`` of the ``count`` rollouts
-        forked here with this ``reseed`` and ``lookahead`` (see the module
-        notes). The last family's returns are kept here, so of siblings
-        forked one after another only the first draws and sums."""
+        forked at the current state with this ``reseed`` and ``lookahead``
+        (see the module notes). The last family's returns at every state
+        are kept here, so of the forks of one family only the first draws
+        and sums."""
         if lookahead < 0:
             raise ValueError(f"lookahead must be nonnegative, got {lookahead}")
         if not 0 <= index < count:
             raise ValueError(f"need 0 <= index < count, got index={index}, count={count}")
-        key = (reseed, lookahead, count, self._cursor)
-        if self._family is None or self._family[0] != key:  # a new family: sum every sibling of both arms
-            t = self._current()  # refuses a finished episode
-            # Each sibling starts at its arm's snapshot reward.
-            totals = np.array([[self._reward(t, False)] * count, [self._reward(t, True)] * count])
-            m = min(lookahead, self.params.horizon - t - 1)  # rollout steps past the snapshot
-            if m:
-                z = stream(reseed).standard_normal(count * m) * self.params.noise_sd
-                for row in self.params.base_reward + z.reshape(count, m).T:  # row j: step j of every sibling
-                    totals += row
+        t = self._current()  # refuses a finished episode
+        key = (reseed, lookahead, count)
+        if self._family is None or self._family[0] != key:  # a new family: every sibling of both arms at every state
+            horizon, base = self.params.horizon, self.params.base_reward
+            snapshot = base + np.array(self._cols["reward_noise"])  # each sibling starts at its arm's snapshot reward
+            totals = np.empty((2, horizon, count))  # [arm][t][index], arm 1 triggered
+            totals[0] = snapshot[:, None]
+            totals[1] = (snapshot + np.array(self._cols["true_utility"]))[:, None]
+            ahead = min(lookahead, horizon - 1)
+            if ahead:
+                z = stream(reseed).standard_normal(horizon * count * ahead).reshape(horizon, count, ahead)
+                for j in range(ahead):  # step j past the snapshot, from every state with more than j steps left
+                    totals[:, : horizon - j - 1] += base + z[: horizon - j - 1, :, j] * self.params.noise_sd
             self._family = (key, totals.tolist())
-        return self._family[1][1 if triggered else 0][index]
+        return self._family[1][1 if triggered else 0][t][index]
 
     def debug_state(self) -> Dict[str, Any]:
         t = self._current()

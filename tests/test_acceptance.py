@@ -373,18 +373,18 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-9a69751b.jsonl": "f4b6924ad7906131c460864fb120b47f244df2d0760a44ce9b750fdff050c535",
-    "eval-9a69751b.json": "718f104b6333d20471296919a1ba9a1adb941ff85a2cfd511914e69972d2f08a",
-    "eval_summary-9a69751b.csv": "cbdae209ce3b0872161d51bdf0868623e6b52150e27f3084e6e63ba6cf7c634f",
-    "model-9a69751b.json": "2b71009c0420c3ba5f2113f5d71f50111704aa7e1382998935e1d83ef9e93a46",
-    "stats-9a69751b.json": "ed8644f647df87667c1aa8e4fe94bc0680aa573e3db5729a518bdedbf24f89ee",
-    "stats_cells-9a69751b.csv": "54f7f87b72d5c7d10d0636f697f0097b4b811f97a1a6c041c38496e15d243ef5",
-    "trigger_profile-9a69751b.csv": "977c0dc4a11ab0cdf19dc2e1e064881149b0926bedc18f99ee82ba3ccb77ce33",
-    "verify-9a69751b.json": "440d1168901b2520b73e7b696d941fb9b6a0e7a0df2325a145d023cd765684f6",
+    "dataset-9a69751b.jsonl": "0b12ac5be3f8fb47d379c593c90b5b442fd600520ac8ffd4fdbca7bc70f3fcec",
+    "eval-9a69751b.json": "0cb08a0757a2dedada69e4a07becfe1ece3ed35ccbbba0b369420002062519f9",
+    "eval_summary-9a69751b.csv": "70ea967e5cc356138824328eeb9f7f1ef87e30e6894f5e29243273a2030b1865",
+    "model-9a69751b.json": "ff3abd4179ed430682d5e801cf33a657e4a440a2a5206fb8db49d471e6d85395",
+    "stats-9a69751b.json": "a6ce567644fe259b482d127b440c09c0805980b3c23080a3ac7794b778b4f92b",
+    "stats_cells-9a69751b.csv": "d9cc99d1c397ed3ddba50c5d28a7df62d5e4dca42fa700adf3da7e4f1175417e",
+    "trigger_profile-9a69751b.csv": "d74ed04cf9767f16db9903c76ee55d90b5f74008c7807597a3a0bcf10b932786",
+    "verify-9a69751b.json": "5df24ab66a73af28e13587cb2fc70979fe7899753fbc1385f963b9ee6cc8849a",
     "verify_eq2_sweep-9a69751b.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
     "verify_normalization-9a69751b.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
     "verify_simpson-9a69751b.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
-    "verify_temporal-9a69751b.csv": "9cdbc6caba6bcb4774fd583b4a5c3444c4b4449471ff4655b201738b44f5a469",
+    "verify_temporal-9a69751b.csv": "b0905d69a4118a358eeb92f56a413089567ac110cb9e47b3cbf7c33026158306",
     "verify_transforms-9a69751b.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 
@@ -429,44 +429,44 @@ def test_c12_pipeline_reproducibility(tmp_path):
 # seed and file name. "Same behaviour" across a refactor is these bytes;
 # a change that alters one on purpose updates it here and says why.
 DEMO_GOLDEN_SHA256 = {
-    "42/dataset-2559fb27.jsonl": "e167cbc5bb64ea615eb286a015ff012b8b98be2240530bc3c8d458d8bc02c9b3",
-    "42/eval-2559fb27.json": "b8c001990672ed7573d5fd4a611f2c1ba2a62933087f04c4784ffb0863ed9a3b",
-    "42/eval_summary-2559fb27.csv": "58d10bcb9031c3844850346eefad3420afe924ff76205ca43013c89f8398e5c1",
-    "42/model-2559fb27.json": "c9944b86fbc9fb4bf72dbe0322a831bc3ddda098d457aa551db3e2a3e42508d3",
-    "42/stats-2559fb27.json": "11fca39d72cc6edf594773cfe0d49b739ca78d9007adce3913871a9529626555",
-    "42/stats_cells-2559fb27.csv": "953a058b140b9f21ac13a7e04902a60c32a601c99915b86ef57f9d2d66431138",
-    "42/trigger_profile-2559fb27.csv": "baabdbb3cbfff458f267dba65c7af0050ab3f605ae97f1f474b9408e48a75f26",
-    "42/verify-2559fb27.json": "12005ef64f44d23fb7489a11be7b5e7e4de3010cd666929f94094edef4221f73",
+    "42/dataset-2559fb27.jsonl": "ee38fe1ccb1a3fd30457a9d07e236d26ba8893bde0b119059a4e6740a10eb110",
+    "42/eval-2559fb27.json": "076101d79d36a2ae803c2f8f7e1abe7ddcf05d84b724f55cc0e830c4548a6b8a",
+    "42/eval_summary-2559fb27.csv": "29d311543554144b2f1b3f3fed1d6ffaed75068d90093b79f998882b017430ee",
+    "42/model-2559fb27.json": "4c4a24b1c5e003068c8759d17eb1230a41388e8defbc69ac64b97fd8362f8d7d",
+    "42/stats-2559fb27.json": "1374296f7c1b890de65e0bfb4fb4029de9e739bdc8296f4c2298d7aa033e9336",
+    "42/stats_cells-2559fb27.csv": "9d5c334614d3a2713c07f578ae2bc824fe353fae98619f4ce2cfa30162cd10e7",
+    "42/trigger_profile-2559fb27.csv": "af60c1b9625b6ce2a9d8c3b2c4bac27d27f4631abb0c7f49da55304f9e1152bb",
+    "42/verify-2559fb27.json": "44c31a06f25a5cd37b975e3d5b1db1d137b0cfda7dc27e0002268c11756ac6a1",
     "42/verify_eq2_sweep-2559fb27.csv": "6eb0e5f92328853a96d5f23323337b34573997cb5cb8b4f26302f5faed7ed03e",
     "42/verify_normalization-2559fb27.csv": "a801bfd226886013b9a4486136f237b0290cbd7af1f161809ecb1cc5111fd3fd",
     "42/verify_simpson-2559fb27.csv": "c33436fd776566a64949c5cd0d90f287323a0429fec10513bce28f3665cdced8",
-    "42/verify_temporal-2559fb27.csv": "3720524b71919f3270b9cfd02514af4287cce7399f41e8e407dcb00586ee2df4",
+    "42/verify_temporal-2559fb27.csv": "fdf4c6fb4f59f447844f857a8e0194a99a5ff4ff08167295bf4b00661bdab324",
     "42/verify_transforms-2559fb27.csv": "83ce4e31808a33e952694ac9f4c1dd9867158ade7a9934c6763c8e6851939eb6",
-    "7/dataset-fe61dee7.jsonl": "5c5cea57a563de297c5255e4b1e160dc4e72971d4c7cbd07655e095dd9b05aa9",
-    "7/eval-fe61dee7.json": "cbfaad758f9e7b4b8b8b34630003e403168912934eb6a48a1dc2ace507f7ff9d",
-    "7/eval_summary-fe61dee7.csv": "25d396a3b0e3f43a731949cf79636900d75078c72d8b33afa2e5d93a5e6cef57",
-    "7/model-fe61dee7.json": "2a33ab8ba1a9e58060a3e97ea0c56662eef84f6be2122cd5d3b45feab7ed98a1",
-    "7/stats-fe61dee7.json": "b59de31257ff6d925bea7a26e0b09e836c1bb9d3abe862091eefbf9549c3302c",
-    "7/stats_cells-fe61dee7.csv": "907df9aa7ad6973f6310cfda3a5b8f22c242d1d0c0cf40a93a5d6dd6a3276314",
-    "7/trigger_profile-fe61dee7.csv": "192a6252e2367144b473c4491da04ef3457ca22ddfd4ab541e03a782043bda55",
-    "7/verify-fe61dee7.json": "f53467b88f0953cf1d24197bc0b82a7f91219ec90ee02091fe5302e5bb37ee20",
+    "7/dataset-fe61dee7.jsonl": "c809a425fcf31b903cc2d80a094f5d3a7150e90227af3a374d9777f1fe044e7c",
+    "7/eval-fe61dee7.json": "0f4da6a24856ece94c3e66ca5335dcb2bd123f1cefe0347f5cbdd4ff0a209bb8",
+    "7/eval_summary-fe61dee7.csv": "b196bece290f8fe31299c188857700d4b2ac6fa9c609eb5de3bc20060446dc5e",
+    "7/model-fe61dee7.json": "d52fb5ddcd8ab0bdf06eb9a252ac5025261450e80ae4e7dfc718c91829b0d934",
+    "7/stats-fe61dee7.json": "cd5243bf1ba9640a51cde428d8eff6e253fbf9007c6b941bf9d8877157a5bcfd",
+    "7/stats_cells-fe61dee7.csv": "ffb502a5a3747f8fddbc686e565df32aea5bc435ddbcb782e3002e68e108d44d",
+    "7/trigger_profile-fe61dee7.csv": "4e230454cb140c3933c641b26341692d8426407374f3cd7a685f00207467bd8b",
+    "7/verify-fe61dee7.json": "61ae2ce553eb5193ce9751f02c3b6a483175ae91ea852e57d3bc4240aa29ab75",
     "7/verify_eq2_sweep-fe61dee7.csv": "1b431a1aa8399efb3368257a799f47fb0c8a910a48922e5fcec58ac0d5d16688",
     "7/verify_normalization-fe61dee7.csv": "eab6c4366c41027cff4ed10d076d137c741d2eefd7f0015fb9780883191f9705",
     "7/verify_simpson-fe61dee7.csv": "b81e31a7a93f35964dd9079aaf949fe48dc7b7ce215d787b8b63c4f26901014b",
-    "7/verify_temporal-fe61dee7.csv": "346d4b1337f13aa6d2087e42f50d43714ded5b5d55119916e7bfb8c29cac7ee6",
+    "7/verify_temporal-fe61dee7.csv": "1b8d6dd5fd38f21992699bb0a80c62e25e7683cfec43eb2f8e906b00fef6b364",
     "7/verify_transforms-fe61dee7.csv": "9b25d874a7d7a8c4889565ed32e794fe988619158f117d9475e9304e5f8082f0",
-    "201/dataset-8d270fc8.jsonl": "df5f1913fbdd93e409f0b9115aa2dd8fdf8a0c950027c73a23df1c5423270100",
-    "201/eval-8d270fc8.json": "02259ceed8d104911e41763103df78aea7744f83986085ce05fd6b819fc54120",
-    "201/eval_summary-8d270fc8.csv": "dab3b80cfe6abbb091516e61b2e028789fddc552510e9c01d85bd680fabca70d",
-    "201/model-8d270fc8.json": "a2cd732e8d45ee5a114ade1ef51a7bc49a264eb018605f5250ab77fd71b577a6",
-    "201/stats-8d270fc8.json": "56afa3af9ffe78055c8a1a08cb279d9f9290151cabda4b87651d7f1479904744",
-    "201/stats_cells-8d270fc8.csv": "a5a0881e2eabc3e8974960abc5e690f39d985c3d9cc77926c5e4b9953bc475eb",
-    "201/trigger_profile-8d270fc8.csv": "55bc17125e95ec6643667b6f8cf09794afea195fda2f405fda1b934bc963c515",
-    "201/verify-8d270fc8.json": "5150d47acba3b99d7b5bdd430fb218279f8bcddd20be83fb1815a8ed8361d182",
+    "201/dataset-8d270fc8.jsonl": "022c221f2fe9f76684c58900a4f3385769253ebc8073a494c6d1dca3d69b2579",
+    "201/eval-8d270fc8.json": "e6d7c4b29ee1282fcb8410128a15d3739612443ad371eedf9a464ee0565933ff",
+    "201/eval_summary-8d270fc8.csv": "af6e9e8a8d7343062c9b2eab493cfdd265c3c235b19cdf509a9af9824e3fdc12",
+    "201/model-8d270fc8.json": "15891d0598580a9868531b8950d64d0c555ca3225cb2a65b22a1248972b5cb48",
+    "201/stats-8d270fc8.json": "c4a873e3e61db6964fb16da0953bd01bb31ce67af041c423ef578b1080a4b412",
+    "201/stats_cells-8d270fc8.csv": "f4db4b7dd1ab77074a9330a8cdf63f3ca670e486f21f5fe1ba44b737b450c655",
+    "201/trigger_profile-8d270fc8.csv": "f7adb399d733d857893fe5010e833bb004c6ed8f6666701f19d9fb780007cc38",
+    "201/verify-8d270fc8.json": "c590069e0be4fde4f66b018ad0d0b1b23d33840558786de4f45213b6160552f9",
     "201/verify_eq2_sweep-8d270fc8.csv": "f4b71f1ae86e87ad4d29f43825bcaa2b2e8b5c3a324dc0e30977709609494ba1",
     "201/verify_normalization-8d270fc8.csv": "92183a5b7bf5e10fc0e89aab92c80e904cf57faa8cae9be500ba6aa1d193285a",
     "201/verify_simpson-8d270fc8.csv": "156abd60dcd492bec605f0d666c62f54fce2aa77bdbb7d19b290f766b6418a45",
-    "201/verify_temporal-8d270fc8.csv": "0f87098883db734964f456f9233b81a138dee50ea9e97d6246ada92aef1cd61f",
+    "201/verify_temporal-8d270fc8.csv": "b3a1d29dddfc9a38545fceef4d6a771a2384d89b21efec8c1a6a471eaa8bfa1f",
     "201/verify_transforms-8d270fc8.csv": "b963a7ccb9ed91f5fa08bdcfa7110afc83711d185b24ba5b7e631d9c58c96103",
 }
 

@@ -24,6 +24,7 @@ from dial.explore import (
 from dial.features import UNIVERSAL_FEATURES, UNIVERSAL_SPECS, compile_features, extract_features
 from dial import twosource
 from dial.cli import VERIFY_TEMPORAL_MIN_NOISE, VERIFY_TEMPORAL_P0, VERIFY_TEMPORAL_SLOPE, save_dataset_jsonl
+from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceParams
 from conftest import EpisodeRun, first_episode
 
@@ -164,14 +165,8 @@ def test_paired_label_forks_once_per_candidate_rollout(monkeypatch, k, n, h):
     assert calls == [h - 1] * (k * n)
 
 
-@pytest.mark.parametrize(
-    "k, n, h, steps_before, streams",
-    [(5, 5, 3, 1, 1), (3, 2, 6, 0, 1), (5, 5, 3, 5, 0), (2, 1, 1, 1, 0)],
-    ids=["mid-episode", "long-rollout", "last-step", "one-step-rollout"],
-)
-def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, streams):
-    # The k x n forks of a label share one keyed draw; a rollout that
-    # reads no step past the snapshot (last step, h = 1) draws nothing.
+def _count_streams(monkeypatch):
+    # The seed of every stream dial.twosource builds from here on.
     built = []
     real_stream = twosource.stream
 
@@ -179,12 +174,39 @@ def test_paired_label_builds_one_stream(monkeypatch, k, n, h, steps_before, stre
         built.append(seed)
         return real_stream(seed)
 
-    episode = first_episode(TwoSourceEnv(TwoSourceParams(horizon=6, noise_sd=0.3)), 3)
-    for _ in range(steps_before):
-        episode.step(False)
     monkeypatch.setattr(twosource, "stream", counting_stream)
-    estimate_utility_paired(episode, k, n, h, seed=11)
+    return built
+
+
+@pytest.mark.parametrize(
+    "horizon, k, n, h, labelled, streams",
+    [(6, 5, 5, 3, (1, 2, 4), 1), (6, 3, 2, 6, range(6), 1), (6, 5, 5, 3, (5,), 1),
+     (6, 2, 1, 1, range(6), 0), (1, 5, 5, 3, (0,), 0)],
+    ids=["mid-episode", "long-rollout", "last-step", "one-step-rollout", "one-step-episode"],
+)
+def test_paired_label_builds_one_stream(monkeypatch, horizon, k, n, h, labelled, streams):
+    # The k x n forks of every label of an episode share one keyed draw,
+    # which covers every state, the last one too; rollouts that can take
+    # no step past any snapshot (h = 1, or a one-step episode) draw nothing.
+    episode = first_episode(TwoSourceEnv(TwoSourceParams(horizon=horizon, noise_sd=0.3)), 3)
+    built = _count_streams(monkeypatch)
+    for t in range(horizon):
+        if t in labelled:
+            estimate_utility_paired(episode, k, n, h, seed=11)
+        episode.step(False)
     assert built == [11] * streams
+
+
+def test_exploration_builds_one_label_stream_per_labelled_episode(monkeypatch):
+    # Past the one stream per episode that draws the run's states, each
+    # episode with a label builds one stream, on its label seed, and an
+    # episode without one builds none.
+    built = _count_streams(monkeypatch)
+    ds = run_exploration(TwoSourceEnv(TwoSourceParams(horizon=3, noise_sd=0.3)), eps=0.2, n_episodes=12, seed=5)
+    labelled = sorted({r.episode_id for r in ds.labeled()})
+    assert 0 < len(labelled) < 12
+    assert built == ([derive_seed(5, "episode", i) for i in range(12)]
+                     + [derive_seed(5, "labels", i) for i in labelled])
 
 
 def test_paired_label_rollouts_read_noise_of_their_own(monkeypatch):
@@ -248,6 +270,19 @@ def test_trigger_decisions_independent_of_signal():
     triggers = np.array([float(r.utility_label is not None) for r in ds.records])
     corr = np.corrcoef(signals, triggers)[0, 1]
     assert abs(corr) < 0.03
+
+
+def test_a_label_depends_only_on_the_seed_episode_and_step():
+    # Each episode draws its label noise once, whichever of its steps
+    # trigger: the steps that eps 0.5 labels, eps 1.0 labels too (one
+    # trigger stream, a lower bar), with the same labels.
+    env = TwoSourceEnv(TwoSourceParams(noise_sd=0.3, horizon=6))
+    half, every = (run_exploration(env, eps=eps, n_episodes=40, seed=13) for eps in (0.5, 1.0))
+    labels = {(r.episode_id, r.step_index): r.utility_label for r in every.records}
+    shared = [(r.episode_id, r.step_index, r.utility_label) for r in half.labeled()]
+    assert 0 < len(shared) < len(labels)
+    assert [label for *_, label in shared] == [labels[ep, t] for ep, t, _ in shared]
+    assert 0 < sum(label for *_, label in shared) < len(shared)
 
 
 def test_exploration_replay_is_byte_identical():

@@ -869,9 +869,9 @@ def test_numpy_scalar_observations_score_as_floats(demo_gate):
 # Per model: the triggers among the 2,000 demo holdout rows and the sha256
 # of their scores' hex, computed by evaluating each feature spec on its own.
 _HOLDOUT_DECISIONS = {
-    "demo": (1076, "0f1ed6da6bd6c30cca12a06d01d30d38cabb53ad8640a3f492bfef21c12844ec"),
-    "reversed": (895, "6a763a9ce9e52b9ba8b174ce215b320381dee7be6de1aa18444d7267a678e250"),
-    "loaded_without_token_entropy": (761, "a8f150071d0f641481f28a1e5f35ac733f9169fca0acea7335a1fcedc1c32ffd"),
+    "demo": (1065, "7d7e466cecb9eb10ab558addfde32d593e6ecfdd2b17e525cd89f6f0a594645b"),
+    "reversed": (1078, "8c6b5fa40c81aeaf8355463e2e321c44ea4e5e337838a34b288367c7e89dbc32"),
+    "loaded_without_token_entropy": (980, "bf2d28b972907503898921f95007bc4fa74635a33d03ebcf99cac52861212981"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -532,7 +533,7 @@ def _rollout_returns(params, lookahead, seeds=range(8)):
     "params, knh, golden",
     [
         (TwoSourceParams(), (5, 5, 3),
-         "0d95589d9f996a0f6e5f171599e9eedc4a96df5db27be1045ae4eb156cfff8fc"),
+         "a99720f0d5bbbc0c2f14936fd71303be5ea28477d23f0bd91ffb2f9098531a60"),
         (TwoSourceParams(noise_sd=0.0), (5, 5, 3),
          "6902b0e7f1715312750b979a94c277f7f8fea7e870e68484129e63f05ce3bb6d"),
         (TwoSourceParams(horizon=1), (5, 5, 3),
@@ -540,7 +541,7 @@ def _rollout_returns(params, lookahead, seeds=range(8)):
         (TwoSourceParams(horizon=4, noise_sd=0.3, fidelity_q=0.5), (2, 1, 1),
          "4e95dda99ae6bd3a6b7d958b80a32738f57afa584031bb351e83ec64e74e5462"),
         (TwoSourceParams(p_i0=0.2, p_i_slope=0.07, noise_sd=0.25, fidelity_q=0.6, horizon=7), (3, 2, 6),
-         "7a75ef8383025e8439c32ffc87f842e21d2056c8d47f4865828a042897640173"),
+         "b35de80122e29bb035941629580fc367021971bdbdde939329bd009b1a9fd569"),
     ],
     ids=["default", "noiseless", "horizon1", "k2-n1-h1", "drifting-h6"],
 )
@@ -551,16 +552,17 @@ def test_paired_labels_are_pinned(params, knh, golden):
 @pytest.mark.parametrize(
     "lookahead, golden",
     [
-        (_TO_END, "b641d2ed905d302dda3359228bbe73482a735dc6ffc7ff30e48a6e6db6f522f3"),
+        (_TO_END, "014f881b591072b11ddb62fd38876af07c6f7726c1e4efe9a63ef6f2837e2f33"),
         (0, "2bd6fb1e46a81dd48e1a5cb030539e6b5fdd0a2e93fc5616a1375f014958a989"),
-        (2, "385ab1603a75b70048c0d141966361cfaaf047b8da1acb0540c23567b08a347e"),
+        (2, "0fa359b59ac976454449ad1e12ec1faf218aaede42d1699759cf70206e681436"),
     ],
     ids=["to-horizon", "lookahead0", "lookahead2"],
 )
 def test_rollout_rewards_are_pinned(lookahead, golden):
-    # Each golden is the digest of the per-step rewards of version 0.3.0's
-    # stepped forks, each row summed in step order: a fork's return keeps
-    # the bits of the rollout it replaced.
+    # Each golden is the digest of the returns of version 0.4.0's forks,
+    # one fresh reseed per state, so each state's fork draws its family's
+    # (H, 1, L) block and reads its own row. A fork of lookahead 0 reads
+    # no noise, so its golden is the one of version 0.3.0's stepped forks.
     params = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=7)
     assert _repr_digest(_rollout_returns(params, lookahead)) == golden
 
@@ -572,7 +574,7 @@ def test_fork_rejects_negative_lookahead(lookahead):
         ep.fork(reseed=1, lookahead=lookahead, triggered=False)
 
 
-# -- sibling forks: one keyed draw per paired label ----------------------------
+# -- sibling forks: one keyed draw per episode ---------------------------------
 
 _SIBLING_PARAMS = TwoSourceParams(noise_sd=0.3, fidelity_q=0.6, p_i_slope=0.05, horizon=8)
 _COUNTS = [1, 5, 25]
@@ -593,29 +595,85 @@ def _siblings(count, lookahead, order=None, triggered=True):
     return [returns[i] for i in range(count)]
 
 
+def _family_noise(params, reseed, lookahead, count):
+    # The twin of a family's draw is the one state derivation itself: the
+    # reward_noise column that _derive gives from one row of H*count*L
+    # draws on stream(reseed), L = min(lookahead, H - 1), reshaped to
+    # (H, count, L): state t reads row t, sibling i its slice i.
+    horizon = params.horizon
+    ahead = min(lookahead, horizon - 1)
+    size = horizon * count * ahead
+    noise = _derive(params, *_draw([reseed], size), np.arange(size) % horizon)["reward_noise"][0]
+    return noise.reshape(horizon, count, ahead).tolist()
+
+
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
 @pytest.mark.parametrize("count", _COUNTS)
 def test_sibling_noise_read_equals_observed_twin(count, lookahead):
-    # The twin is the one state derivation itself: sibling i's return is
-    # the snapshot's triggered reward, then base_reward plus each value of
-    # its slice of the reward_noise column that _derive gives from one row
-    # of draws on stream(reseed), for the lookahead steps tiled count times, added in
-    # step order, bit for bit, whether the siblings are made in forward
-    # or in reverse order.
+    # Sibling i at state t returns the state's triggered reward, then
+    # base_reward plus each of the first min(lookahead, H - t - 1) values
+    # of its slice of the twin's row t, added in step order, bit for bit,
+    # at every state, whether the siblings are made in forward or in
+    # reverse order.
     params, lookahead = _SIBLING_PARAMS, _ahead(lookahead)
-    steps = np.arange(2, min(2 + lookahead, params.horizon))
-    m = len(steps)
-    noise = _derive(params, *_draw([5], count * m), np.tile(steps, count))["reward_noise"][0].tolist()
+    noise = _family_noise(params, 5, lookahead, count)
     columns = sample_states(params, params.horizon, 33)
-    snapshot = params.base_reward + columns["reward_noise"][1].item() + columns["true_utility"][1].item()
     expected = []
-    for i in range(count):
-        total = snapshot
-        for z in noise[i * m : (i + 1) * m]:
-            total += params.base_reward + z
-        expected.append(total)
+    for t in range(params.horizon):
+        snapshot = params.base_reward + columns["reward_noise"][t].item() + columns["true_utility"][t].item()
+        for i in range(count):
+            total = snapshot
+            for z in noise[t][i][: min(lookahead, params.horizon - t - 1)]:
+                total += params.base_reward + z
+            expected.append(total)
     for order in (list(range(count)), list(reversed(range(count)))):
-        assert _siblings(count, lookahead, order) == expected
+        ep, got = _episode(params, 33), []
+        for _ in range(params.horizon):
+            returns = {i: ep.fork(5, lookahead, triggered=True, index=i, count=count) for i in order}
+            got += [returns[i] for i in range(count)]
+            ep.step(False)
+        assert got == expected
+
+
+class _PoisonedStream:
+    # A stand-in for stream(reseed) whose draw is zeros but for one NaN.
+    def __init__(self, position):
+        self.position = position
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        z[self.position] = np.nan
+        return z
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, None])
+@pytest.mark.parametrize("count", [1, 3])
+def test_no_two_rollouts_of_an_episode_read_the_same_normal(monkeypatch, count, lookahead):
+    # Poison one normal of the family's draw at a time: a rollout (state,
+    # sibling) reads it iff its return, of either arm, turns NaN. Each
+    # normal is read by at most one rollout, and each rollout reads as
+    # many as it takes steps past its snapshot.
+    import dial.twosource
+
+    params, lookahead = replace(_SIBLING_PARAMS, horizon=5), _ahead(lookahead)
+    size = params.horizon * count * min(lookahead, params.horizon - 1)
+    reads = {}
+    for position in range(size):
+        ep = _episode(params, 33)  # draws its states before the stream is replaced
+        readers = set()
+        with monkeypatch.context() as patch:
+            patch.setattr(dial.twosource, "stream", lambda seed: _PoisonedStream(position))
+            for t in range(params.horizon):
+                for i in range(count):
+                    if any(math.isnan(ep.fork(5, lookahead, triggered=arm, index=i, count=count))
+                           for arm in (False, True)):
+                        readers.add((t, i))
+                        reads[t, i] = reads.get((t, i), 0) + 1
+                ep.step(False)
+        assert len(readers) <= 1, (position, readers)
+    for t in range(params.horizon):
+        for i in range(count):
+            assert reads.get((t, i), 0) == min(lookahead, params.horizon - t - 1)
 
 
 @pytest.mark.parametrize("lookahead", _LOOKAHEADS)
@@ -664,15 +722,17 @@ def test_fork_rejects_a_sibling_outside_its_family(index, count):
 def _scalar_fork(params, seed, t, reseed, lookahead, count, index, triggered):
     # The fork rule in Python floats, one sibling at a time: the snapshot
     # reward, then base_reward plus each of the sibling's noise values,
-    # added in step order.
+    # read from row t of its family's (H, count, L) draw, added in step
+    # order.
     columns = sample_states(params, params.horizon, seed)
     total = params.base_reward + columns["reward_noise"][t].item()
     if triggered:
         total += columns["true_utility"][t].item()
-    m = min(lookahead, params.horizon - t - 1)
-    noise = (stream(reseed).standard_normal(count * m) * params.noise_sd).tolist()
-    for z in noise[index * m : (index + 1) * m]:
-        total += params.base_reward + z
+    ahead = min(lookahead, params.horizon - 1)
+    z = (stream(reseed).standard_normal(params.horizon * count * ahead) * params.noise_sd).tolist()
+    row = z[(t * count + index) * ahead : (t * count + index + 1) * ahead]
+    for value in row[: min(lookahead, params.horizon - t - 1)]:
+        total += params.base_reward + value
     return total
 
 
@@ -693,9 +753,9 @@ def _counted_streams(monkeypatch):
 @pytest.mark.parametrize("count", [1, 25])
 def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lookahead):
     # At every step, the last one (no step past the snapshot) included,
-    # with one reseed throughout, so a family kept past its step would
-    # show; the arms interleave. A family draws once, and not at all
-    # when it has no rollout step.
+    # with one reseed throughout; the arms interleave. A family sums every
+    # state at its first fork and a step does not evict it, so the episode
+    # draws once, and not at all when no state has a rollout step.
     params, lookahead = _SIBLING_PARAMS, _ahead(lookahead)
     forks = [(t, index, triggered)
              for t in range(params.horizon) for index in range(count) for triggered in (True, False)]
@@ -708,25 +768,27 @@ def test_each_sibling_equals_the_scalar_sum_in_step_order(monkeypatch, count, lo
                 for step, index, triggered in forks if step == t]
         ep.step(t % 2 == 0)
     assert got == expected
-    drawing = sum(1 for t in range(params.horizon) if min(lookahead, params.horizon - t - 1))
-    assert len(calls) == drawing
+    assert calls == ([5] if lookahead else [])
 
 
 def test_interleaved_families_evict_and_redraw(monkeypatch):
     # Families that differ in reseed, in lookahead or in count, forked in
-    # turn on one episode: each fork evicts the other family and draws
-    # again, and every sibling still reads its own family's returns.
+    # turn on one episode, across its states: each fork evicts the other
+    # family and draws again, and every sibling still reads its own
+    # family's returns.
     params = _SIBLING_PARAMS
     families = [(5, 2, 25), (6, 2, 25), (5, _TO_END, 25), (5, 2, 5)]
     for other in families[1:]:
-        forks = [(*family, index) for index in range(5) for family in (families[0], other)]
-        expected = [_scalar_fork(params, 33, 1, reseed, lookahead, count, index, index % 2 == 0)
-                    for reseed, lookahead, count, index in forks]
+        forks = [(t, *family, index) for t in (1, 4) for index in range(5) for family in (families[0], other)]
+        expected = [_scalar_fork(params, 33, t, reseed, lookahead, count, index, index % 2 == 0)
+                    for t, reseed, lookahead, count, index in forks]
         ep = _episode(params, 33)
-        ep.step(False)
         calls = _counted_streams(monkeypatch)
-        got = [ep.fork(reseed, lookahead, triggered=index % 2 == 0, index=index, count=count)
-               for reseed, lookahead, count, index in forks]
+        got = []
+        for t, reseed, lookahead, count, index in forks:
+            while ep._cursor < t:
+                ep.step(False)
+            got.append(ep.fork(reseed, lookahead, triggered=index % 2 == 0, index=index, count=count))
         assert got == expected
         assert len(calls) == len(forks)
 
