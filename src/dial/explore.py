@@ -127,7 +127,7 @@ def run_exploration(
 
     Trigger decisions come from a dedicated stream derived from the
     master seed, so they are independent of all observation content.
-    Each episode has one label seed, ``derive_seed(seed, "labels",
+    Each episode has one label seed, ``derive_seed(seed, "label",
     ep_idx)``, shared by all of its labels, so an episode draws its label
     noise once and a label depends only on the seed, the episode and the
     step, not on which other steps trigger. The episode seeds are drawn
@@ -149,7 +149,7 @@ def run_exploration(
     for ep_idx in range(n_episodes):
         episode = episodes.start(ep_idx)
         trigger_rng = rng_for(seed, "trigger", ep_idx)
-        label_seed = derive_seed(seed, "labels", ep_idx)
+        label_seed = derive_seed(seed, "label", ep_idx)
         step_idx = 0
         while not episode.done():
             try:

@@ -373,18 +373,18 @@ def test_c11_statistics_oracles():
 # sha256 of every C12 output file. A change that alters one on purpose
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
-    "dataset-9a69751b.jsonl": "0b12ac5be3f8fb47d379c593c90b5b442fd600520ac8ffd4fdbca7bc70f3fcec",
-    "eval-9a69751b.json": "0cb08a0757a2dedada69e4a07becfe1ece3ed35ccbbba0b369420002062519f9",
-    "eval_summary-9a69751b.csv": "70ea967e5cc356138824328eeb9f7f1ef87e30e6894f5e29243273a2030b1865",
-    "model-9a69751b.json": "ff3abd4179ed430682d5e801cf33a657e4a440a2a5206fb8db49d471e6d85395",
-    "stats-9a69751b.json": "a6ce567644fe259b482d127b440c09c0805980b3c23080a3ac7794b778b4f92b",
-    "stats_cells-9a69751b.csv": "d9cc99d1c397ed3ddba50c5d28a7df62d5e4dca42fa700adf3da7e4f1175417e",
-    "trigger_profile-9a69751b.csv": "d74ed04cf9767f16db9903c76ee55d90b5f74008c7807597a3a0bcf10b932786",
-    "verify-9a69751b.json": "5df24ab66a73af28e13587cb2fc70979fe7899753fbc1385f963b9ee6cc8849a",
+    "dataset-9a69751b.jsonl": "8e9def70bcf8e69c8423c4b25d7e447ab7c91ea3ee800fa61d4d06c6f05fe4f9",
+    "eval-9a69751b.json": "21ef9f6a92b71f74cbe2e4eb1f79ed0d7687b3b389c82158f624d9669186a27a",
+    "eval_summary-9a69751b.csv": "763561f745140aa464bb6c72affb9b884c152feaf7ff2b3c1a267b53f2cd097d",
+    "model-9a69751b.json": "33712e48e4be388e67283e10b11a3b17e114ca48195093643319df09f97c45a7",
+    "stats-9a69751b.json": "b580c5b6c00f0902174421495459d415e5478f55178ee54759901835258b7712",
+    "stats_cells-9a69751b.csv": "e71e0f02eb0db79489815255e36e3d986ded7380c47dc300c5573b9b36fea6bc",
+    "trigger_profile-9a69751b.csv": "346dafbec72ce4fe36d7fbc22dd764b82a28564b7c98d5a57f619db0180426a3",
+    "verify-9a69751b.json": "9efab82081305997942c9cba5f7a6dc51a1f66e96b09bb1f25c5a6fbfa9c7bbe",
     "verify_eq2_sweep-9a69751b.csv": "d1bd5831dbfaa5bd8a16656ad7341b09e20ebe538b31b028013737729435e8c6",
     "verify_normalization-9a69751b.csv": "059db0a6367a677f30ea3c9c6d183d3781be53600f12f4c1eb230beaaa8c0b47",
     "verify_simpson-9a69751b.csv": "08a37f3657f714bbc46c50af79ace2afc0598c91bf608162e08706f0676e9cd2",
-    "verify_temporal-9a69751b.csv": "b0905d69a4118a358eeb92f56a413089567ac110cb9e47b3cbf7c33026158306",
+    "verify_temporal-9a69751b.csv": "1442a9fee61f3a7f31bbd2dbf7ba291662a098f6d5e8636c3b7d1fdca2ff8163",
     "verify_transforms-9a69751b.csv": "4df4ae83ee0dfd67ddd982a0b78614235472bbc308026a87c6873b50697332e2",
 }
 
@@ -429,44 +429,44 @@ def test_c12_pipeline_reproducibility(tmp_path):
 # seed and file name. "Same behaviour" across a refactor is these bytes;
 # a change that alters one on purpose updates it here and says why.
 DEMO_GOLDEN_SHA256 = {
-    "42/dataset-2559fb27.jsonl": "ee38fe1ccb1a3fd30457a9d07e236d26ba8893bde0b119059a4e6740a10eb110",
-    "42/eval-2559fb27.json": "076101d79d36a2ae803c2f8f7e1abe7ddcf05d84b724f55cc0e830c4548a6b8a",
-    "42/eval_summary-2559fb27.csv": "29d311543554144b2f1b3f3fed1d6ffaed75068d90093b79f998882b017430ee",
-    "42/model-2559fb27.json": "4c4a24b1c5e003068c8759d17eb1230a41388e8defbc69ac64b97fd8362f8d7d",
-    "42/stats-2559fb27.json": "1374296f7c1b890de65e0bfb4fb4029de9e739bdc8296f4c2298d7aa033e9336",
-    "42/stats_cells-2559fb27.csv": "9d5c334614d3a2713c07f578ae2bc824fe353fae98619f4ce2cfa30162cd10e7",
-    "42/trigger_profile-2559fb27.csv": "af60c1b9625b6ce2a9d8c3b2c4bac27d27f4631abb0c7f49da55304f9e1152bb",
-    "42/verify-2559fb27.json": "44c31a06f25a5cd37b975e3d5b1db1d137b0cfda7dc27e0002268c11756ac6a1",
+    "42/dataset-2559fb27.jsonl": "d8a1eea970c7d9c1f80cbad60ad1ada42780ae6abe52d606aaf05134c25b367a",
+    "42/eval-2559fb27.json": "02dd3df47ac488008c2f90eff257db274f10dd3cca2bec71b1414d78286fd22d",
+    "42/eval_summary-2559fb27.csv": "51023362819b4ae2c0a52806d6e1a01b260ecd094fbbad0c5da7defde93919ae",
+    "42/model-2559fb27.json": "b2c34998cd5d3e1c769455027c374e52747a44c4875a893dda0c1df25188c06e",
+    "42/stats-2559fb27.json": "a99d2d27c6212faca4d89967bf9bbd1d70140a0ccc2deb19034ffd7b4e6db916",
+    "42/stats_cells-2559fb27.csv": "58bfafe263a88a08e0727a87b71651d90e84023ae0fc12800af3ca826989f5f5",
+    "42/trigger_profile-2559fb27.csv": "7e9d00fb72719800eed2d88ebd4bb1add9307a36247518d60e3b1d54f459ec6a",
+    "42/verify-2559fb27.json": "7022312024724b0281f19520e67c75cb579c15cbc5fe76dfd4197988eb48bac3",
     "42/verify_eq2_sweep-2559fb27.csv": "6eb0e5f92328853a96d5f23323337b34573997cb5cb8b4f26302f5faed7ed03e",
     "42/verify_normalization-2559fb27.csv": "a801bfd226886013b9a4486136f237b0290cbd7af1f161809ecb1cc5111fd3fd",
     "42/verify_simpson-2559fb27.csv": "c33436fd776566a64949c5cd0d90f287323a0429fec10513bce28f3665cdced8",
-    "42/verify_temporal-2559fb27.csv": "fdf4c6fb4f59f447844f857a8e0194a99a5ff4ff08167295bf4b00661bdab324",
+    "42/verify_temporal-2559fb27.csv": "271edc49d6e2ebcd25c3b12042d3ac9fda9b143dec80f27c0591fa79e5b94b2b",
     "42/verify_transforms-2559fb27.csv": "83ce4e31808a33e952694ac9f4c1dd9867158ade7a9934c6763c8e6851939eb6",
-    "7/dataset-fe61dee7.jsonl": "c809a425fcf31b903cc2d80a094f5d3a7150e90227af3a374d9777f1fe044e7c",
-    "7/eval-fe61dee7.json": "0f4da6a24856ece94c3e66ca5335dcb2bd123f1cefe0347f5cbdd4ff0a209bb8",
-    "7/eval_summary-fe61dee7.csv": "b196bece290f8fe31299c188857700d4b2ac6fa9c609eb5de3bc20060446dc5e",
-    "7/model-fe61dee7.json": "d52fb5ddcd8ab0bdf06eb9a252ac5025261450e80ae4e7dfc718c91829b0d934",
-    "7/stats-fe61dee7.json": "cd5243bf1ba9640a51cde428d8eff6e253fbf9007c6b941bf9d8877157a5bcfd",
-    "7/stats_cells-fe61dee7.csv": "ffb502a5a3747f8fddbc686e565df32aea5bc435ddbcb782e3002e68e108d44d",
-    "7/trigger_profile-fe61dee7.csv": "4e230454cb140c3933c641b26341692d8426407374f3cd7a685f00207467bd8b",
-    "7/verify-fe61dee7.json": "61ae2ce553eb5193ce9751f02c3b6a483175ae91ea852e57d3bc4240aa29ab75",
+    "7/dataset-fe61dee7.jsonl": "55842e59d91f4fef6048966bd68f3f3071f742bc94d9717cbaf688faf499f0d5",
+    "7/eval-fe61dee7.json": "6145f845755a7982505c9ae8d7f1d2487916e15b163367ac8c575fa97b795865",
+    "7/eval_summary-fe61dee7.csv": "20b49e5306556d8f99832116073e1bea1ae171ff165f4fefffd641c37f45dec2",
+    "7/model-fe61dee7.json": "f6b4eca67ebaa825e2e422f6e81fc0a4f8502f2a5c0c29cff551f9ed2e0400f0",
+    "7/stats-fe61dee7.json": "050821920ebddb0f68125c7232e01c37e91197b530e3aafd00a902f500d54088",
+    "7/stats_cells-fe61dee7.csv": "c7369442853623359d32e75d2ff502d245d66d8f5bbaf908c053640a38d2c4bf",
+    "7/trigger_profile-fe61dee7.csv": "a8e0d4a0edc858220f90c641f6f5bfdafa25e5634749f14cc25e486852da939a",
+    "7/verify-fe61dee7.json": "e358e9bba536a1515f84f526025e42808fc5d060bd9900348f29b836ff484065",
     "7/verify_eq2_sweep-fe61dee7.csv": "1b431a1aa8399efb3368257a799f47fb0c8a910a48922e5fcec58ac0d5d16688",
     "7/verify_normalization-fe61dee7.csv": "eab6c4366c41027cff4ed10d076d137c741d2eefd7f0015fb9780883191f9705",
     "7/verify_simpson-fe61dee7.csv": "b81e31a7a93f35964dd9079aaf949fe48dc7b7ce215d787b8b63c4f26901014b",
-    "7/verify_temporal-fe61dee7.csv": "1b8d6dd5fd38f21992699bb0a80c62e25e7683cfec43eb2f8e906b00fef6b364",
+    "7/verify_temporal-fe61dee7.csv": "a9d219a81e2d59649414de040f43d767d61614e51c4f04c82ac6d8ed02cef2fa",
     "7/verify_transforms-fe61dee7.csv": "9b25d874a7d7a8c4889565ed32e794fe988619158f117d9475e9304e5f8082f0",
-    "201/dataset-8d270fc8.jsonl": "022c221f2fe9f76684c58900a4f3385769253ebc8073a494c6d1dca3d69b2579",
-    "201/eval-8d270fc8.json": "e6d7c4b29ee1282fcb8410128a15d3739612443ad371eedf9a464ee0565933ff",
-    "201/eval_summary-8d270fc8.csv": "af6e9e8a8d7343062c9b2eab493cfdd265c3c235b19cdf509a9af9824e3fdc12",
-    "201/model-8d270fc8.json": "15891d0598580a9868531b8950d64d0c555ca3225cb2a65b22a1248972b5cb48",
-    "201/stats-8d270fc8.json": "c4a873e3e61db6964fb16da0953bd01bb31ce67af041c423ef578b1080a4b412",
-    "201/stats_cells-8d270fc8.csv": "f4db4b7dd1ab77074a9330a8cdf63f3ca670e486f21f5fe1ba44b737b450c655",
-    "201/trigger_profile-8d270fc8.csv": "f7adb399d733d857893fe5010e833bb004c6ed8f6666701f19d9fb780007cc38",
-    "201/verify-8d270fc8.json": "c590069e0be4fde4f66b018ad0d0b1b23d33840558786de4f45213b6160552f9",
+    "201/dataset-8d270fc8.jsonl": "7d3629100ac78107142b11eafb698b80bee13759c3852924835b0dbcfa2cac04",
+    "201/eval-8d270fc8.json": "1170679079d7ed8c8a2fbae8677268971677003288b4b05627e532a58ff5ab87",
+    "201/eval_summary-8d270fc8.csv": "dbabfd5a3091375379328dd77ac88e084368a796a6982ad3a9e0957de9ee146b",
+    "201/model-8d270fc8.json": "713c0fb3bfa865d779f1a47e385ad3455b38b1c37bd53d39b2f2f8ef2d3d67dd",
+    "201/stats-8d270fc8.json": "4a626bc8ad88cc1c4fd9e6c10c7b7b15c430b968bec83e08ddc19c203762dffb",
+    "201/stats_cells-8d270fc8.csv": "a57da0e2ee31f15a990f1f1c87c88b2265d3a942f2ffc55b027471ea2f0ee20e",
+    "201/trigger_profile-8d270fc8.csv": "6301de72f624fe44fbad04659ef4a9343414233b47812a0b0e8a5fa9657a4654",
+    "201/verify-8d270fc8.json": "32d3965122cd5d7b9d0b7dc9a2d8833385f640521f1381a9b84cb5f14ecd08df",
     "201/verify_eq2_sweep-8d270fc8.csv": "f4b71f1ae86e87ad4d29f43825bcaa2b2e8b5c3a324dc0e30977709609494ba1",
     "201/verify_normalization-8d270fc8.csv": "92183a5b7bf5e10fc0e89aab92c80e904cf57faa8cae9be500ba6aa1d193285a",
     "201/verify_simpson-8d270fc8.csv": "156abd60dcd492bec605f0d666c62f54fce2aa77bdbb7d19b290f766b6418a45",
-    "201/verify_temporal-8d270fc8.csv": "b3a1d29dddfc9a38545fceef4d6a771a2384d89b21efec8c1a6a471eaa8bfa1f",
+    "201/verify_temporal-8d270fc8.csv": "93a759cd79470a3c62e589939273f971716e959225a1e2940499a914dd1415ce",
     "201/verify_transforms-8d270fc8.csv": "b963a7ccb9ed91f5fa08bdcfa7110afc83711d185b24ba5b7e631d9c58c96103",
 }
 

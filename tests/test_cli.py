@@ -487,9 +487,9 @@ def test_verify_emits_eq2_sweep(tmp_path):
 
 
 SWEEP_GOLDEN_SHA256 = {
-    "sweep_summary.csv": "e71e8149930623cc4d481c21e0f79edba0ae48baeb387542cbf6cff585d75892",
+    "sweep_summary.csv": "b9634120a374da015fa5c47bd77df24d4a8785b3b10bec5f32b2041fed03529d",
     "p_i0=0.2/eval_summary-302a1cbf.csv": "df3884fdb51b1925aebda7c4e337fd63aa269ed7e28105127b4d52cfbe44e390",
-    "p_i0=0.8/eval_summary-5eb089a5.csv": "5dbbe82130f8bf9530e1dddd60ccc3b9a5697a04d74d4e2603d68a4c389e67e1",
+    "p_i0=0.8/eval_summary-5eb089a5.csv": "1df9dafcd4c74bd997221ef1519af557a6f20b08d85d3b60f26c185caa56ab72",
 }
 
 SWEEP_CONFIG_SHA256 = {

@@ -206,7 +206,7 @@ def test_exploration_builds_one_label_stream_per_labelled_episode(monkeypatch):
     labelled = sorted({r.episode_id for r in ds.labeled()})
     assert 0 < len(labelled) < 12
     assert built == ([derive_seed(5, "episode", i) for i in range(12)]
-                     + [derive_seed(5, "labels", i) for i in labelled])
+                     + [derive_seed(5, "label", i) for i in labelled])
 
 
 def test_paired_label_rollouts_read_noise_of_their_own(monkeypatch):
