@@ -53,7 +53,9 @@ from .gate import (
     DEFAULT_MI_K,
     DEFAULT_TAU,
     REGULARIZERS,
+    GateError,
     GateModel,
+    SingleClassError,
     fit_gate,
     load_model_json,
     model_to_dict,
@@ -355,18 +357,20 @@ def _check_input_digest(kind: str, embedded: Optional[str], config: RunConfig) -
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_explore(config: RunConfig) -> str:
-    env = TwoSourceEnv(config.env_params)
+def _explore(config: RunConfig, params: TwoSourceParams, eps: float, n_episodes: int, seed: int) -> LabeledDataset:
+    """An exploration of the two-source environment on ``params``, labeled
+    with the config's k, n and h."""
     expl = config.exploration
-    dataset = run_exploration(
-        env,
-        eps=float(expl["eps"]),
-        n_episodes=int(expl["n_episodes"]),
-        seed=derive_seed(config.seed, "explore"),
-        k_candidates=int(expl["k_candidates"]),
-        n_rollouts=int(expl["n_rollouts"]),
-        horizon_h=int(expl["horizon_h"]),
+    return run_exploration(
+        TwoSourceEnv(params), eps=eps, n_episodes=n_episodes, seed=seed,
+        k_candidates=int(expl["k_candidates"]), n_rollouts=int(expl["n_rollouts"]), horizon_h=int(expl["horizon_h"]),
     )
+
+
+def cmd_explore(config: RunConfig) -> str:
+    expl = config.exploration
+    dataset = _explore(config, config.env_params, float(expl["eps"]), int(expl["n_episodes"]),
+                       derive_seed(config.seed, "explore"))
     dataset.meta.update(_provenance(config, input_digest=None))  # its seed is the run's, not the stream's
     path = _out(config, "dataset", "jsonl")
     save_dataset_jsonl(dataset, path)
@@ -379,23 +383,28 @@ def fit_dataset(
     """The one path from a labeled dataset to a gate: the client's five
     proposals (none without a client), the pool, the matrix, and
     ``fit_gate`` with every setting of a config's ``gate`` section, on the
-    run's ``"fit"`` seed."""
+    run's ``"fit"`` seed. A dataset the gate cannot be fit from (no
+    labeled rows, too few of them, or one class only) is a ConfigError
+    that says why."""
     if not dataset.labeled():
         raise ConfigError(
             "dataset has no labeled rows; re-run the explore step with exploration.eps > 0"
         )
     specs = build_pool(() if client is None else client.propose(dataset_summary(dataset)))
     X, y = build_matrix(dataset.records, specs)
-    return fit_gate(
-        X, y, specs,
-        regularizer=gate["regularizer"],
-        c_grid=tuple(float(c) for c in gate["c_grid"]),
-        folds=int(gate["folds"]),
-        seed=derive_seed(seed, "fit"),
-        tau=gate["tau"],
-        mi_k=int(gate["mi_k"]),
-        mi_bins=int(gate["mi_bins"]),
-    )
+    try:
+        return fit_gate(
+            X, y, specs,
+            regularizer=gate["regularizer"],
+            c_grid=tuple(float(c) for c in gate["c_grid"]),
+            folds=int(gate["folds"]),
+            seed=derive_seed(seed, "fit"),
+            tau=gate["tau"],
+            mi_k=int(gate["mi_k"]),
+            mi_bins=int(gate["mi_bins"]),
+        )
+    except (GateError, SingleClassError) as exc:
+        raise ConfigError(f"a gate cannot be fit from this dataset: {exc}") from exc
 
 
 def cmd_fit(config: RunConfig, dataset_path: str) -> str:
@@ -464,18 +473,8 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
         temporal["delta"] = float(temporal["late"].rho - temporal["early"].rho)
 
     transforms = transform_suite(sig, lab)
-    for row in transforms:
-        rows.append(
-            {
-                "group": f"transform:{row['transform']}",
-                "n": len(sig),
-                "spearman": row["spearman"],
-                "pearson": row["pearson"],
-                "p_value": None,
-                "ci_low": None,
-                "ci_high": None,
-            }
-        )
+    rows.extend({"group": f"transform:{row['transform']}", "n": len(sig),
+                 "spearman": row["spearman"], "pearson": row["pearson"]} for row in transforms)
 
     payload: Dict[str, Any] = {
         "provenance": _provenance(config, _file_digest(dataset_path)),
@@ -511,12 +510,16 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     params = config.env_params
     verify_seed = derive_seed(config.seed, "verify")
 
+    def states(name: str, i: int, p: float, n: int) -> Dict[str, np.ndarray]:
+        """``n`` states at the stationary mixture ``p``, on the verify
+        seed's ``(name, i)`` stream."""
+        return sample_states(replace(params, p_i0=p, p_i_slope=0.0), n, derive_seed(verify_seed, name, i))
+
     sweep_rows = []
     for i, p in enumerate(EQ2_SWEEP_POINTS):
-        point = replace(params, p_i0=p, p_i_slope=0.0)
-        states = sample_states(point, EQ2_SWEEP_N, derive_seed(verify_seed, "eq2", i))
-        rho = spearman(states["signal"], states["true_utility"])
-        prediction = predicted_rho(point.alpha, point.beta, p)
+        sample = states("eq2", i, p, EQ2_SWEEP_N)
+        rho = spearman(sample["signal"], sample["true_utility"])
+        prediction = predicted_rho(params.alpha, params.beta, p)
         if abs(prediction.value) >= 0.1:
             sign_ok = np.sign(rho.rho) == np.sign(prediction.value)
         else:
@@ -534,9 +537,8 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
 
     simpson_rows = []
     for i, p in enumerate((0.8, 0.2)):
-        point = replace(params, p_i0=p, p_i_slope=0.0)
-        states = sample_states(point, EQ2_SWEEP_N, derive_seed(verify_seed, "simpson", i))
-        rep = simpson_decomposition(states["signal"], states["is_type_d"], states["true_utility"])
+        sample = states("simpson", i, p, EQ2_SWEEP_N)
+        rep = simpson_decomposition(sample["signal"], sample["is_type_d"], sample["true_utility"])
         simpson_rows.append(
             {
                 "p_i0": p,
@@ -552,45 +554,30 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
     )
     stationary = replace(params, p_i0=VERIFY_STATIONARY_P0, p_i_slope=0.0, noise_sd=noise)
     temporal_rows = []
-    expl = config.exploration
     for tag, point in (("drifting", drifting), ("stationary", stationary)):
-        env = TwoSourceEnv(point)
-        ds = run_exploration(
-            env, eps=1.0, n_episodes=VERIFY_TEMPORAL_EPISODES,
-            seed=derive_seed(verify_seed, f"temporal-{tag}"),
-            k_candidates=int(expl["k_candidates"]),
-            n_rollouts=int(expl["n_rollouts"]),
-            horizon_h=int(expl["horizon_h"]),
-        )
+        ds = _explore(config, point, 1.0, VERIFY_TEMPORAL_EPISODES, derive_seed(verify_seed, f"temporal-{tag}"))
         early, late, delta = temporal_split_rho(ds.records)
         temporal_rows.append(
             {"env": tag, "early_rho": early.rho, "late_rho": late.rho, "delta": delta,
              "n_early": early.n, "n_late": late.n}
         )
 
-    states = sample_states(params, EQ2_SWEEP_N, derive_seed(verify_seed, "transforms"))
-    transform_rows = transform_suite(states["signal"], states["true_utility"])
+    sample = sample_states(params, EQ2_SWEEP_N, derive_seed(verify_seed, "transforms"))
+    transform_rows = transform_suite(sample["signal"], sample["true_utility"])
 
+    cells = [states("norm", i, p, 600) for i, p in enumerate((0.2, 0.5, 0.8))]
+    cell_values = np.concatenate([cell["signal"] for cell in cells])
+    cell_keys = [CellKey(f"cell{i}", "default") for i, cell in enumerate(cells) for _ in cell["signal"]]
     norm_rows = []
-    cell_values, cell_keys, cell_tags = [], [], []
-    for i, p in enumerate((0.2, 0.5, 0.8)):
-        point = replace(params, p_i0=p, p_i_slope=0.0)
-        st = sample_states(point, 600, derive_seed(verify_seed, "norm", i))
-        cell_values.extend(st["signal"].tolist())
-        cell_keys.extend([CellKey(f"cell{i}", "default")] * 600)
-        cell_tags.append((f"cell{i}", st))
-    cell_values = np.asarray(cell_values)
     for scheme in ("S1_per_cell", "S2_per_backbone", "S3_per_environment"):
-        normalized = quantile_normalize(cell_values, cell_keys, scheme)
-        offset = 0
-        for tag, st in cell_tags:
-            raw_rho = spearman(st["signal"], st["true_utility"]).rho
-            norm_rho = spearman(normalized[offset : offset + 600], st["true_utility"]).rho
+        normalized = np.split(quantile_normalize(cell_values, cell_keys, scheme), len(cells))
+        for i, (cell, values) in enumerate(zip(cells, normalized)):
+            raw_rho = spearman(cell["signal"], cell["true_utility"]).rho
+            norm_rho = spearman(values, cell["true_utility"]).rho
             norm_rows.append(
-                {"scheme": scheme, "cell": tag, "raw_spearman": raw_rho,
+                {"scheme": scheme, "cell": f"cell{i}", "raw_spearman": raw_rho,
                  "normalized_spearman": norm_rho, "abs_diff": abs(raw_rho - norm_rho)}
             )
-            offset += 600
 
     tables = {
         "eq2_sweep": sweep_rows,

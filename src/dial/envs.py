@@ -3,10 +3,13 @@
 An Environment builds a run of episodes from their per-episode seeds at
 once, so it may draw the whole run as one block; the run starts a fresh
 episode on any of its seeds, as often as asked, and an episode's states
-depend on its seed alone. An Episode is a single-threaded handle over
-one trajectory. A step takes
-one of two actions, the base policy's (untriggered) or the base policy
-with the optimizer invoked (triggered). Episodes must support forking (a
+depend on its seed alone. Every episode has exactly ``horizon`` steps:
+exploration and deployment walk steps 0 .. horizon - 1 of each, and an
+episode refuses to be read, stepped or forked past its last step, so
+one that ends early is a fault of its environment. An Episode is a
+single-threaded handle over one trajectory. A step takes one of two
+actions, the base policy's (untriggered) or the base policy with the
+optimizer invoked (triggered). Episodes must support forking (a
 rollout from the current state that returns its truncated return and
 never moves the episode) so utility labels can be estimated by paired
 counterfactual rollouts of the two arms from the same state snapshot.
@@ -25,10 +28,7 @@ class EnvFault(RuntimeError):
 
 @runtime_checkable
 class Episode(Protocol):
-    """One in-progress trajectory."""
-
-    def done(self) -> bool:
-        ...
+    """One in-progress trajectory of its environment's ``horizon`` steps."""
 
     def observe(self) -> Dict[str, float]:
         """Raw observation record for the current step. Never exposes
@@ -75,6 +75,7 @@ class Environment(Protocol):
     """Episode factory plus the episode-level success rule."""
 
     env_id: str
+    horizon: int  # steps in every episode
 
     def episodes(self, seeds: Sequence[int]) -> Episodes:
         ...

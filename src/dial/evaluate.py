@@ -8,9 +8,11 @@ environment draws them as one run (``env.episodes``). The loop is
 episode-major: episode i is run by every policy in turn, each on a
 fresh episode started on seed i, so a two-source episode's row is built
 once, by the first policy, and a fault surfaces at the first episode
-that has one, and within it at the first policy. Cost is counted in
+that has one, and within it at the first policy. Every episode runs the
+environment's ``horizon`` H steps, so every policy's tallies are one
+count per step index, each over all N episodes. Cost is counted in
 abstract call units: 1 per step, plus the environment's trigger cost on
-triggered steps, normalized by the never-trigger baseline.
+triggered steps, normalized by the never-trigger baseline (N * H units).
 """
 
 from __future__ import annotations
@@ -124,10 +126,14 @@ def run_deployment(
     and the per-step trigger profile.
 
     The episode seeds are drawn as one run; every policy then runs a
-    fresh episode started on each (see the module notes). Cost adds 1 per step plus
-    the environment's trigger cost on triggered steps, one step at a
-    time, per policy. Any fault while deciding or stepping becomes an
-    EnvFault naming the policy, the episode and the step.
+    fresh episode started on each, for the environment's ``horizon``
+    steps (see the module notes). Cost adds 1 per step plus the
+    environment's trigger cost on triggered steps, one step at a time,
+    per policy, and is divided by the ``n_episodes * horizon`` steps;
+    each step index's trigger rate is over the ``n_episodes`` episodes.
+    Any fault while deciding or stepping, an episode that ends before
+    the horizon too, becomes an EnvFault naming the policy, the episode
+    and the step.
     """
     if n_episodes < 1:
         raise EvalError("n_episodes must be >= 1")
@@ -135,17 +141,16 @@ def run_deployment(
     tcu = env.trigger_cost_units()
     successes = [0] * len(policies)
     costs = [0.0] * len(policies)
-    step_counts: List[List[int]] = [[] for _ in policies]  # per policy and step index t: episodes that reached t
-    step_triggers: List[List[int]] = [[] for _ in policies]  # and triggered there
     episodes = env.episodes([derive_seed(seed, "eval-episode", i) for i in range(n_episodes)])
+    horizon = env.horizon
+    step_triggers = [[0] * horizon for _ in policies]  # per policy and step index t: episodes triggered at t
     for i in range(n_episodes):
         for p, decide in enumerate(decides):
             episode = episodes.start(i)
-            done, observe, step = episode.done, episode.observe, episode.step
-            counts, triggers, cost = step_counts[p], step_triggers[p], costs[p]
+            observe, step = episode.observe, episode.step
+            triggers, cost = step_triggers[p], costs[p]
             episode_return = 0.0
-            t = 0
-            while not done():
+            for t in range(horizon):
                 try:
                     triggered = bool(decide(observe()))
                     episode_return += step(triggered)
@@ -154,27 +159,23 @@ def run_deployment(
                         f"policy {policies[p].name()}: environment fault at eval episode {i}, step {t}: {exc}"
                     ) from exc
                 cost += 1.0 + (tcu if triggered else 0.0)
-                if t == len(counts):
-                    counts.append(0)
-                    triggers.append(0)
-                counts[t] += 1
                 triggers[t] += triggered
-                t += 1
             costs[p] = cost
             successes[p] += int(env.episode_success(episode_return))
 
+    steps = n_episodes * horizon
     return [
         EvalResult(
             sr=wins / n_episodes,
-            cost_x_base=cost / sum(n_at),  # base policy costs 1 unit per step
-            trigger_rate=sum(hits_at) / sum(n_at),
+            cost_x_base=cost / steps,  # base policy costs 1 unit per step
+            trigger_rate=sum(hits_at) / steps,
             per_step_trigger=tuple(
-                PerStepTrigger(t, hits / n, *wilson_interval(hits, n), n)
-                for t, (hits, n) in enumerate(zip(hits_at, n_at))
+                PerStepTrigger(t, hits / n_episodes, *wilson_interval(hits, n_episodes), n_episodes)
+                for t, hits in enumerate(hits_at)
             ),
             n_episodes=n_episodes,
             policy=policy.name(),
             env=env.env_id,
         )
-        for policy, hits_at, n_at, cost, wins in zip(policies, step_triggers, step_counts, costs, successes)
+        for policy, hits_at, cost, wins in zip(policies, step_triggers, costs, successes)
     ]

@@ -125,17 +125,19 @@ def run_exploration(
 ) -> LabeledDataset:
     """Collect the exploration dataset.
 
-    Trigger decisions come from a dedicated stream derived from the
-    master seed, so they are independent of all observation content.
-    Each episode has one label seed, ``derive_seed(seed, "label",
-    ep_idx)``, shared by all of its labels, so an episode draws its label
-    noise once and a label depends only on the seed, the episode and the
-    step, not on which other steps trigger. The episode seeds are drawn
-    as one run, and episodes are assembled in episode-index order;
-    replaying with the same seed reproduces the dataset exactly. The
-    labeling settings are
-    checked before the first episode; past that, every error (one from
-    an episode that cannot fork too) is an EnvFault naming episode and step.
+    Every episode runs the environment's ``horizon`` steps. Its trigger
+    decisions are one row of ``horizon`` coins, ``rng_for(seed,
+    "trigger", ep_idx)``, drawn before its first step, so they are
+    independent of all observation content. Each episode has one label
+    seed, ``derive_seed(seed, "label", ep_idx)``, shared by all of its
+    labels, so an episode draws its label noise once and a label depends
+    only on the seed, the episode and the step, not on which other steps
+    trigger. The episode seeds are drawn as one run, and episodes are
+    assembled in episode-index order; replaying with the same seed
+    reproduces the dataset exactly. The labeling settings are checked
+    before the first episode; past that, every error (one from an episode
+    that cannot fork, or that ends before the horizon, too) is an
+    EnvFault naming episode and step.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -144,18 +146,16 @@ def run_exploration(
     _check_paired_settings(k_candidates, n_rollouts, horizon_h)
 
     records: List[StepRecord] = []
-    horizon_seen = 0
     episodes = env.episodes([derive_seed(seed, "episode", ep_idx) for ep_idx in range(n_episodes)])
+    horizon = env.horizon
     for ep_idx in range(n_episodes):
         episode = episodes.start(ep_idx)
-        trigger_rng = rng_for(seed, "trigger", ep_idx)
+        triggers = (rng_for(seed, "trigger", ep_idx).random(horizon) < eps).tolist()
         label_seed = derive_seed(seed, "label", ep_idx)
-        step_idx = 0
-        while not episode.done():
+        for step_idx, triggered in enumerate(triggers):
             try:
                 obs = episode.observe()
                 debug = episode.debug_state()
-                triggered = bool(trigger_rng.random() < eps)
                 label: Optional[int] = None
                 if triggered:
                     label = estimate_utility_paired(episode, k_candidates, n_rollouts, horizon_h, seed=label_seed)
@@ -173,15 +173,13 @@ def run_exploration(
                     true_utility_debug=None if debug is None else debug.get("true_utility"),
                 )
             )
-            step_idx += 1
-        horizon_seen = max(horizon_seen, step_idx)
 
     meta = {
         "env": env.env_id,
         "seed": seed,
         "eps_explore": eps,
         "n_explore": n_episodes,
-        "horizon": horizon_seen,
+        "horizon": horizon,
         "k_candidates": k_candidates,
         "n_rollouts": n_rollouts,
         "rollout_horizon": horizon_h,

@@ -45,6 +45,9 @@ Conventions (fixed for reproducibility):
     episode keeps the last family's returns, so every later fork, at any
     state, is a lookup; a family with no step past any snapshot
     (``L = 0``) draws nothing. ``count=1`` is a single fork.
+  - every episode has the params' ``horizon`` H steps, which
+    ``TwoSourceEnv.horizon`` reports; past step H - 1 an episode refuses
+    to observe, step, fork or report its debug state (``EnvFault``).
   - a run of episodes (``TwoSourceEnv.episodes``) is one block: the
     (N, H) columns of its N seeds, drawn and derived once. An episode
     reads row i of the block, as lists of Python scalars, at its step
@@ -189,9 +192,6 @@ class TwoSourceEpisode:
 
     # -- episode protocol -------------------------------------------------
 
-    def done(self) -> bool:
-        return self._cursor >= self.params.horizon
-
     def _current(self) -> int:
         """The step index of the current state, which may be read."""
         if self._cursor >= self.params.horizon:
@@ -275,6 +275,12 @@ class TwoSourceEnv:
     def __init__(self, params: TwoSourceParams, env_id: str = "twosource"):
         self.params = params
         self.env_id = env_id
+
+    @property
+    def horizon(self) -> int:
+        """Steps in every episode; read from the params, which ``episodes``
+        checks."""
+        return self.params.horizon
 
     def episodes(self, seeds: Sequence[int]) -> TwoSourceEpisodes:
         return TwoSourceEpisodes(self.params, seeds)

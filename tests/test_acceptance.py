@@ -332,7 +332,7 @@ def test_c10_cost_accounting():
     episodes = env.episodes([derive_seed(110, "eval-episode", i) for i in range(3)])
     for i in range(3):  # hand count from the replayed observation stream
         episode = episodes.start(i)
-        while not episode.done():
+        for _ in range(4):
             triggered += int(episode.observe()["signal"] > 0.5)
             episode.step(False)
     expected = 1.0 + 5.0 * (triggered / 12.0)

@@ -708,6 +708,44 @@ def test_a_fit_with_no_proposal_endpoint_is_one_stderr_line_and_exit_status_2(tm
 
 
 @pytest.mark.parametrize(
+    "overrides, labeled, reason",
+    [({"exploration": {"n_episodes": 1, "eps": 0.05}}, 1, "a gate fit needs at least 2 rows"),
+     ({"environment": {"p_i0": 1.0, "noise_sd": 0.0}}, None, "training labels contain a single class"),
+     ({"gate": {"folds": 1000}}, None, "not enough rows (")],
+    ids=["one-row", "one-class", "fewer-rows-than-folds"],
+)
+def test_a_dataset_no_gate_can_be_fit_from_is_one_stderr_line_and_exit_status_2(
+        tmp_path, capsys, overrides, labeled, reason):
+    # Each once escaped as a traceback with exit status 1.
+    config_path = write_config(tmp_path / "config.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["explore", "--config", config_path, "--out", str(out)]) == 0
+    dataset_path = capsys.readouterr().out.strip()
+    if labeled is not None:
+        assert len(load_dataset_jsonl(dataset_path).labeled()) == labeled
+    assert main(["fit", "--config", config_path, "--out", str(out), "--dataset", dataset_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dial: error: a gate cannot be fit from this dataset: {reason}")
+    assert captured.err.count("\n") == 1
+    assert list(out.rglob("model-*.json")) == []
+
+
+def test_a_sweep_run_no_gate_can_be_fit_from_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    # A noiseless all-unsuitable run labels every step 0.
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", write_config(tmp_path / "config.json", environment={"p_i0": 1.0}),
+            "--out", str(out), "--axis", "environment.noise_sd=0.0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dial: error: a gate cannot be fit from this dataset: "
+                                   "training labels contain a single class")
+    assert captured.err.count("\n") == 1
+    assert list(out.rglob("model-*.json")) == []
+
+
+@pytest.mark.parametrize(
     "make_cache, reason",
     [(lambda path: path.write_bytes(b"\xff\xfe{}"), "'utf-8' codec can't decode byte 0xff in position 0"),
      (lambda path: path.mkdir(), "Is a directory")],

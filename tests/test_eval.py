@@ -97,7 +97,7 @@ def test_cost_formula_hand_arithmetic_three_episode_fixture():
     episodes = env.episodes([derive_seed(21, "eval-episode", i) for i in range(3)])
     for i in range(3):
         ep = episodes.start(i)
-        while not ep.done():
+        for _ in range(4):
             triggered += int(ep.observe()["signal"] > 0.5)
             ep.step(False)
     expected = 1.0 + 5.0 * triggered / 12.0
@@ -106,19 +106,22 @@ def test_cost_formula_hand_arithmetic_three_episode_fixture():
 
 
 class _ScriptedEpisode:
-    """Steps through fixed signals; a step returns 1, or 2 if triggered."""
+    """Steps through fixed signals; a step returns 1, or 2 if triggered.
+    Past its last signal it refuses, as a finished episode does."""
 
     def __init__(self, signals):
         self.signals, self.t = signals, 0
 
-    def done(self):
-        return self.t >= len(self.signals)
+    def _current(self):
+        if self.t >= len(self.signals):
+            raise EnvFault("episode is finished")
+        return self.t
 
     def observe(self):
-        return {"signal": self.signals[self.t]}
+        return {"signal": self.signals[self._current()]}
 
     def step(self, triggered):
-        self.t += 1
+        self.t = self._current() + 1
         return 2.0 if triggered else 1.0
 
     def fork(self, reseed, lookahead, *, triggered, index=0, count=1):
@@ -128,11 +131,15 @@ class _ScriptedEpisode:
         return None
 
 
-class _VariableLengthEnv:
-    """Episodes 0, 1 and 2 of a run have lengths 1, 3 and 2."""
+class _ScriptedEnv:
+    """Episode i of a run steps through SIGNALS[i], all ``horizon`` long
+    unless ``horizon`` is set past them."""
 
     env_id = "scripted"
-    SIGNALS = ([0.9], [0.1, 0.2, 0.8], [0.7, 0.9])
+    SIGNALS = ([0.9, 0.1, 0.6], [0.1, 0.2, 0.8], [0.7, 0.9, 0.6])
+
+    def __init__(self, horizon=3):
+        self.horizon = horizon
 
     def episodes(self, seeds):
         return EpisodeRun(lambda i: _ScriptedEpisode(self.SIGNALS[i]))
@@ -141,27 +148,36 @@ class _VariableLengthEnv:
         return 2.0
 
     def episode_success(self, total_return):
-        return total_return > 2.5
+        return total_return > 4.5
 
 
-def test_variable_length_episodes_hand_arithmetic():
+def test_scripted_episodes_hand_arithmetic():
     # Triggers (signal > 0.5) by step: t=0 in episodes 0 and 2, t=1 in
-    # episode 2, t=2 in episode 1; step 2 is reached by episode 1 alone,
-    # after a shorter episode came first.
+    # episode 2, t=2 in all three; every step index is reached by all 3.
     policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
-    (result,) = run_deployment(_VariableLengthEnv(), [policy], 3, seed=0)
+    (result,) = run_deployment(_ScriptedEnv(), [policy], 3, seed=0)
     assert [(p.step, p.n, p.rate) for p in result.per_step_trigger] == [
-        (0, 3, 2 / 3), (1, 2, 0.5), (2, 1, 1.0),
+        (0, 3, 2 / 3), (1, 3, 1 / 3), (2, 3, 1.0),
     ]
-    # 95% Wilson intervals of 2/3, 1/2 and 1/1 (z = 1.959964)
+    # 95% Wilson intervals of 2/3, 1/3 and 3/3 (z = 1.959964); the last
+    # is [1 / (1 + z^2 / 3), 1]
     bounds = [(p.ci_low, p.ci_high) for p in result.per_step_trigger]
-    expected = [(0.2076596, 0.9385081), (0.0945312, 0.9054688), (0.2065493, 1.0)]
+    expected = [(0.2076596, 0.9385081), (0.0614919, 0.7923404), (0.4385030, 1.0)]
     for got, want in zip(bounds, expected):
         assert got == pytest.approx(want, abs=1e-7)
-    # 6 steps cost 1 each, the 4 triggered ones 2 more: (6 + 8) / 6
-    assert result.cost_x_base == 14.0 / 6.0
-    assert result.trigger_rate == 4 / 6
-    assert result.sr == 2 / 3  # returns 2, 4 and 4 against 2.5
+    # 9 steps cost 1 each, the 6 triggered ones 2 more: (9 + 12) / 9
+    assert result.cost_x_base == 21.0 / 9.0
+    assert result.trigger_rate == 6 / 9
+    assert result.sr == 2 / 3  # returns 5, 4 and 6 against 4.5
+
+
+def test_an_episode_that_ends_before_the_horizon_is_a_fault():
+    # Every episode runs the environment's horizon; one that runs out of
+    # steps before it is a fault of its environment, not a short episode.
+    policy = PolicySpec("fixed_threshold", signal="signal", direction=1, threshold=0.5)
+    message = r"^policy fixed\(signal>0.5\): environment fault at eval episode 0, step 3: episode is finished$"
+    with pytest.raises(EnvFault, match=message):
+        run_deployment(_ScriptedEnv(horizon=4), [policy], 3, seed=0)
 
 
 def test_never_firing_gate_equals_base_only():

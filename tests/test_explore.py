@@ -35,26 +35,29 @@ from conftest import EpisodeRun, first_episode
 class ScriptedEpisode:
     """An untriggered step yields reward values[0], a triggered one
     values[1]. A fork returns the snapshot step's reward plus values[0]
-    for each step up to its lookahead, as the Episode contract says."""
+    for each step up to its lookahead, as the Episode contract says.
+    Past its ``horizon`` steps it refuses, as a finished episode does."""
 
     def __init__(self, values, horizon=3):
         self.values = values
         self.horizon = horizon
         self.t = 0
 
-    def done(self):
-        return self.t >= self.horizon
+    def _current(self):
+        if self.t >= self.horizon:
+            raise EnvFault("episode is finished")
+        return self.t
 
     def observe(self):
-        return {"signal": 0.5, "step_count": float(self.t)}
+        return {"signal": 0.5, "step_count": float(self._current())}
 
     def step(self, triggered):
-        self.t += 1
+        self.t = self._current() + 1
         return float(self.values[triggered])
 
     def fork(self, reseed, lookahead, *, triggered, index=0, count=1):
         total = float(self.values[triggered])
-        for _ in range(min(lookahead, self.horizon - self.t - 1)):
+        for _ in range(min(lookahead, self.horizon - self._current() - 1)):
             total += float(self.values[0])
         return total
 
@@ -122,7 +125,7 @@ def test_noise_free_labels_match_hidden_utility_sign():
     checked = 0
     for ep_seed in range(12):
         episode = first_episode(env, ep_seed)
-        while not episode.done():
+        for _ in range(env.horizon):
             label = estimate_utility_paired(episode, 5, 5, 3, seed=ep_seed * 100 + checked)
             hidden = episode.debug_state()["true_utility"]
             assert label == int(hidden > 0)
@@ -301,10 +304,14 @@ def test_exploration_validates_inputs():
 
 
 class FaultyEnv:
+    """Every episode is ``episode_type()``; the episode types below are
+    ``horizon`` steps long, or shorter where a test says so."""
+
     env_id = "faulty"
 
-    def __init__(self, episode_type=None):
+    def __init__(self, episode_type=None, horizon=3):
         self.episode_type = episode_type or FaultyEpisode
+        self.horizon = horizon
 
     def episodes(self, seeds):
         return EpisodeRun(lambda i: self.episode_type())
@@ -341,6 +348,14 @@ def test_an_episode_that_cannot_fork_is_an_environment_fault():
         run_exploration(FaultyEnv(unforkable), eps=1.0, n_episodes=1, seed=0)
 
 
+def test_an_episode_that_ends_before_the_horizon_is_a_fault():
+    # Every episode runs the environment's horizon; one that runs out of
+    # steps before it is a fault of its environment, not a short episode.
+    env = FaultyEnv(lambda: ScriptedEpisode([0.0, 0.0], horizon=3), horizon=4)
+    with pytest.raises(EnvFault, match="^environment fault at episode 0, step 3: episode is finished$"):
+        run_exploration(env, eps=0.0, n_episodes=2, seed=0)
+
+
 class BadRewardEpisode(ScriptedEpisode):
     def __init__(self):
         super().__init__([0.0, 0.0], horizon=5)
@@ -354,7 +369,7 @@ class BadRewardEpisode(ScriptedEpisode):
 def test_environment_value_error_carries_context():
     # An environment's own ValueError is a fault like any other.
     with pytest.raises(EnvFault, match="episode 0, step 3: bad reward"):
-        run_exploration(FaultyEnv(BadRewardEpisode), eps=0.0, n_episodes=1, seed=0)
+        run_exploration(FaultyEnv(BadRewardEpisode, horizon=5), eps=0.0, n_episodes=1, seed=0)
 
 
 class FixedObservationEpisode(ScriptedEpisode):
@@ -380,7 +395,7 @@ class FixedObservationEpisode(ScriptedEpisode):
 def test_record_signal_is_the_value_the_gate_reads(obs, signal):
     # dial stats correlates StepRecord.signal; the gate's token_entropy
     # feature must read the same value from the same observation.
-    ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode(obs)), eps=0.0, n_episodes=1, seed=0)
+    ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode(obs), horizon=2), eps=0.0, n_episodes=1, seed=0)
     assert len(ds.records) == 2
     for record in ds.records:
         universal = dict(zip(UNIVERSAL_FEATURES, extract_features(compile_features(UNIVERSAL_SPECS), record.obs)))
@@ -505,7 +520,8 @@ def test_jsonl_refuses_non_finite_observations(field):
 def test_jsonl_names_the_step_of_a_text_observation():
     # Exploration takes text observation values (the features read them
     # as 0.0), but a dataset line holds numbers only.
-    ds = run_exploration(FaultyEnv(lambda: FixedObservationEpisode({"signal": "high"})), eps=0.0, n_episodes=1, seed=0)
+    env = FaultyEnv(lambda: FixedObservationEpisode({"signal": "high"}), horizon=2)
+    ds = run_exploration(env, eps=0.0, n_episodes=1, seed=0)
     with pytest.raises(ValueError, match=r"^episode 0, step 0: obs 'signal' must be a finite number, got 'high'$"):
         dataset_to_jsonl(ds)
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import EpisodeRun, first_episode
 from dial.envs import Environment, Episode, Episodes
 from dial.twosource import TwoSourceEnv, TwoSourceEpisode, TwoSourceEpisodes, TwoSourceParams
-from test_eval import _FaultyEnv, _ScriptedEpisode, _VariableLengthEnv
+from test_eval import _FaultyEnv, _ScriptedEnv, _ScriptedEpisode
 from test_explore import ScriptedEpisode, SiblingScriptedEpisode
 
 
@@ -28,8 +28,8 @@ _CASES = {
     "explore-scripted-episode": (ScriptedEpisode([0.1, 0.2]), Episode),
     "explore-sibling-episode": (SiblingScriptedEpisode([0.5, 0.9]), Episode),
     "eval-scripted-episode": (_ScriptedEpisode([0.5]), Episode),
-    "eval-variable-length-env": (_VariableLengthEnv(), Environment),
-    "eval-variable-length-episodes": (_VariableLengthEnv().episodes([0]), Episodes),
+    "eval-scripted-env": (_ScriptedEnv(), Environment),
+    "eval-scripted-episodes": (_ScriptedEnv().episodes([0]), Episodes),
     # These two delegate every other name to a two-source env or episode.
     "eval-faulty-env": (_FaultyEnv(), Environment),
     "eval-faulty-episode": (first_episode(_FaultyEnv(), 0), Episode),
@@ -51,7 +51,7 @@ def test_implementation_is_an_instance_of_its_protocol(name):
         (TwoSourceEpisode, Episode),
         (ScriptedEpisode, Episode),
         (_ScriptedEpisode, Episode),
-        (_VariableLengthEnv, Environment),
+        (_ScriptedEnv, Environment),
     ],
     ids=lambda value: value.__name__,
 )

@@ -32,14 +32,21 @@ def _episode(params, seed):
     return TwoSourceEnv(params).episodes([seed]).start(0)
 
 
+def _assert_finished(ep):
+    # Past its last step an episode has no current state to read.
+    with pytest.raises(EnvFault, match="^episode is finished$"):
+        ep.observe()
+
+
 def collect_episode(params, seed):
     ep = _episode(params, seed)
     rows = []
-    while not ep.done():
+    for _ in range(params.horizon):
         obs = ep.observe()
         debug = ep.debug_state()
         rows.append((obs, debug))
         ep.step(False)
+    _assert_finished(ep)
     return rows
 
 
@@ -104,7 +111,7 @@ _TO_END = 100
 def _rewards(params, seed):
     # Every step's reward and a triggered and an untriggered fork at each state.
     ep, out = _episode(params, seed), []
-    while not ep.done():
+    for _ in range(params.horizon):
         out += [ep.fork(reseed=seed, lookahead=2, triggered=True, count=3, index=1),
                 ep.fork(reseed=seed, lookahead=_TO_END, triggered=False), ep.step(True)]
     return out
@@ -206,7 +213,7 @@ def _arms(params, seed, **state):
     ep = _episode(params, seed)
     ep._cols = {name: [state.get(name, column[0])] + column[1:] for name, column in ep._cols.items()}
     arms = []
-    while not ep.done():
+    for _ in range(params.horizon):
         debug = ep.debug_state()
         arms.append((ep.fork(reseed=seed, lookahead=0, triggered=True), ep.step(False), debug))
     return arms
@@ -245,8 +252,9 @@ def test_reward_noise_shared_between_arms():
 def test_snapshot_returns_differ_by_the_true_utility():
     # At lookahead 0 a fork's return is the snapshot step alone, so the
     # two arms differ by the state's utility, noise and all.
-    ep = _episode(TwoSourceParams(noise_sd=0.3, p_i_slope=0.05), seed=16)
-    while not ep.done():
+    params = TwoSourceParams(noise_sd=0.3, p_i_slope=0.05)
+    ep = _episode(params, seed=16)
+    for _ in range(params.horizon):
         triggered, untriggered = (ep.fork(reseed=7, lookahead=0, triggered=arm) for arm in (True, False))
         assert triggered - untriggered == pytest.approx(ep.debug_state()["true_utility"], abs=1e-12)
         ep.step(False)
@@ -334,24 +342,27 @@ def test_fork_reseed_shares_snapshot_but_diverges_later():
 def test_fork_rollouts_do_not_mutate_parent():
     # A fork moves neither the cursor nor the observation of the episode
     # it is made on, whatever its lookahead, arm or sibling.
+    params = TwoSourceParams(noise_sd=0.3)
     for triggered in (False, True):
-        ep = _episode(TwoSourceParams(noise_sd=0.3), seed=10)
-        twin = _episode(TwoSourceParams(noise_sd=0.3), seed=10)
-        while not twin.done():
+        ep = _episode(params, seed=10)
+        twin = _episode(params, seed=10)
+        for _ in range(params.horizon):
             for lookahead in (_TO_END, 0, 2):
                 for index in (0, 4):
                     ep.fork(reseed=1, lookahead=lookahead, triggered=True, index=index, count=5)
             assert ep._cursor == twin._cursor
             assert _read_state(ep, triggered) == _read_state(twin, triggered)
-        assert ep.done()
+        _assert_finished(ep)
 
 
 def test_stepping_past_horizon_raises():
-    ep = _episode(TwoSourceParams(horizon=2), seed=11)
+    env = TwoSourceEnv(TwoSourceParams(horizon=2))
+    assert env.horizon == 2
+    ep = env.episodes([11]).start(0)
     ep.step(False)
     ep.step(False)
-    assert ep.done()
-    for call in (lambda: ep.step(False), ep.observe, ep.debug_state):
+    for call in (lambda: ep.step(False), ep.observe, ep.debug_state,
+                 lambda: ep.fork(reseed=1, lookahead=0, triggered=False)):
         with pytest.raises(EnvFault, match="^episode is finished$"):
             call()
 
@@ -373,7 +384,7 @@ def test_base_only_success_rate_is_interior_with_noise():
     for i in range(400):
         ep = episodes.start(i)
         total = 0.0
-        while not ep.done():
+        for _ in range(env.horizon):
             total += ep.step(False)
         successes += int(env.episode_success(total))
     assert 0.35 < successes / 400 < 0.65
@@ -404,7 +415,7 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
         assert (debug["latent_type"] == "D") == states["is_type_d"][i]
         assert debug["true_utility"] == states["true_utility"][i]
         assert ep.step(False) == params.base_reward + states["reward_noise"][i]
-    assert ep.done()
+    _assert_finished(ep)
 
 
 _COLUMN_TYPES = {
@@ -429,9 +440,10 @@ def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
         assert column == states[name].tolist()
     ep = run.start(0)
     assert ep._cols is columns and ep._observations is observations
-    while not ep.done():
+    for _ in range(params.horizon):
         assert {type(v) for v in ep.observe().values()} == {float}
         ep.step(False)
+    _assert_finished(ep)
 
 
 _DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")).env_params
@@ -465,7 +477,7 @@ def test_a_run_is_one_block_of_the_per_seed_states(params):
             untriggered = params.base_reward + states["reward_noise"][t].item()
             assert ep.fork(reseed=seed, lookahead=0, triggered=False) == untriggered
             assert ep.step(True) == untriggered + states["true_utility"][t].item()
-        assert ep.done()
+        _assert_finished(ep)
 
 
 def _columns_digest(states):
@@ -511,11 +523,9 @@ def _episode_labels(params, k, n, h, seeds=range(12)):
     labels = []
     for seed in seeds:
         ep = _episode(params, seed)
-        t = 0
-        while not ep.done():
+        for t in range(params.horizon):
             labels.append(estimate_utility_paired(ep, k, n, h, seed=1000 * seed + t))
             ep.step(t % 3 == 0)
-            t += 1
     return labels
 
 
