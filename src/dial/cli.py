@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
@@ -76,7 +77,7 @@ from .stats import (
     temporal_split_rho,
     transform_suite,
 )
-from .twosource import InvalidParams, TwoSourceEnv, TwoSourceParams, sample_states
+from .twosource import OBSERVATION_FIELDS, InvalidParams, TwoSourceEnv, TwoSourceParams, sample_states
 
 EQ2_SWEEP_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 EQ2_SWEEP_N = 5000
@@ -276,10 +277,14 @@ def _parse_policy(index: int, spec: Any, model: Optional[GateModel]) -> Optional
     if extra:
         raise ConfigError(f"{entry}.{sorted(extra)[0]}: unknown key")
     try:
-        return PolicySpec("fixed_threshold", signal=spec.get("signal", "signal"),
-                          direction=spec.get("direction", 1), threshold=spec.get("threshold", 0.5))
+        policy = PolicySpec("fixed_threshold", signal=spec.get("signal", "signal"),
+                            direction=spec.get("direction", 1), threshold=spec.get("threshold", 0.5))
     except EvalError as exc:  # its message starts with the field's name
         raise ConfigError(f"{entry}.{exc}") from exc
+    if policy.signal not in OBSERVATION_FIELDS:  # else eval would fault at its first step
+        raise ConfigError(f"{entry}.signal: must be an observation field, one of "
+                          f"{', '.join(OBSERVATION_FIELDS)}; got {policy.signal!r}")
+    return policy
 
 
 # -- output discipline ---------------------------------------------------------
@@ -294,13 +299,21 @@ def save_model_json(model: GateModel, path: str) -> None:
 
 
 def write_report_json(path: str, payload: Any) -> None:
-    write_once(path, json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
+    """``payload`` as strict JSON (RFC 8259): a dataclass as its fields,
+    and a non-finite float, a degenerate correlation's NaN say, as null."""
+    write_once(path, json.dumps(_json_data(payload), sort_keys=True, indent=1, allow_nan=False))
 
 
-def _json_default(value: Any) -> Any:
+def _json_data(value: Any) -> Any:
     if is_dataclass(value):
-        return asdict(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _json_data(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_report_csv(path: str, rows: Sequence[Dict[str, Any]], columns: Sequence[str]) -> None:
@@ -449,15 +462,30 @@ def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
 
 
 def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
+    """Correlation reports for a dataset. A dataset the stats layer
+    refuses (negative signals, which the transforms refuse, say) is a
+    ConfigError naming it, and nothing is written."""
     dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
     _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
+    try:
+        payload, rows = _stats_tables(dataset, derive_seed(config.seed, "stats-boot"))
+    except StatsError as exc:
+        raise ConfigError(f"dataset {dataset_path}: no correlation report can be made ({exc})") from exc
+    payload["provenance"] = _provenance(config, _file_digest(dataset_path))
+    paths = {"json": _out(config, "stats", "json"), "cells": _out(config, "stats_cells", "csv")}
+    write_report_json(paths["json"], payload)
+    write_report_csv(paths["cells"], rows, REPORT_COLUMNS)
+    return paths
+
+
+def _stats_tables(dataset: LabeledDataset, boot_seed: int) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """The stats report of a dataset, and its cells' rows; the temporal
+    and Simpson sections record why they were skipped, when they are."""
     labeled = dataset.labeled()
     if len(labeled) < 6:
         raise ConfigError("dataset has too few labeled rows for correlation reports")
     sig = [r.signal for r in labeled]
     lab = [float(r.utility_label) for r in labeled]
-    boot_seed = derive_seed(config.seed, "stats-boot")
-
     rows = [report_row("all", spearman(sig, lab, ci=True, seed=boot_seed), pearson(sig, lab))]
     temporal: Dict[str, Any]
     try:
@@ -477,7 +505,6 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
                  "spearman": row["spearman"], "pearson": row["pearson"]} for row in transforms)
 
     payload: Dict[str, Any] = {
-        "provenance": _provenance(config, _file_digest(dataset_path)),
         "overall": rows[0],
         "temporal": temporal,
         "transforms": transforms,
@@ -496,17 +523,29 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
         )
     except StatsError as exc:
         payload["simpson"] = {"skipped": str(exc)}
-
-    paths = {"json": _out(config, "stats", "json"), "cells": _out(config, "stats_cells", "csv")}
-    write_report_json(paths["json"], payload)
-    write_report_csv(paths["cells"], rows, REPORT_COLUMNS)
-    return paths
+    return payload, rows
 
 
 def cmd_verify(config: RunConfig) -> Dict[str, str]:
     """Two-source verification bundle: direction-vs-mixture sweep,
     within-type decomposition, temporal drift, monotone-transform and
-    quantile-normalization invariance."""
+    quantile-normalization invariance. An environment the stats layer
+    refuses (a one-step horizon leaves the temporal check no late bucket,
+    say) is a ConfigError, and nothing is written."""
+    try:
+        tables = _verify_tables(config)
+    except StatsError as exc:
+        raise ConfigError(f"the verification bundle cannot be made for this environment: {exc}") from exc
+    paths = {"json": _out(config, "verify", "json")}
+    write_report_json(paths["json"], {"provenance": _provenance(config, input_digest=None), **tables})
+    for name, rows in tables.items():
+        paths[name] = _out(config, f"verify_{name}", "csv")
+        write_report_csv(paths[name], rows, list(rows[0]))
+    return paths
+
+
+def _verify_tables(config: RunConfig) -> Dict[str, List[Dict[str, Any]]]:
+    """The verification bundle's tables, by name."""
     params = config.env_params
     verify_seed = derive_seed(config.seed, "verify")
 
@@ -579,19 +618,13 @@ def cmd_verify(config: RunConfig) -> Dict[str, str]:
                  "normalized_spearman": norm_rho, "abs_diff": abs(raw_rho - norm_rho)}
             )
 
-    tables = {
+    return {
         "eq2_sweep": sweep_rows,
         "simpson": simpson_rows,
         "temporal": temporal_rows,
         "transforms": transform_rows,
         "normalization": norm_rows,
     }
-    paths = {"json": _out(config, "verify", "json")}
-    write_report_json(paths["json"], {"provenance": _provenance(config, input_digest=None), **tables})
-    for name, rows in tables.items():
-        paths[name] = _out(config, f"verify_{name}", "csv")
-        write_report_csv(paths[name], rows, list(rows[0]))
-    return paths
 
 
 def _axis_values(key_path: str, text: str) -> List[str]:

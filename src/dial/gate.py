@@ -18,9 +18,9 @@ active-set (feature-sign) search over the weighted Gram matrix of
 The solver stops on a KKT certificate, when no gradient entry (the
 bias's included) is farther than 1e-9 from the l1 subdifferential; it
 also stops when no step improves the objective in double precision, and
-at its cap of 10,000 outer iterations, which it logs. Each model's meta
-records how its fits stopped. Fitting is single-threaded and
-deterministic; a fitted model is immutable and can be shared freely.
+at its cap of SOLVER_MAX_ITER (10,000) outer iterations, which it logs.
+Each model's meta records how its fits stopped. Fitting is single-threaded
+and deterministic; a fitted model is immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _solve_active(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_subproblem(
-    gram: np.ndarray, target: np.ndarray, v: np.ndarray, lam1: float, live: np.ndarray
+    gram: np.ndarray, target: np.ndarray, v: np.ndarray, lam1: float
 ) -> Tuple[np.ndarray, int]:
     """Solve one weighted quadratic subproblem exactly by feature-sign
     search (Lee, Battle, Raina & Ng, NIPS 2007):
@@ -200,15 +200,16 @@ def _solve_subproblem(
     among its solution and the sign crossings on the way there, and, once
     the signs hold, activates the inactive coordinate that most violates
     |grad| <= lam1. A column that depends linearly on active ones has a
-    zero gradient, so it is never activated; only a start with dependent
-    nonzero columns gives a singular system (see ``_solve_active``).
+    zero gradient, so it is never activated; only a start nonzero on
+    dependent columns, an all-zero one say, gives a singular system, whose
+    least-norm solve zeroes an all-zero column (see ``_solve_active``).
     Returns the solution and the number of solves.
     """
     d = v.size - 1
     v = v.copy()
     theta = np.sign(v)
     theta[d] = 0.0
-    active = (v != 0.0) & live
+    active = v != 0.0
     active[d] = True
     for solves in range(1, 4 * (d + 1) + 1):  # finite in exact arithmetic; a guard against rounding
         idx = np.flatnonzero(active)
@@ -229,12 +230,12 @@ def _solve_subproblem(
         signs_hold = lam1 == 0.0 or bool(np.all(np.sign(x[:-1]) == theta[idx[:-1]]))
         theta = np.sign(v)
         theta[d] = 0.0
-        active = (v != 0.0) & live
+        active = v != 0.0
         active[d] = True
         if not signs_hold:
             continue
         grad = gram @ v - target
-        excess = np.where(active | ~live, 0.0, np.abs(grad))
+        excess = np.where(active, 0.0, np.abs(grad))
         j = int(np.argmax(excess))
         if excess[j] <= lam1 * (1 + 1e-9) + 1e-9:
             break
@@ -243,32 +244,49 @@ def _solve_subproblem(
     return v, solves
 
 
-def _proximal_newton(
-    X: np.ndarray, y: np.ndarray, lam1: float, lam2: float, max_iter: int,
-    w_init: Optional[np.ndarray] = None, b_init: float = 0.0,
-) -> Tuple[np.ndarray, float, SolverRun]:
-    """Proximal-Newton outer loop: each iteration solves the weighted
-    quadratic model of the loss exactly (``_solve_subproblem``), then a
-    halving line search keeps the penalized objective strictly
-    decreasing, judged by the sum of the per-row changes of the loss plus
-    the per-coordinate changes of the penalty. Stops on a KKT certificate
-    (``_kkt_violation`` at most SOLVER_TOL; Friedman, Hastie & Tibshirani,
-    JSS 2010), when no step
-    improves the objective, or after ``max_iter`` outer iterations, which
-    is logged. The problem is convex, so a warm start changes the path but
-    not the optimal objective value. The minimizer is unique for
-    lam2 > 0; with lam2 == 0 it need not be, and separable data has no
-    finite minimizer at all.
+def fit_sparse_logistic(
+    X: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    reg: str = "l1",
+    *,
+    warm_start: Optional[Tuple[np.ndarray, float]] = None,
+    runs: Optional[List[SolverRun]] = None,
+) -> Tuple[np.ndarray, float]:
+    """Minimize summed BCE plus (1/C)*penalty over (weights, bias), from
+    ``warm_start`` (weights, bias) or else from zero.
+
+    Inputs are expected standardized. Every regularizer takes the same
+    proximal-Newton path (l2 and none have no l1 term): each outer
+    iteration solves the weighted quadratic model of the loss exactly
+    (``_solve_subproblem``), then a halving line search keeps the
+    penalized objective strictly decreasing, judged by the sum of the
+    per-row changes of the loss plus the per-coordinate changes of the
+    penalty. Stops on a KKT certificate (``_kkt_violation`` at most
+    SOLVER_TOL; Friedman, Hastie & Tibshirani, JSS 2010), when no step
+    improves the objective, or after SOLVER_MAX_ITER (read at call time)
+    outer iterations, which is logged. Deterministic for fixed inputs,
+    ``warm_start`` included. The problem is convex, so a warm start
+    changes the path but not the optimal objective value. The minimizer
+    is unique for l2 and elastic_net; for l1 and none it need not be, and
+    separable data has no finite minimizer at all. The call's
+    ``SolverRun`` is appended to ``runs`` when one is given.
     """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise GateError("matrix and labels misaligned")
+    if c <= 0:
+        raise GateError(f"C must be positive, got {c}")
+    lam1, lam2 = _penalty_weights(c, reg)
+    _check_two_classes(y)
     n, d = X.shape
     design = np.hstack([X, np.ones((n, 1))])  # [X 1]: the bias is coordinate d
-    live = np.any(design != 0.0, axis=0)
     ridge = np.full(d + 1, lam2)
     ridge[d] = 0.0
     v = np.zeros(d + 1)
-    if w_init is not None:
-        v[:d] = w_init
-    v[d] = b_init
+    if warm_start is not None:
+        v[:d], v[d] = warm_start
     z = design @ v
     sign = 1.0 - 2.0 * y
     loss = np.logaddexp(0.0, sign * z)  # each row's loss, carried with z
@@ -279,11 +297,11 @@ def _proximal_newton(
         if violation <= SOLVER_TOL:
             stop = "certificate"
             break
-        if outer == max_iter:
+        if outer == SOLVER_MAX_ITER:
             logger.warning(
                 "solver stopped at its cap of %d outer iterations (lam1=%g, lam2=%g); "
                 "last update %.3g, KKT violation %.3g, tolerance %g",
-                max_iter, lam1, lam2, last_update, violation, SOLVER_TOL,
+                SOLVER_MAX_ITER, lam1, lam2, last_update, violation, SOLVER_TOL,
             )
             break
         outer += 1
@@ -296,7 +314,7 @@ def _proximal_newton(
         gram = design.T @ weighted
         gram[np.diag_indices(d + 1)] += ridge
         target = weighted.T @ z + design.T @ (y - p)
-        u, k = _solve_subproblem(gram, target, v, lam1, live)
+        u, k = _solve_subproblem(gram, target, v, lam1)
         solves += k
         direction = u - v
         dir_z = design @ direction
@@ -328,39 +346,10 @@ def _proximal_newton(
             break
         last_update = step * float(np.abs(direction).max())
         v, z, loss = v_try, z_try, loss_try
-    return v[:d].copy(), float(v[d]), SolverRun(stop, violation, outer, solves)
-
-
-def fit_sparse_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    reg: str = "l1",
-    *,
-    max_iter: int = SOLVER_MAX_ITER,
-    warm_start: Optional[Tuple[np.ndarray, float]] = None,
-    runs: Optional[List[SolverRun]] = None,
-) -> Tuple[np.ndarray, float]:
-    """Minimize summed BCE plus (1/C)*penalty over (weights, bias).
-
-    Inputs are expected standardized. Deterministic for fixed inputs,
-    ``warm_start`` included; every regularizer takes the same
-    proximal-Newton path (l2 and none have no l1 term). The call's
-    ``SolverRun`` is appended to ``runs`` when one is given.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise GateError("matrix and labels misaligned")
-    if c <= 0:
-        raise GateError(f"C must be positive, got {c}")
-    lam1, lam2 = _penalty_weights(c, reg)
-    _check_two_classes(y)
-    w0, b0 = (None, 0.0) if warm_start is None else warm_start
-    w, b, run = _proximal_newton(X, y, lam1=lam1, lam2=lam2, max_iter=max_iter, w_init=w0, b_init=b0)
     if runs is not None:
-        runs.append(run)
-    return w, b
+        runs.append(SolverRun(stop, violation, outer, solves))
+    return v[:d].copy(), float(v[d])
+
 
 
 # -- cross-validation ---------------------------------------------------------

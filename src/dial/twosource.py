@@ -74,6 +74,10 @@ from .rng import stream
 TYPE_I = "I"
 TYPE_D = "D"
 
+# The keys of every observation record, which ``TwoSourceEpisodes.start``
+# builds; the only signals a fixed-threshold policy can read.
+OBSERVATION_FIELDS = ("step_count", "signal", "type_proxy", "num_options", "is_finish")
+
 _NUM_OPTIONS_LO = 2
 _NUM_OPTIONS_HI = 6  # inclusive
 

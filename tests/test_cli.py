@@ -215,6 +215,22 @@ def test_ill_typed_policies_are_refused_by_name(tmp_path, policies, key):
         load_config(config_path)
 
 
+def test_a_threshold_signal_no_observation_carries_is_refused_at_load(tmp_path, capsys):
+    # It once passed load; eval then died with an EnvFault traceback and
+    # exit status 1 at its first step, after explore and fit had run.
+    demo = json.loads(DEMO_CONFIG.read_text())
+    demo["eval"]["policies"][2]["signal"] = "sigal"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(demo))
+    out = tmp_path / "out"
+    assert main(["explore", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dial: error: eval.policies[2].signal: must be an observation field, one of "
+                            "step_count, signal, type_proxy, num_options, is_finish; got 'sigal'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "policies, index, name",
     [
@@ -363,6 +379,16 @@ def test_failed_write_leaves_no_file_and_does_not_block_the_rerun(tmp_path):
     write_report_json(str(path), {"a": 1.0})
     assert json.loads(path.read_text()) == {"a": 1.0}
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON (RFC 8259): {name}")
+
+
+def test_report_json_writes_a_non_finite_float_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    write_report_json(str(path), {"rows": [(float("nan"), 1.5)], "inf": float("-inf")})
+    assert json.loads(path.read_text(), parse_constant=_refuse_constant) == {"inf": None, "rows": [[None, 1.5]]}
 
 
 def test_writer_refuses_an_existing_file_and_leaves_it_unchanged(tmp_path):
@@ -743,6 +769,54 @@ def test_a_sweep_run_no_gate_can_be_fit_from_is_one_stderr_line_and_exit_status_
                                    "training labels contain a single class")
     assert captured.err.count("\n") == 1
     assert list(out.rglob("model-*.json")) == []
+
+
+def test_a_dataset_the_stats_layer_refuses_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    # Every signal lowered by 2, the header left as is: the digest check
+    # passes, and the transforms refuse the negative values. This once
+    # escaped as a StatsError traceback with exit status 1.
+    config_path = write_config(tmp_path / "config.json")
+    out = tmp_path / "out"
+    assert main(["explore", "--config", config_path, "--out", str(out)]) == 0
+    dataset_path = capsys.readouterr().out.strip()
+    header, *lines = Path(dataset_path).read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        record["signal"] -= 2.0
+    lowered = tmp_path / "lowered.jsonl"
+    lowered.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    stats_out = tmp_path / "stats"
+    assert main(["stats", "--config", config_path, "--out", str(stats_out), "--dataset", str(lowered)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dial: error: dataset {lowered}: no correlation report can be made "
+                            "(signal transforms need nonnegative values)\n")
+    assert not stats_out.exists()
+
+
+def test_an_environment_verify_cannot_run_on_is_one_stderr_line_and_exit_status_2(tmp_path, capsys):
+    # A one-step horizon leaves the temporal check no late bucket; this
+    # once escaped as a StatsError traceback with exit status 1.
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path / "config.json", environment={"horizon": 1})
+    assert main(["verify", "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dial: error: the verification bundle cannot be made for this environment: "
+                            "temporal split needs >= 3 labeled records per bucket, got 240/0\n")
+    assert not out.exists()
+
+
+def test_a_degenerate_correlation_is_null_in_strict_report_json(tmp_path):
+    # A noiseless all-unsuitable run labels every step 0, so every
+    # correlation with the label is undefined; the report once held bare NaN.
+    config = load_config(write_config(tmp_path / "config.json", environment={"p_i0": 1.0, "noise_sd": 0.0}))
+    outputs = cmd_stats(config, cmd_explore(config))
+    with open(outputs["json"]) as fh:
+        report = json.load(fh, parse_constant=_refuse_constant)
+    assert report["overall"]["spearman"] is None and report["temporal"]["delta"] is None
+    with open(outputs["cells"]) as fh:
+        assert next(csv.DictReader(fh))["spearman"] == "nan"
 
 
 @pytest.mark.parametrize(

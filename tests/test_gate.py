@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -261,23 +260,25 @@ def test_l1_sparsity_path_monotone_in_c():
 
 
 @pytest.mark.parametrize("reg", ["l2", "none"])
-def test_l2_and_none_honour_warm_start(reg):
+def test_l2_and_none_honour_warm_start(monkeypatch, reg):
     rng = np.random.default_rng(11)
     X = rng.standard_normal((80, 4))
     y = (rng.random(80) < 1 / (1 + np.exp(-X @ np.array([1.0, -0.5, 0.0, 0.3])))).astype(float)
     cold = fit_sparse_logistic(X, y, 1.0, reg)
     far = fit_sparse_logistic(X, y, 1.0, reg, warm_start=(np.full(4, 2.0), -1.0))
     assert objective(X, y, *far, 1.0, reg) == pytest.approx(objective(X, y, *cold, 1.0, reg), abs=1e-9)
-    resumed = fit_sparse_logistic(X, y, 1.0, reg, warm_start=cold, max_iter=1)
+    monkeypatch.setattr(dial.gate, "SOLVER_MAX_ITER", 1)
+    resumed = fit_sparse_logistic(X, y, 1.0, reg, warm_start=cold)
     assert np.abs(resumed[0] - cold[0]).max() < 1e-9  # starts, and stays, at the optimum
 
 
-def test_solver_logs_only_a_stop_at_its_cap(caplog):
+def test_solver_logs_only_a_stop_at_its_cap(monkeypatch, caplog):
     X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])  # separable: "none" has no finite optimum, "l2" has one
+    monkeypatch.setattr(dial.gate, "SOLVER_MAX_ITER", 20)
     with caplog.at_level("WARNING", logger="dial.gate"):
-        fit_sparse_logistic(X, y, 1.0, "l2", max_iter=20)
-        fit_sparse_logistic(X, y, 1.0, "none", max_iter=20)
+        fit_sparse_logistic(X, y, 1.0, "l2")
+        fit_sparse_logistic(X, y, 1.0, "none")
     messages = [r.getMessage() for r in caplog.records if r.name == "dial.gate"]
     assert len(messages) == 1
     assert "cap of 20 outer iterations" in messages[0]
@@ -288,8 +289,7 @@ def test_cap_stops_are_recorded_in_the_model(monkeypatch, caplog):
     # Separable data and a cap lowered to one outer iteration, in which no
     # l2 fit certifies: every fit of the five CV folds' C paths and of the
     # final path stops at the cap, and each is logged.
-    monkeypatch.setattr(dial.gate, "fit_sparse_logistic",
-                        functools.partial(fit_sparse_logistic, max_iter=1))
+    monkeypatch.setattr(dial.gate, "SOLVER_MAX_ITER", 1)
     X = np.linspace(-2.0, 2.0, 10).reshape(-1, 1)
     y = (X[:, 0] > 0).astype(float)
     with caplog.at_level("WARNING", logger="dial.gate"):
@@ -364,6 +364,23 @@ def test_duplicated_column_fits_as_well_as_the_single_one(demo_data, reg, caplog
                 w, b = fit_sparse_logistic(doubled, y, 1.0, reg, warm_start=start)
             assert objective(doubled, y, w, b, 1.0, reg) <= single + 1e-9, (j, start is None)
     assert not caplog.records  # no fit stopped at its cap
+
+
+@pytest.mark.parametrize("reg", ["l1", "l2", "elastic_net", "none"])
+def test_warm_start_on_an_all_zero_column_is_zeroed(reg):
+    # The all-zero column's weight moves nothing, so its only pull is the
+    # penalty's (none under "none"); the active-set solve's least-norm
+    # step zeroes it, and the fit then follows the cold fit's path.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 3))
+    X[:, 1] = 0.0
+    y = (rng.random(60) < 1 / (1 + np.exp(-X @ np.array([1.0, 0.0, -0.5])))).astype(float)
+    cold = fit_sparse_logistic(X, y, 1.0, reg)
+    runs = []
+    w, b = fit_sparse_logistic(X, y, 1.0, reg, warm_start=(np.array([0.0, 0.5, 0.0]), 0.0), runs=runs)
+    assert runs[0].stop == "certificate"
+    assert w[1] == 0.0
+    assert w.tolist() == cold[0].tolist() and b == cold[1]
 
 
 # -- cross-validation ------------------------------------------------------------

@@ -16,6 +16,7 @@ from dial.explore import estimate_utility_paired
 from dial.rng import derive_seed, stream
 from dial.stats import spearman
 from dial.twosource import (
+    OBSERVATION_FIELDS,
     TYPE_D,
     TYPE_I,
     InvalidParams,
@@ -444,6 +445,14 @@ def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
         assert {type(v) for v in ep.observe().values()} == {float}
         ep.step(False)
     _assert_finished(ep)
+
+
+def test_every_observation_carries_exactly_the_declared_fields():
+    # Config load refuses a threshold signal outside OBSERVATION_FIELDS.
+    ep = TwoSourceEnv(TwoSourceParams(horizon=3)).episodes([4]).start(0)
+    for _ in range(3):
+        assert tuple(ep.observe()) == OBSERVATION_FIELDS
+        ep.step(False)
 
 
 _DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")).env_params
