@@ -74,7 +74,6 @@ from .stats import (
     simpson_decomposition,
     spearman,
     temporal_split,
-    temporal_split_rho,
     transform_suite,
 )
 from .twosource import OBSERVATION_FIELDS, InvalidParams, TwoSourceEnv, TwoSourceParams, sample_states
@@ -347,24 +346,23 @@ def _provenance(config: RunConfig, input_digest: Optional[str]) -> Dict[str, Any
     }
 
 
-def _load_input(kind: str, load: Callable[[str], Any], path: str) -> Any:
-    """``load(path)``; a file that cannot be opened, or that the loader
-    refuses (any ValueError), is a ConfigError naming it, as a config
-    file is."""
+def _load_input(kind: str, load: Callable[[str], Any], path: str, config: RunConfig) -> Any:
+    """``load(path)``, refused with a ConfigError, as a config file is,
+    when it cannot be opened, the loader refuses it (any ValueError) or
+    its embedded config digest is not ``config``'s."""
     try:
-        return load(path)
+        loaded = load(path)
     except OSError as exc:
         raise ConfigError(f"{kind} {path}: cannot be read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # JSONDecodeError, GateError, DslError, a bad dataset line
         raise ConfigError(f"{kind} {path}: not a valid {kind} ({exc})") from exc
-
-
-def _check_input_digest(kind: str, embedded: Optional[str], config: RunConfig) -> None:
+    embedded = loaded.meta.get("config_digest")
     if embedded != config.digest():
         raise ConfigError(
             f"{kind} was produced under config digest {str(embedded)[:12]}..., "
             f"current config digest is {config.digest()[:12]}...; refusing to proceed"
         )
+    return loaded
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -421,8 +419,7 @@ def fit_dataset(
 
 
 def cmd_fit(config: RunConfig, dataset_path: str) -> str:
-    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
-    _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
+    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path, config)
     client = proposal_client(config.gate["llm_features"], os.path.join(config.output_dir, "proposal_cache"))
     model = fit_dataset(dataset, config.gate, client, config.seed)
     # Provenance last: its seed is the run's, not fit_gate's derived one.
@@ -433,8 +430,7 @@ def cmd_fit(config: RunConfig, dataset_path: str) -> str:
 
 
 def cmd_eval(config: RunConfig, model_path: str) -> Dict[str, str]:
-    model = _load_input("model", load_model_json, model_path)
-    _check_input_digest("model", model.meta.get("config_digest"), config)
+    model = _load_input("model", load_model_json, model_path, config)
     env = TwoSourceEnv(config.env_params)
     n_episodes = int(config.eval["n_episodes"])
     eval_seed = derive_seed(config.seed, "eval")
@@ -465,8 +461,7 @@ def cmd_stats(config: RunConfig, dataset_path: str) -> Dict[str, str]:
     """Correlation reports for a dataset. A dataset the stats layer
     refuses (negative signals, which the transforms refuse, say) is a
     ConfigError naming it, and nothing is written."""
-    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path)
-    _check_input_digest("dataset", dataset.meta.get("config_digest"), config)
+    dataset = _load_input("dataset", load_dataset_jsonl, dataset_path, config)
     try:
         payload, rows = _stats_tables(dataset, derive_seed(config.seed, "stats-boot"))
     except StatsError as exc:
@@ -494,8 +489,7 @@ def _stats_tables(dataset: LabeledDataset, boot_seed: int) -> Tuple[Dict[str, An
         temporal = {"skipped": str(exc)}
     else:
         temporal = {}
-        for tag, bucket in zip(("early", "late"), buckets):
-            xs, ys = [r.signal for r in bucket], [float(r.utility_label) for r in bucket]
+        for tag, (xs, ys) in zip(("early", "late"), buckets):
             temporal[tag] = spearman(xs, ys)
             rows.append(report_row(tag, temporal[tag], pearson(xs, ys)))
         temporal["delta"] = float(temporal["late"].rho - temporal["early"].rho)
@@ -595,9 +589,9 @@ def _verify_tables(config: RunConfig) -> Dict[str, List[Dict[str, Any]]]:
     temporal_rows = []
     for tag, point in (("drifting", drifting), ("stationary", stationary)):
         ds = _explore(config, point, 1.0, VERIFY_TEMPORAL_EPISODES, derive_seed(verify_seed, f"temporal-{tag}"))
-        early, late, delta = temporal_split_rho(ds.records)
+        early, late = (spearman(xs, ys) for xs, ys in temporal_split(ds.records))
         temporal_rows.append(
-            {"env": tag, "early_rho": early.rho, "late_rho": late.rho, "delta": delta,
+            {"env": tag, "early_rho": early.rho, "late_rho": late.rho, "delta": float(late.rho - early.rho),
              "n_early": early.n, "n_late": late.n}
         )
 

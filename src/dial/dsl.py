@@ -80,13 +80,6 @@ class CompiledExpr:
         return self.fn(namespace)
 
 
-def parse_expr(source: str) -> CompiledExpr:
-    """Parse and compile one expression, a row of one; raises DslError
-    on anything outside the whitelisted grammar."""
-    fn = parse_row([source], {}).fn
-    return CompiledExpr(source=source, fn=lambda ns: fn(ns)[0])
-
-
 def parse_row(sources: Sequence[str], bound: Mapping[str, Tuple[str, ...]]) -> CompiledExpr:
     """Parse and compile expressions into one function that returns the
     tuple of their values. It reads each name of ``bound`` once, as

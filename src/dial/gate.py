@@ -613,14 +613,13 @@ def fit_gate(
     cv_report: List[Dict[str, Any]] = []
     runs: List[SolverRun] = []  # every solver call of this fit
     chosen_c: Optional[float] = None
-    if regularizer == "mi_topk":
-        selected = set(mi_topk_select(Xs, y, retained, k=min(mi_k, len(retained)), bins=mi_bins))
-        keep = np.array([n in selected for n in retained])
+    if regularizer in ("none", "mi_topk"):  # one unpenalized fit: of every retained column, or of the MI top k
+        selected = set(retained if regularizer == "none"
+                       else mi_topk_select(Xs, y, retained, k=min(mi_k, len(retained)), bins=mi_bins))
+        keep = np.array([n in selected for n in retained], dtype=bool)
         w_sel, b = fit_sparse_logistic(Xs[:, keep], y, c=1.0, reg="none", runs=runs)
         weights = np.zeros(len(retained))
         weights[keep] = w_sel
-    elif regularizer == "none":
-        weights, b = fit_sparse_logistic(Xs, y, c=1.0, reg="none", runs=runs)
     else:
         chosen_c, cv_report = cross_validate_c(Xs, y, c_grid, folds, seed, reg=regularizer, runs=runs)
         path = _c_path(Xs, y, [c for c in c_grid if float(c) <= chosen_c], regularizer, runs)

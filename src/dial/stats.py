@@ -297,9 +297,10 @@ def transform_suite(sigma: Sequence[float], u: Sequence[float]) -> List[Dict[str
 # -- temporal and mixture structure ---------------------------------------------------
 
 
-def temporal_split(records: Iterable[Any]) -> Tuple[List[Any], List[Any]]:
-    """Early and late labeled records around the median step index of
-    the labeled records (early: step <= median)."""
+def temporal_split(records: Iterable[Any]) -> Tuple[Tuple[List[float], List[float]], ...]:
+    """The early and late buckets of the labeled records around their
+    median step index (early: step <= median), each as its signals and
+    its labels (as floats)."""
     labeled = [r for r in records if getattr(r, "utility_label", None) is not None]
     if not labeled:
         raise StatsError("no labeled records")
@@ -311,16 +312,7 @@ def temporal_split(records: Iterable[Any]) -> Tuple[List[Any], List[Any]]:
         raise StatsError(
             f"temporal split needs >= 3 labeled records per bucket, got {len(early)}/{len(late)}"
         )
-    return early, late
-
-
-def temporal_split_rho(records: Iterable[Any]) -> Tuple[CorrReport, CorrReport, float]:
-    """Early/late signal-label Spearman over ``temporal_split``, and the
-    late-minus-early difference."""
-    early, late = temporal_split(records)
-    early_report = spearman([r.signal for r in early], [r.utility_label for r in early])
-    late_report = spearman([r.signal for r in late], [r.utility_label for r in late])
-    return early_report, late_report, float(late_report.rho - early_report.rho)
+    return tuple(([r.signal for r in bucket], [float(r.utility_label) for r in bucket]) for bucket in (early, late))
 
 
 @dataclass(frozen=True)

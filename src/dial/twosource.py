@@ -49,7 +49,9 @@ Conventions (fixed for reproducibility):
     ``TwoSourceEnv.horizon`` reports; past step H - 1 an episode refuses
     to observe, step, fork or report its debug state (``EnvFault``).
   - a run of episodes (``TwoSourceEnv.episodes``) is one block: the
-    (N, H) columns of its N seeds, drawn and derived once. An episode
+    (N, H) columns of its N seeds, drawn and derived once, and each
+    arm's step reward (``reward``, ``triggered_reward``), from which
+    ``step`` and every fork family start. An episode
     reads row i of the block, as lists of Python scalars, at its step
     index, and each state's observation record, built from that row.
     ``start(i)`` builds them on first use and keeps them in a one-slot
@@ -100,8 +102,7 @@ class TwoSourceParams:
     fidelity_q: float = 1.0       # informativeness of the type proxy, in [0, 1]
     horizon: int = 10             # steps per episode
     base_reward: float = 1.0      # mean untriggered step reward
-    success_threshold: float = float("nan")  # default: horizon * base_reward
-    trigger_cost_units: float = 5.0          # cost added per trigger, base-step units
+    trigger_cost_units: float = 5.0  # cost added per trigger, base-step units
 
     def __post_init__(self) -> None:
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
@@ -115,7 +116,7 @@ class TwoSourceParams:
                 number = float(value)
             except OverflowError:
                 number = math.inf
-            if not (math.isfinite(number) or (f.name == "success_threshold" and math.isnan(number))):
+            if not math.isfinite(number):
                 raise InvalidParams(f"{f.name}: must be finite, got {value!r}")
         for name in ("alpha", "beta", "trigger_cost_units"):
             if not getattr(self, name) > 0:
@@ -127,8 +128,6 @@ class TwoSourceParams:
             raise InvalidParams(f"noise_sd: must be nonnegative, got {self.noise_sd!r}")
         for f in fields(self):  # Python scalars, so numpy-scalar params give the bits of float params
             object.__setattr__(self, f.name, (int if f.name == "horizon" else float)(getattr(self, f.name)))
-        if math.isnan(self.success_threshold):
-            object.__setattr__(self, "success_threshold", self.horizon * self.base_reward)
 
     def p_i(self, step_index: int | np.ndarray) -> float | np.ndarray:
         """Unsuitable-state probability at a step, elementwise over an
@@ -209,11 +208,7 @@ class TwoSourceEpisode:
     def step(self, triggered: bool) -> float:
         t = self._current()
         self._cursor = t + 1
-        # Triggered minus untriggered is exactly the true utility of state t.
-        reward = self.params.base_reward + self._cols["reward_noise"][t]
-        if triggered:
-            reward += self._cols["true_utility"][t]
-        return reward
+        return self._cols["triggered_reward" if triggered else "reward"][t]
 
     def fork(self, reseed: int, lookahead: int, *, triggered: bool, index: int = 0, count: int = 1) -> float:
         """Truncated return of sibling ``index`` of the ``count`` rollouts
@@ -229,10 +224,8 @@ class TwoSourceEpisode:
         key = (reseed, lookahead, count)
         if self._family is None or self._family[0] != key:  # a new family: every sibling of both arms at every state
             horizon, base = self.params.horizon, self.params.base_reward
-            snapshot = base + np.array(self._cols["reward_noise"])  # each sibling starts at its arm's snapshot reward
-            totals = np.empty((2, horizon, count))  # [arm][t][index], arm 1 triggered
-            totals[0] = snapshot[:, None]
-            totals[1] = (snapshot + np.array(self._cols["true_utility"]))[:, None]
+            totals = np.empty((2, horizon, count))  # [arm][t][index], arm 1 triggered; from its arm's step reward
+            totals[:] = np.array([self._cols["reward"], self._cols["triggered_reward"]])[:, :, None]
             ahead = min(lookahead, horizon - 1)
             if ahead:
                 z = stream(reseed).standard_normal(horizon * count * ahead).reshape(horizon, count, ahead)
@@ -256,7 +249,10 @@ class TwoSourceEpisodes:
             raise InvalidParams("params must be a TwoSourceParams instance")
         self.params = params
         steps = np.arange(params.horizon, dtype=np.int64)
-        self._block = _derive(params, *_draw(seeds, params.horizon), steps)
+        self._block = block = _derive(params, *_draw(seeds, params.horizon), steps)
+        # Each arm's step reward, once per run; triggered minus untriggered is exactly the true utility.
+        block["reward"] = params.base_reward + block["reward_noise"]
+        block["triggered_reward"] = block["reward"] + block["true_utility"]
         self._row: Optional[Tuple[int, Dict[str, list], List[Dict[str, float]]]] = None  # the last row started
 
     def start(self, i: int) -> TwoSourceEpisode:
@@ -290,7 +286,8 @@ class TwoSourceEnv:
         return TwoSourceEpisodes(self.params, seeds)
 
     def episode_success(self, episode_return: float) -> bool:
-        return episode_return >= self.params.success_threshold
+        """An episode succeeds when its return reaches ``horizon * base_reward``."""
+        return episode_return >= self.params.horizon * self.params.base_reward
 
     def trigger_cost_units(self) -> float:
         return self.params.trigger_cost_units

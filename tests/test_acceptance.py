@@ -33,7 +33,7 @@ from dial.stats import (
     quantile_normalize,
     simpson_decomposition,
     spearman,
-    temporal_split_rho,
+    temporal_split,
     transform_suite,
 )
 from dial.twosource import TwoSourceEnv, TwoSourceParams, sample_states
@@ -248,13 +248,15 @@ def test_c06_counterexample():
 def test_c07_temporal_drift():
     drifting = TwoSourceParams(p_i0=0.1, p_i_slope=0.08, noise_sd=0.35, fidelity_q=1.0, horizon=10)
     ds = run_exploration(TwoSourceEnv(drifting), eps=1.0, n_episodes=450, seed=107)
-    early, late, delta = temporal_split_rho(ds.records)
+    early, late = (spearman(xs, ys) for xs, ys in temporal_split(ds.records))
+    delta = late.rho - early.rho
     assert early.n >= 2000 and late.n >= 2000
     assert delta <= -0.1, (early.rho, late.rho)
 
     stationary = TwoSourceParams(p_i0=0.4, p_i_slope=0.0, noise_sd=0.35, fidelity_q=1.0, horizon=10)
     ds_control = run_exploration(TwoSourceEnv(stationary), eps=1.0, n_episodes=450, seed=108)
-    _, _, delta_control = temporal_split_rho(ds_control.records)
+    early_control, late_control = (spearman(xs, ys) for xs, ys in temporal_split(ds_control.records))
+    delta_control = late_control.rho - early_control.rho
     assert abs(delta_control) < 0.1
     _report(
         "C7 temporal drift",

@@ -12,12 +12,15 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dial.features
 from dial.cli import (
+    _DEFAULT_CONFIG,
+    _SECTION_KEYS,
     ConfigError,
     build_parser,
     cmd_eval,
@@ -36,7 +39,7 @@ from dial.explore import dataset_summary, load_dataset_jsonl, run_exploration
 from dial.features import HttpProposalClient, MockProposalClient, build_pool, summary_digest
 from dial.gate import load_model_json, model_from_dict, reverse_direction
 from dial.rng import derive_seed
-from dial.twosource import TwoSourceEnv
+from dial.twosource import TwoSourceEnv, TwoSourceParams
 from direction_experiments import explore_and_fit
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
@@ -133,6 +136,27 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, capsys, section, 
     assert not os.path.exists(tmp_path / "out")
 
 
+def _float_valued(section, key):
+    # A key of the config's key table whose value is a float, or a list of
+    # floats: a float TwoSourceParams field, or a key with such a default.
+    if section == "environment":
+        return {f.name: f.type for f in fields(TwoSourceParams)}[key] == "float"
+    default = _DEFAULT_CONFIG[section][key]
+    return all(isinstance(v, float) for v in default) if isinstance(default, list) else isinstance(default, float)
+
+
+# Every float-valued key written as each non-finite literal Python's JSON
+# reader accepts (NaN, Infinity, -Infinity).
+_NON_FINITE = [
+    ({section: {key: [value] if isinstance(_DEFAULT_CONFIG.get(section, {}).get(key), list) else value}},
+     f"{section}.{key}", f"{section}.{key}={literal}")
+    for section in sorted(_SECTION_KEYS)
+    for key in sorted(_SECTION_KEYS[section])
+    if _float_valued(section, key)
+    for literal, value in (("NaN", float("nan")), ("Infinity", float("inf")), ("-Infinity", float("-inf")))
+]
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -156,17 +180,19 @@ def test_fit_and_eval_settings_validated_before_work(tmp_path, capsys, section, 
         ({"output_dir": None}, "output_dir"),
         ({"output_dir": ""}, "output_dir"),
         ({"output_dir": 7}, "output_dir"),
-    ],
+    ] + [(overrides, key) for overrides, key, _ in _NON_FINITE],
     ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "c-grid-inf", "c-grid-huge",
          "folds-null", "n-bool", "seed-text", "env-reward-text", "env-slope-text", "env-noise-nan",
          "env-alpha-text", "env-bool", "c-grid-duplicate", "c-grid-duplicate-int", "output-dir-null",
-         "output-dir-empty", "output-dir-number"],
+         "output-dir-empty", "output-dir-number"] + [case_id for _, _, case_id in _NON_FINITE],
 )
 def test_ill_typed_settings_are_refused_by_name(tmp_path, overrides, key):
-    # Neither truncated to an integer nor left to fail as a bare error.
+    # Neither truncated to an integer nor left to fail as a bare error; a
+    # non-finite float never stands for a default.
     config_path = write_config(tmp_path / "config.json", **overrides)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         load_config(config_path)
+
 
 
 @pytest.mark.parametrize(
@@ -552,6 +578,20 @@ def test_sweep_axis(tmp_path):
     elsewhere = load_config(config_path, out_override=str(tmp_path / "elsewhere"))
     other_dir = os.path.dirname(cmd_sweep(elsewhere, "environment.p_i0=0.2,0.8"))
     assert _tree_bytes(other_dir) == _tree_bytes(sweep_dir)
+
+
+def test_a_sweep_runs_config_json_replays_that_run(tmp_path):
+    # The config.json a sweep writes for a run loads again, to that run's
+    # digest, and an explore of it writes that run's dataset bytes.
+    config = load_config(str(DEMO_CONFIG), out_override=str(tmp_path / "sweep"))
+    sweep_dir = os.path.dirname(cmd_sweep(config, "exploration.eps=0.25"))
+    [run_config] = glob.glob(os.path.join(sweep_dir, "*", "config.json"))
+    [dataset_path] = glob.glob(os.path.join(os.path.dirname(run_config), "dataset-*.jsonl"))
+    replay = load_config(run_config, out_override=str(tmp_path / "replay"))
+    assert replay.digest() == load_dataset_jsonl(dataset_path).meta["config_digest"]
+    assert os.path.basename(dataset_path) == f"dataset-{replay.short_digest()}.jsonl"
+    with open(cmd_explore(replay), "rb") as replayed, open(dataset_path, "rb") as original:
+        assert replayed.read() == original.read()
 
 
 def _tree_bytes(root):

@@ -10,7 +10,7 @@ import urllib.error
 import numpy as np
 import pytest
 
-from dial.dsl import DslError, parse_expr
+from dial.dsl import DslError, parse_row
 from dial.features import (
     FeatureError,
     FeatureSpec,
@@ -68,8 +68,8 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     obs = {"step_count": np.int64(3), "signal": np.float32(0.5), "type_proxy": np.bool_(True),
            "num_options": np.uint8(4), "is_finish": np.bool_(False), "note": np.str_("7")}
     assert _universal(obs) == [3.0, 0.5, 1.0, 4.0, 0.0]
-    assert parse_expr("step_count * 2 + type_proxy")(obs) == 7.0
-    assert parse_expr("note + 1")(obs) == 1.0
+    assert parse_row(["step_count * 2 + type_proxy"], {})(obs)[0] == 7.0
+    assert parse_row(["note + 1"], {})(obs)[0] == 1.0
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
     pool = build_pool(MockProposalClient().propose({}))
     row = compile_features(pool)
@@ -96,7 +96,7 @@ _READS = {"f": 0.25, "i": 3, "i64": np.int64(-2), "f32": np.float32(0.5), "f64":
     ],
 )
 def test_every_expression_value_is_a_python_float(expr, expected):
-    value = parse_expr(expr)(_READS)
+    value = parse_row([expr], {})(_READS)[0]
     assert type(value) is float and value == expected
 
 
@@ -129,24 +129,24 @@ def test_extraction_is_pure():
 
 
 def test_dsl_clamp_endpoint():
-    expr = parse_expr("clamp(5, 0, 1)")
-    assert expr({}) == 1.0
+    expr = parse_row(["clamp(5, 0, 1)"], {})
+    assert expr({})[0] == 1.0
 
 
 def test_dsl_comparison_is_indicator():
-    expr = parse_expr("signal > 0.5")
-    assert expr({"signal": 0.7}) == 1.0
-    assert expr({"signal": 0.5}) == 0.0
+    expr = parse_row(["signal > 0.5"], {})
+    assert expr({"signal": 0.7})[0] == 1.0
+    assert expr({"signal": 0.5})[0] == 0.0
 
 
 def test_dsl_division_by_zero_flagged_as_zero():
-    compiled = parse_expr("signal / step_count")
-    assert compiled({"signal": 1.0, "step_count": 0.0}) == 0.0
+    compiled = parse_row(["signal / step_count"], {})
+    assert compiled({"signal": 1.0, "step_count": 0.0})[0] == 0.0
 
 
 def test_dsl_missing_field_defaults_to_zero():
-    compiled = parse_expr("unknown_field + 1")
-    assert compiled({}) == 1.0
+    compiled = parse_row(["unknown_field + 1"], {})
+    assert compiled({})[0] == 1.0
 
 
 # One namespace for the whole table: numbers, text, a bool and a None,
@@ -199,7 +199,7 @@ DSL_TABLE = [
 
 @pytest.mark.parametrize("source, expected", DSL_TABLE)
 def test_dsl_evaluation_table(source, expected):
-    value = parse_expr(source)(dict(DSL_NS))
+    value = parse_row([source], {})(dict(DSL_NS))[0]
     assert type(value) is float and value == expected
 
 
@@ -214,7 +214,7 @@ def test_a_compiled_row_gives_the_bits_of_each_expression():
     sources = [source for source, _ in DSL_TABLE]
     values = _row_of(sources)(dict(DSL_NS))
     assert type(values) is tuple and all(type(v) is float for v in values)
-    assert [v.hex() for v in values] == [parse_expr(source)(dict(DSL_NS)).hex() for source in sources]
+    assert [v.hex() for v in values] == [parse_row([source], {})(dict(DSL_NS))[0].hex() for source in sources]
 
 
 # The universal features and their aliases, in pool order, as the gate
@@ -235,7 +235,7 @@ def _per_expression(obs):
     for name, keys in _ALIAS_RULE.items():
         numbers = [obs[k] for k in keys if isinstance(obs.get(k), (float, int, np.number, np.bool_))]
         namespace[name] = float(numbers[0]) if numbers else 0.0
-    return [namespace[name] for name in _ALIAS_RULE] + [parse_expr(source)(namespace) for source in _ROW_SOURCES]
+    return [namespace[name] for name in _ALIAS_RULE] + [parse_row([s], {})(namespace)[0] for s in _ROW_SOURCES]
 
 
 @pytest.mark.parametrize(
@@ -304,14 +304,14 @@ DSL_REJECTED = {
 @pytest.mark.parametrize("bad", list(DSL_REJECTED))
 def test_dsl_rejects_out_of_language_constructs(bad):
     with pytest.raises(DslError) as excinfo:
-        parse_expr(bad)
+        parse_row([bad], {})
     assert str(excinfo.value).endswith(DSL_REJECTED[bad])
 
 
 def test_dsl_deterministic():
-    compiled = parse_expr("max(signal, 0.2) * min(step_count, 3) - abs(0 - 1)")
+    compiled = parse_row(["max(signal, 0.2) * min(step_count, 3) - abs(0 - 1)"], {})
     ns = {"signal": 0.6, "step_count": 5}
-    assert compiled(ns) == compiled(ns) == 0.6 * 3 - 1
+    assert compiled(ns)[0] == compiled(ns)[0] == 0.6 * 3 - 1
 
 
 # -- pool assembly -------------------------------------------------------------
@@ -723,9 +723,9 @@ def test_proposal_mode_unknown_is_refused(no_network, tmp_path, mode):
 
 
 def test_dsl_nested_calls():
-    expr = parse_expr("clamp(max(abs(x), 1) + 0.5, 0, 2)")
-    assert expr({"x": -3.0}) == 2.0
-    assert expr({"x": 0.2}) == 1.5
+    expr = parse_row(["clamp(max(abs(x), 1) + 0.5, 0, 2)"], {})
+    assert expr({"x": -3.0})[0] == 2.0
+    assert expr({"x": 0.2})[0] == 1.5
 
 
 def test_default_exploration_constants():

@@ -28,7 +28,7 @@ from dial.stats import (
     report_row,
     simpson_decomposition,
     spearman,
-    temporal_split_rho,
+    temporal_split,
     transform_suite,
 )
 from dial.twosource import TwoSourceParams, sample_states
@@ -347,14 +347,17 @@ def _record(step, signal, label):
 def test_temporal_split_errors_on_single_step_episodes():
     records = [_record(0, 0.1 * i, i % 2) for i in range(10)]
     with pytest.raises(StatsError):
-        temporal_split_rho(records)
+        temporal_split(records)
 
 
 def test_temporal_split_buckets_by_median():
     records = [_record(t, 0.1 * t + 0.01 * (t % 3), (t + i) % 2) for t in range(10) for i in range(4)]
-    early, late, delta = temporal_split_rho(records)
-    assert early.n == 20 and late.n == 20  # steps 0-4 vs 5-9 (median 4.5)
-    assert delta == pytest.approx(late.rho - early.rho)
+    early, late = temporal_split(records)
+    for bucket, steps in ((early, range(5)), (late, range(5, 10))):  # steps 0-4 vs 5-9 (median 4.5)
+        expected = [r for r in records if r.step_index in steps]
+        assert len(expected) == 20
+        assert bucket == ([r.signal for r in expected], [float(r.utility_label) for r in expected])
+        assert all(type(label) is float for label in bucket[1])
 
 
 def test_predicted_rho_values():

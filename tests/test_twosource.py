@@ -15,6 +15,7 @@ from dial.envs import EnvFault
 from dial.explore import estimate_utility_paired
 from dial.rng import derive_seed, stream
 from dial.stats import spearman
+from dial import twosource
 from dial.twosource import (
     OBSERVATION_FIELDS,
     TYPE_D,
@@ -84,13 +85,13 @@ def test_non_integer_horizon_rejected(horizon):
         ({"alpha": "x"}, "alpha: must be a real number"),
         ({"fidelity_q": True}, "fidelity_q: must be a real number"),
         ({"noise_sd": float("nan")}, "noise_sd: must be finite"),
-        ({"success_threshold": float("inf")}, "success_threshold: must be finite"),
+        ({"trigger_cost_units": float("inf")}, "trigger_cost_units: must be finite"),
         ({"alpha": 10**400}, "alpha: must be finite"),
         ({"base_reward": np.float32("inf")}, "base_reward: must be finite"),
         ({"noise_sd": np.float16("inf")}, "noise_sd: must be finite"),
         ({"beta": 0.0}, "beta: must be positive"),
     ],
-    ids=["reward-text", "slope-text", "alpha-text", "bool", "nan", "inf-threshold", "past-float-range",
+    ids=["reward-text", "slope-text", "alpha-text", "bool", "nan", "inf-cost", "past-float-range",
          "float32-inf", "float16-inf", "beta-zero"],
 )
 def test_ill_typed_params_refused_by_name(kwargs, message):
@@ -101,7 +102,8 @@ def test_ill_typed_params_refused_by_name(kwargs, message):
 
 def test_numpy_float_params_build():
     params = TwoSourceParams(base_reward=np.float32(0.5), horizon=np.int64(4))
-    assert params.base_reward == 0.5 and params.success_threshold == 2.0
+    env = TwoSourceEnv(params)
+    assert params.base_reward == 0.5 and env.episode_success(2.0) and not env.episode_success(math.nextafter(2.0, 0))
 
 
 # A lookahead past every horizon in this module: the fork clips it at the
@@ -206,13 +208,11 @@ def test_each_observation_is_a_new_dict():
     assert ep.observe() == twin.observe() and ep.observe() is not twin.observe()
 
 
-def _arms(params, seed, **state):
+def _arms(params, seed):
     # Per step of the episode with this seed: the triggered and the
     # untriggered reward of the state (a fork of lookahead 0 returns the
-    # triggered one) and the state's debug record. ``state`` overrides
-    # the first state's columns.
+    # triggered one) and the state's debug record.
     ep = _episode(params, seed)
-    ep._cols = {name: [state.get(name, column[0])] + column[1:] for name, column in ep._cols.items()}
     arms = []
     for _ in range(params.horizon):
         debug = ep.debug_state()
@@ -234,10 +234,20 @@ def test_step_return_difference_is_utility_type_i():
         assert triggered - untriggered == pytest.approx(debug["true_utility"])
 
 
-def test_zero_signal_zero_noise_arms_equal():
+def test_zero_signal_zero_noise_arms_equal(monkeypatch):
+    # The first state's signal and type uniforms drawn as 0.0: an
+    # unsuitable state of signal 0, so of utility 0 with no noise.
+    draw = twosource._draw
+
+    def zero_first_state(seeds, n):
+        z, u = draw(seeds, n)
+        u[:, [0, n]] = 0.0
+        return z, u
+
+    monkeypatch.setattr(twosource, "_draw", zero_first_state)
     params = TwoSourceParams(noise_sd=0.0)
-    triggered, untriggered, debug = _arms(params, seed=14, is_type_d=False, signal=0.0, true_utility=0.0)[0]
-    assert debug["true_utility"] == 0.0
+    triggered, untriggered, debug = _arms(params, seed=14)[0]
+    assert debug == {"latent_type": TYPE_I, "true_utility": 0.0}
     assert triggered == untriggered == params.base_reward
 
 
@@ -253,12 +263,15 @@ def test_reward_noise_shared_between_arms():
 def test_snapshot_returns_differ_by_the_true_utility():
     # At lookahead 0 a fork's return is the snapshot step alone, so the
     # two arms differ by the state's utility, noise and all.
+    # Each is exactly what ``step`` returns for its arm: both read the
+    # run's reward columns.
     params = TwoSourceParams(noise_sd=0.3, p_i_slope=0.05)
-    ep = _episode(params, seed=16)
+    run = TwoSourceEnv(params).episodes([16])
+    ep, twin = run.start(0), run.start(0)
     for _ in range(params.horizon):
         triggered, untriggered = (ep.fork(reseed=7, lookahead=0, triggered=arm) for arm in (True, False))
         assert triggered - untriggered == pytest.approx(ep.debug_state()["true_utility"], abs=1e-12)
-        ep.step(False)
+        assert (triggered, untriggered) == (twin.step(True), ep.step(False))
 
 
 def test_pure_type_extremes_have_exact_rank_correlation():
@@ -320,10 +333,10 @@ def test_episodes_built_on_one_seed_share_one_draw():
     second = run.start(0)
     assert second._cols is first._cols  # the second episode builds nothing
     assert second.observe()["step_count"] == 0.0  # but keeps a cursor of its own
-    expected = sample_states(params, params.horizon, 4)
-    assert second._cols.keys() == expected.keys()
-    for name, column in expected.items():
-        assert second._cols[name] == column.tolist()
+    expected = {name: column.tolist() for name, column in sample_states(params, params.horizon, 4).items()}
+    expected["reward"] = [params.base_reward + z for z in expected["reward_noise"]]
+    expected["triggered_reward"] = [r + u for r, u in zip(expected["reward"], expected["true_utility"])]
+    assert second._cols == expected
     other = run.start(1)
     assert other._cols != first._cols
     again = run.start(0)  # one slot: row 1 evicted row 0, so this is a fresh build
@@ -368,11 +381,12 @@ def test_stepping_past_horizon_raises():
             call()
 
 
-def test_success_threshold_defaults_to_base_return():
-    params = TwoSourceParams(horizon=10, base_reward=1.0)
-    assert params.success_threshold == pytest.approx(10.0)
-    env = TwoSourceEnv(params)
-    assert env.episode_success(10.0) and not env.episode_success(9.99)
+def test_an_episode_succeeds_when_its_return_reaches_horizon_times_base_reward():
+    # A return of exactly horizon * base_reward succeeds; one a ulp below fails.
+    for horizon, base_reward in ((10, 1.0), (7, 0.3)):
+        env = TwoSourceEnv(TwoSourceParams(horizon=horizon, base_reward=base_reward))
+        threshold = horizon * base_reward
+        assert env.episode_success(threshold) and not env.episode_success(math.nextafter(threshold, -math.inf))
 
 
 def test_base_only_success_rate_is_interior_with_noise():
@@ -422,6 +436,7 @@ def test_episode_rows_equal_sample_states_bit_for_bit(params, seed):
 _COLUMN_TYPES = {
     "step_index": int, "is_type_d": bool, "signal": float, "type_proxy": int,
     "num_options": int, "true_utility": float, "reward_noise": float, "is_finish": bool,
+    "reward": float, "triggered_reward": float,
 }
 
 
@@ -429,16 +444,19 @@ _COLUMN_TYPES = {
 def test_episode_columns_carry_python_scalars_equal_to_sample_states(params):
     # An episode's cached columns hold Python scalars (never numpy
     # scalars) with the values sample_states draws for the same seed and
-    # positions, and every observation value is a Python float.
+    # positions, each arm's reward besides, and every observation value
+    # is a Python float.
     run = TwoSourceEnv(params).episodes([23])
     ep = run.start(0)
     columns, observations = ep._cols, ep._observations
-    states = sample_states(params, params.horizon, 23)
+    states = {name: column.tolist() for name, column in sample_states(params, params.horizon, 23).items()}
+    states["reward"] = [params.base_reward + z for z in states["reward_noise"]]
+    states["triggered_reward"] = [r + u for r, u in zip(states["reward"], states["true_utility"])]
     assert columns.keys() == states.keys() == _COLUMN_TYPES.keys()
     for name, column in columns.items():
         assert isinstance(column, list) and len(column) == params.horizon
         assert {type(v) for v in column} == {_COLUMN_TYPES[name]}
-        assert column == states[name].tolist()
+        assert column == states[name]
     ep = run.start(0)
     assert ep._cols is columns and ep._observations is observations
     for _ in range(params.horizon):
@@ -472,6 +490,8 @@ def test_a_run_is_one_block_of_the_per_seed_states(params):
     assert {column.shape for column in run._block.values()} == {(len(seeds), params.horizon)}
     for i, seed in enumerate(seeds):
         states = sample_states(params, params.horizon, seed)
+        states["reward"] = params.base_reward + states["reward_noise"]
+        states["triggered_reward"] = states["reward"] + states["true_utility"]
         assert run._block.keys() == states.keys()
         for name, column in states.items():
             assert run._block[name][i].dtype == column.dtype and run._block[name][i].tobytes() == column.tobytes()
