@@ -57,7 +57,8 @@ class Episode(Protocol):
         ...
 
     def debug_state(self) -> Optional[Dict[str, Any]]:
-        """Hidden per-step diagnostics (simulators only), or None."""
+        """Hidden per-step diagnostics (simulators only), or None:
+        ``latent_type`` ("I" or "D") and ``true_utility`` (a finite float)."""
         ...
 
 

@@ -53,9 +53,18 @@ class StepRecord:
             raise ValueError(f"utility_label must be binary, got {self.utility_label!r}")
         if not isinstance(self.obs, dict):
             raise ValueError(f"obs must be an object, got {self.obs!r}")
-        signal = self.signal  # finite: not NaN (fails every comparison), infinite or past float range
-        if isinstance(signal, bool) or not (isinstance(signal, (int, float)) and abs(signal) <= sys.float_info.max):
-            raise ValueError(f"signal must be a finite number, got {signal!r}")
+        if not _finite_number(self.signal):
+            raise ValueError(f"signal must be a finite number, got {self.signal!r}")
+        if self.latent_type_debug not in (None, "I", "D"):
+            raise ValueError(f'latent_type_debug must be "I", "D" or null, got {self.latent_type_debug!r}')
+        if self.true_utility_debug is not None and not _finite_number(self.true_utility_debug):
+            raise ValueError(f"true_utility_debug must be a finite number or null, got {self.true_utility_debug!r}")
+
+
+def _finite_number(value: Any) -> bool:
+    """An int or float (a bool is neither) that is finite: not NaN (which
+    fails every comparison), infinite or past float range."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass

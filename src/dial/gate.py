@@ -49,6 +49,7 @@ DEFAULT_MI_BINS = 10
 
 SOLVER_TOL = 1e-9
 SOLVER_MAX_ITER = 10_000
+SPAN_TOL = 1e-8  # the relative least-squares residual at or under which a column is dropped
 
 REGULARIZERS = ("l1", "l2", "none", "elastic_net", "mi_topk")
 
@@ -113,18 +114,27 @@ def _check_distinct(names: Sequence[str]) -> None:
 
 
 def _dropped_columns(X: np.ndarray, means: np.ndarray, sds: np.ndarray, names: Sequence[str]) -> Dict[str, str]:
-    """Why a gate drops each column it does not read: zero variance, or
-    standardized values bit-equal to an earlier read column's (with both,
-    the l1 optimum would not be unique)."""
+    """Why a gate drops each column it does not read. In pool order, a
+    column is dropped when its centered values lie in the span of the bias
+    and the read columns before it: its least-squares residual is at most
+    SPAN_TOL of its norm. So [X 1] over the read columns has full column
+    rank, and the fit's optimum is unique. The reason names the read
+    columns the span takes: none ("zero variance"), one ("duplicate of a")
+    or several ("in the span of a, b")."""
     dropped: Dict[str, str] = {}
-    first: Dict[bytes, str] = {}  # the first name read with each standardized column
+    read: List[int] = []
     for j, name in enumerate(names):
-        if sds[j] == 0.0:
-            dropped[name] = "zero variance"
+        centered = X[:, j] - means[j]
+        basis = np.column_stack([np.ones(len(X)), (X[:, read] - means[read]) / sds[read]])
+        coef = np.linalg.lstsq(basis, centered, rcond=None)[0]
+        tol = SPAN_TOL * np.linalg.norm(centered)
+        if np.linalg.norm(centered - basis @ coef) > tol:
+            read.append(j)
             continue
-        twin = first.setdefault(((X[:, j] - means[j]) / sds[j]).tobytes(), name)
-        if twin != name:
-            dropped[name] = f"duplicate of {twin}"
+        parts = np.linalg.norm(basis[:, 1:] * coef[1:], axis=0)  # each read column's share of the span
+        spanning = [names[k] for k, part in zip(read, parts) if part > tol]
+        dropped[name] = ("zero variance" if not spanning else f"duplicate of {spanning[0]}" if len(spanning) == 1
+                         else "in the span of " + ", ".join(spanning))
     return dropped
 
 
@@ -176,18 +186,6 @@ def _kkt_violation(grad: np.ndarray, w: np.ndarray, lam1: float) -> float:
     return max(float(dist.max(initial=0.0)), abs(float(grad[-1])))
 
 
-def _solve_active(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The least-norm solution of ``system @ x = rhs`` for a symmetric
-    positive semidefinite system, from its eigendecomposition: an
-    eigenvalue below eps*size times the largest counts as zero. So
-    dependent columns (a warm start made them active) get no component
-    along their null direction, which an LU solve of the nearly singular
-    system fills with rounding of any size."""
-    values, vectors = np.linalg.eigh(system)
-    keep = values > np.finfo(float).eps * values.size * values[-1]
-    return vectors[:, keep] @ ((vectors[:, keep].T @ rhs) / values[keep])
-
-
 def _solve_subproblem(
     gram: np.ndarray, target: np.ndarray, v: np.ndarray, lam1: float
 ) -> Tuple[np.ndarray, int]:
@@ -199,11 +197,8 @@ def _solve_subproblem(
     bordered system on the active set, moves to the lowest-objective point
     among its solution and the sign crossings on the way there, and, once
     the signs hold, activates the inactive coordinate that most violates
-    |grad| <= lam1. A column that depends linearly on active ones has a
-    zero gradient, so it is never activated; only a start nonzero on
-    dependent columns, an all-zero one say, gives a singular system, whose
-    least-norm solve zeroes an all-zero column (see ``_solve_active``).
-    Returns the solution and the number of solves.
+    |grad| <= lam1. Each system is nonsingular when [X 1] has full column
+    rank. Returns the solution and the number of solves.
     """
     d = v.size - 1
     v = v.copy()
@@ -214,7 +209,7 @@ def _solve_subproblem(
     for solves in range(1, 4 * (d + 1) + 1):  # finite in exact arithmetic; a guard against rounding
         idx = np.flatnonzero(active)
         system = gram[idx][:, idx]
-        x = _solve_active(system, target[idx] - lam1 * theta[idx])
+        x = np.linalg.solve(system, target[idx] - lam1 * theta[idx])
         cur = v[idx]
         cross = np.flatnonzero(cur * x < 0.0) if lam1 > 0.0 else ()
         if len(cross):
@@ -266,11 +261,12 @@ def fit_sparse_logistic(
     SOLVER_TOL; Friedman, Hastie & Tibshirani, JSS 2010), when no step
     improves the objective, or after SOLVER_MAX_ITER (read at call time)
     outer iterations, which is logged. Deterministic for fixed inputs,
-    ``warm_start`` included. The problem is convex, so a warm start
-    changes the path but not the optimal objective value. The minimizer
-    is unique for l2 and elastic_net; for l1 and none it need not be, and
-    separable data has no finite minimizer at all. The call's
-    ``SolverRun`` is appended to ``runs`` when one is given.
+    ``warm_start`` included. ``[X 1]`` must have full column rank, as
+    ``fit_gate``'s column rule ensures: the objective is then strictly
+    convex, so its minimizer is unique and a warm start changes the path
+    but not the result; separable data still has no finite minimizer
+    without a penalty. The call's ``SolverRun`` is appended to ``runs``
+    when one is given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -504,6 +500,8 @@ class GateModel:
             object.__setattr__(self, name, values)
         if not 0.0 < self.tau < 1.0:
             raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
+        if self.regularizer not in REGULARIZERS:  # a model JSON may hold any value
+            raise GateError(f"unknown regularizer {self.regularizer!r}")
         if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
             raise GateError("model misaligned: feature specs, standardizer means, sds and weights differ in length")
         _check_distinct(self.feature_names)  # a model JSON may name a feature twice
@@ -581,8 +579,9 @@ def fit_gate(
     """Standardize, select C by CV, fit, and package the deployable gate.
 
     A feature name given twice is refused before any solve. A column the
-    gate does not read (zero variance, or a duplicate) is left out of the
-    model and named in ``meta["dropped"]`` with why.
+    gate does not read (in the span of the bias and the read columns
+    before it, see ``_dropped_columns``) is left out of the model and
+    named in ``meta["dropped"]`` with why.
     ``tau`` is the decision threshold, a probability (default 0.5).
     ``regularizer`` accepts the ablation family: l1, l2, none,
     elastic_net, mi_topk. ``meta["solver"]`` records how the solver

@@ -376,9 +376,9 @@ def test_c11_statistics_oracles():
 # updates it here and says why.
 C12_GOLDEN_SHA256 = {
     "dataset-9a69751b.jsonl": "8e9def70bcf8e69c8423c4b25d7e447ab7c91ea3ee800fa61d4d06c6f05fe4f9",
-    "eval-9a69751b.json": "21ef9f6a92b71f74cbe2e4eb1f79ed0d7687b3b389c82158f624d9669186a27a",
+    "eval-9a69751b.json": "929dda281894191e4ebc8242cccf5e621e12405c7e1b3c4624077ad7914a9090",
     "eval_summary-9a69751b.csv": "763561f745140aa464bb6c72affb9b884c152feaf7ff2b3c1a267b53f2cd097d",
-    "model-9a69751b.json": "33712e48e4be388e67283e10b11a3b17e114ca48195093643319df09f97c45a7",
+    "model-9a69751b.json": "da1b9b2967dce0f26a69b849dfa1f1c3d076da02e9e963019cfaab848a55e7fe",
     "stats-9a69751b.json": "b580c5b6c00f0902174421495459d415e5478f55178ee54759901835258b7712",
     "stats_cells-9a69751b.csv": "e71e0f02eb0db79489815255e36e3d986ded7380c47dc300c5573b9b36fea6bc",
     "trigger_profile-9a69751b.csv": "346dafbec72ce4fe36d7fbc22dd764b82a28564b7c98d5a57f619db0180426a3",
@@ -432,9 +432,9 @@ def test_c12_pipeline_reproducibility(tmp_path):
 # a change that alters one on purpose updates it here and says why.
 DEMO_GOLDEN_SHA256 = {
     "42/dataset-2559fb27.jsonl": "d8a1eea970c7d9c1f80cbad60ad1ada42780ae6abe52d606aaf05134c25b367a",
-    "42/eval-2559fb27.json": "02dd3df47ac488008c2f90eff257db274f10dd3cca2bec71b1414d78286fd22d",
+    "42/eval-2559fb27.json": "8e09cb64035b8268ae1cc36f7687d3d1c37c2c01a5807b7cb3297f2312f6d8ba",
     "42/eval_summary-2559fb27.csv": "51023362819b4ae2c0a52806d6e1a01b260ecd094fbbad0c5da7defde93919ae",
-    "42/model-2559fb27.json": "b2c34998cd5d3e1c769455027c374e52747a44c4875a893dda0c1df25188c06e",
+    "42/model-2559fb27.json": "839d05155421901df41cd0f9c38abb9404a003061775243b843f70c8bbc01a76",
     "42/stats-2559fb27.json": "a99d2d27c6212faca4d89967bf9bbd1d70140a0ccc2deb19034ffd7b4e6db916",
     "42/stats_cells-2559fb27.csv": "58bfafe263a88a08e0727a87b71651d90e84023ae0fc12800af3ca826989f5f5",
     "42/trigger_profile-2559fb27.csv": "7e9d00fb72719800eed2d88ebd4bb1add9307a36247518d60e3b1d54f459ec6a",
@@ -445,9 +445,9 @@ DEMO_GOLDEN_SHA256 = {
     "42/verify_temporal-2559fb27.csv": "271edc49d6e2ebcd25c3b12042d3ac9fda9b143dec80f27c0591fa79e5b94b2b",
     "42/verify_transforms-2559fb27.csv": "83ce4e31808a33e952694ac9f4c1dd9867158ade7a9934c6763c8e6851939eb6",
     "7/dataset-fe61dee7.jsonl": "55842e59d91f4fef6048966bd68f3f3071f742bc94d9717cbaf688faf499f0d5",
-    "7/eval-fe61dee7.json": "6145f845755a7982505c9ae8d7f1d2487916e15b163367ac8c575fa97b795865",
+    "7/eval-fe61dee7.json": "36c794829384b71aee3204465656fcb02b281351665f9f2e7337029984f16c6f",
     "7/eval_summary-fe61dee7.csv": "20b49e5306556d8f99832116073e1bea1ae171ff165f4fefffd641c37f45dec2",
-    "7/model-fe61dee7.json": "f6b4eca67ebaa825e2e422f6e81fc0a4f8502f2a5c0c29cff551f9ed2e0400f0",
+    "7/model-fe61dee7.json": "c0ebf532fcae1d25257512d741067409bd9cbf7dabd08f1bb7cbf7e3b47b542f",
     "7/stats-fe61dee7.json": "050821920ebddb0f68125c7232e01c37e91197b530e3aafd00a902f500d54088",
     "7/stats_cells-fe61dee7.csv": "c7369442853623359d32e75d2ff502d245d66d8f5bbaf908c053640a38d2c4bf",
     "7/trigger_profile-fe61dee7.csv": "a8e0d4a0edc858220f90c641f6f5bfdafa25e5634749f14cc25e486852da939a",
@@ -458,9 +458,9 @@ DEMO_GOLDEN_SHA256 = {
     "7/verify_temporal-fe61dee7.csv": "a9d219a81e2d59649414de040f43d767d61614e51c4f04c82ac6d8ed02cef2fa",
     "7/verify_transforms-fe61dee7.csv": "9b25d874a7d7a8c4889565ed32e794fe988619158f117d9475e9304e5f8082f0",
     "201/dataset-8d270fc8.jsonl": "7d3629100ac78107142b11eafb698b80bee13759c3852924835b0dbcfa2cac04",
-    "201/eval-8d270fc8.json": "1170679079d7ed8c8a2fbae8677268971677003288b4b05627e532a58ff5ab87",
+    "201/eval-8d270fc8.json": "ee357a3f05e8a53168de8dd02f0d534ada87cac549c4768c1129eb334331e107",
     "201/eval_summary-8d270fc8.csv": "dbabfd5a3091375379328dd77ac88e084368a796a6982ad3a9e0957de9ee146b",
-    "201/model-8d270fc8.json": "713c0fb3bfa865d779f1a47e385ad3455b38b1c37bd53d39b2f2f8ef2d3d67dd",
+    "201/model-8d270fc8.json": "d295fa2bad1ff0be8ea453c1415df4e9d8aa8da0abea0e69a433693644c79f8d",
     "201/stats-8d270fc8.json": "4a626bc8ad88cc1c4fd9e6c10c7b7b15c430b968bec83e08ddc19c203762dffb",
     "201/stats_cells-8d270fc8.csv": "a57da0e2ee31f15a990f1f1c87c88b2265d3a942f2ffc55b027471ea2f0ee20e",
     "201/trigger_profile-8d270fc8.csv": "6301de72f624fe44fbad04659ef4a9343414233b47812a0b0e8a5fa9657a4654",

@@ -672,11 +672,25 @@ def test_loader_refuses_a_bad_header_at_line_1(tmp_path, header):
         (lambda row: json.dumps({**row, "episode_id": -1}), r"line 3: episode_id must be a non-negative integer, got -1$"),
         (lambda row: json.dumps({**row, "step_index": 2.5}), r"line 3: step_index must be a non-negative integer, got 2.5$"),
         (lambda row: json.dumps({**row, "step_index": True}), r"line 3: step_index must be a non-negative integer, got True$"),
+        (lambda row: json.dumps({**row, "latent_type_debug": 5}),
+         r'line 3: latent_type_debug must be "I", "D" or null, got 5$'),
+        (lambda row: json.dumps({**row, "latent_type_debug": "d"}),
+         r'line 3: latent_type_debug must be "I", "D" or null, got \'d\'$'),
+        (lambda row: json.dumps({**row, "true_utility_debug": "x"}),
+         r"line 3: true_utility_debug must be a finite number or null, got 'x'$"),
+        (lambda row: json.dumps({**row, "true_utility_debug": True}),
+         r"line 3: true_utility_debug must be a finite number or null, got True$"),
+        (lambda row: json.dumps({**row, "true_utility_debug": float("nan")}),
+         r"line 3: true_utility_debug must be a finite number or null, got nan$"),
+        (lambda row: json.dumps({**row, "true_utility_debug": 10**400}),
+         r"line 3: true_utility_debug must be a finite number or null, got 1000"),
     ],
     ids=["bad-json", "no-signal", "label-two", "not-an-object", "signal-text", "signal-bool",
          "signal-nan", "signal-huge", "obs-null", "obs-list", "obs-text", "obs-bool", "obs-nan", "obs-inf", "obs-huge",
          "triggered-one", "features", "env-meta", "label-bool",
-         "label-float", "episode-text", "episode-negative", "step-fraction", "step-bool"],
+         "label-float", "episode-text", "episode-negative", "step-fraction", "step-bool",
+         "debug-type-number", "debug-type-lowercase", "debug-utility-text", "debug-utility-bool", "debug-utility-nan",
+         "debug-utility-huge"],
 )
 def test_loader_names_the_file_and_line_of_a_bad_record(tmp_path, edit, message):
     ds = run_exploration(TwoSourceEnv(TwoSourceParams()), eps=0.5, n_episodes=1, seed=8)

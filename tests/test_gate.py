@@ -73,6 +73,16 @@ def test_standardizer_drops_constant_columns():
     assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))).feature_names == ("b",)
 
 
+def test_a_constant_column_whose_mean_rounds_is_dropped():
+    # 0.1 summed over 252 rows does not divide back to 0.1, so the column's
+    # sd is 1.4e-17, not 0, and standardized it is a constant beside the bias.
+    X = np.column_stack([np.full(252, 0.1), np.arange(252.0) % 7])
+    assert np.sqrt(((X[:, 0] - X[:, 0].mean()) ** 2).mean()) > 0.0
+    model = _fit_stats(X)
+    assert model.feature_names == ("b",)
+    assert model.meta["dropped"] == {"a": "zero variance"}
+
+
 def test_standardizer_is_idempotent_on_standard_columns():
     rng = np.random.default_rng(0)
     col = rng.standard_normal(500)
@@ -345,32 +355,62 @@ def test_fit_does_not_depend_on_column_order(demo_data):
         assert weight_diagnostic(permuted) == weight_diagnostic(base)
 
 
-@pytest.mark.parametrize("reg", ["l1", "none"])
-def test_duplicated_column_fits_as_well_as_the_single_one(demo_data, reg, caplog):
-    # From a cold start the copy of an active column is never activated;
-    # a warm start with both copies nonzero makes the active-set system
-    # singular. A solve that puts rounding along its null direction lets
-    # the two copies drift apart until the fit runs to its cap.
+def test_columns_in_the_span_of_earlier_ones_are_dropped_in_either_order(demo_data):
+    # An affine copy of token_entropy and the sum step_count + token_entropy
+    # leave [X 1] rank-deficient; both were read before the span rule (the
+    # copy with weight 0 in whichever position came second). Each order
+    # drops the two columns that come last in their span and names why.
     model, X, y = demo_data
-    Xs = _standardize(model, X)
-    w1, b1 = fit_sparse_logistic(Xs, y, 1.0, reg)
-    single = objective(Xs, y, w1, b1, 1.0, reg)
-    for j in range(Xs.shape[1]):
-        doubled = np.hstack([Xs, Xs[:, [j]]])
-        both = np.append(w1, 0.5)
-        both[j] = 0.5
-        for start in (None, (both, b1)):
-            with caplog.at_level("WARNING", logger="dial.gate"):
-                w, b = fit_sparse_logistic(doubled, y, 1.0, reg, warm_start=start)
-            assert objective(doubled, y, w, b, 1.0, reg) <= single + 1e-9, (j, start is None)
-    assert not caplog.records  # no fit stopped at its cap
+    specs, names, seed = list(model.feature_specs), list(model.feature_names), model.meta["seed"]
+    entropy, steps = X[:, names.index("token_entropy")], X[:, names.index("step_count")]
+    wide = np.column_stack([X, 3 * entropy + 1, steps + entropy])
+    wide_specs = specs + [FeatureSpec("entropy_affine", "llm", "3 * token_entropy + 1"),
+                          FeatureSpec("steps_plus_entropy", "llm", "step_count + token_entropy")]
+    wide_names = [s.name for s in wide_specs]
+
+    def fit(cols, reg="l1"):
+        """The gate fit on ``wide``'s columns ``cols`` in that order, and the
+        standardized columns it reads."""
+        cols = list(cols)
+        fitted = fit_gate(wide[:, cols], y, [wide_specs[j] for j in cols], regularizer=reg, seed=seed)
+        return fitted, _standardize(fitted, wide[:, [wide_names.index(n) for n in fitted.feature_names]])
+
+    pool, reverse = range(14), range(13, -1, -1)
+    in_pool_order, Xs = fit(pool)
+    assert in_pool_order.meta["dropped"] == {
+        "entropy_affine": "duplicate of token_entropy", "steps_plus_entropy": "in the span of step_count, token_entropy"}
+    base = fit_gate(X, y, specs, seed=seed)
+    assert in_pool_order.meta["chosen_c"] == base.meta["chosen_c"]
+    by_name = dict(zip(in_pool_order.feature_names, in_pool_order.weights))
+    assert np.abs(np.array([by_name[n] for n in base.feature_names]) - base.weights).max() <= 1e-8
+
+    # Unpenalized, the optimum depends only on the span read, which is the
+    # same in either order.
+    (none_pool, Xs_pool), (none_reversed, Xs_reversed) = fit(pool, "none"), fit(reverse, "none")
+    assert none_reversed.meta["dropped"] == {
+        "token_entropy": "duplicate of entropy_affine", "step_count": "in the span of steps_plus_entropy, entropy_affine"}
+    assert abs(objective(Xs_pool, y, none_pool.weights, none_pool.bias, 1.0, "none")
+               - objective(Xs_reversed, y, none_reversed.weights, none_reversed.bias, 1.0, "none")) <= 1e-9
+
+    # The l1 penalty reads the basis, not just the span: in reversed order
+    # steps_plus_entropy stands for step_count, and the training logits
+    # differ by 0.038. The affine copy alone leaves the l1 problem as it
+    # was, so the logits agree and the entropy column keeps its direction.
+    only_copy, Xs_copy = fit(range(12, -1, -1))
+    assert only_copy.meta["dropped"] == {"token_entropy": "duplicate of entropy_affine"}
+    logits = Xs @ in_pool_order.weights + in_pool_order.bias
+    assert np.abs(Xs_copy @ only_copy.weights + only_copy.bias - logits).max() <= 1e-6
+    diagnostic = in_pool_order.meta["direction_diagnostic"]["token_entropy"]
+    assert only_copy.meta["direction_diagnostic"]["entropy_affine"] == diagnostic == "type_i_proxy"
 
 
-@pytest.mark.parametrize("reg", ["l1", "l2", "elastic_net", "none"])
+@pytest.mark.parametrize("reg", ["l2", "elastic_net"])
 def test_warm_start_on_an_all_zero_column_is_zeroed(reg):
     # The all-zero column's weight moves nothing, so its only pull is the
-    # penalty's (none under "none"); the active-set solve's least-norm
-    # step zeroes it, and the fit then follows the cold fit's path.
+    # penalty's; the ridge keeps the active-set system nonsingular, the
+    # solve zeroes the weight, and the fit then follows the cold fit's
+    # path. Without a ridge the system is singular: fit_gate's column rule
+    # keeps such a column out of every l1 and unpenalized fit.
     rng = np.random.default_rng(0)
     X = rng.standard_normal((60, 3))
     X[:, 1] = 0.0
@@ -900,9 +940,9 @@ def test_numpy_scalar_observations_score_as_floats(demo_gate):
 # Per model: the triggers among the 2,000 demo holdout rows and the sha256
 # of their scores' hex, computed by evaluating each feature spec on its own.
 _HOLDOUT_DECISIONS = {
-    "demo": (1037, "7f82231d1fcada4f67011b12023c5d63b80b71542d3e00777c010f50826ba16e"),
-    "reversed": (1025, "8767928d08fe88975f37c1b50c1821f0954c74df5760a479487c5473f499cb32"),
-    "loaded_without_token_entropy": (838, "86f6d213a5a0fec718558e335e2e3a5de598e6a5713fc7de7f6379a64344e67b"),
+    "demo": (1037, "2c6834fd16b5d6fdbbc062eb551fe99f95745e75d0a32a493139967d0885b81c"),
+    "reversed": (1025, "3e79a8c71214094be74339b4065152db922118364f27e6d18893bb4fd8524604"),
+    "loaded_without_token_entropy": (838, "d8baa20ffea358e30b9f5a9de381d12316591bf747576d22e96c07b9387103f2"),
 }
 
 
