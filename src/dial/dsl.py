@@ -7,13 +7,18 @@ min, max, clamp, abs). One recursive pass over each expression's Python
 ``ast`` checks each node against a strict whitelist and builds, from the
 checked nodes alone, one Python function of the namespace for a whole
 list of expressions, compiled once, that returns the tuple of their
-values. In it a field name is only a string key read through
-``_number``, a bound name (a universal feature) a local read once from
-the first of its keys, a literal only a float constant (so ``1e999``
-stays infinite), ``/`` is ``_divide``, a comparison is ``1.0 if ... else
-0.0``, and its globals hold its helpers and no builtins, so evaluation
-is deterministic and side-effect free. ``check_expr`` runs the pass
-alone, compiling nothing.
+values. In it each name read is a local bound once, at the top: a bound
+name (a universal feature) from its keys, a field name from itself as a
+string key, by one rule: ``ns.get`` of the first key, of each next key
+while the value is None, then ``_number`` of the keys unless the value is
+a float. So a float costs one dict get and one type test, and any other
+value (missing, int, bool, numpy scalar or text) reads as ``_number``, the
+one definition of what a field reads as, reads it. A literal is only a
+float constant (so ``1e999`` stays infinite; a bool or an int past float
+range is refused), ``/`` is ``_divide``, a comparison is ``1.0 if ...
+else 0.0``, and its globals hold its helpers, ``type`` and ``float`` and
+no other builtins, so evaluation is deterministic and side-effect free.
+``check_expr`` runs the pass alone, compiling nothing.
 
 Missing fields never produce errors: a field that is missing or not a
 number reads as 0.0. Division by zero evaluates to 0.0.
@@ -63,7 +68,7 @@ def _divide(left: float, right: float) -> float:
 
 
 # Everything a compiled function can name besides ``ns`` and its locals.
-_GLOBALS = {"__builtins__": {}, "_number": _number, "_divide": _divide,
+_GLOBALS = {"__builtins__": {}, "type": type, "float": float, "_number": _number, "_divide": _divide,
             **{name: function for name, (_, _, function) in _FUNCS.items()}}
 
 
@@ -82,13 +87,13 @@ class CompiledExpr:
 
 def parse_row(sources: Sequence[str], bound: Mapping[str, Tuple[str, ...]]) -> CompiledExpr:
     """Parse and compile expressions into one function that returns the
-    tuple of their values. It reads each name of ``bound`` once, as
-    ``_number`` of its keys, for every expression that names it; any other
-    name is a field. Raises DslError on anything outside the grammar."""
-    local = {name: f"_{i}" for i, name in enumerate(bound)}  # a field name never becomes a Python name
-    body: List[ast.stmt] = [ast.Assign([ast.Name(local[name], ast.Store())], _read(*keys))
-                            for name, keys in bound.items()]
+    tuple of their values. Each name they read is bound once, at its top,
+    to a local by ``_bind``: a name of ``bound`` from its keys, any other
+    name (a field) from itself. Raises DslError on anything outside the
+    grammar."""
+    local: Dict[str, str] = {}  # each name read -> its local, in first-read order
     values = [_check(source, local) for source in sources]
+    body = [statement for name, var in local.items() for statement in _bind(var, bound.get(name, (name,)))]
     body.append(ast.Return(ast.Tuple(values, ast.Load())))
     args = ast.arguments(posonlyargs=[], args=[ast.arg("ns")], kwonlyargs=[], kw_defaults=[], defaults=[])
     module = ast.Module([ast.FunctionDef("f", args, body, [], None, None)], [])
@@ -102,7 +107,7 @@ def check_expr(source: str) -> None:
     _check(source, {})
 
 
-def _check(source: str, local: Mapping[str, str]) -> ast.expr:
+def _check(source: str, local: Dict[str, str]) -> ast.expr:
     """Parse one expression and run ``_compile`` over it."""
     if not isinstance(source, str) or not source.strip():
         raise DslError("empty expression")
@@ -113,24 +118,35 @@ def _check(source: str, local: Mapping[str, str]) -> ast.expr:
     return _compile(tree.body, source, local)
 
 
-def _read(*keys: str) -> ast.Call:
-    return _call("_number", ast.Name("ns", ast.Load()), *map(ast.Constant, keys))
+def _bind(var: str, keys: Tuple[str, ...]) -> List[ast.stmt]:
+    """``var = ns.get(k1)``, ``if var is None: var = ns.get(k)`` for each
+    further key, then ``if type(var) is not float: var = _number(ns,
+    *keys)``: a float costs one dict get and one type test, and any other
+    value reads as ``_number`` reads it. Each key enters as its ``repr``,
+    a string constant."""
+    lines = [f"{var} = ns.get({keys[0]!r})", *(f"if {var} is None: {var} = ns.get({key!r})" for key in keys[1:]),
+             f"if type({var}) is not float: {var} = _number(ns, {', '.join(map(repr, keys))})"]
+    return ast.parse("\n".join(lines)).body
 
 
 def _call(name: str, *args: ast.expr) -> ast.Call:
     return ast.Call(ast.Name(name, ast.Load()), list(args), [])
 
 
-def _compile(node: ast.AST, source: str, local: Mapping[str, str]) -> ast.expr:
+def _compile(node: ast.AST, source: str, local: Dict[str, str]) -> ast.expr:
     """Check one node (children left to right) and build its part of the
-    compiled function from what was checked; a name in ``local`` reads
-    the local variable it maps to."""
+    compiled function from what was checked; a name reads the local that
+    ``local`` maps it to, entered there on its first read (a field name
+    never becomes a Python name)."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise DslError(f"{source!r}: literal {node.value!r} is not a number")
-        return ast.Constant(float(node.value))
+        try:
+            return ast.Constant(float(node.value))
+        except OverflowError:  # an int past float range
+            raise DslError(f"{source!r}: literal {node.value!r} is past float range") from None
     if isinstance(node, ast.Name):
-        return ast.Name(local[node.id], ast.Load()) if node.id in local else _read(node.id)
+        return ast.Name(local.setdefault(node.id, f"_{len(local)}"), ast.Load())
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _compile(node.operand, source, local)
         return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(ast.USub(), operand)

@@ -526,9 +526,13 @@ class GateModel:
         op per element, whatever the row count), the dot product is
         ``ndarray.dot`` (BLAS ``ddot``, as 1-D ``@`` is, without matmul's
         dispatch) and ``exp`` is numpy's; the other ops of the sign-split
-        logistic are IEEE double ops whether on Python floats or numpy's."""
+        logistic are IEEE double ops whether on Python floats or numpy's.
+        A non-finite logit (standardizing by a subnormal sd can overflow)
+        raises GateError."""
         x = (extract_features(self.row, obs) - self.means) / self.sds
         z = float(x.dot(self.weights)) + self.bias
+        if not math.isfinite(z):
+            raise GateError(f"non-finite logit {z!r}")
         if z >= 0.0:
             return 1.0 / (1.0 + float(np.exp(-z)))
         ez = float(np.exp(z))

@@ -739,6 +739,7 @@ def _model_text(**changes):
         ("model", _model_text(weights=[10**400])),
         ("model", _model_text(bias=10**400)),
         ("model", _model_text(feature_specs=[{**_SPEC, "extractor": "length(signal)"}])),
+        ("model", _model_text(feature_specs=[{**_SPEC, "extractor": "1" + "0" * 400}])),
         ("model", _model_text(feature_specs=[_SPEC, _SPEC], weights=[0.5, 0.5],
                               standardizer={"means": [0.0, 0.0], "sds": [1.0, 1.0]})),
         ("model", _model_text(regularizer="bogus")),
@@ -748,7 +749,7 @@ def _model_text(**changes):
                                                         "utility_label": 1, "signal": 0.5, "true_utility_debug": "x"})),
     ],
     ids=["not-json", "number", "tau-null", "spec-name-number", "spec-not-object", "standardizer-list",
-         "cv-report-text", "meta-list", "meta-missing", "weight-huge", "bias-huge", "text-function",
+         "cv-report-text", "meta-list", "meta-missing", "weight-huge", "bias-huge", "text-function", "literal-huge",
          "spec-name-twice", "regularizer-unknown", "regularizer-number", "bad-record-line", "bad-debug-line"],
 )
 def test_an_input_file_that_does_not_load_is_one_stderr_line_and_exit_status_2(tmp_path, capsys, noun, text):

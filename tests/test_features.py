@@ -224,7 +224,16 @@ _ALIAS_RULE = {"step_count": ("step_count",), "token_entropy": ("token_entropy",
                "num_available_actions": ("num_available_actions", "num_options"), "is_finish": ("is_finish",)}
 _ROW_SOURCES = ["token_entropy * token_entropy", "step_count * token_entropy", "evidence_count + 0.5",
                 "num_available_actions / max(step_count, 1)", "is_finish > 0", "signal", "type_proxy * 2",
-                "token_entropy - signal", "note + 1"]
+                "token_entropy - signal", "note + 1", "note * note", "max(note, type_proxy) - note"]
+
+
+class _OddFloat(float):
+    """A float whose arithmetic is not a float's: a row reads it as the float it holds."""
+
+    def __add__(self, other):
+        return 99.0
+
+    __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __add__
 
 
 def _per_expression(obs):
@@ -250,23 +259,36 @@ def _per_expression(obs):
           "num_options": np.uint8(3), "is_finish": np.float64(1.0)}, [4.0, 0.5, 1.0, 3.0, 1.0]),
         ({"step_count": True, "token_entropy": False, "signal": 0.9, "evidence_count": 2, "type_proxy": 5.0,
           "is_finish": np.bool_(False)}, [1.0, 0.0, 2.0, 0.0, 0.0]),
+        # a float subclass reads as the float it holds, without its own arithmetic
+        ({"step_count": _OddFloat(2.0), "token_entropy": _OddFloat(0.3), "signal": 0.9, "note": _OddFloat(1.5)},
+         [2.0, 0.3, 0.0, 0.0, 0.0]),
+        # a numpy float is a float subclass: under the first alias it wins over a float under the second
+        ({"token_entropy": np.float64(0.25), "signal": 0.75, "evidence_count": np.float64(3.0), "type_proxy": 1.0},
+         [0.0, 0.25, 3.0, 0.0, 0.0]),
+        # None under the first alias goes on to the second; text there reads 0.0
+        ({"token_entropy": None, "signal": "high", "evidence_count": None, "type_proxy": "many",
+          "num_available_actions": None, "num_options": 5.0}, [0.0, 0.0, 0.0, 5.0, 0.0]),
+        # one raw field, read in several expressions
+        ({"note": 2.5, "type_proxy": 4.0, "signal": 0.5}, [0.0, 0.5, 4.0, 0.0, 0.0]),
     ],
-    ids=["missing", "floats", "text", "numpy", "bool"],
+    ids=["missing", "floats", "text", "numpy", "bool", "float-subclass", "numpy-first", "none-then-text",
+         "raw-field-reread"],
 )
 def test_a_compiled_row_reads_each_universal_feature_from_its_aliases(obs, universal):
     row = compile_features([*UNIVERSAL_SPECS, *(FeatureSpec(f"f{i}", "llm", s) for i, s in enumerate(_ROW_SOURCES))])
+    assert all(type(v) is float for v in row(obs))
     values = extract_features(row, obs).tolist()
     assert values[:5] == universal
     assert [v.hex() for v in values] == [v.hex() for v in _per_expression(obs)]
 
 
 def test_a_compiled_row_reads_fields_named_like_its_own_names():
-    # ns is the function's argument, min and _number are in its globals and
-    # _0 is the local the first universal feature is read into: each is
-    # still a field here, and a universal name still reads its aliases.
-    obs = {"ns": 7.0, "min": 1.5, "_number": 2.0, "_0": -1.0, "signal": 0.5}
-    sources = ["ns + 1", "min * 2 + min(ns, 5)", "_number", "_0", "step_count", "token_entropy"]
-    assert _row_of(sources)(obs) == (8.0, 8.0, 2.0, -1.0, 0.0, 0.5)
+    # ns is the function's argument, min, _number, type and float are in
+    # its globals and _0 is the local the first name read is bound to: each
+    # is still a field here, and a universal name still reads its aliases.
+    obs = {"ns": 7.0, "min": 1.5, "_number": 2.0, "_0": -1.0, "signal": 0.5, "type": 0.25, "float": 4.0}
+    sources = ["ns + 1", "min * 2 + min(ns, 5)", "_number", "_0", "step_count", "token_entropy", "type * float"]
+    assert _row_of(sources)(obs) == (8.0, 8.0, 2.0, -1.0, 0.0, 0.5, 1.0)
 
 
 # Each rejected source with the end of its message; the mixed cases pin
@@ -298,6 +320,12 @@ DSL_REJECTED = {
     'keyword_count(1, "a")': "unknown function 'keyword_count'",
     "keyword_count(t, x)": "unknown function 'keyword_count'",
     "regex_count(t, '[')": "unknown function 'regex_count'",
+    # a literal is a float: an int past float range and a bool are not
+    "1" + "0" * 400: f"literal {10**400} is past float range",
+    "-1" + "0" * 400 + " + x": f"literal {10**400} is past float range",
+    "True": "literal True is not a number",
+    "-True": "literal True is not a number",
+    "x > False": "literal False is not a number",
 }
 
 
@@ -343,7 +371,7 @@ def test_proposal_requires_exactly_five():
 
 
 def test_proposal_rejects_unparseable_expression():
-    for expr in ("x[0]", "length(signal)"):
+    for expr in ("x[0]", "length(signal)", "1" + "0" * 400, "True"):
         with pytest.raises(ProviderError, match="proposal rejected") as excinfo:
             proposed_specs(_items(4) + [{"name": "f4", "expr": expr}])
         assert isinstance(excinfo.value.__cause__, DslError)

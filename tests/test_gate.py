@@ -13,6 +13,8 @@ import pytest
 import dial.gate
 from dial.cli import load_config, save_model_json
 from dial.dsl import DslError
+from dial.envs import EnvFault
+from dial.evaluate import PolicySpec, run_deployment
 from dial.features import (
     FeatureError, FeatureSpec, MockProposalClient, build_matrix, build_pool, compile_features, extract_features,
 )
@@ -936,6 +938,21 @@ def test_numpy_scalar_observations_score_as_floats(demo_gate):
         assert [model.score(o) for o in numpy_rows] == [model.score(o) for o in float_rows]
         assert [model.decide(o) for o in numpy_rows] == [model.decide(o) for o in float_rows]
 
+
+def test_a_non_finite_logit_is_a_gate_error_that_deployment_names(demo_gate):
+    # A subnormal sd passes every load check (it is positive and finite), but
+    # standardizing by it overflows; such a gate must not score NaN and then
+    # never trigger without a word. numpy's overflow warning is silenced here,
+    # so that the error under test is what surfaces.
+    payload = model_to_dict(demo_gate)
+    payload["standardizer"]["sds"] = [1e-320] * len(demo_gate.sds)
+    model = model_from_dict(json.loads(json.dumps(payload)))
+    _, rows = _demo_rows(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GateError, match=r"^non-finite logit (nan|inf|-inf)$"):
+            model.decide(rows[0])
+        with pytest.raises(EnvFault, match="^policy dial: environment fault at eval episode 0, step 0: non-finite logit"):
+            run_deployment(TwoSourceEnv(_DEMO_PARAMS), [PolicySpec("dial", model=model)], 1, seed=0)
 
 # Per model: the triggers among the 2,000 demo holdout rows and the sha256
 # of their scores' hex, computed by evaluating each feature spec on its own.
