@@ -101,14 +101,14 @@ def _compile_row(extractors: Tuple[str, ...]) -> CompiledExpr:
     return parse_row([extractor.removeprefix("builtin:") for extractor in extractors], _ALIASES)
 
 
-def extract_features(row: CompiledExpr, obs: Dict[str, Any]) -> np.ndarray:
-    """The values of a ``compile_features`` row on one observation; a
-    non-finite value raises FeatureError. Pure: identical observations
-    give identical vectors."""
+def extract_features(row: CompiledExpr, obs: Dict[str, Any]) -> Tuple[float, ...]:
+    """The tuple of Python floats a ``compile_features`` row gives on one
+    observation; a non-finite value raises FeatureError. Pure: identical
+    observations give identical tuples."""
     values = row(obs)
     if not all(map(math.isfinite, values)):
         raise FeatureError("feature vector contains non-finite values")
-    return np.array(values, dtype=float)
+    return values
 
 
 def build_matrix(records: Iterable[Any], specs: Sequence[FeatureSpec]) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,7 +122,7 @@ def build_matrix(records: Iterable[Any], specs: Sequence[FeatureSpec]) -> Tuple[
         labels.append(record.utility_label)
     if not rows:
         return np.empty((0, len(specs))), np.empty(0)
-    return np.vstack(rows), np.asarray(labels, dtype=float)
+    return np.array(rows, dtype=float), np.asarray(labels, dtype=float)
 
 
 # -- proposal layer ---------------------------------------------------------

@@ -487,7 +487,9 @@ class GateModel:
     regularizer: str
     cv_report: Tuple[Dict[str, Any], ...] = ()
     meta: Dict[str, Any] = field(default_factory=dict)
-    row: CompiledExpr = field(init=False, compare=False, repr=False)  # the features as one compiled function
+    # The features of nonzero weight, as one compiled function and as each one's (mean, sd, weight).
+    row: CompiledExpr = field(init=False, compare=False, repr=False)
+    terms: Tuple[Tuple[float, float, float], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("means", "sds", "weights"):  # lists, as a model JSON holds them, become arrays
@@ -511,26 +513,31 @@ class GateModel:
         for name, values in finite:  # a model JSON may hold NaN or Infinity
             if not np.isfinite(values).all():
                 raise GateError(f"{name} must be finite, got {values.tolist()}")
+        if not all(math.isfinite(1.0 / sd) for sd in self.sds.tolist()):  # a subnormal sd overflows any standardize
+            raise GateError(f"standardizer sds must have finite reciprocals, got {self.sds.tolist()}")
         if not math.isfinite(self.bias):
             raise GateError(f"bias must be finite, got {self.bias!r}")
-        object.__setattr__(self, "row", compile_features(self.feature_specs))
+        read = [j for j, w in enumerate(self.weights.tolist()) if w != 0.0]
+        object.__setattr__(self, "row", compile_features([self.feature_specs[j] for j in read]))
+        object.__setattr__(self, "terms", tuple(zip(*(v[read].tolist() for v in (self.means, self.sds, self.weights)))))
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.feature_specs)
 
     def score(self, obs: Dict[str, Any]) -> float:
-        """sigmoid(w . phi_std(s) + b), the same bits as ``_sigmoid`` of
-        ``(X - means) / sds`` on the one row: the row is standardized by
-        the same elementwise numpy ``-`` and ``/`` (each one IEEE-rounded
-        op per element, whatever the row count), the dot product is
-        ``ndarray.dot`` (BLAS ``ddot``, as 1-D ``@`` is, without matmul's
-        dispatch) and ``exp`` is numpy's; the other ops of the sign-split
-        logistic are IEEE double ops whether on Python floats or numpy's.
-        A non-finite logit (standardizing by a subnormal sd can overflow)
-        raises GateError."""
-        x = (extract_features(self.row, obs) - self.means) / self.sds
-        z = float(x.dot(self.weights)) + self.bias
+        """sigmoid(w . phi_std(s) + b) in Python floats over the weighted
+        features: ``z = 0.0``, then ``z += (v - m) / s * w`` per feature in
+        spec order, then ``z += bias``, each one IEEE-rounded double op, so
+        the logit is a fixed-order sum that no BLAS kernel choice changes.
+        A finite zero-weight term added to a sum that starts at +0.0 never
+        changes it, so skipping those gives the bits of the sum over every
+        column, ``z = z + Xs[:, j] * w[j]``. ``exp`` is numpy's, as in
+        ``_sigmoid``. A non-finite logit raises GateError."""
+        z = 0.0
+        for v, (m, s, w) in zip(extract_features(self.row, obs), self.terms):
+            z += (v - m) / s * w
+        z += self.bias
         if not math.isfinite(z):
             raise GateError(f"non-finite logit {z!r}")
         if z >= 0.0:
@@ -699,11 +706,16 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _numbers(values: Any, what: str) -> List[float]:
+    """``values`` as a JSON list of numbers, each checked by ``_typed`` under its index."""
+    return [_typed(v, float, f"{what}[{i}]") for i, v in enumerate(_typed(values, list, what))]
+
+
 def model_from_dict(payload: Any) -> GateModel:
     """The model a ``model_to_dict`` payload holds. A missing or unknown
     top-level, feature spec or standardizer key, or a value of another
     JSON type than the schema's (object, list, string or number), is
-    refused with a GateError naming it."""
+    refused with a GateError naming it (a list's number by its index)."""
     _refuse_off_schema(_typed(payload, dict, "the payload"), _MODEL_KEYS, "key")
     specs = []
     for spec in _typed(payload["feature_specs"], list, "feature_specs"):
@@ -714,9 +726,9 @@ def model_from_dict(payload: Any) -> GateModel:
     cv_report = tuple(_typed(row, dict, "a cv_report row") for row in _typed(payload["cv_report"], list, "cv_report"))
     return GateModel(
         feature_specs=tuple(specs),
-        means=std["means"],
-        sds=std["sds"],
-        weights=payload["weights"],
+        means=_numbers(std["means"], "standardizer means"),
+        sds=_numbers(std["sds"], "standardizer sds"),
+        weights=_numbers(payload["weights"], "weights"),
         bias=_typed(payload["bias"], float, "bias"),
         tau=_typed(payload["tau"], float, "tau"),
         regularizer=payload["regularizer"],

@@ -765,6 +765,30 @@ def test_an_input_file_that_does_not_load_is_one_stderr_line_and_exit_status_2(t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"standardizer": {"means": [0.0], "sds": [1e-320]}}, "standardizer sds must have finite reciprocals, got [1e-320]"),
+        ({"weights": ["0.5"]}, "model JSON: weights[0] must be a number within float range, got '0.5'"),
+        ({"weights": [True]}, "model JSON: weights[0] must be a number within float range, got True"),
+        ({"standardizer": {"means": [None], "sds": [1.0]}},
+         "model JSON: standardizer means[0] must be a number within float range, got None"),
+        ({"standardizer": {"means": [0.0], "sds": ["2"]}},
+         "model JSON: standardizer sds[0] must be a number within float range, got '2'"),
+    ],
+    ids=["sd-subnormal", "weight-text", "weight-bool", "mean-null", "sd-text"],
+)
+def test_a_model_number_no_gate_can_read_is_refused_at_load_by_name(tmp_path, capsys, changes, reason):
+    # Each once loaded: the subnormal sd overflowed at the first gated step, and
+    # np.asarray read text and bools as numbers and null as NaN.
+    path = tmp_path / "model.json"
+    path.write_text(_model_text(**changes))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", write_config(tmp_path / "config.json"), "--out", str(out), "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"dial: error: model {path}: not a valid model ({reason})\n")
+    assert not out.exists()
+
+
 def test_a_fit_with_no_proposal_endpoint_is_one_stderr_line_and_exit_status_2(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DIAL_LLM_URL", raising=False)
     config_path = write_config(tmp_path / "config.json", gate={"llm_features": "http"})

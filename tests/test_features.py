@@ -34,7 +34,7 @@ SIM_OBS = {"step_count": 3.0, "signal": 0.7, "type_proxy": 0.0, "num_options": 4
 
 
 def _universal(obs):
-    return extract_features(compile_features(UNIVERSAL_SPECS), obs).tolist()
+    return list(extract_features(compile_features(UNIVERSAL_SPECS), obs))
 
 
 def test_universal_maps_simulator_observation():
@@ -59,7 +59,7 @@ def test_a_renamed_builtin_reads_its_universal_feature():
     # not read, and an alias still resolves through the universal name.
     specs = [FeatureSpec("steps", "universal", "builtin:step_count"),
              FeatureSpec("entropy", "universal", "builtin:token_entropy")]
-    assert extract_features(compile_features(specs), {**SIM_OBS, "steps": 99.0, "entropy": 99.0}).tolist() == [3.0, 0.7]
+    assert list(extract_features(compile_features(specs), {**SIM_OBS, "steps": 99.0, "entropy": 99.0})) == [3.0, 0.7]
 
 
 def test_numpy_scalars_read_as_the_numbers_they_hold():
@@ -73,7 +73,7 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
     floats = {k: float(v) for k, v in obs.items() if k != "note"}
     pool = build_pool(MockProposalClient().propose({}))
     row = compile_features(pool)
-    assert extract_features(row, obs).tolist() == extract_features(row, floats).tolist()
+    assert list(extract_features(row, obs)) == list(extract_features(row, floats))
 
 
 _READS = {"f": 0.25, "i": 3, "i64": np.int64(-2), "f32": np.float32(0.5), "f64": np.float64(0.75),
@@ -102,7 +102,7 @@ def test_every_expression_value_is_a_python_float(expr, expected):
 
 def _pool_values(obs):
     pool = build_pool()
-    return dict(zip((s.name for s in pool), extract_features(compile_features(pool), obs).tolist()))
+    return dict(zip((s.name for s in pool), list(extract_features(compile_features(pool), obs))))
 
 
 def test_derived_formulas():
@@ -277,7 +277,7 @@ def _per_expression(obs):
 def test_a_compiled_row_reads_each_universal_feature_from_its_aliases(obs, universal):
     row = compile_features([*UNIVERSAL_SPECS, *(FeatureSpec(f"f{i}", "llm", s) for i, s in enumerate(_ROW_SOURCES))])
     assert all(type(v) is float for v in row(obs))
-    values = extract_features(row, obs).tolist()
+    values = list(extract_features(row, obs))
     assert values[:5] == universal
     assert [v.hex() for v in values] == [v.hex() for v in _per_expression(obs)]
 

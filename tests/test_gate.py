@@ -563,6 +563,39 @@ def _toy_model(weights, bias=0.0, tau=0.5, reg="l1"):
     )
 
 
+_HAND_SPECS = (
+    FeatureSpec("entropy", "universal", "builtin:token_entropy"),
+    FeatureSpec("steps", "universal", "builtin:step_count"),
+    FeatureSpec("proxy_x_entropy", "llm", "evidence_count * token_entropy"),
+    FeatureSpec("late", "llm", "step_count > 6"),
+    FeatureSpec("spare_options", "llm", "num_available_actions - evidence_count"),
+)
+_HAND_OBS = (
+    {"signal": 0.8, "step_count": 2.0, "type_proxy": 1.0, "num_options": 4.0},
+    {"signal": 0.1, "step_count": 7.0, "type_proxy": 0.0, "num_options": 3.0},
+    {"signal": 0.45, "step_count": 0.0, "type_proxy": 1.0, "num_options": 6.0},
+    {"signal": 0.95, "step_count": 9.0, "type_proxy": 0.0, "num_options": 2.0},
+)
+
+
+def test_a_hand_written_gate_scores_its_pinned_bits():
+    # Literal statistics, so the pin does not depend on the solver's bits. The
+    # two zero-weight features (both reading step_count) are not read at all.
+    model = GateModel(feature_specs=_HAND_SPECS, means=[0.5, 4.5, 0.25, 0.3, 1.75], sds=[0.29, 2.87, 0.36, 0.46, 1.3],
+                      weights=[-1.25, 0.0, 2.5, 0.0, 0.375], bias=-0.1, tau=0.5, regularizer="l1")
+    pinned = [
+        (model, ["0x1.e2493557d892ap-1", "0x1.1fa88ca3bce18p-1", "0x1.d705fc605a292p-1", "0x1.89e4253b8eccdp-6"]),
+        (reverse_direction(model),
+         ["0x1.89620e33e0484p-5", "0x1.8f0ba0706ed05p-2", "0x1.10576d3e7dc7ap-4", "0x1.f10b945e27232p-1"]),
+    ]
+    for gate, scores in pinned:
+        assert [gate.score(obs).hex() for obs in _HAND_OBS] == scores
+        assert [gate.decide(obs) for obs in _HAND_OBS] == [float.fromhex(p) > 0.5 for p in scores]
+    with pytest.raises(FeatureError, match="non-finite"):
+        model.decide({**_HAND_OBS[0], "signal": math.inf})  # read by two weighted features
+    assert model.decide({**_HAND_OBS[0], "step_count": math.inf}) is True  # read by the unweighted two alone
+
+
 def test_gate_boundary_is_exclusive():
     model = _toy_model([0.0], bias=0.0, tau=0.5)
     assert model.decide({"f0": 123.0}) is False  # sigmoid(0) == 0.5, not > 0.5
@@ -912,16 +945,20 @@ def _with_dropped_feature(model, name):
 
 
 def test_scalar_score_equals_the_matrix_formula_bit_for_bit(demo_gate):
-    # score() standardizes one row as the numpy (x - means) / sds; it must give
-    # the bits of the matrix path: the matrix standardize, each row's dot product, _sigmoid.
-    # The rows are made contiguous, as a one-row matrix's row is: numpy
-    # sums a strided row's dot product in another order than BLAS ddot.
+    # score() sums (v - m) / s * w in Python floats over the weighted features
+    # alone; it must give the bits of the matrix path over every column: the
+    # matrix standardize, the fixed-order column sum z = z + Xs[:, j] * w[j]
+    # from zeros, then the bias, and _sigmoid.
     _, rows = _demo_rows(2000)
     models = [demo_gate, reverse_direction(demo_gate), _with_dropped_feature(demo_gate, "step_count")]
     for model in models:
-        X = np.vstack([extract_features(model.row, obs) for obs in rows])
-        Xs = np.ascontiguousarray(_standardize(model, X))
-        expected = _sigmoid(np.array([x @ model.weights for x in Xs]) + model.bias).tolist()
+        assert 0 < len(model.terms) < len(model.feature_specs)  # zero weights are skipped
+        every_column = compile_features(model.feature_specs)
+        Xs = _standardize(model, np.array([extract_features(every_column, obs) for obs in rows]))
+        z = np.zeros(len(rows))
+        for j, w in enumerate(model.weights):
+            z = z + Xs[:, j] * w
+        expected = _sigmoid(z + model.bias).tolist()
         scores = [model.score(obs) for obs in rows]
         assert scores == expected
         assert [model.decide(obs) for obs in rows] == [p > model.tau for p in expected]
@@ -940,26 +977,25 @@ def test_numpy_scalar_observations_score_as_floats(demo_gate):
 
 
 def test_a_non_finite_logit_is_a_gate_error_that_deployment_names(demo_gate):
-    # A subnormal sd passes every load check (it is positive and finite), but
-    # standardizing by it overflows; such a gate must not score NaN and then
-    # never trigger without a word. numpy's overflow warning is silenced here,
-    # so that the error under test is what surfaces.
+    # Weights of 1e308 pass every load check (they are finite), but the logit
+    # they give overflows; such a gate must not score NaN and then never
+    # trigger without a word.
     payload = model_to_dict(demo_gate)
-    payload["standardizer"]["sds"] = [1e-320] * len(demo_gate.sds)
+    payload["weights"] = [1e308] * len(demo_gate.weights)
     model = model_from_dict(json.loads(json.dumps(payload)))
     _, rows = _demo_rows(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(GateError, match=r"^non-finite logit (nan|inf|-inf)$"):
-            model.decide(rows[0])
-        with pytest.raises(EnvFault, match="^policy dial: environment fault at eval episode 0, step 0: non-finite logit"):
-            run_deployment(TwoSourceEnv(_DEMO_PARAMS), [PolicySpec("dial", model=model)], 1, seed=0)
+    with pytest.raises(GateError, match=r"^non-finite logit (nan|inf|-inf)$"):
+        model.decide(rows[0])
+    with pytest.raises(EnvFault, match="^policy dial: environment fault at eval episode 0, step 0: non-finite logit"):
+        run_deployment(TwoSourceEnv(_DEMO_PARAMS), [PolicySpec("dial", model=model)], 1, seed=0)
 
 # Per model: the triggers among the 2,000 demo holdout rows and the sha256
-# of their scores' hex, computed by evaluating each feature spec on its own.
+# of their scores' hex. The counts were computed by evaluating each feature
+# spec on its own; the digests are of the fixed-order Python-float logit.
 _HOLDOUT_DECISIONS = {
-    "demo": (1037, "2c6834fd16b5d6fdbbc062eb551fe99f95745e75d0a32a493139967d0885b81c"),
-    "reversed": (1025, "3e79a8c71214094be74339b4065152db922118364f27e6d18893bb4fd8524604"),
-    "loaded_without_token_entropy": (838, "d8baa20ffea358e30b9f5a9de381d12316591bf747576d22e96c07b9387103f2"),
+    "demo": (1037, "7b2726a251615cc6e2fab645c32247e39a5381e932b3167f6f8a4ba2f5699d23"),
+    "reversed": (1025, "9a36c84a06a126cb5bff09db480f426c7c6ddda29d02c6d7d5e6dd978c09ef42"),
+    "loaded_without_token_entropy": (838, "ce92791498d3a72ce7b606c48d5d643ffc4b6764ea18ff92a5c6ef534d22f9d1"),
 }
 
 
