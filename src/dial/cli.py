@@ -17,10 +17,9 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +45,8 @@ from .features import (
     build_pool,
     proposal_client,
 )
-from .files import write_once
+from .dsl import finite_number
+from .files import strict_json, write_once
 from .gate import (
     DEFAULT_C_GRID,
     DEFAULT_FOLDS,
@@ -57,6 +57,7 @@ from .gate import (
     GateError,
     GateModel,
     SingleClassError,
+    finite_reciprocal,
     fit_gate,
     load_model_json,
     model_to_dict,
@@ -160,11 +161,6 @@ def _check_keys(section: str, payload: Dict[str, Any]) -> None:
         raise ConfigError(f"{section}.{unknown[0]}: unknown key")
 
 
-def _is_number(value: Any, kinds: Any = (int, float)) -> bool:
-    """A JSON number of the given kinds; a bool is never one."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def load_config(path: str, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> RunConfig:
     """Read the JSON config at ``path`` and check it (``_config_from_dict``);
@@ -197,7 +193,7 @@ def _config_from_dict(user: Any, seed_override: Optional[int] = None,
         _check_keys(section, payload)
         merged[section].update(payload)
     merged["seed"] = user.get("seed", merged["seed"]) if seed_override is None else int(seed_override)
-    if not _is_number(merged["seed"], int):
+    if type(merged["seed"]) is not int:  # a bool is not one
         raise ConfigError(f"seed: must be an integer, got {merged['seed']!r}")
     merged["output_dir"] = user.get("output_dir", merged["output_dir"]) if out_override is None else out_override
     if not (isinstance(merged["output_dir"], str) and merged["output_dir"]):
@@ -209,7 +205,7 @@ def _config_from_dict(user: Any, seed_override: Optional[int] = None,
         raise ConfigError(f"environment.{exc}") from exc
 
     eps = merged["exploration"]["eps"]
-    if not (_is_number(eps) and 0.0 <= eps <= 1.0):
+    if not (finite_number(eps) and 0.0 <= eps <= 1.0):
         raise ConfigError(f"exploration.eps: must be a number in [0, 1], got {eps!r}")
     for section, key, low in (
         ("exploration", "n_episodes", 1),
@@ -222,20 +218,22 @@ def _config_from_dict(user: Any, seed_override: Optional[int] = None,
         ("eval", "n_episodes", 1),
     ):
         value = merged[section][key]
-        if not (_is_number(value, int) and value >= low):
+        if not (type(value) is int and value >= low):
             raise ConfigError(f"{section}.{key}: must be an integer >= {low}, got {value!r}")
     gate_cfg = merged["gate"]
     c_grid = gate_cfg["c_grid"]
-    if not (isinstance(c_grid, list) and c_grid
-            and all(_is_number(c) and 0 < c <= sys.float_info.max for c in c_grid)):  # not NaN or infinite
+    if not (isinstance(c_grid, list) and c_grid and all(finite_number(c) and c > 0 for c in c_grid)):
         raise ConfigError(f"gate.c_grid: must be a non-empty list of positive finite values, got {c_grid!r}")
+    unusable = [c for c in c_grid if not finite_reciprocal(c)]  # the solver weighs its penalty by 1/C
+    if unusable:
+        raise ConfigError(f"gate.c_grid: value {unusable[0]!r} has no finite reciprocal")
     repeated = [c for i, c in enumerate(c_grid) if c in c_grid[:i]]  # 1 == 1.0; CV would score a repeat twice
     if repeated:
         raise ConfigError(f"gate.c_grid: duplicate value {repeated[0]!r}")
     if gate_cfg["regularizer"] not in REGULARIZERS:
         raise ConfigError(f"gate.regularizer: unknown value {gate_cfg['regularizer']!r}")
     tau = gate_cfg["tau"]
-    if not (_is_number(tau) and 0.0 < tau < 1.0):
+    if not (finite_number(tau) and 0.0 < tau < 1.0):
         raise ConfigError(f"gate.tau: must be a probability in (0, 1), got {tau!r}")
     if gate_cfg["llm_features"] not in PROPOSAL_MODES:
         raise ConfigError(f"gate.llm_features: unknown value {gate_cfg['llm_features']!r}")
@@ -294,25 +292,11 @@ def save_dataset_jsonl(dataset: LabeledDataset, path: str) -> None:
 
 
 def save_model_json(model: GateModel, path: str) -> None:
-    write_once(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1))
+    write_once(path, strict_json(model_to_dict(model)))
 
 
 def write_report_json(path: str, payload: Any) -> None:
-    """``payload`` as strict JSON (RFC 8259): a dataclass as its fields,
-    and a non-finite float, a degenerate correlation's NaN say, as null."""
-    write_once(path, json.dumps(_json_data(payload), sort_keys=True, indent=1, allow_nan=False))
-
-
-def _json_data(value: Any) -> Any:
-    if is_dataclass(value):
-        value = asdict(value)
-    if isinstance(value, dict):
-        return {key: _json_data(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_data(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    write_once(path, strict_json(payload))
 
 
 def write_report_csv(path: str, rows: Sequence[Dict[str, Any]], columns: Sequence[str]) -> None:

@@ -27,6 +27,7 @@ number reads as 0.0. Division by zero evaluates to 0.0.
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -49,6 +50,12 @@ NUMBER_TYPES = (float, int, np.floating, np.integer, np.bool_)
 
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq)
+
+
+def finite_number(value: Any) -> bool:
+    """The one rule for a number dial takes in: an int or float (a bool is neither)
+    that is finite: not NaN (which fails every comparison), infinite or past float range."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _number(ns: Namespace, *keys: str) -> float:

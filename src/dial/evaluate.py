@@ -18,10 +18,10 @@ triggered steps, normalized by the never-trigger baseline (N * H units).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .dsl import finite_number
 from .envs import EnvFault, Environment
 from .gate import GateModel, reverse_direction
 from .rng import derive_seed
@@ -53,10 +53,9 @@ class PolicySpec:
                 raise EvalError(f"signal: must be a non-empty string, got {self.signal!r}")
             if type(self.direction) is not int or self.direction not in (1, -1):  # a bool is not an int here
                 raise EvalError(f"direction: must be the integer 1 or -1, got {self.direction!r}")
-            theta = self.threshold  # finite: not NaN (fails every comparison), infinite or past float range
-            if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max):
-                raise EvalError(f"threshold: must be a finite number, got {theta!r}")
-            object.__setattr__(self, "threshold", float(theta))
+            if not finite_number(self.threshold):
+                raise EvalError(f"threshold: must be a finite number, got {self.threshold!r}")
+            object.__setattr__(self, "threshold", float(self.threshold))
         if self.kind in ("dial", "reversed_dial") and self.model is None:
             raise EvalError(f"{self.kind} policy needs a fitted gate model")
 

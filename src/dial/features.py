@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsl import CompiledExpr, DslError, _number, check_expr, parse_row
-from .files import write_once
+from .files import strict_json, write_once
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -284,7 +284,7 @@ class HttpProposalClient(ProposalProvider):
             try:
                 specs = proposed_specs(self._parse_reply(self._request(prompt)))
                 items = [{"name": spec.name, "expr": spec.extractor} for spec in specs]
-                write_once(path, json.dumps(items, sort_keys=True, indent=1))
+                write_once(path, strict_json(items))
                 return specs
             except FileExistsError:  # another fit stored this digest first: its entry stands
                 return self._cached(path)

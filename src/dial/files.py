@@ -1,8 +1,30 @@
-"""The one file writer: every artifact and proposal cache entry."""
+"""The one file writer and JSON renderer: every artifact and proposal cache entry."""
 
 from __future__ import annotations
 
+import json
+import math
 import os
+from dataclasses import asdict, is_dataclass
+from typing import Any
+
+
+def strict_json(value: Any) -> str:
+    """``value`` as strict JSON (RFC 8259), keys sorted, indent 1: a dataclass as
+    its fields, and a non-finite float, a degenerate correlation's NaN say, as null."""
+    return json.dumps(_json_data(value), sort_keys=True, indent=1, allow_nan=False)
+
+
+def _json_data(value: Any) -> Any:
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _json_data(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_once(path: str, text: str) -> None:

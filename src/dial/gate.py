@@ -14,11 +14,17 @@ sigmoid threshold. The loss is the summed binary cross-entropy plus a
 Every penalty is solved by one proximal-Newton path: each outer
 iteration solves a weighted quadratic model of the loss exactly, by an
 active-set (feature-sign) search over the weighted Gram matrix of
-[X 1]; l2 and none are the case without an l1 term, solved in one step.
-The solver stops on a KKT certificate, when no gradient entry (the
-bias's included) is farther than 1e-9 from the l1 subdifferential; it
-also stops when no step improves the objective in double precision, and
-at its cap of SOLVER_MAX_ITER (10,000) outer iterations, which it logs.
+[X 1], started with the current iterate's nonzero coordinates active.
+l2 and none are the case without an l1 term, where no sign crossing
+cuts a step, but the search is the same one: it activates one
+coordinate per solve, so a cold start's first subproblem takes up to
+d + 1 solves (the bias alone, then one weight more each), and a later
+subproblem, which starts with every weight the last one activated,
+usually takes one. The solver stops on a KKT certificate, when no
+gradient entry (the bias's included) is farther than 1e-9 from the l1
+subdifferential; it also stops when no step improves the objective in
+double precision, and at its cap of SOLVER_MAX_ITER (10,000) outer
+iterations, which it logs.
 Each model's meta records how its fits stopped. Fitting is single-threaded
 and deterministic; a fitted model is immutable and can be shared freely.
 """
@@ -35,7 +41,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from .dsl import CompiledExpr
+from .dsl import CompiledExpr, finite_number
 from .features import FeatureSpec, compile_features, extract_features
 from .rng import rng_for
 
@@ -82,6 +88,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def bce_sum(z: np.ndarray, y: np.ndarray) -> float:
     """Summed binary cross-entropy of logits z against labels y."""
     return float(np.logaddexp(0.0, z).sum() - y @ z)
+
+
+def finite_reciprocal(value: float) -> bool:
+    """Whether 1/``value``, for a positive ``value``, is finite; a subnormal's overflows."""
+    return math.isfinite(1.0 / value)
 
 
 def _penalty_weights(c: float, reg: str) -> Tuple[float, float]:
@@ -272,8 +283,8 @@ def fit_sparse_logistic(
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise GateError("matrix and labels misaligned")
-    if c <= 0:
-        raise GateError(f"C must be positive, got {c}")
+    if not (finite_number(c) and c > 0 and finite_reciprocal(c)):  # 1/C weighs the penalty
+        raise GateError(f"C must be a positive number with a finite reciprocal, got {c!r}")
     lam1, lam2 = _penalty_weights(c, reg)
     _check_two_classes(y)
     n, d = X.shape
@@ -493,15 +504,13 @@ class GateModel:
 
     def __post_init__(self) -> None:
         for name in ("means", "sds", "weights"):  # lists, as a model JSON holds them, become arrays
-            try:
-                values = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
-                values = None
-            if values is None or values.ndim != 1:
-                raise GateError(f"{name} must be a list of numbers, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, values)
-        if not 0.0 < self.tau < 1.0:
-            raise GateError(f"threshold must lie in (0, 1), got {self.tau}")
+            given = getattr(self, name)
+            values = given.tolist() if isinstance(given, np.ndarray) else given  # a NaN or infinite float: refused below
+            if not (isinstance(values, (list, tuple)) and all(isinstance(v, float) or finite_number(v) for v in values)):
+                raise GateError(f"{name} must be a list of numbers, got {given!r}")
+            object.__setattr__(self, name, np.asarray(values, dtype=float))
+        if not (finite_number(self.tau) and 0.0 < self.tau < 1.0):
+            raise GateError(f"threshold must lie in (0, 1), got {self.tau!r}")
         if self.regularizer not in REGULARIZERS:  # a model JSON may hold any value
             raise GateError(f"unknown regularizer {self.regularizer!r}")
         if not len(self.feature_specs) == len(self.means) == len(self.sds) == len(self.weights):
@@ -513,9 +522,9 @@ class GateModel:
         for name, values in finite:  # a model JSON may hold NaN or Infinity
             if not np.isfinite(values).all():
                 raise GateError(f"{name} must be finite, got {values.tolist()}")
-        if not all(math.isfinite(1.0 / sd) for sd in self.sds.tolist()):  # a subnormal sd overflows any standardize
+        if not all(map(finite_reciprocal, self.sds.tolist())):  # a subnormal sd overflows any standardize
             raise GateError(f"standardizer sds must have finite reciprocals, got {self.sds.tolist()}")
-        if not math.isfinite(self.bias):
+        if not finite_number(self.bias):
             raise GateError(f"bias must be finite, got {self.bias!r}")
         read = [j for j, w in enumerate(self.weights.tolist()) if w != 0.0]
         object.__setattr__(self, "row", compile_features([self.feature_specs[j] for j in read]))

@@ -64,12 +64,12 @@ Conventions (fixed for reproducibility):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dsl import finite_number
 from .envs import EnvFault
 from .rng import stream
 
@@ -108,16 +108,12 @@ class TwoSourceParams:
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise InvalidParams(f"horizon: must be a positive integer, got {self.horizon!r}")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise InvalidParams(f"{f.name}: must be a real number, got {value!r}")
-            # Finite as a Python float (numpy compares a float32 in float32); an int past float range is not.
-            try:
-                number = float(value)
-            except OverflowError:
-                number = math.inf
-            if not math.isfinite(number):
-                raise InvalidParams(f"{f.name}: must be finite, got {value!r}")
+            given = getattr(self, f.name)
+            value = given.item() if isinstance(given, np.generic) else given  # the Python scalar it holds, same bits
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParams(f"{f.name}: must be a real number, got {given!r}")
+            if not finite_number(value):
+                raise InvalidParams(f"{f.name}: must be finite, got {given!r}")
         for name in ("alpha", "beta", "trigger_cost_units"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name}: must be positive, got {getattr(self, name)!r}")

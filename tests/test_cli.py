@@ -167,6 +167,7 @@ _NON_FINITE = [
         ({"gate": {"c_grid": [0.1, "x"]}}, "gate.c_grid"),
         ({"gate": {"c_grid": [0.1, float("inf")]}}, "gate.c_grid"),
         ({"gate": {"c_grid": [0.1, 10**400]}}, "gate.c_grid"),
+        ({"gate": {"c_grid": [0.1, 1e-320]}}, "gate.c_grid"),
         ({"gate": {"folds": None}}, "gate.folds"),
         ({"eval": {"n_episodes": True}}, "eval.n_episodes"),
         ({"seed": "abc"}, "seed"),
@@ -181,7 +182,7 @@ _NON_FINITE = [
         ({"output_dir": ""}, "output_dir"),
         ({"output_dir": 7}, "output_dir"),
     ] + [(overrides, key) for overrides, key, _ in _NON_FINITE],
-    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "c-grid-inf", "c-grid-huge",
+    ids=["k-fraction", "n-text", "eps-text", "tau-text", "c-grid-text", "c-grid-inf", "c-grid-huge", "c-grid-subnormal",
          "folds-null", "n-bool", "seed-text", "env-reward-text", "env-slope-text", "env-noise-nan",
          "env-alpha-text", "env-bool", "c-grid-duplicate", "c-grid-duplicate-int", "output-dir-null",
          "output-dir-empty", "output-dir-number"] + [case_id for _, _, case_id in _NON_FINITE],

@@ -683,6 +683,15 @@ def test_http_cache_entry_stored_first_stands(tmp_path, monkeypatch, endpoint):
     assert _entries(tmp_path) == [_entry(tmp_path, _SUMMARY).name]
 
 
+def test_http_cache_entry_of_the_mock_features_keeps_its_bytes(tmp_path, monkeypatch, endpoint):
+    # The strict renderer writes an entry byte for byte as a plain sorted, indented json.dumps seeds one.
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda request, timeout=None: FakeResponse(json.dumps(MockProposalClient.FIXED)))
+    _client(tmp_path).propose(_SUMMARY)
+    expected = json.dumps(MockProposalClient.FIXED, sort_keys=True, indent=1)
+    assert _entry(tmp_path, _SUMMARY).read_bytes() == expected.encode()
+
+
 def test_http_cache_store_touches_only_its_own_entry(tmp_path, monkeypatch, endpoint):
     monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout=None: FakeResponse(GOOD_REPLY))
     for n in range(3):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -174,11 +175,21 @@ def test_a_model_built_from_lists_decides_like_one_built_from_arrays():
 
 
 @pytest.mark.parametrize("field", ["means", "sds", "weights"])
-@pytest.mark.parametrize("value", [["x"], None, [[1.0]]], ids=["text", "none", "nested"])
+@pytest.mark.parametrize("value", [["x"], None, [[1.0]], ["0.5"], [True]],
+                         ids=["text", "none", "nested", "numeric-text", "bool"])
 def test_a_model_field_that_is_no_list_of_numbers_is_refused_by_name(field, value):
     values = {"means": [0.0], "sds": [1.0], "weights": [1.0], field: value}
     with pytest.raises(GateError, match=f"^{field} must be a list of numbers"):
         GateModel(feature_specs=tuple(_specs("a")), bias=0.0, tau=0.5, regularizer="l1", **values)
+
+
+@pytest.mark.parametrize("field, message", [("bias", "bias must be finite"), ("tau", r"threshold must lie in \(0, 1\)")],
+                         ids=["bias", "tau"])
+def test_a_text_bias_or_tau_is_refused_by_name(field, message):
+    # A text bias or tau once failed with a bare TypeError.
+    values = {"bias": 0.0, "tau": 0.5, field: "0.5"}
+    with pytest.raises(GateError, match=f"^{message}, got '0.5'$"):
+        GateModel(feature_specs=tuple(_specs("a")), means=[0.0], sds=[1.0], weights=[1.0], regularizer="l1", **values)
 
 
 def test_duplicate_column_is_read_once():
@@ -223,6 +234,15 @@ def test_single_class_raises():
     X = np.zeros((5, 2))
     with pytest.raises(SingleClassError):
         fit_sparse_logistic(X, np.ones(5), c=1.0, reg="l1")
+
+
+@pytest.mark.parametrize("c", [float("nan"), 1e-320, 0, -1.0], ids=["nan", "subnormal", "zero", "negative"])
+def test_solver_refuses_a_c_without_a_finite_positive_reciprocal(c):
+    # 1/C weighs the penalty: a NaN C or a subnormal one (1/C overflows)
+    # once ran and returned an all-zero gate.
+    X = np.array([[-1.0], [1.0], [-0.5], [0.5]])
+    with pytest.raises(GateError, match=f"^C must be a positive number with a finite reciprocal, got {c!r}$"):
+        fit_sparse_logistic(X, np.array([0.0, 1.0, 1.0, 0.0]), c=c, reg="none")
 
 
 def test_solver_beats_grid_oracle_small():
@@ -677,6 +697,16 @@ def test_decisions_invariant_under_feature_rescaling():
     model_scaled = fit_gate(X2, y2, specs2, seed=5)
     for obs_a, obs_b in zip(obs_rows, obs2):
         assert model_raw.decide(obs_a) == model_scaled.decide(obs_b)
+
+
+def test_model_json_is_strict(tmp_path):
+    # The model JSON was the one artifact written with NaN literals allowed.
+    model = _toy_model([0.5, -0.5])
+    path = tmp_path / "model.json"
+    save_model_json(dataclasses.replace(model, meta={"score": float("nan"), "scores": [1.0, float("inf")]}), str(path))
+    payload = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"not strict JSON: {name}"))
+    assert payload["meta"] == {"score": None, "scores": [1.0, None]}
+    assert load_model_json(str(path)).weights.tolist() == [0.5, -0.5]
 
 
 def test_model_json_round_trip_bit_exact(tmp_path):
