@@ -46,7 +46,7 @@ from .features import (
     proposal_client,
 )
 from .dsl import finite_number
-from .files import strict_json, write_once
+from .files import json_digest, strict_json, write_once
 from .gate import (
     DEFAULT_C_GRID,
     DEFAULT_FOLDS,
@@ -117,9 +117,7 @@ class RunConfig:
     def digest(self) -> str:
         """Digest of the run content: the config minus its output
         placement, so identical runs match wherever they are written."""
-        content = {k: v for k, v in self.raw.items() if k != "output_dir"}
-        canonical = json.dumps(content, sort_keys=True).encode()
-        return hashlib.sha256(canonical).hexdigest()
+        return json_digest({k: v for k, v in self.raw.items() if k != "output_dir"})
 
     def short_digest(self) -> str:
         return self.digest()[:8]

@@ -11,7 +11,6 @@ summary. Proposals are constrained to the feature expression language
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsl import CompiledExpr, DslError, _number, check_expr, parse_row
-from .files import strict_json, write_once
+from .files import json_digest, strict_json, write_once
 
 # Simulator aliases: the scalar signal plays the token-entropy role and
 # the type proxy plays the evidence-count role. Documented aliasing, not
@@ -195,8 +194,8 @@ comparisons (which evaluate to 0 or 1), min(a,b), max(a,b), clamp(x,lo,hi), abs(
 
 
 def summary_digest(summary: Dict[str, Any]) -> str:
-    canonical = json.dumps(summary, sort_keys=True, default=str).encode()
-    return hashlib.sha256(canonical).hexdigest()
+    """The proposal cache key of a dataset summary."""
+    return json_digest(summary)
 
 
 class HttpProposalClient(ProposalProvider):

@@ -1,7 +1,8 @@
-"""The one file writer and JSON renderer: every artifact and proposal cache entry."""
+"""The one file writer, strict JSON renderer and canonical-JSON digest of dial."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,12 @@ def _json_data(value: Any) -> Any:
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def json_digest(value: Any) -> str:
+    """sha256 hex of ``value`` as canonical JSON: keys sorted, json's default
+    separators, and any value JSON cannot hold written as its ``str``."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True, default=str).encode()).hexdigest()
 
 
 def write_once(path: str, text: str) -> None:

@@ -105,15 +105,6 @@ def _penalty_weights(c: float, reg: str) -> Tuple[float, float]:
     return l1_share * lam, l2_share * lam
 
 
-def _penalty(w: np.ndarray, lam1: float, lam2: float) -> float:
-    """lam1*|w|_1 + 0.5*lam2*|w|^2 (the bias is never penalized)."""
-    return lam1 * float(np.abs(w).sum()) + 0.5 * lam2 * float(w @ w)
-
-
-def objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float, reg: str) -> float:
-    return bce_sum(X @ w + b, y) + _penalty(w, *_penalty_weights(c, reg))
-
-
 # -- standardization ---------------------------------------------------------
 
 
@@ -567,11 +558,10 @@ def reverse_direction(model: GateModel) -> GateModel:
 
 def weight_diagnostic(model: GateModel) -> Dict[str, str]:
     """Per-feature direction from weight signs: type_d_proxy,
-    type_i_proxy or uninformative."""
-    exact = model.regularizer in ("l1", "elastic_net")
+    type_i_proxy or uninformative (a zero weight: one the gate does not read)."""
     out: Dict[str, str] = {}
     for name, w in zip(model.feature_names, model.weights):
-        if (w == 0.0) if exact else (abs(w) < 1e-10):
+        if w == 0.0:
             out[name] = "uninformative"
         elif w > 0:
             out[name] = "type_d_proxy"

@@ -365,29 +365,6 @@ def simpson_decomposition(
     )
 
 
-# -- classification ------------------------------------------------------------------
-
-
-def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
-    """Rank-based (Mann-Whitney) AUC with average-rank tie correction;
-    every label is 0 or 1."""
-    labels = np.asarray(labels, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    if labels.shape != scores.shape:
-        raise StatsError("labels and scores misaligned")
-    _check_finite(labels, scores)
-    other = labels[(labels != 0) & (labels != 1)]
-    if other.size:
-        raise StatsError(f"AUC labels must be 0 or 1, got {other[0]:g}")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise StatsError("AUC needs both classes present")
-    ranks = average_ranks(scores)
-    rank_sum = float(ranks[labels == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 # -- report emission --------------------------------------------------------------------
 
 

@@ -23,11 +23,10 @@ from dial.cli import cmd_eval, cmd_explore, cmd_fit, cmd_stats, cmd_verify, load
 from dial.evaluate import PolicySpec, run_deployment
 from dial.explore import run_exploration
 from dial.features import MockProposalClient
-from dial.gate import fit_sparse_logistic, objective
+from dial.gate import fit_sparse_logistic
 from dial.rng import derive_seed
 from dial.stats import (
     CellKey,
-    auc,
     pearson,
     predicted_rho,
     quantile_normalize,
@@ -38,6 +37,7 @@ from dial.stats import (
 )
 from dial.twosource import TwoSourceEnv, TwoSourceParams, sample_states
 from direction_experiments import explore_and_fit, prop1_counterexample, wrong_direction_experiment
+from oracles import auc, objective
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 

@@ -32,7 +32,6 @@ from dial.gate import (
     mi_topk_select,
     model_from_dict,
     model_to_dict,
-    objective,
     reverse_direction,
     weight_diagnostic,
     _sigmoid,
@@ -40,6 +39,7 @@ from dial.gate import (
 from dial.rng import derive_seed
 from dial.twosource import TwoSourceEnv, sample_states
 from direction_experiments import explore_and_fit
+from oracles import objective
 
 _DEMO_PARAMS = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")).env_params
 
@@ -663,6 +663,12 @@ def test_weight_diagnostic_signs():
     model = _toy_model([0.5, -0.5, 0.0])
     diag = weight_diagnostic(model)
     assert diag == {"f0": "type_d_proxy", "f1": "type_i_proxy", "f2": "uninformative"}
+
+
+def test_weight_diagnostic_calls_uninformative_only_the_weights_the_gate_does_not_read():
+    model = _toy_model([5e-11, -5e-11, 0.0], reg="l2")
+    assert [w for _, _, w in model.terms] == [5e-11, -5e-11]  # the gate reads f0 and f1
+    assert weight_diagnostic(model) == {"f0": "type_d_proxy", "f1": "type_i_proxy", "f2": "uninformative"}
 
 
 # -- orchestration, invariance, serialization -----------------------------------------

@@ -19,7 +19,6 @@ from dial.stats import (
     CellKey,
     StatsError,
     _t_approx_p,
-    auc,
     average_ranks,
     bootstrap_ci,
     pearson,
@@ -32,6 +31,7 @@ from dial.stats import (
     transform_suite,
 )
 from dial.twosource import TwoSourceParams, sample_states
+from oracles import auc
 
 
 # -- rank helpers -------------------------------------------------------------
